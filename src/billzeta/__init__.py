@@ -17,7 +17,6 @@ from .basis import (
     String1D,
     Tabulated,
     build_sigma_table,
-    eigenvalue,
     sigma_power_element,
 )
 from .coefficients import (
@@ -84,7 +83,6 @@ __all__ = [
     "build_sigma_table",
     "convergence_order_fit",
     "delta",
-    "eigenvalue",
     "eta",
     "kernel_second_order",
     "kernel_second_order_presplit",

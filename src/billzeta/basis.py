@@ -15,9 +15,11 @@ cached to disk in a checksummed flat binary format.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import os
+import secrets
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,8 +47,8 @@ class String1D:
     length: float = 1.0
 
     def __post_init__(self):
-        if not self.length > 0:
-            raise ValidationError("string length must be positive")
+        if not 0 < self.length < math.inf:
+            raise ValidationError("string length must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -57,8 +59,8 @@ class Rectangle2D:
     b: float = 1.0
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise ValidationError("rectangle sides must be positive")
+        if not (0 < self.a < math.inf and 0 < self.b < math.inf):
+            raise ValidationError("rectangle sides must be finite and positive")
 
 
 def _enumerate_rectangle_modes(a: float, b: float, count: int) -> list[tuple[int, int]]:
@@ -114,10 +116,6 @@ class ModeBasis:
                 f"mode index {n} out of range 1..{self.mode_count}"
             )
         return float(self.eigenvalues()[n - 1])
-
-
-def eigenvalue(basis: ModeBasis, n: int) -> float:
-    return basis.eigenvalue(n)
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +257,12 @@ class DensityPerturbation:
             raise ValidationError("2D domains need a Separable2D profile")
         if isinstance(domain, String1D) and isinstance(self.profile, Separable2D):
             raise ValidationError("1D domains need a 1D profile")
+        if not math.isfinite(self.lam):
+            raise ValidationError(f"lambda must be finite, got {self.lam!r}")
         bound = abs(self.lam) * self.sigma_sup(domain)
-        if bound >= 1.0:
+        if not bound < 1.0:  # also rejects a NaN bound
             raise ValidationError(
-                f"density bound violated: sup|lambda*sigma| = {bound:.6g} >= 1"
+                f"density bound violated: sup|lambda*sigma| = {bound:.6g}, needs < 1"
             )
 
 
@@ -485,9 +485,17 @@ def _write_cache(path: Path, key: str, data: np.ndarray) -> None:
         + struct.pack("<III", *data.shape)
         + digest
     )
-    tmp = path.with_suffix(".tmp")
-    tmp.write_bytes(header + payload)
-    os.replace(tmp, path)
+    # a unique temp file per writer, so concurrent writers never share one;
+    # open() rather than mkstemp keeps the umask's file mode for shared caches
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{secrets.token_hex(8)}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(header + payload)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _read_cache(path: Path, key: str, shape: tuple[int, int, int]) -> np.ndarray | None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,11 +47,12 @@ EXIT_SLOPE = 4
 
 ROUTES = ("closed", "trace1", "trace2", "oracle", "all")
 
-_PROFILE_KEYS = {
-    "fourier-cosine": {"type", "coeffs"},
-    "polynomial": {"type", "coeffs"},
-    "tabulated": {"type", "x", "y"},
-    "separable": {"type", "terms"},
+# profile type -> (class, keys holding its number lists); separable has "terms"
+_PROFILES = {
+    "fourier-cosine": (FourierCosine, ("coeffs",)),
+    "polynomial": (Polynomial, ("coeffs",)),
+    "tabulated": (Tabulated, ("x", "y")),
+    "separable": (Separable2D, ("terms",)),
 }
 
 _TOP_KEYS = {
@@ -63,9 +65,10 @@ _TOP_KEYS = {
     "diagonal_mode",
     "output",
     "cache_dir",
-    "deterministic",
     "slope_threshold",
 }
+
+_BASIS_SIDES = {"string": ("length",), "rectangle": ("a", "b")}
 
 
 @dataclass
@@ -84,7 +87,6 @@ class RunConfig:
     out_format: str = "csv"
     out_path: str | None = None
     cache_dir: str | None = None
-    deterministic: bool = False
     slope_threshold: float = 2.7
 
     def densities(self):
@@ -116,7 +118,6 @@ class RunConfig:
             "diagonal_mode": self.diagonal_mode,
             "output": {"format": self.out_format, "path": self.out_path},
             "cache_dir": self.cache_dir,
-            "deterministic": self.deterministic,
             "slope_threshold": self.slope_threshold,
         }
 
@@ -137,49 +138,79 @@ def _profile_to_dict(profile) -> dict:
     }
 
 
+def _typed(node, kind, where, problems, fallback):
+    """node if it is an instance of kind; otherwise record a problem, return fallback."""
+    if isinstance(node, kind):
+        return node
+    problems.append(f"{where}: unexpected {type(node).__name__} {node!r}")
+    return fallback
+
+
+def _number(value, where, problems, kind=float):
+    """value converted by kind and required finite; None with a problem otherwise."""
+    try:
+        number = kind(value)
+        if not math.isfinite(number):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        problems.append(f"{where}: expected a finite number, got {value!r}")
+        return None
+    return number
+
+
+def _numbers(values, where, problems) -> list:
+    """The finite entries of a JSON array; each other entry is recorded as a problem."""
+    entries = _typed(values, list, where, problems, [])
+    numbers = [_number(v, f"{where}[{i}]", problems) for i, v in enumerate(entries)]
+    return [v for v in numbers if v is not None]
+
+
 def _parse_profile(node, problems, where="density.profile"):
-    if not isinstance(node, dict):
-        problems.append(f"{where}: expected an object")
+    node = _typed(node, dict, where, problems, None)
+    if node is None:
         return None
     kind = node.get("type")
-    if kind not in _PROFILE_KEYS:
+    if not isinstance(kind, str) or kind not in _PROFILES:
         problems.append(f"{where}: unknown profile type {kind!r}")
         return None
-    unknown = set(node) - _PROFILE_KEYS[kind]
+    cls, keys = _PROFILES[kind]
+    unknown = set(node) - {"type", *keys}
     if unknown:
         problems.append(f"{where}: unknown keys {sorted(unknown)}")
         return None
-    try:
-        if kind == "fourier-cosine":
-            return FourierCosine(tuple(node.get("coeffs", ())))
-        if kind == "polynomial":
-            return Polynomial(tuple(node.get("coeffs", ())))
-        if kind == "tabulated":
-            return Tabulated(tuple(node["x"]), tuple(node["y"]))
-        terms = []
-        for i, term in enumerate(node.get("terms", ())):
-            if set(term) - {"x", "y"}:
-                problems.append(f"{where}.terms[{i}]: unknown keys")
-                return None
-            px = _parse_profile(term["x"], problems, f"{where}.terms[{i}].x")
-            py = _parse_profile(term["y"], problems, f"{where}.terms[{i}].y")
-            if px is None or py is None:
-                return None
-            terms.append((px, py))
-        return Separable2D(tuple(terms))
-    except (KeyError, TypeError, ValidationError) as exc:
-        problems.append(f"{where}: {exc}")
-        return None
+    if cls is not Separable2D:
+        before = len(problems)
+        lists = [tuple(_numbers(node.get(k, []), f"{where}.{k}", problems)) for k in keys]
+        try:
+            return cls(*lists) if len(problems) == before else None
+        except ValidationError as exc:
+            problems.append(f"{where}: {exc}")
+            return None
+    terms = []
+    for i, term in enumerate(_typed(node.get("terms", []), list, f"{where}.terms", problems, [])):
+        if not isinstance(term, dict) or set(term) != {"x", "y"}:
+            problems.append(f"{where}.terms[{i}]: expected an object with keys x and y")
+            return None
+        px = _parse_profile(term["x"], problems, f"{where}.terms[{i}].x")
+        py = _parse_profile(term["y"], problems, f"{where}.terms[{i}].y")
+        if px is None or py is None:
+            return None
+        terms.append((px, py))
+    return Separable2D(tuple(terms))
 
 
 def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
-    """Parse and validate configuration; raise ConfigError listing every problem."""
+    """Parse and validate configuration; raise ConfigError listing every problem.
+
+    Every node's type and every scalar conversion is checked here, so any
+    JSON object either loads or raises ConfigError.
+    """
     problems: list[str] = []
     data: dict = {}
     if path is not None:
         try:
             data = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError([f"cannot read config {path}: {exc}"])
         if not isinstance(data, dict):
             raise ConfigError(["config root must be a JSON object"])
@@ -190,34 +221,47 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
             problems.append(f"unsupported config version {data.get('version')!r}")
 
     # --- basis ---
-    basis_node = data.get("basis", {"kind": "string", "length": 1.0})
-    trunc_node = data.get("truncation", {})
+    basis_node = _typed(data.get("basis", {"kind": "string"}), dict, "basis", problems, {})
+    trunc_node = _typed(data.get("truncation", {}), dict, "truncation", problems, {})
     if set(trunc_node) - {"modes", "quadrature_nodes", "inner_discard", "top_discard_fraction"}:
         problems.append("truncation: unknown keys")
     modes = trunc_node.get("modes", 200)
-    if getattr(overrides, "modes", None):
+    if getattr(overrides, "modes", None) is not None:
         modes = overrides.modes
     domain = None
-    kind = basis_node.get("kind") if isinstance(basis_node, dict) else None
-    if kind == "string":
-        if set(basis_node) - {"kind", "length"}:
-            problems.append("basis: unknown keys")
-        domain = String1D(float(basis_node.get("length", 1.0)))
-    elif kind == "rectangle":
-        if set(basis_node) - {"kind", "a", "b"}:
-            problems.append("basis: unknown keys")
-        domain = Rectangle2D(float(basis_node.get("a", 1.0)), float(basis_node.get("b", 1.0)))
-    else:
+    kind = basis_node.get("kind")
+    sides = _BASIS_SIDES.get(kind) if isinstance(kind, str) else None
+    if sides is None:
         problems.append(f"basis.kind must be 'string' or 'rectangle', got {kind!r}")
+    else:
+        if set(basis_node) - {"kind", *sides}:
+            problems.append("basis: unknown keys")
+        values = [_number(basis_node.get(side, 1.0), f"basis.{side}", problems) for side in sides]
+        if None not in values:
+            try:
+                domain = (String1D if kind == "string" else Rectangle2D)(*values)
+            except ValidationError as exc:
+                problems.append(f"basis: {exc}")
     basis = None
-    if domain is not None:
+    modes = _number(modes, "truncation.modes", problems, int)
+    if domain is not None and modes is not None:
         try:
-            basis = ModeBasis(domain, int(modes))
-        except (ValidationError, ValueError) as exc:
+            basis = ModeBasis(domain, modes)
+        except ValidationError as exc:
             problems.append(f"basis: {exc}")
+    quadrature_nodes, inner_discard = (
+        None if trunc_node.get(key) is None
+        else _number(trunc_node[key], f"truncation.{key}", problems, int)
+        for key in ("quadrature_nodes", "inner_discard")
+    )
+    top_discard = _number(
+        trunc_node.get("top_discard_fraction", 0.25), "truncation.top_discard_fraction", problems
+    )
+    if top_discard is not None and not 0.0 <= top_discard < 1.0:
+        problems.append(f"truncation.top_discard_fraction must be in [0, 1), got {top_discard!r}")
 
     # --- density ---
-    dens_node = data.get("density", {})
+    dens_node = _typed(data.get("density", {}), dict, "density", problems, {})
     if set(dens_node) - {"profile", "lambda", "lambda_list"}:
         problems.append("density: unknown keys")
     if "lambda" in dens_node and "lambda_list" in dens_node:
@@ -227,28 +271,25 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
         profile = FourierCosine((0.0, 0.0, 1.0))  # reference profile cos(2 pi x / L)
     else:
         profile = _parse_profile(profile_node, problems)
-    lam_list = dens_node.get("lambda_list", [dens_node.get("lambda", 0.1)])
     if getattr(overrides, "lam", None) is not None:
-        try:
-            lam_list = [float(tok) for tok in str(overrides.lam).split(",") if tok]
-        except ValueError:
-            problems.append(f"--lambda: cannot parse {overrides.lam!r}")
-    try:
-        lam_list = [float(v) for v in lam_list]
-    except (TypeError, ValueError):
-        problems.append("density: lambda values must be numbers")
-        lam_list = []
+        tokens = [tok for tok in str(overrides.lam).split(",") if tok]
+        lam_list = _numbers(tokens, "--lambda", problems)
+    elif "lambda_list" in dens_node:
+        lam_list = _numbers(dens_node["lambda_list"], "density.lambda_list", problems)
+    else:
+        lam = _number(dens_node.get("lambda", 0.1), "density.lambda", problems)
+        lam_list = [] if lam is None else [lam]
 
     # --- orders ---
-    order_tokens = data.get("orders", ["3/2"])
-    if getattr(overrides, "s", None):
-        order_tokens = overrides.s
+    order_tokens = overrides.s if getattr(overrides, "s", None) else data.get("orders", ["3/2"])
     orders = []
-    for tok in order_tokens:
+    for tok in _typed(order_tokens, list, "orders", problems, []):
         try:
             orders.append(RationalOrderSpec.parse(str(tok)))
         except (ValidationError, ValueError, ZeroDivisionError) as exc:
             problems.append(f"order {tok!r}: {exc}")
+    if order_tokens == []:
+        problems.append("no orders given")
 
     # --- remaining scalars ---
     route = getattr(overrides, "route", None) or data.get("route", "all")
@@ -259,19 +300,20 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
         diagonal_mode = sumrules.RESUMMED
     if diagonal_mode not in (sumrules.TRUNCATED, sumrules.RESUMMED):
         problems.append(f"diagonal_mode must be truncated|resummed, got {diagonal_mode!r}")
-    out_node = data.get("output", {})
+    out_node = _typed(data.get("output", {}), dict, "output", problems, {})
     if set(out_node) - {"format", "path"}:
         problems.append("output: unknown keys")
     out_format = getattr(overrides, "format", None) or out_node.get("format", "csv")
     if out_format not in ("csv", "json"):
         problems.append(f"output format must be csv|json, got {out_format!r}")
     out_path = getattr(overrides, "out", None) or out_node.get("path")
+    out_path = _typed(out_path, (str, type(None)), "output.path", problems, None)
     cache_dir = getattr(overrides, "cache_dir", None) or data.get("cache_dir")
-    deterministic = bool(data.get("deterministic", False) or getattr(overrides, "deterministic", False))
-    threshold = float(data.get("slope_threshold", 2.7))
-    if getattr(overrides, "threshold", None) is not None:
-        threshold = overrides.threshold
-    top_discard = float(trunc_node.get("top_discard_fraction", 0.25))
+    cache_dir = _typed(cache_dir, (str, type(None)), "cache_dir", problems, None)
+    threshold = getattr(overrides, "threshold", None)
+    if threshold is None:
+        threshold = data.get("slope_threshold", 2.7)
+    threshold = _number(threshold, "slope_threshold", problems)
 
     # --- cross validation (one pass, everything reported) ---
     if basis is not None and profile is not None:
@@ -291,7 +333,7 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
             if route == "trace2" and spec.kind != "inv_sum":
                 problems.append(f"order {spec.label()}: route trace2 needs a 1/N+1/N' order")
     if not lam_list:
-        problems.append("no lambda values given")
+        problems.append("no usable lambda values given")
     if problems:
         raise ConfigError(problems)
     return RunConfig(
@@ -299,15 +341,14 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
         profile=profile,
         lam_list=lam_list,
         orders=orders,
-        quadrature_nodes=trunc_node.get("quadrature_nodes"),
-        inner_discard=trunc_node.get("inner_discard"),
+        quadrature_nodes=quadrature_nodes,
+        inner_discard=inner_discard,
         top_discard=top_discard,
         route=route,
         diagonal_mode=diagonal_mode,
         out_format=out_format,
         out_path=out_path,
         cache_dir=cache_dir,
-        deterministic=deterministic,
         slope_threshold=threshold,
     )
 
@@ -317,22 +358,24 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _write_records(records: list[SumRuleResult], cfg: RunConfig, extra: dict | None = None) -> str:
+def _write_records(records: list[SumRuleResult], cfg: RunConfig, extra: dict | None = None) -> None:
     if cfg.out_format == "json":
         doc = {"results": [r.to_dict() for r in records]}
         if extra:
             doc.update(extra)
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     else:
-        lines = [",".join(CSV_FIELDS)]
-        lines += [r.csv_row() for r in records]
-        text = "\n".join(lines) + "\n"
+        text = "\n".join([",".join(CSV_FIELDS)] + [r.csv_row() for r in records]) + "\n"
+    _emit(text, cfg)
+
+
+def _emit(text: str, cfg: RunConfig) -> None:
+    """Write text to the configured output path, or to stdout."""
     if cfg.out_path:
         with open(cfg.out_path, "w", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return text
 
 
 def _routes_for(spec: RationalOrderSpec, route: str):
@@ -464,14 +507,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     )
     problem = oracle.assemble(cfg.basis, density, table=table)
     values = oracle.solve_spectrum(problem)
-    lines = ["index,eigenvalue"]
-    lines += [f"{i + 1},{v:.17g}" for i, v in enumerate(values)]
-    text = "\n".join(lines) + "\n"
-    if cfg.out_path:
-        with open(cfg.out_path, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    lines = ["index,eigenvalue"] + [f"{i + 1},{v:.17g}" for i, v in enumerate(values)]
+    _emit("\n".join(lines) + "\n", cfg)
     return EXIT_OK
 
 
@@ -495,7 +532,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="density strength(s)")
         p.add_argument("--route", choices=ROUTES, default=None)
         p.add_argument("--resummed", action="store_true", help="resummed diagonal mode")
-        p.add_argument("--deterministic", action="store_true")
         p.add_argument("--cache-dir", dest="cache_dir", default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("csv", "json"), default=None)

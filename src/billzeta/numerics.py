@@ -1,4 +1,4 @@
-"""Small numerical helpers: generalized binomials and careful summation."""
+"""Small numerical helpers: generalized binomials and compensated summation."""
 
 import numpy as np
 
@@ -14,16 +14,6 @@ def half_binomial(k: int) -> float:
     for j in range(k):
         b *= (0.5 - j) / (j + 1)
     return b
-
-
-def pairwise_sum(values) -> float:
-    """Deterministic pairwise (tree) summation of a 1-D array.
-
-    numpy's contiguous-array reduction is pairwise; route through it on a
-    C-contiguous copy so the reduction order never depends on input strides.
-    """
-    arr = np.ascontiguousarray(values, dtype=float)
-    return float(np.sum(arr))
 
 
 class KahanAccumulator:

@@ -26,7 +26,6 @@ from .basis import DensityPerturbation, ModeBasis, SigmaPowerTable
 from .coefficients import GENERIC_RECURSION, build_coefficient_set
 from .errors import ValidationError
 from .kernels import MAX_ROOT_ORDER, validate_root_order
-from .numerics import pairwise_sum
 
 ROUTE_CLOSED = "closed-form"
 ROUTE_TRACE_1P = "trace-one-plus-inv"
@@ -81,11 +80,7 @@ class RationalOrderSpec:
         return f"1/{self.n_root}+1/{self.n_root2}"
 
     def validate_for(self, basis: ModeBasis) -> None:
-        s = self.s
-        if basis.dimension == 1 and s <= 0.5:
-            raise ValidationError(f"s = {s} diverges on a 1D string (needs s > 1/2)")
-        if basis.dimension == 2 and s <= 1.0:
-            raise ValidationError(f"s = {s} diverges on a 2D rectangle (needs s > 1)")
+        _validate_s_for_basis(self.s, basis)
 
     @classmethod
     def parse(cls, text: str) -> "RationalOrderSpec":
@@ -297,14 +292,16 @@ def tail_estimate(
 # ---------------------------------------------------------------------------
 
 
-def _resolve_order(order) -> tuple[float, str, RationalOrderSpec | None]:
+def _resolve_order(order) -> tuple[float, str]:
+    """Exponent and label of a RationalOrderSpec or a plain number."""
     if isinstance(order, RationalOrderSpec):
-        return order.s, order.label(), order
+        return order.s, order.label()
     s = float(order)
-    return s, f"{s:g}", None
+    return s, f"{s:g}"
 
 
 def _validate_s_for_basis(s: float, basis: ModeBasis) -> None:
+    """Reject exponents whose zeta sum diverges on the basis's domain."""
     if basis.dimension == 1 and s <= 0.5:
         raise ValidationError(f"s = {s} diverges on a 1D string (needs s > 1/2)")
     if basis.dimension == 2 and s <= 1.0:
@@ -327,11 +324,8 @@ def z_closed_form(
     With diagonal_mode="resummed" the truncated diagonal lambda-series is
     replaced by (1 + lam <n|s|n>)^s and the difference reported separately.
     """
-    s, label, spec = _resolve_order(order)
-    if spec is not None:
-        spec.validate_for(basis)
-    else:
-        _validate_s_for_basis(s, basis)
+    s, label = _resolve_order(order)
+    _validate_s_for_basis(s, basis)
     density.validate(basis.domain)
     if table.max_power < 2:
         raise ValidationError("closed form needs a table with max_power >= 2")
@@ -345,22 +339,22 @@ def z_closed_form(
     diag = np.diag(s1).copy()
 
     tail = tail_estimate(basis, s, m)
-    z0 = pairwise_sum(weights) + tail
+    z0 = float(np.sum(weights)) + tail
     z1 = 0.0
     z2 = 0.0
     correction = 0.0
     if lam != 0.0 and np.any(s1):
-        z1 = lam * s * pairwise_sum(diag * weights)
+        z1 = lam * s * float(np.sum(diag * weights))
         kmat = kernel_matrix(eps, s)
         off = s1 * s1
         np.fill_diagonal(off, 0.0)
         z2 = 0.5 * lam * lam * s * (
-            (s - 1.0) * pairwise_sum(diag * diag * weights) + float(np.sum(kmat * off))
+            (s - 1.0) * float(np.sum(diag * diag * weights)) + float(np.sum(kmat * off))
         )
         if diagonal_mode == RESUMMED:
             resummed = np.power(1.0 + lam * diag, s)
             series = 1.0 + lam * s * diag + 0.5 * lam * lam * s * (s - 1.0) * diag * diag
-            correction = pairwise_sum(weights * (resummed - series))
+            correction = float(np.sum(weights * (resummed - series)))
     return _make_result(
         s=s, lam=lam, z0=z0, z1=z1, z2=z2, diagonal_mode=diagonal_mode, tail=tail,
         truncation=m, route=ROUTE_CLOSED, label=label, correction=correction,

@@ -12,7 +12,9 @@ from billzeta.basis import (
     Separable2D,
     String1D,
     Tabulated,
+    _cache_path,
     _quad_elements_1d,
+    _write_cache,
     build_sigma_table,
     sigma_power_element,
 )
@@ -185,6 +187,32 @@ def test_cache_roundtrip_and_corruption(tmp_path):
     assert np.array_equal(repaired.entries, table.entries)
 
 
+def test_concurrent_cache_writers_do_not_collide(tmp_path, monkeypatch):
+    # a second writer of the same key finishes between the first writer's
+    # temp-file write and its rename
+    import billzeta.basis as basis_module
+
+    basis = ModeBasis(String1D(1.0), 6)
+    table = build_sigma_table(basis, COS2, 2)
+    key = "ab" * 32
+    path = _cache_path(tmp_path, key)
+    real_replace = basis_module.os.replace
+    calls = []
+
+    def racing_replace(src, dst):
+        calls.append(src)
+        if len(calls) == 1:
+            _write_cache(path, key, table.entries)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(basis_module.os, "replace", racing_replace)
+    _write_cache(path, key, table.entries)
+    assert len(calls) == 2
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    loaded = basis_module._read_cache(path, key, table.entries.shape)
+    assert np.array_equal(loaded, table.entries)
+
+
 def test_density_bound_validation():
     dens = DensityPerturbation(COS2, 1.2)
     with pytest.raises(ValidationError):
@@ -193,6 +221,17 @@ def test_density_bound_validation():
     ok.validate(String1D(1.0))
     with pytest.raises(ValidationError):
         DensityPerturbation(COS2, 0.1).validate(Rectangle2D(1.0, 1.0))
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+def test_domains_and_strength_must_be_finite(bad):
+    with pytest.raises(ValidationError):
+        String1D(bad)
+    with pytest.raises(ValidationError):
+        Rectangle2D(1.0, bad)
+    if bad != 0.0 and bad != -1.0:
+        with pytest.raises(ValidationError):
+            DensityPerturbation(COS2, bad).validate(String1D(1.0))
 
 
 def test_table_size_validation():

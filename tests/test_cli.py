@@ -1,10 +1,15 @@
 import csv
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from billzeta.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_SLOPE, EXIT_VALIDATION, load_config, main
+from billzeta.errors import ConfigError
 
 
 @pytest.fixture(autouse=True)
@@ -190,9 +195,9 @@ def test_spectrum_csv(tmp_path):
 
 def test_deterministic_outputs_byte_identical(tmp_path):
     cfg = write_config(tmp_path, output={"format": "csv", "path": str(tmp_path / "a.csv")})
-    assert main(["sumrule", "--config", str(cfg), "--deterministic"]) == EXIT_OK
+    assert main(["sumrule", "--config", str(cfg)]) == EXIT_OK
     first = (tmp_path / "a.csv").read_bytes()
-    assert main(["sumrule", "--config", str(cfg), "--deterministic"]) == EXIT_OK
+    assert main(["sumrule", "--config", str(cfg)]) == EXIT_OK
     assert (tmp_path / "a.csv").read_bytes() == first
 
 
@@ -242,3 +247,110 @@ def test_quadrature_failure_exits_3(tmp_path, capsys):
     assert main(["sumrule", "--config", str(cfg)]) == EXIT_NUMERICAL
     doc = json.loads(capsys.readouterr().err.strip())
     assert doc["error"] == "numerical"
+
+
+def problems_on_stderr(capsys):
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    doc = json.loads(err)
+    assert doc["error"] == "validation"
+    return doc["problems"]
+
+
+@pytest.mark.parametrize("route", ["closed", "oracle"])
+def test_non_finite_lambda_exits_2(tmp_path, capsys, route):
+    rc = main(["sumrule", "--s", "3/2", "--lambda", "nan", "--route", route, "--modes", "20"])
+    assert rc == EXIT_VALIDATION
+    assert any("--lambda" in p for p in problems_on_stderr(capsys))
+
+
+def test_modes_flag_zero_exits_2(tmp_path, capsys):
+    assert main(["spectrum", "--modes", "0", "--lambda", "0.1"]) == EXIT_VALIDATION
+    assert any("mode_count" in p for p in problems_on_stderr(capsys))
+
+
+def test_non_finite_length_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, basis={"kind": "string", "length": "inf"})
+    assert main(["sumrule", "--config", str(cfg), "--route", "closed"]) == EXIT_VALIDATION
+    assert any("basis.length" in p for p in problems_on_stderr(capsys))
+
+
+@pytest.mark.parametrize(
+    "override, where",
+    [
+        ({"basis": {"kind": "string", "length": "abc"}}, "basis.length"),
+        ({"slope_threshold": "x"}, "slope_threshold"),
+        ({"truncation": [1, 2]}, "truncation"),
+        ({"density": 5}, "density"),
+        ({"orders": []}, "no orders given"),
+    ],
+)
+def test_config_type_errors_exit_2(tmp_path, capsys, override, where):
+    cfg = write_config(tmp_path, **override)
+    assert main(["sumrule", "--config", str(cfg)]) == EXIT_VALIDATION
+    assert any(p.startswith(where) for p in problems_on_stderr(capsys))
+
+
+def test_config_type_errors_reported_in_one_pass(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, basis={"kind": "string", "length": "abc"}, slope_threshold="x", density=5
+    )
+    assert main(["sumrule", "--config", str(cfg)]) == EXIT_VALIDATION
+    text = " ".join(problems_on_stderr(capsys))
+    assert "basis.length" in text and "slope_threshold" in text and "density" in text
+
+
+_json_scalars = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from(["string", "rectangle", "fourier-cosine", "polynomial", "tabulated",
+                       "separable", "3/2", "1/2+1/3", "inf", "nan", "0.1", "closed", "csv"])
+)
+_json = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _sub_object(keys):
+    return st.fixed_dictionaries({}, optional={k: _json for k in keys}) | _json
+
+
+_profile = st.fixed_dictionaries(
+    {"type": st.sampled_from(["fourier-cosine", "polynomial", "tabulated", "separable"])},
+    optional={"coeffs": _json, "x": _json, "y": _json, "terms": _json},
+)
+_configs = st.fixed_dictionaries(
+    {},
+    optional={
+        "version": _json,
+        "basis": _sub_object(["kind", "length", "a", "b"]),
+        "density": st.fixed_dictionaries(
+            {}, optional={"profile": _profile | _json, "lambda": _json, "lambda_list": _json}
+        ) | _json,
+        "truncation": _sub_object(
+            ["modes", "quadrature_nodes", "inner_discard", "top_discard_fraction"]
+        ),
+        "orders": _json,
+        "route": _json,
+        "diagonal_mode": _json,
+        "output": _sub_object(["format", "path"]),
+        "cache_dir": _json,
+        "slope_threshold": _json,
+    },
+) | st.dictionaries(st.text(max_size=6), _json, max_size=4)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_configs)
+def test_any_json_object_loads_or_raises_config_error(config):
+    class NoOverrides:
+        pass
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.json"
+        path.write_text(json.dumps(config))
+        try:
+            load_config(str(path), NoOverrides())
+        except ConfigError as exc:
+            assert exc.problems

@@ -11,7 +11,12 @@ from billzeta.basis import (
     Separable2D,
     String1D,
 )
-from billzeta.errors import FactorizationError, InsufficientDataError, ValidationError
+from billzeta.errors import (
+    FactorizationError,
+    InsufficientDataError,
+    NumericalError,
+    ValidationError,
+)
 from billzeta.oracle import (
     GeneralizedProblem,
     assemble,
@@ -122,6 +127,48 @@ def test_factorization_error_names_density_bound():
     )
     with pytest.raises(FactorizationError, match="lambda\\*sigma"):
         solve_spectrum(bad)
+
+
+def test_kept_spectrum_matches_cholesky_reference():
+    # test-only reference: S = L L^T, eigenvalues of L^-1 K L^-T
+    basis = ModeBasis(String1D(1.0), 200)
+    problem = assemble(basis, DensityPerturbation(COS2, 0.16))
+    lower = np.linalg.cholesky(problem.overlap)
+    half = np.linalg.solve(lower, np.diag(problem.stiffness))
+    reduced = np.linalg.solve(lower, half.T)
+    reference = np.linalg.eigvalsh(0.5 * (reduced + reduced.T))
+    values = solve_spectrum(problem)
+    kept = 150
+    rel = np.abs(values[:kept] - reference[:kept]) / reference[:kept]
+    assert np.max(rel) < 1e-11
+
+
+def test_eigenvectors_are_overlap_orthonormal():
+    basis = ModeBasis(String1D(1.0), 200)
+    problem = assemble(basis, DensityPerturbation(COS2, 0.16))
+    _, vectors = solve_spectrum(problem, want_vectors=True)
+    gram = vectors.T @ problem.overlap @ vectors
+    assert np.max(np.abs(gram - np.eye(200))) < 1e-10
+
+
+@pytest.mark.parametrize("want_vectors", [False, True])
+def test_nan_overlap_is_a_numerical_failure(want_vectors):
+    basis = ModeBasis(String1D(1.0), 4)
+    overlap = np.eye(4)
+    overlap[1, 2] = overlap[2, 1] = np.nan
+    bad = GeneralizedProblem(basis.eigenvalues(), overlap, basis, DensityPerturbation(COS2, 0.1))
+    with pytest.raises((NumericalError, FactorizationError)):
+        solve_spectrum(bad, want_vectors=want_vectors)
+
+
+def test_lapack_failure_is_a_numerical_failure(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    basis = ModeBasis(String1D(1.0), 4)
+    with pytest.raises(NumericalError, match="did not converge"):
+        solve_spectrum(assemble(basis, DensityPerturbation(COS2, 0.1)))
 
 
 def test_z_direct_homogeneous_anchor():
