@@ -51,8 +51,7 @@ from .sumrules import (
     kernel_second_order_presplit,
     tail_estimate,
     z_closed_form,
-    z_via_trace_inv_sum,
-    z_via_trace_one_plus_inv,
+    z_via_trace,
 )
 
 __version__ = "0.1.0"
@@ -96,6 +95,5 @@ __all__ = [
     "xi",
     "z_closed_form",
     "z_direct",
-    "z_via_trace_inv_sum",
-    "z_via_trace_one_plus_inv",
+    "z_via_trace",
 ]

@@ -242,7 +242,8 @@ class DensityPerturbation:
     def sigma_sup(self, domain: String1D | Rectangle2D) -> float:
         """Sampled estimate of sup |sigma| over the domain."""
         if isinstance(domain, String1D):
-            xs = np.linspace(0.0, domain.length, 4097)
+            # 32 samples per period of the fastest cosine, so high frequencies cannot alias
+            xs = np.linspace(0.0, domain.length, max(4097, 32 * self.profile.bandwidth() + 1))
             if isinstance(self.profile, Tabulated):
                 xs = np.union1d(xs, np.clip(self.profile.xs, 0.0, domain.length))
             return float(np.max(np.abs(self.profile.evaluate(xs, domain.length))))

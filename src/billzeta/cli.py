@@ -12,8 +12,10 @@ Exit codes: 0 success, 2 validation failure, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -199,6 +201,14 @@ def _parse_profile(node, problems, where="density.profile"):
     return Separable2D(tuple(terms))
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
     """Parse and validate configuration; raise ConfigError listing every problem.
 
@@ -249,6 +259,15 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
             basis = ModeBasis(domain, modes)
         except ValidationError as exc:
             problems.append(f"basis: {exc}")
+    if basis is not None:
+        # the sigma table alone holds (J + 1) dense M x M float64 matrices
+        table_bytes = (max(2, getattr(overrides, "max_order", 2)) + 1) * modes * modes * 8
+        memory = _physical_memory()
+        if memory is not None and table_bytes > memory:
+            problems.append(
+                f"truncation.modes: {modes} modes need a {table_bytes / 2**30:.3g} GiB table, "
+                f"more than the {memory / 2**30:.3g} GiB of physical memory"
+            )
     quadrature_nodes, inner_discard = (
         None if trunc_node.get(key) is None
         else _number(trunc_node[key], f"truncation.{key}", problems, int)
@@ -396,44 +415,27 @@ def cmd_sumrule(cfg: RunConfig) -> int:
     table = build_sigma_table(
         cfg.basis, cfg.profile, 2, nodes=cfg.quadrature_nodes, cache_dir=cfg.cache_dir
     )
+    densities = cfg.densities()
+    shared = (table, cfg.basis, densities)
+    # route name -> one result per density for an order
+    routes = {
+        "closed": lambda spec: sumrules.z_closed_form(spec, *shared, diagonal_mode=cfg.diagonal_mode),
+        "trace1": lambda spec: sumrules.z_via_trace(spec, *shared),
+        "trace2": lambda spec: sumrules.z_via_trace(spec, *shared),
+        "oracle": lambda spec: oracle.oracle_sum_rule(spec, *shared, top_discard=cfg.top_discard),
+    }
     records: list[SumRuleResult] = []
     diffs: list[dict] = []
     for spec in cfg.orders:
-        for density in cfg.densities():
-            group: dict[str, SumRuleResult] = {}
-            for route in _routes_for(spec, cfg.route):
-                if route == "closed":
-                    res = sumrules.z_closed_form(
-                        spec, table, cfg.basis, density, diagonal_mode=cfg.diagonal_mode
-                    )
-                elif route == "trace1":
-                    res = sumrules.z_via_trace_one_plus_inv(
-                        spec.n_root, table, cfg.basis, density
-                    )
-                elif route == "trace2":
-                    res = sumrules.z_via_trace_inv_sum(
-                        spec.n_root, spec.n_root2, table, cfg.basis, density
-                    )
-                elif route == "oracle":
-                    res = oracle.oracle_sum_rule(
-                        spec, cfg.basis, density, table=table, top_discard=cfg.top_discard
-                    )
-                else:  # pragma: no cover - guarded by config validation
-                    raise ValidationError(f"unknown route {route}")
-                group[route] = res
-                records.append(res)
-            if len(group) > 1:
-                names = sorted(group)
-                for i, a in enumerate(names):
-                    for b in names[i + 1 :]:
-                        diffs.append(
-                            {
-                                "order": spec.label(),
-                                "lambda": density.lam,
-                                "pair": f"{a}-vs-{b}",
-                                "abs_difference": abs(group[a].z_total - group[b].z_total),
-                            }
-                        )
+        by_route = {name: routes[name](spec) for name in _routes_for(spec, cfg.route)}
+        for i, density in enumerate(densities):
+            group = {name: results[i] for name, results in by_route.items()}
+            records.extend(group.values())
+            for a, b in itertools.combinations(sorted(group), 2):
+                diffs.append({
+                    "order": spec.label(), "lambda": density.lam, "pair": f"{a}-vs-{b}",
+                    "abs_difference": abs(group[a].z_total - group[b].z_total),
+                })
     extra = {"differences": diffs} if diffs else None
     _write_records(records, cfg, extra)
     if diffs and (cfg.out_path or cfg.out_format == "csv"):

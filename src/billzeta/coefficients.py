@@ -20,10 +20,6 @@ from .errors import ValidationError
 from .kernels import delta_matrix, eta_matrix, validate_root_order, xi
 from .numerics import KahanAccumulator, half_binomial
 
-GENERIC_RECURSION = "generic-recursion"
-CLOSED_FORM = "closed-form"
-
-
 @dataclass(frozen=True)
 class GreenCoefficientSet:
     """Per-order coefficient matrices q^(0..K) and Q^(0..K) for one root order."""
@@ -33,7 +29,6 @@ class GreenCoefficientSet:
     size: int
     q_orders: tuple
     Q_orders: tuple
-    source: str
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
@@ -142,26 +137,7 @@ def q_generic_recursion(
     for k in range(1, max_order + 1):
         lower = _lambda_power_product(q_orders, n, k)  # all parts <= k-1
         q_orders.append(_sym((big_q[k] - lower) / eta))
-    return GreenCoefficientSet(n, max_order, m, tuple(q_orders), tuple(big_q), GENERIC_RECURSION)
-
-
-def build_coefficient_set(
-    n_root: int,
-    max_order: int,
-    table: SigmaPowerTable,
-    basis: ModeBasis,
-    source: str = GENERIC_RECURSION,
-) -> GreenCoefficientSet:
-    """Coefficient set from either construction route."""
-    if source == GENERIC_RECURSION:
-        return q_generic_recursion(n_root, max_order, table, basis)
-    if source != CLOSED_FORM:
-        raise ValidationError(f"unknown source {source!r}")
-    if max_order > 2:
-        raise ValidationError("closed-form source covers orders <= 2")
-    qs = tuple(q_closed_form(n_root, k, table, basis) for k in range(max_order + 1))
-    big_q = tuple(build_Q_order(k, table, basis) for k in range(max_order + 1))
-    return GreenCoefficientSet(n_root, max_order, table.size, qs, big_q, CLOSED_FORM)
+    return GreenCoefficientSet(n, max_order, m, tuple(q_orders), tuple(big_q))
 
 
 def verify_convolution(

@@ -89,17 +89,11 @@ def xi(n_root: int, eps_n, eps_r, eps_m):
 
 def eta_matrix(n_root: int, eps: np.ndarray) -> np.ndarray:
     """Dense eta(N; eps_i, eps_j) over one eigenvalue vector."""
-    n = validate_root_order(n_root)
-    _check_positive(eps)
     e = np.asarray(eps, dtype=float)
-    total = np.zeros((e.size, e.size))
-    for j in range(n):
-        total += np.outer(_frac_power(e, -(n - 1 - j) / n), _frac_power(e, -j / n))
-    return total
+    return eta(n_root, e[:, None], e[None, :])
 
 
 def delta_matrix(n_root: int, eps: np.ndarray) -> np.ndarray:
     """Dense delta(N; eps_i, eps_j) over one eigenvalue vector."""
     e = np.asarray(eps, dtype=float)
-    inv = 1.0 / e
-    return (inv[:, None] + inv[None, :]) / eta_matrix(n_root, e)
+    return delta(n_root, e[:, None], e[None, :])

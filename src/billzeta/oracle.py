@@ -35,6 +35,7 @@ from .sumrules import (
     TRUNCATED,
     _make_result,
     _resolve_order,
+    _validate_route_inputs,
     _validate_s_for_basis,
     tail_estimate,
     z_closed_form,
@@ -225,22 +226,24 @@ def z_direct(
 
 def oracle_sum_rule(
     order,
+    table: SigmaPowerTable,
     basis: ModeBasis,
-    density: DensityPerturbation,
+    densities: list[DensityPerturbation],
     *,
-    table: SigmaPowerTable | None = None,
     top_discard: float = 0.25,
-    cache_dir=False,
-) -> SumRuleResult:
-    """Full oracle route packaged as a SumRuleResult (z0 carries everything)."""
+) -> list[SumRuleResult]:
+    """Full oracle route, one SumRuleResult per density (z0 carries everything)."""
     s, label = _resolve_order(order)
-    problem = assemble(basis, density, table=table, cache_dir=cache_dir)
-    eigs = solve_spectrum(problem)
-    value, tail, kept = z_direct_detail(eigs, s, basis, density, top_discard=top_discard)
-    return _make_result(
-        s=s, lam=density.lam, z0=value, z1=0.0, z2=0.0, diagonal_mode=TRUNCATED,
-        tail=tail, truncation=kept, route=ROUTE_ORACLE, label=label,
-    )
+    _validate_route_inputs(s, basis, densities)
+    results = []
+    for density in densities:
+        eigs = solve_spectrum(assemble(basis, density, table=table))
+        value, tail, kept = z_direct_detail(eigs, s, basis, density, top_discard=top_discard)
+        results.append(_make_result(
+            s=s, lam=density.lam, z0=value, z1=0.0, z2=0.0, diagonal_mode=TRUNCATED,
+            tail=tail, truncation=kept, route=ROUTE_ORACLE, label=label,
+        ))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -281,22 +284,18 @@ def convergence_order_fit(
     if len(lams) < 3:
         raise InsufficientDataError("need at least 3 lambda values")
     table = build_sigma_table(basis, profile, 2, nodes=nodes, cache_dir=cache_dir)
+    densities = [DensityPerturbation(profile, lam) for lam in sorted(lams)]
+    perts = z_closed_form(order, table, basis, densities, diagonal_mode=diagonal_mode)
+    directs = oracle_sum_rule(order, table, basis, densities, top_discard=top_discard)
     points = []
-    for lam in sorted(lams):
-        density = DensityPerturbation(profile, lam)
-        pert = z_closed_form(order, table, basis, density, diagonal_mode=diagonal_mode)
+    for pert, direct in zip(perts, directs):
         z_pert = pert.z_total - (pert.z2 if drop_second_order else 0.0)
-        problem = assemble(basis, density, table=table)
-        eigs = solve_spectrum(problem)
-        z_oracle, tail_oracle, _ = z_direct_detail(
-            eigs, pert.s, basis, density, top_discard=top_discard
-        )
-        err = abs(z_pert - z_oracle)
+        err = abs(z_pert - direct.z0)
         floor = max(
             1e3 * np.finfo(float).eps * abs(z_pert),
-            1e-4 * (pert.tail_estimate + tail_oracle),
+            1e-4 * (pert.tail_estimate + direct.tail_estimate),
         )
-        points.append((lam, err, floor))
+        points.append((pert.lam, err, floor))
     usable = [(lam, err) for lam, err, floor in points if err >= 10.0 * floor]
     excluded = tuple((lam, err, floor) for lam, err, floor in points if err < 10.0 * floor)
     if len(usable) < 3:

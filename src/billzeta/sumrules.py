@@ -12,6 +12,10 @@ computable deficit sum_n (S_2[n,n] - sum_m S_1[n,m]^2) eps_n^{-s}, which the
 trace routes add back so all routes are limited by rounding, not by the basis
 cutoff.  Mode sums rely on numpy's pairwise reduction; the order-0 tail is a
 smooth-counting (Weyl) estimate appended to z0 only.
+
+Every route has the form Z(s; lam) = z0 + lam c1 + lam^2 c2 with lambda-free
+c1, c2, so each takes a sequence of densities, forms its sums once, and
+returns one result per density.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .basis import DensityPerturbation, ModeBasis, SigmaPowerTable
-from .coefficients import GENERIC_RECURSION, build_coefficient_set
+from .coefficients import q_generic_recursion
 from .errors import ValidationError
 from .kernels import MAX_ROOT_ORDER, validate_root_order
 
@@ -308,57 +312,67 @@ def _validate_s_for_basis(s: float, basis: ModeBasis) -> None:
         raise ValidationError(f"s = {s} diverges on a 2D rectangle (needs s > 1)")
 
 
+def _validate_route_inputs(s: float, basis: ModeBasis, densities: list[DensityPerturbation]):
+    """Check the exponent and every density before a route forms any sum."""
+    _validate_s_for_basis(s, basis)
+    for density in densities:
+        density.validate(basis.domain)
+
+
 def z_closed_form(
     order,
     table: SigmaPowerTable,
     basis: ModeBasis,
-    density: DensityPerturbation,
+    densities: list[DensityPerturbation],
     *,
     diagonal_mode: str = TRUNCATED,
-) -> SumRuleResult:
+) -> list[SumRuleResult]:
     """Z(s) to second order from the shared completeness-split closed form.
 
     z0 = sum eps^{-s} (+ tail);  z1 = lam s sum <n|s|n> eps^{-s};
     z2 = (lam^2/2) s [ (s-1) sum <n|s|n>^2 eps^{-s}
                        + sum_{n != m} K(eps_n, eps_m; s) <n|s|m><m|s|n> ].
+    The lambda-free sums are formed once; one result is returned per density.
     With diagonal_mode="resummed" the truncated diagonal lambda-series is
     replaced by (1 + lam <n|s|n>)^s and the difference reported separately.
     """
     s, label = _resolve_order(order)
-    _validate_s_for_basis(s, basis)
-    density.validate(basis.domain)
+    _validate_route_inputs(s, basis, densities)
     if table.max_power < 2:
         raise ValidationError("closed form needs a table with max_power >= 2")
     if diagonal_mode not in (TRUNCATED, RESUMMED):
         raise ValidationError(f"unknown diagonal mode {diagonal_mode!r}")
-    lam = density.lam
     m = table.size
     eps = basis.eigenvalues()[:m]
     weights = eps ** (-s)
     s1 = table.power(1)
     diag = np.diag(s1).copy()
+    coupled = bool(np.any(s1))
 
     tail = tail_estimate(basis, s, m)
     z0 = float(np.sum(weights)) + tail
-    z1 = 0.0
-    z2 = 0.0
-    correction = 0.0
-    if lam != 0.0 and np.any(s1):
-        z1 = lam * s * float(np.sum(diag * weights))
+    if coupled and any(d.lam != 0.0 for d in densities):
+        sum1 = float(np.sum(diag * weights))
         kmat = kernel_matrix(eps, s)
         off = s1 * s1
         np.fill_diagonal(off, 0.0)
-        z2 = 0.5 * lam * lam * s * (
-            (s - 1.0) * float(np.sum(diag * diag * weights)) + float(np.sum(kmat * off))
-        )
-        if diagonal_mode == RESUMMED:
-            resummed = np.power(1.0 + lam * diag, s)
-            series = 1.0 + lam * s * diag + 0.5 * lam * lam * s * (s - 1.0) * diag * diag
-            correction = float(np.sum(weights * (resummed - series)))
-    return _make_result(
-        s=s, lam=lam, z0=z0, z1=z1, z2=z2, diagonal_mode=diagonal_mode, tail=tail,
-        truncation=m, route=ROUTE_CLOSED, label=label, correction=correction,
-    )
+        sum2 = (s - 1.0) * float(np.sum(diag * diag * weights)) + float(np.sum(kmat * off))
+    results = []
+    for density in densities:
+        lam = density.lam
+        z1 = z2 = correction = 0.0
+        if lam != 0.0 and coupled:
+            z1 = lam * s * sum1
+            z2 = 0.5 * lam * lam * s * sum2
+            if diagonal_mode == RESUMMED:
+                resummed = np.power(1.0 + lam * diag, s)
+                series = 1.0 + lam * s * diag + 0.5 * lam * lam * s * (s - 1.0) * diag * diag
+                correction = float(np.sum(weights * (resummed - series)))
+        results.append(_make_result(
+            s=s, lam=lam, z0=z0, z1=z1, z2=z2, diagonal_mode=diagonal_mode, tail=tail,
+            truncation=m, route=ROUTE_CLOSED, label=label, correction=correction,
+        ))
+    return results
 
 
 def _completeness_deficit(table: SigmaPowerTable, eps: np.ndarray, s: float) -> float:
@@ -378,77 +392,42 @@ def _trace(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * b))
 
 
-def z_via_trace_one_plus_inv(
-    n_root: int,
+def z_via_trace(
+    spec: RationalOrderSpec,
     table: SigmaPowerTable,
     basis: ModeBasis,
-    density: DensityPerturbation,
-    *,
-    source: str = GENERIC_RECURSION,
-) -> SumRuleResult:
-    """Z(1 + 1/N) as the order-by-order trace of Q q[1/N].
+    densities: list[DensityPerturbation],
+) -> list[SumRuleResult]:
+    """Z(s) as the order-by-order trace of a product of two coefficient series.
 
-    The lambda^2 term carries the completeness-deficit compensation, after
-    which the route matches the closed form to rounding on the same table.
+    s = 1 + 1/N traces Q q[1/N]; s = 1/N + 1/N' traces q[1/N] q[1/N'] (1D
+    only: s <= 1 diverges in two dimensions).  The lambda^2 term carries the
+    completeness-deficit compensation, after which the route matches the
+    closed form to rounding on the same table.  The traces are formed once;
+    one result is returned per density.
     """
-    spec = RationalOrderSpec("one_plus_inv", n_root)
-    spec.validate_for(basis)
-    density.validate(basis.domain)
+    s = spec.s
+    _validate_route_inputs(s, basis, densities)
     if table.max_power < 2:
         raise ValidationError("trace route needs a table with max_power >= 2")
-    s = spec.s
-    lam = density.lam
     m = table.size
     eps = basis.eigenvalues()[:m]
-    cset = build_coefficient_set(n_root, 2, table, basis, source)
-    q0, q1, q2 = cset.q_orders
-    big0, big1, big2 = cset.Q_orders
-
-    tail = tail_estimate(basis, s, m)
-    z0 = _trace(big0, q0) + tail
-    z1 = lam * (_trace(big0, q1) + _trace(big1, q0))
-    raw2 = _trace(big1, q1) + _trace(big2, q0) + _trace(big0, q2)
-    z2 = lam * lam * (raw2 + 0.25 * s * _completeness_deficit(table, eps, s))
-    return _make_result(
-        s=s, lam=lam, z0=z0, z1=z1, z2=z2, diagonal_mode=TRUNCATED, tail=tail,
-        truncation=m, route=ROUTE_TRACE_1P, label=spec.label(),
-    )
-
-
-def z_via_trace_inv_sum(
-    n_root: int,
-    n_root2: int,
-    table: SigmaPowerTable,
-    basis: ModeBasis,
-    density: DensityPerturbation,
-    *,
-    source: str = GENERIC_RECURSION,
-) -> SumRuleResult:
-    """Z(1/N + 1/N') as the order-by-order trace of q[1/N] q[1/N'].
-
-    1D only: s <= 1 diverges in two dimensions.  Carries the same
-    completeness-deficit compensation as the other trace route.
-    """
-    spec = RationalOrderSpec("inv_sum", n_root, n_root2)
-    spec.validate_for(basis)
-    density.validate(basis.domain)
-    if table.max_power < 2:
-        raise ValidationError("trace route needs a table with max_power >= 2")
-    s = spec.s
-    lam = density.lam
-    m = table.size
-    eps = basis.eigenvalues()[:m]
-    set_a = build_coefficient_set(n_root, 2, table, basis, source)
-    set_b = build_coefficient_set(n_root2, 2, table, basis, source)
-    a0, a1, a2 = set_a.q_orders
-    b0, b1, b2 = set_b.q_orders
+    first = q_generic_recursion(spec.n_root, 2, table, basis)
+    if spec.kind == "one_plus_inv":  # tr(Q q[1/N])
+        (a0, a1, a2), (b0, b1, b2), route = first.Q_orders, first.q_orders, ROUTE_TRACE_1P
+    else:  # tr(q[1/N] q[1/N'])
+        second = q_generic_recursion(spec.n_root2, 2, table, basis)
+        (a0, a1, a2), (b0, b1, b2), route = first.q_orders, second.q_orders, ROUTE_TRACE_INV
 
     tail = tail_estimate(basis, s, m)
     z0 = _trace(a0, b0) + tail
-    z1 = lam * (_trace(a0, b1) + _trace(a1, b0))
+    raw1 = _trace(a0, b1) + _trace(a1, b0)
     raw2 = _trace(a1, b1) + _trace(a2, b0) + _trace(a0, b2)
-    z2 = lam * lam * (raw2 + 0.25 * s * _completeness_deficit(table, eps, s))
-    return _make_result(
-        s=s, lam=lam, z0=z0, z1=z1, z2=z2, diagonal_mode=TRUNCATED, tail=tail,
-        truncation=m, route=ROUTE_TRACE_INV, label=spec.label(),
-    )
+    c2 = raw2 + 0.25 * s * _completeness_deficit(table, eps, s)
+    return [
+        _make_result(
+            s=s, lam=d.lam, z0=z0, z1=d.lam * raw1, z2=d.lam * d.lam * c2,
+            diagonal_mode=TRUNCATED, tail=tail, truncation=m, route=route, label=spec.label(),
+        )
+        for d in densities
+    ]

@@ -36,8 +36,7 @@ from billzeta.sumrules import (
     RationalOrderSpec,
     kernel_second_order_presplit,
     z_closed_form,
-    z_via_trace_inv_sum,
-    z_via_trace_one_plus_inv,
+    z_via_trace,
 )
 
 from test_coefficients import half_order_recursive_forms, max_rel, random_table
@@ -140,9 +139,9 @@ def test_criterion_4_homogeneous_anchors():
     basis = ModeBasis(String1D(1.0), 2000)
     zero = DensityPerturbation(FourierCosine(()), 0.0)
     table = build_sigma_table(basis, zero, 2)
-    res32 = z_closed_form(RationalOrderSpec.parse("3/2"), table, basis, zero)
+    res32 = z_closed_form(RationalOrderSpec.parse("3/2"), table, basis, [zero])[0]
     err32 = abs(res32.z_total - ZETA3 / math.pi**3)
-    res1 = z_closed_form(RationalOrderSpec.parse("1"), table, basis, zero)
+    res1 = z_closed_form(RationalOrderSpec.parse("1"), table, basis, [zero])[0]
     err1 = abs(res1.z_total - 1.0 / 6.0)
     elapsed = time.time() - start
     ok = err32 <= 2 * res32.tail_estimate and err1 <= 2 * res1.tail_estimate
@@ -159,14 +158,16 @@ def test_criterion_5_route_agreement():
     worst = 0.0
     details = []
     for n in (2, 3, 4):
-        closed = z_closed_form(RationalOrderSpec("one_plus_inv", n), table, basis, dens)
-        trace = z_via_trace_one_plus_inv(n, table, basis, dens)
+        spec = RationalOrderSpec("one_plus_inv", n)
+        closed = z_closed_form(spec, table, basis, [dens])[0]
+        trace = z_via_trace(spec, table, basis, [dens])[0]
         rel = abs(closed.z_total - trace.z_total) / abs(closed.z_total)
         worst = max(worst, rel)
         details.append(f"s={closed.s:g}:{rel:.1e}")
     for n, n2 in ((2, 2), (2, 3), (2, 4)):
-        closed = z_closed_form(RationalOrderSpec("inv_sum", n, n2), table, basis, dens)
-        trace = z_via_trace_inv_sum(n, n2, table, basis, dens)
+        spec = RationalOrderSpec("inv_sum", n, n2)
+        closed = z_closed_form(spec, table, basis, [dens])[0]
+        trace = z_via_trace(spec, table, basis, [dens])[0]
         rel = abs(closed.z_total - trace.z_total) / abs(closed.z_total)
         worst = max(worst, rel)
         details.append(f"s={closed.s:g}:{rel:.1e}")
@@ -195,7 +196,7 @@ def test_criterion_7_2d_near_threshold():
     prof = Separable2D(((COS2, COS2),))
     dens = DensityPerturbation(prof, 0.05)
     table = build_sigma_table(basis, dens, 2)
-    pert = z_closed_form(RationalOrderSpec("one_plus_inv", 8), table, basis, dens)
+    pert = z_closed_form(RationalOrderSpec("one_plus_inv", 8), table, basis, [dens])[0]
     eigs = solve_spectrum(assemble(basis, dens, table=table))
     z_oracle, _, _ = z_direct_detail(eigs, pert.s, basis, dens)
     rel = abs(pert.z_total - z_oracle) / abs(z_oracle)

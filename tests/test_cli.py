@@ -269,6 +269,48 @@ def test_modes_flag_zero_exits_2(tmp_path, capsys):
     assert any("mode_count" in p for p in problems_on_stderr(capsys))
 
 
+def test_oversized_modes_exit_2_before_allocating(tmp_path, capsys):
+    rc = main(["sumrule", "--modes", "100000000", "--route", "closed", "--lambda", "0.1"])
+    assert rc == EXIT_VALIDATION
+    assert any(p.startswith("truncation.modes") for p in problems_on_stderr(capsys))
+
+
+@pytest.mark.parametrize("route", ["closed", "oracle"])
+def test_high_frequency_profile_density_bound_exits_2(tmp_path, capsys, route):
+    # cos(pi x) - cos(8191 pi x) has sup ~2 but vanishes at all 4097 evenly spaced points
+    coeffs = [0.0] * 8192
+    coeffs[1], coeffs[8191] = 1.0, -1.0
+    cfg = write_config(
+        tmp_path, density={"profile": {"type": "fourier-cosine", "coeffs": coeffs}, "lambda": 0.9}
+    )
+    rc = main(["sumrule", "--config", str(cfg), "--route", route, "--modes", "20"])
+    assert rc == EXIT_VALIDATION
+    assert any("density bound violated" in p for p in problems_on_stderr(capsys))
+
+
+def test_sumrule_sweep_forms_each_invariant_once(tmp_path, monkeypatch):
+    from billzeta import coefficients, sumrules
+
+    calls = {"kernel_matrix": 0, "q_generic_recursion": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sumrules, "kernel_matrix", counted(sumrules.kernel_matrix))
+    recursion = counted(coefficients.q_generic_recursion)
+    monkeypatch.setattr(coefficients, "q_generic_recursion", recursion)
+    monkeypatch.setattr(sumrules, "q_generic_recursion", recursion, raising=False)
+    argv = ["sumrule", "--route", "all", "--modes", "24", "--lambda", "0.02,0.04,0.08,0.16"]
+    for order in ("3/2", "1+1/4", "1/2+1/3"):
+        argv += ["--s", order]
+    assert main(argv) == EXIT_OK
+    # one kernel per s, one q set per N in each trace-route call (N = 2, 4, 2, 3)
+    assert calls == {"kernel_matrix": 3, "q_generic_recursion": 4}
+
+
 def test_non_finite_length_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, basis={"kind": "string", "length": "inf"})
     assert main(["sumrule", "--config", str(cfg), "--route", "closed"]) == EXIT_VALIDATION

@@ -13,8 +13,7 @@ from billzeta.basis import (
     build_sigma_table,
 )
 from billzeta.coefficients import (
-    CLOSED_FORM,
-    build_coefficient_set,
+    GreenCoefficientSet,
     build_Q_order,
     export_coefficients_csv,
     q_closed_form,
@@ -258,7 +257,10 @@ def test_verify_convolution_self_consistency():
         cset = q_generic_recursion(n_root, 2, table, basis)
         scale = np.max(np.abs(cset.Q_orders[0]))
         assert verify_convolution(cset, 0) <= 1e-13 * scale
-        closed = build_coefficient_set(n_root, 2, table, basis, CLOSED_FORM)
+        closed = GreenCoefficientSet(
+            n_root, 2, basis.mode_count,
+            tuple(q_closed_form(n_root, k, table, basis) for k in range(3)), cset.Q_orders,
+        )
         assert verify_convolution(closed, 1) <= 1e-12
         assert verify_convolution(closed, 2) <= 1e-12
 

@@ -10,6 +10,7 @@ from billzeta.basis import (
     Rectangle2D,
     Separable2D,
     String1D,
+    build_sigma_table,
 )
 from billzeta.errors import (
     FactorizationError,
@@ -218,7 +219,8 @@ def test_effective_geometry():
 def test_oracle_sum_rule_record():
     basis = ModeBasis(String1D(1.0), 80)
     dens = DensityPerturbation(COS2, 0.1)
-    res = oracle_sum_rule(RationalOrderSpec.parse("3/2"), basis, dens)
+    table = build_sigma_table(basis, dens, 2)
+    res = oracle_sum_rule(RationalOrderSpec.parse("3/2"), table, basis, [dens])[0]
     assert res.route == "oracle"
     assert res.z1 == 0.0 and res.z2 == 0.0
     assert res.z_total > 0.0 and res.tail_estimate > 0.0

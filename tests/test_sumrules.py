@@ -14,6 +14,7 @@ from billzeta.basis import (
     build_sigma_table,
 )
 from billzeta.errors import ValidationError
+from billzeta.oracle import oracle_sum_rule
 from billzeta.sumrules import (
     RESUMMED,
     RationalOrderSpec,
@@ -22,8 +23,7 @@ from billzeta.sumrules import (
     kernel_second_order_presplit,
     tail_estimate,
     z_closed_form,
-    z_via_trace_inv_sum,
-    z_via_trace_one_plus_inv,
+    z_via_trace,
 )
 
 COS2 = FourierCosine((0.0, 0.0, 1.0))
@@ -185,7 +185,7 @@ def test_closed_form_homogeneous_anchor():
     basis = ModeBasis(String1D(1.0), 400)
     zero = DensityPerturbation(FourierCosine(()), 0.0)
     table = build_sigma_table(basis, zero, 2)
-    res = z_closed_form(1.5, table, basis, zero)
+    res = z_closed_form(1.5, table, basis, [zero])[0]
     assert res.z1 == 0.0 and res.z2 == 0.0
     assert abs(res.z_total - ZETA3 / math.pi**3) <= 2 * res.tail_estimate
 
@@ -194,7 +194,7 @@ def test_closed_form_lambda_zero():
     basis = ModeBasis(String1D(1.0), 60)
     dens = DensityPerturbation(COS2, 0.0)
     table = build_sigma_table(basis, dens, 2)
-    res = z_closed_form(RationalOrderSpec.parse("3/2"), table, basis, dens)
+    res = z_closed_form(RationalOrderSpec.parse("3/2"), table, basis, [dens])[0]
     assert res.z1 == 0.0 and res.z2 == 0.0
 
 
@@ -205,7 +205,7 @@ def test_first_order_sign_for_added_mass():
     dens = DensityPerturbation(profile, 0.2)
     table = build_sigma_table(basis, dens, 2)
     for order in ("3/2", "1", "5/4"):
-        res = z_closed_form(RationalOrderSpec.parse(order), table, basis, dens)
+        res = z_closed_form(RationalOrderSpec.parse(order), table, basis, [dens])[0]
         assert res.z1 > 0.0
 
 
@@ -213,8 +213,8 @@ def test_resummed_diagonal_mode():
     basis = ModeBasis(String1D(1.0), 60)
     dens = DensityPerturbation(COS2, 0.2)
     table = build_sigma_table(basis, dens, 2)
-    plain = z_closed_form(1.5, table, basis, dens)
-    res = z_closed_form(1.5, table, basis, dens, diagonal_mode=RESUMMED)
+    plain = z_closed_form(1.5, table, basis, [dens])[0]
+    res = z_closed_form(1.5, table, basis, [dens], diagonal_mode=RESUMMED)[0]
     assert res.diagonal_mode == RESUMMED
     assert res.resummation_correction != 0.0
     assert res.z_total == pytest.approx(
@@ -228,7 +228,7 @@ def test_result_invariants():
     basis = ModeBasis(String1D(1.0), 60)
     dens = DensityPerturbation(COS2, 0.1)
     table = build_sigma_table(basis, dens, 2)
-    res = z_closed_form(RationalOrderSpec.parse("3/2"), table, basis, dens)
+    res = z_closed_form(RationalOrderSpec.parse("3/2"), table, basis, [dens])[0]
     assert res.z_total == res.z0 + res.z1 + res.z2
     assert res.tail_estimate >= 0.0
     assert res.order_label == "1+1/2"
@@ -240,8 +240,8 @@ def test_route_agreement_one_plus_inv():
     table = reference_table()
     for n in (2, 3, 4):
         spec = RationalOrderSpec("one_plus_inv", n)
-        closed = z_closed_form(spec, table, STRING, dens)
-        trace = z_via_trace_one_plus_inv(n, table, STRING, dens)
+        closed = z_closed_form(spec, table, STRING, [dens])[0]
+        trace = z_via_trace(spec, table, STRING, [dens])[0]
         assert abs(closed.z_total - trace.z_total) <= 1e-9 * abs(closed.z_total)
         # order-by-order agreement, not only the total
         assert trace.z0 == pytest.approx(closed.z0, rel=1e-13)
@@ -254,8 +254,8 @@ def test_route_agreement_inv_sum():
     table = reference_table()
     for n, n2 in ((2, 2), (2, 3), (2, 4), (3, 4)):
         spec = RationalOrderSpec("inv_sum", n, n2)
-        closed = z_closed_form(spec, table, STRING, dens)
-        trace = z_via_trace_inv_sum(n, n2, table, STRING, dens)
+        closed = z_closed_form(spec, table, STRING, [dens])[0]
+        trace = z_via_trace(spec, table, STRING, [dens])[0]
         assert abs(closed.z_total - trace.z_total) <= 1e-9 * abs(closed.z_total)
 
 
@@ -264,15 +264,16 @@ def test_route_agreement_2d_one_plus_inv():
     prof = Separable2D(((COS2, COS2),))
     dens = DensityPerturbation(prof, 0.1)
     table = build_sigma_table(basis, prof, 2)
-    closed = z_closed_form(RationalOrderSpec("one_plus_inv", 4), table, basis, dens)
-    trace = z_via_trace_one_plus_inv(4, table, basis, dens)
+    spec = RationalOrderSpec("one_plus_inv", 4)
+    closed = z_closed_form(spec, table, basis, [dens])[0]
+    trace = z_via_trace(spec, table, basis, [dens])[0]
     assert abs(closed.z_total - trace.z_total) <= 1e-9 * abs(closed.z_total)
 
 
 def test_trace_zero_profile_reduces_to_plain_sum():
     zero = DensityPerturbation(FourierCosine(()), 0.0)
     table = build_sigma_table(STRING, zero, 2)
-    res = z_via_trace_one_plus_inv(3, table, STRING, zero)
+    res = z_via_trace(RationalOrderSpec("one_plus_inv", 3), table, STRING, [zero])[0]
     eps = STRING.eigenvalues()
     expected = float(np.sum(eps ** (-4.0 / 3.0))) + res.tail_estimate
     assert res.z_total == pytest.approx(expected, rel=1e-14)
@@ -285,17 +286,48 @@ def test_trace_inv_sum_rejects_2d():
     dens = DensityPerturbation(prof, 0.05)
     table = build_sigma_table(rect, prof, 2)
     with pytest.raises(ValidationError):
-        z_via_trace_inv_sum(2, 2, table, rect, dens)
+        z_via_trace(RationalOrderSpec("inv_sum", 2, 2), table, rect, [dens])
 
 
 def test_closed_form_rejects_bad_inputs():
     dens = DensityPerturbation(COS2, 0.1)
     table = build_sigma_table(ModeBasis(String1D(1.0), 20), dens, 1)
     with pytest.raises(ValidationError):
-        z_closed_form(1.5, table, ModeBasis(String1D(1.0), 20), dens)  # J < 2
+        z_closed_form(1.5, table, ModeBasis(String1D(1.0), 20), [dens])  # J < 2
     table2 = build_sigma_table(ModeBasis(String1D(1.0), 20), dens, 2)
     with pytest.raises(ValidationError):
-        z_closed_form(0.4, table2, ModeBasis(String1D(1.0), 20), dens)  # divergent
+        z_closed_form(0.4, table2, ModeBasis(String1D(1.0), 20), [dens])  # divergent
     bad = DensityPerturbation(COS2, 1.01)
     with pytest.raises(ValidationError):
-        z_closed_form(1.5, table2, ModeBasis(String1D(1.0), 20), bad)
+        z_closed_form(1.5, table2, ModeBasis(String1D(1.0), 20), [bad])
+
+
+@pytest.mark.parametrize(
+    "route, order",
+    [("closed", "3/2"), ("resummed", "1/2+1/3"), ("trace", "1+1/4"), ("trace", "1/2+1/3"),
+     ("oracle", "3/2")],
+)
+def test_route_over_densities_equals_single_density_calls(route, order):
+    basis = ModeBasis(String1D(1.0), 60)
+    table = reference_table(60)
+    spec = RationalOrderSpec.parse(order)
+    call = {
+        "closed": lambda ds: z_closed_form(spec, table, basis, ds),
+        "resummed": lambda ds: z_closed_form(spec, table, basis, ds, diagonal_mode=RESUMMED),
+        "trace": lambda ds: z_via_trace(spec, table, basis, ds),
+        "oracle": lambda ds: oracle_sum_rule(spec, table, basis, ds),
+    }[route]
+    densities = [DensityPerturbation(COS2, lam) for lam in (0.0, 0.05, -0.1)]
+    results = call(densities)
+    assert [r.lam for r in results] == [0.0, 0.05, -0.1]
+    assert results == [call([d])[0] for d in densities]  # every field, exactly
+
+
+def test_route_validates_every_density():
+    basis = ModeBasis(String1D(1.0), 20)
+    table = reference_table(20)
+    densities = [DensityPerturbation(COS2, 0.1), DensityPerturbation(COS2, 1.01)]
+    spec = RationalOrderSpec.parse("3/2")
+    for route in (z_closed_form, z_via_trace, oracle_sum_rule):
+        with pytest.raises(ValidationError):
+            route(spec, table, basis, densities)
