@@ -228,6 +228,15 @@ Profile = Profile1D | Separable2D
 ZERO_PROFILE = FourierCosine(())
 
 
+def _profile_sup(profile: Profile1D, length: float) -> float:
+    """Sampled sup |profile| on [0, length]."""
+    # 32 samples per period of the fastest cosine, so high frequencies cannot alias
+    xs = np.linspace(0.0, length, max(4097, 32 * profile.bandwidth() + 1))
+    if isinstance(profile, Tabulated):
+        xs = np.union1d(xs, np.clip(profile.xs, 0.0, length))
+    return float(np.max(np.abs(profile.evaluate(xs, length))))
+
+
 @dataclass(frozen=True)
 class DensityPerturbation:
     """Density Sigma(x) = 1 + lam * sigma(x) with a mild profile sigma.
@@ -240,18 +249,18 @@ class DensityPerturbation:
     lam: float = 0.0
 
     def sigma_sup(self, domain: String1D | Rectangle2D) -> float:
-        """Sampled estimate of sup |sigma| over the domain."""
+        """Sampled estimate of sup |sigma| over the domain.
+
+        In 2D each separable term is bounded by sup|px| * sup|py|, each factor
+        sampled as in 1D, and the terms' bounds are added: exact for one term,
+        an upper bound for several.
+        """
         if isinstance(domain, String1D):
-            # 32 samples per period of the fastest cosine, so high frequencies cannot alias
-            xs = np.linspace(0.0, domain.length, max(4097, 32 * self.profile.bandwidth() + 1))
-            if isinstance(self.profile, Tabulated):
-                xs = np.union1d(xs, np.clip(self.profile.xs, 0.0, domain.length))
-            return float(np.max(np.abs(self.profile.evaluate(xs, domain.length))))
+            return _profile_sup(self.profile, domain.length)
         if not isinstance(self.profile, Separable2D):
             raise ValidationError("2D domains need a Separable2D profile")
-        xs = np.linspace(0.0, domain.a, 513)
-        ys = np.linspace(0.0, domain.b, 513)
-        return float(np.max(np.abs(self.profile.evaluate_grid(xs, ys, domain.a, domain.b))))
+        a, b = domain.a, domain.b
+        return sum((_profile_sup(px, a) * _profile_sup(py, b) for px, py in self.profile.terms), 0.0)
 
     def validate(self, domain: String1D | Rectangle2D) -> None:
         if isinstance(domain, Rectangle2D) and not isinstance(self.profile, Separable2D):
@@ -477,7 +486,7 @@ def _cache_path(cache_dir: Path, key: str) -> Path:
 
 
 def _write_cache(path: Path, key: str, data: np.ndarray) -> None:
-    payload = np.ascontiguousarray(data, dtype="<f8").tobytes()
+    payload = np.ascontiguousarray(data, dtype="<f8")  # hashed and written without a copy
     digest = hashlib.sha256(payload).digest()
     header = (
         _CACHE_MAGIC
@@ -491,7 +500,8 @@ def _write_cache(path: Path, key: str, data: np.ndarray) -> None:
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{secrets.token_hex(8)}.tmp")
     try:
         with open(tmp, "xb") as fh:
-            fh.write(header + payload)
+            fh.write(header)
+            fh.write(payload)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

@@ -5,8 +5,8 @@ and every validation problem is reported in one pass) with command-line flags
 overriding individual entries.  Outputs are CSV or JSON records with floats
 printed to 17 significant digits; errors are single-line JSON on stderr.
 
-Exit codes: 0 success, 2 validation failure, 3 numerical failure,
-4 convergence slope below threshold (verify).
+Exit codes: 0 success, 2 validation failure, 3 numerical failure (out of
+memory included), 4 convergence slope below threshold (verify).
 """
 
 from __future__ import annotations
@@ -575,8 +575,9 @@ def main(argv=None) -> int:
     except (ValidationError, InsufficientDataError) as exc:
         print(json.dumps({"error": "validation", "detail": str(exc)}), file=sys.stderr)
         return EXIT_VALIDATION
-    except (QuadratureError, FactorizationError, NumericalError) as exc:
-        print(json.dumps({"error": "numerical", "detail": str(exc)}), file=sys.stderr)
+    except (QuadratureError, FactorizationError, NumericalError, MemoryError) as exc:
+        detail = str(exc) or "out of memory"  # numpy's MemoryError can stringify to ""
+        print(json.dumps({"error": "numerical", "detail": detail}), file=sys.stderr)
         return EXIT_NUMERICAL
 
 

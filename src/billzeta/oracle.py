@@ -57,24 +57,20 @@ class GeneralizedProblem:
 
 
 def assemble(
-    basis: ModeBasis,
-    density: DensityPerturbation,
-    size: int | None = None,
-    *,
-    table: SigmaPowerTable | None = None,
-    nodes: int | None = None,
-    cache_dir=False,
+    basis: ModeBasis, density: DensityPerturbation, *, table: SigmaPowerTable | None = None
 ) -> GeneralizedProblem:
-    """Assemble the generalized problem from the density's power-1 elements."""
+    """Assemble the generalized problem from the density's power-1 elements.
+
+    Without a table, a power-1 table of the basis size is built (uncached).
+    """
     density.validate(basis.domain)
-    m = size or basis.mode_count
+    m = basis.mode_count
     if table is None:
-        table = build_sigma_table(basis, density, 1, m, nodes=nodes, cache_dir=cache_dir)
+        table = build_sigma_table(basis, density, 1)
     if table.size < m:
         raise ValidationError("table smaller than requested problem size")
     overlap = np.eye(m) + density.lam * table.power(1)[:m, :m]
-    stiffness = basis.eigenvalues()[:m]
-    return GeneralizedProblem(stiffness, overlap, ModeBasis(basis.domain, m), density)
+    return GeneralizedProblem(basis.eigenvalues(), overlap, basis, density)
 
 
 def solve_spectrum(problem: GeneralizedProblem, *, want_vectors: bool = False):

@@ -216,32 +216,23 @@ def kernel_second_order_presplit(eps_n: float, eps_m: float, s: float) -> float:
 
 
 def kernel_matrix(eps: np.ndarray, s: float) -> np.ndarray:
-    """Dense K(eps_i, eps_j; s) with stable near-diagonal evaluation.
+    """Dense K(eps_i, eps_j; s), diagonal (s - 1) eps_i^{-s} included.
 
-    Pairs are ordered internally (lo, hi), so the matrix is bit-exactly
-    symmetric by construction.  Fractional powers are taken on the eigenvalue
-    vector once and spread by min/max monotonicity, not per matrix entry.
+    Every pair is evaluated as lo^{-s} (-expm1((1-s) log1p(h)))/h with
+    h = (hi - lo)/lo, which has no cancellation near the diagonal or as
+    s -> 1; pairs with h <= 1e-12 take the analytic limit.  Pairs are ordered
+    internally (lo, hi), so the matrix is bit-exactly symmetric, and lo^{-s}
+    is taken on the eigenvalue vector once and spread by monotonicity.
     """
     e = np.asarray(eps, dtype=float)
     lo = np.minimum(e[:, None], e[None, :])
-    hi = np.maximum(e[:, None], e[None, :])
-    h = (hi - lo) / lo
+    h = (np.maximum(e[:, None], e[None, :]) - lo) / lo
     neg_pow = e ** (-s)  # decreasing in e: lo^{-s} = elementwise max
     base = np.maximum(neg_pow[:, None], neg_pow[None, :])
     with np.errstate(divide="ignore", invalid="ignore"):
         out = base * (-np.expm1((1.0 - s) * np.log1p(h))) / h
     tiny = h <= 1e-12
     out[tiny] = (s - 1.0) * base[tiny]
-    far = h >= 0.5
-    if np.any(far):
-        pw = e ** (1.0 - s)
-        if s >= 1.0:  # x^{1-s} nonincreasing
-            lo_pw = np.maximum(pw[:, None], pw[None, :])
-            hi_pw = np.minimum(pw[:, None], pw[None, :])
-        else:
-            lo_pw = np.minimum(pw[:, None], pw[None, :])
-            hi_pw = np.maximum(pw[:, None], pw[None, :])
-        out[far] = (lo_pw - hi_pw)[far] / (hi - lo)[far]
     return out
 
 
@@ -330,8 +321,8 @@ def z_closed_form(
     """Z(s) to second order from the shared completeness-split closed form.
 
     z0 = sum eps^{-s} (+ tail);  z1 = lam s sum <n|s|n> eps^{-s};
-    z2 = (lam^2/2) s [ (s-1) sum <n|s|n>^2 eps^{-s}
-                       + sum_{n != m} K(eps_n, eps_m; s) <n|s|m><m|s|n> ].
+    z2 = (lam^2/2) s sum_{n, m} K(eps_n, eps_m; s) <n|s|m><m|s|n>,
+    where the diagonal K(eps, eps; s) = (s-1) eps^{-s} carries the n == m terms.
     The lambda-free sums are formed once; one result is returned per density.
     With diagonal_mode="resummed" the truncated diagonal lambda-series is
     replaced by (1 + lam <n|s|n>)^s and the difference reported separately.
@@ -353,10 +344,8 @@ def z_closed_form(
     z0 = float(np.sum(weights)) + tail
     if coupled and any(d.lam != 0.0 for d in densities):
         sum1 = float(np.sum(diag * weights))
-        kmat = kernel_matrix(eps, s)
-        off = s1 * s1
-        np.fill_diagonal(off, 0.0)
-        sum2 = (s - 1.0) * float(np.sum(diag * diag * weights)) + float(np.sum(kmat * off))
+        # the kernel's diagonal is (s - 1) * weights, so one sum covers n == m
+        sum2 = float(np.sum(kernel_matrix(eps, s) * s1 * s1))
     results = []
     for density in densities:
         lam = density.lam

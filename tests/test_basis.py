@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -221,6 +223,31 @@ def test_density_bound_validation():
     ok.validate(String1D(1.0))
     with pytest.raises(ValidationError):
         DensityPerturbation(COS2, 0.1).validate(Rectangle2D(1.0, 1.0))
+
+
+def test_2d_sigma_sup_adds_per_term_factor_sups():
+    one = FourierCosine((1.0,))
+    rect = Rectangle2D(1.0, 1.3)
+    half = FourierCosine((0.0, 0.5))
+    assert DensityPerturbation(Separable2D(((COS2, half),))).sigma_sup(rect) == 0.5
+    # exact sup of cos(2 pi x) + cos(2 pi y) is 2, reached at the origin
+    two_terms = Separable2D(((COS2, one), (one, COS2)))
+    assert DensityPerturbation(two_terms).sigma_sup(rect) == 2.0
+    # the bound may exceed the true sup: cos(2 pi x) - cos(2 pi x) is zero
+    minus = FourierCosine((0.0, 0.0, -1.0))
+    cancelling = Separable2D(((COS2, one), (minus, one)))
+    assert DensityPerturbation(cancelling).sigma_sup(rect) == 2.0
+
+
+def test_cache_file_layout(tmp_path):
+    basis = ModeBasis(String1D(1.0), 5)
+    table = build_sigma_table(basis, COS2, 2)
+    key = "cd" * 32
+    path = _cache_path(tmp_path, key)
+    _write_cache(path, key, table.entries)
+    payload = table.entries.astype("<f8").tobytes()
+    header = b"BZSPTBL1" + struct.pack("<I", 1) + bytes.fromhex(key) + struct.pack("<III", 3, 5, 5)
+    assert path.read_bytes() == header + hashlib.sha256(payload).digest() + payload
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])

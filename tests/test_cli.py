@@ -288,6 +288,35 @@ def test_high_frequency_profile_density_bound_exits_2(tmp_path, capsys, route):
     assert any("density bound violated" in p for p in problems_on_stderr(capsys))
 
 
+def test_high_frequency_2d_profile_density_bound_exits_2(tmp_path, capsys):
+    # x-factor cos(pi x) - cos(1025 pi x) has sup 2 but vanishes on a 513-point grid
+    coeffs = [0.0] * 1026
+    coeffs[1], coeffs[1025] = 1.0, -1.0
+    term = {"x": {"type": "fourier-cosine", "coeffs": coeffs},
+            "y": {"type": "fourier-cosine", "coeffs": [1.0]}}
+    cfg = write_config(
+        tmp_path,
+        basis={"kind": "rectangle", "a": 1.0, "b": 1.0},
+        density={"profile": {"type": "separable", "terms": [term]}, "lambda": 0.9},
+    )
+    rc = main(["sumrule", "--config", str(cfg), "--route", "closed", "--modes", "20"])
+    assert rc == EXIT_VALIDATION
+    assert any("sup|lambda*sigma| = 1.8" in p for p in problems_on_stderr(capsys))
+
+
+def test_memory_error_exits_3_without_traceback(tmp_path, monkeypatch, capsys):
+    from billzeta import sumrules
+
+    def exhausted(eps, s):
+        raise MemoryError()  # numpy's own can stringify to ""
+
+    monkeypatch.setattr(sumrules, "kernel_matrix", exhausted)
+    rc = main(["sumrule", "--s", "3/2", "--lambda", "0.1", "--route", "closed", "--modes", "20"])
+    assert rc == EXIT_NUMERICAL
+    err = capsys.readouterr().err.strip()
+    assert json.loads(err) == {"error": "numerical", "detail": "out of memory"}
+
+
 def test_sumrule_sweep_forms_each_invariant_once(tmp_path, monkeypatch):
     from billzeta import coefficients, sumrules
 

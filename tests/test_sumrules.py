@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -110,6 +111,44 @@ def test_kernel_matrix_matches_scalar():
             assert mat[i, j] == pytest.approx(
                 kernel_second_order(eps[i], eps[j], 1.125), rel=1e-14
             )
+
+
+def test_kernel_matrix_matches_decimal_reference_near_s_one():
+    # 50-digit reference for exactly these float inputs; the direct difference
+    # (lo^{1-s} - hi^{1-s})/(hi - lo) cancels as s -> 1 and misses 2e-15
+    s = 1.0 + 1.0 / 64.0
+    eps = (np.arange(1, 41) * np.pi) ** 2
+    mat = kernel_matrix(eps, s)
+    worst = 0.0
+    with localcontext() as ctx:
+        ctx.prec = 50
+        one_minus_s = 1 - Decimal(s)
+        pw = [(Decimal(e).ln() * one_minus_s).exp() for e in eps]
+        for i in range(eps.size):
+            for j in range(eps.size):
+                if i != j:
+                    ref = (pw[i] - pw[j]) / (Decimal(eps[j]) - Decimal(eps[i]))
+                    worst = max(worst, abs(float((Decimal(mat[i, j]) - ref) / ref)))
+    assert worst <= 2e-15
+
+
+@pytest.mark.parametrize("basis, profile", [
+    (ModeBasis(String1D(1.0), 40), COS2),
+    (ModeBasis(Rectangle2D(1.0, 1.0), 40), Separable2D(((COS2, COS2),))),  # degenerate pairs
+])
+def test_closed_form_z2_equals_explicit_double_sum(basis, profile):
+    s, lam = 1.5, 0.1
+    table = build_sigma_table(basis, profile, 2)
+    s1 = table.power(1)
+    eps = basis.eigenvalues()
+    total = 0.0
+    for n in range(eps.size):
+        for m in range(eps.size):
+            k = (s - 1) * eps[n] ** (-s) if n == m else kernel_second_order(eps[n], eps[m], s)
+            total += k * s1[n, m] * s1[m, n]
+    expected = 0.5 * lam * lam * s * total
+    z2 = z_closed_form(s, table, basis, [DensityPerturbation(profile, lam)])[0].z2
+    assert z2 == pytest.approx(expected, rel=1e-14)
 
 
 def test_presplit_diagonal_limit():
