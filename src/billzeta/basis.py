@@ -346,11 +346,12 @@ def _exact_cosine_elements(n_max: int, coeffs: np.ndarray) -> np.ndarray:
     """<n| f |m> for f a cosine series: (1/2)(c_|n-m| - c_{n+m}) + c_0 delta_nm."""
     c = np.zeros(2 * n_max + 1)
     c[: min(len(coeffs), len(c))] = coeffs[: len(c)]
-    idx = np.arange(1, n_max + 1)
-    diff = np.abs(idx[:, None] - idx[None, :])
-    summ = idx[:, None] + idx[None, :]
-    out = 0.5 * (c[diff] - c[summ])
-    np.fill_diagonal(out, c[0] - 0.5 * c[summ.diagonal()])
+    windows = np.lib.stride_tricks.sliding_window_view
+    toeplitz = windows(np.concatenate([c[n_max - 1 : 0 : -1], c[:n_max]]), n_max)[:, ::-1]  # c[|n-m|]
+    hankel = windows(c[2:], n_max)  # c[n+m]
+    out = toeplitz - hankel
+    out *= 0.5
+    np.fill_diagonal(out, c[0] - 0.5 * c[2::2])
     return out
 
 
@@ -387,7 +388,7 @@ def _quad_elements_1d(n_max: int, length: float, factors, nodes: int | None) -> 
         raise QuadratureError(
             f"quadrature self-check failed: row error {err:.3e} at {plan} nodes"
         )
-    return out
+    return np.triu(out) + np.triu(out, 1).T  # the matmul is symmetric only to rounding
 
 
 def _elements_1d(n_max: int, length: float, factors, nodes: int | None = None) -> np.ndarray:
@@ -397,12 +398,6 @@ def _elements_1d(n_max: int, length: float, factors, nodes: int | None = None) -
     if _all_cosine(factors):
         return _exact_cosine_elements(n_max, _cosine_coeffs_of_factors(factors))
     return _quad_elements_1d(n_max, length, factors, nodes)
-
-
-def _symmetrize_upper(a: np.ndarray) -> np.ndarray:
-    """Copy the upper triangle onto the lower one: exact symmetry by construction."""
-    out = np.triu(a)
-    return out + np.triu(a, 1).T
 
 
 def _multinomial(total: int, parts: tuple[int, ...]) -> int:
@@ -605,8 +600,7 @@ def build_sigma_table(
     elif isinstance(basis.domain, String1D):
         meta["exact_cosine"] = isinstance(profile, FourierCosine)
         for j in range(1, max_power + 1):
-            raw = _elements_1d(m_size, basis.domain.length, [(profile, j)], nodes)
-            entries[j] = _symmetrize_upper(raw)
+            entries[j] = _elements_1d(m_size, basis.domain.length, [(profile, j)], nodes)
     else:
         if not isinstance(profile, Separable2D):
             raise ValidationError("2D tables need a Separable2D profile")
@@ -621,15 +615,14 @@ def build_sigma_table(
         kmax = int(modes[:, 1].max())
         terms = profile.terms
         for j in range(1, max_power + 1):
-            acc = np.zeros((m_size, m_size))
+            entries[j] = 0.0
             for alpha in _compositions(j, len(terms)):
                 coeff = float(_multinomial(j, alpha))
                 fx = [(terms[t][0], p) for t, p in enumerate(alpha) if p > 0]
                 fy = [(terms[t][1], p) for t, p in enumerate(alpha) if p > 0]
                 ax = _elements_1d(jmax, basis.domain.a, fx, nodes) if fx else np.eye(jmax)
                 ay = _elements_1d(kmax, basis.domain.b, fy, nodes) if fy else np.eye(kmax)
-                acc += coeff * ax[np.ix_(ix, ix)] * ay[np.ix_(iy, iy)]
-            entries[j] = _symmetrize_upper(acc)
+                entries[j] += coeff * ax[np.ix_(ix, ix)] * ay[np.ix_(iy, iy)]
 
     table = SigmaPowerTable(max_power, m_size, entries, meta)
     if directory is not None:

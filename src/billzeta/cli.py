@@ -209,6 +209,12 @@ def _physical_memory() -> int | None:
         return None
 
 
+# Peak dense M x M float64 matrices each route holds besides the sigma table,
+# from tracemalloc at M=800 (the oracle's adds LAPACK's untraced copy).
+_ROUTE_MATRICES = {"closed": 5, "trace1": 16, "trace2": 16, "oracle": 4}
+_ROUTE_MATRICES["all"] = max(_ROUTE_MATRICES.values())
+
+
 def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
     """Parse and validate configuration; raise ConfigError listing every problem.
 
@@ -259,15 +265,6 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
             basis = ModeBasis(domain, modes)
         except ValidationError as exc:
             problems.append(f"basis: {exc}")
-    if basis is not None:
-        # the sigma table alone holds (J + 1) dense M x M float64 matrices
-        table_bytes = (max(2, getattr(overrides, "max_order", 2)) + 1) * modes * modes * 8
-        memory = _physical_memory()
-        if memory is not None and table_bytes > memory:
-            problems.append(
-                f"truncation.modes: {modes} modes need a {table_bytes / 2**30:.3g} GiB table, "
-                f"more than the {memory / 2**30:.3g} GiB of physical memory"
-            )
     quadrature_nodes, inner_discard = (
         None if trunc_node.get(key) is None
         else _number(trunc_node[key], f"truncation.{key}", problems, int)
@@ -314,6 +311,7 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
     route = getattr(overrides, "route", None) or data.get("route", "all")
     if route not in ROUTES:
         problems.append(f"route must be one of {ROUTES}, got {route!r}")
+        route = "all"
     diagonal_mode = data.get("diagonal_mode", sumrules.TRUNCATED)
     if getattr(overrides, "resummed", False):
         diagonal_mode = sumrules.RESUMMED
@@ -335,6 +333,25 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
     threshold = _number(threshold, "slope_threshold", problems)
 
     # --- cross validation (one pass, everything reported) ---
+    command = getattr(overrides, "command", None)
+    if basis is not None:
+        max_order = getattr(overrides, "max_order", 2)
+        work = {  # the command's peak working set, in matrices
+            "coeffs": 4 * (max_order + 1) + 1,  # q, Q and two power series per order
+            "verify": max(_ROUTE_MATRICES["closed"], _ROUTE_MATRICES["oracle"]),
+            "spectrum": _ROUTE_MATRICES["oracle"],
+        }.get(command, _ROUTE_MATRICES[route])
+        need = (max(2, max_order) + 1 + work) * modes * modes * 8  # the table is J + 1 matrices
+        memory = _physical_memory()
+        if memory is not None and need > memory:
+            problems.append(
+                f"truncation.modes: {modes} modes need {need / 2**30:.3g} GiB for the table and "
+                f"working set, more than the {memory / 2**30:.3g} GiB of physical memory"
+            )
+    if command == "spectrum" and len(lam_list) > 1:
+        problems.append(f"spectrum takes one lambda; extra values {lam_list[1:]}")
+    if command == "verify" and len(orders) > 1:
+        problems.append(f"verify fits one order; extra orders {[o.label() for o in orders[1:]]}")
     if basis is not None and profile is not None:
         for lam in lam_list:
             density = DensityPerturbation(profile, lam)

@@ -15,10 +15,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import DensityPerturbation, ModeBasis, SigmaPowerTable, _composite_grid
+from .basis import DensityPerturbation, ModeBasis, SigmaPowerTable, _composite_grid, build_sigma_table
 from .errors import ValidationError
-from .kernels import delta_matrix, eta_matrix, validate_root_order, xi
-from .numerics import KahanAccumulator, half_binomial
+from .kernels import delta_matrix, eta_matrix, validate_root_order
+
+
+def half_binomial(k: int) -> float:
+    """Generalized binomial coefficient binom(1/2, k) by the product recurrence.
+
+    Exact in rationals up to rounding; avoids factorial overflow/cancellation.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    b = 1.0
+    for j in range(k):
+        b *= (0.5 - j) / (j + 1)
+    return b
+
 
 @dataclass(frozen=True)
 class GreenCoefficientSet:
@@ -35,6 +48,31 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product of two series entries; a 1-D entry stands for diag(entry)."""
+    if b.ndim == 1:
+        return a * b  # column scaling, or the product of two diagonals
+    if a.ndim == 1:
+        return a[:, None] * b  # row scaling
+    return a @ b
+
+
+def _series_product(a, b, top: int) -> list:
+    """Coefficients 0..top of (sum_i a[i] lambda^i)(sum_j b[j] lambda^j).
+
+    Orders past the end of a list count as zero; the result stops at the last
+    order with a term.  Only order 0 may be a 1-D (diagonal) entry.
+    """
+    out = []
+    for c in range(min(top, len(a) + len(b) - 2) + 1):
+        lo, hi = max(0, c - len(b) + 1), min(c, len(a) - 1)
+        total = _dot(a[lo], b[c - lo])
+        for i in range(lo + 1, hi + 1):
+            total += _dot(a[i], b[c - i])
+        out.append(total)
+    return out
+
+
 def build_Q_order(k: int, table: SigmaPowerTable, basis: ModeBasis) -> np.ndarray:
     """Order-k coefficient of the dressed Green's function.
 
@@ -47,16 +85,10 @@ def build_Q_order(k: int, table: SigmaPowerTable, basis: ModeBasis) -> np.ndarra
         raise ValidationError(
             f"order {k} exceeds table max_power {table.max_power}"
         )
-    m = table.size
-    eps = basis.eigenvalues()[:m]
-    inv = 1.0 / eps
-    acc = KahanAccumulator((m, m))
-    for j in range(k + 1):
-        coeff = half_binomial(j) * half_binomial(k - j)
-        left = table.power(j)
-        right = table.power(k - j)
-        acc.add(coeff * ((left * inv[None, :]) @ right))
-    return _sym(acc.total)
+    inv = 1.0 / basis.eigenvalues()[: table.size]
+    half = [np.ones(table.size)] + [half_binomial(j) * table.power(j) for j in range(1, k + 1)]
+    big_q = _series_product([h * inv for h in half], half, k)[k]
+    return np.diag(big_q) if k == 0 else _sym(big_q)
 
 
 def q_closed_form(n_root: int, k: int, table: SigmaPowerTable, basis: ModeBasis) -> np.ndarray:
@@ -80,39 +112,26 @@ def q_closed_form(n_root: int, k: int, table: SigmaPowerTable, basis: ModeBasis)
     inv = 1.0 / eps
     plain = (s1 * inv[None, :]) @ s1
     # xi-weighted part: sum over the (j, l) exponent lattice of the xi kernel
-    acc = KahanAccumulator((m, m))
+    lattice = np.zeros((m, m))
     for j in range(n - 1):
         u_j = eps ** (-j / n)
         for l in range(n - 1 - j):
             u_l = eps ** (-l / n)
             u_c = eps ** (-(n - 2 - j - l) / n)
-            acc.add((u_j[:, None] * b * u_l[None, :]) @ (b * u_c[None, :]))
-    q2 = -0.125 * dmat * table.power(2) + (plain - acc.total) / (4.0 * eta_matrix(n, eps))
+            lattice += (u_j[:, None] * b * u_l[None, :]) @ (b * u_c[None, :])
+    q2 = -0.125 * dmat * table.power(2) + (plain - lattice) / (4.0 * eta_matrix(n, eps))
     return _sym(q2)
 
 
-def _lambda_power_product(q_list, n_factors: int, total: int) -> np.ndarray:
+def _lambda_power_product(q_list, n_factors: int, total: int) -> np.ndarray | float:
     """Coefficient of lambda^total in (sum_j q_list[j] lambda^j)^n_factors.
 
     q_list may be shorter than total+1; missing orders count as zero.
-    Accumulation is compensated so long product chains stay tight.
     """
-    size = q_list[0].shape[0]
-    top = min(len(q_list) - 1, total)
-    current = {c: q_list[c] for c in range(top + 1)}
+    power = q_list
     for _ in range(n_factors - 1):
-        nxt = {}
-        for c in range(total + 1):
-            acc = KahanAccumulator((size, size))
-            hit = False
-            for a in range(max(0, c - top), c + 1):
-                if a in current and c - a <= top:
-                    acc.add(current[a] @ q_list[c - a])
-                    hit = True
-            if hit:
-                nxt[c] = acc.total
-        current = nxt
-    return current.get(total, np.zeros((size, size)))
+        power = _series_product(power, q_list, total)
+    return power[total] if total < len(power) else 0.0  # an absent order is zero
 
 
 def q_generic_recursion(
@@ -123,6 +142,7 @@ def q_generic_recursion(
     Because q^(0) is positive diagonal, the terms containing the unknown q^(k)
     collapse to eta(N; eps_n, eps_m) * q^(k)[n,m]; each order is obtained by
     subtracting the known lower-order products and dividing elementwise by eta.
+    q^(0) is kept as a vector while solving, so it only ever scales rows or columns.
     """
     n = validate_root_order(n_root)
     if max_order < 0:
@@ -132,11 +152,12 @@ def q_generic_recursion(
     m = table.size
     eps = basis.eigenvalues()[:m]
     eta = eta_matrix(n, eps)
-    q_orders = [np.diag(eps ** (-1.0 / n))]
+    q_orders = [eps ** (-1.0 / n)]
     big_q = [build_Q_order(k, table, basis) for k in range(max_order + 1)]
     for k in range(1, max_order + 1):
         lower = _lambda_power_product(q_orders, n, k)  # all parts <= k-1
         q_orders.append(_sym((big_q[k] - lower) / eta))
+    q_orders[0] = np.diag(q_orders[0])
     return GreenCoefficientSet(n, max_order, m, tuple(q_orders), tuple(big_q))
 
 
@@ -172,8 +193,6 @@ def reference_Q(k: int, basis: ModeBasis, density, size: int, *, growth: int = 2
     Built at growth * size modes and sliced back; for banded (cosine) profiles
     this makes the internal mode sums exact for the retained block.
     """
-    from .basis import build_sigma_table  # local import avoids cycle at module load
-
     big = ModeBasis(basis.domain, max(size * growth, size + 8))
     table = build_sigma_table(big, density, max(k, 1), big.mode_count, nodes=nodes, cache_dir=False)
     return build_Q_order(k, table, big)[:size, :size]

@@ -275,6 +275,33 @@ def test_oversized_modes_exit_2_before_allocating(tmp_path, capsys):
     assert any(p.startswith("truncation.modes") for p in problems_on_stderr(capsys))
 
 
+def test_working_set_counted_before_allocating(tmp_path, monkeypatch, capsys):
+    from billzeta import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("build_sigma_table called")
+
+    m = 100
+    # the 3-matrix table fits; table plus the closed form's 5 matrices does not
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 4 * m * m * 8)
+    monkeypatch.setattr(cli, "build_sigma_table", never)
+    rc = main(["sumrule", "--modes", str(m), "--route", "closed", "--lambda", "0.1"])
+    assert rc == EXIT_VALIDATION
+    assert any(p.startswith("truncation.modes") for p in problems_on_stderr(capsys))
+
+
+def test_spectrum_rejects_extra_lambdas(tmp_path, capsys):
+    rc = main(["spectrum", "--modes", "20", "--lambda", "0.1,0.5"])
+    assert rc == EXIT_VALIDATION
+    assert any("[0.5]" in p for p in problems_on_stderr(capsys))
+
+
+def test_verify_rejects_extra_orders(tmp_path, capsys):
+    rc = main(["verify", "--s", "3/2", "--s", "1+1/4", "--lambda", "0.04,0.08,0.16", "--modes", "40"])
+    assert rc == EXIT_VALIDATION
+    assert any("1+1/4" in p for p in problems_on_stderr(capsys))
+
+
 @pytest.mark.parametrize("route", ["closed", "oracle"])
 def test_high_frequency_profile_density_bound_exits_2(tmp_path, capsys, route):
     # cos(pi x) - cos(8191 pi x) has sup ~2 but vanishes at all 4097 evenly spaced points

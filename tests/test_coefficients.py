@@ -16,6 +16,7 @@ from billzeta.coefficients import (
     GreenCoefficientSet,
     build_Q_order,
     export_coefficients_csv,
+    half_binomial,
     q_closed_form,
     q_generic_recursion,
     q_resummed_approx,
@@ -25,7 +26,6 @@ from billzeta.coefficients import (
 )
 from billzeta.errors import ValidationError
 from billzeta.kernels import delta, delta_matrix, eta_matrix
-from billzeta.numerics import half_binomial
 
 RNG = np.random.default_rng(11)
 COS2 = FourierCosine((0.0, 0.0, 1.0))
@@ -73,6 +73,15 @@ def test_Q_order_zero_and_one():
     assert q1[0, 0] == pytest.approx(s1[0, 0] / eps[0], rel=1e-14)
 
 
+def test_Q_order_two_matches_explicit_form():
+    table = random_table(8, 2, seed=5)
+    basis = string_basis(8, length=1.3)
+    d_inv = np.diag(1.0 / basis.eigenvalues())
+    s1, s2 = table.power(1), table.power(2)
+    expected = -0.125 * (d_inv @ s2 + s2 @ d_inv) + 0.25 * (s1 @ d_inv @ s1)
+    assert max_rel(build_Q_order(2, table, basis), expected) < 1e-14
+
+
 def test_Q_order_two_zero_profile():
     basis = string_basis(5)
     table = build_sigma_table(basis, FourierCosine(()), 2)
@@ -102,7 +111,7 @@ def test_q_closed_form_order_zero_and_one():
         q_closed_form(2, 3, table, basis)
 
 
-@pytest.mark.parametrize("n_root", [2, 3, 4, 5])
+@pytest.mark.parametrize("n_root", [2, 3, 4, 5, 8])
 def test_recursion_matches_closed_forms(n_root):
     table = random_table(8, 2, seed=100 + n_root)
     basis = string_basis(8, length=1.0 + 0.2 * n_root)
