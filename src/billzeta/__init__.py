@@ -17,14 +17,12 @@ from .basis import (
     String1D,
     Tabulated,
     build_sigma_table,
-    sigma_power_element,
 )
 from .coefficients import (
     GreenCoefficientSet,
     build_Q_order,
     q_closed_form,
     q_generic_recursion,
-    q_resummed_approx,
     verify_convolution,
 )
 from .errors import (
@@ -42,7 +40,6 @@ from .oracle import (
     assemble,
     convergence_order_fit,
     solve_spectrum,
-    z_direct,
 )
 from .sumrules import (
     RationalOrderSpec,
@@ -87,13 +84,10 @@ __all__ = [
     "kernel_second_order_presplit",
     "q_closed_form",
     "q_generic_recursion",
-    "q_resummed_approx",
-    "sigma_power_element",
     "solve_spectrum",
     "tail_estimate",
     "verify_convolution",
     "xi",
     "z_closed_form",
-    "z_direct",
     "z_via_trace",
 ]

@@ -109,14 +109,6 @@ class ModeBasis:
         jk = np.asarray(self.mode_indices(), dtype=float)
         return math.pi**2 * (jk[:, 0] ** 2 / self.domain.a**2 + jk[:, 1] ** 2 / self.domain.b**2)
 
-    def eigenvalue(self, n: int) -> float:
-        """Eigenvalue of the n-th retained mode, n = 1..M."""
-        if not 1 <= n <= self.mode_count:
-            raise ValidationError(
-                f"mode index {n} out of range 1..{self.mode_count}"
-            )
-        return float(self.eigenvalues()[n - 1])
-
 
 # ---------------------------------------------------------------------------
 # density profiles
@@ -224,8 +216,6 @@ class Separable2D:
 
 
 Profile = Profile1D | Separable2D
-
-ZERO_PROFILE = FourierCosine(())
 
 
 def _profile_sup(profile: Profile1D, length: float) -> float:
@@ -547,7 +537,6 @@ def build_sigma_table(
     basis: ModeBasis,
     density: DensityPerturbation | Profile,
     max_power: int,
-    size: int | None = None,
     *,
     nodes: int | None = None,
     cache_dir=False,
@@ -561,30 +550,21 @@ def build_sigma_table(
         Only the profile matters; the table is independent of the strength.
     max_power : int
         Highest power J >= 1.
-    size : int, optional
-        Truncation M; defaults to basis.mode_count.
     nodes : int, optional
-        Override the automatic quadrature node plan.
+        Override the automatic quadrature node plan (at least 1 node).
     cache_dir : path-like, None, or False
         False disables caching (default); None resolves the environment
         variable / default directory; a path uses that directory.
     """
     if max_power < 1:
         raise ValidationError("max_power must be >= 1")
-    m_size = size or basis.mode_count
-    if m_size < 1:
-        raise ValidationError("table size must be >= 1")
-    if m_size > basis.mode_count:
-        raise ValidationError("table size cannot exceed basis.mode_count")
+    if nodes is not None and nodes < 1:
+        raise ValidationError(f"quadrature nodes must be >= 1, got {nodes}")
+    m_size = basis.mode_count
     profile = density.profile if isinstance(density, DensityPerturbation) else density
 
-    meta = {
-        "rule": "composite-gauss-legendre-32",
-        "nodes": nodes or "auto",
-        "exact_cosine": False,
-    }
-    sub_basis = ModeBasis(basis.domain, m_size)
-    key = table_content_key(sub_basis, profile, max_power, meta)
+    meta = {"rule": "composite-gauss-legendre-32", "nodes": nodes or "auto"}
+    key = table_content_key(basis, profile, max_power, meta)
 
     directory = resolve_cache_dir(cache_dir)
     if directory is not None:
@@ -596,19 +576,13 @@ def build_sigma_table(
     entries[0] = np.eye(m_size)
     if profile.is_zero:
         entries[1:] = 0.0
-        meta["exact_cosine"] = True
     elif isinstance(basis.domain, String1D):
-        meta["exact_cosine"] = isinstance(profile, FourierCosine)
         for j in range(1, max_power + 1):
             entries[j] = _elements_1d(m_size, basis.domain.length, [(profile, j)], nodes)
     else:
         if not isinstance(profile, Separable2D):
             raise ValidationError("2D tables need a Separable2D profile")
-        meta["exact_cosine"] = all(
-            isinstance(px, FourierCosine) and isinstance(py, FourierCosine)
-            for px, py in profile.terms
-        )
-        modes = np.asarray(sub_basis.mode_indices(), dtype=int)
+        modes = np.asarray(basis.mode_indices(), dtype=int)
         ix = modes[:, 0] - 1
         iy = modes[:, 1] - 1
         jmax = int(modes[:, 0].max())
@@ -629,25 +603,3 @@ def build_sigma_table(
         directory.mkdir(parents=True, exist_ok=True)
         _write_cache(_cache_path(directory, key), key, entries)
     return table
-
-
-def sigma_power_element(
-    basis: ModeBasis,
-    density: DensityPerturbation | Profile,
-    j: int,
-    n: int,
-    m: int,
-    *,
-    nodes: int | None = None,
-) -> float:
-    """Single matrix element <n| sigma^j |m> (convenience accessor)."""
-    if j < 0:
-        raise ValidationError("power must be >= 0")
-    top = max(n, m)
-    if not (1 <= n <= basis.mode_count and 1 <= m <= basis.mode_count):
-        raise ValidationError("mode indices out of range")
-    if j == 0:
-        return 1.0 if n == m else 0.0
-    sub = ModeBasis(basis.domain, top)
-    table = build_sigma_table(sub, density, j, top, nodes=nodes, cache_dir=False)
-    return float(table.power(j)[n - 1, m - 1])

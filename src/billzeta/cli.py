@@ -94,51 +94,6 @@ class RunConfig:
     def densities(self):
         return [DensityPerturbation(self.profile, lam) for lam in self.lam_list]
 
-    def normalized(self) -> dict:
-        """Stable dict form: parse(normalized(cfg)) reproduces cfg."""
-        dom = self.basis.domain
-        basis = (
-            {"kind": "string", "length": dom.length}
-            if isinstance(dom, String1D)
-            else {"kind": "rectangle", "a": dom.a, "b": dom.b}
-        )
-        return {
-            "version": 1,
-            "basis": basis,
-            "density": {
-                "profile": _profile_to_dict(self.profile),
-                "lambda_list": list(self.lam_list),
-            },
-            "truncation": {
-                "modes": self.basis.mode_count,
-                "quadrature_nodes": self.quadrature_nodes,
-                "inner_discard": self.inner_discard,
-                "top_discard_fraction": self.top_discard,
-            },
-            "orders": [o.label() for o in self.orders],
-            "route": self.route,
-            "diagonal_mode": self.diagonal_mode,
-            "output": {"format": self.out_format, "path": self.out_path},
-            "cache_dir": self.cache_dir,
-            "slope_threshold": self.slope_threshold,
-        }
-
-
-def _profile_to_dict(profile) -> dict:
-    if isinstance(profile, FourierCosine):
-        return {"type": "fourier-cosine", "coeffs": list(profile.coeffs)}
-    if isinstance(profile, Polynomial):
-        return {"type": "polynomial", "coeffs": list(profile.coeffs)}
-    if isinstance(profile, Tabulated):
-        return {"type": "tabulated", "x": list(profile.xs), "y": list(profile.ys)}
-    return {
-        "type": "separable",
-        "terms": [
-            {"x": _profile_to_dict(px), "y": _profile_to_dict(py)}
-            for px, py in profile.terms
-        ],
-    }
-
 
 def _typed(node, kind, where, problems, fallback):
     """node if it is an instance of kind; otherwise record a problem, return fallback."""
@@ -270,6 +225,10 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
         else _number(trunc_node[key], f"truncation.{key}", problems, int)
         for key in ("quadrature_nodes", "inner_discard")
     )
+    if quadrature_nodes is not None and quadrature_nodes < 1:
+        problems.append(f"truncation.quadrature_nodes must be >= 1, got {quadrature_nodes}")
+    if basis is not None and inner_discard is not None and not 0 <= inner_discard < modes:
+        problems.append(f"truncation.inner_discard must be in [0, {modes}), got {inner_discard}")
     top_discard = _number(
         trunc_node.get("top_discard_fraction", 0.25), "truncation.top_discard_fraction", problems
     )
@@ -470,20 +429,14 @@ def cmd_coeffs(cfg: RunConfig, n_root: int, max_order: int) -> int:
         cache_dir=cfg.cache_dir,
     )
     cset = coefficients.q_generic_recursion(n_root, max_order, table, cfg.basis)
+    residuals = coefficients.verify_convolution(cset, discard=cfg.inner_discard)
     out_dir = Path(cfg.out_path or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {"n_root": n_root, "max_order": max_order, "modes": cfg.basis.mode_count, "orders": []}
-    b = cfg.inner_discard if cfg.inner_discard is not None else cfg.basis.mode_count // 4
-    for k in range(max_order + 1):
+    for k, residual in enumerate(residuals):
         path = out_dir / f"q_N{n_root}_order{k}.csv"
         coefficients.export_coefficients_csv(cset.q_orders[k], path)
-        summary["orders"].append(
-            {
-                "order": k,
-                "file": path.name,
-                "convolution_residual": coefficients.verify_convolution(cset, k, discard=b),
-            }
-        )
+        summary["orders"].append({"order": k, "file": path.name, "convolution_residual": residual})
     summary_path = out_dir / f"residuals_N{n_root}.json"
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     sys.stdout.write(f"wrote {max_order + 1} coefficient files and {summary_path.name}\n")

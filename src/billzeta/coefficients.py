@@ -10,12 +10,11 @@ truncation, which the tests exploit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import DensityPerturbation, ModeBasis, SigmaPowerTable, _composite_grid, build_sigma_table
+from .basis import ModeBasis, SigmaPowerTable, build_sigma_table
 from .errors import ValidationError
 from .kernels import delta_matrix, eta_matrix, validate_root_order
 
@@ -123,15 +122,16 @@ def q_closed_form(n_root: int, k: int, table: SigmaPowerTable, basis: ModeBasis)
     return _sym(q2)
 
 
-def _lambda_power_product(q_list, n_factors: int, total: int) -> np.ndarray | float:
-    """Coefficient of lambda^total in (sum_j q_list[j] lambda^j)^n_factors.
+def _series_power(series, n_factors: int, top: int) -> list:
+    """Coefficients 0..top of (sum_j series[j] lambda^j)^n_factors.
 
-    q_list may be shorter than total+1; missing orders count as zero.
+    Coefficient c does not depend on top; orders with no term are left off
+    the end of the list.
     """
-    power = q_list
+    power = series
     for _ in range(n_factors - 1):
-        power = _series_product(power, q_list, total)
-    return power[total] if total < len(power) else 0.0  # an absent order is zero
+        power = _series_product(power, series, top)
+    return power
 
 
 def q_generic_recursion(
@@ -155,7 +155,8 @@ def q_generic_recursion(
     q_orders = [eps ** (-1.0 / n)]
     big_q = [build_Q_order(k, table, basis) for k in range(max_order + 1)]
     for k in range(1, max_order + 1):
-        lower = _lambda_power_product(q_orders, n, k)  # all parts <= k-1
+        chain = _series_power(q_orders, n, k)  # all parts <= k-1
+        lower = chain[k] if k < len(chain) else 0.0  # an absent order is zero
         q_orders.append(_sym((big_q[k] - lower) / eta))
     q_orders[0] = np.diag(q_orders[0])
     return GreenCoefficientSet(n, max_order, m, tuple(q_orders), tuple(big_q))
@@ -163,28 +164,32 @@ def q_generic_recursion(
 
 def verify_convolution(
     cset: GreenCoefficientSet,
-    k: int,
     *,
     discard: int | None = None,
-    reference_q: np.ndarray | None = None,
-) -> float:
-    """Max-norm residual of the order-k N-fold convolution identity.
+    reference_q=None,
+) -> list[float]:
+    """Max-norm residuals of the N-fold convolution identity, orders 0..max_order.
 
-    The convolution of the stored q orders is compared against Q^(k): by
-    default the set's own matrix (a self-consistency check that is zero up to
-    rounding), or `reference_q` built at a larger truncation to measure the
-    genuine truncation error.  The outermost `discard` modes are excluded
-    (default size // 4); pass discard=0 to include the truncation edge.
+    One N-fold series chain of the stored q orders holds every order's
+    convolution.  Order k is compared against Q^(k): by default the set's own
+    matrix (a self-consistency check that is zero up to rounding), or
+    reference_q[k] from a sequence of Q^(0..max_order) built at a larger
+    truncation to measure the genuine truncation error.  The outermost
+    `discard` modes are excluded (default size // 4); pass discard=0 to
+    include the truncation edge.
     """
-    if k < 0 or k > cset.max_order:
-        raise ValidationError("order outside the coefficient set range")
-    conv = _lambda_power_product(list(cset.q_orders), cset.root_order, k)
-    target = cset.Q_orders[k] if reference_q is None else reference_q
+    targets = cset.Q_orders if reference_q is None else reference_q
+    if len(targets) != cset.max_order + 1:
+        raise ValidationError("need one reference Q per order 0..max_order")
     b = cset.size // 4 if discard is None else int(discard)
     if not 0 <= b < cset.size:
         raise ValidationError("discard count out of range")
     inner = slice(0, cset.size - b)
-    return float(np.max(np.abs(conv[inner, inner] - target[inner, inner])))
+    chain = _series_power(list(cset.q_orders), cset.root_order, cset.max_order)
+    return [
+        float(np.max(np.abs(conv[inner, inner] - target[inner, inner])))
+        for conv, target in zip(chain, targets)
+    ]
 
 
 def reference_Q(k: int, basis: ModeBasis, density, size: int, *, growth: int = 2, nodes=None) -> np.ndarray:
@@ -194,79 +199,8 @@ def reference_Q(k: int, basis: ModeBasis, density, size: int, *, growth: int = 2
     this makes the internal mode sums exact for the retained block.
     """
     big = ModeBasis(basis.domain, max(size * growth, size + 8))
-    table = build_sigma_table(big, density, max(k, 1), big.mode_count, nodes=nodes, cache_dir=False)
+    table = build_sigma_table(big, density, max(k, 1), nodes=nodes, cache_dir=False)
     return build_Q_order(k, table, big)[:size, :size]
-
-
-def sqrt_density_elements(
-    basis: ModeBasis,
-    density: DensityPerturbation,
-    *,
-    method: str = "quadrature",
-    table: SigmaPowerTable | None = None,
-    nodes: int | None = None,
-) -> np.ndarray:
-    """Matrix elements <n| sqrt(Sigma) |m> of the square-root density.
-
-    method="quadrature" integrates sqrt(1 + lam*sigma) directly;
-    method="series" sums the binomial series over a sigma-power table.
-    """
-    density.validate(basis.domain)
-    m = basis.mode_count
-    if method == "series":
-        if table is None:
-            raise ValidationError("series method needs a sigma-power table")
-        out = np.zeros((table.size, table.size))
-        for j in range(table.max_power + 1):
-            out += half_binomial(j) * density.lam**j * table.power(j)
-        return out
-    if method != "quadrature":
-        raise ValidationError(f"unknown method {method!r}")
-    domain = basis.domain
-    if basis.dimension == 1:
-        plan = nodes or max(512, 8 * (m + 32))
-        x, w = _composite_grid(domain.length, plan)
-        f = np.sqrt(1.0 + density.lam * density.profile.evaluate(x, domain.length))
-        n = np.arange(1, m + 1)
-        phi = math.sqrt(2.0 / domain.length) * np.sin(np.outer(n, x) * math.pi / domain.length)
-        return _sym((phi * (w * f)[None, :]) @ phi.T)
-    modes = np.asarray(basis.mode_indices(), dtype=int)
-    jmax, kmax = int(modes[:, 0].max()), int(modes[:, 1].max())
-    plan_x = nodes or max(512, 8 * (jmax + 32))
-    plan_y = nodes or max(512, 8 * (kmax + 32))
-    x, wx = _composite_grid(domain.a, plan_x)
-    y, wy = _composite_grid(domain.b, plan_y)
-    f = np.sqrt(1.0 + density.lam * density.profile.evaluate_grid(x, y, domain.a, domain.b))
-    phix = math.sqrt(2.0 / domain.a) * np.sin(np.outer(np.arange(1, jmax + 1), x) * math.pi / domain.a)
-    phiy = math.sqrt(2.0 / domain.b) * np.sin(np.outer(np.arange(1, kmax + 1), y) * math.pi / domain.b)
-    # T[j1,j2,k1,k2] = sum_{gx,gy} phix[j1] phix[j2] (f wx wy) phiy[k1] phiy[k2]
-    weighted = f * wx[:, None] * wy[None, :]
-    gx = np.einsum("ag,bg,gh->abh", phix, phix, weighted)  # x-contracted, y-grid open
-    y_pairs = (phiy[:, None, :] * phiy[None, :, :]).reshape(kmax * kmax, y.size)
-    full = (gx.reshape(jmax * jmax, y.size) @ y_pairs.T).reshape(jmax, jmax, kmax, kmax)
-    ix = modes[:, 0] - 1
-    iy = modes[:, 1] - 1
-    out = full[ix[:, None], ix[None, :], iy[:, None], iy[None, :]]
-    return _sym(out)
-
-
-def q_resummed_approx(
-    basis: ModeBasis,
-    density: DensityPerturbation,
-    *,
-    method: str = "quadrature",
-    table: SigmaPowerTable | None = None,
-    nodes: int | None = None,
-) -> np.ndarray:
-    """Leading-term resummation of the half-order coefficients.
-
-    Approximates q[1/2] by Delta[1/2]_{nm} <n| sqrt(Sigma) |m>; exact at order
-    lambda but only approximate beyond it (the eta-weighted sums are dropped).
-    """
-    elements = sqrt_density_elements(basis, density, method=method, table=table, nodes=nodes)
-    m = elements.shape[0]
-    eps = basis.eigenvalues()[:m]
-    return delta_matrix(2, eps) * elements
 
 
 def export_coefficients_csv(matrix: np.ndarray, path) -> None:

@@ -51,10 +51,6 @@ class GeneralizedProblem:
     basis: ModeBasis
     density: DensityPerturbation
 
-    @property
-    def size(self) -> int:
-        return self.stiffness.size
-
 
 def assemble(
     basis: ModeBasis, density: DensityPerturbation, *, table: SigmaPowerTable | None = None
@@ -206,18 +202,6 @@ def z_direct_detail(
         basis, s, m, area=a_eff, perimeter=p_eff
     )
     return value + tail, tail, kept
-
-
-def z_direct(
-    eigenvalues: np.ndarray,
-    s: float,
-    basis: ModeBasis,
-    density: DensityPerturbation | None = None,
-    *,
-    top_discard: float = 0.25,
-) -> float:
-    value, _, _ = z_direct_detail(eigenvalues, s, basis, density, top_discard=top_discard)
-    return value
 
 
 def oracle_sum_rule(

@@ -120,12 +120,8 @@ def test_criterion_3_convolution_truncation_decreases():
             basis = ModeBasis(String1D(1.0), m)
             table = build_sigma_table(basis, dens, 2)
             cset = q_generic_recursion(n_root, 2, table, basis)
-            worst = max(
-                verify_convolution(
-                    cset, k, discard=0, reference_q=reference_Q(k, basis, dens, m)
-                )
-                for k in (0, 1, 2)
-            )
+            refs = [reference_Q(k, basis, dens, m) for k in (0, 1, 2)]
+            worst = max(verify_convolution(cset, discard=0, reference_q=refs))
             residuals.append(worst)
         ok = ok and residuals[0] > residuals[1] > residuals[2]
         details.append(f"N={n_root}: " + " > ".join(f"{r:.2e}" for r in residuals))

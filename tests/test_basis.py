@@ -18,7 +18,6 @@ from billzeta.basis import (
     _quad_elements_1d,
     _write_cache,
     build_sigma_table,
-    sigma_power_element,
 )
 from billzeta.errors import QuadratureError, ValidationError
 
@@ -37,10 +36,10 @@ def analytic_cos2_element(n, m):
 
 def test_eigenvalue_examples():
     string = ModeBasis(String1D(1.0), 8)
-    assert string.eigenvalue(1) == pytest.approx(math.pi**2, rel=1e-15)
-    assert string.eigenvalue(3) == pytest.approx(9 * math.pi**2, rel=1e-15)
+    assert string.eigenvalues()[0] == pytest.approx(math.pi**2, rel=1e-15)
+    assert string.eigenvalues()[2] == pytest.approx(9 * math.pi**2, rel=1e-15)
     square = ModeBasis(Rectangle2D(1.0, 1.0), 8)
-    assert square.eigenvalue(1) == pytest.approx(2 * math.pi**2, rel=1e-15)
+    assert square.eigenvalues()[0] == pytest.approx(2 * math.pi**2, rel=1e-15)
 
 
 def test_eigenvalue_ordering_and_ties():
@@ -55,22 +54,14 @@ def test_eigenvalue_ordering_and_ties():
     assert np.all(np.diff(aniso.eigenvalues()) >= -1e-12)
 
 
-def test_eigenvalue_out_of_range():
-    basis = ModeBasis(String1D(1.0), 5)
-    with pytest.raises(ValidationError):
-        basis.eigenvalue(0)
-    with pytest.raises(ValidationError):
-        basis.eigenvalue(6)
-
-
 def test_sigma_power_element_examples():
     basis = ModeBasis(String1D(1.0), 8)
-    dens = DensityPerturbation(COS2, 0.1)
-    assert sigma_power_element(basis, dens, 1, 1, 1) == pytest.approx(-0.5, abs=1e-13)
-    assert sigma_power_element(basis, dens, 1, 1, 3) == pytest.approx(0.5, abs=1e-13)
+    table = build_sigma_table(basis, DensityPerturbation(COS2, 0.1), 1)
+    assert table.power(1)[0, 0] == pytest.approx(-0.5, abs=1e-13)
+    assert table.power(1)[0, 2] == pytest.approx(0.5, abs=1e-13)
     # orthonormality at power zero
-    assert sigma_power_element(basis, dens, 0, 2, 5) == 0.0
-    assert sigma_power_element(basis, dens, 0, 4, 4) == 1.0
+    assert table.power(0)[1, 4] == 0.0
+    assert table.power(0)[3, 3] == 1.0
 
 
 def test_table_selection_rules():
@@ -265,5 +256,13 @@ def test_table_size_validation():
     basis = ModeBasis(String1D(1.0), 4)
     with pytest.raises(ValidationError):
         build_sigma_table(basis, COS2, 0)
+
+
+@pytest.mark.parametrize("nodes", [0, -5])
+def test_table_rejects_nonpositive_node_plan(nodes):
+    # a negative plan collapses the main and the check grid to the same single
+    # panel, so the quadrature self-check would compare a grid with itself;
+    # 0 would silently stand for the automatic plan
+    basis = ModeBasis(String1D(1.0), 40)
     with pytest.raises(ValidationError):
-        build_sigma_table(basis, COS2, 1, size=9)
+        build_sigma_table(basis, Polynomial((0.0, 1.0, -1.0)), 2, nodes=nodes)

@@ -201,20 +201,6 @@ def test_deterministic_outputs_byte_identical(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == first
 
 
-def test_config_roundtrip_normalized(tmp_path):
-    cfg = write_config(tmp_path)
-
-    class NoOverrides:
-        pass
-
-    parsed = load_config(str(cfg), NoOverrides())
-    normalized = parsed.normalized()
-    path2 = tmp_path / "norm.json"
-    path2.write_text(json.dumps(normalized))
-    reparsed = load_config(str(path2), NoOverrides())
-    assert reparsed.normalized() == normalized
-
-
 def test_cache_dir_env_honored(tmp_path, monkeypatch):
     cache = tmp_path / "cachehere"
     monkeypatch.setenv("BILLZETA_CACHE_DIR", str(cache))
@@ -267,6 +253,28 @@ def test_non_finite_lambda_exits_2(tmp_path, capsys, route):
 def test_modes_flag_zero_exits_2(tmp_path, capsys):
     assert main(["spectrum", "--modes", "0", "--lambda", "0.1"]) == EXIT_VALIDATION
     assert any("mode_count" in p for p in problems_on_stderr(capsys))
+
+
+@pytest.mark.parametrize("nodes", [-5, 0])
+def test_nonpositive_quadrature_nodes_exit_2(tmp_path, capsys, nodes):
+    # such a plan would defeat the quadrature self-check (see test_basis)
+    cfg = write_config(
+        tmp_path,
+        density={"profile": {"type": "polynomial", "coeffs": [0.0, 1.0, -1.0]}, "lambda": 0.1},
+        truncation={"modes": 40, "quadrature_nodes": nodes},
+        route="closed",
+    )
+    assert main(["sumrule", "--config", str(cfg)]) == EXIT_VALIDATION
+    assert any(p.startswith("truncation.quadrature_nodes") for p in problems_on_stderr(capsys))
+
+
+@pytest.mark.parametrize("discard", [50, 20, -1])
+def test_inner_discard_out_of_range_exits_2_before_writing(tmp_path, capsys, discard):
+    cfg = write_config(tmp_path, truncation={"modes": 20, "inner_discard": discard})
+    out = tmp_path / "coeffs"
+    assert main(["coeffs", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    assert any(p.startswith("truncation.inner_discard") for p in problems_on_stderr(capsys))
+    assert not out.exists()
 
 
 def test_oversized_modes_exit_2_before_allocating(tmp_path, capsys):

@@ -19,9 +19,7 @@ from billzeta.coefficients import (
     half_binomial,
     q_closed_form,
     q_generic_recursion,
-    q_resummed_approx,
     reference_Q,
-    sqrt_density_elements,
     verify_convolution,
 )
 from billzeta.errors import ValidationError
@@ -265,13 +263,14 @@ def test_verify_convolution_self_consistency():
     for n_root in (2, 3):
         cset = q_generic_recursion(n_root, 2, table, basis)
         scale = np.max(np.abs(cset.Q_orders[0]))
-        assert verify_convolution(cset, 0) <= 1e-13 * scale
+        assert verify_convolution(cset)[0] <= 1e-13 * scale
         closed = GreenCoefficientSet(
             n_root, 2, basis.mode_count,
             tuple(q_closed_form(n_root, k, table, basis) for k in range(3)), cset.Q_orders,
         )
-        assert verify_convolution(closed, 1) <= 1e-12
-        assert verify_convolution(closed, 2) <= 1e-12
+        residuals = verify_convolution(closed)
+        assert residuals[1] <= 1e-12
+        assert residuals[2] <= 1e-12
 
 
 def test_verify_convolution_truncation_study():
@@ -281,76 +280,15 @@ def test_verify_convolution_truncation_study():
         basis = string_basis(m)
         table = build_sigma_table(basis, dens, 2)
         cset = q_generic_recursion(3, 2, table, basis)
-        ref = reference_Q(2, basis, dens, m)
-        residuals.append(verify_convolution(cset, 2, discard=0, reference_q=ref))
+        refs = [reference_Q(k, basis, dens, m) for k in range(3)]
+        residuals.append(verify_convolution(cset, discard=0, reference_q=refs)[2])
     assert residuals[0] > residuals[1] > residuals[2] > 0.0
     # with the default edge discard the interior is converged to rounding
     basis = string_basis(40)
     table = build_sigma_table(basis, dens, 2)
     cset = q_generic_recursion(3, 2, table, basis)
-    ref = reference_Q(2, basis, dens, 40)
-    assert verify_convolution(cset, 2, reference_q=ref) < 1e-14
-
-
-def test_resummed_zero_profile_and_series_agreement():
-    basis = string_basis(10)
-    zero = DensityPerturbation(FourierCosine(()), 0.0)
-    table = build_sigma_table(basis, zero, 2)
-    rq = q_resummed_approx(basis, zero, method="series", table=table)
-    assert np.allclose(rq, np.diag(basis.eigenvalues() ** -0.5), atol=1e-15)
-
-    dens = DensityPerturbation(COS2, 0.1)
-    table = build_sigma_table(basis, dens, 6)
-    quad = q_resummed_approx(basis, dens)
-    series = q_resummed_approx(basis, dens, method="series", table=table)
-    assert np.max(np.abs(quad - series)) < 1e-8
-
-
-def test_resummed_series_coefficients_are_binomial_leading_terms():
-    basis = string_basis(8)
-    dens = DensityPerturbation(COS2, 0.1)
-    table = build_sigma_table(basis, dens, 4)
-    dmat = delta_matrix(2, basis.eigenvalues())
-    series = q_resummed_approx(basis, dens, method="series", table=table)
-    manual = sum(
-        half_binomial(k) * dens.lam**k * dmat * table.power(k) for k in range(5)
-    )
-    assert np.max(np.abs(series - manual)) < 1e-15
-
-
-def test_resummed_differs_from_generic_at_second_order():
-    # |resummed(lam) - full-second-order(lam)| should scale like lam^2
-    basis = string_basis(24)
-    errs = []
-    lams = (0.02, 0.04, 0.08)
-    for lam in lams:
-        dens = DensityPerturbation(COS2, lam)
-        table = build_sigma_table(basis, dens, 2)
-        gen = q_generic_recursion(2, 2, table, basis)
-        full = gen.q_orders[0] + lam * gen.q_orders[1] + lam**2 * gen.q_orders[2]
-        res = q_resummed_approx(basis, dens)
-        errs.append(np.max(np.abs(res - full)))
-    slope = np.polyfit(np.log(lams), np.log(errs), 1)[0]
-    assert 1.8 < slope < 2.2
-
-
-def test_resummed_rejects_density_bound_violation():
-    basis = string_basis(6)
-    bad = DensityPerturbation(COS2, 1.5)
-    with pytest.raises(ValidationError):
-        q_resummed_approx(basis, bad)
-
-
-def test_sqrt_elements_2d_quadrature_matches_series():
-    from billzeta.basis import Rectangle2D, Separable2D
-
-    basis = ModeBasis(Rectangle2D(1.0, 1.0), 6)
-    prof = Separable2D(((COS2, COS2),))
-    dens = DensityPerturbation(prof, 0.1)
-    table = build_sigma_table(basis, dens, 6)
-    quad = sqrt_density_elements(basis, dens)
-    series = sqrt_density_elements(basis, dens, method="series", table=table)
-    assert np.max(np.abs(quad - series)) < 1e-7
+    refs = [reference_Q(k, basis, dens, 40) for k in range(3)]
+    assert verify_convolution(cset, reference_q=refs)[2] < 1e-14
 
 
 def test_recursion_order_validation():
@@ -358,8 +296,9 @@ def test_recursion_order_validation():
     table = build_sigma_table(basis, COS2, 2)
     with pytest.raises(ValidationError):
         q_generic_recursion(2, 3, table, basis)  # K > table power
+    cset = q_generic_recursion(2, 2, table, basis)
     with pytest.raises(ValidationError):
-        verify_convolution(q_generic_recursion(2, 2, table, basis), 5)
+        verify_convolution(cset, reference_q=cset.Q_orders[:2])  # one reference short
 
 
 def test_csv_export_roundtrip(tmp_path):
