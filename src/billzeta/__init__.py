@@ -20,7 +20,7 @@ from .basis import (
 )
 from .coefficients import (
     GreenCoefficientSet,
-    build_Q_order,
+    build_Q_series,
     q_closed_form,
     q_generic_recursion,
     verify_convolution,
@@ -75,7 +75,7 @@ __all__ = [
     "Tabulated",
     "ValidationError",
     "assemble",
-    "build_Q_order",
+    "build_Q_series",
     "build_sigma_table",
     "convergence_order_fit",
     "delta",

@@ -16,6 +16,7 @@ cached to disk in a checksummed flat binary format.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import math
 import os
@@ -63,9 +64,10 @@ class Rectangle2D:
             raise ValidationError("rectangle sides must be finite and positive")
 
 
-def _enumerate_rectangle_modes(a: float, b: float, count: int) -> list[tuple[int, int]]:
+@functools.lru_cache(maxsize=None)
+def _enumerate_rectangle_modes(a: float, b: float, count: int) -> tuple[tuple[int, int], ...]:
     # grow the candidate square until the count-th smallest eigenvalue is
-    # provably below anything outside the candidate set
+    # provably below anything outside the candidate set (memoized, so a tuple)
     cap = max(4, int(math.isqrt(count)) + 2)
     while True:
         cand = [
@@ -77,7 +79,7 @@ def _enumerate_rectangle_modes(a: float, b: float, count: int) -> list[tuple[int
             cand.sort()
             boundary = math.pi**2 * (cap + 1) ** 2 * min(1 / a**2, 1 / b**2)
             if cand[count - 1][0] < boundary:
-                return [(j, k) for _, j, k in cand[:count]]
+                return tuple((j, k) for _, j, k in cand[:count])
         cap *= 2
 
 
@@ -100,7 +102,7 @@ class ModeBasis:
         """Mode labels in ascending-eigenvalue order (1-based ints, or (j,k))."""
         if isinstance(self.domain, String1D):
             return list(range(1, self.mode_count + 1))
-        return _enumerate_rectangle_modes(self.domain.a, self.domain.b, self.mode_count)
+        return list(_enumerate_rectangle_modes(self.domain.a, self.domain.b, self.mode_count))
 
     def eigenvalues(self) -> np.ndarray:
         if isinstance(self.domain, String1D):

@@ -40,6 +40,7 @@ from .errors import (
     QuadratureError,
     ValidationError,
 )
+from .kernels import MAX_ROOT_ORDER
 from .sumrules import CSV_FIELDS, RationalOrderSpec, SumRuleResult
 
 EXIT_OK = 0
@@ -104,15 +105,16 @@ def _typed(node, kind, where, problems, fallback):
 
 
 def _number(value, where, problems, kind=float):
-    """value converted by kind and required finite; None with a problem otherwise."""
+    """value as a finite float (no bool), integral if kind is int; None with a problem otherwise."""
     try:
-        number = kind(value)
-        if not math.isfinite(number):
+        number = math.nan if isinstance(value, bool) else float(value)  # a bool is no number
+        if not math.isfinite(number) or (kind is int and not number.is_integer()):
             raise ValueError
     except (TypeError, ValueError, OverflowError):
-        problems.append(f"{where}: expected a finite number, got {value!r}")
+        expected = "an integer" if kind is int else "a finite number"
+        problems.append(f"{where}: expected {expected}, got {value!r}")
         return None
-    return number
+    return kind(number)
 
 
 def _numbers(values, where, problems) -> list:
@@ -166,7 +168,7 @@ def _physical_memory() -> int | None:
 
 # Peak dense M x M float64 matrices each route holds besides the sigma table,
 # from tracemalloc at M=800 (the oracle's adds LAPACK's untraced copy).
-_ROUTE_MATRICES = {"closed": 5, "trace1": 16, "trace2": 16, "oracle": 4}
+_ROUTE_MATRICES = {"closed": 5, "trace1": 10, "trace2": 13, "oracle": 4}
 _ROUTE_MATRICES["all"] = max(_ROUTE_MATRICES.values())
 
 
@@ -307,6 +309,11 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
                 f"truncation.modes: {modes} modes need {need / 2**30:.3g} GiB for the table and "
                 f"working set, more than the {memory / 2**30:.3g} GiB of physical memory"
             )
+    if command == "coeffs":
+        if not 1 <= overrides.n_root <= MAX_ROOT_ORDER:
+            problems.append(f"--n-root must be in 1..{MAX_ROOT_ORDER}, got {overrides.n_root}")
+        if overrides.max_order < 0:
+            problems.append(f"--max-order must be >= 0, got {overrides.max_order}")
     if command == "spectrum" and len(lam_list) > 1:
         problems.append(f"spectrum takes one lambda; extra values {lam_list[1:]}")
     if command == "verify" and len(orders) > 1:
@@ -373,15 +380,6 @@ def _emit(text: str, cfg: RunConfig) -> None:
         sys.stdout.write(text)
 
 
-def _routes_for(spec: RationalOrderSpec, route: str):
-    if route != "all":
-        return [route]
-    chosen = ["closed"]
-    chosen.append("trace1" if spec.kind == "one_plus_inv" else "trace2")
-    chosen.append("oracle")
-    return chosen
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -392,26 +390,26 @@ def cmd_sumrule(cfg: RunConfig) -> int:
         cfg.basis, cfg.profile, 2, nodes=cfg.quadrature_nodes, cache_dir=cfg.cache_dir
     )
     densities = cfg.densities()
-    shared = (table, cfg.basis, densities)
-    # route name -> one result per density for an order
-    routes = {
-        "closed": lambda spec: sumrules.z_closed_form(spec, *shared, diagonal_mode=cfg.diagonal_mode),
-        "trace1": lambda spec: sumrules.z_via_trace(spec, *shared),
-        "trace2": lambda spec: sumrules.z_via_trace(spec, *shared),
-        "oracle": lambda spec: oracle.oracle_sum_rule(spec, *shared, top_discard=cfg.top_discard),
-    }
+    shared = (cfg.orders, table, cfg.basis, densities)
+    # route -> one result per (order, density), order-major; each route runs once
+    by_route = {}
+    if cfg.route in ("all", "closed"):
+        by_route["closed"] = sumrules.z_closed_form(*shared, diagonal_mode=cfg.diagonal_mode)
+    if cfg.route in ("all", "trace1", "trace2"):
+        by_route["trace"] = sumrules.z_via_trace(*shared)
+    if cfg.route in ("all", "oracle"):
+        by_route["oracle"] = oracle.oracle_sum_rule(*shared, top_discard=cfg.top_discard)
     records: list[SumRuleResult] = []
     diffs: list[dict] = []
-    for spec in cfg.orders:
-        by_route = {name: routes[name](spec) for name in _routes_for(spec, cfg.route)}
-        for i, density in enumerate(densities):
-            group = {name: results[i] for name, results in by_route.items()}
-            records.extend(group.values())
-            for a, b in itertools.combinations(sorted(group), 2):
-                diffs.append({
-                    "order": spec.label(), "lambda": density.lam, "pair": f"{a}-vs-{b}",
-                    "abs_difference": abs(group[a].z_total - group[b].z_total),
-                })
+    for i, (spec, density) in enumerate(itertools.product(cfg.orders, densities)):
+        trace = "trace1" if spec.kind == "one_plus_inv" else "trace2"
+        group = {trace if name == "trace" else name: found[i] for name, found in by_route.items()}
+        records.extend(group.values())
+        for a, b in itertools.combinations(sorted(group), 2):
+            diffs.append({
+                "order": spec.label(), "lambda": density.lam, "pair": f"{a}-vs-{b}",
+                "abs_difference": abs(group[a].z_total - group[b].z_total),
+            })
     extra = {"differences": diffs} if diffs else None
     _write_records(records, cfg, extra)
     if diffs and (cfg.out_path or cfg.out_format == "csv"):
@@ -428,7 +426,8 @@ def cmd_coeffs(cfg: RunConfig, n_root: int, max_order: int) -> int:
         cfg.basis, cfg.profile, max(max_order, 1), nodes=cfg.quadrature_nodes,
         cache_dir=cfg.cache_dir,
     )
-    cset = coefficients.q_generic_recursion(n_root, max_order, table, cfg.basis)
+    big_q = coefficients.build_Q_series(max_order, table, cfg.basis)
+    cset = coefficients.q_generic_recursion(n_root, big_q, cfg.basis)
     residuals = coefficients.verify_convolution(cset, discard=cfg.inner_discard)
     out_dir = Path(cfg.out_path or ".")
     out_dir.mkdir(parents=True, exist_ok=True)

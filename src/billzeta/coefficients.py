@@ -72,22 +72,20 @@ def _series_product(a, b, top: int) -> list:
     return out
 
 
-def build_Q_order(k: int, table: SigmaPowerTable, basis: ModeBasis) -> np.ndarray:
-    """Order-k coefficient of the dressed Green's function.
+def build_Q_series(k: int, table: SigmaPowerTable, basis: ModeBasis) -> tuple:
+    """Orders 0..k of the dressed Green's function, Q^(0..k).
 
-    Q^(k)[n,m] = sum_{j<=k} binom(1/2,j) binom(1/2,k-j) sum_r S_j[n,r] S_{k-j}[r,m] / eps_r
+    Q^(c)[n,m] = sum_{j<=c} binom(1/2,j) binom(1/2,c-j) sum_r S_j[n,r] S_{c-j}[r,m] / eps_r
     with the internal sum truncated at the table size.
     """
     if k < 0:
         raise ValidationError("order must be >= 0")
     if k > table.max_power:
-        raise ValidationError(
-            f"order {k} exceeds table max_power {table.max_power}"
-        )
+        raise ValidationError(f"order {k} exceeds table max_power {table.max_power}")
     inv = 1.0 / basis.eigenvalues()[: table.size]
     half = [np.ones(table.size)] + [half_binomial(j) * table.power(j) for j in range(1, k + 1)]
-    big_q = _series_product([h * inv for h in half], half, k)[k]
-    return np.diag(big_q) if k == 0 else _sym(big_q)
+    series = _series_product([h * inv for h in half], half, k)
+    return (np.diag(series[0]), *(_sym(q) for q in series[1:]))
 
 
 def q_closed_form(n_root: int, k: int, table: SigmaPowerTable, basis: ModeBasis) -> np.ndarray:
@@ -134,26 +132,22 @@ def _series_power(series, n_factors: int, top: int) -> list:
     return power
 
 
-def q_generic_recursion(
-    n_root: int, max_order: int, table: SigmaPowerTable, basis: ModeBasis
-) -> GreenCoefficientSet:
-    """Solve the per-order N-fold convolution identity iteratively.
+def q_generic_recursion(n_root: int, big_q, basis: ModeBasis) -> GreenCoefficientSet:
+    """Solve the per-order N-fold convolution identity for Q^(0..K) = big_q.
 
     Because q^(0) is positive diagonal, the terms containing the unknown q^(k)
     collapse to eta(N; eps_n, eps_m) * q^(k)[n,m]; each order is obtained by
     subtracting the known lower-order products and dividing elementwise by eta.
     q^(0) is kept as a vector while solving, so it only ever scales rows or columns.
+    big_q (from build_Q_series) becomes the set's Q_orders without a copy, so
+    one series serves every root order.
     """
     n = validate_root_order(n_root)
-    if max_order < 0:
-        raise ValidationError("max_order must be >= 0")
-    if max_order > table.max_power:
-        raise ValidationError("max_order cannot exceed the table max_power")
-    m = table.size
+    max_order = len(big_q) - 1
+    m = len(big_q[0])
     eps = basis.eigenvalues()[:m]
     eta = eta_matrix(n, eps)
     q_orders = [eps ** (-1.0 / n)]
-    big_q = [build_Q_order(k, table, basis) for k in range(max_order + 1)]
     for k in range(1, max_order + 1):
         chain = _series_power(q_orders, n, k)  # all parts <= k-1
         lower = chain[k] if k < len(chain) else 0.0  # an absent order is zero
@@ -192,15 +186,15 @@ def verify_convolution(
     ]
 
 
-def reference_Q(k: int, basis: ModeBasis, density, size: int, *, growth: int = 2, nodes=None) -> np.ndarray:
-    """Q^(k) with internal sums converged beyond truncation `size`.
+def reference_Q(k: int, basis: ModeBasis, density, size: int, *, growth: int = 2, nodes=None) -> list:
+    """Q^(0..k) with internal sums converged beyond truncation `size`.
 
     Built at growth * size modes and sliced back; for banded (cosine) profiles
     this makes the internal mode sums exact for the retained block.
     """
     big = ModeBasis(basis.domain, max(size * growth, size + 8))
     table = build_sigma_table(big, density, max(k, 1), nodes=nodes, cache_dir=False)
-    return build_Q_order(k, table, big)[:size, :size]
+    return [q[:size, :size] for q in build_Q_series(k, table, big)]
 
 
 def export_coefficients_csv(matrix: np.ndarray, path) -> None:

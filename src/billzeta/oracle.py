@@ -33,9 +33,7 @@ from .sumrules import (
     ROUTE_ORACLE,
     SumRuleResult,
     TRUNCATED,
-    _make_result,
-    _resolve_order,
-    _validate_route_inputs,
+    _resolve_route_inputs,
     _validate_s_for_basis,
     tail_estimate,
     z_closed_form,
@@ -161,69 +159,77 @@ def effective_perimeter(domain: Rectangle2D, density: DensityPerturbation, nodes
 
 def z_direct_detail(
     eigenvalues: np.ndarray,
-    s: float,
+    exponents,
     basis: ModeBasis,
     density: DensityPerturbation | None = None,
     *,
     top_discard: float = 0.25,
-) -> tuple[float, float, int]:
-    """Direct sum over the computed spectrum plus a heterogeneous Weyl tail.
+) -> list[tuple[float, float, int]]:
+    """Direct sums over the computed spectrum plus a heterogeneous Weyl tail.
 
     The least-accurate top fraction of the Galerkin spectrum is discarded.
     In 1D the tail uses the optical length; in 2D the discarded shell is
     bridged with (rescaled) homogeneous eigenvalues before the smooth Weyl
     integral takes over at the truncation cutoff, so comparisons against the
-    perturbative route share the same far tail.  Returns (value, tail, kept).
+    perturbative route share the same far tail.  The effective geometry is
+    computed once for all exponents.  Returns (value, tail, kept) per exponent.
     """
-    _validate_s_for_basis(s, basis)
+    for s in exponents:
+        _validate_s_for_basis(s, basis)
     if not 0.0 <= top_discard < 1.0:
         raise ValidationError("top_discard must be in [0, 1)")
     eigs = np.asarray(eigenvalues, dtype=float)
     m = eigs.size
     kept = max(1, m - int(round(top_discard * m)))
-    value = float(np.sum(eigs[:kept] ** (-s)))
-    if basis.dimension == 1:
-        if density is None or density.profile.is_zero:
-            ell = basis.domain.length
-        else:
-            ell = effective_length(basis.domain, density)
-        tail = tail_estimate(basis, s, kept, length=ell)
-        return value + tail, tail, kept
+    homogeneous = density is None or density.profile.is_zero
     dom = basis.domain
-    if density is None or density.profile.is_zero:
-        a_eff = dom.a * dom.b
-        p_eff = 2.0 * (dom.a + dom.b)
+    if basis.dimension == 1:
+        ell = dom.length if homogeneous else effective_length(dom, density)
     else:
-        a_eff = effective_area(dom, density)
-        p_eff = effective_perimeter(dom, density)
-    scale = (dom.a * dom.b) / a_eff  # E ~ eps * (A / A_eff) for high modes
-    shell = basis.eigenvalues()[kept:m] * scale
-    tail = float(np.sum(shell ** (-s))) + tail_estimate(
-        basis, s, m, area=a_eff, perimeter=p_eff
-    )
-    return value + tail, tail, kept
+        a_eff, p_eff = (
+            (dom.a * dom.b, 2.0 * (dom.a + dom.b)) if homogeneous
+            else (effective_area(dom, density), effective_perimeter(dom, density))
+        )
+        scale = (dom.a * dom.b) / a_eff  # E ~ eps * (A / A_eff) for high modes
+        shell = basis.eigenvalues()[kept:m] * scale
+    details = []
+    for s in exponents:
+        if basis.dimension == 1:
+            tail = tail_estimate(basis, s, kept, length=ell)
+        else:
+            tail = float(np.sum(shell ** (-s))) + tail_estimate(
+                basis, s, m, area=a_eff, perimeter=p_eff
+            )
+        details.append((float(np.sum(eigs[:kept] ** (-s))) + tail, tail, kept))
+    return details
 
 
 def oracle_sum_rule(
-    order,
+    orders,
     table: SigmaPowerTable,
     basis: ModeBasis,
     densities: list[DensityPerturbation],
     *,
     top_discard: float = 0.25,
 ) -> list[SumRuleResult]:
-    """Full oracle route, one SumRuleResult per density (z0 carries everything)."""
-    s, label = _resolve_order(order)
-    _validate_route_inputs(s, basis, densities)
-    results = []
-    for density in densities:
-        eigs = solve_spectrum(assemble(basis, density, table=table))
-        value, tail, kept = z_direct_detail(eigs, s, basis, density, top_discard=top_discard)
-        results.append(_make_result(
+    """Full oracle route: one spectrum per density, summed for every order (z0 carries all)."""
+    resolved = _resolve_route_inputs(orders, basis, densities)
+    per_density = [
+        z_direct_detail(
+            solve_spectrum(assemble(basis, density, table=table)), [s for s, _ in resolved],
+            basis, density, top_discard=top_discard,
+        )
+        for density in densities
+    ]
+    by_order = zip(*per_density)  # per order, one (value, tail, kept) per density
+    return [
+        SumRuleResult(
             s=s, lam=density.lam, z0=value, z1=0.0, z2=0.0, diagonal_mode=TRUNCATED,
-            tail=tail, truncation=kept, route=ROUTE_ORACLE, label=label,
-        ))
-    return results
+            tail_estimate=tail, truncation=kept, route=ROUTE_ORACLE, order_label=label,
+        )
+        for (s, label), row in zip(resolved, by_order)
+        for density, (value, tail, kept) in zip(densities, row)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +271,8 @@ def convergence_order_fit(
         raise InsufficientDataError("need at least 3 lambda values")
     table = build_sigma_table(basis, profile, 2, nodes=nodes, cache_dir=cache_dir)
     densities = [DensityPerturbation(profile, lam) for lam in sorted(lams)]
-    perts = z_closed_form(order, table, basis, densities, diagonal_mode=diagonal_mode)
-    directs = oracle_sum_rule(order, table, basis, densities, top_discard=top_discard)
+    perts = z_closed_form([order], table, basis, densities, diagonal_mode=diagonal_mode)
+    directs = oracle_sum_rule([order], table, basis, densities, top_discard=top_discard)
     points = []
     for pert, direct in zip(perts, directs):
         z_pert = pert.z_total - (pert.z2 if drop_second_order else 0.0)

@@ -14,8 +14,8 @@ cutoff.  Mode sums rely on numpy's pairwise reduction; the order-0 tail is a
 smooth-counting (Weyl) estimate appended to z0 only.
 
 Every route has the form Z(s; lam) = z0 + lam c1 + lam^2 c2 with lambda-free
-c1, c2, so each takes a sequence of densities, forms its sums once, and
-returns one result per density.
+c1, c2, so each takes sequences of orders and densities, forms its sums once
+per order, and returns one result per (order, density), order-major.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .basis import DensityPerturbation, ModeBasis, SigmaPowerTable
-from .coefficients import q_generic_recursion
+from .coefficients import build_Q_series, q_generic_recursion
 from .errors import ValidationError
 from .kernels import MAX_ROOT_ORDER, validate_root_order
 
@@ -144,13 +144,16 @@ class SumRuleResult:
     z0: float
     z1: float
     z2: float
-    z_total: float
     diagonal_mode: str
     tail_estimate: float
     truncation: int
     route: str
     order_label: str
     resummation_correction: float = 0.0
+
+    @property
+    def z_total(self) -> float:
+        return self.z0 + self.z1 + self.z2 + self.resummation_correction
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in CSV_FIELDS}
@@ -161,25 +164,6 @@ class SumRuleResult:
             value = getattr(self, name)
             parts.append(f"{value:.17g}" if isinstance(value, float) else str(value))
         return ",".join(parts)
-
-
-def _make_result(
-    *, s, lam, z0, z1, z2, diagonal_mode, tail, truncation, route, label, correction=0.0
-) -> SumRuleResult:
-    return SumRuleResult(
-        s=s,
-        lam=lam,
-        z0=z0,
-        z1=z1,
-        z2=z2,
-        z_total=z0 + z1 + z2 + correction,
-        diagonal_mode=diagonal_mode,
-        tail_estimate=tail,
-        truncation=truncation,
-        route=route,
-        order_label=label,
-        resummation_correction=correction,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +271,6 @@ def tail_estimate(
 # ---------------------------------------------------------------------------
 
 
-def _resolve_order(order) -> tuple[float, str]:
-    """Exponent and label of a RationalOrderSpec or a plain number."""
-    if isinstance(order, RationalOrderSpec):
-        return order.s, order.label()
-    s = float(order)
-    return s, f"{s:g}"
-
-
 def _validate_s_for_basis(s: float, basis: ModeBasis) -> None:
     """Reject exponents whose zeta sum diverges on the basis's domain."""
     if basis.dimension == 1 and s <= 0.5:
@@ -303,15 +279,21 @@ def _validate_s_for_basis(s: float, basis: ModeBasis) -> None:
         raise ValidationError(f"s = {s} diverges on a 2D rectangle (needs s > 1)")
 
 
-def _validate_route_inputs(s: float, basis: ModeBasis, densities: list[DensityPerturbation]):
-    """Check the exponent and every density before a route forms any sum."""
-    _validate_s_for_basis(s, basis)
+def _resolve_route_inputs(orders, basis: ModeBasis, densities: list[DensityPerturbation]):
+    """(s, label) of every order (a RationalOrderSpec or a number); checks orders and densities."""
+    resolved = [
+        (o.s, o.label()) if isinstance(o, RationalOrderSpec) else (float(o), f"{float(o):g}")
+        for o in orders
+    ]
+    for s, _ in resolved:
+        _validate_s_for_basis(s, basis)
     for density in densities:
         density.validate(basis.domain)
+    return resolved
 
 
 def z_closed_form(
-    order,
+    orders,
     table: SigmaPowerTable,
     basis: ModeBasis,
     densities: list[DensityPerturbation],
@@ -323,23 +305,30 @@ def z_closed_form(
     z0 = sum eps^{-s} (+ tail);  z1 = lam s sum <n|s|n> eps^{-s};
     z2 = (lam^2/2) s sum_{n, m} K(eps_n, eps_m; s) <n|s|m><m|s|n>,
     where the diagonal K(eps, eps; s) = (s-1) eps^{-s} carries the n == m terms.
-    The lambda-free sums are formed once; one result is returned per density.
-    With diagonal_mode="resummed" the truncated diagonal lambda-series is
-    replaced by (1 + lam <n|s|n>)^s and the difference reported separately.
+    The lambda-free sums are formed once per order.  With
+    diagonal_mode="resummed" the truncated diagonal lambda-series is replaced
+    by (1 + lam <n|s|n>)^s and the difference reported separately.
     """
-    s, label = _resolve_order(order)
-    _validate_route_inputs(s, basis, densities)
+    resolved = _resolve_route_inputs(orders, basis, densities)
     if table.max_power < 2:
         raise ValidationError("closed form needs a table with max_power >= 2")
     if diagonal_mode not in (TRUNCATED, RESUMMED):
         raise ValidationError(f"unknown diagonal mode {diagonal_mode!r}")
+    # one frame per order: an order's leftover vector fragments the next kernel's heap (+M^2 RSS)
+    return [
+        result for s, label in resolved
+        for result in _closed_form_order(s, label, table, basis, densities, diagonal_mode)
+    ]
+
+
+def _closed_form_order(s, label, table, basis, densities, diagonal_mode) -> list[SumRuleResult]:
+    """z_closed_form for one order: its lambda-free sums, then one result per density."""
     m = table.size
     eps = basis.eigenvalues()[:m]
     weights = eps ** (-s)
     s1 = table.power(1)
     diag = np.diag(s1).copy()
     coupled = bool(np.any(s1))
-
     tail = tail_estimate(basis, s, m)
     z0 = float(np.sum(weights)) + tail
     if coupled and any(d.lam != 0.0 for d in densities):
@@ -357,9 +346,10 @@ def z_closed_form(
                 resummed = np.power(1.0 + lam * diag, s)
                 series = 1.0 + lam * s * diag + 0.5 * lam * lam * s * (s - 1.0) * diag * diag
                 correction = float(np.sum(weights * (resummed - series)))
-        results.append(_make_result(
-            s=s, lam=lam, z0=z0, z1=z1, z2=z2, diagonal_mode=diagonal_mode, tail=tail,
-            truncation=m, route=ROUTE_CLOSED, label=label, correction=correction,
+        results.append(SumRuleResult(
+            s=s, lam=lam, z0=z0, z1=z1, z2=z2, diagonal_mode=diagonal_mode,
+            tail_estimate=tail, truncation=m, route=ROUTE_CLOSED, order_label=label,
+            resummation_correction=correction,
         ))
     return results
 
@@ -376,13 +366,14 @@ def _completeness_deficit(table: SigmaPowerTable, eps: np.ndarray, s: float) -> 
     return float(np.sum(deficit * eps ** (-s)))
 
 
-def _trace(a: np.ndarray, b: np.ndarray) -> float:
-    # tr(A B) for symmetric A, B
-    return float(np.sum(a * b))
+def _series_traces(a, b) -> tuple[float, float, float]:
+    """Orders 0..2 of tr(A B) = sum(A * B) for two series of symmetric matrices."""
+    t = {(i, j): float(np.sum(a[i] * b[j])) for i in range(3) for j in range(3 - i)}
+    return t[0, 0], t[0, 1] + t[1, 0], t[1, 1] + t[2, 0] + t[0, 2]
 
 
 def z_via_trace(
-    spec: RationalOrderSpec,
+    specs,
     table: SigmaPowerTable,
     basis: ModeBasis,
     densities: list[DensityPerturbation],
@@ -392,31 +383,38 @@ def z_via_trace(
     s = 1 + 1/N traces Q q[1/N]; s = 1/N + 1/N' traces q[1/N] q[1/N'] (1D
     only: s <= 1 diverges in two dimensions).  The lambda^2 term carries the
     completeness-deficit compensation, after which the route matches the
-    closed form to rounding on the same table.  The traces are formed once;
-    one result is returned per density.
+    closed form to rounding on the same table.  The Q series is built once,
+    each q set once per root order N, released after the last order using it.
     """
-    s = spec.s
-    _validate_route_inputs(s, basis, densities)
+    specs = list(specs)
+    _resolve_route_inputs(specs, basis, densities)
     if table.max_power < 2:
         raise ValidationError("trace route needs a table with max_power >= 2")
     m = table.size
     eps = basis.eigenvalues()[:m]
-    first = q_generic_recursion(spec.n_root, 2, table, basis)
-    if spec.kind == "one_plus_inv":  # tr(Q q[1/N])
-        (a0, a1, a2), (b0, b1, b2), route = first.Q_orders, first.q_orders, ROUTE_TRACE_1P
-    else:  # tr(q[1/N] q[1/N'])
-        second = q_generic_recursion(spec.n_root2, 2, table, basis)
-        (a0, a1, a2), (b0, b1, b2), route = first.q_orders, second.q_orders, ROUTE_TRACE_INV
-
-    tail = tail_estimate(basis, s, m)
-    z0 = _trace(a0, b0) + tail
-    raw1 = _trace(a0, b1) + _trace(a1, b0)
-    raw2 = _trace(a1, b1) + _trace(a2, b0) + _trace(a0, b2)
-    c2 = raw2 + 0.25 * s * _completeness_deficit(table, eps, s)
-    return [
-        _make_result(
-            s=s, lam=d.lam, z0=z0, z1=d.lam * raw1, z2=d.lam * d.lam * c2,
-            diagonal_mode=TRUNCATED, tail=tail, truncation=m, route=route, label=spec.label(),
-        )
-        for d in densities
-    ]
+    big_q = build_Q_series(2, table, basis)
+    # q[1/1] is Q itself: 1 + 1/N traces the series pair (1, N), 1/N + 1/N' the pair (N, N')
+    pairs = [(1, o.n_root) if o.kind == "one_plus_inv" else (o.n_root, o.n_root2) for o in specs]
+    q_sets = {1: big_q}
+    results = []
+    for i, (spec, pair) in enumerate(zip(specs, pairs)):
+        for n in pair:
+            if n not in q_sets:
+                q_sets[n] = q_generic_recursion(n, big_q, basis).q_orders
+        t0, t1, t2 = _series_traces(q_sets[pair[0]], q_sets[pair[1]])
+        for n in set(pair).difference(*pairs[i + 1:]):
+            del q_sets[n]  # no later order uses this set
+        route = ROUTE_TRACE_1P if spec.kind == "one_plus_inv" else ROUTE_TRACE_INV
+        s = spec.s
+        tail = tail_estimate(basis, s, m)
+        z0 = t0 + tail
+        c2 = t2 + 0.25 * s * _completeness_deficit(table, eps, s)
+        results += [
+            SumRuleResult(
+                s=s, lam=d.lam, z0=z0, z1=d.lam * t1, z2=d.lam * d.lam * c2,
+                diagonal_mode=TRUNCATED, tail_estimate=tail, truncation=m, route=route,
+                order_label=spec.label(),
+            )
+            for d in densities
+        ]
+    return results

@@ -19,6 +19,7 @@ from billzeta.basis import (
     build_sigma_table,
 )
 from billzeta.coefficients import (
+    build_Q_series,
     q_closed_form,
     q_generic_recursion,
     reference_Q,
@@ -90,7 +91,7 @@ def test_criterion_2_recursion_equivalence():
     for n_root in (2, 3, 4, 5):
         table = random_table(8, 3, seed=500 + n_root)
         basis = ModeBasis(String1D(1.0 + 0.1 * n_root), 8)
-        cset = q_generic_recursion(n_root, 2, table, basis)
+        cset = q_generic_recursion(n_root, build_Q_series(2, table, basis), basis)
         for k in (1, 2):
             closed = q_closed_form(n_root, k, table, basis)
             worst_low = max(worst_low, max_rel(cset.q_orders[k][inner, inner], closed[inner, inner]))
@@ -119,8 +120,8 @@ def test_criterion_3_convolution_truncation_decreases():
         for m in (20, 40, 80):
             basis = ModeBasis(String1D(1.0), m)
             table = build_sigma_table(basis, dens, 2)
-            cset = q_generic_recursion(n_root, 2, table, basis)
-            refs = [reference_Q(k, basis, dens, m) for k in (0, 1, 2)]
+            cset = q_generic_recursion(n_root, build_Q_series(2, table, basis), basis)
+            refs = reference_Q(2, basis, dens, m)
             worst = max(verify_convolution(cset, discard=0, reference_q=refs))
             residuals.append(worst)
         ok = ok and residuals[0] > residuals[1] > residuals[2]
@@ -135,9 +136,9 @@ def test_criterion_4_homogeneous_anchors():
     basis = ModeBasis(String1D(1.0), 2000)
     zero = DensityPerturbation(FourierCosine(()), 0.0)
     table = build_sigma_table(basis, zero, 2)
-    res32 = z_closed_form(RationalOrderSpec.parse("3/2"), table, basis, [zero])[0]
+    res32 = z_closed_form([RationalOrderSpec.parse("3/2")], table, basis, [zero])[0]
     err32 = abs(res32.z_total - ZETA3 / math.pi**3)
-    res1 = z_closed_form(RationalOrderSpec.parse("1"), table, basis, [zero])[0]
+    res1 = z_closed_form([RationalOrderSpec.parse("1")], table, basis, [zero])[0]
     err1 = abs(res1.z_total - 1.0 / 6.0)
     elapsed = time.time() - start
     ok = err32 <= 2 * res32.tail_estimate and err1 <= 2 * res1.tail_estimate
@@ -155,15 +156,15 @@ def test_criterion_5_route_agreement():
     details = []
     for n in (2, 3, 4):
         spec = RationalOrderSpec("one_plus_inv", n)
-        closed = z_closed_form(spec, table, basis, [dens])[0]
-        trace = z_via_trace(spec, table, basis, [dens])[0]
+        closed = z_closed_form([spec], table, basis, [dens])[0]
+        trace = z_via_trace([spec], table, basis, [dens])[0]
         rel = abs(closed.z_total - trace.z_total) / abs(closed.z_total)
         worst = max(worst, rel)
         details.append(f"s={closed.s:g}:{rel:.1e}")
     for n, n2 in ((2, 2), (2, 3), (2, 4)):
         spec = RationalOrderSpec("inv_sum", n, n2)
-        closed = z_closed_form(spec, table, basis, [dens])[0]
-        trace = z_via_trace(spec, table, basis, [dens])[0]
+        closed = z_closed_form([spec], table, basis, [dens])[0]
+        trace = z_via_trace([spec], table, basis, [dens])[0]
         rel = abs(closed.z_total - trace.z_total) / abs(closed.z_total)
         worst = max(worst, rel)
         details.append(f"s={closed.s:g}:{rel:.1e}")
@@ -192,9 +193,9 @@ def test_criterion_7_2d_near_threshold():
     prof = Separable2D(((COS2, COS2),))
     dens = DensityPerturbation(prof, 0.05)
     table = build_sigma_table(basis, dens, 2)
-    pert = z_closed_form(RationalOrderSpec("one_plus_inv", 8), table, basis, [dens])[0]
+    pert = z_closed_form([RationalOrderSpec("one_plus_inv", 8)], table, basis, [dens])[0]
     eigs = solve_spectrum(assemble(basis, dens, table=table))
-    z_oracle, _, _ = z_direct_detail(eigs, pert.s, basis, dens)
+    [(z_oracle, _, _)] = z_direct_detail(eigs, [pert.s], basis, dens)
     rel = abs(pert.z_total - z_oracle) / abs(z_oracle)
     tol = max(1e-3, 5 * 0.05**3)
     elapsed = time.time() - start

@@ -15,6 +15,7 @@ from billzeta.basis import (
     String1D,
     Tabulated,
     _cache_path,
+    _enumerate_rectangle_modes,
     _quad_elements_1d,
     _write_cache,
     build_sigma_table,
@@ -52,6 +53,26 @@ def test_eigenvalue_ordering_and_ties():
     # anisotropic rectangle still ascending
     aniso = ModeBasis(Rectangle2D(1.0, 2.5), 40)
     assert np.all(np.diff(aniso.eigenvalues()) >= -1e-12)
+
+
+def test_rectangle_modes_enumerated_once_per_basis(monkeypatch):
+    basis = ModeBasis(Rectangle2D(1.0, 1.7), 37)  # a key no other test uses
+    first = basis.eigenvalues()
+    misses = _enumerate_rectangle_modes.cache_info().misses
+    again = ModeBasis(Rectangle2D(1.0, 1.7), 37)
+    assert np.array_equal(again.eigenvalues(), first)
+    assert again.mode_indices() == basis.mode_indices()
+    assert _enumerate_rectangle_modes.cache_info().misses == misses
+
+
+def test_mode_indices_is_a_fresh_list():
+    basis = ModeBasis(Rectangle2D(1.0, 1.3), 12)
+    modes = basis.mode_indices()
+    expected = list(modes)
+    modes.reverse()
+    modes.append((99, 99))
+    assert basis.mode_indices() == expected
+    assert basis.mode_indices() is not basis.mode_indices()
 
 
 def test_sigma_power_element_examples():

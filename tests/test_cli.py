@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import tempfile
@@ -277,6 +278,43 @@ def test_inner_discard_out_of_range_exits_2_before_writing(tmp_path, capsys, dis
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("truncation", "modes", 40.9), ("truncation", "modes", True),
+     ("truncation", "quadrature_nodes", 1.9), ("truncation", "inner_discard", 2.5),
+     ("truncation", "top_discard_fraction", False), ("density", "lambda", True),
+     ("basis", "length", True)],
+)
+def test_boolean_or_fractional_integer_exits_2(tmp_path, capsys, section, key, value):
+    sections = {
+        "truncation": {"modes": 40},
+        "density": {"profile": {"type": "fourier-cosine", "coeffs": [0.0, 0.0, 1.0]}},
+        "basis": {"kind": "string"},
+    }
+    sections[section][key] = value
+    cfg = write_config(tmp_path, **sections)
+    assert main(["sumrule", "--config", str(cfg), "--route", "closed"]) == EXIT_VALIDATION
+    assert any(p.startswith(f"{section}.{key}:") for p in problems_on_stderr(capsys))
+
+
+def test_integral_float_modes_load(tmp_path):
+    cfg = write_config(tmp_path, truncation={"modes": 40.0})
+    loaded = load_config(str(cfg), argparse.Namespace(command="sumrule"))
+    assert loaded.basis.mode_count == 40 and isinstance(loaded.basis.mode_count, int)
+
+
+def test_coeffs_root_and_order_rejected_before_any_work(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    rc = main(["coeffs", "--n-root", "0", "--max-order", "-1", "--modes", "20",
+               "--cache-dir", str(cache), "--out", str(tmp_path / "out")])
+    assert rc == EXIT_VALIDATION
+    problems = problems_on_stderr(capsys)
+    assert any(p.startswith("--n-root") for p in problems)
+    assert any(p.startswith("--max-order") for p in problems)
+    assert not cache.exists() or not any(cache.iterdir())
+    assert not (tmp_path / "out").exists()
+
+
 def test_oversized_modes_exit_2_before_allocating(tmp_path, capsys):
     rc = main(["sumrule", "--modes", "100000000", "--route", "closed", "--lambda", "0.1"])
     assert rc == EXIT_VALIDATION
@@ -353,9 +391,9 @@ def test_memory_error_exits_3_without_traceback(tmp_path, monkeypatch, capsys):
 
 
 def test_sumrule_sweep_forms_each_invariant_once(tmp_path, monkeypatch):
-    from billzeta import coefficients, sumrules
+    from billzeta import coefficients, oracle, sumrules
 
-    calls = {"kernel_matrix": 0, "q_generic_recursion": 0}
+    calls = {"kernel_matrix": 0, "q_generic_recursion": 0, "build_Q_series": 0, "solve_spectrum": 0}
 
     def counted(fn):
         def wrapper(*args, **kwargs):
@@ -367,12 +405,18 @@ def test_sumrule_sweep_forms_each_invariant_once(tmp_path, monkeypatch):
     recursion = counted(coefficients.q_generic_recursion)
     monkeypatch.setattr(coefficients, "q_generic_recursion", recursion)
     monkeypatch.setattr(sumrules, "q_generic_recursion", recursion, raising=False)
+    series = counted(coefficients.build_Q_series)
+    monkeypatch.setattr(coefficients, "build_Q_series", series)
+    monkeypatch.setattr(sumrules, "build_Q_series", series)
+    monkeypatch.setattr(oracle, "solve_spectrum", counted(oracle.solve_spectrum))
     argv = ["sumrule", "--route", "all", "--modes", "24", "--lambda", "0.02,0.04,0.08,0.16"]
     for order in ("3/2", "1+1/4", "1/2+1/3"):
         argv += ["--s", order]
     assert main(argv) == EXIT_OK
-    # one kernel per s, one q set per N in each trace-route call (N = 2, 4, 2, 3)
-    assert calls == {"kernel_matrix": 3, "q_generic_recursion": 4}
+    # one kernel per s, one Q series, one q set per distinct N (2, 4, 3), one spectrum per lambda
+    assert calls == {
+        "kernel_matrix": 3, "q_generic_recursion": 3, "build_Q_series": 1, "solve_spectrum": 4,
+    }
 
 
 def test_non_finite_length_exits_2(tmp_path, capsys):

@@ -14,7 +14,7 @@ from billzeta.basis import (
 )
 from billzeta.coefficients import (
     GreenCoefficientSet,
-    build_Q_order,
+    build_Q_series,
     export_coefficients_csv,
     half_binomial,
     q_closed_form,
@@ -61,9 +61,9 @@ def test_Q_order_zero_and_one():
     basis = string_basis(6)
     table = build_sigma_table(basis, COS2, 2)
     eps = basis.eigenvalues()
-    q0 = build_Q_order(0, table, basis)
+    q0 = build_Q_series(0, table, basis)[0]
     assert np.allclose(q0, np.diag(1.0 / eps), atol=1e-15)
-    q1 = build_Q_order(1, table, basis)
+    q1 = build_Q_series(1, table, basis)[1]
     s1 = table.power(1)
     expected = 0.5 * (1.0 / eps[:, None] + 1.0 / eps[None, :]) * s1
     assert np.max(np.abs(q1 - expected)) < 1e-15
@@ -77,22 +77,43 @@ def test_Q_order_two_matches_explicit_form():
     d_inv = np.diag(1.0 / basis.eigenvalues())
     s1, s2 = table.power(1), table.power(2)
     expected = -0.125 * (d_inv @ s2 + s2 @ d_inv) + 0.25 * (s1 @ d_inv @ s1)
-    assert max_rel(build_Q_order(2, table, basis), expected) < 1e-14
+    assert max_rel(build_Q_series(2, table, basis)[2], expected) < 1e-14
 
 
 def test_Q_order_two_zero_profile():
     basis = string_basis(5)
     table = build_sigma_table(basis, FourierCosine(()), 2)
-    assert np.all(build_Q_order(2, table, basis) == 0.0)
+    assert np.all(build_Q_series(2, table, basis)[2] == 0.0)
 
 
 def test_Q_order_validation():
     basis = string_basis(4)
     table = build_sigma_table(basis, COS2, 2)
     with pytest.raises(ValidationError):
-        build_Q_order(3, table, basis)
+        build_Q_series(3, table, basis)
     with pytest.raises(ValidationError):
-        build_Q_order(-1, table, basis)
+        build_Q_series(-1, table, basis)
+
+
+def test_Q_series_orders_do_not_depend_on_length():
+    table = random_table(7, 3, seed=11)
+    basis = string_basis(7)
+    longest = build_Q_series(3, table, basis)
+    for k in range(4):
+        shorter = build_Q_series(k, table, basis)
+        assert len(shorter) == k + 1
+        for c in range(k + 1):
+            assert np.array_equal(shorter[c], longest[c])  # bit-identical
+
+
+def test_recursion_keeps_the_Q_series_without_copying():
+    basis = string_basis(6)
+    table = build_sigma_table(basis, COS2, 2)
+    big_q = build_Q_series(2, table, basis)
+    for n_root in (2, 3):
+        cset = q_generic_recursion(n_root, big_q, basis)
+        assert cset.max_order == 2
+        assert all(a is b for a, b in zip(cset.Q_orders, big_q))
 
 
 def test_q_closed_form_order_zero_and_one():
@@ -113,7 +134,7 @@ def test_q_closed_form_order_zero_and_one():
 def test_recursion_matches_closed_forms(n_root):
     table = random_table(8, 2, seed=100 + n_root)
     basis = string_basis(8, length=1.0 + 0.2 * n_root)
-    cset = q_generic_recursion(n_root, 2, table, basis)
+    cset = q_generic_recursion(n_root, build_Q_series(2, table, basis), basis)
     for k in (0, 1, 2):
         closed = q_closed_form(n_root, k, table, basis)
         assert max_rel(cset.q_orders[k], closed) < 1e-13
@@ -128,7 +149,7 @@ def test_recursion_matches_explicit_third_order():
     s = [table.power(j) for j in range(4)]
     eta = eta_matrix(2, eps)
     dmat = delta_matrix(2, eps)
-    cset = q_generic_recursion(2, 3, table, basis)
+    cset = q_generic_recursion(2, build_Q_series(3, table, basis), basis)
 
     q3 = (1.0 / 16.0) * dmat * s[3]
     mixed = np.zeros((m, m))
@@ -175,7 +196,7 @@ def half_order_recursive_forms(table, basis, up_to=8):
     eta = eta_matrix(2, eps)
     dmat = delta_matrix(2, eps)
     dg = np.diag(1.0 / eps)  # Delta_rr^2 = 1/eps_r
-    cset = q_generic_recursion(2, up_to, table, basis)
+    cset = q_generic_recursion(2, build_Q_series(up_to, table, basis), basis)
     q = list(cset.q_orders)
 
     out = {}
@@ -233,7 +254,7 @@ def test_leading_term_coefficient_order_eight():
     entries[8] = 0.5 * (a + a.T)
     table = SigmaPowerTable(8, m, entries, {"rule": "synthetic"})
     basis = string_basis(m)
-    cset = q_generic_recursion(2, 8, table, basis)
+    cset = q_generic_recursion(2, build_Q_series(8, table, basis), basis)
     expected = (-429.0 / 32768.0) * delta_matrix(2, basis.eigenvalues()) * entries[8]
     assert max_rel(cset.q_orders[8], expected) < 1e-14
     for k in range(1, 8):
@@ -244,7 +265,7 @@ def test_zero_profile_gives_zero_orders():
     basis = string_basis(8)
     table = build_sigma_table(basis, FourierCosine(()), 3)
     for n_root in (2, 4):
-        cset = q_generic_recursion(n_root, 3, table, basis)
+        cset = q_generic_recursion(n_root, build_Q_series(3, table, basis), basis)
         for k in (1, 2, 3):
             assert np.all(cset.q_orders[k] == 0.0)
 
@@ -252,7 +273,7 @@ def test_zero_profile_gives_zero_orders():
 def test_all_matrices_symmetric():
     basis = string_basis(10)
     table = build_sigma_table(basis, COS2, 3)
-    cset = q_generic_recursion(3, 3, table, basis)
+    cset = q_generic_recursion(3, build_Q_series(3, table, basis), basis)
     for mat in (*cset.q_orders, *cset.Q_orders):
         assert np.max(np.abs(mat - mat.T)) == 0.0
 
@@ -261,7 +282,7 @@ def test_verify_convolution_self_consistency():
     basis = string_basis(20)
     table = build_sigma_table(basis, COS2, 2)
     for n_root in (2, 3):
-        cset = q_generic_recursion(n_root, 2, table, basis)
+        cset = q_generic_recursion(n_root, build_Q_series(2, table, basis), basis)
         scale = np.max(np.abs(cset.Q_orders[0]))
         assert verify_convolution(cset)[0] <= 1e-13 * scale
         closed = GreenCoefficientSet(
@@ -279,15 +300,15 @@ def test_verify_convolution_truncation_study():
     for m in (20, 40, 80):
         basis = string_basis(m)
         table = build_sigma_table(basis, dens, 2)
-        cset = q_generic_recursion(3, 2, table, basis)
-        refs = [reference_Q(k, basis, dens, m) for k in range(3)]
+        cset = q_generic_recursion(3, build_Q_series(2, table, basis), basis)
+        refs = reference_Q(2, basis, dens, m)
         residuals.append(verify_convolution(cset, discard=0, reference_q=refs)[2])
     assert residuals[0] > residuals[1] > residuals[2] > 0.0
     # with the default edge discard the interior is converged to rounding
     basis = string_basis(40)
     table = build_sigma_table(basis, dens, 2)
-    cset = q_generic_recursion(3, 2, table, basis)
-    refs = [reference_Q(k, basis, dens, 40) for k in range(3)]
+    cset = q_generic_recursion(3, build_Q_series(2, table, basis), basis)
+    refs = reference_Q(2, basis, dens, 40)
     assert verify_convolution(cset, reference_q=refs)[2] < 1e-14
 
 
@@ -295,8 +316,8 @@ def test_recursion_order_validation():
     basis = string_basis(5)
     table = build_sigma_table(basis, COS2, 2)
     with pytest.raises(ValidationError):
-        q_generic_recursion(2, 3, table, basis)  # K > table power
-    cset = q_generic_recursion(2, 2, table, basis)
+        q_generic_recursion(2, build_Q_series(3, table, basis), basis)  # K > table power
+    cset = q_generic_recursion(2, build_Q_series(2, table, basis), basis)
     with pytest.raises(ValidationError):
         verify_convolution(cset, reference_q=cset.Q_orders[:2])  # one reference short
 

@@ -176,7 +176,7 @@ def test_z_direct_homogeneous_anchor():
     basis = ModeBasis(String1D(1.0), 300)
     zero = DensityPerturbation(FourierCosine(()), 0.0)
     values = solve_spectrum(assemble(basis, zero))
-    z, tail, kept = z_direct_detail(values, 1.5, basis, zero)
+    [(z, tail, kept)] = z_direct_detail(values, [1.5], basis, zero)
     assert kept == 225
     assert abs(z - ZETA3 / math.pi**3) <= 2 * tail
 
@@ -186,7 +186,7 @@ def test_z_direct_discard_sequence_cauchy():
     dens = DensityPerturbation(COS2, 0.1)
     values = solve_spectrum(assemble(basis, dens))
     details = [
-        z_direct_detail(values, 1.5, basis, dens, top_discard=d)
+        z_direct_detail(values, [1.5], basis, dens, top_discard=d)[0]
         for d in (0.5, 0.25, 0.1)
     ]
     for (za, ta, _), (zb, tb, _) in zip(details, details[1:]):
@@ -197,9 +197,9 @@ def test_z_direct_validation():
     basis = ModeBasis(String1D(1.0), 20)
     vals = basis.eigenvalues()
     with pytest.raises(ValidationError):
-        z_direct_detail(vals, 0.3, basis)
+        z_direct_detail(vals, [0.3], basis)
     with pytest.raises(ValidationError):
-        z_direct_detail(vals, 1.5, basis, top_discard=1.0)
+        z_direct_detail(vals, [1.5], basis, top_discard=1.0)
 
 
 def test_effective_geometry():
@@ -220,7 +220,7 @@ def test_oracle_sum_rule_record():
     basis = ModeBasis(String1D(1.0), 80)
     dens = DensityPerturbation(COS2, 0.1)
     table = build_sigma_table(basis, dens, 2)
-    res = oracle_sum_rule(RationalOrderSpec.parse("3/2"), table, basis, [dens])[0]
+    res = oracle_sum_rule([RationalOrderSpec.parse("3/2")], table, basis, [dens])[0]
     assert res.route == "oracle"
     assert res.z1 == 0.0 and res.z2 == 0.0
     assert res.z_total > 0.0 and res.tail_estimate > 0.0

@@ -147,7 +147,7 @@ def test_closed_form_z2_equals_explicit_double_sum(basis, profile):
             k = (s - 1) * eps[n] ** (-s) if n == m else kernel_second_order(eps[n], eps[m], s)
             total += k * s1[n, m] * s1[m, n]
     expected = 0.5 * lam * lam * s * total
-    z2 = z_closed_form(s, table, basis, [DensityPerturbation(profile, lam)])[0].z2
+    z2 = z_closed_form([s], table, basis, [DensityPerturbation(profile, lam)])[0].z2
     assert z2 == pytest.approx(expected, rel=1e-14)
 
 
@@ -224,7 +224,7 @@ def test_closed_form_homogeneous_anchor():
     basis = ModeBasis(String1D(1.0), 400)
     zero = DensityPerturbation(FourierCosine(()), 0.0)
     table = build_sigma_table(basis, zero, 2)
-    res = z_closed_form(1.5, table, basis, [zero])[0]
+    res = z_closed_form([1.5], table, basis, [zero])[0]
     assert res.z1 == 0.0 and res.z2 == 0.0
     assert abs(res.z_total - ZETA3 / math.pi**3) <= 2 * res.tail_estimate
 
@@ -233,7 +233,7 @@ def test_closed_form_lambda_zero():
     basis = ModeBasis(String1D(1.0), 60)
     dens = DensityPerturbation(COS2, 0.0)
     table = build_sigma_table(basis, dens, 2)
-    res = z_closed_form(RationalOrderSpec.parse("3/2"), table, basis, [dens])[0]
+    res = z_closed_form([RationalOrderSpec.parse("3/2")], table, basis, [dens])[0]
     assert res.z1 == 0.0 and res.z2 == 0.0
 
 
@@ -244,7 +244,7 @@ def test_first_order_sign_for_added_mass():
     dens = DensityPerturbation(profile, 0.2)
     table = build_sigma_table(basis, dens, 2)
     for order in ("3/2", "1", "5/4"):
-        res = z_closed_form(RationalOrderSpec.parse(order), table, basis, [dens])[0]
+        res = z_closed_form([RationalOrderSpec.parse(order)], table, basis, [dens])[0]
         assert res.z1 > 0.0
 
 
@@ -252,8 +252,8 @@ def test_resummed_diagonal_mode():
     basis = ModeBasis(String1D(1.0), 60)
     dens = DensityPerturbation(COS2, 0.2)
     table = build_sigma_table(basis, dens, 2)
-    plain = z_closed_form(1.5, table, basis, [dens])[0]
-    res = z_closed_form(1.5, table, basis, [dens], diagonal_mode=RESUMMED)[0]
+    plain = z_closed_form([1.5], table, basis, [dens])[0]
+    res = z_closed_form([1.5], table, basis, [dens], diagonal_mode=RESUMMED)[0]
     assert res.diagonal_mode == RESUMMED
     assert res.resummation_correction != 0.0
     assert res.z_total == pytest.approx(
@@ -267,7 +267,7 @@ def test_result_invariants():
     basis = ModeBasis(String1D(1.0), 60)
     dens = DensityPerturbation(COS2, 0.1)
     table = build_sigma_table(basis, dens, 2)
-    res = z_closed_form(RationalOrderSpec.parse("3/2"), table, basis, [dens])[0]
+    res = z_closed_form([RationalOrderSpec.parse("3/2")], table, basis, [dens])[0]
     assert res.z_total == res.z0 + res.z1 + res.z2
     assert res.tail_estimate >= 0.0
     assert res.order_label == "1+1/2"
@@ -279,8 +279,8 @@ def test_route_agreement_one_plus_inv():
     table = reference_table()
     for n in (2, 3, 4):
         spec = RationalOrderSpec("one_plus_inv", n)
-        closed = z_closed_form(spec, table, STRING, [dens])[0]
-        trace = z_via_trace(spec, table, STRING, [dens])[0]
+        closed = z_closed_form([spec], table, STRING, [dens])[0]
+        trace = z_via_trace([spec], table, STRING, [dens])[0]
         assert abs(closed.z_total - trace.z_total) <= 1e-9 * abs(closed.z_total)
         # order-by-order agreement, not only the total
         assert trace.z0 == pytest.approx(closed.z0, rel=1e-13)
@@ -293,8 +293,8 @@ def test_route_agreement_inv_sum():
     table = reference_table()
     for n, n2 in ((2, 2), (2, 3), (2, 4), (3, 4)):
         spec = RationalOrderSpec("inv_sum", n, n2)
-        closed = z_closed_form(spec, table, STRING, [dens])[0]
-        trace = z_via_trace(spec, table, STRING, [dens])[0]
+        closed = z_closed_form([spec], table, STRING, [dens])[0]
+        trace = z_via_trace([spec], table, STRING, [dens])[0]
         assert abs(closed.z_total - trace.z_total) <= 1e-9 * abs(closed.z_total)
 
 
@@ -304,15 +304,15 @@ def test_route_agreement_2d_one_plus_inv():
     dens = DensityPerturbation(prof, 0.1)
     table = build_sigma_table(basis, prof, 2)
     spec = RationalOrderSpec("one_plus_inv", 4)
-    closed = z_closed_form(spec, table, basis, [dens])[0]
-    trace = z_via_trace(spec, table, basis, [dens])[0]
+    closed = z_closed_form([spec], table, basis, [dens])[0]
+    trace = z_via_trace([spec], table, basis, [dens])[0]
     assert abs(closed.z_total - trace.z_total) <= 1e-9 * abs(closed.z_total)
 
 
 def test_trace_zero_profile_reduces_to_plain_sum():
     zero = DensityPerturbation(FourierCosine(()), 0.0)
     table = build_sigma_table(STRING, zero, 2)
-    res = z_via_trace(RationalOrderSpec("one_plus_inv", 3), table, STRING, [zero])[0]
+    res = z_via_trace([RationalOrderSpec("one_plus_inv", 3)], table, STRING, [zero])[0]
     eps = STRING.eigenvalues()
     expected = float(np.sum(eps ** (-4.0 / 3.0))) + res.tail_estimate
     assert res.z_total == pytest.approx(expected, rel=1e-14)
@@ -325,41 +325,49 @@ def test_trace_inv_sum_rejects_2d():
     dens = DensityPerturbation(prof, 0.05)
     table = build_sigma_table(rect, prof, 2)
     with pytest.raises(ValidationError):
-        z_via_trace(RationalOrderSpec("inv_sum", 2, 2), table, rect, [dens])
+        z_via_trace([RationalOrderSpec("inv_sum", 2, 2)], table, rect, [dens])
 
 
 def test_closed_form_rejects_bad_inputs():
     dens = DensityPerturbation(COS2, 0.1)
     table = build_sigma_table(ModeBasis(String1D(1.0), 20), dens, 1)
     with pytest.raises(ValidationError):
-        z_closed_form(1.5, table, ModeBasis(String1D(1.0), 20), [dens])  # J < 2
+        z_closed_form([1.5], table, ModeBasis(String1D(1.0), 20), [dens])  # J < 2
     table2 = build_sigma_table(ModeBasis(String1D(1.0), 20), dens, 2)
     with pytest.raises(ValidationError):
-        z_closed_form(0.4, table2, ModeBasis(String1D(1.0), 20), [dens])  # divergent
+        z_closed_form([0.4], table2, ModeBasis(String1D(1.0), 20), [dens])  # divergent
     bad = DensityPerturbation(COS2, 1.01)
     with pytest.raises(ValidationError):
-        z_closed_form(1.5, table2, ModeBasis(String1D(1.0), 20), [bad])
+        z_closed_form([1.5], table2, ModeBasis(String1D(1.0), 20), [bad])
+
+
+ALL_ORDERS = "3/2,1+1/4,1/2+1/3"
 
 
 @pytest.mark.parametrize(
     "route, order",
     [("closed", "3/2"), ("resummed", "1/2+1/3"), ("trace", "1+1/4"), ("trace", "1/2+1/3"),
-     ("oracle", "3/2")],
+     ("oracle", "3/2"), ("closed", ALL_ORDERS), ("resummed", ALL_ORDERS), ("trace", ALL_ORDERS),
+     ("oracle", ALL_ORDERS)],
 )
 def test_route_over_densities_equals_single_density_calls(route, order):
     basis = ModeBasis(String1D(1.0), 60)
     table = reference_table(60)
-    spec = RationalOrderSpec.parse(order)
+    specs = [RationalOrderSpec.parse(o) for o in order.split(",")]
     call = {
-        "closed": lambda ds: z_closed_form(spec, table, basis, ds),
-        "resummed": lambda ds: z_closed_form(spec, table, basis, ds, diagonal_mode=RESUMMED),
-        "trace": lambda ds: z_via_trace(spec, table, basis, ds),
-        "oracle": lambda ds: oracle_sum_rule(spec, table, basis, ds),
+        "closed": lambda os, ds: z_closed_form(os, table, basis, ds),
+        "resummed": lambda os, ds: z_closed_form(os, table, basis, ds, diagonal_mode=RESUMMED),
+        "trace": lambda os, ds: z_via_trace(os, table, basis, ds),
+        "oracle": lambda os, ds: oracle_sum_rule(os, table, basis, ds),
     }[route]
     densities = [DensityPerturbation(COS2, lam) for lam in (0.0, 0.05, -0.1)]
-    results = call(densities)
-    assert [r.lam for r in results] == [0.0, 0.05, -0.1]
-    assert results == [call([d])[0] for d in densities]  # every field, exactly
+    results = call(specs, densities)
+    # order-major: every density of one order before the next order
+    assert [(r.order_label, r.lam) for r in results] == [
+        (spec.label(), lam) for spec in specs for lam in (0.0, 0.05, -0.1)
+    ]
+    # every field, exactly; across orders this covers shared and released q sets
+    assert results == [call([spec], [d])[0] for spec in specs for d in densities]
 
 
 def test_route_validates_every_density():
@@ -369,4 +377,14 @@ def test_route_validates_every_density():
     spec = RationalOrderSpec.parse("3/2")
     for route in (z_closed_form, z_via_trace, oracle_sum_rule):
         with pytest.raises(ValidationError):
-            route(spec, table, basis, densities)
+            route([spec], table, basis, densities)
+
+
+def test_route_validates_every_order():
+    basis = ModeBasis(String1D(1.0), 20)
+    table = reference_table(20)
+    densities = [DensityPerturbation(COS2, 0.1)]
+    specs = [RationalOrderSpec.parse("3/2"), RationalOrderSpec("inv_sum", 4, 8)]  # s = 3/8
+    for route in (z_closed_form, z_via_trace, oracle_sum_rule):
+        with pytest.raises(ValidationError, match="diverges"):
+            route(specs, table, basis, densities)
