@@ -9,8 +9,10 @@ consumes the basis through two objects built here:
 * ``SigmaPowerTable`` -- the matrices <n| sigma^j |m> for j = 0..J.
 
 Matrix elements are computed by composite Gauss-Legendre quadrature, or by
-exact selection rules when the profile is a cosine series.  Tables can be
-cached to disk in a checksummed flat binary format.
+exact selection rules when the profile is a cosine series.  A cosine profile
+on the string keeps only the cosine coefficients of sigma^j, from which the
+band of S_j is read directly and dense matrices are built on first use.
+Dense tables can be cached to disk in a checksummed flat binary format.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import math
 import os
 import secrets
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -334,10 +336,16 @@ def _cosine_coeffs_of_factors(factors) -> np.ndarray:
     return coeffs
 
 
-def _exact_cosine_elements(n_max: int, coeffs: np.ndarray) -> np.ndarray:
-    """<n| f |m> for f a cosine series: (1/2)(c_|n-m| - c_{n+m}) + c_0 delta_nm."""
+def _padded_cosine(coeffs: np.ndarray, n_max: int) -> np.ndarray:
+    """Coefficients c_0..c_{2 n_max}, the ones the n_max-mode selection rule reads."""
     c = np.zeros(2 * n_max + 1)
     c[: min(len(coeffs), len(c))] = coeffs[: len(c)]
+    return c
+
+
+def _exact_cosine_elements(n_max: int, coeffs: np.ndarray) -> np.ndarray:
+    """<n| f |m> for f a cosine series: (1/2)(c_|n-m| - c_{n+m}) + c_0 delta_nm."""
+    c = _padded_cosine(coeffs, n_max)
     windows = np.lib.stride_tricks.sliding_window_view
     toeplitz = windows(np.concatenate([c[n_max - 1 : 0 : -1], c[:n_max]]), n_max)[:, ::-1]  # c[|n-m|]
     hankel = windows(c[2:], n_max)  # c[n+m]
@@ -415,17 +423,58 @@ def _compositions(total: int, slots: int):
 
 @dataclass(frozen=True)
 class SigmaPowerTable:
-    """Matrices S_j[n, m] = <n| sigma^j |m> for j = 0..max_power, n, m = 1..size."""
+    """Matrices S_j[n, m] = <n| sigma^j |m> for j = 0..max_power, n, m = 1..size.
+
+    Two storage forms: dense ``entries``, or for a cosine profile on the
+    string the cosine coefficients of each sigma^j (``cosine``), cut after
+    the highest harmonic.  ``power`` returns the dense matrix either way;
+    ``band`` returns the upper band of S_j without forming it.
+    """
 
     max_power: int
     size: int
-    entries: np.ndarray  # shape (max_power + 1, size, size)
+    entries: np.ndarray | None  # shape (max_power + 1, size, size); None with cosine
     quadrature_meta: dict
+    cosine: tuple[np.ndarray, ...] | None = None
+    _dense: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def power(self, j: int) -> np.ndarray:
+    def _check(self, j: int) -> None:
         if not 0 <= j <= self.max_power:
             raise ValidationError(f"power {j} outside table range 0..{self.max_power}")
-        return self.entries[j]
+
+    def power(self, j: int) -> np.ndarray:
+        self._check(j)
+        if self.cosine is None:
+            return self.entries[j]
+        if j not in self._dense:  # built once, the same matrix on every call
+            self._dense[j] = _exact_cosine_elements(self.size, self.cosine[j])
+        return self._dense[j]
+
+    def band(self, j: int) -> np.ndarray:
+        """Upper band storage: band[d, n] = S_j[n, n + d], zero past the end.
+
+        The width is the highest harmonic of sigma^j for a cosine table
+        (capped at size - 1), and size - 1 for a dense one.
+        """
+        self._check(j)
+        m = self.size
+        width = m - 1 if self.cosine is None else min(len(self.cosine[j]) - 1, m - 1)
+        out = np.zeros((width + 1, m))
+        if self.cosine is None:
+            for d in range(width + 1):
+                out[d, : m - d] = np.diagonal(self.entries[j], d)
+            return out
+        # the selection rule of _exact_cosine_elements, one diagonal at a time
+        c = _padded_cosine(self.cosine[j], m)
+        for d in range(1, width + 1):
+            out[d, : m - d] = 0.5 * (c[d] - c[d + 2 : 2 * m - d + 1 : 2])
+        out[0] = c[0] - 0.5 * c[2::2]
+        return out
+
+
+def is_coefficient_table(domain: String1D | Rectangle2D, profile: Profile) -> bool:
+    """Whether build_sigma_table keeps cosine coefficients (no dense entries, no cache)."""
+    return isinstance(domain, String1D) and isinstance(profile, FourierCosine)
 
 
 def _profile_token(profile: Profile) -> str:
@@ -497,29 +546,31 @@ def _write_cache(path: Path, key: str, data: np.ndarray) -> None:
 
 
 def _read_cache(path: Path, key: str, shape: tuple[int, int, int]) -> np.ndarray | None:
+    head = len(_CACHE_MAGIC) + 4 + 32 + 12 + 32
+    size = head + 8 * shape[0] * shape[1] * shape[2]
     try:
-        blob = path.read_bytes()
+        with open(path, "rb") as fh:
+            if os.fstat(fh.fileno()).st_size != size:
+                return None
+            buf = bytearray(size)  # the only copy: the array is a view of it
+            if fh.readinto(buf) != size:
+                return None
     except OSError:
         return None
-    head = len(_CACHE_MAGIC) + 4 + 32 + 12 + 32
-    if len(blob) < head or blob[: len(_CACHE_MAGIC)] != _CACHE_MAGIC:
+    if buf[: len(_CACHE_MAGIC)] != _CACHE_MAGIC:
         return None
     off = len(_CACHE_MAGIC)
-    (version,) = struct.unpack_from("<I", blob, off)
+    (version,) = struct.unpack_from("<I", buf, off)
     off += 4
-    if version != _CACHE_VERSION or blob[off : off + 32] != bytes.fromhex(key):
+    if version != _CACHE_VERSION or buf[off : off + 32] != bytes.fromhex(key):
         return None
     off += 32
-    dims = struct.unpack_from("<III", blob, off)
+    dims = struct.unpack_from("<III", buf, off)
     off += 12
-    digest = blob[off : off + 32]
-    off += 32
-    payload = blob[off:]
-    if dims != shape or hashlib.sha256(payload).digest() != digest:
+    digest = buf[off : off + 32]
+    if dims != shape or hashlib.sha256(memoryview(buf)[head:]).digest() != digest:
         return None  # corruption: caller recomputes
-    if len(payload) != 8 * dims[0] * dims[1] * dims[2]:
-        return None
-    return np.frombuffer(payload, dtype="<f8").reshape(dims).astype(float)
+    return np.frombuffer(buf, dtype="<f8", offset=head).reshape(dims)
 
 
 def resolve_cache_dir(cache_dir=None) -> Path | None:
@@ -545,6 +596,9 @@ def build_sigma_table(
 ) -> SigmaPowerTable:
     """Build (or load from cache) the table of <n| sigma^j |m>, j = 0..max_power.
 
+    A cosine profile on the string gives a coefficient table, which costs
+    O(J b) numbers to build and is never cached; every other table is dense.
+
     Parameters
     ----------
     basis : ModeBasis
@@ -556,7 +610,8 @@ def build_sigma_table(
         Override the automatic quadrature node plan (at least 1 node).
     cache_dir : path-like, None, or False
         False disables caching (default); None resolves the environment
-        variable / default directory; a path uses that directory.
+        variable / default directory; a path uses that directory.  Only
+        dense tables are cached.
     """
     if max_power < 1:
         raise ValidationError("max_power must be >= 1")
@@ -564,6 +619,13 @@ def build_sigma_table(
         raise ValidationError(f"quadrature nodes must be >= 1, got {nodes}")
     m_size = basis.mode_count
     profile = density.profile if isinstance(density, DensityPerturbation) else density
+
+    if is_coefficient_table(basis.domain, profile):
+        b = profile.bandwidth()  # sigma^j has harmonics 0..j*b
+        cosine = tuple(
+            _cosine_coeffs_of_factors([(profile, j)])[: j * b + 1] for j in range(max_power + 1)
+        )
+        return SigmaPowerTable(max_power, m_size, None, {"rule": "exact-cosine"}, cosine)
 
     meta = {"rule": "composite-gauss-legendre-32", "nodes": nodes or "auto"}
     key = table_content_key(basis, profile, max_power, meta)

@@ -31,6 +31,7 @@ from .basis import (
     String1D,
     Tabulated,
     build_sigma_table,
+    is_coefficient_table,
 )
 from .errors import (
     ConfigError,
@@ -167,9 +168,14 @@ def _physical_memory() -> int | None:
 
 
 # Peak dense M x M float64 matrices each route holds besides the sigma table,
-# from tracemalloc at M=800 (the oracle's adds LAPACK's untraced copy).
-_ROUTE_MATRICES = {"closed": 5, "trace1": 10, "trace2": 13, "oracle": 4}
+# from tracemalloc at M=800 (the oracle's adds LAPACK's untraced copy; the
+# closed form's band of a dense table measured 2.01).
+_ROUTE_MATRICES = {"closed": 3, "trace1": 10, "trace2": 13, "oracle": 4}
 _ROUTE_MATRICES["all"] = max(_ROUTE_MATRICES.values())
+# The closed form alone on a cosine string table never forms a matrix: its peak
+# is this many length-M float64 vectors per row of S_1's band, plus a fixed
+# number (tracemalloc at M=10^5, highest harmonics 0 to 60).
+_BAND_ROW_VECTORS, _BAND_VECTORS = 2, 9
 
 
 def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
@@ -303,6 +309,9 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
             "spectrum": _ROUTE_MATRICES["oracle"],
         }.get(command, _ROUTE_MATRICES[route])
         need = (max(2, max_order) + 1 + work) * modes * modes * 8  # the table is J + 1 matrices
+        if command == "sumrule" and route == "closed" and is_coefficient_table(domain, profile):
+            rows = min(profile.bandwidth(), modes - 1) + 1  # of S_1's band
+            need = (_BAND_ROW_VECTORS * rows + _BAND_VECTORS) * modes * 8
         memory = _physical_memory()
         if memory is not None and need > memory:
             problems.append(

@@ -199,24 +199,28 @@ def kernel_second_order_presplit(eps_n: float, eps_m: float, s: float) -> float:
     return (eps_m ** (-s) + eps_n ** (-s)) + 4.0 * kernel_second_order(eps_n, eps_m, s)
 
 
-def kernel_matrix(eps: np.ndarray, s: float) -> np.ndarray:
-    """Dense K(eps_i, eps_j; s), diagonal (s - 1) eps_i^{-s} included.
+def kernel_band(eps: np.ndarray, width: int, s: float) -> np.ndarray:
+    """Upper band of K(eps_n, eps_m; s): band[d, n] = K(eps[n], eps[n + d]), zero past the end.
 
-    Every pair is evaluated as lo^{-s} (-expm1((1-s) log1p(h)))/h with
-    h = (hi - lo)/lo, which has no cancellation near the diagonal or as
-    s -> 1; pairs with h <= 1e-12 take the analytic limit.  Pairs are ordered
-    internally (lo, hi), so the matrix is bit-exactly symmetric, and lo^{-s}
-    is taken on the eigenvalue vector once and spread by monotonicity.
+    eps must be ascending (both bases sort their modes), so lo = eps[n] and
+    hi = eps[n + d].  Every pair is evaluated as lo^{-s} (-expm1((1-s) log1p(h)))/h
+    with h = (hi - lo)/lo, which has no cancellation near the diagonal or as
+    s -> 1; pairs with h <= 1e-12 take the analytic limit (s - 1) lo^{-s}, so
+    row 0 is the diagonal.  Each unordered pair is stored once, which makes
+    the kernel it stands for exactly symmetric.
     """
     e = np.asarray(eps, dtype=float)
-    lo = np.minimum(e[:, None], e[None, :])
-    h = (np.maximum(e[:, None], e[None, :]) - lo) / lo
-    neg_pow = e ** (-s)  # decreasing in e: lo^{-s} = elementwise max
-    base = np.maximum(neg_pow[:, None], neg_pow[None, :])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = base * (-np.expm1((1.0 - s) * np.log1p(h))) / h
-    tiny = h <= 1e-12
-    out[tiny] = (s - 1.0) * base[tiny]
+    m = e.size
+    neg_pow = e ** (-s)
+    out = np.zeros((width + 1, m))
+    for d in range(min(width, m - 1) + 1):
+        lo, base = e[: m - d], neg_pow[: m - d]
+        h = (e[d:] - lo) / lo
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = base * (-np.expm1((1.0 - s) * np.log1p(h))) / h
+        tiny = h <= 1e-12
+        k[tiny] = (s - 1.0) * base[tiny]
+        out[d, : m - d] = k
     return out
 
 
@@ -305,7 +309,8 @@ def z_closed_form(
     z0 = sum eps^{-s} (+ tail);  z1 = lam s sum <n|s|n> eps^{-s};
     z2 = (lam^2/2) s sum_{n, m} K(eps_n, eps_m; s) <n|s|m><m|s|n>,
     where the diagonal K(eps, eps; s) = (s-1) eps^{-s} carries the n == m terms.
-    The lambda-free sums are formed once per order.  With
+    The double sum runs over the band of S_1 only (O(M b) for a cosine table
+    with highest harmonic b).  The lambda-free sums are formed once per order.  With
     diagonal_mode="resummed" the truncated diagonal lambda-series is replaced
     by (1 + lam <n|s|n>)^s and the difference reported separately.
     """
@@ -314,27 +319,32 @@ def z_closed_form(
         raise ValidationError("closed form needs a table with max_power >= 2")
     if diagonal_mode not in (TRUNCATED, RESUMMED):
         raise ValidationError(f"unknown diagonal mode {diagonal_mode!r}")
-    # one frame per order: an order's leftover vector fragments the next kernel's heap (+M^2 RSS)
+    s1 = table.band(1)
+    diag = s1[0].copy()
+    coupled = bool(np.any(s1))
+    s1 *= s1  # the kernel sum needs only S_1[n, m]^2 = S_1[m, n]^2
+    s1[1:] *= 2.0  # each off-diagonal row stands for (n, n + d) and (n + d, n)
+    # one frame per order: an order's leftover vector fragments the next kernel's heap
     return [
         result for s, label in resolved
-        for result in _closed_form_order(s, label, table, basis, densities, diagonal_mode)
+        for result in _closed_form_order(s, label, s1, diag, coupled, basis, densities, diagonal_mode)
     ]
 
 
-def _closed_form_order(s, label, table, basis, densities, diagonal_mode) -> list[SumRuleResult]:
+def _closed_form_order(s, label, weighted_sq, diag, coupled, basis, densities,
+                       diagonal_mode) -> list[SumRuleResult]:
     """z_closed_form for one order: its lambda-free sums, then one result per density."""
-    m = table.size
+    m = diag.size
     eps = basis.eigenvalues()[:m]
     weights = eps ** (-s)
-    s1 = table.power(1)
-    diag = np.diag(s1).copy()
-    coupled = bool(np.any(s1))
     tail = tail_estimate(basis, s, m)
     z0 = float(np.sum(weights)) + tail
     if coupled and any(d.lam != 0.0 for d in densities):
         sum1 = float(np.sum(diag * weights))
-        # the kernel's diagonal is (s - 1) * weights, so one sum covers n == m
-        sum2 = float(np.sum(kernel_matrix(eps, s) * s1 * s1))
+        # the kernel's row 0 is (s - 1) * weights, so one sum covers n == m
+        terms = kernel_band(eps, weighted_sq.shape[0] - 1, s)
+        terms *= weighted_sq
+        sum2 = float(np.sum(terms))
     results = []
     for density in densities:
         lam = density.lam

@@ -15,14 +15,18 @@ from billzeta.basis import (
     String1D,
     Tabulated,
     _cache_path,
+    _cosine_coeffs_of_factors,
     _enumerate_rectangle_modes,
+    _exact_cosine_elements,
     _quad_elements_1d,
+    _read_cache,
     _write_cache,
     build_sigma_table,
 )
 from billzeta.errors import QuadratureError, ValidationError
 
 COS2 = FourierCosine((0.0, 0.0, 1.0))  # sigma(x) = cos(2 pi x / L)
+POLY = Polynomial((0.0, 4.0, -4.0))  # a dense (quadrature) table, the kind the cache holds
 
 
 def analytic_cos2_element(n, m):
@@ -186,17 +190,17 @@ def test_2d_sum_profile_table():
 
 def test_cache_roundtrip_and_corruption(tmp_path):
     basis = ModeBasis(String1D(1.0), 6)
-    table = build_sigma_table(basis, COS2, 2, cache_dir=tmp_path)
+    table = build_sigma_table(basis, POLY, 2, cache_dir=tmp_path)
     files = list(tmp_path.glob("sigma-*.bzt"))
     assert len(files) == 1
-    again = build_sigma_table(basis, COS2, 2, cache_dir=tmp_path)
+    again = build_sigma_table(basis, POLY, 2, cache_dir=tmp_path)
     assert again.quadrature_meta.get("cached") is True
     assert np.array_equal(table.entries, again.entries)
     # corrupt the payload: loader must detect the checksum mismatch and recompute
     blob = bytearray(files[0].read_bytes())
     blob[-5] ^= 0xFF
     files[0].write_bytes(bytes(blob))
-    repaired = build_sigma_table(basis, COS2, 2, cache_dir=tmp_path)
+    repaired = build_sigma_table(basis, POLY, 2, cache_dir=tmp_path)
     assert repaired.quadrature_meta.get("cached") is None
     assert np.array_equal(repaired.entries, table.entries)
 
@@ -207,7 +211,7 @@ def test_concurrent_cache_writers_do_not_collide(tmp_path, monkeypatch):
     import billzeta.basis as basis_module
 
     basis = ModeBasis(String1D(1.0), 6)
-    table = build_sigma_table(basis, COS2, 2)
+    table = build_sigma_table(basis, POLY, 2)
     key = "ab" * 32
     path = _cache_path(tmp_path, key)
     real_replace = basis_module.os.replace
@@ -225,6 +229,70 @@ def test_concurrent_cache_writers_do_not_collide(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
     loaded = basis_module._read_cache(path, key, table.entries.shape)
     assert np.array_equal(loaded, table.entries)
+
+
+def test_cosine_table_writes_no_cache_file(tmp_path):
+    basis = ModeBasis(String1D(1.0), 6)
+    table = build_sigma_table(basis, COS2, 2, cache_dir=tmp_path)
+    assert table.entries is None and table.cosine is not None
+    assert not any(tmp_path.iterdir())
+    again = build_sigma_table(basis, COS2, 2, cache_dir=tmp_path)
+    assert again.quadrature_meta.get("cached") is None
+    assert not any(tmp_path.iterdir())
+
+
+def test_cache_read_holds_one_copy_of_the_table(tmp_path):
+    import tracemalloc
+
+    table = build_sigma_table(ModeBasis(String1D(1.0), 160), POLY, 2)
+    key = "ef" * 32
+    path = _cache_path(tmp_path, key)
+    _write_cache(path, key, table.entries)
+    tracemalloc.start()
+    try:
+        loaded = _read_cache(path, key, table.entries.shape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded, table.entries)
+    loaded[0, 0, 0] = 2.0  # a writable array, like a freshly built table
+    assert peak < 1.5 * table.entries.nbytes
+
+
+@pytest.mark.parametrize("coeffs, m", [
+    ((0.0, 0.0, 1.0), 40),
+    ((0.3, 0.1, 0.0, -0.2, 0.0, 0.05, 0.0, 0.0), 25),  # trailing zeros do not widen the band
+    (tuple(0.01 * (k % 7 - 3) for k in range(45)), 30),  # band wider than M: Hankel corner
+    ((0.0, 0.0, 1.0), 1),
+    ((0.0, 0.0, 1.0), 2),
+    ((), 5),
+])
+def test_cosine_table_powers_and_bands_are_exact(coeffs, m):
+    profile = FourierCosine(coeffs)
+    table = build_sigma_table(ModeBasis(String1D(1.0), m), profile, 3)
+    b = profile.bandwidth()
+    for j in range(4):
+        dense = table.power(j)
+        expected = _exact_cosine_elements(m, _cosine_coeffs_of_factors([(profile, j)]))
+        assert dense.tobytes() == expected.tobytes()  # bit for bit, signed zeros included
+        assert table.power(j) is dense  # built once
+        band = table.band(j)
+        assert band.shape == (min(j * b, m - 1) + 1, m)
+        for d in range(band.shape[0]):
+            assert band[d, : m - d].tobytes() == np.diagonal(dense, d).tobytes()
+            assert np.all(band[d, m - d :] == 0.0)
+        # entries outside the band are exactly zero
+        outside = np.abs(np.subtract.outer(range(m), range(m))) >= band.shape[0]
+        assert np.all(dense[outside] == 0.0)
+
+
+def test_dense_table_band_copies_every_diagonal():
+    table = build_sigma_table(ModeBasis(String1D(1.0), 7), POLY, 2)
+    band = table.band(2)
+    assert band.shape == (7, 7)
+    for d in range(7):
+        assert np.array_equal(band[d, : 7 - d], np.diagonal(table.power(2), d))
+        assert np.all(band[d, 7 - d :] == 0.0)
 
 
 def test_density_bound_validation():
@@ -253,7 +321,7 @@ def test_2d_sigma_sup_adds_per_term_factor_sups():
 
 def test_cache_file_layout(tmp_path):
     basis = ModeBasis(String1D(1.0), 5)
-    table = build_sigma_table(basis, COS2, 2)
+    table = build_sigma_table(basis, POLY, 2)
     key = "cd" * 32
     path = _cache_path(tmp_path, key)
     _write_cache(path, key, table.entries)

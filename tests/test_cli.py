@@ -37,6 +37,10 @@ def write_config(tmp_path, **overrides):
     return path
 
 
+# a quadrature (dense) table: the only kind the cache holds
+POLY_DENSITY = {"profile": {"type": "polynomial", "coeffs": [0.0, 1.0, -1.0]}, "lambda": 0.1}
+
+
 def read_csv(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
@@ -206,7 +210,7 @@ def test_cache_dir_env_honored(tmp_path, monkeypatch):
     cache = tmp_path / "cachehere"
     monkeypatch.setenv("BILLZETA_CACHE_DIR", str(cache))
     monkeypatch.chdir(tmp_path)
-    cfg = write_config(tmp_path, cache_dir=None, route="closed")
+    cfg = write_config(tmp_path, cache_dir=None, route="closed", density=POLY_DENSITY)
     assert main(["sumrule", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == EXIT_OK
     assert list(cache.glob("sigma-*.bzt"))
 
@@ -214,7 +218,7 @@ def test_cache_dir_env_honored(tmp_path, monkeypatch):
 def test_cache_dir_flag_overrides_env(tmp_path, monkeypatch):
     monkeypatch.setenv("BILLZETA_CACHE_DIR", str(tmp_path / "envcache"))
     flag_cache = tmp_path / "flagcache"
-    cfg = write_config(tmp_path, route="closed")
+    cfg = write_config(tmp_path, route="closed", density=POLY_DENSITY)
     rc = main(
         ["sumrule", "--config", str(cfg), "--cache-dir", str(flag_cache),
          "--out", str(tmp_path / "r.csv")]
@@ -328,11 +332,52 @@ def test_working_set_counted_before_allocating(tmp_path, monkeypatch, capsys):
         raise AssertionError("build_sigma_table called")
 
     m = 100
-    # the 3-matrix table fits; table plus the closed form's 5 matrices does not
+    # the dense 3-matrix table fits; table plus the closed form's working set does not
     monkeypatch.setattr(cli, "_physical_memory", lambda: 4 * m * m * 8)
     monkeypatch.setattr(cli, "build_sigma_table", never)
-    rc = main(["sumrule", "--modes", str(m), "--route", "closed", "--lambda", "0.1"])
+    cfg = write_config(tmp_path, density=POLY_DENSITY)
+    rc = main(["sumrule", "--config", str(cfg), "--modes", str(m), "--route", "closed"])
     assert rc == EXIT_VALIDATION
+    assert any(p.startswith("truncation.modes") for p in problems_on_stderr(capsys))
+
+
+def test_banded_closed_form_runs_at_large_modes(tmp_path):
+    # the cosine closed form holds O(M b) numbers, so M = 10^5 passes the memory check
+    totals = {}
+    for m in (10_000, 100_000):
+        out = tmp_path / f"m{m}.json"
+        rc = main(["sumrule", "--route", "closed", "--modes", str(m), "--lambda", "0.1",
+                   "--format", "json", "--out", str(out)])
+        assert rc == EXIT_OK
+        (record,) = json.loads(out.read_text())["results"]
+        assert record["truncation"] == m
+        totals[m] = record
+    # the remainder beyond M = 10^4 is the Weyl tail, ~M^{1-2s}, already counted in z0
+    small, large = totals[10_000], totals[100_000]
+    assert abs(large["z_total"] - small["z_total"]) < small["tail_estimate"]
+    assert large["tail_estimate"] / small["tail_estimate"] == pytest.approx(10.0 ** (1 - 2 * 1.5), rel=1e-3)
+
+
+@pytest.mark.parametrize("command, route, kind", [
+    ("sumrule", "all", "string"), ("sumrule", "oracle", "string"), ("verify", "all", "string"),
+    ("sumrule", "closed", "rectangle"),
+])
+def test_dense_work_at_large_modes_exits_2_before_allocating(
+    tmp_path, monkeypatch, capsys, command, route, kind
+):
+    from billzeta import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("build_sigma_table called")
+
+    cos2 = {"type": "fourier-cosine", "coeffs": [0.0, 0.0, 1.0]}
+    profile = cos2 if kind == "string" else {
+        "type": "separable", "terms": [{"x": cos2, "y": {"type": "fourier-cosine", "coeffs": [1.0]}}]
+    }
+    cfg = write_config(tmp_path, basis={"kind": kind}, route=route,
+                       density={"profile": profile, "lambda_list": [0.04, 0.08, 0.16]})
+    monkeypatch.setattr(cli, "build_sigma_table", never)
+    assert main([command, "--config", str(cfg), "--modes", "100000"]) == EXIT_VALIDATION
     assert any(p.startswith("truncation.modes") for p in problems_on_stderr(capsys))
 
 
@@ -380,10 +425,10 @@ def test_high_frequency_2d_profile_density_bound_exits_2(tmp_path, capsys):
 def test_memory_error_exits_3_without_traceback(tmp_path, monkeypatch, capsys):
     from billzeta import sumrules
 
-    def exhausted(eps, s):
+    def exhausted(eps, width, s):
         raise MemoryError()  # numpy's own can stringify to ""
 
-    monkeypatch.setattr(sumrules, "kernel_matrix", exhausted)
+    monkeypatch.setattr(sumrules, "kernel_band", exhausted)
     rc = main(["sumrule", "--s", "3/2", "--lambda", "0.1", "--route", "closed", "--modes", "20"])
     assert rc == EXIT_NUMERICAL
     err = capsys.readouterr().err.strip()
@@ -393,7 +438,7 @@ def test_memory_error_exits_3_without_traceback(tmp_path, monkeypatch, capsys):
 def test_sumrule_sweep_forms_each_invariant_once(tmp_path, monkeypatch):
     from billzeta import coefficients, oracle, sumrules
 
-    calls = {"kernel_matrix": 0, "q_generic_recursion": 0, "build_Q_series": 0, "solve_spectrum": 0}
+    calls = {"kernel_band": 0, "q_generic_recursion": 0, "build_Q_series": 0, "solve_spectrum": 0}
 
     def counted(fn):
         def wrapper(*args, **kwargs):
@@ -401,7 +446,7 @@ def test_sumrule_sweep_forms_each_invariant_once(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(sumrules, "kernel_matrix", counted(sumrules.kernel_matrix))
+    monkeypatch.setattr(sumrules, "kernel_band", counted(sumrules.kernel_band))
     recursion = counted(coefficients.q_generic_recursion)
     monkeypatch.setattr(coefficients, "q_generic_recursion", recursion)
     monkeypatch.setattr(sumrules, "q_generic_recursion", recursion, raising=False)
@@ -415,7 +460,7 @@ def test_sumrule_sweep_forms_each_invariant_once(tmp_path, monkeypatch):
     assert main(argv) == EXIT_OK
     # one kernel per s, one Q series, one q set per distinct N (2, 4, 3), one spectrum per lambda
     assert calls == {
-        "kernel_matrix": 3, "q_generic_recursion": 3, "build_Q_series": 1, "solve_spectrum": 4,
+        "kernel_band": 3, "q_generic_recursion": 3, "build_Q_series": 1, "solve_spectrum": 4,
     }
 
 

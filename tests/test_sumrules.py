@@ -18,8 +18,9 @@ from billzeta.errors import ValidationError
 from billzeta.oracle import oracle_sum_rule
 from billzeta.sumrules import (
     RESUMMED,
+    TRUNCATED,
     RationalOrderSpec,
-    kernel_matrix,
+    kernel_band,
     kernel_second_order,
     kernel_second_order_presplit,
     tail_estimate,
@@ -99,36 +100,38 @@ def test_kernel_symmetry_bitexact():
     for s in (0.75, 1.5):
         for a, b in ((1.0, 4.0), (2.0, 2.0 + 1e-9), (0.02, 9000.0)):
             assert kernel_second_order(a, b, s) == kernel_second_order(b, a, s)
-    mat = kernel_matrix(np.array([1.0, 2.0, 2.0, 50.0]), 1.25)
-    assert np.array_equal(mat, mat.T)
+    # the band holds each unordered pair once; the tied pair gets the diagonal limit exactly
+    band = kernel_band(np.array([1.0, 2.0, 2.0, 50.0]), 3, 1.25)
+    assert band[1, 1] == band[0, 1] == band[0, 2] == 0.25 * 2.0 ** -1.25
 
 
-def test_kernel_matrix_matches_scalar():
+def test_kernel_band_matches_scalar():
     eps = np.array([1.0, 1.0 + 1e-14, 3.7, 88.0])
-    mat = kernel_matrix(eps, 1.125)
+    band = kernel_band(eps, 3, 1.125)
     for i in range(4):
         for j in range(4):
-            assert mat[i, j] == pytest.approx(
+            lo, hi = min(i, j), max(i, j)
+            assert band[hi - lo, lo] == pytest.approx(
                 kernel_second_order(eps[i], eps[j], 1.125), rel=1e-14
             )
+    assert np.all(band[np.add.outer(range(4), range(4)) >= 4] == 0.0)  # past the end
 
 
-def test_kernel_matrix_matches_decimal_reference_near_s_one():
+def test_kernel_band_matches_decimal_reference_near_s_one():
     # 50-digit reference for exactly these float inputs; the direct difference
     # (lo^{1-s} - hi^{1-s})/(hi - lo) cancels as s -> 1 and misses 2e-15
     s = 1.0 + 1.0 / 64.0
     eps = (np.arange(1, 41) * np.pi) ** 2
-    mat = kernel_matrix(eps, s)
+    band = kernel_band(eps, eps.size - 1, s)
     worst = 0.0
     with localcontext() as ctx:
         ctx.prec = 50
         one_minus_s = 1 - Decimal(s)
         pw = [(Decimal(e).ln() * one_minus_s).exp() for e in eps]
         for i in range(eps.size):
-            for j in range(eps.size):
-                if i != j:
-                    ref = (pw[i] - pw[j]) / (Decimal(eps[j]) - Decimal(eps[i]))
-                    worst = max(worst, abs(float((Decimal(mat[i, j]) - ref) / ref)))
+            for j in range(i + 1, eps.size):
+                ref = (pw[i] - pw[j]) / (Decimal(eps[j]) - Decimal(eps[i]))
+                worst = max(worst, abs(float((Decimal(band[j - i, i]) - ref) / ref)))
     assert worst <= 2e-15
 
 
@@ -149,6 +152,51 @@ def test_closed_form_z2_equals_explicit_double_sum(basis, profile):
     expected = 0.5 * lam * lam * s * total
     z2 = z_closed_form([s], table, basis, [DensityPerturbation(profile, lam)])[0].z2
     assert z2 == pytest.approx(expected, rel=1e-14)
+
+
+def dense_kernel(eps, s):
+    """Reference: K on every pair (lo, hi) by the expm1/log1p formula, the diagonal by its limit."""
+    lo = np.minimum.outer(eps, eps)
+    h = (np.maximum.outer(eps, eps) - lo) / lo
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = lo ** (-s) * (-np.expm1((1.0 - s) * np.log1p(h))) / h
+    return np.where(h <= 1e-12, (s - 1.0) * lo ** (-s), k)
+
+
+@pytest.mark.parametrize("coeffs", [
+    (0.0, 0.0, 1.0),
+    (0.3, 0.1, 0.0, -0.2, 0.0, 0.05),
+    tuple(0.004 * (k % 5 - 2) for k in range(41)),  # band 40: wider than M for M <= 41
+])
+@pytest.mark.parametrize("m", [1, 2, 30, 1500])
+@pytest.mark.parametrize("mode", [TRUNCATED, RESUMMED])
+def test_banded_closed_form_matches_dense_sum(coeffs, m, mode):
+    profile = FourierCosine(coeffs)
+    basis = ModeBasis(String1D(1.0), m)
+    table = build_sigma_table(basis, profile, 2)
+    s1 = table.power(1)
+    eps = basis.eigenvalues()
+    orders = [1.5, 1.125, 5.0 / 6.0]
+    densities = [DensityPerturbation(profile, lam) for lam in (0.1, -0.15)]
+    results = z_closed_form(orders, table, basis, densities, diagonal_mode=mode)
+    for i, s in enumerate(orders):
+        dense_sum = float(np.sum(dense_kernel(eps, s) * s1 * s1))
+        for density, res in zip(densities, results[2 * i : 2 * i + 2]):
+            lam = density.lam
+            assert res.z1 == lam * s * float(np.sum(np.diag(s1) * eps ** (-s)))
+            assert res.z2 == pytest.approx(0.5 * lam * lam * s * dense_sum, rel=1e-14, abs=0.0)
+
+
+def test_banded_closed_form_zero_profile_keeps_signed_zeros():
+    zero = FourierCosine(())
+    basis = ModeBasis(String1D(1.0), 50)
+    table = build_sigma_table(basis, zero, 2)
+    for lam in (0.3, -0.3, 0.0):
+        for mode in (TRUNCATED, RESUMMED):
+            res = z_closed_form([1.5], table, basis, [DensityPerturbation(zero, lam)],
+                                diagonal_mode=mode)[0]
+            for value in (res.z1, res.z2, res.resummation_correction):
+                assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 def test_presplit_diagonal_limit():
