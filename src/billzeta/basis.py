@@ -8,11 +8,14 @@ consumes the basis through two objects built here:
                      (ties broken by lexicographic multi-index);
 * ``SigmaPowerTable`` -- the matrices <n| sigma^j |m> for j = 0..J.
 
-Matrix elements are computed by composite Gauss-Legendre quadrature, or by
-exact selection rules when the profile is a cosine series.  A cosine profile
-on the string keeps only the cosine coefficients of sigma^j, from which the
-band of S_j is read directly and dense matrices are built on first use.
-Dense tables can be cached to disk in a checksummed flat binary format.
+On the string 2 sin(n t) sin(m t) = cos((n-m) t) - cos((n+m) t), so every
+matrix element is read from the cosine coefficients c_k of the function:
+<n| f |m> = (c_|n-m| - c_{n+m})/2, plus c_0 on the diagonal.  Those are
+exact Chebyshev products for a cosine profile and composite Gauss-Legendre
+moments otherwise.  A string table keeps only the coefficients of sigma^j,
+from which the band of S_j is read directly and dense matrices are built on
+first use.  Rectangle tables are dense products of such string factors and
+can be cached to disk in a checksummed flat binary format.
 """
 
 from __future__ import annotations
@@ -302,40 +305,6 @@ def _composite_grid(length: float, total_nodes: int, breakpoints=()) -> tuple[np
     return x, w
 
 
-def _factors_bandwidth(factors) -> int:
-    return sum(p.bandwidth() * power for p, power in factors)
-
-
-def _all_cosine(factors) -> bool:
-    return all(isinstance(p, FourierCosine) for p, _ in factors)
-
-
-def _cosine_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of two cosine series: cos p * cos q = (cos(p+q) + cos|p-q|)/2."""
-    out = np.zeros(len(a) + len(b) - 1)
-    for p, ca in enumerate(a):
-        if ca == 0.0:
-            continue
-        for q, cb in enumerate(b):
-            if cb == 0.0:
-                continue
-            half = 0.5 * ca * cb
-            out[p + q] += half
-            out[abs(p - q)] += half
-    return out
-
-
-def _cosine_coeffs_of_factors(factors) -> np.ndarray:
-    coeffs = np.array([1.0])
-    for profile, power in factors:
-        base = np.asarray(profile.coeffs, dtype=float)
-        if base.size == 0:
-            base = np.array([0.0])
-        for _ in range(power):
-            coeffs = _cosine_multiply(coeffs, base)
-    return coeffs
-
-
 def _padded_cosine(coeffs: np.ndarray, n_max: int) -> np.ndarray:
     """Coefficients c_0..c_{2 n_max}, the ones the n_max-mode selection rule reads."""
     c = np.zeros(2 * n_max + 1)
@@ -355,49 +324,64 @@ def _exact_cosine_elements(n_max: int, coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _quad_elements_1d(n_max: int, length: float, factors, nodes: int | None) -> np.ndarray:
-    """<n| prod_i p_i^{power_i} |m> on the 1D sine basis by composite quadrature.
+def _trig_rows(trig, freqs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    rows = np.outer(freqs, t)
+    return trig(rows, out=rows)
 
-    A refined-grid recomputation of the hardest row guards against an
-    insufficient node plan.
+
+def _cosine_moments(count: int, length: float, factors, plan: int, breakpoints) -> np.ndarray:
+    """I_k = (1/L) int_0^L f(x) cos(k pi x / L) dx, k = 0..count-1, on a plan-node grid.
+
+    With k = a r + q, cos(k t) = cos(a r t) cos(q t) - sin(a r t) sin(q t):
+    two products of about sqrt(count) trig rows each, never count rows.
     """
-    breakpoints = []
-    for p, _ in factors:
-        if isinstance(p, Tabulated):
-            breakpoints.extend(p.xs)
-    plan = nodes or max(256, 8 * (n_max + _factors_bandwidth(factors)))
     x, w = _composite_grid(length, plan, breakpoints)
-    f = np.ones_like(x)
+    wf = w / length
     for p, power in factors:
-        f *= p.evaluate(x, length) ** power
-    n = np.arange(1, n_max + 1)
-    phi = math.sqrt(2.0 / length) * np.sin(np.outer(n, x) * math.pi / length)
-    out = (phi * (w * f)[None, :]) @ phi.T
+        wf *= p.evaluate(x, length) ** power
+    t = x * (math.pi / length)
+    r = math.isqrt(count - 1) + 1
+    coarse, fine = np.arange(0, count, r), np.arange(r)
+    moments = (_trig_rows(np.cos, coarse, t) * wf) @ _trig_rows(np.cos, fine, t).T
+    moments -= (_trig_rows(np.sin, coarse, t) * wf) @ _trig_rows(np.sin, fine, t).T
+    return moments.ravel()[:count]
 
-    # self-check: recompute the highest (most oscillatory) row on a finer grid
-    x2, w2 = _composite_grid(length, int(plan * 1.5) + _GL_PANEL_NODES, breakpoints)
-    f2 = np.ones_like(x2)
-    for p, power in factors:
-        f2 *= p.evaluate(x2, length) ** power
-    phi_row = math.sqrt(2.0 / length) * np.sin(n_max * x2 * math.pi / length)
-    phi2 = math.sqrt(2.0 / length) * np.sin(np.outer(n, x2) * math.pi / length)
-    check = phi2 @ (w2 * f2 * phi_row)
-    scale = max(1.0, float(np.max(np.abs(out))))
-    err = float(np.max(np.abs(check - out[:, -1])))
+
+def _quad_cosine_coeffs(n_max: int, length: float, factors, nodes: int | None) -> np.ndarray:
+    """Cosine coefficients c_0..c_{2 n_max} of prod_i p_i^{power_i} by composite quadrature.
+
+    Every element <n| f |m> = I_|n-m| - I_{n+m} of the moments I_k, so a
+    recomputation of every moment on a 1.5x grid bounds every element's
+    error by 2 max |dI|; it guards against an insufficient node plan.
+    """
+    breakpoints = [x for p, _ in factors if isinstance(p, Tabulated) for x in p.xs]
+    plan = nodes or max(256, 8 * (n_max + sum(p.bandwidth() * power for p, power in factors)))
+    count = 2 * n_max + 1
+    moments = _cosine_moments(count, length, factors, plan, breakpoints)
+    check = _cosine_moments(count, length, factors, int(plan * 1.5) + _GL_PANEL_NODES, breakpoints)
+    scale = max(1.0, float(np.max(np.abs(moments[0] - moments[2::2]))))  # the diagonal
+    err = 2.0 * float(np.max(np.abs(check - moments)))
     if err > 1e-10 * scale:
         raise QuadratureError(
-            f"quadrature self-check failed: row error {err:.3e} at {plan} nodes"
+            f"quadrature self-check failed: element error {err:.3e} at {plan} nodes"
         )
-    return np.triu(out) + np.triu(out, 1).T  # the matmul is symmetric only to rounding
+    moments[1:] *= 2.0  # c_k = 2 I_k past the constant
+    return moments
 
 
-def _elements_1d(n_max: int, length: float, factors, nodes: int | None = None) -> np.ndarray:
-    """Dispatch: exact selection rules for pure cosine factors, quadrature otherwise."""
+def _cosine_coeffs(n_max: int, length: float, factors, nodes: int | None = None) -> np.ndarray:
+    """Cosine coefficients of prod_i p_i^{power_i}, enough for n_max modes.
+
+    Exact (Chebyshev products, trailing zeros trimmed) for cosine factors,
+    by quadrature otherwise.
+    """
     if any(p.is_zero and power > 0 for p, power in factors):
-        return np.zeros((n_max, n_max))
-    if _all_cosine(factors):
-        return _exact_cosine_elements(n_max, _cosine_coeffs_of_factors(factors))
-    return _quad_elements_1d(n_max, length, factors, nodes)
+        return np.zeros(1)
+    if all(isinstance(p, FourierCosine) for p, _ in factors):
+        cheb = np.polynomial.chebyshev  # cos p t cos q t = (cos (p+q) t + cos (p-q) t)/2
+        series = (cheb.chebpow(p.coeffs or (0.0,), power, None) for p, power in factors)
+        return functools.reduce(cheb.chebmul, series, np.ones(1))
+    return _quad_cosine_coeffs(n_max, length, factors, nodes)
 
 
 def _multinomial(total: int, parts: tuple[int, ...]) -> int:
@@ -425,15 +409,16 @@ def _compositions(total: int, slots: int):
 class SigmaPowerTable:
     """Matrices S_j[n, m] = <n| sigma^j |m> for j = 0..max_power, n, m = 1..size.
 
-    Two storage forms: dense ``entries``, or for a cosine profile on the
-    string the cosine coefficients of each sigma^j (``cosine``), cut after
-    the highest harmonic.  ``power`` returns the dense matrix either way;
-    ``band`` returns the upper band of S_j without forming it.
+    Two storage forms: on the string the cosine coefficients of each sigma^j
+    (``cosine``), cut after the highest harmonic for a cosine profile and
+    c_0..c_{2 size} otherwise; on the rectangle dense ``entries``.  ``power``
+    returns the dense matrix either way; ``band`` returns the upper band of
+    S_j without forming it.
     """
 
     max_power: int
     size: int
-    entries: np.ndarray | None  # shape (max_power + 1, size, size); None with cosine
+    entries: np.ndarray | None  # shape (max_power + 1, size, size); None on the string
     quadrature_meta: dict
     cosine: tuple[np.ndarray, ...] | None = None
     _dense: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -453,8 +438,9 @@ class SigmaPowerTable:
     def band(self, j: int) -> np.ndarray:
         """Upper band storage: band[d, n] = S_j[n, n + d], zero past the end.
 
-        The width is the highest harmonic of sigma^j for a cosine table
-        (capped at size - 1), and size - 1 for a dense one.
+        The width is the highest stored harmonic of sigma^j on the string
+        (capped at size - 1, which quadrature coefficients always reach), and
+        size - 1 for a dense table.
         """
         self._check(j)
         m = self.size
@@ -470,11 +456,6 @@ class SigmaPowerTable:
             out[d, : m - d] = 0.5 * (c[d] - c[d + 2 : 2 * m - d + 1 : 2])
         out[0] = c[0] - 0.5 * c[2::2]
         return out
-
-
-def is_coefficient_table(domain: String1D | Rectangle2D, profile: Profile) -> bool:
-    """Whether build_sigma_table keeps cosine coefficients (no dense entries, no cache)."""
-    return isinstance(domain, String1D) and isinstance(profile, FourierCosine)
 
 
 def _profile_token(profile: Profile) -> str:
@@ -596,8 +577,9 @@ def build_sigma_table(
 ) -> SigmaPowerTable:
     """Build (or load from cache) the table of <n| sigma^j |m>, j = 0..max_power.
 
-    A cosine profile on the string gives a coefficient table, which costs
-    O(J b) numbers to build and is never cached; every other table is dense.
+    A string table keeps the cosine coefficients of each sigma^j: exact for
+    a cosine profile (O(J b) numbers), from quadrature otherwise (2M + 1
+    each).  It is never cached.  A rectangle table is dense.
 
     Parameters
     ----------
@@ -611,7 +593,7 @@ def build_sigma_table(
     cache_dir : path-like, None, or False
         False disables caching (default); None resolves the environment
         variable / default directory; a path uses that directory.  Only
-        dense tables are cached.
+        rectangle tables are cached.
     """
     if max_power < 1:
         raise ValidationError("max_power must be >= 1")
@@ -619,48 +601,47 @@ def build_sigma_table(
         raise ValidationError(f"quadrature nodes must be >= 1, got {nodes}")
     m_size = basis.mode_count
     profile = density.profile if isinstance(density, DensityPerturbation) else density
-
-    if is_coefficient_table(basis.domain, profile):
-        b = profile.bandwidth()  # sigma^j has harmonics 0..j*b
-        cosine = tuple(
-            _cosine_coeffs_of_factors([(profile, j)])[: j * b + 1] for j in range(max_power + 1)
-        )
-        return SigmaPowerTable(max_power, m_size, None, {"rule": "exact-cosine"}, cosine)
-
     meta = {"rule": "composite-gauss-legendre-32", "nodes": nodes or "auto"}
-    key = table_content_key(basis, profile, max_power, meta)
 
+    if isinstance(basis.domain, String1D):
+        if isinstance(profile, FourierCosine):
+            meta = {"rule": "exact-cosine"}
+        length = basis.domain.length
+        cosine = (np.ones(1),) + tuple(
+            _cosine_coeffs(m_size, length, [(profile, j)], nodes) for j in range(1, max_power + 1)
+        )
+        return SigmaPowerTable(max_power, m_size, None, meta, cosine)
+
+    if not isinstance(profile, Separable2D):
+        raise ValidationError("2D tables need a Separable2D profile")
+    key = table_content_key(basis, profile, max_power, meta)
     directory = resolve_cache_dir(cache_dir)
     if directory is not None:
         cached = _read_cache(_cache_path(directory, key), key, (max_power + 1, m_size, m_size))
         if cached is not None:
             return SigmaPowerTable(max_power, m_size, cached, dict(meta, cached=True))
 
-    entries = np.empty((max_power + 1, m_size, m_size))
+    entries = np.zeros((max_power + 1, m_size, m_size))
     entries[0] = np.eye(m_size)
-    if profile.is_zero:
-        entries[1:] = 0.0
-    elif isinstance(basis.domain, String1D):
-        for j in range(1, max_power + 1):
-            entries[j] = _elements_1d(m_size, basis.domain.length, [(profile, j)], nodes)
-    else:
-        if not isinstance(profile, Separable2D):
-            raise ValidationError("2D tables need a Separable2D profile")
-        modes = np.asarray(basis.mode_indices(), dtype=int)
-        ix = modes[:, 0] - 1
-        iy = modes[:, 1] - 1
-        jmax = int(modes[:, 0].max())
-        kmax = int(modes[:, 1].max())
-        terms = profile.terms
-        for j in range(1, max_power + 1):
-            entries[j] = 0.0
-            for alpha in _compositions(j, len(terms)):
-                coeff = float(_multinomial(j, alpha))
-                fx = [(terms[t][0], p) for t, p in enumerate(alpha) if p > 0]
-                fy = [(terms[t][1], p) for t, p in enumerate(alpha) if p > 0]
-                ax = _elements_1d(jmax, basis.domain.a, fx, nodes) if fx else np.eye(jmax)
-                ay = _elements_1d(kmax, basis.domain.b, fy, nodes) if fy else np.eye(kmax)
-                entries[j] += coeff * ax[np.ix_(ix, ix)] * ay[np.ix_(iy, iy)]
+    modes = np.asarray(basis.mode_indices(), dtype=int)
+    terms = profile.terms
+
+    def factor(side: int, length: float, alpha) -> np.ndarray:
+        """<j| prod_t p_t^alpha_t |j'> on one side, for that side's index of every mode pair."""
+        n_max = int(modes[:, side].max())
+        factors = [(terms[t][side], p) for t, p in enumerate(alpha) if p > 0]
+        one_d = np.eye(n_max) if not factors else _exact_cosine_elements(
+            n_max, _cosine_coeffs(n_max, length, factors, nodes)
+        )
+        index = modes[:, side] - 1
+        return one_d[np.ix_(index, index)]
+
+    for j in range(1, max_power + 1):
+        if profile.is_zero:  # every S_j, j >= 1, is zero; also covers an empty term list
+            break
+        for alpha in _compositions(j, len(terms)):
+            coeff = float(_multinomial(j, alpha))
+            entries[j] += coeff * factor(0, basis.domain.a, alpha) * factor(1, basis.domain.b, alpha)
 
     table = SigmaPowerTable(max_power, m_size, entries, meta)
     if directory is not None:

@@ -31,7 +31,6 @@ from .basis import (
     String1D,
     Tabulated,
     build_sigma_table,
-    is_coefficient_table,
 )
 from .errors import (
     ConfigError,
@@ -172,10 +171,11 @@ def _physical_memory() -> int | None:
 # closed form's band of a dense table measured 2.01).
 _ROUTE_MATRICES = {"closed": 3, "trace1": 10, "trace2": 13, "oracle": 4}
 _ROUTE_MATRICES["all"] = max(_ROUTE_MATRICES.values())
-# The closed form alone on a cosine string table never forms a matrix: its peak
-# is this many length-M float64 vectors per row of S_1's band, plus a fixed
-# number (tracemalloc at M=10^5, highest harmonics 0 to 60).
-_BAND_ROW_VECTORS, _BAND_VECTORS = 2, 9
+# The closed form alone on a string table never forms a matrix: its peak is
+# this many length-M float64 vectors per row of S_1's band, plus a fixed number
+# (tracemalloc: 9 for cosine profiles at M=10^5, highest harmonics 0 to 60; up
+# to 29 for a polynomial profile, whose band has all M rows, at M=800 to 3200).
+_BAND_ROW_VECTORS, _BAND_VECTORS = 2, 32
 
 
 def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
@@ -309,9 +309,10 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
             "spectrum": _ROUTE_MATRICES["oracle"],
         }.get(command, _ROUTE_MATRICES[route])
         need = (max(2, max_order) + 1 + work) * modes * modes * 8  # the table is J + 1 matrices
-        if command == "sumrule" and route == "closed" and is_coefficient_table(domain, profile):
-            rows = min(profile.bandwidth(), modes - 1) + 1  # of S_1's band
-            need = (_BAND_ROW_VECTORS * rows + _BAND_VECTORS) * modes * 8
+        if command == "sumrule" and route == "closed" and isinstance(domain, String1D):
+            # S_1's band: b + 1 rows for a cosine profile of highest harmonic b, else all M
+            width = profile.bandwidth() if isinstance(profile, FourierCosine) else modes - 1
+            need = (_BAND_ROW_VECTORS * (min(width, modes - 1) + 1) + _BAND_VECTORS) * modes * 8
         memory = _physical_memory()
         if memory is not None and need > memory:
             problems.append(
@@ -327,6 +328,8 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
         problems.append(f"spectrum takes one lambda; extra values {lam_list[1:]}")
     if command == "verify" and len(orders) > 1:
         problems.append(f"verify fits one order; extra orders {[o.label() for o in orders[1:]]}")
+    if command == "verify" and len(lam_list) < 3:
+        problems.append(f"verify needs at least 3 lambda values, got {len(lam_list)}")
     if basis is not None and profile is not None:
         for lam in lam_list:
             density = DensityPerturbation(profile, lam)
@@ -452,19 +455,17 @@ def cmd_coeffs(cfg: RunConfig, n_root: int, max_order: int) -> int:
 
 
 def cmd_verify(cfg: RunConfig, first_order_only: bool) -> int:
-    if len(cfg.lam_list) < 3:
-        raise ValidationError("verify needs at least 3 lambda values")
-    spec = cfg.orders[0]
+    table = build_sigma_table(
+        cfg.basis, cfg.profile, 2, nodes=cfg.quadrature_nodes, cache_dir=cfg.cache_dir
+    )
     fit = oracle.convergence_order_fit(
-        spec,
-        cfg.profile,
-        cfg.lam_list,
+        cfg.orders[0],
+        table,
         cfg.basis,
+        cfg.densities(),
         drop_second_order=first_order_only,
         top_discard=cfg.top_discard,
         diagonal_mode=cfg.diagonal_mode,
-        nodes=cfg.quadrature_nodes,
-        cache_dir=cfg.cache_dir,
     )
     sys.stdout.write("lambda,abs_error\n")
     for lam, err in fit.pairs:

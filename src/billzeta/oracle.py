@@ -249,28 +249,25 @@ class ConvergenceFit:
 
 def convergence_order_fit(
     order,
-    profile,
-    lam_list,
+    table: SigmaPowerTable,
     basis: ModeBasis,
+    densities: list[DensityPerturbation],
     *,
     drop_second_order: bool = False,
     top_discard: float = 0.25,
     diagonal_mode: str = TRUNCATED,
-    nodes: int | None = None,
-    cache_dir=False,
 ) -> ConvergenceFit:
     """Fit the lambda-scaling of the perturbative error against the oracle.
 
-    Points whose error sits below 10x the estimated numerical floor (tail and
-    rounding mismatch) are excluded and reported; at least three usable points
-    are required.  With drop_second_order=True the second-order term is left
+    The closed form and the oracle both run on ``table`` (max_power >= 2) for
+    every density, taken in ascending lambda.  Points whose error sits below
+    10x the estimated numerical floor (tail and rounding mismatch) are
+    excluded and reported; at least three usable points are required.  With drop_second_order=True the second-order term is left
     out, so the fitted slope should drop to about two (harness self-check).
     """
-    lams = [float(v) for v in lam_list]
-    if len(lams) < 3:
+    if len(densities) < 3:
         raise InsufficientDataError("need at least 3 lambda values")
-    table = build_sigma_table(basis, profile, 2, nodes=nodes, cache_dir=cache_dir)
-    densities = [DensityPerturbation(profile, lam) for lam in sorted(lams)]
+    densities = sorted(densities, key=lambda d: d.lam)
     perts = z_closed_form([order], table, basis, densities, diagonal_mode=diagonal_mode)
     directs = oracle_sum_rule([order], table, basis, densities, top_discard=top_discard)
     points = []

@@ -364,16 +364,15 @@ def _closed_form_order(s, label, weighted_sq, diag, coupled, basis, densities,
     return results
 
 
-def _completeness_deficit(table: SigmaPowerTable, eps: np.ndarray, s: float) -> float:
-    """sum_n (S_2[n,n] - sum_{m<=M} S_1[n,m]^2) eps_n^{-s}.
+def _completeness_deficit(table: SigmaPowerTable) -> np.ndarray:
+    """S_2[n,n] - sum_{m<=M} S_1[n,m]^2 for each n; free of s.
 
-    The exact finite-basis deficit between the pre-split trace expression and
-    the completeness-split closed form (the couplings to modes beyond the
-    truncation that the traces cannot see).
+    Weighted by eps_n^{-s} and summed, the exact finite-basis deficit between
+    the pre-split trace expression and the completeness-split closed form
+    (the couplings to modes beyond the truncation that the traces cannot see).
     """
     s1 = table.power(1)
-    deficit = np.diag(table.power(2)) - np.sum(s1 * s1, axis=1)
-    return float(np.sum(deficit * eps ** (-s)))
+    return np.diag(table.power(2)) - np.sum(s1 * s1, axis=1)
 
 
 def _series_traces(a, b) -> tuple[float, float, float]:
@@ -406,19 +405,23 @@ def z_via_trace(
     # q[1/1] is Q itself: 1 + 1/N traces the series pair (1, N), 1/N + 1/N' the pair (N, N')
     pairs = [(1, o.n_root) if o.kind == "one_plus_inv" else (o.n_root, o.n_root2) for o in specs]
     q_sets = {1: big_q}
-    results = []
-    for i, (spec, pair) in enumerate(zip(specs, pairs)):
+    traces = []
+    for i, pair in enumerate(pairs):
         for n in pair:
             if n not in q_sets:
                 q_sets[n] = q_generic_recursion(n, big_q, basis).q_orders
-        t0, t1, t2 = _series_traces(q_sets[pair[0]], q_sets[pair[1]])
+        traces.append(_series_traces(q_sets[pair[0]], q_sets[pair[1]]))
         for n in set(pair).difference(*pairs[i + 1:]):
             del q_sets[n]  # no later order uses this set
+    del big_q
+    deficit = _completeness_deficit(table)  # free of s, so formed once, after the q sets
+    results = []
+    for spec, (t0, t1, t2) in zip(specs, traces):
         route = ROUTE_TRACE_1P if spec.kind == "one_plus_inv" else ROUTE_TRACE_INV
         s = spec.s
         tail = tail_estimate(basis, s, m)
         z0 = t0 + tail
-        c2 = t2 + 0.25 * s * _completeness_deficit(table, eps, s)
+        c2 = t2 + 0.25 * s * float(np.sum(deficit * eps ** (-s)))
         results += [
             SumRuleResult(
                 s=s, lam=d.lam, z0=z0, z1=d.lam * t1, z2=d.lam * d.lam * c2,

@@ -178,8 +178,10 @@ def test_criterion_6_lambda_cubed_scaling():
     basis = ModeBasis(String1D(1.0), 400)
     lams = [0.02, 0.04, 0.08, 0.16]
     spec = RationalOrderSpec.parse("3/2")
-    fit = convergence_order_fit(spec, COS2, lams, basis)
-    fit_first = convergence_order_fit(spec, COS2, lams, basis, drop_second_order=True)
+    table = build_sigma_table(basis, COS2, 2)
+    densities = [DensityPerturbation(COS2, lam) for lam in lams]
+    fit = convergence_order_fit(spec, table, basis, densities)
+    fit_first = convergence_order_fit(spec, table, basis, densities, drop_second_order=True)
     elapsed = time.time() - start
     ok = fit.slope >= 2.7 and 1.8 <= fit_first.slope <= 2.2
     report(6, "O(lambda^3) error scaling of the second-order sum rule", ok,

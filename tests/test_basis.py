@@ -15,10 +15,10 @@ from billzeta.basis import (
     String1D,
     Tabulated,
     _cache_path,
-    _cosine_coeffs_of_factors,
+    _cosine_coeffs,
     _enumerate_rectangle_modes,
     _exact_cosine_elements,
-    _quad_elements_1d,
+    _quad_cosine_coeffs,
     _read_cache,
     _write_cache,
     build_sigma_table,
@@ -26,7 +26,9 @@ from billzeta.basis import (
 from billzeta.errors import QuadratureError, ValidationError
 
 COS2 = FourierCosine((0.0, 0.0, 1.0))  # sigma(x) = cos(2 pi x / L)
-POLY = Polynomial((0.0, 4.0, -4.0))  # a dense (quadrature) table, the kind the cache holds
+POLY = Polynomial((0.0, 4.0, -4.0))  # a quadrature profile
+SEP = Separable2D(((POLY, COS2),))  # a rectangle table: dense, the only kind the cache holds
+RECT = Rectangle2D(1.0, 1.0)
 
 
 def analytic_cos2_element(n, m):
@@ -123,20 +125,36 @@ def test_table_symmetry_exact():
 def test_quadrature_matches_selection_rules():
     # quadrature path against the exact cosine algebra
     exact = build_sigma_table(ModeBasis(String1D(1.0), 10), COS2, 2).power(1)
-    quad = _quad_elements_1d(10, 1.0, [(COS2, 1)], None)
+    quad = _exact_cosine_elements(10, _quad_cosine_coeffs(10, 1.0, [(COS2, 1)], None))
     assert np.max(np.abs(quad - exact)) < 1e-12
 
 
 def test_quadrature_orthonormality():
     one = Polynomial((1.0,))
-    s0 = _quad_elements_1d(14, 1.0, [(one, 1)], None)
+    s0 = _exact_cosine_elements(14, _quad_cosine_coeffs(14, 1.0, [(one, 1)], None))
     assert np.max(np.abs(s0 - np.eye(14))) < 1e-12
 
 
 def test_quadrature_insufficient_nodes_reported():
     bumpy = FourierCosine(tuple([0.0] * 40 + [1.0]))  # cos(40 pi x)
     with pytest.raises(QuadratureError):
-        _quad_elements_1d(40, 1.0, [(bumpy, 2)], nodes=64)
+        _quad_cosine_coeffs(40, 1.0, [(bumpy, 2)], nodes=64)
+    # the CLI's case: sigma = x at M = 64 on 48 nodes
+    with pytest.raises(QuadratureError):
+        _quad_cosine_coeffs(64, 1.0, [(Polynomial((0.0, 1.0)), 1)], nodes=48)
+
+
+def test_linear_profile_matches_analytic_elements():
+    # <n|x|m> = 2 int_0^1 x sin(n pi x) sin(m pi x) dx
+    m = 60
+    n = np.arange(1, m + 1)
+    nn, mm = np.meshgrid(n, n, indexing="ij")
+    with np.errstate(divide="ignore"):
+        odd = -8.0 * nn * mm / (math.pi**2 * (nn**2 - mm**2) ** 2.0)
+    expected = np.where((nn + mm) % 2 == 1, odd, 0.0)
+    np.fill_diagonal(expected, 0.5)
+    table = build_sigma_table(ModeBasis(String1D(1.0), m), Polynomial((0.0, 1.0)), 1)
+    assert np.max(np.abs(table.power(1) - expected)) < 1e-13
 
 
 def test_power_consistency_monotone():
@@ -189,18 +207,18 @@ def test_2d_sum_profile_table():
 
 
 def test_cache_roundtrip_and_corruption(tmp_path):
-    basis = ModeBasis(String1D(1.0), 6)
-    table = build_sigma_table(basis, POLY, 2, cache_dir=tmp_path)
+    basis = ModeBasis(RECT, 6)
+    table = build_sigma_table(basis, SEP, 2, cache_dir=tmp_path)
     files = list(tmp_path.glob("sigma-*.bzt"))
     assert len(files) == 1
-    again = build_sigma_table(basis, POLY, 2, cache_dir=tmp_path)
+    again = build_sigma_table(basis, SEP, 2, cache_dir=tmp_path)
     assert again.quadrature_meta.get("cached") is True
     assert np.array_equal(table.entries, again.entries)
     # corrupt the payload: loader must detect the checksum mismatch and recompute
     blob = bytearray(files[0].read_bytes())
     blob[-5] ^= 0xFF
     files[0].write_bytes(bytes(blob))
-    repaired = build_sigma_table(basis, POLY, 2, cache_dir=tmp_path)
+    repaired = build_sigma_table(basis, SEP, 2, cache_dir=tmp_path)
     assert repaired.quadrature_meta.get("cached") is None
     assert np.array_equal(repaired.entries, table.entries)
 
@@ -210,8 +228,8 @@ def test_concurrent_cache_writers_do_not_collide(tmp_path, monkeypatch):
     # temp-file write and its rename
     import billzeta.basis as basis_module
 
-    basis = ModeBasis(String1D(1.0), 6)
-    table = build_sigma_table(basis, POLY, 2)
+    basis = ModeBasis(RECT, 6)
+    table = build_sigma_table(basis, SEP, 2)
     key = "ab" * 32
     path = _cache_path(tmp_path, key)
     real_replace = basis_module.os.replace
@@ -241,10 +259,35 @@ def test_cosine_table_writes_no_cache_file(tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("profile", [POLY, Tabulated((0.0, 0.4, 1.0), (0.0, 0.3, -0.2))])
+def test_string_quadrature_tables_are_coefficients_and_write_no_cache_file(tmp_path, profile):
+    basis = ModeBasis(String1D(1.0), 12)
+    for _ in range(2):
+        table = build_sigma_table(basis, profile, 2, cache_dir=tmp_path)
+        assert table.entries is None and len(table.cosine[2]) == 2 * 12 + 1
+        assert table.quadrature_meta.get("cached") is None
+    assert not any(tmp_path.iterdir())
+
+
+def test_string_quadrature_build_peaks_below_the_counted_table():
+    # the memory pre-check counts a table as J + 1 dense matrices
+    import tracemalloc
+
+    m, max_power = 400, 2
+    tracemalloc.start()
+    try:
+        table = build_sigma_table(ModeBasis(String1D(1.0), m), POLY, max_power)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.entries is None
+    assert peak < (max_power + 1) * m * m * 8
+
+
 def test_cache_read_holds_one_copy_of_the_table(tmp_path):
     import tracemalloc
 
-    table = build_sigma_table(ModeBasis(String1D(1.0), 160), POLY, 2)
+    table = build_sigma_table(ModeBasis(RECT, 160), SEP, 2)
     key = "ef" * 32
     path = _cache_path(tmp_path, key)
     _write_cache(path, key, table.entries)
@@ -257,6 +300,40 @@ def test_cache_read_holds_one_copy_of_the_table(tmp_path):
     assert np.array_equal(loaded, table.entries)
     loaded[0, 0, 0] = 2.0  # a writable array, like a freshly built table
     assert peak < 1.5 * table.entries.nbytes
+
+
+def product_to_sum(a, b):
+    # cos p t * cos q t = (cos (p+q) t + cos |p-q| t) / 2, term by term
+    out = np.zeros(len(a) + len(b) - 1)
+    for p, ca in enumerate(a):
+        for q, cb in enumerate(b):
+            out[p + q] += 0.5 * ca * cb
+            out[abs(p - q)] += 0.5 * ca * cb
+    return out
+
+
+def test_cosine_coeffs_match_product_to_sum_reference():
+    rng = np.random.default_rng(7)
+    profiles = [(0.0, 0.0, 1.0), (0.1, -0.3, 0.2, 0.0, 0.05)]
+    profiles += [tuple(rng.uniform(-1, 1, size)) for size in (1, 2, 4, 9)]
+    for coeffs in profiles:
+        a, b = FourierCosine(coeffs), FourierCosine(coeffs[::-1])
+        for j, k in ((1, 0), (2, 0), (3, 0), (1, 1), (2, 3)):
+            expected = np.ones(1)
+            for _ in range(j):
+                expected = product_to_sum(expected, coeffs)
+            for _ in range(k):
+                expected = product_to_sum(expected, coeffs[::-1])
+            got = _cosine_coeffs(50, 1.0, [(a, j), (b, k)])
+            scale = np.sum(np.abs(expected))
+            assert len(got) == len(np.trim_zeros(expected, "b"))
+            assert np.max(np.abs(got - expected[: len(got)])) <= 16 * np.finfo(float).eps * scale
+    # the reference profile's powers are exact
+    for j in range(1, 5):
+        expected = np.ones(1)
+        for _ in range(j):
+            expected = product_to_sum(expected, (0.0, 0.0, 1.0))
+        assert np.array_equal(_cosine_coeffs(10, 1.0, [(COS2, j)]), expected)
 
 
 @pytest.mark.parametrize("coeffs, m", [
@@ -273,7 +350,7 @@ def test_cosine_table_powers_and_bands_are_exact(coeffs, m):
     b = profile.bandwidth()
     for j in range(4):
         dense = table.power(j)
-        expected = _exact_cosine_elements(m, _cosine_coeffs_of_factors([(profile, j)]))
+        expected = _exact_cosine_elements(m, _cosine_coeffs(m, 1.0, [(profile, j)]))
         assert dense.tobytes() == expected.tobytes()  # bit for bit, signed zeros included
         assert table.power(j) is dense  # built once
         band = table.band(j)
@@ -287,7 +364,7 @@ def test_cosine_table_powers_and_bands_are_exact(coeffs, m):
 
 
 def test_dense_table_band_copies_every_diagonal():
-    table = build_sigma_table(ModeBasis(String1D(1.0), 7), POLY, 2)
+    table = build_sigma_table(ModeBasis(RECT, 7), SEP, 2)
     band = table.band(2)
     assert band.shape == (7, 7)
     for d in range(7):
@@ -320,8 +397,8 @@ def test_2d_sigma_sup_adds_per_term_factor_sups():
 
 
 def test_cache_file_layout(tmp_path):
-    basis = ModeBasis(String1D(1.0), 5)
-    table = build_sigma_table(basis, POLY, 2)
+    basis = ModeBasis(RECT, 5)
+    table = build_sigma_table(basis, SEP, 2)
     key = "cd" * 32
     path = _cache_path(tmp_path, key)
     _write_cache(path, key, table.entries)

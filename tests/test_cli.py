@@ -37,8 +37,15 @@ def write_config(tmp_path, **overrides):
     return path
 
 
-# a quadrature (dense) table: the only kind the cache holds
-POLY_DENSITY = {"profile": {"type": "polynomial", "coeffs": [0.0, 1.0, -1.0]}, "lambda": 0.1}
+# a rectangle table: dense, the only kind the cache holds
+RECT_BASIS = {"kind": "rectangle", "a": 1.0, "b": 1.0}
+RECT_DENSITY = {
+    "profile": {"type": "separable", "terms": [{
+        "x": {"type": "polynomial", "coeffs": [0.0, 1.0, -1.0]},
+        "y": {"type": "fourier-cosine", "coeffs": [0.0, 0.0, 1.0]},
+    }]},
+    "lambda": 0.1,
+}
 
 
 def read_csv(path):
@@ -210,7 +217,8 @@ def test_cache_dir_env_honored(tmp_path, monkeypatch):
     cache = tmp_path / "cachehere"
     monkeypatch.setenv("BILLZETA_CACHE_DIR", str(cache))
     monkeypatch.chdir(tmp_path)
-    cfg = write_config(tmp_path, cache_dir=None, route="closed", density=POLY_DENSITY)
+    cfg = write_config(tmp_path, cache_dir=None, route="closed", basis=RECT_BASIS,
+                       density=RECT_DENSITY)
     assert main(["sumrule", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == EXIT_OK
     assert list(cache.glob("sigma-*.bzt"))
 
@@ -218,7 +226,7 @@ def test_cache_dir_env_honored(tmp_path, monkeypatch):
 def test_cache_dir_flag_overrides_env(tmp_path, monkeypatch):
     monkeypatch.setenv("BILLZETA_CACHE_DIR", str(tmp_path / "envcache"))
     flag_cache = tmp_path / "flagcache"
-    cfg = write_config(tmp_path, route="closed", density=POLY_DENSITY)
+    cfg = write_config(tmp_path, route="closed", basis=RECT_BASIS, density=RECT_DENSITY)
     rc = main(
         ["sumrule", "--config", str(cfg), "--cache-dir", str(flag_cache),
          "--out", str(tmp_path / "r.csv")]
@@ -332,13 +340,30 @@ def test_working_set_counted_before_allocating(tmp_path, monkeypatch, capsys):
         raise AssertionError("build_sigma_table called")
 
     m = 100
-    # the dense 3-matrix table fits; table plus the closed form's working set does not
+    # the dense 3-matrix table fits; table plus the oracle's working set does not
     monkeypatch.setattr(cli, "_physical_memory", lambda: 4 * m * m * 8)
     monkeypatch.setattr(cli, "build_sigma_table", never)
-    cfg = write_config(tmp_path, density=POLY_DENSITY)
-    rc = main(["sumrule", "--config", str(cfg), "--modes", str(m), "--route", "closed"])
+    cfg = write_config(tmp_path)
+    rc = main(["sumrule", "--config", str(cfg), "--modes", str(m), "--route", "oracle"])
     assert rc == EXIT_VALIDATION
     assert any(p.startswith("truncation.modes") for p in problems_on_stderr(capsys))
+
+
+def test_string_closed_form_counts_the_band_for_every_profile(tmp_path, monkeypatch):
+    # a polynomial string table is cosine coefficients too: the closed form holds
+    # about 2 M^2 doubles of band, not a dense 3-matrix table plus its working set
+    from billzeta import cli
+
+    m = 100
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 3 * m * m * 8)
+    cfg = write_config(tmp_path, density={
+        "profile": {"type": "polynomial", "coeffs": [0.0, 1.0, -1.0]}, "lambda": 0.1,
+    })
+    out = tmp_path / "r.csv"
+    rc = main(["sumrule", "--config", str(cfg), "--modes", str(m), "--route", "closed",
+               "--out", str(out)])
+    assert rc == EXIT_OK
+    assert len(read_csv(out)) == 1
 
 
 def test_banded_closed_form_runs_at_large_modes(tmp_path):
@@ -391,6 +416,20 @@ def test_verify_rejects_extra_orders(tmp_path, capsys):
     rc = main(["verify", "--s", "3/2", "--s", "1+1/4", "--lambda", "0.04,0.08,0.16", "--modes", "40"])
     assert rc == EXIT_VALIDATION
     assert any("1+1/4" in p for p in problems_on_stderr(capsys))
+
+
+def test_verify_too_few_lambdas_listed_with_other_problems(tmp_path, monkeypatch, capsys):
+    from billzeta import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("build_sigma_table called")
+
+    monkeypatch.setattr(cli, "build_sigma_table", never)
+    rc = main(["verify", "--s", "3/2", "--s", "1+1/4", "--lambda", "0.04,0.08", "--modes", "40"])
+    assert rc == EXIT_VALIDATION
+    problems = problems_on_stderr(capsys)
+    assert any("at least 3 lambda" in p for p in problems)
+    assert any("1+1/4" in p for p in problems)
 
 
 @pytest.mark.parametrize("route", ["closed", "oracle"])

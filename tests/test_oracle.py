@@ -228,17 +228,19 @@ def test_oracle_sum_rule_record():
 
 def test_convergence_fit_insufficient_points():
     basis = ModeBasis(String1D(1.0), 40)
+    table = build_sigma_table(basis, COS2, 2)
+    densities = [DensityPerturbation(COS2, lam) for lam in (0.1, 0.2)]
     with pytest.raises(InsufficientDataError):
-        convergence_order_fit(RationalOrderSpec.parse("3/2"), COS2, [0.1, 0.2], basis)
+        convergence_order_fit(RationalOrderSpec.parse("3/2"), table, basis, densities)
 
 
 def test_convergence_fit_first_order_slope_two():
     basis = ModeBasis(String1D(1.0), 120)
     fit = convergence_order_fit(
         RationalOrderSpec.parse("3/2"),
-        COS2,
-        [0.04, 0.08, 0.16],
+        build_sigma_table(basis, COS2, 2),
         basis,
+        [DensityPerturbation(COS2, lam) for lam in (0.04, 0.08, 0.16)],
         drop_second_order=True,
     )
     assert 1.8 < fit.slope < 2.2
