@@ -20,9 +20,11 @@ from .basis import (
 )
 from .coefficients import (
     GreenCoefficientSet,
+    Q_trace_terms,
     build_Q_series,
     q_closed_form,
     q_generic_recursion,
+    trace_terms,
     verify_convolution,
 )
 from .errors import (
@@ -66,6 +68,7 @@ __all__ = [
     "NumericalError",
     "Polynomial",
     "QuadratureError",
+    "Q_trace_terms",
     "RationalOrderSpec",
     "Rectangle2D",
     "Separable2D",
@@ -86,6 +89,7 @@ __all__ = [
     "q_generic_recursion",
     "solve_spectrum",
     "tail_estimate",
+    "trace_terms",
     "verify_convolution",
     "xi",
     "z_closed_form",

@@ -444,18 +444,32 @@ class SigmaPowerTable:
         """
         self._check(j)
         m = self.size
-        width = m - 1 if self.cosine is None else min(len(self.cosine[j]) - 1, m - 1)
-        out = np.zeros((width + 1, m))
         if self.cosine is None:
-            for d in range(width + 1):
-                out[d, : m - d] = np.diagonal(self.entries[j], d)
-            return out
+            # one strided copy: row n starts at S_j[n, n], so its first m - n entries are
+            # band column n and the rest run into row n + 1, where they are zeroed
+            s = np.ascontiguousarray(self.entries[j])
+            step = s.itemsize
+            cols = np.empty((m, m))
+            cols[: m - 1] = np.lib.stride_tricks.as_strided(s, (m - 1, m), ((m + 1) * step, step))
+            cols[m - 1, 0] = s[m - 1, m - 1]
+            np.copyto(cols[:, ::-1], 0.0, where=np.tri(m, k=-1, dtype=bool))
+            return cols.T
+        width = min(len(self.cosine[j]) - 1, m - 1)
+        out = np.zeros((width + 1, m))
         # the selection rule of _exact_cosine_elements, one diagonal at a time
         c = _padded_cosine(self.cosine[j], m)
         for d in range(1, width + 1):
             out[d, : m - d] = 0.5 * (c[d] - c[d + 2 : 2 * m - d + 1 : 2])
-        out[0] = c[0] - 0.5 * c[2::2]
+        out[0] = self.diagonal(j)
         return out
+
+    def diagonal(self, j: int) -> np.ndarray:
+        """S_j[n, n], without forming S_j on the string (a read-only view on the rectangle)."""
+        self._check(j)
+        if self.cosine is None:
+            return np.diagonal(self.entries[j])
+        c = _padded_cosine(self.cosine[j], self.size)
+        return c[0] - 0.5 * c[2::2]
 
 
 def _profile_token(profile: Profile) -> str:

@@ -168,8 +168,11 @@ def _physical_memory() -> int | None:
 
 # Peak dense M x M float64 matrices each route holds besides the sigma table,
 # from tracemalloc at M=800 (the oracle's adds LAPACK's untraced copy; the
-# closed form's band of a dense table measured 2.01).
-_ROUTE_MATRICES = {"closed": 3, "trace1": 10, "trace2": 13, "oracle": 4}
+# closed form's band of a dense table measured 2.01).  The trace routes hold
+# Q^(1), each live q^(1) and one temporary: trace1 measured 3.04-3.25 in 2D
+# and 4.04-4.25 on the string, which also builds a dense S_1; trace2 5.04 for
+# one order and 6.04 for three orders sharing no q set.
+_ROUTE_MATRICES = {"closed": 3, "trace1": 5, "trace2": 7, "oracle": 4}
 _ROUTE_MATRICES["all"] = max(_ROUTE_MATRICES.values())
 # The closed form alone on a string table never forms a matrix: its peak is
 # this many length-M float64 vectors per row of S_1's band, plus a fixed number

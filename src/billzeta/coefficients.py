@@ -6,6 +6,12 @@ N-fold matrix convolution of sum_k q^(k) lambda^k reproduces sum_k Q^(k) lambda^
 order by order.  Both a generic per-order recursion and the explicit closed
 forms (orders <= 2, any N) are provided; they agree to rounding on the same
 truncation, which the tests exploit.
+
+The trace routes need less: q^(0) is diagonal, so the lambda^2 trace reads the
+full order-1 matrices but only the diagonal of each order-2 one.
+Q_trace_terms and trace_terms give exactly that, (q^(0), q^(1), diag q^(2)),
+in O(N M^2) per root order with no M x M matrix product; the dense series
+above remain the general-order reference.
 """
 
 from __future__ import annotations
@@ -44,7 +50,10 @@ class GreenCoefficientSet:
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+    """Symmetric part (a + a^T)/2, formed in place: a must be a fresh temporary."""
+    a += a.T
+    a *= 0.5
+    return a
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -154,6 +163,60 @@ def q_generic_recursion(n_root: int, big_q, basis: ModeBasis) -> GreenCoefficien
         q_orders.append(_sym((big_q[k] - lower) / eta))
     q_orders[0] = np.diag(q_orders[0])
     return GreenCoefficientSet(n, max_order, m, tuple(q_orders), tuple(big_q))
+
+
+def Q_trace_terms(table: SigmaPowerTable, basis: ModeBasis) -> tuple:
+    """What the lambda^2 trace reads of Q: (Q^(0) as a vector, Q^(1), diag Q^(2)).
+
+    Q^(0) is diagonal, so tr(A_0 B_2) needs only diag B_2, and
+    diag Q^(2) = 2 b_2 S_2[n,n]/eps_n + b_1^2 sum_r S_1[n,r]^2/eps_r needs only
+    the diagonal of S_2.  Also returns sum_r S_1[n,r]^2, from the same S_1∘S_1,
+    for the trace route's completeness deficit.
+    """
+    if table.max_power < 2:
+        raise ValidationError(f"order 2 exceeds table max_power {table.max_power}")
+    b1, b2 = half_binomial(1), half_binomial(2)
+    inv = 1.0 / basis.eigenvalues()[: table.size]
+    s1 = table.power(1)
+    half = b1 * s1
+    q1 = half * inv
+    q1 += inv[:, None] * half
+    del half
+    sq = s1 * s1
+    q2_diag = 2.0 * b2 * table.diagonal(2) * inv + b1 * b1 * (sq @ inv)
+    return (inv, _sym(q1), q2_diag), np.sum(sq, axis=1)
+
+
+def _xi_rowsums(n_root: int, eps: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_r x[n,r] W[n,r] with W[n,r] = xi(N; eps_n, eps_r, eps_n).
+
+    W = sum_{b=0}^{N-2} (N-1-b) u_n^{N-2-b} u_r^b with u = eps^{-1/N}, so the
+    row sums are one product of x with the N - 1 powers u^b: O(N M^2), and W
+    itself is never formed.
+    """
+    b = np.arange(n_root - 1)
+    powers = np.exp(np.outer(-b / n_root, np.log(eps)))  # powers[b] = u^b
+    weights = (n_root - 1 - b)[:, None] * powers[::-1]  # (N-1-b) u^(N-2-b)
+    return np.einsum("nb,bn->n", x @ powers.T, weights)
+
+
+def trace_terms(n_root: int, big_q, basis: ModeBasis) -> tuple:
+    """(q^(0) as a vector, q^(1), diag q^(2)) of the order-1/N root of big_q.
+
+    big_q is Q_trace_terms' triple; N = 1 gives back Q's terms.  The
+    lambda^2 term of the N-fold product (q^(0) + q^(1) lambda)^N has the
+    diagonal sum_r q^(1)[n,r]^2 xi(N; eps_n, eps_r, eps_n), so
+    diag q^(2) = (diag Q^(2) - that) / eta(N; eps_n, eps_n).  O(N M^2) with no
+    M x M matrix product and no order-2 matrix.
+    """
+    n = validate_root_order(n_root)
+    q0, big_q1, big_q2_diag = big_q
+    eps = basis.eigenvalues()[: len(q0)]
+    eta = eta_matrix(n, eps)
+    eta_diag = np.diagonal(eta).copy()
+    q1 = _sym(np.divide(big_q1, eta, out=eta))
+    q2_diag = (big_q2_diag - _xi_rowsums(n, eps, q1 * q1)) / eta_diag
+    return eps ** (-1.0 / n), q1, q2_diag
 
 
 def verify_convolution(

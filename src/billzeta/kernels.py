@@ -52,7 +52,7 @@ def eta(n_root: int, eps_n, eps_m):
     b = np.asarray(eps_m, dtype=float)
     total = np.zeros(np.broadcast(a, b).shape)
     for j in range(n):
-        total = total + _frac_power(a, -(n - 1 - j) / n) * _frac_power(b, -j / n)
+        total += _frac_power(a, -(n - 1 - j) / n) * _frac_power(b, -j / n)
     return total if total.shape else float(total)
 
 

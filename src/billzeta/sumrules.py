@@ -10,8 +10,11 @@ The trace routes reproduce the pre-split second-order expression exactly at
 finite truncation; converting to the completeness-split closed form leaves the
 computable deficit sum_n (S_2[n,n] - sum_m S_1[n,m]^2) eps_n^{-s}, which the
 trace routes add back so all routes are limited by rounding, not by the basis
-cutoff.  Mode sums rely on numpy's pairwise reduction; the order-0 tail is a
-smooth-counting (Weyl) estimate appended to z0 only.
+cutoff.  Both trace series start from a diagonal order 0, so a trace route
+needs each series' order-1 matrix and only the diagonal of its order 2:
+O(N M^2) per root order N, with no M x M matrix product.  Mode sums rely on
+numpy's pairwise reduction; the order-0 tail is a smooth-counting (Weyl)
+estimate appended to z0 only.
 
 Every route has the form Z(s; lam) = z0 + lam c1 + lam^2 c2 with lambda-free
 c1, c2, so each takes sequences of orders and densities, forms its sums once
@@ -27,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .basis import DensityPerturbation, ModeBasis, SigmaPowerTable
-from .coefficients import build_Q_series, q_generic_recursion
+from .coefficients import Q_trace_terms, trace_terms
 from .errors import ValidationError
 from .kernels import MAX_ROOT_ORDER, validate_root_order
 
@@ -364,21 +367,17 @@ def _closed_form_order(s, label, weighted_sq, diag, coupled, basis, densities,
     return results
 
 
-def _completeness_deficit(table: SigmaPowerTable) -> np.ndarray:
-    """S_2[n,n] - sum_{m<=M} S_1[n,m]^2 for each n; free of s.
-
-    Weighted by eps_n^{-s} and summed, the exact finite-basis deficit between
-    the pre-split trace expression and the completeness-split closed form
-    (the couplings to modes beyond the truncation that the traces cannot see).
-    """
-    s1 = table.power(1)
-    return np.diag(table.power(2)) - np.sum(s1 * s1, axis=1)
-
-
 def _series_traces(a, b) -> tuple[float, float, float]:
-    """Orders 0..2 of tr(A B) = sum(A * B) for two series of symmetric matrices."""
-    t = {(i, j): float(np.sum(a[i] * b[j])) for i in range(3) for j in range(3 - i)}
-    return t[0, 0], t[0, 1] + t[1, 0], t[1, 1] + t[2, 0] + t[0, 2]
+    """Orders 0..2 of tr(A B) for two (order-0 diagonal, order-1 matrix, order-2 diagonal) triples.
+
+    Both series start from a diagonal order 0, so the lambda^2 term
+    tr(A_1 B_1) + tr(A_2 B_0) + tr(A_0 B_2) reads only the diagonals of A_2 and B_2.
+    """
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    t0 = float(np.sum(a0 * b0))
+    t1 = float(np.sum(a0 * np.diagonal(b1))) + float(np.sum(np.diagonal(a1) * b0))
+    t2 = float(np.vdot(a1, b1)) + float(np.sum(a2 * b0)) + float(np.sum(a0 * b2))
+    return t0, t1, t2
 
 
 def z_via_trace(
@@ -392,8 +391,10 @@ def z_via_trace(
     s = 1 + 1/N traces Q q[1/N]; s = 1/N + 1/N' traces q[1/N] q[1/N'] (1D
     only: s <= 1 diverges in two dimensions).  The lambda^2 term carries the
     completeness-deficit compensation, after which the route matches the
-    closed form to rounding on the same table.  The Q series is built once,
-    each q set once per root order N, released after the last order using it.
+    closed form to rounding on the same table.  Each series enters only as
+    (order-0 diagonal, order-1 matrix, order-2 diagonal): the Q terms are
+    formed once and each q set once per root order N, in O(N M^2) with no
+    M x M matrix product, and released after the last order using it.
     """
     specs = list(specs)
     _resolve_route_inputs(specs, basis, densities)
@@ -401,7 +402,10 @@ def z_via_trace(
         raise ValidationError("trace route needs a table with max_power >= 2")
     m = table.size
     eps = basis.eigenvalues()[:m]
-    big_q = build_Q_series(2, table, basis)
+    big_q, s1_row_sq = Q_trace_terms(table, basis)
+    # S_2[n,n] - sum_{m<=M} S_1[n,m]^2, free of s: weighted by eps^{-s}, the finite-basis
+    # deficit between the pre-split trace and the completeness-split closed form
+    deficit = table.diagonal(2) - s1_row_sq
     # q[1/1] is Q itself: 1 + 1/N traces the series pair (1, N), 1/N + 1/N' the pair (N, N')
     pairs = [(1, o.n_root) if o.kind == "one_plus_inv" else (o.n_root, o.n_root2) for o in specs]
     q_sets = {1: big_q}
@@ -409,12 +413,11 @@ def z_via_trace(
     for i, pair in enumerate(pairs):
         for n in pair:
             if n not in q_sets:
-                q_sets[n] = q_generic_recursion(n, big_q, basis).q_orders
+                q_sets[n] = trace_terms(n, big_q, basis)
         traces.append(_series_traces(q_sets[pair[0]], q_sets[pair[1]]))
         for n in set(pair).difference(*pairs[i + 1:]):
             del q_sets[n]  # no later order uses this set
     del big_q
-    deficit = _completeness_deficit(table)  # free of s, so formed once, after the q sets
     results = []
     for spec, (t0, t1, t2) in zip(specs, traces):
         route = ROUTE_TRACE_1P if spec.kind == "one_plus_inv" else ROUTE_TRACE_INV

@@ -370,6 +370,31 @@ def test_dense_table_band_copies_every_diagonal():
     for d in range(7):
         assert np.array_equal(band[d, : 7 - d], np.diagonal(table.power(2), d))
         assert np.all(band[d, 7 - d :] == 0.0)
+    # every power, the last matrix of the entries included, and the smallest sizes
+    for m in (1, 2, 7, 40):
+        table = build_sigma_table(ModeBasis(RECT, m), SEP, 2, cache_dir=False)
+        for j in range(3):
+            expected = np.zeros((m, m))  # +0.0 past the end of each diagonal
+            for d in range(m):
+                expected[d, : m - d] = np.diagonal(table.power(j), d)
+            assert np.ascontiguousarray(table.band(j)).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("profile", [COS2, POLY], ids=["cosine", "polynomial"])
+def test_string_diagonal_is_read_without_a_dense_power(profile):
+    table = build_sigma_table(ModeBasis(String1D(1.0), 30), profile, 2)
+    diagonals = [table.diagonal(j) for j in range(3)]
+    assert table._dense == {}  # no dense S_j was formed
+    for j, diag in enumerate(diagonals):
+        assert diag.tobytes() == np.diagonal(table.power(j)).tobytes()
+        assert diag.tobytes() == table.band(j)[0].tobytes()
+
+
+def test_rectangle_diagonal_is_a_view_of_the_entries():
+    table = build_sigma_table(ModeBasis(RECT, 9), SEP, 2, cache_dir=False)
+    for j in range(3):
+        assert np.shares_memory(table.diagonal(j), table.entries[j])
+        assert np.array_equal(table.diagonal(j), np.diagonal(table.power(j)))
 
 
 def test_density_bound_validation():

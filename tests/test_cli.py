@@ -477,30 +477,55 @@ def test_memory_error_exits_3_without_traceback(tmp_path, monkeypatch, capsys):
 def test_sumrule_sweep_forms_each_invariant_once(tmp_path, monkeypatch):
     from billzeta import coefficients, oracle, sumrules
 
-    calls = {"kernel_band": 0, "q_generic_recursion": 0, "build_Q_series": 0, "solve_spectrum": 0}
+    calls = {
+        "kernel_band": 0, "Q_trace_terms": 0, "trace_terms": [], "solve_spectrum": 0,
+        "build_Q_series": 0, "q_generic_recursion": 0,
+    }
 
     def counted(fn):
         def wrapper(*args, **kwargs):
-            calls[fn.__name__] += 1
+            if fn.__name__ == "trace_terms":
+                calls["trace_terms"].append(args[0])
+            else:
+                calls[fn.__name__] += 1
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(sumrules, "kernel_band", counted(sumrules.kernel_band))
-    recursion = counted(coefficients.q_generic_recursion)
-    monkeypatch.setattr(coefficients, "q_generic_recursion", recursion)
-    monkeypatch.setattr(sumrules, "q_generic_recursion", recursion, raising=False)
-    series = counted(coefficients.build_Q_series)
-    monkeypatch.setattr(coefficients, "build_Q_series", series)
-    monkeypatch.setattr(sumrules, "build_Q_series", series)
-    monkeypatch.setattr(oracle, "solve_spectrum", counted(oracle.solve_spectrum))
+    for module, name in (
+        (sumrules, "kernel_band"), (sumrules, "Q_trace_terms"), (sumrules, "trace_terms"),
+        (oracle, "solve_spectrum"), (coefficients, "build_Q_series"),
+        (coefficients, "q_generic_recursion"),
+    ):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
     argv = ["sumrule", "--route", "all", "--modes", "24", "--lambda", "0.02,0.04,0.08,0.16"]
     for order in ("3/2", "1+1/4", "1/2+1/3"):
         argv += ["--s", order]
     assert main(argv) == EXIT_OK
-    # one kernel per s, one Q series, one q set per distinct N (2, 4, 3), one spectrum per lambda
+    # one kernel per s, one set of Q terms (N = 1), one q set per distinct N (2, 4, 3),
+    # one spectrum per lambda, and no dense coefficient series at all
     assert calls == {
-        "kernel_band": 3, "q_generic_recursion": 3, "build_Q_series": 1, "solve_spectrum": 4,
+        "kernel_band": 3, "Q_trace_terms": 1, "trace_terms": [2, 4, 3], "solve_spectrum": 4,
+        "build_Q_series": 0, "q_generic_recursion": 0,
     }
+
+
+def test_2d_trace_run_peaks_below_the_counted_working_set(tmp_path):
+    # the memory pre-check counts the table (J + 1 matrices) plus the route's working set
+    import tracemalloc
+
+    from billzeta.cli import _ROUTE_MATRICES
+
+    m = 400
+    cfg = write_config(tmp_path, basis=RECT_BASIS, density=RECT_DENSITY)
+    argv = ["sumrule", "--config", str(cfg), "--route", "trace1", "--modes", str(m),
+            "--s", "1+1/2", "--s", "1+1/8", "--lambda", "0.05,0.1", "--cache-dir", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (3 + _ROUTE_MATRICES["trace1"]) * m * m * 8
 
 
 def test_non_finite_length_exits_2(tmp_path, capsys):

@@ -8,22 +8,28 @@ from billzeta.basis import (
     DensityPerturbation,
     FourierCosine,
     ModeBasis,
+    Polynomial,
+    Rectangle2D,
+    Separable2D,
     SigmaPowerTable,
     String1D,
     build_sigma_table,
 )
 from billzeta.coefficients import (
     GreenCoefficientSet,
+    Q_trace_terms,
+    _xi_rowsums,
     build_Q_series,
     export_coefficients_csv,
     half_binomial,
     q_closed_form,
     q_generic_recursion,
     reference_Q,
+    trace_terms,
     verify_convolution,
 )
 from billzeta.errors import ValidationError
-from billzeta.kernels import delta, delta_matrix, eta_matrix
+from billzeta.kernels import delta, delta_matrix, eta_matrix, xi
 
 RNG = np.random.default_rng(11)
 COS2 = FourierCosine((0.0, 0.0, 1.0))
@@ -320,6 +326,62 @@ def test_recursion_order_validation():
     cset = q_generic_recursion(2, build_Q_series(2, table, basis), basis)
     with pytest.raises(ValidationError):
         verify_convolution(cset, reference_q=cset.Q_orders[:2])  # one reference short
+
+
+POLY = Polynomial((0.0, 4.0, -4.0))
+TRACE_TABLES = {
+    "cosine-string": (string_basis(80), FourierCosine((0.1, -0.3, 0.2, 0.0, 0.05))),
+    "polynomial-string": (string_basis(80), POLY),
+    "separable-rectangle": (ModeBasis(Rectangle2D(1.0, 1.3), 80), Separable2D(((POLY, COS2),))),
+}
+
+
+@pytest.mark.parametrize("n_root", [1, 2, 3, 8, 64])
+@pytest.mark.parametrize("kind", sorted(TRACE_TABLES))
+def test_trace_terms_match_the_recursion(kind, n_root):
+    basis, profile = TRACE_TABLES[kind]
+    table = build_sigma_table(basis, profile, 2, cache_dir=False)
+    series = build_Q_series(2, table, basis)
+    big_q, s1_row_sq = Q_trace_terms(table, basis)
+    assert np.array_equal(big_q[0], np.diagonal(series[0]))
+    assert np.array_equal(big_q[1], series[1])
+    assert max_rel(big_q[2], np.diagonal(series[2])) < 1e-13
+    assert max_rel(s1_row_sq, np.sum(table.power(1) ** 2, axis=1)) < 1e-15
+    q0, q1, q2_diag = trace_terms(n_root, big_q, basis)
+    ref = q_generic_recursion(n_root, series, basis).q_orders
+    assert max_rel(q0, np.diagonal(ref[0])) < 1e-13
+    assert max_rel(q1, ref[1]) < 1e-13
+    assert max_rel(q2_diag, np.diagonal(ref[2])) < 1e-13
+
+
+@pytest.mark.parametrize("n_root", range(1, 9))
+def test_xi_row_sums_weight_by_the_xi_diagonal(n_root):
+    # a cyclic shift picks one entry per row, so m shifts read W entry by entry
+    eps = string_basis(7).eigenvalues()
+    m = eps.size
+    rows = np.arange(m)
+    w = np.empty((m, m))
+    for k in range(m):
+        w[rows, (rows + k) % m] = _xi_rowsums(n_root, eps, np.roll(np.eye(m), k, axis=1))
+    expected = xi(n_root, eps[:, None], eps[None, :], eps[:, None])
+    assert max_rel(w, expected) < 1e-14  # xi(1, ...) = 0: then both are exactly zero
+
+
+def test_trace_terms_of_a_zero_profile_vanish():
+    basis = string_basis(12)
+    table = build_sigma_table(basis, FourierCosine(()), 2)
+    big_q, s1_row_sq = Q_trace_terms(table, basis)
+    assert np.all(s1_row_sq == 0.0)
+    for n_root in (1, 2, 5):
+        q0, q1, q2_diag = trace_terms(n_root, big_q, basis)
+        assert np.array_equal(q0, basis.eigenvalues() ** (-1.0 / n_root))
+        assert np.all(q1 == 0.0) and np.all(q2_diag == 0.0)
+
+
+def test_Q_trace_terms_need_a_second_power():
+    basis = string_basis(5)
+    with pytest.raises(ValidationError):
+        Q_trace_terms(build_sigma_table(basis, COS2, 1), basis)
 
 
 def test_csv_export_roundtrip(tmp_path):

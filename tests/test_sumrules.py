@@ -367,6 +367,26 @@ def test_trace_zero_profile_reduces_to_plain_sum():
     assert res.z1 == 0.0 and res.z2 == 0.0
 
 
+def test_trace_route_forms_no_order_two_matrix():
+    # Q^(1), the live q^(1) and one temporary; a dense order-2 matrix or its
+    # lambda^2 convolution would add at least one more
+    import tracemalloc
+
+    m = 400
+    basis = ModeBasis(Rectangle2D(1.0, 1.3), m)
+    prof = Separable2D(((COS2, COS2),))
+    table = build_sigma_table(basis, prof, 2, cache_dir=False)
+    specs = [RationalOrderSpec("one_plus_inv", n) for n in (2, 8)]
+    basis.eigenvalues()
+    tracemalloc.start()
+    try:
+        z_via_trace(specs, table, basis, [DensityPerturbation(prof, 0.1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * m * m * 8
+
+
 def test_trace_inv_sum_rejects_2d():
     rect = ModeBasis(Rectangle2D(1.0, 1.0), 20)
     prof = Separable2D(((COS2, COS2),))
