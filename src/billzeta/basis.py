@@ -14,31 +14,21 @@ matrix element is read from the cosine coefficients c_k of the function:
 exact Chebyshev products for a cosine profile and composite Gauss-Legendre
 moments otherwise.  A string table keeps only the coefficients of sigma^j,
 from which the band of S_j is read directly and dense matrices are built on
-first use.  Rectangle tables are dense products of such string factors and
-can be cached to disk in a checksummed flat binary format.
+first use.  Rectangle tables are dense products of such string factors.
+Every table is built from scratch on each call.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
-import hashlib
 import math
-import os
-import secrets
-import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .errors import QuadratureError, ValidationError
 
-DEFAULT_CACHE_DIR = ".billzeta-cache"
-CACHE_ENV_VAR = "BILLZETA_CACHE_DIR"
-
 _GL_PANEL_NODES = 32
-_gl_panel_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +268,9 @@ class DensityPerturbation:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def _gl_panel(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    if nodes not in _gl_panel_cache:
-        _gl_panel_cache[nodes] = np.polynomial.legendre.leggauss(nodes)
-    return _gl_panel_cache[nodes]
+    return np.polynomial.legendre.leggauss(nodes)
 
 
 def _composite_grid(length: float, total_nodes: int, breakpoints=()) -> tuple[np.ndarray, np.ndarray]:
@@ -472,128 +461,18 @@ class SigmaPowerTable:
         return c[0] - 0.5 * c[2::2]
 
 
-def _profile_token(profile: Profile) -> str:
-    if isinstance(profile, FourierCosine):
-        return "cos:" + ",".join(repr(c) for c in profile.coeffs)
-    if isinstance(profile, Polynomial):
-        return "poly:" + ",".join(repr(c) for c in profile.coeffs)
-    if isinstance(profile, Tabulated):
-        return (
-            "tab:" + ",".join(repr(v) for v in profile.xs)
-            + "|" + ",".join(repr(v) for v in profile.ys)
-        )
-    return "sep:[" + ";".join(
-        _profile_token(px) + "*" + _profile_token(py) for px, py in profile.terms
-    ) + "]"
-
-
-def _basis_token(basis: ModeBasis) -> str:
-    d = basis.domain
-    if isinstance(d, String1D):
-        return f"string:{d.length!r}:M={basis.mode_count}"
-    return f"rect:{d.a!r}x{d.b!r}:M={basis.mode_count}"
-
-
-def table_content_key(basis: ModeBasis, profile: Profile, max_power: int, meta: dict) -> str:
-    """Stable content hash of everything the table numerically depends on."""
-    text = "|".join(
-        [
-            "billzeta-sigma-table-v1",
-            _basis_token(basis),
-            _profile_token(profile),
-            f"J={max_power}",
-            f"quad={meta.get('rule')}:{meta.get('nodes')}",
-        ]
-    )
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-_CACHE_MAGIC = b"BZSPTBL1"
-_CACHE_VERSION = 1
-
-
-def _cache_path(cache_dir: Path, key: str) -> Path:
-    return cache_dir / f"sigma-{key[:32]}.bzt"
-
-
-def _write_cache(path: Path, key: str, data: np.ndarray) -> None:
-    payload = np.ascontiguousarray(data, dtype="<f8")  # hashed and written without a copy
-    digest = hashlib.sha256(payload).digest()
-    header = (
-        _CACHE_MAGIC
-        + struct.pack("<I", _CACHE_VERSION)
-        + bytes.fromhex(key)
-        + struct.pack("<III", *data.shape)
-        + digest
-    )
-    # a unique temp file per writer, so concurrent writers never share one;
-    # open() rather than mkstemp keeps the umask's file mode for shared caches
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.{secrets.token_hex(8)}.tmp")
-    try:
-        with open(tmp, "xb") as fh:
-            fh.write(header)
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
-
-
-def _read_cache(path: Path, key: str, shape: tuple[int, int, int]) -> np.ndarray | None:
-    head = len(_CACHE_MAGIC) + 4 + 32 + 12 + 32
-    size = head + 8 * shape[0] * shape[1] * shape[2]
-    try:
-        with open(path, "rb") as fh:
-            if os.fstat(fh.fileno()).st_size != size:
-                return None
-            buf = bytearray(size)  # the only copy: the array is a view of it
-            if fh.readinto(buf) != size:
-                return None
-    except OSError:
-        return None
-    if buf[: len(_CACHE_MAGIC)] != _CACHE_MAGIC:
-        return None
-    off = len(_CACHE_MAGIC)
-    (version,) = struct.unpack_from("<I", buf, off)
-    off += 4
-    if version != _CACHE_VERSION or buf[off : off + 32] != bytes.fromhex(key):
-        return None
-    off += 32
-    dims = struct.unpack_from("<III", buf, off)
-    off += 12
-    digest = buf[off : off + 32]
-    if dims != shape or hashlib.sha256(memoryview(buf)[head:]).digest() != digest:
-        return None  # corruption: caller recomputes
-    return np.frombuffer(buf, dtype="<f8", offset=head).reshape(dims)
-
-
-def resolve_cache_dir(cache_dir=None) -> Path | None:
-    """Resolve the cache directory: explicit arg, else env var, else default.
-
-    Pass cache_dir=False to disable caching entirely.
-    """
-    if cache_dir is False:
-        return None
-    if cache_dir is not None:
-        return Path(cache_dir)
-    env = os.environ.get(CACHE_ENV_VAR)
-    return Path(env) if env else Path(DEFAULT_CACHE_DIR)
-
-
 def build_sigma_table(
     basis: ModeBasis,
     density: DensityPerturbation | Profile,
     max_power: int,
     *,
     nodes: int | None = None,
-    cache_dir=False,
 ) -> SigmaPowerTable:
-    """Build (or load from cache) the table of <n| sigma^j |m>, j = 0..max_power.
+    """Build the table of <n| sigma^j |m>, j = 0..max_power.
 
     A string table keeps the cosine coefficients of each sigma^j: exact for
     a cosine profile (O(J b) numbers), from quadrature otherwise (2M + 1
-    each).  It is never cached.  A rectangle table is dense.
+    each).  A rectangle table is dense.
 
     Parameters
     ----------
@@ -604,10 +483,6 @@ def build_sigma_table(
         Highest power J >= 1.
     nodes : int, optional
         Override the automatic quadrature node plan (at least 1 node).
-    cache_dir : path-like, None, or False
-        False disables caching (default); None resolves the environment
-        variable / default directory; a path uses that directory.  Only
-        rectangle tables are cached.
     """
     if max_power < 1:
         raise ValidationError("max_power must be >= 1")
@@ -628,13 +503,6 @@ def build_sigma_table(
 
     if not isinstance(profile, Separable2D):
         raise ValidationError("2D tables need a Separable2D profile")
-    key = table_content_key(basis, profile, max_power, meta)
-    directory = resolve_cache_dir(cache_dir)
-    if directory is not None:
-        cached = _read_cache(_cache_path(directory, key), key, (max_power + 1, m_size, m_size))
-        if cached is not None:
-            return SigmaPowerTable(max_power, m_size, cached, dict(meta, cached=True))
-
     entries = np.zeros((max_power + 1, m_size, m_size))
     entries[0] = np.eye(m_size)
     modes = np.asarray(basis.mode_indices(), dtype=int)
@@ -657,8 +525,4 @@ def build_sigma_table(
             coeff = float(_multinomial(j, alpha))
             entries[j] += coeff * factor(0, basis.domain.a, alpha) * factor(1, basis.domain.b, alpha)
 
-    table = SigmaPowerTable(max_power, m_size, entries, meta)
-    if directory is not None:
-        directory.mkdir(parents=True, exist_ok=True)
-        _write_cache(_cache_path(directory, key), key, entries)
-    return table
+    return SigmaPowerTable(max_power, m_size, entries, meta)

@@ -67,7 +67,6 @@ _TOP_KEYS = {
     "route",
     "diagonal_mode",
     "output",
-    "cache_dir",
     "slope_threshold",
 }
 
@@ -89,7 +88,6 @@ class RunConfig:
     diagonal_mode: str = sumrules.TRUNCATED
     out_format: str = "csv"
     out_path: str | None = None
-    cache_dir: str | None = None
     slope_threshold: float = 2.7
 
     def densities(self):
@@ -295,8 +293,6 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
         problems.append(f"output format must be csv|json, got {out_format!r}")
     out_path = getattr(overrides, "out", None) or out_node.get("path")
     out_path = _typed(out_path, (str, type(None)), "output.path", problems, None)
-    cache_dir = getattr(overrides, "cache_dir", None) or data.get("cache_dir")
-    cache_dir = _typed(cache_dir, (str, type(None)), "cache_dir", problems, None)
     threshold = getattr(overrides, "threshold", None)
     if threshold is None:
         threshold = data.get("slope_threshold", 2.7)
@@ -365,7 +361,6 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
         diagonal_mode=diagonal_mode,
         out_format=out_format,
         out_path=out_path,
-        cache_dir=cache_dir,
         slope_threshold=threshold,
     )
 
@@ -401,9 +396,7 @@ def _emit(text: str, cfg: RunConfig) -> None:
 
 
 def cmd_sumrule(cfg: RunConfig) -> int:
-    table = build_sigma_table(
-        cfg.basis, cfg.profile, 2, nodes=cfg.quadrature_nodes, cache_dir=cfg.cache_dir
-    )
+    table = build_sigma_table(cfg.basis, cfg.profile, 2, nodes=cfg.quadrature_nodes)
     densities = cfg.densities()
     shared = (cfg.orders, table, cfg.basis, densities)
     # route -> one result per (order, density), order-major; each route runs once
@@ -437,10 +430,7 @@ def cmd_sumrule(cfg: RunConfig) -> int:
 
 
 def cmd_coeffs(cfg: RunConfig, n_root: int, max_order: int) -> int:
-    table = build_sigma_table(
-        cfg.basis, cfg.profile, max(max_order, 1), nodes=cfg.quadrature_nodes,
-        cache_dir=cfg.cache_dir,
-    )
+    table = build_sigma_table(cfg.basis, cfg.profile, max(max_order, 1), nodes=cfg.quadrature_nodes)
     big_q = coefficients.build_Q_series(max_order, table, cfg.basis)
     cset = coefficients.q_generic_recursion(n_root, big_q, cfg.basis)
     residuals = coefficients.verify_convolution(cset, discard=cfg.inner_discard)
@@ -458,9 +448,7 @@ def cmd_coeffs(cfg: RunConfig, n_root: int, max_order: int) -> int:
 
 
 def cmd_verify(cfg: RunConfig, first_order_only: bool) -> int:
-    table = build_sigma_table(
-        cfg.basis, cfg.profile, 2, nodes=cfg.quadrature_nodes, cache_dir=cfg.cache_dir
-    )
+    table = build_sigma_table(cfg.basis, cfg.profile, 2, nodes=cfg.quadrature_nodes)
     fit = oracle.convergence_order_fit(
         cfg.orders[0],
         table,
@@ -486,9 +474,7 @@ def cmd_verify(cfg: RunConfig, first_order_only: bool) -> int:
 
 def cmd_spectrum(cfg: RunConfig) -> int:
     density = cfg.densities()[0]
-    table = build_sigma_table(
-        cfg.basis, cfg.profile, 1, nodes=cfg.quadrature_nodes, cache_dir=cfg.cache_dir
-    )
+    table = build_sigma_table(cfg.basis, cfg.profile, 1, nodes=cfg.quadrature_nodes)
     problem = oracle.assemble(cfg.basis, density, table=table)
     values = oracle.solve_spectrum(problem)
     lines = ["index,eigenvalue"] + [f"{i + 1},{v:.17g}" for i, v in enumerate(values)]
@@ -516,7 +502,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="density strength(s)")
         p.add_argument("--route", choices=ROUTES, default=None)
         p.add_argument("--resummed", action="store_true", help="resummed diagonal mode")
-        p.add_argument("--cache-dir", dest="cache_dir", default=None)
+        # ignored; kept only because perfbench/workloads.py passes it on every invocation
+        p.add_argument("--cache-dir", help=argparse.SUPPRESS)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("csv", "json"), default=None)
         p.add_argument("--modes", type=int, default=None, help="basis truncation M")

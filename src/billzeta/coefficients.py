@@ -256,7 +256,7 @@ def reference_Q(k: int, basis: ModeBasis, density, size: int, *, growth: int = 2
     this makes the internal mode sums exact for the retained block.
     """
     big = ModeBasis(basis.domain, max(size * growth, size + 8))
-    table = build_sigma_table(big, density, max(k, 1), nodes=nodes, cache_dir=False)
+    table = build_sigma_table(big, density, max(k, 1), nodes=nodes)
     return [q[:size, :size] for q in build_Q_series(k, table, big)]
 
 

@@ -55,7 +55,7 @@ def assemble(
 ) -> GeneralizedProblem:
     """Assemble the generalized problem from the density's power-1 elements.
 
-    Without a table, a power-1 table of the basis size is built (uncached).
+    Without a table, a power-1 table of the basis size is built.
     """
     density.validate(basis.domain)
     m = basis.mode_count

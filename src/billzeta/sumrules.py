@@ -394,7 +394,8 @@ def z_via_trace(
     closed form to rounding on the same table.  Each series enters only as
     (order-0 diagonal, order-1 matrix, order-2 diagonal): the Q terms are
     formed once and each q set once per root order N, in O(N M^2) with no
-    M x M matrix product, and released after the last order using it.
+    M x M matrix product.  Each distinct series pair is traced once, and a q
+    set is released as soon as no later distinct pair uses it.
     """
     specs = list(specs)
     _resolve_route_inputs(specs, basis, densities)
@@ -408,18 +409,20 @@ def z_via_trace(
     deficit = table.diagonal(2) - s1_row_sq
     # q[1/1] is Q itself: 1 + 1/N traces the series pair (1, N), 1/N + 1/N' the pair (N, N')
     pairs = [(1, o.n_root) if o.kind == "one_plus_inv" else (o.n_root, o.n_root2) for o in specs]
+    distinct = list(dict.fromkeys(pairs))
     q_sets = {1: big_q}
-    traces = []
-    for i, pair in enumerate(pairs):
+    traces = {}
+    for i, pair in enumerate(distinct):
         for n in pair:
             if n not in q_sets:
                 q_sets[n] = trace_terms(n, big_q, basis)
-        traces.append(_series_traces(q_sets[pair[0]], q_sets[pair[1]]))
-        for n in set(pair).difference(*pairs[i + 1:]):
-            del q_sets[n]  # no later order uses this set
+        traces[pair] = _series_traces(q_sets[pair[0]], q_sets[pair[1]])
+        for n in set(pair).difference(*distinct[i + 1:]):
+            del q_sets[n]  # no later distinct pair uses this set
     del big_q
     results = []
-    for spec, (t0, t1, t2) in zip(specs, traces):
+    for spec, pair in zip(specs, pairs):
+        t0, t1, t2 = traces[pair]
         route = ROUTE_TRACE_1P if spec.kind == "one_plus_inv" else ROUTE_TRACE_INV
         s = spec.s
         tail = tail_estimate(basis, s, m)

@@ -1,6 +1,4 @@
-import hashlib
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -14,20 +12,17 @@ from billzeta.basis import (
     Separable2D,
     String1D,
     Tabulated,
-    _cache_path,
     _cosine_coeffs,
     _enumerate_rectangle_modes,
     _exact_cosine_elements,
     _quad_cosine_coeffs,
-    _read_cache,
-    _write_cache,
     build_sigma_table,
 )
 from billzeta.errors import QuadratureError, ValidationError
 
 COS2 = FourierCosine((0.0, 0.0, 1.0))  # sigma(x) = cos(2 pi x / L)
 POLY = Polynomial((0.0, 4.0, -4.0))  # a quadrature profile
-SEP = Separable2D(((POLY, COS2),))  # a rectangle table: dense, the only kind the cache holds
+SEP = Separable2D(((POLY, COS2),))  # a rectangle table: dense
 RECT = Rectangle2D(1.0, 1.0)
 
 
@@ -206,66 +201,20 @@ def test_2d_sum_profile_table():
             assert s1[i, l] == pytest.approx(expected, abs=1e-13)
 
 
-def test_cache_roundtrip_and_corruption(tmp_path):
-    basis = ModeBasis(RECT, 6)
-    table = build_sigma_table(basis, SEP, 2, cache_dir=tmp_path)
-    files = list(tmp_path.glob("sigma-*.bzt"))
-    assert len(files) == 1
-    again = build_sigma_table(basis, SEP, 2, cache_dir=tmp_path)
-    assert again.quadrature_meta.get("cached") is True
-    assert np.array_equal(table.entries, again.entries)
-    # corrupt the payload: loader must detect the checksum mismatch and recompute
-    blob = bytearray(files[0].read_bytes())
-    blob[-5] ^= 0xFF
-    files[0].write_bytes(bytes(blob))
-    repaired = build_sigma_table(basis, SEP, 2, cache_dir=tmp_path)
-    assert repaired.quadrature_meta.get("cached") is None
-    assert np.array_equal(repaired.entries, table.entries)
-
-
-def test_concurrent_cache_writers_do_not_collide(tmp_path, monkeypatch):
-    # a second writer of the same key finishes between the first writer's
-    # temp-file write and its rename
-    import billzeta.basis as basis_module
-
-    basis = ModeBasis(RECT, 6)
-    table = build_sigma_table(basis, SEP, 2)
-    key = "ab" * 32
-    path = _cache_path(tmp_path, key)
-    real_replace = basis_module.os.replace
-    calls = []
-
-    def racing_replace(src, dst):
-        calls.append(src)
-        if len(calls) == 1:
-            _write_cache(path, key, table.entries)
-        real_replace(src, dst)
-
-    monkeypatch.setattr(basis_module.os, "replace", racing_replace)
-    _write_cache(path, key, table.entries)
-    assert len(calls) == 2
-    assert [p.name for p in tmp_path.iterdir()] == [path.name]
-    loaded = basis_module._read_cache(path, key, table.entries.shape)
-    assert np.array_equal(loaded, table.entries)
-
-
-def test_cosine_table_writes_no_cache_file(tmp_path):
-    basis = ModeBasis(String1D(1.0), 6)
-    table = build_sigma_table(basis, COS2, 2, cache_dir=tmp_path)
+def test_cosine_table_writes_no_cache_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    table = build_sigma_table(ModeBasis(String1D(1.0), 6), COS2, 2)
     assert table.entries is None and table.cosine is not None
-    assert not any(tmp_path.iterdir())
-    again = build_sigma_table(basis, COS2, 2, cache_dir=tmp_path)
-    assert again.quadrature_meta.get("cached") is None
     assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("profile", [POLY, Tabulated((0.0, 0.4, 1.0), (0.0, 0.3, -0.2))])
-def test_string_quadrature_tables_are_coefficients_and_write_no_cache_file(tmp_path, profile):
-    basis = ModeBasis(String1D(1.0), 12)
-    for _ in range(2):
-        table = build_sigma_table(basis, profile, 2, cache_dir=tmp_path)
-        assert table.entries is None and len(table.cosine[2]) == 2 * 12 + 1
-        assert table.quadrature_meta.get("cached") is None
+def test_string_quadrature_tables_are_coefficients_and_write_no_cache_file(
+    tmp_path, monkeypatch, profile
+):
+    monkeypatch.chdir(tmp_path)
+    table = build_sigma_table(ModeBasis(String1D(1.0), 12), profile, 2)
+    assert table.entries is None and len(table.cosine[2]) == 2 * 12 + 1
     assert not any(tmp_path.iterdir())
 
 
@@ -282,24 +231,6 @@ def test_string_quadrature_build_peaks_below_the_counted_table():
         tracemalloc.stop()
     assert table.entries is None
     assert peak < (max_power + 1) * m * m * 8
-
-
-def test_cache_read_holds_one_copy_of_the_table(tmp_path):
-    import tracemalloc
-
-    table = build_sigma_table(ModeBasis(RECT, 160), SEP, 2)
-    key = "ef" * 32
-    path = _cache_path(tmp_path, key)
-    _write_cache(path, key, table.entries)
-    tracemalloc.start()
-    try:
-        loaded = _read_cache(path, key, table.entries.shape)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(loaded, table.entries)
-    loaded[0, 0, 0] = 2.0  # a writable array, like a freshly built table
-    assert peak < 1.5 * table.entries.nbytes
 
 
 def product_to_sum(a, b):
@@ -372,7 +303,7 @@ def test_dense_table_band_copies_every_diagonal():
         assert np.all(band[d, 7 - d :] == 0.0)
     # every power, the last matrix of the entries included, and the smallest sizes
     for m in (1, 2, 7, 40):
-        table = build_sigma_table(ModeBasis(RECT, m), SEP, 2, cache_dir=False)
+        table = build_sigma_table(ModeBasis(RECT, m), SEP, 2)
         for j in range(3):
             expected = np.zeros((m, m))  # +0.0 past the end of each diagonal
             for d in range(m):
@@ -391,7 +322,7 @@ def test_string_diagonal_is_read_without_a_dense_power(profile):
 
 
 def test_rectangle_diagonal_is_a_view_of_the_entries():
-    table = build_sigma_table(ModeBasis(RECT, 9), SEP, 2, cache_dir=False)
+    table = build_sigma_table(ModeBasis(RECT, 9), SEP, 2)
     for j in range(3):
         assert np.shares_memory(table.diagonal(j), table.entries[j])
         assert np.array_equal(table.diagonal(j), np.diagonal(table.power(j)))
@@ -419,17 +350,6 @@ def test_2d_sigma_sup_adds_per_term_factor_sups():
     minus = FourierCosine((0.0, 0.0, -1.0))
     cancelling = Separable2D(((COS2, one), (minus, one)))
     assert DensityPerturbation(cancelling).sigma_sup(rect) == 2.0
-
-
-def test_cache_file_layout(tmp_path):
-    basis = ModeBasis(RECT, 5)
-    table = build_sigma_table(basis, SEP, 2)
-    key = "cd" * 32
-    path = _cache_path(tmp_path, key)
-    _write_cache(path, key, table.entries)
-    payload = table.entries.astype("<f8").tobytes()
-    header = b"BZSPTBL1" + struct.pack("<I", 1) + bytes.fromhex(key) + struct.pack("<III", 3, 5, 5)
-    assert path.read_bytes() == header + hashlib.sha256(payload).digest() + payload
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])

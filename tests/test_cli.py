@@ -15,7 +15,7 @@ from billzeta.errors import ConfigError
 
 @pytest.fixture(autouse=True)
 def _run_in_tmp(tmp_path, monkeypatch):
-    # the CLI caches under the working directory by default
+    # coeffs writes its files into the working directory by default
     monkeypatch.chdir(tmp_path)
 
 
@@ -37,7 +37,7 @@ def write_config(tmp_path, **overrides):
     return path
 
 
-# a rectangle table: dense, the only kind the cache holds
+# a rectangle table: dense
 RECT_BASIS = {"kind": "rectangle", "a": 1.0, "b": 1.0}
 RECT_DENSITY = {
     "profile": {"type": "separable", "terms": [{
@@ -123,6 +123,10 @@ def test_unknown_keys_and_multiple_violations_reported_once(tmp_path, capsys):
     assert "extra_key" in text
     assert "0.9" in text
     assert "lambda=1.5" in text
+    # cache_dir is no config key: rejected like any other unknown key
+    cfg = write_config(tmp_path, cache_dir=str(tmp_path / "dir"))
+    assert main(["sumrule", "--config", str(cfg)]) == EXIT_VALIDATION
+    assert "cache_dir" in " ".join(problems_on_stderr(capsys))
 
 
 def test_route_order_mismatch_rejected(tmp_path, capsys):
@@ -213,27 +217,21 @@ def test_deterministic_outputs_byte_identical(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == first
 
 
-def test_cache_dir_env_honored(tmp_path, monkeypatch):
-    cache = tmp_path / "cachehere"
-    monkeypatch.setenv("BILLZETA_CACHE_DIR", str(cache))
-    monkeypatch.chdir(tmp_path)
-    cfg = write_config(tmp_path, cache_dir=None, route="closed", basis=RECT_BASIS,
-                       density=RECT_DENSITY)
-    assert main(["sumrule", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == EXIT_OK
-    assert list(cache.glob("sigma-*.bzt"))
-
-
-def test_cache_dir_flag_overrides_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("BILLZETA_CACHE_DIR", str(tmp_path / "envcache"))
-    flag_cache = tmp_path / "flagcache"
+def test_2d_sumrule_writes_no_file(tmp_path, monkeypatch, capsys):
+    # the ignored --cache-dir flag and BILLZETA_CACHE_DIR create nothing either
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
     cfg = write_config(tmp_path, route="closed", basis=RECT_BASIS, density=RECT_DENSITY)
-    rc = main(
-        ["sumrule", "--config", str(cfg), "--cache-dir", str(flag_cache),
-         "--out", str(tmp_path / "r.csv")]
-    )
-    assert rc == EXIT_OK
-    assert list(flag_cache.glob("sigma-*.bzt"))
-    assert not (tmp_path / "envcache").exists()
+    flag_dir, env_dir = tmp_path / "flag", tmp_path / "env"
+    argv = ["sumrule", "--config", str(cfg), "--modes", "20"]
+    assert main(argv) == EXIT_OK
+    assert main(argv + ["--cache-dir", str(flag_dir)]) == EXIT_OK
+    monkeypatch.setenv("BILLZETA_CACHE_DIR", str(env_dir))
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out.count("closed-form") == 3
+    assert not any(work.iterdir())
+    assert sorted(tmp_path.iterdir()) == [cfg, work]
 
 
 def test_quadrature_failure_exits_3(tmp_path, capsys):
@@ -316,14 +314,12 @@ def test_integral_float_modes_load(tmp_path):
 
 
 def test_coeffs_root_and_order_rejected_before_any_work(tmp_path, capsys):
-    cache = tmp_path / "cache"
     rc = main(["coeffs", "--n-root", "0", "--max-order", "-1", "--modes", "20",
-               "--cache-dir", str(cache), "--out", str(tmp_path / "out")])
+               "--out", str(tmp_path / "out")])
     assert rc == EXIT_VALIDATION
     problems = problems_on_stderr(capsys)
     assert any(p.startswith("--n-root") for p in problems)
     assert any(p.startswith("--max-order") for p in problems)
-    assert not cache.exists() or not any(cache.iterdir())
     assert not (tmp_path / "out").exists()
 
 
@@ -518,7 +514,7 @@ def test_2d_trace_run_peaks_below_the_counted_working_set(tmp_path):
     m = 400
     cfg = write_config(tmp_path, basis=RECT_BASIS, density=RECT_DENSITY)
     argv = ["sumrule", "--config", str(cfg), "--route", "trace1", "--modes", str(m),
-            "--s", "1+1/2", "--s", "1+1/8", "--lambda", "0.05,0.1", "--cache-dir", str(tmp_path)]
+            "--s", "1+1/2", "--s", "1+1/8", "--lambda", "0.05,0.1"]
     tracemalloc.start()
     try:
         assert main(argv) == EXIT_OK
@@ -594,7 +590,6 @@ _configs = st.fixed_dictionaries(
         "route": _json,
         "diagonal_mode": _json,
         "output": _sub_object(["format", "path"]),
-        "cache_dir": _json,
         "slope_threshold": _json,
     },
 ) | st.dictionaries(st.text(max_size=6), _json, max_size=4)

@@ -340,7 +340,7 @@ TRACE_TABLES = {
 @pytest.mark.parametrize("kind", sorted(TRACE_TABLES))
 def test_trace_terms_match_the_recursion(kind, n_root):
     basis, profile = TRACE_TABLES[kind]
-    table = build_sigma_table(basis, profile, 2, cache_dir=False)
+    table = build_sigma_table(basis, profile, 2)
     series = build_Q_series(2, table, basis)
     big_q, s1_row_sq = Q_trace_terms(table, basis)
     assert np.array_equal(big_q[0], np.diagonal(series[0]))
