@@ -29,6 +29,7 @@ import numpy as np
 from .errors import QuadratureError, ValidationError
 
 _GL_PANEL_NODES = 32
+_NODE_CHUNK = 1024  # quadrature nodes per block of exponential rows
 
 
 # ---------------------------------------------------------------------------
@@ -313,64 +314,111 @@ def _exact_cosine_elements(n_max: int, coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _trig_rows(trig, freqs: np.ndarray, t: np.ndarray) -> np.ndarray:
-    rows = np.outer(freqs, t)
-    return trig(rows, out=rows)
+def _exp_rows(step: np.ndarray, count: int) -> np.ndarray:
+    """Rows step**k, k = 0..count-1, by doubling: each new block is the rows so far times one row.
+
+    That takes about log2(count) vectorised multiplications.  Row k is still a
+    product of k factors, so for |step| = 1 its error stays within about k
+    rounding units.
+    """
+    rows = np.empty((count, len(step)), dtype=complex)
+    rows[0] = 1.0
+    filled = 1
+    while filled < count:
+        block = min(filled, count - filled)
+        np.multiply(rows[:block], rows[filled - 1] * step, out=rows[filled : filled + block])
+        filled += block
+    return rows
 
 
-def _cosine_moments(count: int, length: float, factors, plan: int, breakpoints) -> np.ndarray:
-    """I_k = (1/L) int_0^L f(x) cos(k pi x / L) dx, k = 0..count-1, on a plan-node grid.
+def _cosine_moments(count: int, length: float, factor_lists, plan: int, breakpoints) -> np.ndarray:
+    """I_k = (1/L) int_0^L f(x) cos(k pi x / L) dx, k = 0..count-1, for each list's f.
 
-    With k = a r + q, cos(k t) = cos(a r t) cos(q t) - sin(a r t) sin(q t):
-    two products of about sqrt(count) trig rows each, never count rows.
+    Returns one row per factor list, all from one plan-node grid.  With
+    k = a r + q, r ~ sqrt(count), cos(k t) = Re[e^{i a r t} e^{i q t}], so each
+    chunk of _NODE_CHUNK nodes forms about 2 sqrt(count) exponential rows by
+    recurrence (two np.exp calls) and every list shares them in one product.
     """
     x, w = _composite_grid(length, plan, breakpoints)
-    wf = w / length
-    for p, power in factors:
-        wf *= p.evaluate(x, length) ** power
+    values = {p: p.evaluate(x, length) for factors in factor_lists for p, _ in factors}
+    wf = np.empty((len(factor_lists), len(x)))
+    for row, factors in zip(wf, factor_lists):
+        row[:] = w / length
+        for p, power in factors:
+            row *= values[p] ** power
     t = x * (math.pi / length)
     r = math.isqrt(count - 1) + 1
-    coarse, fine = np.arange(0, count, r), np.arange(r)
-    moments = (_trig_rows(np.cos, coarse, t) * wf) @ _trig_rows(np.cos, fine, t).T
-    moments -= (_trig_rows(np.sin, coarse, t) * wf) @ _trig_rows(np.sin, fine, t).T
-    return moments.ravel()[:count]
+    coarse_count = -(-count // r)
+    moments = np.zeros((len(factor_lists) * coarse_count, r))
+    for lo in range(0, len(t), _NODE_CHUNK):
+        chunk = t[lo : lo + _NODE_CHUNK]
+        fine = _exp_rows(np.exp(-1j * chunk), r)  # conjugate rows e^{-i q t}
+        coarse = _exp_rows(np.exp(1j * r * chunk), coarse_count)
+        weighted = (coarse * wf[:, None, lo : lo + _NODE_CHUNK]).reshape(-1, len(chunk))
+        # a complex row viewed as floats interleaves (Re, Im), so one real product of the
+        # weighted rows with the conjugate rows is Re[(E_coarse wf) @ E_fine^T]
+        moments += weighted.view(float) @ fine.view(float).T
+    return moments.reshape(len(factor_lists), -1)[:, :count]
 
 
-def _quad_cosine_coeffs(n_max: int, length: float, factors, nodes: int | None) -> np.ndarray:
-    """Cosine coefficients c_0..c_{2 n_max} of prod_i p_i^{power_i} by composite quadrature.
+def _quad_cosine_coeffs(n_max: int, length: float, factor_lists, nodes: int | None):
+    """Cosine coefficients c_0..c_{2 n_max} of each list's prod_i p_i^{power_i}, by quadrature.
 
-    Every element <n| f |m> = I_|n-m| - I_{n+m} of the moments I_k, so a
-    recomputation of every moment on a 1.5x grid bounds every element's
-    error by 2 max |dI|; it guards against an insufficient node plan.
+    All lists share one node plan, the largest any of them needs (``nodes``
+    overrides it), and so share every exponential row.  Every element
+    <n| f |m> = I_|n-m| - I_{n+m} of the moments I_k, so a recomputation of
+    every moment on a 1.5x grid bounds each list's element error by
+    2 max |dI|; it guards against an insufficient node plan.  Returns the
+    coefficients (one row per list) and (the plan, the largest error bound).
     """
-    breakpoints = [x for p, _ in factors if isinstance(p, Tabulated) for x in p.xs]
-    plan = nodes or max(256, 8 * (n_max + sum(p.bandwidth() * power for p, power in factors)))
+    breakpoints = [
+        x for factors in factor_lists for p, _ in factors if isinstance(p, Tabulated) for x in p.xs
+    ]
+    plan = nodes or max(
+        max(256, 8 * (n_max + sum(p.bandwidth() * power for p, power in factors)))
+        for factors in factor_lists
+    )
     count = 2 * n_max + 1
-    moments = _cosine_moments(count, length, factors, plan, breakpoints)
-    check = _cosine_moments(count, length, factors, int(plan * 1.5) + _GL_PANEL_NODES, breakpoints)
-    scale = max(1.0, float(np.max(np.abs(moments[0] - moments[2::2]))))  # the diagonal
-    err = 2.0 * float(np.max(np.abs(check - moments)))
-    if err > 1e-10 * scale:
-        raise QuadratureError(
-            f"quadrature self-check failed: element error {err:.3e} at {plan} nodes"
-        )
-    moments[1:] *= 2.0  # c_k = 2 I_k past the constant
-    return moments
+    moments = _cosine_moments(count, length, factor_lists, plan, breakpoints)
+    check_plan = int(plan * 1.5) + _GL_PANEL_NODES
+    check = _cosine_moments(count, length, factor_lists, check_plan, breakpoints)
+    diagonal = moments[:, :1] - moments[:, 2::2]
+    scale = np.maximum(1.0, np.max(np.abs(diagonal), axis=1))
+    err = 2.0 * np.max(np.abs(check - moments), axis=1)
+    for e, s in zip(err, scale):
+        if e > 1e-10 * s:
+            raise QuadratureError(
+                f"quadrature self-check failed: element error {e:.3e} at {plan} nodes"
+            )
+    moments[:, 1:] *= 2.0  # c_k = 2 I_k past the constant
+    return moments, (plan, float(np.max(err)))
 
 
-def _cosine_coeffs(n_max: int, length: float, factors, nodes: int | None = None) -> np.ndarray:
-    """Cosine coefficients of prod_i p_i^{power_i}, enough for n_max modes.
+def _cosine_coeffs(n_max: int, length: float, factor_lists, nodes: int | None = None):
+    """Cosine coefficients of each list's prod_i p_i^{power_i}, enough for n_max modes.
 
-    Exact (Chebyshev products, trailing zeros trimmed) for cosine factors,
-    by quadrature otherwise.
+    Exact (Chebyshev products, trailing zeros trimmed) for cosine factors;
+    every other list goes into one shared quadrature call.  Returns the
+    coefficients, one array per list, and that call's (node plan, largest
+    self-check error), or None when no list needed quadrature.
     """
-    if any(p.is_zero and power > 0 for p, power in factors):
-        return np.zeros(1)
-    if all(isinstance(p, FourierCosine) for p, _ in factors):
-        cheb = np.polynomial.chebyshev  # cos p t cos q t = (cos (p+q) t + cos (p-q) t)/2
-        series = (cheb.chebpow(p.coeffs or (0.0,), power, None) for p, power in factors)
-        return functools.reduce(cheb.chebmul, series, np.ones(1))
-    return _quad_cosine_coeffs(n_max, length, factors, nodes)
+    out = []
+    for factors in factor_lists:
+        if any(p.is_zero and power > 0 for p, power in factors):
+            out.append(np.zeros(1))
+        elif all(isinstance(p, FourierCosine) for p, _ in factors):
+            cheb = np.polynomial.chebyshev  # cos p t cos q t = (cos (p+q) t + cos (p-q) t)/2
+            series = (cheb.chebpow(p.coeffs or (0.0,), power, None) for p, power in factors)
+            out.append(functools.reduce(cheb.chebmul, series, np.ones(1)))
+        else:
+            out.append(None)
+    quad = [i for i, c in enumerate(out) if c is None]
+    if not quad:
+        return out, None
+    coeffs, check = _quad_cosine_coeffs(n_max, length, [factor_lists[i] for i in quad], nodes)
+    for i, c in zip(quad, coeffs):
+        out[i] = c
+    return out, check
 
 
 def _multinomial(total: int, parts: tuple[int, ...]) -> int:
@@ -490,39 +538,39 @@ def build_sigma_table(
         raise ValidationError(f"quadrature nodes must be >= 1, got {nodes}")
     m_size = basis.mode_count
     profile = density.profile if isinstance(density, DensityPerturbation) else density
-    meta = {"rule": "composite-gauss-legendre-32", "nodes": nodes or "auto"}
 
     if isinstance(basis.domain, String1D):
-        if isinstance(profile, FourierCosine):
-            meta = {"rule": "exact-cosine"}
-        length = basis.domain.length
-        cosine = (np.ones(1),) + tuple(
-            _cosine_coeffs(m_size, length, [(profile, j)], nodes) for j in range(1, max_power + 1)
-        )
-        return SigmaPowerTable(max_power, m_size, None, meta, cosine)
+        powers = [[(profile, j)] for j in range(1, max_power + 1)]
+        coeffs, quad = _cosine_coeffs(m_size, basis.domain.length, powers, nodes)
+        meta = {"rule": "exact-cosine"}
+        if quad is not None:  # the plan every power used and its largest element error bound
+            plan, error = quad
+            meta = {"rule": "composite-gauss-legendre-32", "nodes": plan, "self_check_error": error}
+        return SigmaPowerTable(max_power, m_size, None, meta, (np.ones(1), *coeffs))
 
     if not isinstance(profile, Separable2D):
         raise ValidationError("2D tables need a Separable2D profile")
+    meta = {"rule": "composite-gauss-legendre-32", "nodes": nodes or "auto"}
     entries = np.zeros((max_power + 1, m_size, m_size))
     entries[0] = np.eye(m_size)
+    if profile.is_zero:  # every S_j, j >= 1, is zero; also covers an empty term list
+        return SigmaPowerTable(max_power, m_size, entries, meta)
     modes = np.asarray(basis.mode_indices(), dtype=int)
     terms = profile.terms
+    alphas = [alpha for j in range(1, max_power + 1) for alpha in _compositions(j, len(terms))]
 
-    def factor(side: int, length: float, alpha) -> np.ndarray:
-        """<j| prod_t p_t^alpha_t |j'> on one side, for that side's index of every mode pair."""
-        n_max = int(modes[:, side].max())
-        factors = [(terms[t][side], p) for t, p in enumerate(alpha) if p > 0]
-        one_d = np.eye(n_max) if not factors else _exact_cosine_elements(
-            n_max, _cosine_coeffs(n_max, length, factors, nodes)
-        )
+    def factor(side: int, length: float) -> list:
+        """Cosine coefficients of prod_t p_t^alpha_t on one side, for every alpha, from one call."""
+        lists = [[(terms[t][side], p) for t, p in enumerate(alpha) if p > 0] for alpha in alphas]
+        return _cosine_coeffs(int(modes[:, side].max()), length, lists, nodes)[0]
+
+    def elements(side: int, coeffs: np.ndarray) -> np.ndarray:
+        """<j| f |j'> on one side, for that side's index of every mode pair."""
         index = modes[:, side] - 1
-        return one_d[np.ix_(index, index)]
+        return _exact_cosine_elements(int(modes[:, side].max()), coeffs)[np.ix_(index, index)]
 
-    for j in range(1, max_power + 1):
-        if profile.is_zero:  # every S_j, j >= 1, is zero; also covers an empty term list
-            break
-        for alpha in _compositions(j, len(terms)):
-            coeff = float(_multinomial(j, alpha))
-            entries[j] += coeff * factor(0, basis.domain.a, alpha) * factor(1, basis.domain.b, alpha)
+    for alpha, cx, cy in zip(alphas, factor(0, basis.domain.a), factor(1, basis.domain.b)):
+        j = sum(alpha)
+        entries[j] += float(_multinomial(j, alpha)) * elements(0, cx) * elements(1, cy)
 
     return SigmaPowerTable(max_power, m_size, entries, meta)

@@ -174,8 +174,10 @@ _ROUTE_MATRICES = {"closed": 3, "trace1": 5, "trace2": 7, "oracle": 4}
 _ROUTE_MATRICES["all"] = max(_ROUTE_MATRICES.values())
 # The closed form alone on a string table never forms a matrix: its peak is
 # this many length-M float64 vectors per row of S_1's band, plus a fixed number
-# (tracemalloc: 9 for cosine profiles at M=10^5, highest harmonics 0 to 60; up
-# to 29 for a polynomial profile, whose band has all M rows, at M=800 to 3200).
+# (tracemalloc: 9 for cosine profiles at M=10^5, highest harmonics 0 to 60; 14
+# to 23 for a polynomial profile, whose band has all M rows, at M=800 to 3200,
+# 3 orders and 4 lambdas; its table build peaks at 9 MiB at M=3000, far below
+# the band).
 _BAND_ROW_VECTORS, _BAND_VECTORS = 2, 32
 
 

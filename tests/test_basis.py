@@ -120,23 +120,23 @@ def test_table_symmetry_exact():
 def test_quadrature_matches_selection_rules():
     # quadrature path against the exact cosine algebra
     exact = build_sigma_table(ModeBasis(String1D(1.0), 10), COS2, 2).power(1)
-    quad = _exact_cosine_elements(10, _quad_cosine_coeffs(10, 1.0, [(COS2, 1)], None))
+    quad = _exact_cosine_elements(10, _quad_cosine_coeffs(10, 1.0, [[(COS2, 1)]], None)[0][0])
     assert np.max(np.abs(quad - exact)) < 1e-12
 
 
 def test_quadrature_orthonormality():
     one = Polynomial((1.0,))
-    s0 = _exact_cosine_elements(14, _quad_cosine_coeffs(14, 1.0, [(one, 1)], None))
+    s0 = _exact_cosine_elements(14, _quad_cosine_coeffs(14, 1.0, [[(one, 1)]], None)[0][0])
     assert np.max(np.abs(s0 - np.eye(14))) < 1e-12
 
 
 def test_quadrature_insufficient_nodes_reported():
     bumpy = FourierCosine(tuple([0.0] * 40 + [1.0]))  # cos(40 pi x)
     with pytest.raises(QuadratureError):
-        _quad_cosine_coeffs(40, 1.0, [(bumpy, 2)], nodes=64)
+        _quad_cosine_coeffs(40, 1.0, [[(bumpy, 2)]], nodes=64)
     # the CLI's case: sigma = x at M = 64 on 48 nodes
     with pytest.raises(QuadratureError):
-        _quad_cosine_coeffs(64, 1.0, [(Polynomial((0.0, 1.0)), 1)], nodes=48)
+        _quad_cosine_coeffs(64, 1.0, [[(Polynomial((0.0, 1.0)), 1)]], nodes=48)
 
 
 def test_linear_profile_matches_analytic_elements():
@@ -233,6 +233,71 @@ def test_string_quadrature_build_peaks_below_the_counted_table():
     assert peak < (max_power + 1) * m * m * 8
 
 
+
+def test_string_quadrature_meta_records_the_shared_plan_and_check():
+    m, max_power = 40, 3
+    table = build_sigma_table(ModeBasis(String1D(1.0), m), POLY, max_power)
+    meta = table.quadrature_meta
+    # every power uses the plan of the highest one, 8 (M + J * bandwidth)
+    plan = 8 * (m + max_power * POLY.bandwidth())
+    assert type(meta["nodes"]) is int and meta["nodes"] == plan
+    errors = []
+    for j in range(1, max_power + 1):
+        coeffs, (used, error) = _quad_cosine_coeffs(m, 1.0, [[(POLY, j)]], plan)
+        assert used == plan
+        assert np.max(np.abs(coeffs[0] - table.cosine[j])) < 1e-15
+        errors.append(error)
+    # the largest self-check bound over the powers
+    assert meta["self_check_error"] == pytest.approx(max(errors), rel=1e-3)
+    assert 0.0 < meta["self_check_error"] < 1e-10
+    # an explicit plan is recorded as given
+    given = build_sigma_table(ModeBasis(String1D(1.0), m), POLY, 2, nodes=700)
+    assert given.quadrature_meta["nodes"] == 700
+
+
+def test_quadrature_rows_are_accurate_at_the_highest_harmonics():
+    # c_k of 4x(1-x) on [0, 1]: c_0 = 2/3, c_k = -8 (1 + (-1)^k) / (k pi)^2
+    m = 3000
+    table = build_sigma_table(ModeBasis(String1D(1.0), m), POLY, 2)
+    k = np.arange(1, 2 * m + 1)
+    expected = np.concatenate([[2.0 / 3.0], -8.0 * (1.0 + (-1.0) ** k) / (k * math.pi) ** 2])
+    assert len(table.cosine[1]) == 2 * m + 1
+    assert np.max(np.abs(table.cosine[1] - expected)) < 1e-12
+
+
+def test_string_quadrature_build_works_in_node_chunks():
+    # the rows of one node chunk, not of the whole grid, are live at once
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        build_sigma_table(ModeBasis(String1D(1.0), 3000), POLY, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
+def test_2d_quadrature_factors_share_rows_and_match_string_tables():
+    # sigma = x * 1 + 1 * y: S_1 = X_1 (x) I + I (x) Y_1, S_2 = X_2 (x) I + 2 X_1 (x) Y_1 + I (x) Y_2
+    rect = Rectangle2D(1.0, 1.3)
+    x, one = Polynomial((0.0, 1.0)), Polynomial((1.0,))
+    basis = ModeBasis(rect, 60)
+    table = build_sigma_table(basis, Separable2D(((x, one), (one, x))), 2)
+    assert table.quadrature_meta["nodes"] == "auto"  # 2D meta is unchanged
+    modes = np.asarray(basis.mode_indices())
+
+    def side(col, length):
+        n = int(modes[:, col].max())
+        string = build_sigma_table(ModeBasis(String1D(length), n), x, 2)
+        index = modes[:, col] - 1
+        return [string.power(j)[np.ix_(index, index)] for j in range(3)]
+
+    (eye_x, x1, x2), (eye_y, y1, y2) = side(0, rect.a), side(1, rect.b)
+    assert np.max(np.abs(table.power(1) - (x1 * eye_y + eye_x * y1))) < 1e-13
+    assert np.max(np.abs(table.power(2) - (x2 * eye_y + 2.0 * x1 * y1 + eye_x * y2))) < 1e-13
+
+
 def product_to_sum(a, b):
     # cos p t * cos q t = (cos (p+q) t + cos |p-q| t) / 2, term by term
     out = np.zeros(len(a) + len(b) - 1)
@@ -255,7 +320,7 @@ def test_cosine_coeffs_match_product_to_sum_reference():
                 expected = product_to_sum(expected, coeffs)
             for _ in range(k):
                 expected = product_to_sum(expected, coeffs[::-1])
-            got = _cosine_coeffs(50, 1.0, [(a, j), (b, k)])
+            got = _cosine_coeffs(50, 1.0, [[(a, j), (b, k)]])[0][0]
             scale = np.sum(np.abs(expected))
             assert len(got) == len(np.trim_zeros(expected, "b"))
             assert np.max(np.abs(got - expected[: len(got)])) <= 16 * np.finfo(float).eps * scale
@@ -264,7 +329,7 @@ def test_cosine_coeffs_match_product_to_sum_reference():
         expected = np.ones(1)
         for _ in range(j):
             expected = product_to_sum(expected, (0.0, 0.0, 1.0))
-        assert np.array_equal(_cosine_coeffs(10, 1.0, [(COS2, j)]), expected)
+        assert np.array_equal(_cosine_coeffs(10, 1.0, [[(COS2, j)]])[0][0], expected)
 
 
 @pytest.mark.parametrize("coeffs, m", [
@@ -281,7 +346,7 @@ def test_cosine_table_powers_and_bands_are_exact(coeffs, m):
     b = profile.bandwidth()
     for j in range(4):
         dense = table.power(j)
-        expected = _exact_cosine_elements(m, _cosine_coeffs(m, 1.0, [(profile, j)]))
+        expected = _exact_cosine_elements(m, _cosine_coeffs(m, 1.0, [[(profile, j)]])[0][0])
         assert dense.tobytes() == expected.tobytes()  # bit for bit, signed zeros included
         assert table.power(j) is dense  # built once
         band = table.band(j)
