@@ -13,14 +13,15 @@ matrix element is read from the cosine coefficients c_k of the function:
 <n| f |m> = (c_|n-m| - c_{n+m})/2, plus c_0 on the diagonal.  Those are
 exact Chebyshev products for a cosine profile and composite Gauss-Legendre
 moments otherwise.  A string table keeps only the coefficients of sigma^j,
-from which the band of S_j is read directly and dense matrices are built on
-first use.  Rectangle tables are dense products of such string factors.
+from which each diagonal of S_j is read directly and dense matrices are built
+on first use.  Rectangle tables are dense products of such string factors.
 Every table is built from scratch on each call.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -206,12 +207,6 @@ class Separable2D:
     def is_zero(self) -> bool:
         return all(px.is_zero or py.is_zero for px, py in self.terms)
 
-    def evaluate_grid(self, x: np.ndarray, y: np.ndarray, a: float, b: float) -> np.ndarray:
-        out = np.zeros((np.size(x), np.size(y)))
-        for px, py in self.terms:
-            out += np.outer(px.evaluate(x, a), py.evaluate(y, b))
-        return out
-
 
 Profile = Profile1D | Separable2D
 
@@ -386,7 +381,7 @@ def _quad_cosine_coeffs(n_max: int, length: float, factor_lists, nodes: int | No
     scale = np.maximum(1.0, np.max(np.abs(diagonal), axis=1))
     err = 2.0 * np.max(np.abs(check - moments), axis=1)
     for e, s in zip(err, scale):
-        if e > 1e-10 * s:
+        if not e <= 1e-10 * s:  # also catches a NaN error
             raise QuadratureError(
                 f"quadrature self-check failed: element error {e:.3e} at {plan} nodes"
             )
@@ -421,22 +416,6 @@ def _cosine_coeffs(n_max: int, length: float, factor_lists, nodes: int | None = 
     return out, check
 
 
-def _multinomial(total: int, parts: tuple[int, ...]) -> int:
-    out = math.factorial(total)
-    for p in parts:
-        out //= math.factorial(p)
-    return out
-
-
-def _compositions(total: int, slots: int):
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, slots - 1):
-            yield (first,) + rest
-
-
 # ---------------------------------------------------------------------------
 # the sigma-power table
 # ---------------------------------------------------------------------------
@@ -449,8 +428,8 @@ class SigmaPowerTable:
     Two storage forms: on the string the cosine coefficients of each sigma^j
     (``cosine``), cut after the highest harmonic for a cosine profile and
     c_0..c_{2 size} otherwise; on the rectangle dense ``entries``.  ``power``
-    returns the dense matrix either way; ``band`` returns the upper band of
-    S_j without forming it.
+    returns the dense matrix either way; ``diagonal(j, d)`` reads one diagonal
+    of S_j without forming it, for offsets up to ``width(j)``.
     """
 
     max_power: int
@@ -472,41 +451,34 @@ class SigmaPowerTable:
             self._dense[j] = _exact_cosine_elements(self.size, self.cosine[j])
         return self._dense[j]
 
-    def band(self, j: int) -> np.ndarray:
-        """Upper band storage: band[d, n] = S_j[n, n + d], zero past the end.
+    def width(self, j: int) -> int:
+        """Highest offset d at which S_j[n, n + d] can be nonzero.
 
-        The width is the highest stored harmonic of sigma^j on the string
-        (capped at size - 1, which quadrature coefficients always reach), and
-        size - 1 for a dense table.
+        The highest stored harmonic of sigma^j on the string (capped at
+        size - 1, which quadrature coefficients always reach), and size - 1
+        for a dense table.
+        """
+        self._check(j)
+        if self.cosine is None:
+            return self.size - 1
+        return min(len(self.cosine[j]) - 1, self.size - 1)
+
+    def diagonal(self, j: int, d: int = 0) -> np.ndarray:
+        """S_j[n, n + d] for n < size - d.
+
+        Read without forming S_j on the string; a read-only view on the rectangle.
         """
         self._check(j)
         m = self.size
+        if not 0 <= d < m:
+            raise ValidationError(f"diagonal offset {d} outside 0..{m - 1}")
         if self.cosine is None:
-            # one strided copy: row n starts at S_j[n, n], so its first m - n entries are
-            # band column n and the rest run into row n + 1, where they are zeroed
-            s = np.ascontiguousarray(self.entries[j])
-            step = s.itemsize
-            cols = np.empty((m, m))
-            cols[: m - 1] = np.lib.stride_tricks.as_strided(s, (m - 1, m), ((m + 1) * step, step))
-            cols[m - 1, 0] = s[m - 1, m - 1]
-            np.copyto(cols[:, ::-1], 0.0, where=np.tri(m, k=-1, dtype=bool))
-            return cols.T
-        width = min(len(self.cosine[j]) - 1, m - 1)
-        out = np.zeros((width + 1, m))
+            return np.diagonal(self.entries[j], d)
         # the selection rule of _exact_cosine_elements, one diagonal at a time
         c = _padded_cosine(self.cosine[j], m)
-        for d in range(1, width + 1):
-            out[d, : m - d] = 0.5 * (c[d] - c[d + 2 : 2 * m - d + 1 : 2])
-        out[0] = self.diagonal(j)
-        return out
-
-    def diagonal(self, j: int) -> np.ndarray:
-        """S_j[n, n], without forming S_j on the string (a read-only view on the rectangle)."""
-        self._check(j)
-        if self.cosine is None:
-            return np.diagonal(self.entries[j])
-        c = _padded_cosine(self.cosine[j], self.size)
-        return c[0] - 0.5 * c[2::2]
+        if d == 0:
+            return c[0] - 0.5 * c[2::2]
+        return 0.5 * (c[d] - c[d + 2 : 2 * m - d + 1 : 2])
 
 
 def build_sigma_table(
@@ -557,7 +529,10 @@ def build_sigma_table(
         return SigmaPowerTable(max_power, m_size, entries, meta)
     modes = np.asarray(basis.mode_indices(), dtype=int)
     terms = profile.terms
-    alphas = [alpha for j in range(1, max_power + 1) for alpha in _compositions(j, len(terms))]
+    alphas = [  # every split of each power j over the terms
+        alpha for j in range(1, max_power + 1)
+        for alpha in itertools.product(range(j + 1), repeat=len(terms)) if sum(alpha) == j
+    ]
 
     def factor(side: int, length: float) -> list:
         """Cosine coefficients of prod_t p_t^alpha_t on one side, for every alpha, from one call."""
@@ -571,6 +546,7 @@ def build_sigma_table(
 
     for alpha, cx, cy in zip(alphas, factor(0, basis.domain.a), factor(1, basis.domain.b)):
         j = sum(alpha)
-        entries[j] += float(_multinomial(j, alpha)) * elements(0, cx) * elements(1, cy)
+        multinomial = math.factorial(j) // math.prod(map(math.factorial, alpha))
+        entries[j] += float(multinomial) * elements(0, cx) * elements(1, cy)
 
     return SigmaPowerTable(max_power, m_size, entries, meta)

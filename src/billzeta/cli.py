@@ -166,18 +166,20 @@ def _physical_memory() -> int | None:
 
 # Peak dense M x M float64 matrices each route holds besides the sigma table,
 # from tracemalloc at M=800 (the oracle's adds LAPACK's untraced copy; the
-# closed form's band of a dense table measured 2.01).  The trace routes hold
-# Q^(1), each live q^(1) and one temporary: trace1 measured 3.04-3.25 in 2D
-# and 4.04-4.25 on the string, which also builds a dense S_1; trace2 5.04 for
-# one order and 6.04 for three orders sharing no q set.
+# closed form reads a dense table's diagonals as views and measured 0.03).
+# The trace routes hold Q^(1), each live q^(1) and one temporary: trace1
+# measured 3.04-3.25 in 2D and 4.04-4.25 on the string, which also builds a
+# dense S_1; trace2 5.04 for one order and 6.04 for three orders sharing no
+# q set.
 _ROUTE_MATRICES = {"closed": 3, "trace1": 5, "trace2": 7, "oracle": 4}
 _ROUTE_MATRICES["all"] = max(_ROUTE_MATRICES.values())
-# The closed form alone on a string table never forms a matrix: its peak is
-# this many length-M float64 vectors per row of S_1's band, plus a fixed number
-# (tracemalloc: 9 for cosine profiles at M=10^5, highest harmonics 0 to 60; 14
-# to 23 for a polynomial profile, whose band has all M rows, at M=800 to 3200,
-# 3 orders and 4 lambdas; its table build peaks at 9 MiB at M=3000, far below
-# the band).
+# The closed form alone on a string table never forms a matrix: it reads S_1
+# one diagonal at a time, so its working set is a few length-M vectors.  The
+# count below (this many vectors per diagonal of S_1 up to its width, plus a
+# fixed number) bounds that from above with room to spare (tracemalloc, 3
+# orders and 4 lambdas: 7.2-8.1 vectors for cosine profiles at M=10^5, highest
+# harmonics 0 to 60; 4.4-9.7 MiB for a polynomial profile at M=800 to 3200,
+# set by the quadrature build's chunk rows).
 _BAND_ROW_VECTORS, _BAND_VECTORS = 2, 32
 
 
@@ -311,7 +313,7 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
         }.get(command, _ROUTE_MATRICES[route])
         need = (max(2, max_order) + 1 + work) * modes * modes * 8  # the table is J + 1 matrices
         if command == "sumrule" and route == "closed" and isinstance(domain, String1D):
-            # S_1's band: b + 1 rows for a cosine profile of highest harmonic b, else all M
+            # S_1's width: b + 1 diagonals for a cosine profile of highest harmonic b, else all M
             width = profile.bandwidth() if isinstance(profile, FourierCosine) else modes - 1
             need = (_BAND_ROW_VECTORS * (min(width, modes - 1) + 1) + _BAND_VECTORS) * modes * 8
         memory = _physical_memory()

@@ -202,29 +202,25 @@ def kernel_second_order_presplit(eps_n: float, eps_m: float, s: float) -> float:
     return (eps_m ** (-s) + eps_n ** (-s)) + 4.0 * kernel_second_order(eps_n, eps_m, s)
 
 
-def kernel_band(eps: np.ndarray, width: int, s: float) -> np.ndarray:
-    """Upper band of K(eps_n, eps_m; s): band[d, n] = K(eps[n], eps[n + d]), zero past the end.
+def kernel_diagonal(eps: np.ndarray, d: int, s: float) -> np.ndarray:
+    """Diagonal d of K(eps_n, eps_m; s): K(eps[n], eps[n + d]) for n < M - d.
 
     eps must be ascending (both bases sort their modes), so lo = eps[n] and
     hi = eps[n + d].  Every pair is evaluated as lo^{-s} (-expm1((1-s) log1p(h)))/h
     with h = (hi - lo)/lo, which has no cancellation near the diagonal or as
     s -> 1; pairs with h <= 1e-12 take the analytic limit (s - 1) lo^{-s}, so
-    row 0 is the diagonal.  Each unordered pair is stored once, which makes
-    the kernel it stands for exactly symmetric.
+    offset 0 is the diagonal.  Each unordered pair is evaluated once, which
+    makes the kernel it stands for exactly symmetric.
     """
     e = np.asarray(eps, dtype=float)
-    m = e.size
-    neg_pow = e ** (-s)
-    out = np.zeros((width + 1, m))
-    for d in range(min(width, m - 1) + 1):
-        lo, base = e[: m - d], neg_pow[: m - d]
-        h = (e[d:] - lo) / lo
-        with np.errstate(divide="ignore", invalid="ignore"):
-            k = base * (-np.expm1((1.0 - s) * np.log1p(h))) / h
-        tiny = h <= 1e-12
-        k[tiny] = (s - 1.0) * base[tiny]
-        out[d, : m - d] = k
-    return out
+    lo = e[: e.size - d]
+    base = lo ** (-s)
+    h = (e[d:] - lo) / lo
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = base * (-np.expm1((1.0 - s) * np.log1p(h))) / h
+    tiny = h <= 1e-12
+    k[tiny] = (s - 1.0) * base[tiny]
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +308,8 @@ def z_closed_form(
     z0 = sum eps^{-s} (+ tail);  z1 = lam s sum <n|s|n> eps^{-s};
     z2 = (lam^2/2) s sum_{n, m} K(eps_n, eps_m; s) <n|s|m><m|s|n>,
     where the diagonal K(eps, eps; s) = (s-1) eps^{-s} carries the n == m terms.
-    The double sum runs over the band of S_1 only (O(M b) for a cosine table
+    The double sum walks the diagonals of S_1 up to its width once, reading
+    each through the table (O(M b) time and O(M) memory for a cosine table
     with highest harmonic b).  The lambda-free sums are formed once per order.  With
     diagonal_mode="resummed" the truncated diagonal lambda-series is replaced
     by (1 + lam <n|s|n>)^s and the difference reported separately.
@@ -322,48 +319,44 @@ def z_closed_form(
         raise ValidationError("closed form needs a table with max_power >= 2")
     if diagonal_mode not in (TRUNCATED, RESUMMED):
         raise ValidationError(f"unknown diagonal mode {diagonal_mode!r}")
-    s1 = table.band(1)
-    diag = s1[0].copy()
-    coupled = bool(np.any(s1))
-    s1 *= s1  # the kernel sum needs only S_1[n, m]^2 = S_1[m, n]^2
-    s1[1:] *= 2.0  # each off-diagonal row stands for (n, n + d) and (n + d, n)
-    # one frame per order: an order's leftover vector fragments the next kernel's heap
-    return [
-        result for s, label in resolved
-        for result in _closed_form_order(s, label, s1, diag, coupled, basis, densities, diagonal_mode)
-    ]
-
-
-def _closed_form_order(s, label, weighted_sq, diag, coupled, basis, densities,
-                       diagonal_mode) -> list[SumRuleResult]:
-    """z_closed_form for one order: its lambda-free sums, then one result per density."""
-    m = diag.size
+    m = table.size
     eps = basis.eigenvalues()[:m]
-    weights = eps ** (-s)
-    tail = tail_estimate(basis, s, m)
-    z0 = float(np.sum(weights)) + tail
-    if coupled and any(d.lam != 0.0 for d in densities):
-        sum1 = float(np.sum(diag * weights))
-        # the kernel's row 0 is (s - 1) * weights, so one sum covers n == m
-        terms = kernel_band(eps, weighted_sq.shape[0] - 1, s)
-        terms *= weighted_sq
-        sum2 = float(np.sum(terms))
+    diag = table.diagonal(1)
+    width = table.width(1)
+    coupled = False
+    partial = np.zeros((len(resolved), width + 1))  # [i, d]: order i's kernel sum at offset d
+    if any(density.lam != 0.0 for density in densities):
+        for d in range(width + 1):
+            s1 = table.diagonal(1, d) if d else diag
+            coupled = coupled or bool(np.any(s1))
+            sq = s1 * s1  # the kernel sum needs only S_1[n, m]^2 = S_1[m, n]^2
+            if d:
+                sq *= 2.0  # offset d stands for (n, n + d) and (n + d, n)
+            for i, (s, _) in enumerate(resolved):
+                # the kernel at offset 0 is (s - 1) eps^{-s}, so one sum covers n == m
+                partial[i, d] = np.sum(kernel_diagonal(eps, d, s) * sq)
     results = []
-    for density in densities:
-        lam = density.lam
-        z1 = z2 = correction = 0.0
-        if lam != 0.0 and coupled:
-            z1 = lam * s * sum1
-            z2 = 0.5 * lam * lam * s * sum2
-            if diagonal_mode == RESUMMED:
-                resummed = np.power(1.0 + lam * diag, s)
-                series = 1.0 + lam * s * diag + 0.5 * lam * lam * s * (s - 1.0) * diag * diag
-                correction = float(np.sum(weights * (resummed - series)))
-        results.append(SumRuleResult(
-            s=s, lam=lam, z0=z0, z1=z1, z2=z2, diagonal_mode=diagonal_mode,
-            tail_estimate=tail, truncation=m, route=ROUTE_CLOSED, order_label=label,
-            resummation_correction=correction,
-        ))
+    for (s, label), sums in zip(resolved, partial):
+        weights = eps ** (-s)
+        tail = tail_estimate(basis, s, m)
+        z0 = float(np.sum(weights)) + tail
+        sum1 = float(np.sum(diag * weights))
+        sum2 = float(np.sum(sums))
+        for density in densities:
+            lam = density.lam
+            z1 = z2 = correction = 0.0
+            if lam != 0.0 and coupled:
+                z1 = lam * s * sum1
+                z2 = 0.5 * lam * lam * s * sum2
+                if diagonal_mode == RESUMMED:
+                    resummed = np.power(1.0 + lam * diag, s)
+                    series = 1.0 + lam * s * diag + 0.5 * lam * lam * s * (s - 1.0) * diag * diag
+                    correction = float(np.sum(weights * (resummed - series)))
+            results.append(SumRuleResult(
+                s=s, lam=lam, z0=z0, z1=z1, z2=z2, diagonal_mode=diagonal_mode,
+                tail_estimate=tail, truncation=m, route=ROUTE_CLOSED, order_label=label,
+                resummation_correction=correction,
+            ))
     return results
 
 

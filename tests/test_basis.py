@@ -139,6 +139,12 @@ def test_quadrature_insufficient_nodes_reported():
         _quad_cosine_coeffs(64, 1.0, [[(Polynomial((0.0, 1.0)), 1)]], nodes=48)
 
 
+def test_nan_profile_fails_the_quadrature_self_check():
+    # a NaN error bound compares False against any threshold, so it must be caught explicitly
+    with pytest.raises(QuadratureError):
+        build_sigma_table(ModeBasis(String1D(1.0), 20), Polynomial((math.nan, 1.0)), 2)
+
+
 def test_linear_profile_matches_analytic_elements():
     # <n|x|m> = 2 int_0^1 x sin(n pi x) sin(m pi x) dx
     m = 60
@@ -349,41 +355,41 @@ def test_cosine_table_powers_and_bands_are_exact(coeffs, m):
         expected = _exact_cosine_elements(m, _cosine_coeffs(m, 1.0, [[(profile, j)]])[0][0])
         assert dense.tobytes() == expected.tobytes()  # bit for bit, signed zeros included
         assert table.power(j) is dense  # built once
-        band = table.band(j)
-        assert band.shape == (min(j * b, m - 1) + 1, m)
-        for d in range(band.shape[0]):
-            assert band[d, : m - d].tobytes() == np.diagonal(dense, d).tobytes()
-            assert np.all(band[d, m - d :] == 0.0)
+        assert table.width(j) == min(j * b, m - 1)
+        for d in range(table.width(j) + 1):
+            assert table.diagonal(j, d).tobytes() == np.diagonal(dense, d).tobytes()
         # entries outside the band are exactly zero
-        outside = np.abs(np.subtract.outer(range(m), range(m))) >= band.shape[0]
+        outside = np.abs(np.subtract.outer(range(m), range(m))) > table.width(j)
         assert np.all(dense[outside] == 0.0)
 
 
 def test_dense_table_band_copies_every_diagonal():
     table = build_sigma_table(ModeBasis(RECT, 7), SEP, 2)
-    band = table.band(2)
-    assert band.shape == (7, 7)
+    assert table.width(2) == 6
     for d in range(7):
-        assert np.array_equal(band[d, : 7 - d], np.diagonal(table.power(2), d))
-        assert np.all(band[d, 7 - d :] == 0.0)
+        assert np.array_equal(table.diagonal(2, d), np.diagonal(table.power(2), d))
+        assert np.shares_memory(table.diagonal(2, d), table.entries[2])  # a view, not a copy
     # every power, the last matrix of the entries included, and the smallest sizes
     for m in (1, 2, 7, 40):
         table = build_sigma_table(ModeBasis(RECT, m), SEP, 2)
         for j in range(3):
-            expected = np.zeros((m, m))  # +0.0 past the end of each diagonal
+            assert table.width(j) == m - 1
             for d in range(m):
-                expected[d, : m - d] = np.diagonal(table.power(j), d)
-            assert np.ascontiguousarray(table.band(j)).tobytes() == expected.tobytes()
+                assert table.diagonal(j, d).tobytes() == np.diagonal(table.power(j), d).tobytes()
 
 
 @pytest.mark.parametrize("profile", [COS2, POLY], ids=["cosine", "polynomial"])
 def test_string_diagonal_is_read_without_a_dense_power(profile):
     table = build_sigma_table(ModeBasis(String1D(1.0), 30), profile, 2)
-    diagonals = [table.diagonal(j) for j in range(3)]
+    diagonals = [[table.diagonal(j, d) for d in range(table.width(j) + 1)] for j in range(3)]
     assert table._dense == {}  # no dense S_j was formed
-    for j, diag in enumerate(diagonals):
-        assert diag.tobytes() == np.diagonal(table.power(j)).tobytes()
-        assert diag.tobytes() == table.band(j)[0].tobytes()
+    for j, diags in enumerate(diagonals):
+        for d, diag in enumerate(diags):
+            assert diag.tobytes() == np.diagonal(table.power(j), d).tobytes()
+        assert table.diagonal(j).tobytes() == diags[0].tobytes()  # the offset defaults to 0
+    for d in (-1, 30):
+        with pytest.raises(ValidationError):
+            table.diagonal(1, d)
 
 
 def test_rectangle_diagonal_is_a_view_of_the_entries():

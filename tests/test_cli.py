@@ -460,10 +460,10 @@ def test_high_frequency_2d_profile_density_bound_exits_2(tmp_path, capsys):
 def test_memory_error_exits_3_without_traceback(tmp_path, monkeypatch, capsys):
     from billzeta import sumrules
 
-    def exhausted(eps, width, s):
+    def exhausted(eps, d, s):
         raise MemoryError()  # numpy's own can stringify to ""
 
-    monkeypatch.setattr(sumrules, "kernel_band", exhausted)
+    monkeypatch.setattr(sumrules, "kernel_diagonal", exhausted)
     rc = main(["sumrule", "--s", "3/2", "--lambda", "0.1", "--route", "closed", "--modes", "20"])
     assert rc == EXIT_NUMERICAL
     err = capsys.readouterr().err.strip()
@@ -474,9 +474,10 @@ def test_sumrule_sweep_forms_each_invariant_once(tmp_path, monkeypatch):
     from billzeta import coefficients, oracle, sumrules
 
     calls = {
-        "kernel_band": 0, "Q_trace_terms": 0, "trace_terms": [], "solve_spectrum": 0,
+        "kernel_diagonal": 0, "Q_trace_terms": 0, "trace_terms": [], "solve_spectrum": 0,
         "build_Q_series": 0, "q_generic_recursion": 0,
     }
+    kernel_pairs = set()
 
     def counted(fn):
         def wrapper(*args, **kwargs):
@@ -484,11 +485,13 @@ def test_sumrule_sweep_forms_each_invariant_once(tmp_path, monkeypatch):
                 calls["trace_terms"].append(args[0])
             else:
                 calls[fn.__name__] += 1
+            if fn.__name__ == "kernel_diagonal":
+                kernel_pairs.add((args[2], args[1]))  # (s, d)
             return fn(*args, **kwargs)
         return wrapper
 
     for module, name in (
-        (sumrules, "kernel_band"), (sumrules, "Q_trace_terms"), (sumrules, "trace_terms"),
+        (sumrules, "kernel_diagonal"), (sumrules, "Q_trace_terms"), (sumrules, "trace_terms"),
         (oracle, "solve_spectrum"), (coefficients, "build_Q_series"),
         (coefficients, "q_generic_recursion"),
     ):
@@ -497,10 +500,12 @@ def test_sumrule_sweep_forms_each_invariant_once(tmp_path, monkeypatch):
     for order in ("3/2", "1+1/4", "1/2+1/3"):
         argv += ["--s", order]
     assert main(argv) == EXIT_OK
-    # one kernel per s, one set of Q terms (N = 1), one q set per distinct N (2, 4, 3),
-    # one spectrum per lambda, and no dense coefficient series at all
+    # one kernel diagonal per distinct (s, d), d = 0..2 for cos(2 pi x), one set of Q terms
+    # (N = 1), one q set per distinct N (2, 4, 3), one spectrum per lambda, and no dense
+    # coefficient series at all
+    assert len(kernel_pairs) == 9
     assert calls == {
-        "kernel_band": 3, "Q_trace_terms": 1, "trace_terms": [2, 4, 3], "solve_spectrum": 4,
+        "kernel_diagonal": 9, "Q_trace_terms": 1, "trace_terms": [2, 4, 3], "solve_spectrum": 4,
         "build_Q_series": 0, "q_generic_recursion": 0,
     }
 

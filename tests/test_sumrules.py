@@ -9,6 +9,7 @@ from billzeta.basis import (
     DensityPerturbation,
     FourierCosine,
     ModeBasis,
+    Polynomial,
     Rectangle2D,
     Separable2D,
     String1D,
@@ -20,7 +21,7 @@ from billzeta.sumrules import (
     RESUMMED,
     TRUNCATED,
     RationalOrderSpec,
-    kernel_band,
+    kernel_diagonal,
     kernel_second_order,
     kernel_second_order_presplit,
     tail_estimate,
@@ -100,21 +101,22 @@ def test_kernel_symmetry_bitexact():
     for s in (0.75, 1.5):
         for a, b in ((1.0, 4.0), (2.0, 2.0 + 1e-9), (0.02, 9000.0)):
             assert kernel_second_order(a, b, s) == kernel_second_order(b, a, s)
-    # the band holds each unordered pair once; the tied pair gets the diagonal limit exactly
-    band = kernel_band(np.array([1.0, 2.0, 2.0, 50.0]), 3, 1.25)
-    assert band[1, 1] == band[0, 1] == band[0, 2] == 0.25 * 2.0 ** -1.25
+    # each unordered pair is evaluated once; the tied pair gets the diagonal limit exactly
+    eps = np.array([1.0, 2.0, 2.0, 50.0])
+    band = [kernel_diagonal(eps, d, 1.25) for d in range(4)]
+    assert band[1][1] == band[0][1] == band[0][2] == 0.25 * 2.0 ** -1.25
 
 
 def test_kernel_band_matches_scalar():
     eps = np.array([1.0, 1.0 + 1e-14, 3.7, 88.0])
-    band = kernel_band(eps, 3, 1.125)
+    band = [kernel_diagonal(eps, d, 1.125) for d in range(4)]
     for i in range(4):
         for j in range(4):
             lo, hi = min(i, j), max(i, j)
-            assert band[hi - lo, lo] == pytest.approx(
+            assert band[hi - lo][lo] == pytest.approx(
                 kernel_second_order(eps[i], eps[j], 1.125), rel=1e-14
             )
-    assert np.all(band[np.add.outer(range(4), range(4)) >= 4] == 0.0)  # past the end
+    assert [k.size for k in band] == [4, 3, 2, 1]  # nothing past the end
 
 
 def test_kernel_band_matches_decimal_reference_near_s_one():
@@ -122,7 +124,7 @@ def test_kernel_band_matches_decimal_reference_near_s_one():
     # (lo^{1-s} - hi^{1-s})/(hi - lo) cancels as s -> 1 and misses 2e-15
     s = 1.0 + 1.0 / 64.0
     eps = (np.arange(1, 41) * np.pi) ** 2
-    band = kernel_band(eps, eps.size - 1, s)
+    band = [kernel_diagonal(eps, d, s) for d in range(eps.size)]
     worst = 0.0
     with localcontext() as ctx:
         ctx.prec = 50
@@ -131,7 +133,7 @@ def test_kernel_band_matches_decimal_reference_near_s_one():
         for i in range(eps.size):
             for j in range(i + 1, eps.size):
                 ref = (pw[i] - pw[j]) / (Decimal(eps[j]) - Decimal(eps[i]))
-                worst = max(worst, abs(float((Decimal(band[j - i, i]) - ref) / ref)))
+                worst = max(worst, abs(float((Decimal(band[j - i][i]) - ref) / ref)))
     assert worst <= 2e-15
 
 
@@ -185,6 +187,26 @@ def test_banded_closed_form_matches_dense_sum(coeffs, m, mode):
             lam = density.lam
             assert res.z1 == lam * s * float(np.sum(np.diag(s1) * eps ** (-s)))
             assert res.z2 == pytest.approx(0.5 * lam * lam * s * dense_sum, rel=1e-14, abs=0.0)
+
+
+def test_closed_form_working_set_is_a_few_vectors():
+    # one diagonal of S_1 and of the kernel at a time: O(M), even with all M diagonals
+    import tracemalloc
+
+    m = 2000
+    profile = Polynomial((0.0, 4.0, -4.0))
+    basis = ModeBasis(String1D(1.0), m)
+    table = build_sigma_table(basis, profile, 2)
+    assert table.width(1) == m - 1
+    densities = [DensityPerturbation(profile, lam) for lam in (0.02, 0.04, 0.08, 0.16)]
+    tracemalloc.start()
+    try:
+        results = z_closed_form([1.5, 1.125, 5.0 / 6.0], table, basis, densities)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(results) == 12 and all(r.z2 != 0.0 for r in results)
+    assert peak < 32 * m * 8
 
 
 def test_banded_closed_form_zero_profile_keeps_signed_zeros():
