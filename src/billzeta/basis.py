@@ -13,9 +13,10 @@ matrix element is read from the cosine coefficients c_k of the function:
 <n| f |m> = (c_|n-m| - c_{n+m})/2, plus c_0 on the diagonal.  Those are
 exact Chebyshev products for a cosine profile and composite Gauss-Legendre
 moments otherwise.  A string table keeps only the coefficients of sigma^j,
-from which each diagonal of S_j is read directly and dense matrices are built
-on first use.  Rectangle tables are dense products of such string factors.
-Every table is built from scratch on each call.
+from which any diagonal or block of rows of S_j is read directly and dense
+matrices are built on first use.  Rectangle tables are dense products of such
+string factors, S_1..S_J only: the identity S_0 is never stored.  Every table
+is built from scratch on each call.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .errors import QuadratureError, ValidationError
 
 _GL_PANEL_NODES = 32
 _NODE_CHUNK = 1024  # quadrature nodes per block of exponential rows
+ROW_BLOCK = 64  # rows per step wherever a dense table is built or S_1 is walked
 
 
 # ---------------------------------------------------------------------------
@@ -427,17 +429,20 @@ class SigmaPowerTable:
 
     Two storage forms: on the string the cosine coefficients of each sigma^j
     (``cosine``), cut after the highest harmonic for a cosine profile and
-    c_0..c_{2 size} otherwise; on the rectangle dense ``entries``.  ``power``
-    returns the dense matrix either way; ``diagonal(j, d)`` reads one diagonal
-    of S_j without forming it, for offsets up to ``width(j)``.
+    c_0..c_{2 size} otherwise; on the rectangle dense ``entries`` of
+    S_1..S_J (``entries[j - 1]`` is S_j).  ``power`` returns the dense matrix
+    either way; ``diagonal(j, d)`` reads one diagonal of S_j and
+    ``rows(j, lo, hi)`` a block of its rows, both without forming S_j, for
+    offsets up to ``width(j)``.
     """
 
     max_power: int
     size: int
-    entries: np.ndarray | None  # shape (max_power + 1, size, size); None on the string
+    entries: np.ndarray | None  # shape (max_power, size, size); None on the string
     quadrature_meta: dict
     cosine: tuple[np.ndarray, ...] | None = None
     _dense: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _padded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _check(self, j: int) -> None:
         if not 0 <= j <= self.max_power:
@@ -446,7 +451,7 @@ class SigmaPowerTable:
     def power(self, j: int) -> np.ndarray:
         self._check(j)
         if self.cosine is None:
-            return self.entries[j]
+            return self.entries[j - 1] if j else np.eye(self.size)
         if j not in self._dense:  # built once, the same matrix on every call
             self._dense[j] = _exact_cosine_elements(self.size, self.cosine[j])
         return self._dense[j]
@@ -463,6 +468,12 @@ class SigmaPowerTable:
             return self.size - 1
         return min(len(self.cosine[j]) - 1, self.size - 1)
 
+    def _coefficients(self, j: int) -> np.ndarray:
+        """c_0..c_{2 size} of sigma^j on the string: all the selection rule reads, padded once."""
+        if j not in self._padded:
+            self._padded[j] = _padded_cosine(self.cosine[j], self.size)
+        return self._padded[j]
+
     def diagonal(self, j: int, d: int = 0) -> np.ndarray:
         """S_j[n, n + d] for n < size - d.
 
@@ -473,12 +484,37 @@ class SigmaPowerTable:
         if not 0 <= d < m:
             raise ValidationError(f"diagonal offset {d} outside 0..{m - 1}")
         if self.cosine is None:
-            return np.diagonal(self.entries[j], d)
+            return np.diagonal(self.entries[j - 1], d) if j else np.full(m - d, float(d == 0))
         # the selection rule of _exact_cosine_elements, one diagonal at a time
-        c = _padded_cosine(self.cosine[j], m)
+        c = self._coefficients(j)
         if d == 0:
             return c[0] - 0.5 * c[2::2]
         return 0.5 * (c[d] - c[d + 2 : 2 * m - d + 1 : 2])
+
+    def rows(self, j: int, lo: int, hi: int) -> tuple[int, np.ndarray]:
+        """(c0, S_j[lo:hi, c0:c1]): rows lo..hi-1 over every column within width(j) of them.
+
+        c0 = max(0, lo - width(j)) and c1 = min(size, hi + width(j)).  On the
+        string the block comes from the selection rule without forming S_j
+        (bit for bit what ``power`` holds there); on the rectangle it is a
+        read-only view of every column.
+        """
+        self._check(j)
+        m = self.size
+        if not 0 <= lo < hi <= m:
+            raise ValidationError(f"row range {lo}..{hi} outside 0..{m}")
+        if self.cosine is None:
+            return 0, self.entries[j - 1][lo:hi] if j else np.eye(hi - lo, m, lo)
+        w = self.width(j)
+        c0 = max(0, lo - w)
+        c = self._coefficients(j)
+        n = np.arange(lo, hi)
+        k = np.arange(c0, min(m, hi + w))
+        block = c[np.abs(n[:, None] - k)] - c[n[:, None] + k + 2]  # c_|n-m| - c_{n+m}, 1-based
+        block *= 0.5
+        r = np.arange(hi - lo)
+        block[r, r + lo - c0] = c[0] - 0.5 * c[2 * n + 2]
+        return c0, block
 
 
 def build_sigma_table(
@@ -523,8 +559,7 @@ def build_sigma_table(
     if not isinstance(profile, Separable2D):
         raise ValidationError("2D tables need a Separable2D profile")
     meta = {"rule": "composite-gauss-legendre-32", "nodes": nodes or "auto"}
-    entries = np.zeros((max_power + 1, m_size, m_size))
-    entries[0] = np.eye(m_size)
+    entries = np.zeros((max_power, m_size, m_size))
     if profile.is_zero:  # every S_j, j >= 1, is zero; also covers an empty term list
         return SigmaPowerTable(max_power, m_size, entries, meta)
     modes = np.asarray(basis.mode_indices(), dtype=int)
@@ -539,14 +574,18 @@ def build_sigma_table(
         lists = [[(terms[t][side], p) for t, p in enumerate(alpha) if p > 0] for alpha in alphas]
         return _cosine_coeffs(int(modes[:, side].max()), length, lists, nodes)[0]
 
-    def elements(side: int, coeffs: np.ndarray) -> np.ndarray:
-        """<j| f |j'> on one side, for that side's index of every mode pair."""
-        index = modes[:, side] - 1
-        return _exact_cosine_elements(int(modes[:, side].max()), coeffs)[np.ix_(index, index)]
-
+    index = modes.T - 1  # index[side][i]: mode i's 0-based index on that side
+    sizes = modes.max(axis=0)
     for alpha, cx, cy in zip(alphas, factor(0, basis.domain.a), factor(1, basis.domain.b)):
         j = sum(alpha)
-        multinomial = math.factorial(j) // math.prod(map(math.factorial, alpha))
-        entries[j] += float(multinomial) * elements(0, cx) * elements(1, cy)
+        multinomial = float(math.factorial(j) // math.prod(map(math.factorial, alpha)))
+        # <j| f |j'> on each side, small; each row block of their product goes straight in
+        ex = _exact_cosine_elements(int(sizes[0]), cx)
+        ey = _exact_cosine_elements(int(sizes[1]), cy)
+        for lo in range(0, m_size, ROW_BLOCK):
+            rows = slice(lo, lo + ROW_BLOCK)
+            x = ex[np.ix_(index[0, rows], index[0])]
+            y = ey[np.ix_(index[1, rows], index[1])]
+            entries[j - 1, rows] += multinomial * x * y
 
     return SigmaPowerTable(max_power, m_size, entries, meta)

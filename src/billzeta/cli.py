@@ -22,6 +22,7 @@ from pathlib import Path
 
 from . import coefficients, oracle, sumrules
 from .basis import (
+    ROW_BLOCK,
     DensityPerturbation,
     FourierCosine,
     ModeBasis,
@@ -164,23 +165,50 @@ def _physical_memory() -> int | None:
         return None
 
 
-# Peak dense M x M float64 matrices each route holds besides the sigma table,
-# from tracemalloc at M=800 (the oracle's adds LAPACK's untraced copy; the
-# closed form reads a dense table's diagonals as views and measured 0.03).
-# The trace routes hold Q^(1), each live q^(1) and one temporary: trace1
-# measured 3.04-3.25 in 2D and 4.04-4.25 on the string, which also builds a
-# dense S_1; trace2 5.04 for one order and 6.04 for three orders sharing no
-# q set.
-_ROUTE_MATRICES = {"closed": 3, "trace1": 5, "trace2": 7, "oracle": 4}
+# Peak dense M x M float64 matrices each route holds besides the sigma table
+# (S_1..S_J, J matrices: the identity is not stored), from tracemalloc at M=800.
+# The oracle's adds LAPACK's untraced copy; the closed form reads a dense
+# table's diagonals as views and measured 0.03.  The trace routes hold no
+# matrix: they walk S_1 in row blocks, counted below.
+_ROUTE_MATRICES = {"closed": 3, "trace1": 0, "trace2": 0, "oracle": 4}
 _ROUTE_MATRICES["all"] = max(_ROUTE_MATRICES.values())
-# The closed form alone on a string table never forms a matrix: it reads S_1
-# one diagonal at a time, so its working set is a few length-M vectors.  The
-# count below (this many vectors per diagonal of S_1 up to its width, plus a
-# fixed number) bounds that from above with room to spare (tracemalloc, 3
-# orders and 4 lambdas: 7.2-8.1 vectors for cosine profiles at M=10^5, highest
-# harmonics 0 to 60; 4.4-9.7 MiB for a polynomial profile at M=800 to 3200,
-# set by the quadrature build's chunk rows).
-_BAND_ROW_VECTORS, _BAND_VECTORS = 2, 32
+# The closed form and the trace routes on a string table never form a
+# matrix: they read S_1 by diagonals or row blocks, so their working set is
+# length-M vectors.  This many vectors per diagonal of S_1 up to its width,
+# plus a fixed number, plus this many per order (the closed form keeps each
+# order's eps^-s), bound that from above with room to spare (tracemalloc, 2-3
+# orders and 2 lambdas: 0.25-0.43 MiB for a cosine profile at M=2000 and
+# 1.6-2.0 MiB at M=20000; 7.3 MiB for a polynomial profile at M=2000, set by
+# the quadrature build's chunk rows).
+_BAND_ROW_VECTORS, _BAND_VECTORS, _ORDER_VECTORS = 2, 32, 3
+# A trace route holds one row block of S_1 for each distinct series (Q and
+# each q[1/N]) and at most this many temporary blocks besides.
+_TRACE_BLOCKS = 6
+
+
+def _memory_need(command, route, domain, profile, modes, orders, max_order) -> int:
+    """Bytes a command holds at its peak, the table and the working set, counted from above."""
+    m = modes
+    perturbative = route in ("closed", "trace1", "trace2")
+    if command == "sumrule" and perturbative and isinstance(domain, String1D):
+        # S_1's width: b for a cosine profile of highest harmonic b, else M - 1
+        width = min(profile.bandwidth() if isinstance(profile, FourierCosine) else m, m - 1)
+        matrices, vectors = 0, _BAND_ROW_VECTORS * (width + 1)
+    else:
+        width = m - 1
+        work = {
+            "coeffs": 4 * (max_order + 1) + 1,  # q, Q and two power series per order
+            "verify": max(_ROUTE_MATRICES["closed"], _ROUTE_MATRICES["oracle"]),
+            "spectrum": _ROUTE_MATRICES["oracle"],
+        }.get(command, _ROUTE_MATRICES[route])
+        matrices, vectors = max(2, max_order) + work, 0
+    vectors += _BAND_VECTORS + _ORDER_VECTORS * len(orders)
+    blocks = 0
+    if command == "sumrule" and route in ("trace1", "trace2", "all"):
+        series = {n for o in orders for n in (1, o.n_root, o.n_root2) if n is not None}
+        rows, cols = min(ROW_BLOCK, m), min(m, ROW_BLOCK + 2 * width)
+        blocks = (len(series) + _TRACE_BLOCKS) * rows * cols
+    return (matrices * m * m + vectors * m + blocks) * 8
 
 
 def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
@@ -306,16 +334,7 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
     command = getattr(overrides, "command", None)
     if basis is not None:
         max_order = getattr(overrides, "max_order", 2)
-        work = {  # the command's peak working set, in matrices
-            "coeffs": 4 * (max_order + 1) + 1,  # q, Q and two power series per order
-            "verify": max(_ROUTE_MATRICES["closed"], _ROUTE_MATRICES["oracle"]),
-            "spectrum": _ROUTE_MATRICES["oracle"],
-        }.get(command, _ROUTE_MATRICES[route])
-        need = (max(2, max_order) + 1 + work) * modes * modes * 8  # the table is J + 1 matrices
-        if command == "sumrule" and route == "closed" and isinstance(domain, String1D):
-            # S_1's width: b + 1 diagonals for a cosine profile of highest harmonic b, else all M
-            width = profile.bandwidth() if isinstance(profile, FourierCosine) else modes - 1
-            need = (_BAND_ROW_VECTORS * (min(width, modes - 1) + 1) + _BAND_VECTORS) * modes * 8
+        need = _memory_need(command, route, domain, profile, modes, orders, max_order)
         memory = _physical_memory()
         if memory is not None and need > memory:
             problems.append(
@@ -331,8 +350,11 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
         problems.append(f"spectrum takes one lambda; extra values {lam_list[1:]}")
     if command == "verify" and len(orders) > 1:
         problems.append(f"verify fits one order; extra orders {[o.label() for o in orders[1:]]}")
-    if command == "verify" and len(lam_list) < 3:
-        problems.append(f"verify needs at least 3 lambda values, got {len(lam_list)}")
+    if command == "verify" and (len(set(lam_list)) < 3 or min(lam_list, default=0.0) <= 0.0):
+        # the fit is a line through (log lambda, log error): 3 distinct abscissae, each defined
+        problems.append(
+            f"verify needs at least 3 lambda values, distinct and positive, got {lam_list}"
+        )
     if basis is not None and profile is not None:
         for lam in lam_list:
             density = DensityPerturbation(profile, lam)

@@ -8,10 +8,12 @@ forms (orders <= 2, any N) are provided; they agree to rounding on the same
 truncation, which the tests exploit.
 
 The trace routes need less: q^(0) is diagonal, so the lambda^2 trace reads the
-full order-1 matrices but only the diagonal of each order-2 one.
+order-1 matrices entry by entry but only the diagonal of each order-2 one.
 Q_trace_terms and trace_terms give exactly that, (q^(0), q^(1), diag q^(2)),
-in O(N M^2) per root order with no M x M matrix product; the dense series
-above remain the general-order reference.
+on one block of B rows of S_1 at a time: O(N) per entry of S_1's row blocks
+(O(N M^2) on a dense table, O(N M (B + 2b)) on a cosine string of highest
+harmonic b) with no M x M matrix at all; the dense series above remain the
+general-order reference.
 """
 
 from __future__ import annotations
@@ -165,58 +167,68 @@ def q_generic_recursion(n_root: int, big_q, basis: ModeBasis) -> GreenCoefficien
     return GreenCoefficientSet(n, max_order, m, tuple(q_orders), tuple(big_q))
 
 
-def Q_trace_terms(table: SigmaPowerTable, basis: ModeBasis) -> tuple:
-    """What the lambda^2 trace reads of Q: (Q^(0) as a vector, Q^(1), diag Q^(2)).
+def Q_trace_terms(s1: np.ndarray, s2_diag: np.ndarray, eps: np.ndarray, lo: int, c0: int) -> tuple:
+    """What the lambda^2 trace reads of Q on one block of rows: (Q^(0), Q^(1), diag Q^(2)).
 
-    Q^(0) is diagonal, so tr(A_0 B_2) needs only diag B_2, and
+    s1 = S_1[lo:hi, c0:c1] (``SigmaPowerTable.rows``) and s2_diag = S_2[n, n]
+    on the same rows; eps is the whole spectrum.  Q^(0) is diagonal, so
+    tr(A_0 B_2) needs only diag B_2, and
     diag Q^(2) = 2 b_2 S_2[n,n]/eps_n + b_1^2 sum_r S_1[n,r]^2/eps_r needs only
-    the diagonal of S_2.  Also returns sum_r S_1[n,r]^2, from the same S_1∘S_1,
-    for the trace route's completeness deficit.
+    the rows of S_1.  Returns the terms on the rows (Q^(1) over the block's
+    columns) and sum_r S_1[n,r]^2, from the same S_1∘S_1, for the trace
+    route's completeness deficit.
     """
-    if table.max_power < 2:
-        raise ValidationError(f"order 2 exceeds table max_power {table.max_power}")
     b1, b2 = half_binomial(1), half_binomial(2)
-    inv = 1.0 / basis.eigenvalues()[: table.size]
-    s1 = table.power(1)
+    inv_rows = 1.0 / eps[lo : lo + len(s1)]
+    inv_cols = 1.0 / eps[c0 : c0 + s1.shape[1]]
     half = b1 * s1
-    q1 = half * inv
-    q1 += inv[:, None] * half
+    q1 = half * inv_cols
+    q1 += inv_rows[:, None] * half
     del half
     sq = s1 * s1
-    q2_diag = 2.0 * b2 * table.diagonal(2) * inv + b1 * b1 * (sq @ inv)
-    return (inv, _sym(q1), q2_diag), np.sum(sq, axis=1)
+    q2_diag = 2.0 * b2 * s2_diag * inv_rows + b1 * b1 * (sq @ inv_cols)
+    return (inv_rows, q1, q2_diag), np.sum(sq, axis=1)
 
 
-def _xi_rowsums(n_root: int, eps: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_r x[n,r] W[n,r] with W[n,r] = xi(N; eps_n, eps_r, eps_n).
+def _root_powers(n_root: int, eps: np.ndarray) -> np.ndarray:
+    """Rows u^j = eps^{-j/N}, j = 0..N-1: every power the eta and xi kernels take."""
+    return np.exp(np.outer(-np.arange(n_root) / n_root, np.log(eps)))
 
-    W = sum_{b=0}^{N-2} (N-1-b) u_n^{N-2-b} u_r^b with u = eps^{-1/N}, so the
-    row sums are one product of x with the N - 1 powers u^b: O(N M^2), and W
-    itself is never formed.
+
+def _xi_rowsums(x: np.ndarray, u_rows: np.ndarray, u_cols: np.ndarray) -> np.ndarray:
+    """sum_r x[n,r] W[n,r] with W[n,r] = xi(N; eps_n, eps_r, eps_n), n over rows, r over columns.
+
+    u_rows and u_cols are the N powers of _root_powers on the rows and the
+    columns.  W = sum_{b=0}^{N-2} (N-1-b) u_n^{N-2-b} u_r^b, so the row sums
+    are one product of x with the N - 1 powers u_r^b: O(N) per entry of x, and
+    W itself is never formed.
     """
-    b = np.arange(n_root - 1)
-    powers = np.exp(np.outer(-b / n_root, np.log(eps)))  # powers[b] = u^b
-    weights = (n_root - 1 - b)[:, None] * powers[::-1]  # (N-1-b) u^(N-2-b)
-    return np.einsum("nb,bn->n", x @ powers.T, weights)
+    b = np.arange(len(u_rows) - 1)
+    weights = (len(u_rows) - 1 - b)[:, None] * u_rows[: len(b)][::-1]  # (N-1-b) u_n^(N-2-b)
+    return np.einsum("nb,bn->n", x @ u_cols[: len(b)].T, weights)
 
 
-def trace_terms(n_root: int, big_q, basis: ModeBasis) -> tuple:
-    """(q^(0) as a vector, q^(1), diag q^(2)) of the order-1/N root of big_q.
+def trace_terms(n_root: int, big_q, eps: np.ndarray, lo: int, c0: int) -> tuple:
+    """(q^(0), q^(1), diag q^(2)) of the order-1/N root of Q on one block of rows.
 
-    big_q is Q_trace_terms' triple; N = 1 gives back Q's terms.  The
-    lambda^2 term of the N-fold product (q^(0) + q^(1) lambda)^N has the
-    diagonal sum_r q^(1)[n,r]^2 xi(N; eps_n, eps_r, eps_n), so
-    diag q^(2) = (diag Q^(2) - that) / eta(N; eps_n, eps_n).  O(N M^2) with no
-    M x M matrix product and no order-2 matrix.
+    big_q is Q_trace_terms' triple for the rows lo.. over the columns c0..;
+    N = 1 gives back Q's terms.  q^(1) = Q^(1) / eta(N; eps_n, eps_m), with eta
+    the product of the rows' and columns' powers u^j.  The lambda^2 term of
+    the N-fold product (q^(0) + q^(1) lambda)^N has the diagonal
+    sum_r q^(1)[n,r]^2 xi(N; eps_n, eps_r, eps_n), so
+    diag q^(2) = (diag Q^(2) - that) / eta(N; eps_n, eps_n).  O(N) per entry of
+    the block, with no order-2 matrix.
     """
     n = validate_root_order(n_root)
-    q0, big_q1, big_q2_diag = big_q
-    eps = basis.eigenvalues()[: len(q0)]
-    eta = eta_matrix(n, eps)
-    eta_diag = np.diagonal(eta).copy()
-    q1 = _sym(np.divide(big_q1, eta, out=eta))
-    q2_diag = (big_q2_diag - _xi_rowsums(n, eps, q1 * q1)) / eta_diag
-    return eps ** (-1.0 / n), q1, q2_diag
+    _, big_q1, big_q2_diag = big_q
+    rows = eps[lo : lo + len(big_q2_diag)]
+    u_rows = _root_powers(n, rows)
+    u_cols = _root_powers(n, eps[c0 : c0 + big_q1.shape[1]])
+    eta = u_rows[::-1].T @ u_cols  # sum_j eps_n^{-(N-1-j)/N} eps_m^{-j/N}
+    eta_diag = np.diagonal(eta, lo - c0)[: len(rows)].copy()  # eta(N; eps_n, eps_n)
+    q1 = np.divide(big_q1, eta, out=eta)
+    q2_diag = (big_q2_diag - _xi_rowsums(q1 * q1, u_rows, u_cols)) / eta_diag
+    return rows ** (-1.0 / n), q1, q2_diag
 
 
 def verify_convolution(

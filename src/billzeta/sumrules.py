@@ -11,8 +11,10 @@ finite truncation; converting to the completeness-split closed form leaves the
 computable deficit sum_n (S_2[n,n] - sum_m S_1[n,m]^2) eps_n^{-s}, which the
 trace routes add back so all routes are limited by rounding, not by the basis
 cutoff.  Both trace series start from a diagonal order 0, so a trace route
-needs each series' order-1 matrix and only the diagonal of its order 2:
-O(N M^2) per root order N, with no M x M matrix product.  Mode sums rely on
+needs each series' order-1 matrix entry by entry and only the diagonal of its
+order 2; it forms them one block of B rows of S_1 at a time, with no M x M
+matrix: O(N M^2) per root order N on a dense table, O(N M (B + 2b)) on a
+cosine string of highest harmonic b.  Mode sums rely on
 numpy's pairwise reduction; the order-0 tail is a smooth-counting (Weyl)
 estimate appended to z0 only.
 
@@ -29,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .basis import DensityPerturbation, ModeBasis, SigmaPowerTable
+from .basis import ROW_BLOCK, DensityPerturbation, ModeBasis, SigmaPowerTable
 from .coefficients import Q_trace_terms, trace_terms
 from .errors import ValidationError
 from .kernels import MAX_ROOT_ORDER, validate_root_order
@@ -202,7 +204,9 @@ def kernel_second_order_presplit(eps_n: float, eps_m: float, s: float) -> float:
     return (eps_m ** (-s) + eps_n ** (-s)) + 4.0 * kernel_second_order(eps_n, eps_m, s)
 
 
-def kernel_diagonal(eps: np.ndarray, d: int, s: float) -> np.ndarray:
+def kernel_diagonal(
+    eps: np.ndarray, d: int, s: float, weights: np.ndarray | None = None
+) -> np.ndarray:
     """Diagonal d of K(eps_n, eps_m; s): K(eps[n], eps[n + d]) for n < M - d.
 
     eps must be ascending (both bases sort their modes), so lo = eps[n] and
@@ -210,15 +214,24 @@ def kernel_diagonal(eps: np.ndarray, d: int, s: float) -> np.ndarray:
     with h = (hi - lo)/lo, which has no cancellation near the diagonal or as
     s -> 1; pairs with h <= 1e-12 take the analytic limit (s - 1) lo^{-s}, so
     offset 0 is the diagonal.  Each unordered pair is evaluated once, which
-    makes the kernel it stands for exactly symmetric.
+    makes the kernel it stands for exactly symmetric.  weights, if given, is
+    eps ** -s, formed once by a caller that walks many offsets.
     """
     e = np.asarray(eps, dtype=float)
     lo = e[: e.size - d]
-    base = lo ** (-s)
-    h = (e[d:] - lo) / lo
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k = base * (-np.expm1((1.0 - s) * np.log1p(h))) / h
+    base = lo ** (-s) if weights is None else weights[: e.size - d]
+    h = e[d:] - lo
+    h /= lo
+    k = np.log1p(h)
+    k *= 1.0 - s
+    np.expm1(k, out=k)
+    np.negative(k, out=k)
+    k *= base
     tiny = h <= 1e-12
+    if not tiny.any():
+        k /= h
+        return k
+    np.divide(k, h, out=k, where=~tiny)
     k[tiny] = (s - 1.0) * base[tiny]
     return k
 
@@ -323,21 +336,23 @@ def z_closed_form(
     eps = basis.eigenvalues()[:m]
     diag = table.diagonal(1)
     width = table.width(1)
+    order_weights = [eps ** (-s) for s, _ in resolved]
     coupled = False
     partial = np.zeros((len(resolved), width + 1))  # [i, d]: order i's kernel sum at offset d
     if any(density.lam != 0.0 for density in densities):
         for d in range(width + 1):
             s1 = table.diagonal(1, d) if d else diag
-            coupled = coupled or bool(np.any(s1))
+            coupled = coupled or bool(s1.any())
             sq = s1 * s1  # the kernel sum needs only S_1[n, m]^2 = S_1[m, n]^2
             if d:
                 sq *= 2.0  # offset d stands for (n, n + d) and (n + d, n)
-            for i, (s, _) in enumerate(resolved):
+            for i, ((s, _), weights) in enumerate(zip(resolved, order_weights)):
                 # the kernel at offset 0 is (s - 1) eps^{-s}, so one sum covers n == m
-                partial[i, d] = np.sum(kernel_diagonal(eps, d, s) * sq)
+                k = kernel_diagonal(eps, d, s, weights)
+                k *= sq
+                partial[i, d] = k.sum()
     results = []
-    for (s, label), sums in zip(resolved, partial):
-        weights = eps ** (-s)
+    for (s, label), sums, weights in zip(resolved, partial, order_weights):
         tail = tail_estimate(basis, s, m)
         z0 = float(np.sum(weights)) + tail
         sum1 = float(np.sum(diag * weights))
@@ -360,16 +375,19 @@ def z_closed_form(
     return results
 
 
-def _series_traces(a, b) -> tuple[float, float, float]:
-    """Orders 0..2 of tr(A B) for two (order-0 diagonal, order-1 matrix, order-2 diagonal) triples.
+def _series_traces(a, b, d: int) -> tuple[float, float, float]:
+    """One row block's share of orders 0..2 of tr(A B), for two (q^(0), q^(1), diag q^(2)) triples.
 
     Both series start from a diagonal order 0, so the lambda^2 term
-    tr(A_1 B_1) + tr(A_2 B_0) + tr(A_0 B_2) reads only the diagonals of A_2 and B_2.
+    tr(A_1 B_1) + tr(A_2 B_0) + tr(A_0 B_2) reads only the diagonals of A_2
+    and B_2.  Row r of the block's order-1 matrices has its diagonal entry in
+    column r + d.
     """
     (a0, a1, a2), (b0, b1, b2) = a, b
-    t0 = float(np.sum(a0 * b0))
-    t1 = float(np.sum(a0 * np.diagonal(b1))) + float(np.sum(np.diagonal(a1) * b0))
-    t2 = float(np.vdot(a1, b1)) + float(np.sum(a2 * b0)) + float(np.sum(a0 * b2))
+    a1_diag, b1_diag = (np.diagonal(x, d)[: len(a0)] for x in (a1, b1))
+    t0 = float(a0 @ b0)
+    t1 = float(a0 @ b1_diag) + float(a1_diag @ b0)
+    t2 = float(np.vdot(a1, b1)) + float(a2 @ b0) + float(a0 @ b2)
     return t0, t1, t2
 
 
@@ -385,10 +403,13 @@ def z_via_trace(
     only: s <= 1 diverges in two dimensions).  The lambda^2 term carries the
     completeness-deficit compensation, after which the route matches the
     closed form to rounding on the same table.  Each series enters only as
-    (order-0 diagonal, order-1 matrix, order-2 diagonal): the Q terms are
-    formed once and each q set once per root order N, in O(N M^2) with no
-    M x M matrix product.  Each distinct series pair is traced once, and a q
-    set is released as soon as no later distinct pair uses it.
+    (order-0 diagonal, order-1 matrix, order-2 diagonal), and all of them are
+    formed one block of ROW_BLOCK rows of S_1 at a time, over the columns
+    within S_1's width of the block: Q's terms once per block, each q set once
+    per block and root order N, and each distinct series pair's share of the
+    trace from them.  So no M x M matrix is formed: O(N M^2) time on a dense
+    table, O(N M (ROW_BLOCK + 2b)) on a cosine string of highest harmonic b,
+    with a working set of a few blocks.
     """
     specs = list(specs)
     _resolve_route_inputs(specs, basis, densities)
@@ -396,23 +417,27 @@ def z_via_trace(
         raise ValidationError("trace route needs a table with max_power >= 2")
     m = table.size
     eps = basis.eigenvalues()[:m]
-    big_q, s1_row_sq = Q_trace_terms(table, basis)
-    # S_2[n,n] - sum_{m<=M} S_1[n,m]^2, free of s: weighted by eps^{-s}, the finite-basis
-    # deficit between the pre-split trace and the completeness-split closed form
-    deficit = table.diagonal(2) - s1_row_sq
+    s2_diag = table.diagonal(2)
     # q[1/1] is Q itself: 1 + 1/N traces the series pair (1, N), 1/N + 1/N' the pair (N, N')
     pairs = [(1, o.n_root) if o.kind == "one_plus_inv" else (o.n_root, o.n_root2) for o in specs]
     distinct = list(dict.fromkeys(pairs))
-    q_sets = {1: big_q}
-    traces = {}
-    for i, pair in enumerate(distinct):
-        for n in pair:
-            if n not in q_sets:
-                q_sets[n] = trace_terms(n, big_q, basis)
-        traces[pair] = _series_traces(q_sets[pair[0]], q_sets[pair[1]])
-        for n in set(pair).difference(*distinct[i + 1:]):
-            del q_sets[n]  # no later distinct pair uses this set
-    del big_q
+    roots = [n for n in dict.fromkeys(n for pair in distinct for n in pair) if n != 1]
+    starts = range(0, m, ROW_BLOCK)
+    partial = np.zeros((len(distinct), 3, len(starts)))  # [pair, order, block]
+    s1_row_sq = np.empty(m)
+    for k, lo in enumerate(starts):
+        hi = min(lo + ROW_BLOCK, m)
+        c0, s1 = table.rows(1, lo, hi)
+        big_q, s1_row_sq[lo:hi] = Q_trace_terms(s1, s2_diag[lo:hi], eps, lo, c0)
+        series = {1: big_q}
+        for n in roots:
+            series[n] = trace_terms(n, big_q, eps, lo, c0)
+        for i, (a, b) in enumerate(distinct):
+            partial[i, :, k] = _series_traces(series[a], series[b], lo - c0)
+    traces = dict(zip(distinct, np.sum(partial, axis=2).tolist()))
+    # S_2[n,n] - sum_{m<=M} S_1[n,m]^2, free of s: weighted by eps^{-s}, the finite-basis
+    # deficit between the pre-split trace and the completeness-split closed form
+    deficit = s2_diag - s1_row_sq
     results = []
     for spec, pair in zip(specs, pairs):
         t0, t1, t2 = traces[pair]

@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from billzeta.basis import (
+    ROW_BLOCK,
     DensityPerturbation,
     FourierCosine,
     ModeBasis,
@@ -225,7 +227,7 @@ def test_string_quadrature_tables_are_coefficients_and_write_no_cache_file(
 
 
 def test_string_quadrature_build_peaks_below_the_counted_table():
-    # the memory pre-check counts a table as J + 1 dense matrices
+    # the memory pre-check counts J dense matrices for a table and adds a working set
     import tracemalloc
 
     m, max_power = 400, 2
@@ -368,7 +370,7 @@ def test_dense_table_band_copies_every_diagonal():
     assert table.width(2) == 6
     for d in range(7):
         assert np.array_equal(table.diagonal(2, d), np.diagonal(table.power(2), d))
-        assert np.shares_memory(table.diagonal(2, d), table.entries[2])  # a view, not a copy
+        assert np.shares_memory(table.diagonal(2, d), table.entries[1])  # a view, not a copy
     # every power, the last matrix of the entries included, and the smallest sizes
     for m in (1, 2, 7, 40):
         table = build_sigma_table(ModeBasis(RECT, m), SEP, 2)
@@ -376,6 +378,38 @@ def test_dense_table_band_copies_every_diagonal():
             assert table.width(j) == m - 1
             for d in range(m):
                 assert table.diagonal(j, d).tobytes() == np.diagonal(table.power(j), d).tobytes()
+
+
+def test_rectangle_table_stores_no_identity():
+    table = build_sigma_table(ModeBasis(RECT, 9), SEP, 3)
+    assert table.entries.shape == (3, 9, 9)  # S_1..S_3
+    assert table.power(0).tobytes() == np.eye(9).tobytes()
+    for j in (1, 2, 3):
+        assert np.shares_memory(table.power(j), table.entries[j - 1])
+    zero = build_sigma_table(ModeBasis(RECT, 4), Separable2D(()), 2)
+    assert zero.entries.shape == (2, 4, 4) and not np.any(zero.entries)
+
+
+def test_rectangle_table_is_built_in_row_blocks_bit_for_bit():
+    # the parent's form: each split alpha of j adds multinomial * X_alpha * Y_alpha to S_j,
+    # one M x M product at a time; the row blocks must give the same bits
+    terms = ((POLY, COS2), (FourierCosine((1.0,)), POLY))
+    basis = ModeBasis(Rectangle2D(1.0, 1.3), 2 * ROW_BLOCK + 3)
+    table = build_sigma_table(basis, Separable2D(terms), 3)
+    modes = np.asarray(basis.mode_indices())
+    alphas = [a for j in (1, 2, 3) for a in itertools.product(range(j + 1), repeat=2) if sum(a) == j]
+    sides = []  # every alpha's factor matrix on each side, from one shared coefficient call
+    for side, length in ((0, 1.0), (1, 1.3)):
+        lists = [[(terms[t][side], p) for t, p in enumerate(a) if p > 0] for a in alphas]
+        n_max, index = int(modes[:, side].max()), modes[:, side] - 1
+        coeffs = _cosine_coeffs(n_max, length, lists)[0]
+        sides.append([_exact_cosine_elements(n_max, c)[np.ix_(index, index)] for c in coeffs])
+    expected = np.zeros((4, len(modes), len(modes)))
+    for alpha, x, y in zip(alphas, *sides):
+        j = sum(alpha)
+        multinomial = math.factorial(j) // math.prod(map(math.factorial, alpha))
+        expected[j] += float(multinomial) * x * y
+    assert table.entries.tobytes() == expected[1:].tobytes()
 
 
 @pytest.mark.parametrize("profile", [COS2, POLY], ids=["cosine", "polynomial"])
@@ -394,9 +428,45 @@ def test_string_diagonal_is_read_without_a_dense_power(profile):
 
 def test_rectangle_diagonal_is_a_view_of_the_entries():
     table = build_sigma_table(ModeBasis(RECT, 9), SEP, 2)
-    for j in range(3):
-        assert np.shares_memory(table.diagonal(j), table.entries[j])
+    for j in (1, 2):
+        assert np.shares_memory(table.diagonal(j), table.entries[j - 1])
         assert np.array_equal(table.diagonal(j), np.diagonal(table.power(j)))
+    assert table.diagonal(0).tobytes() == np.ones(9).tobytes()  # the identity, never stored
+    assert table.diagonal(0, 3).tobytes() == np.zeros(6).tobytes()
+
+
+ROW_SIZES = (1, 2, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3)
+
+
+@pytest.mark.parametrize("profile", [
+    COS2, FourierCosine((0.1, -0.3, 0.2, 0.0, 0.05)), FourierCosine(()), POLY,
+    FourierCosine(tuple(0.01 * (k % 7 - 3) for k in range(45))),  # band wider than small M
+], ids=["cos2", "cosine", "zero", "polynomial", "wide"])
+def test_string_rows_match_the_dense_power_bit_for_bit(profile):
+    for m in ROW_SIZES:
+        table = build_sigma_table(ModeBasis(String1D(1.0), m), profile, 2)
+        blocks = {j: [table.rows(j, lo, min(lo + ROW_BLOCK, m)) for lo in range(0, m, ROW_BLOCK)]
+                  for j in range(3)}
+        assert table._dense == {}  # read without a dense S_j
+        for j, row_blocks in blocks.items():
+            dense, w = table.power(j), table.width(j)
+            for lo, (c0, block) in zip(range(0, m, ROW_BLOCK), row_blocks):
+                hi = min(lo + ROW_BLOCK, m)
+                assert c0 == max(0, lo - w)
+                assert block.tobytes() == dense[lo:hi, c0 : min(m, hi + w)].tobytes()
+                outside = np.ones(m, bool)
+                outside[c0 : min(m, hi + w)] = False
+                assert not np.any(dense[lo:hi, outside])  # nothing beyond the width
+    with pytest.raises(ValidationError):
+        table.rows(1, 3, 3)
+
+
+def test_rectangle_rows_are_views_of_every_column():
+    table = build_sigma_table(ModeBasis(RECT, 9), SEP, 2)
+    c0, block = table.rows(2, 3, 7)
+    assert c0 == 0 and np.shares_memory(block, table.entries[1])
+    assert np.array_equal(block, table.power(2)[3:7])
+    assert table.rows(0, 3, 7)[1].tobytes() == np.eye(9)[3:7].tobytes()
 
 
 def test_density_bound_validation():

@@ -9,7 +9,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from billzeta.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_SLOPE, EXIT_VALIDATION, load_config, main
+from billzeta.cli import (
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    EXIT_SLOPE,
+    EXIT_VALIDATION,
+    _build_parser,
+    load_config,
+    main,
+)
 from billzeta.errors import ConfigError
 
 
@@ -428,6 +436,22 @@ def test_verify_too_few_lambdas_listed_with_other_problems(tmp_path, monkeypatch
     assert any("1+1/4" in p for p in problems)
 
 
+@pytest.mark.parametrize("lambdas", ["0.1,0.1,0.1", "0.04,0.08,0.08", "-0.04,0.08,0.16", "0,0.08,0.16"])
+def test_verify_needs_three_distinct_positive_lambdas(tmp_path, monkeypatch, capsys, lambdas):
+    # the slope is a line through (log lambda, log error): repeated or non-positive lambdas
+    # leave fewer than 3 usable abscissae
+    from billzeta import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("build_sigma_table called")
+
+    monkeypatch.setattr(cli, "build_sigma_table", never)
+    rc = main(["verify", "--s", "3/2", f"--lambda={lambdas}", "--modes", "5"])
+    assert rc == EXIT_VALIDATION
+    problems = problems_on_stderr(capsys)
+    assert any("at least 3 lambda values, distinct and positive" in p for p in problems)
+
+
 @pytest.mark.parametrize("route", ["closed", "oracle"])
 def test_high_frequency_profile_density_bound_exits_2(tmp_path, capsys, route):
     # cos(pi x) - cos(8191 pi x) has sup ~2 but vanishes at all 4097 evenly spaced points
@@ -460,7 +484,7 @@ def test_high_frequency_2d_profile_density_bound_exits_2(tmp_path, capsys):
 def test_memory_error_exits_3_without_traceback(tmp_path, monkeypatch, capsys):
     from billzeta import sumrules
 
-    def exhausted(eps, d, s):
+    def exhausted(eps, d, s, weights=None):
         raise MemoryError()  # numpy's own can stringify to ""
 
     monkeypatch.setattr(sumrules, "kernel_diagonal", exhausted)
@@ -510,23 +534,63 @@ def test_sumrule_sweep_forms_each_invariant_once(tmp_path, monkeypatch):
     }
 
 
-def test_2d_trace_run_peaks_below_the_counted_working_set(tmp_path):
-    # the memory pre-check counts the table (J + 1 matrices) plus the route's working set
+COS_STRING = {"profile": {"type": "fourier-cosine", "coeffs": [0.0, 0.0, 1.0]}}
+POLY_STRING = {"profile": {"type": "polynomial", "coeffs": [0.0, 1.0, -1.0]}}
+ROUTE_ORDERS = {"closed": ("3/2", "1+1/8", "1/2+1/3"), "trace1": ("1+1/2", "1+1/8"),
+                "trace2": ("1/2+1/3", "1/3+1/4")}
+PEAK_RUNS = {  # (basis kind, density, M); 1/N + 1/N' diverges in two dimensions
+    "rectangle": ("rectangle", RECT_DENSITY, 400),
+    "cosine-string": ("string", COS_STRING, 20_000),
+    "polynomial-string": ("string", POLY_STRING, 800),
+}
+
+
+@pytest.mark.parametrize("run, route", [
+    (run, route) for run in PEAK_RUNS for route in ROUTE_ORDERS
+    if not (run == "rectangle" and route == "trace2")
+])
+def test_runs_peak_below_the_counted_need(tmp_path, run, route):
+    # the memory pre-check's count of the table and the route's working set is an upper bound
     import tracemalloc
 
-    from billzeta.cli import _ROUTE_MATRICES
+    from billzeta.cli import _memory_need
 
-    m = 400
-    cfg = write_config(tmp_path, basis=RECT_BASIS, density=RECT_DENSITY)
-    argv = ["sumrule", "--config", str(cfg), "--route", "trace1", "--modes", str(m),
-            "--s", "1+1/2", "--s", "1+1/8", "--lambda", "0.05,0.1"]
+    kind, density, m = PEAK_RUNS[run]
+    orders = [o for o in ROUTE_ORDERS[route] if kind == "string" or o != "1/2+1/3"]
+    cfg = write_config(tmp_path, basis={"kind": kind}, density=density)
+    argv = ["sumrule", "--config", str(cfg), "--route", route, "--modes", str(m),
+            "--lambda", "0.05,0.1", "--out", str(tmp_path / "r.csv")]
+    for order in orders:
+        argv += ["--s", order]
+    loaded = load_config(str(cfg), _build_parser().parse_args(argv))
+    need = _memory_need("sumrule", route, loaded.basis.domain, loaded.profile, m, loaded.orders, 2)
     tracemalloc.start()
     try:
         assert main(argv) == EXIT_OK
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < (3 + _ROUTE_MATRICES["trace1"]) * m * m * 8
+    assert peak < need
+
+
+@pytest.mark.parametrize("route, orders", [
+    ("trace1", ("1+1/2", "1+1/8")), ("trace2", ("1/2+1/3",)),
+], ids=["trace1", "trace2"])
+def test_trace_routes_run_at_large_modes(tmp_path, route, orders):
+    # the trace routes walk the cosine string's S_1 in row blocks: M = 10^5 passes the
+    # memory check and agrees with the closed form
+    argv = ["sumrule", "--modes", "100000", "--lambda", "0.1", "--format", "json"]
+    for order in orders:
+        argv += ["--s", order]
+    records = {}
+    for which in (route, "closed"):
+        out = tmp_path / f"{which}.json"
+        assert main(argv + ["--route", which, "--out", str(out)]) == EXIT_OK
+        records[which] = json.loads(out.read_text())["results"]
+    assert len(records[route]) == len(orders)
+    for trace, closed in zip(records[route], records["closed"]):
+        assert trace["truncation"] == 100_000 and trace["order_label"] == closed["order_label"]
+        assert trace["z_total"] == pytest.approx(closed["z_total"], rel=1e-12)
 
 
 def test_non_finite_length_exits_2(tmp_path, capsys):

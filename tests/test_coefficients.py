@@ -18,6 +18,7 @@ from billzeta.basis import (
 from billzeta.coefficients import (
     GreenCoefficientSet,
     Q_trace_terms,
+    _root_powers,
     _xi_rowsums,
     build_Q_series,
     export_coefficients_csv,
@@ -38,9 +39,8 @@ COS2 = FourierCosine((0.0, 0.0, 1.0))
 def random_table(m, max_power, seed=None):
     """Synthetic symmetric sigma-power data: the per-order algebra holds for any."""
     rng = np.random.default_rng(seed or RNG.integers(1 << 31))
-    entries = np.empty((max_power + 1, m, m))
-    entries[0] = np.eye(m)
-    for j in range(1, max_power + 1):
+    entries = np.empty((max_power, m, m))  # S_1..S_J
+    for j in range(max_power):
         a = rng.standard_normal((m, m))
         entries[j] = 0.5 * (a + a.T)
     return SigmaPowerTable(max_power, m, entries, {"rule": "synthetic"})
@@ -254,14 +254,13 @@ def test_recursion_satisfies_half_order_recursive_forms():
 def test_leading_term_coefficient_order_eight():
     # a table with only sigma^8 data isolates the leading term exactly
     m = 5
-    entries = np.zeros((9, m, m))
-    entries[0] = np.eye(m)
+    entries = np.zeros((8, m, m))  # S_1..S_8
     a = RNG.standard_normal((m, m))
-    entries[8] = 0.5 * (a + a.T)
+    entries[7] = 0.5 * (a + a.T)
     table = SigmaPowerTable(8, m, entries, {"rule": "synthetic"})
     basis = string_basis(m)
     cset = q_generic_recursion(2, build_Q_series(8, table, basis), basis)
-    expected = (-429.0 / 32768.0) * delta_matrix(2, basis.eigenvalues()) * entries[8]
+    expected = (-429.0 / 32768.0) * delta_matrix(2, basis.eigenvalues()) * entries[7]
     assert max_rel(cset.q_orders[8], expected) < 1e-14
     for k in range(1, 8):
         assert np.max(np.abs(cset.q_orders[k])) == 0.0
@@ -336,22 +335,36 @@ TRACE_TABLES = {
 }
 
 
+def row_blocks(table, sizes):
+    """(lo, c0, S_1's rows lo.., S_2's diagonal on them) for consecutive blocks of the given heights."""
+    lo = 0
+    for size in sizes:
+        hi = min(lo + size, table.size)
+        c0, s1 = table.rows(1, lo, hi)
+        yield lo, c0, s1, table.diagonal(2)[lo:hi]
+        lo = hi
+
+
 @pytest.mark.parametrize("n_root", [1, 2, 3, 8, 64])
 @pytest.mark.parametrize("kind", sorted(TRACE_TABLES))
 def test_trace_terms_match_the_recursion(kind, n_root):
     basis, profile = TRACE_TABLES[kind]
     table = build_sigma_table(basis, profile, 2)
+    eps = basis.eigenvalues()
     series = build_Q_series(2, table, basis)
-    big_q, s1_row_sq = Q_trace_terms(table, basis)
-    assert np.array_equal(big_q[0], np.diagonal(series[0]))
-    assert np.array_equal(big_q[1], series[1])
-    assert max_rel(big_q[2], np.diagonal(series[2])) < 1e-13
-    assert max_rel(s1_row_sq, np.sum(table.power(1) ** 2, axis=1)) < 1e-15
-    q0, q1, q2_diag = trace_terms(n_root, big_q, basis)
     ref = q_generic_recursion(n_root, series, basis).q_orders
-    assert max_rel(q0, np.diagonal(ref[0])) < 1e-13
-    assert max_rel(q1, ref[1]) < 1e-13
-    assert max_rel(q2_diag, np.diagonal(ref[2])) < 1e-13
+    for lo, c0, s1, s2_diag in row_blocks(table, (1, 30, 7, 42)):  # uneven blocks, every row
+        hi, c1 = lo + len(s1), c0 + s1.shape[1]
+        big_q, s1_row_sq = Q_trace_terms(s1, s2_diag, eps, lo, c0)
+        assert np.array_equal(big_q[0], np.diagonal(series[0])[lo:hi])
+        assert np.array_equal(big_q[1], series[1][lo:hi, c0:c1])
+        assert not np.any(series[1][lo:hi, :c0]) and not np.any(series[1][lo:hi, c1:])
+        assert max_rel(big_q[2], np.diagonal(series[2])[lo:hi]) < 1e-13
+        assert max_rel(s1_row_sq, np.sum(table.power(1)[lo:hi] ** 2, axis=1)) < 1e-15
+        q0, q1, q2_diag = trace_terms(n_root, big_q, eps, lo, c0)
+        assert max_rel(q0, np.diagonal(ref[0])[lo:hi]) < 1e-13
+        assert max_rel(q1, ref[1][lo:hi, c0:c1]) < 1e-13
+        assert max_rel(q2_diag, np.diagonal(ref[2])[lo:hi]) < 1e-13
 
 
 @pytest.mark.parametrize("n_root", range(1, 9))
@@ -360,28 +373,31 @@ def test_xi_row_sums_weight_by_the_xi_diagonal(n_root):
     eps = string_basis(7).eigenvalues()
     m = eps.size
     rows = np.arange(m)
+    u = _root_powers(n_root, eps)
+    assert max_rel(u, eps[None, :] ** (-np.arange(n_root)[:, None] / n_root)) < 1e-15
     w = np.empty((m, m))
     for k in range(m):
-        w[rows, (rows + k) % m] = _xi_rowsums(n_root, eps, np.roll(np.eye(m), k, axis=1))
+        w[rows, (rows + k) % m] = _xi_rowsums(np.roll(np.eye(m), k, axis=1), u, u)
     expected = xi(n_root, eps[:, None], eps[None, :], eps[:, None])
     assert max_rel(w, expected) < 1e-14  # xi(1, ...) = 0: then both are exactly zero
+    # rows and columns from different parts of the spectrum
+    x = RNG.standard_normal((3, 5))
+    got = _xi_rowsums(x, _root_powers(n_root, eps[4:]), _root_powers(n_root, eps[2:7]))
+    expected = np.sum(x * xi(n_root, eps[4:, None], eps[None, 2:7], eps[4:, None]), axis=1)
+    assert max_rel(got, expected) < 1e-14
 
 
 def test_trace_terms_of_a_zero_profile_vanish():
     basis = string_basis(12)
+    eps = basis.eigenvalues()
     table = build_sigma_table(basis, FourierCosine(()), 2)
-    big_q, s1_row_sq = Q_trace_terms(table, basis)
-    assert np.all(s1_row_sq == 0.0)
-    for n_root in (1, 2, 5):
-        q0, q1, q2_diag = trace_terms(n_root, big_q, basis)
-        assert np.array_equal(q0, basis.eigenvalues() ** (-1.0 / n_root))
-        assert np.all(q1 == 0.0) and np.all(q2_diag == 0.0)
-
-
-def test_Q_trace_terms_need_a_second_power():
-    basis = string_basis(5)
-    with pytest.raises(ValidationError):
-        Q_trace_terms(build_sigma_table(basis, COS2, 1), basis)
+    for lo, c0, s1, s2_diag in row_blocks(table, (5, 7)):
+        big_q, s1_row_sq = Q_trace_terms(s1, s2_diag, eps, lo, c0)
+        assert np.all(s1_row_sq == 0.0)
+        for n_root in (1, 2, 5):
+            q0, q1, q2_diag = trace_terms(n_root, big_q, eps, lo, c0)
+            assert np.array_equal(q0, eps[lo : lo + len(s1)] ** (-1.0 / n_root))
+            assert np.all(q1 == 0.0) and np.all(q2_diag == 0.0)
 
 
 def test_csv_export_roundtrip(tmp_path):

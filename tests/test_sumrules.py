@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from billzeta.basis import (
+    ROW_BLOCK,
     DensityPerturbation,
     FourierCosine,
     ModeBasis,
@@ -15,6 +16,7 @@ from billzeta.basis import (
     String1D,
     build_sigma_table,
 )
+from billzeta.coefficients import build_Q_series, q_generic_recursion
 from billzeta.errors import ValidationError
 from billzeta.oracle import oracle_sum_rule
 from billzeta.sumrules import (
@@ -411,6 +413,58 @@ def test_trace_route_forms_no_order_two_matrix():
         assert peak < 4 * m * m * 8
     assert [r.order_label for r in results] == [spec.label() for spec in specs]
     assert results[:7] == results[7:]  # one trace per distinct order, mapped back to each
+
+
+def dense_trace_reference(spec, table, basis, lam):
+    """(z0, z1, z2) of the trace route from the dense series: build_Q_series + q_generic_recursion."""
+    series = build_Q_series(2, table, basis)
+    roots = (1, spec.n_root) if spec.kind == "one_plus_inv" else (spec.n_root, spec.n_root2)
+    a, b = (series if n == 1 else q_generic_recursion(n, series, basis).q_orders for n in roots)
+    eps, s = basis.eigenvalues(), spec.s
+    s1 = table.power(1)
+    deficit = np.diagonal(table.power(2)) - np.sum(s1 * s1, axis=1)
+    t0 = np.trace(a[0] @ b[0])
+    t1 = np.trace(a[0] @ b[1]) + np.trace(a[1] @ b[0])
+    t2 = np.vdot(a[1], b[1]) + np.trace(a[2] @ b[0]) + np.trace(a[0] @ b[2])
+    t2 += 0.25 * s * np.sum(deficit * eps ** (-s))
+    return t0 + tail_estimate(basis, s), lam * t1, lam * lam * t2
+
+
+BLOCK_SIZES = (1, 2, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3)
+TRACE_ORDERS = {
+    "one_plus_inv": ("1+1/2", "1+1/3", "1+1/8"),
+    "inv_sum": ("1/2+1/3", "1/3+1/4", "1/2+1/2"),
+}
+
+
+@pytest.mark.parametrize("m", BLOCK_SIZES)
+@pytest.mark.parametrize("kind, profile", [
+    ("string", FourierCosine((0.1, -0.3, 0.2, 0.0, 0.05))),
+    ("string", Polynomial((0.0, 4.0, -4.0))),
+    ("rectangle", Separable2D(((Polynomial((0.0, 4.0, -4.0)), COS2),))),
+], ids=["cosine-string", "polynomial-string", "rectangle"])
+def test_trace_row_blocks_match_the_dense_series(kind, profile, m):
+    domain = String1D(1.0) if kind == "string" else Rectangle2D(1.0, 1.3)
+    basis = ModeBasis(domain, m)
+    table = build_sigma_table(basis, profile, 2)
+    density = DensityPerturbation(profile, 0.1)
+    order_kinds = TRACE_ORDERS if kind == "string" else {"one_plus_inv": TRACE_ORDERS["one_plus_inv"]}
+    specs = [RationalOrderSpec.parse(label) for labels in order_kinds.values() for label in labels]
+    results = z_via_trace(specs, table, basis, [density])
+    if kind == "string":
+        assert table._dense == {}  # the route read S_1 by row blocks only
+    for spec, res in zip(specs, results):
+        expected = dense_trace_reference(spec, table, basis, density.lam)
+        scale = abs(sum(expected))
+        for got, want in zip((res.z0, res.z1, res.z2), expected):
+            assert abs(got - want) <= 1e-14 * scale
+
+
+def test_trace_route_needs_a_second_power():
+    basis = ModeBasis(String1D(1.0), 5)
+    table = build_sigma_table(basis, COS2, 1)
+    with pytest.raises(ValidationError):
+        z_via_trace([RationalOrderSpec("one_plus_inv", 2)], table, basis, [DensityPerturbation(COS2, 0.1)])
 
 
 def test_trace_inv_sum_rejects_2d():
