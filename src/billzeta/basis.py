@@ -14,9 +14,10 @@ matrix element is read from the cosine coefficients c_k of the function:
 exact Chebyshev products for a cosine profile and composite Gauss-Legendre
 moments otherwise.  A string table keeps only the coefficients of sigma^j,
 from which any diagonal or block of rows of S_j is read directly and dense
-matrices are built on first use.  Rectangle tables are dense products of such
-string factors, S_1..S_J only: the identity S_0 is never stored.  Every table
-is built from scratch on each call.
+matrices are built on first use.  On the rectangle sigma^j is a sum of
+separable products, so S_j is a sum of elementwise products of such string
+factors, one per side; a rectangle table keeps those factors and reads S_j
+from them the same way.  Every table is built from scratch on each call.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import QuadratureError, ValidationError
 
 _GL_PANEL_NODES = 32
 _NODE_CHUNK = 1024  # quadrature nodes per block of exponential rows
-ROW_BLOCK = 64  # rows per step wherever a dense table is built or S_1 is walked
+ROW_BLOCK = 64  # rows per step wherever a rectangle S_j is formed or S_1 is walked
 
 
 # ---------------------------------------------------------------------------
@@ -427,20 +428,25 @@ def _cosine_coeffs(n_max: int, length: float, factor_lists, nodes: int | None = 
 class SigmaPowerTable:
     """Matrices S_j[n, m] = <n| sigma^j |m> for j = 0..max_power, n, m = 1..size.
 
-    Two storage forms: on the string the cosine coefficients of each sigma^j
-    (``cosine``), cut after the highest harmonic for a cosine profile and
-    c_0..c_{2 size} otherwise; on the rectangle dense ``entries`` of
-    S_1..S_J (``entries[j - 1]`` is S_j).  ``power`` returns the dense matrix
-    either way; ``diagonal(j, d)`` reads one diagonal of S_j and
-    ``rows(j, lo, hi)`` a block of its rows, both without forming S_j, for
-    offsets up to ``width(j)``.
+    Two storage forms, each what generates the matrices.  On the string, the
+    cosine coefficients of each sigma^j (``cosine[j]``), cut after the
+    highest harmonic for a cosine profile and c_0..c_{2 size} otherwise.  On
+    the rectangle, the separable factors of each S_j: ``factors[j]`` lists
+    (multinomial, X, Y) with S_j[n, m] the sum of multinomial X[x_n, x_m]
+    Y[y_n, y_m] in list order, where (x_n, y_n) = ``index[:, n]`` is mode
+    n's 0-based index on either side.  ``rows(j, lo, hi)`` reads a block of
+    rows of S_j over the columns within ``width(j)`` of them, and
+    ``diagonal(j, d)`` one diagonal, both bit for bit what ``power(j)``
+    holds; ``power(j)`` forms the dense matrix once, on first use, and only
+    a rectangle diagonal off the main one reads it.
     """
 
     max_power: int
     size: int
-    entries: np.ndarray | None  # shape (max_power, size, size); None on the string
     quadrature_meta: dict
     cosine: tuple[np.ndarray, ...] | None = None
+    factors: tuple[tuple[tuple[float, np.ndarray, np.ndarray], ...], ...] | None = None
+    index: np.ndarray | None = None  # shape (2, size) with the factors; None on the string
     _dense: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _padded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -450,18 +456,34 @@ class SigmaPowerTable:
 
     def power(self, j: int) -> np.ndarray:
         self._check(j)
-        if self.cosine is None:
-            return self.entries[j - 1] if j else np.eye(self.size)
         if j not in self._dense:  # built once, the same matrix on every call
-            self._dense[j] = _exact_cosine_elements(self.size, self.cosine[j])
+            if self.cosine is not None:
+                self._dense[j] = _exact_cosine_elements(self.size, self.cosine[j])
+            else:
+                m = self.size
+                dense = np.zeros((m, m))
+                for lo in range(0, m, ROW_BLOCK):  # a few row blocks of temporaries at a time
+                    rows = np.arange(lo, min(lo + ROW_BLOCK, m))[:, None]
+                    self._add_factors(j, rows, slice(None), dense[lo : lo + ROW_BLOCK])
+                self._dense[j] = dense
         return self._dense[j]
+
+    def _add_factors(self, j: int, rows, cols, out: np.ndarray) -> np.ndarray:
+        """Add S_j[rows, cols] to out (zeros): multinomial * X * Y per split, in list order."""
+        (xr, yr), (xc, yc) = self.index[:, rows], self.index[:, cols]
+        for multinomial, x, y in self.factors[j]:
+            term = x[xr, xc]  # (multinomial * X) * Y, formed in place: two temporaries, not three
+            term *= multinomial
+            term *= y[yr, yc]
+            out += term
+        return out
 
     def width(self, j: int) -> int:
         """Highest offset d at which S_j[n, n + d] can be nonzero.
 
         The highest stored harmonic of sigma^j on the string (capped at
         size - 1, which quadrature coefficients always reach), and size - 1
-        for a dense table.
+        on the rectangle.
         """
         self._check(j)
         if self.cosine is None:
@@ -477,14 +499,20 @@ class SigmaPowerTable:
     def diagonal(self, j: int, d: int = 0) -> np.ndarray:
         """S_j[n, n + d] for n < size - d.
 
-        Read without forming S_j on the string; a read-only view on the rectangle.
+        On the string it comes from the selection rule without forming S_j.
+        On the rectangle the main diagonal comes from the factors in
+        O(size) and every other one is a view of ``power(j)``: a walk over
+        all size offsets, as the closed form makes, is faster through one
+        dense S_j built in row blocks than through size factor gathers.
         """
         self._check(j)
         m = self.size
         if not 0 <= d < m:
             raise ValidationError(f"diagonal offset {d} outside 0..{m - 1}")
         if self.cosine is None:
-            return np.diagonal(self.entries[j - 1], d) if j else np.full(m - d, float(d == 0))
+            if d:
+                return np.diagonal(self.power(j), d)
+            return self._add_factors(j, slice(None), slice(None), np.zeros(m))
         # the selection rule of _exact_cosine_elements, one diagonal at a time
         c = self._coefficients(j)
         if d == 0:
@@ -495,16 +523,17 @@ class SigmaPowerTable:
         """(c0, S_j[lo:hi, c0:c1]): rows lo..hi-1 over every column within width(j) of them.
 
         c0 = max(0, lo - width(j)) and c1 = min(size, hi + width(j)).  On the
-        string the block comes from the selection rule without forming S_j
-        (bit for bit what ``power`` holds there); on the rectangle it is a
-        read-only view of every column.
+        string the block comes from the selection rule, on the rectangle from
+        the factors over every column; either way S_j is not formed, and the
+        block is bit for bit what ``power`` holds.
         """
         self._check(j)
         m = self.size
         if not 0 <= lo < hi <= m:
             raise ValidationError(f"row range {lo}..{hi} outside 0..{m}")
         if self.cosine is None:
-            return 0, self.entries[j - 1][lo:hi] if j else np.eye(hi - lo, m, lo)
+            block = np.zeros((hi - lo, m))
+            return 0, self._add_factors(j, np.arange(lo, hi)[:, None], slice(None), block)
         w = self.width(j)
         c0 = max(0, lo - w)
         c = self._coefficients(j)
@@ -515,6 +544,46 @@ class SigmaPowerTable:
         r = np.arange(hi - lo)
         block[r, r + lo - c0] = c[0] - 0.5 * c[2 * n + 2]
         return c0, block
+
+
+def _rectangle_side_bounds(a: float, b: float, count: int) -> tuple[int, int]:
+    """Upper bounds on each side's highest index among the count lowest rectangle modes.
+
+    No mode is listed.  With r = lam / pi^2, bisection finds the least r
+    with at least count lattice modes j^2/a^2 + k^2/b^2 <= r, counted in
+    one numpy pass over the shorter side's indices (O(sqrt(count))), from
+    the k x k square's corner k^2 (1/a^2 + 1/b^2), k = ceil(sqrt(count)).
+    The count-th eigenvalue is at most that r, so a retained mode has
+    n_x^2 / a^2 + 1 / b^2 <= r, and likewise n_y; no index exceeds count.
+    """
+    k = math.isqrt(count - 1) + 1
+    lo, hi = 0.0, k * k * (1 / a**2 + 1 / b**2)
+    short, long_ = sorted((a, b))
+
+    def modes_below(r: float) -> int:
+        i = np.arange(1, int(short * math.sqrt(r)) + 1)
+        return int(np.floor(long_ * np.sqrt(np.maximum(r - (i / short) ** 2, 0.0))).sum())
+
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if modes_below(mid) >= count else (mid, hi)
+    r = hi * (1 + 1e-9)  # room for rounding in the lattice counts
+    return tuple(
+        min(count, int(side * math.sqrt(max(r - 1 / other**2, 0.0))) + 1)
+        for side, other in ((a, b), (b, a))
+    )
+
+
+def rectangle_table_doubles(domain: Rectangle2D, profile: Profile, mode_count: int, max_power: int) -> int:
+    """Doubles ``build_sigma_table`` stores for a rectangle, counted from above without listing modes.
+
+    Each split of the powers 0..J over the profile's T terms, C(J + T, T) of
+    them, keeps two side factors, n x n for a bound on the side's highest
+    mode index n; the index map adds 2 per mode.
+    """
+    side_sq = sum(n * n for n in _rectangle_side_bounds(domain.a, domain.b, mode_count))
+    terms = len(profile.terms) if isinstance(profile, Separable2D) else 1
+    return math.comb(max_power + terms, terms) * side_sq + 2 * mode_count
 
 
 def build_sigma_table(
@@ -528,7 +597,10 @@ def build_sigma_table(
 
     A string table keeps the cosine coefficients of each sigma^j: exact for
     a cosine profile (O(J b) numbers), from quadrature otherwise (2M + 1
-    each).  A rectangle table is dense.
+    each).  A rectangle table keeps, for each split of each power over the
+    profile's terms, the multinomial and the two side factors: matrices of
+    the side's highest mode index squared, built from one coefficient call
+    per side, plus the mode index map.  No M x M matrix is formed.
 
     Parameters
     ----------
@@ -554,15 +626,15 @@ def build_sigma_table(
         if quad is not None:  # the plan every power used and its largest element error bound
             plan, error = quad
             meta = {"rule": "composite-gauss-legendre-32", "nodes": plan, "self_check_error": error}
-        return SigmaPowerTable(max_power, m_size, None, meta, (np.ones(1), *coeffs))
+        return SigmaPowerTable(max_power, m_size, meta, cosine=(np.ones(1), *coeffs))
 
     if not isinstance(profile, Separable2D):
         raise ValidationError("2D tables need a Separable2D profile")
     meta = {"rule": "composite-gauss-legendre-32", "nodes": nodes or "auto"}
-    entries = np.zeros((max_power, m_size, m_size))
-    if profile.is_zero:  # every S_j, j >= 1, is zero; also covers an empty term list
-        return SigmaPowerTable(max_power, m_size, entries, meta)
     modes = np.asarray(basis.mode_indices(), dtype=int)
+    sizes = [int(n) for n in modes.max(axis=0)]
+    factors = [[] for _ in range(max_power + 1)]
+    factors[0].append((1.0, np.eye(sizes[0]), np.eye(sizes[1])))  # S_0, the identity
     terms = profile.terms
     alphas = [  # every split of each power j over the terms
         alpha for j in range(1, max_power + 1)
@@ -572,20 +644,16 @@ def build_sigma_table(
     def factor(side: int, length: float) -> list:
         """Cosine coefficients of prod_t p_t^alpha_t on one side, for every alpha, from one call."""
         lists = [[(terms[t][side], p) for t, p in enumerate(alpha) if p > 0] for alpha in alphas]
-        return _cosine_coeffs(int(modes[:, side].max()), length, lists, nodes)[0]
+        return _cosine_coeffs(sizes[side], length, lists, nodes)[0]
 
-    index = modes.T - 1  # index[side][i]: mode i's 0-based index on that side
-    sizes = modes.max(axis=0)
-    for alpha, cx, cy in zip(alphas, factor(0, basis.domain.a), factor(1, basis.domain.b)):
-        j = sum(alpha)
-        multinomial = float(math.factorial(j) // math.prod(map(math.factorial, alpha)))
-        # <j| f |j'> on each side, small; each row block of their product goes straight in
-        ex = _exact_cosine_elements(int(sizes[0]), cx)
-        ey = _exact_cosine_elements(int(sizes[1]), cy)
-        for lo in range(0, m_size, ROW_BLOCK):
-            rows = slice(lo, lo + ROW_BLOCK)
-            x = ex[np.ix_(index[0, rows], index[0])]
-            y = ey[np.ix_(index[1, rows], index[1])]
-            entries[j - 1, rows] += multinomial * x * y
-
-    return SigmaPowerTable(max_power, m_size, entries, meta)
+    if not profile.is_zero:  # else every S_j, j >= 1, is zero: no factors at all
+        for alpha, cx, cy in zip(alphas, factor(0, basis.domain.a), factor(1, basis.domain.b)):
+            j = sum(alpha)
+            multinomial = float(math.factorial(j) // math.prod(map(math.factorial, alpha)))
+            # <j| f |j'> on each side, one row per index up to the side's highest
+            x = _exact_cosine_elements(sizes[0], cx)
+            y = _exact_cosine_elements(sizes[1], cy)
+            factors[j].append((multinomial, x, y))
+    return SigmaPowerTable(
+        max_power, m_size, meta, factors=tuple(map(tuple, factors)), index=modes.T - 1
+    )

@@ -32,6 +32,7 @@ from .basis import (
     String1D,
     Tabulated,
     build_sigma_table,
+    rectangle_table_doubles,
 )
 from .errors import (
     ConfigError,
@@ -165,13 +166,11 @@ def _physical_memory() -> int | None:
         return None
 
 
-# Peak dense M x M float64 matrices each route holds besides the sigma table
-# (S_1..S_J, J matrices: the identity is not stored), from tracemalloc at M=800.
-# The oracle's adds LAPACK's untraced copy; the closed form reads a dense
-# table's diagonals as views and measured 0.03.  The trace routes hold no
-# matrix: they walk S_1 in row blocks, counted below.
-_ROUTE_MATRICES = {"closed": 3, "trace1": 0, "trace2": 0, "oracle": 4}
-_ROUTE_MATRICES["all"] = max(_ROUTE_MATRICES.values())
+# Dense M x M float64 matrices the oracle holds besides S_1 (the overlap
+# I + lam S_1, its graded copy and LAPACK's untraced copy of that), from
+# tracemalloc at M=800: 2.02 traced.  The closed form and the trace routes
+# hold no matrix besides the dense S_j they read, counted apart.
+_ORACLE_MATRICES = 3
 # The closed form and the trace routes on a string table never form a
 # matrix: they read S_1 by diagonals or row blocks, so their working set is
 # length-M vectors.  This many vectors per diagonal of S_1 up to its width,
@@ -182,33 +181,40 @@ _ROUTE_MATRICES["all"] = max(_ROUTE_MATRICES.values())
 # the quadrature build's chunk rows).
 _BAND_ROW_VECTORS, _BAND_VECTORS, _ORDER_VECTORS = 2, 32, 3
 # A trace route holds one row block of S_1 for each distinct series (Q and
-# each q[1/N]) and at most this many temporary blocks besides.
+# each q[1/N]) and at most this many temporary blocks besides; forming a
+# rectangle S_j in row blocks holds at most this many too.
 _TRACE_BLOCKS = 6
 
 
 def _memory_need(command, route, domain, profile, modes, orders, max_order) -> int:
     """Bytes a command holds at its peak, the table and the working set, counted from above."""
     m = modes
-    perturbative = route in ("closed", "trace1", "trace2")
-    if command == "sumrule" and perturbative and isinstance(domain, String1D):
+    max_power = max(2, max_order)
+    trace = command == "sumrule" and route in ("trace1", "trace2")
+    string = isinstance(domain, String1D)
+    if string and command == "sumrule" and route in ("closed", "trace1", "trace2"):
         # S_1's width: b for a cosine profile of highest harmonic b, else M - 1
         width = min(profile.bandwidth() if isinstance(profile, FourierCosine) else m, m - 1)
         matrices, vectors = 0, _BAND_ROW_VECTORS * (width + 1)
     else:
         width = m - 1
+        # the dense S_j formed: every one the coefficient series read, none on a trace
+        # route, else S_1 (the oracle's overlap, the rectangle closed form's off-diagonals)
+        dense = max_power if command == "coeffs" else int(not trace)
         work = {
             "coeffs": 4 * (max_order + 1) + 1,  # q, Q and two power series per order
-            "verify": max(_ROUTE_MATRICES["closed"], _ROUTE_MATRICES["oracle"]),
-            "spectrum": _ROUTE_MATRICES["oracle"],
-        }.get(command, _ROUTE_MATRICES[route])
-        matrices, vectors = max(2, max_order) + work, 0
+            "verify": _ORACLE_MATRICES,
+            "spectrum": _ORACLE_MATRICES,
+        }.get(command, _ORACLE_MATRICES if route in ("oracle", "all") else 0)
+        matrices, vectors = dense + work, 0
     vectors += _BAND_VECTORS + _ORDER_VECTORS * len(orders)
-    blocks = 0
+    rows, cols = min(ROW_BLOCK, m), min(m, ROW_BLOCK + 2 * width)
+    blocks = 0 if string else _TRACE_BLOCKS  # a rectangle S_j is read in row blocks
     if command == "sumrule" and route in ("trace1", "trace2", "all"):
         series = {n for o in orders for n in (1, o.n_root, o.n_root2) if n is not None}
-        rows, cols = min(ROW_BLOCK, m), min(m, ROW_BLOCK + 2 * width)
-        blocks = (len(series) + _TRACE_BLOCKS) * rows * cols
-    return (matrices * m * m + vectors * m + blocks) * 8
+        blocks = len(series) + _TRACE_BLOCKS
+    table = 0 if string else rectangle_table_doubles(domain, profile, m, max_power)
+    return (matrices * m * m + vectors * m + blocks * rows * cols + table) * 8
 
 
 def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:

@@ -11,7 +11,7 @@ The trace routes need less: q^(0) is diagonal, so the lambda^2 trace reads the
 order-1 matrices entry by entry but only the diagonal of each order-2 one.
 Q_trace_terms and trace_terms give exactly that, (q^(0), q^(1), diag q^(2)),
 on one block of B rows of S_1 at a time: O(N) per entry of S_1's row blocks
-(O(N M^2) on a dense table, O(N M (B + 2b)) on a cosine string of highest
+(O(N M^2) on the rectangle, O(N M (B + 2b)) on a cosine string of highest
 harmonic b) with no M x M matrix at all; the dense series above remain the
 general-order reference.
 """

@@ -63,7 +63,11 @@ def assemble(
         table = build_sigma_table(basis, density, 1)
     if table.size < m:
         raise ValidationError("table smaller than requested problem size")
-    overlap = np.eye(m) + density.lam * table.power(1)[:m, :m]
+    # S = I + lam * S_1 with no identity matrix: adding 0.0 turns the -0.0 of a negative
+    # lam into the +0.0 the identity's zeros give, since LAPACK's reflectors read its sign
+    overlap = density.lam * table.power(1)[:m, :m]
+    overlap += 0.0
+    overlap.flat[:: m + 1] += 1.0
     return GeneralizedProblem(basis.eigenvalues(), overlap, basis, density)
 
 
@@ -77,7 +81,8 @@ def solve_spectrum(problem: GeneralizedProblem, *, want_vectors: bool = False):
     eigenvectors c = r y / sqrt(mu) are returned as columns.
     """
     r = 1.0 / np.sqrt(problem.stiffness)
-    graded = r[:, None] * problem.overlap * r[None, :]
+    graded = r[:, None] * problem.overlap
+    graded *= r[None, :]
     try:
         if want_vectors:
             mu, y = np.linalg.eigh(graded)
@@ -260,13 +265,19 @@ def convergence_order_fit(
     """Fit the lambda-scaling of the perturbative error against the oracle.
 
     The closed form and the oracle both run on ``table`` (max_power >= 2) for
-    every density, taken in ascending lambda.  Points whose error sits below
-    10x the estimated numerical floor (tail and rounding mismatch) are
-    excluded and reported; at least three usable points are required.  With drop_second_order=True the second-order term is left
-    out, so the fitted slope should drop to about two (harness self-check).
+    every density, taken in ascending lambda.  Every lambda must be positive
+    (ValidationError otherwise, before any solve), and at least three
+    distinct.  Points whose error sits below 10x the estimated numerical
+    floor (tail and rounding mismatch) are excluded and reported; at least
+    three usable points are required.  With drop_second_order=True the
+    second-order term is left out, so the fitted slope should drop to about
+    two (harness self-check).
     """
-    if len(densities) < 3:
-        raise InsufficientDataError("need at least 3 lambda values")
+    bad = [d.lam for d in densities if not d.lam > 0.0]
+    if bad:  # the fit is a line through (log lambda, log error)
+        raise ValidationError(f"the fit needs positive lambda values, got {bad}")
+    if len({d.lam for d in densities}) < 3:
+        raise InsufficientDataError("need at least 3 distinct lambda values")
     densities = sorted(densities, key=lambda d: d.lam)
     perts = z_closed_form([order], table, basis, densities, diagonal_mode=diagonal_mode)
     directs = oracle_sum_rule([order], table, basis, densities, top_discard=top_discard)

@@ -13,7 +13,7 @@ trace routes add back so all routes are limited by rounding, not by the basis
 cutoff.  Both trace series start from a diagonal order 0, so a trace route
 needs each series' order-1 matrix entry by entry and only the diagonal of its
 order 2; it forms them one block of B rows of S_1 at a time, with no M x M
-matrix: O(N M^2) per root order N on a dense table, O(N M (B + 2b)) on a
+matrix: O(N M^2) per root order N on the rectangle, O(N M (B + 2b)) on a
 cosine string of highest harmonic b.  Mode sums rely on
 numpy's pairwise reduction; the order-0 tail is a smooth-counting (Weyl)
 estimate appended to z0 only.
@@ -407,8 +407,8 @@ def z_via_trace(
     formed one block of ROW_BLOCK rows of S_1 at a time, over the columns
     within S_1's width of the block: Q's terms once per block, each q set once
     per block and root order N, and each distinct series pair's share of the
-    trace from them.  So no M x M matrix is formed: O(N M^2) time on a dense
-    table, O(N M (ROW_BLOCK + 2b)) on a cosine string of highest harmonic b,
+    trace from them.  So no M x M matrix is formed: O(N M^2) time on the
+    rectangle, O(N M (ROW_BLOCK + 2b)) on a cosine string of highest harmonic b,
     with a working set of a few blocks.
     """
     specs = list(specs)

@@ -19,12 +19,13 @@ from billzeta.basis import (
     _exact_cosine_elements,
     _quad_cosine_coeffs,
     build_sigma_table,
+    rectangle_table_doubles,
 )
 from billzeta.errors import QuadratureError, ValidationError
 
 COS2 = FourierCosine((0.0, 0.0, 1.0))  # sigma(x) = cos(2 pi x / L)
 POLY = Polynomial((0.0, 4.0, -4.0))  # a quadrature profile
-SEP = Separable2D(((POLY, COS2),))  # a rectangle table: dense
+SEP = Separable2D(((POLY, COS2),))  # a rectangle table: side factors
 RECT = Rectangle2D(1.0, 1.0)
 
 
@@ -212,7 +213,7 @@ def test_2d_sum_profile_table():
 def test_cosine_table_writes_no_cache_file(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     table = build_sigma_table(ModeBasis(String1D(1.0), 6), COS2, 2)
-    assert table.entries is None and table.cosine is not None
+    assert table.factors is None and table.cosine is not None
     assert not any(tmp_path.iterdir())
 
 
@@ -222,7 +223,7 @@ def test_string_quadrature_tables_are_coefficients_and_write_no_cache_file(
 ):
     monkeypatch.chdir(tmp_path)
     table = build_sigma_table(ModeBasis(String1D(1.0), 12), profile, 2)
-    assert table.entries is None and len(table.cosine[2]) == 2 * 12 + 1
+    assert table.factors is None and len(table.cosine[2]) == 2 * 12 + 1
     assert not any(tmp_path.iterdir())
 
 
@@ -237,7 +238,7 @@ def test_string_quadrature_build_peaks_below_the_counted_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert table.entries is None
+    assert table.factors is None
     assert peak < (max_power + 1) * m * m * 8
 
 
@@ -365,51 +366,101 @@ def test_cosine_table_powers_and_bands_are_exact(coeffs, m):
         assert np.all(dense[outside] == 0.0)
 
 
-def test_dense_table_band_copies_every_diagonal():
-    table = build_sigma_table(ModeBasis(RECT, 7), SEP, 2)
-    assert table.width(2) == 6
-    for d in range(7):
-        assert np.array_equal(table.diagonal(2, d), np.diagonal(table.power(2), d))
-        assert np.shares_memory(table.diagonal(2, d), table.entries[1])  # a view, not a copy
-    # every power, the last matrix of the entries included, and the smallest sizes
+def test_rectangle_diagonals_match_the_dense_power():
+    # every diagonal of every power, the identity's included, and the smallest sizes
     for m in (1, 2, 7, 40):
         table = build_sigma_table(ModeBasis(RECT, m), SEP, 2)
         for j in range(3):
             assert table.width(j) == m - 1
+            main = table.diagonal(j)
+            assert j not in table._dense  # the main diagonal comes from the factors
             for d in range(m):
                 assert table.diagonal(j, d).tobytes() == np.diagonal(table.power(j), d).tobytes()
+            assert main.tobytes() == np.diagonal(table.power(j)).tobytes()
 
 
 def test_rectangle_table_stores_no_identity():
-    table = build_sigma_table(ModeBasis(RECT, 9), SEP, 3)
-    assert table.entries.shape == (3, 9, 9)  # S_1..S_3
-    assert table.power(0).tobytes() == np.eye(9).tobytes()
-    for j in (1, 2, 3):
-        assert np.shares_memory(table.power(j), table.entries[j - 1])
+    # nor any M x M array: two side factors per split of each power, until power(j) is called
+    basis = ModeBasis(RECT, 2 * ROW_BLOCK + 3)
+    m, sides = basis.mode_count, np.max(basis.mode_indices(), axis=0)
+    table = build_sigma_table(basis, SEP, 3)
+    assert table._dense == {} and table.index.shape == (2, m) and max(sides) < m
+    assert [len(splits) for splits in table.factors] == [1, 1, 1, 1]  # one term: one split per power
+    for splits in table.factors:
+        for multinomial, x, y in splits:
+            assert multinomial == 1.0 and x.shape == (sides[0],) * 2 and y.shape == (sides[1],) * 2
+    assert table.power(0).tobytes() == np.eye(m).tobytes()
+    assert list(table._dense) == [0]
     zero = build_sigma_table(ModeBasis(RECT, 4), Separable2D(()), 2)
-    assert zero.entries.shape == (2, 4, 4) and not np.any(zero.entries)
+    assert zero.factors[1:] == ((), ())  # a zero profile has no factors past the identity's
+    assert zero.power(2).tobytes() == np.zeros((4, 4)).tobytes()
+    assert zero.power(0).tobytes() == np.eye(4).tobytes()
 
 
-def test_rectangle_table_is_built_in_row_blocks_bit_for_bit():
-    # the parent's form: each split alpha of j adds multinomial * X_alpha * Y_alpha to S_j,
-    # one M x M product at a time; the row blocks must give the same bits
-    terms = ((POLY, COS2), (FourierCosine((1.0,)), POLY))
-    basis = ModeBasis(Rectangle2D(1.0, 1.3), 2 * ROW_BLOCK + 3)
-    table = build_sigma_table(basis, Separable2D(terms), 3)
-    modes = np.asarray(basis.mode_indices())
-    alphas = [a for j in (1, 2, 3) for a in itertools.product(range(j + 1), repeat=2) if sum(a) == j]
+@pytest.mark.parametrize("sides", [(1.0, 1.0), (1.3, 0.7), (100.0, 1.0), (1.0, 37.5)])
+def test_rectangle_table_doubles_bound_the_stored_table_without_listing_modes(sides):
+    # the count is an upper bound on what build_sigma_table keeps, within a couple of
+    # indices per side, and needs no mode list: M = 10^8 is counted at once
+    for m, terms in ((1, ((COS2, POLY),)), (40, ((COS2, POLY),)), (300, ((POLY, COS2), (COS2, POLY)))):
+        profile = Separable2D(terms)
+        table = build_sigma_table(ModeBasis(Rectangle2D(*sides), m), profile, 3)
+        stored = table.index.size + sum(x.size + y.size for splits in table.factors for _, x, y in splits)
+        counted = rectangle_table_doubles(Rectangle2D(*sides), profile, m, 3)
+        assert stored <= counted <= stored + math.comb(3 + len(terms), len(terms)) * 8 * (m + 2)
+    misses = _enumerate_rectangle_modes.cache_info().misses
+    assert rectangle_table_doubles(Rectangle2D(*sides), Separable2D(((COS2, POLY),)), 10**8, 2) < 10**11
+    assert _enumerate_rectangle_modes.cache_info().misses == misses
+
+
+RECTANGLE_TABLES = [  # (terms, J, M): 1-3 terms, M across the row-block edges
+    (((POLY, COS2),), 2, ROW_BLOCK),
+    (((POLY, COS2), (FourierCosine((1.0,)), POLY)), 3, 2 * ROW_BLOCK + 3),
+    (((POLY, COS2), (COS2, FourierCosine((0.2, 0.3))), (POLY, POLY)), 4, ROW_BLOCK + 1),
+    (((COS2, POLY), (FourierCosine((1.0,)), COS2)), 6, ROW_BLOCK - 1),
+    (((COS2, POLY), (POLY, COS2), (FourierCosine((0.5,)), FourierCosine(()))), 6, 1),
+]
+
+
+def rectangle_reference(basis, terms, max_power):
+    """S_0..S_J the dense way: each split alpha of j adds multinomial * X_alpha * Y_alpha to S_j."""
+    m, modes = basis.mode_count, np.asarray(basis.mode_indices())
+    alphas = [
+        a for j in range(1, max_power + 1)
+        for a in itertools.product(range(j + 1), repeat=len(terms)) if sum(a) == j
+    ]
     sides = []  # every alpha's factor matrix on each side, from one shared coefficient call
-    for side, length in ((0, 1.0), (1, 1.3)):
+    for side, length in ((0, basis.domain.a), (1, basis.domain.b)):
         lists = [[(terms[t][side], p) for t, p in enumerate(a) if p > 0] for a in alphas]
         n_max, index = int(modes[:, side].max()), modes[:, side] - 1
         coeffs = _cosine_coeffs(n_max, length, lists)[0]
         sides.append([_exact_cosine_elements(n_max, c)[np.ix_(index, index)] for c in coeffs])
-    expected = np.zeros((4, len(modes), len(modes)))
+    expected = np.zeros((max_power + 1, m, m))
+    expected[0] = np.eye(m)
     for alpha, x, y in zip(alphas, *sides):
         j = sum(alpha)
         multinomial = math.factorial(j) // math.prod(map(math.factorial, alpha))
         expected[j] += float(multinomial) * x * y
-    assert table.entries.tobytes() == expected[1:].tobytes()
+    return expected
+
+
+def test_rectangle_table_is_built_in_row_blocks_bit_for_bit():
+    # row blocks, diagonals and the dense power give the reference's bits, and nothing
+    # M x M exists before power(j) is called
+    for terms, max_power, m in RECTANGLE_TABLES:
+        basis = ModeBasis(Rectangle2D(1.0, 1.3), m)
+        table = build_sigma_table(basis, Separable2D(terms), max_power)
+        expected = rectangle_reference(basis, terms, max_power)
+        blocks = [(lo, min(lo + ROW_BLOCK, m)) for lo in range(0, m, ROW_BLOCK)] + [(m // 2, m)]
+        for j in range(max_power + 1):
+            for lo, hi in blocks:
+                c0, block = table.rows(j, lo, hi)
+                assert c0 == 0 and block.tobytes() == expected[j, lo:hi].tobytes()
+            assert table.diagonal(j).tobytes() == np.diagonal(expected[j]).tobytes()
+        assert table._dense == {}
+        for j in range(max_power + 1):
+            assert table.power(j).tobytes() == expected[j].tobytes()
+            for d in sorted({1, m // 2, m - 1} & set(range(1, m))):
+                assert table.diagonal(j, d).tobytes() == np.diagonal(expected[j], d).tobytes()
 
 
 @pytest.mark.parametrize("profile", [COS2, POLY], ids=["cosine", "polynomial"])
@@ -426,12 +477,13 @@ def test_string_diagonal_is_read_without_a_dense_power(profile):
             table.diagonal(1, d)
 
 
-def test_rectangle_diagonal_is_a_view_of_the_entries():
+def test_rectangle_main_diagonal_is_read_from_the_factors():
     table = build_sigma_table(ModeBasis(RECT, 9), SEP, 2)
-    for j in (1, 2):
-        assert np.shares_memory(table.diagonal(j), table.entries[j - 1])
-        assert np.array_equal(table.diagonal(j), np.diagonal(table.power(j)))
-    assert table.diagonal(0).tobytes() == np.ones(9).tobytes()  # the identity, never stored
+    diagonals = [table.diagonal(j) for j in range(3)]
+    assert table._dense == {}  # no dense S_j was formed
+    for j, diag in enumerate(diagonals):
+        assert diag.tobytes() == np.diagonal(table.power(j)).tobytes()
+    assert diagonals[0].tobytes() == np.ones(9).tobytes()  # the identity's
     assert table.diagonal(0, 3).tobytes() == np.zeros(6).tobytes()
 
 
@@ -461,12 +513,13 @@ def test_string_rows_match_the_dense_power_bit_for_bit(profile):
         table.rows(1, 3, 3)
 
 
-def test_rectangle_rows_are_views_of_every_column():
+def test_rectangle_rows_are_read_from_the_factors():
     table = build_sigma_table(ModeBasis(RECT, 9), SEP, 2)
-    c0, block = table.rows(2, 3, 7)
-    assert c0 == 0 and np.shares_memory(block, table.entries[1])
-    assert np.array_equal(block, table.power(2)[3:7])
-    assert table.rows(0, 3, 7)[1].tobytes() == np.eye(9)[3:7].tobytes()
+    blocks = [table.rows(j, 3, 7) for j in range(3)]
+    assert table._dense == {}  # every column of the rows, without a dense S_j
+    for j, (c0, block) in enumerate(blocks):
+        assert c0 == 0 and block.tobytes() == table.power(j)[3:7].tobytes()
+    assert blocks[0][1].tobytes() == np.eye(9)[3:7].tobytes()
 
 
 def test_density_bound_validation():

@@ -337,6 +337,18 @@ def test_oversized_modes_exit_2_before_allocating(tmp_path, capsys):
     assert any(p.startswith("truncation.modes") for p in problems_on_stderr(capsys))
 
 
+def test_oversized_rectangle_modes_exit_2_before_listing_modes(tmp_path, capsys):
+    # the rectangle table is counted from a bound on its side factors, no mode listed
+    from billzeta.basis import _enumerate_rectangle_modes
+
+    misses = _enumerate_rectangle_modes.cache_info().misses
+    cfg = write_config(tmp_path, basis={"kind": "rectangle"}, density=RECT_DENSITY)
+    rc = main(["sumrule", "--config", str(cfg), "--modes", "100000000", "--route", "closed"])
+    assert rc == EXIT_VALIDATION
+    assert any(p.startswith("truncation.modes") for p in problems_on_stderr(capsys))
+    assert _enumerate_rectangle_modes.cache_info().misses == misses
+
+
 def test_working_set_counted_before_allocating(tmp_path, monkeypatch, capsys):
     from billzeta import cli
 
@@ -571,6 +583,19 @@ def test_runs_peak_below_the_counted_need(tmp_path, run, route):
     finally:
         tracemalloc.stop()
     assert peak < need
+
+
+def test_rectangle_trace_need_grows_like_its_row_blocks(tmp_path):
+    # the rectangle table is side factors and the route reads S_1 in row blocks, so
+    # nothing it counts grows like M^2
+    from billzeta.cli import _memory_need
+
+    cfg = write_config(tmp_path, basis={"kind": "rectangle"}, density=RECT_DENSITY)
+    argv = ["sumrule", "--config", str(cfg), "--route", "trace1", "--s", "1+1/2", "--s", "1+1/8"]
+    loaded = load_config(str(cfg), _build_parser().parse_args(argv))
+    need = {m: _memory_need("sumrule", "trace1", loaded.basis.domain, loaded.profile, m, loaded.orders, 2)
+            for m in (2000, 4000)}
+    assert need[4000] / need[2000] < 3
 
 
 @pytest.mark.parametrize("route, orders", [

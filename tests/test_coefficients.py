@@ -36,14 +36,22 @@ RNG = np.random.default_rng(11)
 COS2 = FourierCosine((0.0, 0.0, 1.0))
 
 
+def one_factor_table(powers):
+    """A rectangle-form table whose S_j, j >= 1, are the given matrices: one factor each, Y = [[1]]."""
+    m = len(powers[0])
+    factors = [((1.0, np.eye(m), np.ones((1, 1))),)] + [((1.0, s, np.ones((1, 1))),) for s in powers]
+    index = np.stack([np.arange(m), np.zeros(m, dtype=int)])  # mode n is (n, 0)
+    return SigmaPowerTable(len(powers), m, {"rule": "synthetic"}, factors=tuple(factors), index=index)
+
+
 def random_table(m, max_power, seed=None):
     """Synthetic symmetric sigma-power data: the per-order algebra holds for any."""
     rng = np.random.default_rng(seed or RNG.integers(1 << 31))
-    entries = np.empty((max_power, m, m))  # S_1..S_J
-    for j in range(max_power):
+    powers = []  # S_1..S_J
+    for _ in range(max_power):
         a = rng.standard_normal((m, m))
-        entries[j] = 0.5 * (a + a.T)
-    return SigmaPowerTable(max_power, m, entries, {"rule": "synthetic"})
+        powers.append(0.5 * (a + a.T))
+    return one_factor_table(powers)
 
 
 def string_basis(m, length=1.0):
@@ -254,13 +262,13 @@ def test_recursion_satisfies_half_order_recursive_forms():
 def test_leading_term_coefficient_order_eight():
     # a table with only sigma^8 data isolates the leading term exactly
     m = 5
-    entries = np.zeros((8, m, m))  # S_1..S_8
+    powers = [np.zeros((m, m)) for _ in range(8)]  # S_1..S_8
     a = RNG.standard_normal((m, m))
-    entries[7] = 0.5 * (a + a.T)
-    table = SigmaPowerTable(8, m, entries, {"rule": "synthetic"})
+    powers[7] = 0.5 * (a + a.T)
+    table = one_factor_table(powers)
     basis = string_basis(m)
     cset = q_generic_recursion(2, build_Q_series(8, table, basis), basis)
-    expected = (-429.0 / 32768.0) * delta_matrix(2, basis.eigenvalues()) * entries[7]
+    expected = (-429.0 / 32768.0) * delta_matrix(2, basis.eigenvalues()) * powers[7]
     assert max_rel(cset.q_orders[8], expected) < 1e-14
     for k in range(1, 8):
         assert np.max(np.abs(cset.q_orders[k])) == 0.0

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -244,3 +245,26 @@ def test_convergence_fit_first_order_slope_two():
         drop_second_order=True,
     )
     assert 1.8 < fit.slope < 2.2
+
+
+@pytest.mark.parametrize("lambdas, error, named", [
+    ((0.0, 0.04, 0.08, 0.16), ValidationError, "[0.0]"),
+    ((-0.08, 0.04, 0.08, 0.16), ValidationError, "[-0.08]"),
+    ((-0.04, 0.0, 0.08), ValidationError, "[-0.04, 0.0]"),
+    ((0.08, 0.08, 0.16), InsufficientDataError, "distinct"),
+], ids=["zero", "negative", "both", "repeated"])
+def test_convergence_fit_rejects_unfittable_lambdas_before_any_solve(monkeypatch, lambdas, error, named):
+    # the fit is a line through (log lambda, log error): non-positive lambdas have no
+    # abscissa, and a repeated lambda adds no point
+    from billzeta import oracle
+
+    def never(*args, **kwargs):
+        raise AssertionError("a route ran")
+
+    monkeypatch.setattr(oracle, "z_closed_form", never)
+    monkeypatch.setattr(oracle, "oracle_sum_rule", never)
+    basis = ModeBasis(String1D(1.0), 40)
+    table = build_sigma_table(basis, COS2, 2)
+    densities = [DensityPerturbation(COS2, lam) for lam in lambdas]
+    with pytest.raises(error, match=re.escape(named)):
+        convergence_order_fit(RationalOrderSpec.parse("3/2"), table, basis, densities)

@@ -451,13 +451,31 @@ def test_trace_row_blocks_match_the_dense_series(kind, profile, m):
     order_kinds = TRACE_ORDERS if kind == "string" else {"one_plus_inv": TRACE_ORDERS["one_plus_inv"]}
     specs = [RationalOrderSpec.parse(label) for labels in order_kinds.values() for label in labels]
     results = z_via_trace(specs, table, basis, [density])
-    if kind == "string":
-        assert table._dense == {}  # the route read S_1 by row blocks only
+    assert table._dense == {}  # the route read S_1 by row blocks only
     for spec, res in zip(specs, results):
         expected = dense_trace_reference(spec, table, basis, density.lam)
         scale = abs(sum(expected))
         for got, want in zip((res.z0, res.z1, res.z2), expected):
             assert abs(got - want) <= 1e-14 * scale
+
+
+def test_rectangle_trace_route_peaks_below_half_a_dense_matrix():
+    # the rectangle table holds side factors and the route reads S_1 in row blocks
+    import tracemalloc
+
+    m = 1500
+    profile = Separable2D(((Polynomial((0.0, 4.0, -4.0)), COS2),))
+    basis = ModeBasis(Rectangle2D(1.0, 1.3), m)
+    basis.mode_indices()  # memoized enumeration, not part of the route
+    tracemalloc.start()
+    try:
+        table = build_sigma_table(basis, profile, 2)
+        z_via_trace([RationalOrderSpec.parse("1+1/2")], table, basis, [DensityPerturbation(profile, 0.1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table._dense == {}
+    assert peak < 0.5 * m * m * 8
 
 
 def test_trace_route_needs_a_second_power():
