@@ -11,13 +11,15 @@ consumes the basis through two objects built here:
 On the string 2 sin(n t) sin(m t) = cos((n-m) t) - cos((n+m) t), so every
 matrix element is read from the cosine coefficients c_k of the function:
 <n| f |m> = (c_|n-m| - c_{n+m})/2, plus c_0 on the diagonal.  Those are
-exact Chebyshev products for a cosine profile and composite Gauss-Legendre
-moments otherwise.  A string table keeps only the coefficients of sigma^j,
-from which any diagonal or block of rows of S_j is read directly and dense
-matrices are built on first use.  On the rectangle sigma^j is a sum of
-separable products, so S_j is a sum of elementwise products of such string
-factors, one per side; a rectangle table keeps those factors and reads S_j
-from them the same way.  Every table is built from scratch on each call.
+exact products of cosine series (convolutions) for a cosine profile and
+composite Gauss-Legendre moments otherwise.  A string table keeps only the
+coefficients of sigma^j.  On the rectangle sigma^j is a sum of separable
+products, so S_j is a sum of elementwise products of such string factors,
+one per side; a rectangle table keeps those factors.  Either table lists the
+nonzero couplings S_j[n, m], m >= n, of any block of rows (O(j b) per row
+for a cosine profile of highest harmonic b) and its main diagonal without
+forming S_j, and builds dense matrices on first use.  Every table is built
+from scratch on each call.
 """
 
 from __future__ import annotations
@@ -65,22 +67,20 @@ class Rectangle2D:
 
 
 @functools.lru_cache(maxsize=None)
-def _enumerate_rectangle_modes(a: float, b: float, count: int) -> tuple[tuple[int, int], ...]:
-    # grow the candidate square until the count-th smallest eigenvalue is
-    # provably below anything outside the candidate set (memoized, so a tuple)
-    cap = max(4, int(math.isqrt(count)) + 2)
-    while True:
-        cand = [
-            (math.pi**2 * (j * j / a**2 + k * k / b**2), j, k)
-            for j in range(1, cap + 1)
-            for k in range(1, cap + 1)
-        ]
-        if len(cand) >= count:
-            cand.sort()
-            boundary = math.pi**2 * (cap + 1) ** 2 * min(1 / a**2, 1 / b**2)
-            if cand[count - 1][0] < boundary:
-                return tuple((j, k) for _, j, k in cand[:count])
-        cap *= 2
+def _enumerate_rectangle_modes(a: float, b: float, count: int) -> np.ndarray:
+    """The count lowest modes (j, k), shape (count, 2): ascending eigenvalue, ties by j then k.
+
+    The lattice up to each side's bound (``_rectangle_side_bounds``) holds
+    every mode at or below the count-th eigenvalue; one lexsort orders it.
+    Memoized, so the array is read-only.
+    """
+    nx, ny = _rectangle_side_bounds(a, b, count)
+    j, k = np.repeat(np.arange(1, nx + 1), ny), np.tile(np.arange(1, ny + 1), nx)
+    eps = math.pi**2 * (j * j / a**2 + k * k / b**2)
+    order = np.lexsort((k, j, eps))[:count]
+    modes = np.stack((j[order], k[order]), axis=1)
+    modes.flags.writeable = False
+    return modes
 
 
 @dataclass(frozen=True)
@@ -102,13 +102,16 @@ class ModeBasis:
         """Mode labels in ascending-eigenvalue order (1-based ints, or (j,k))."""
         if isinstance(self.domain, String1D):
             return list(range(1, self.mode_count + 1))
-        return list(_enumerate_rectangle_modes(self.domain.a, self.domain.b, self.mode_count))
+        return [tuple(jk) for jk in self._modes().tolist()]
+
+    def _modes(self) -> np.ndarray:
+        return _enumerate_rectangle_modes(self.domain.a, self.domain.b, self.mode_count)
 
     def eigenvalues(self) -> np.ndarray:
         if isinstance(self.domain, String1D):
             n = np.arange(1, self.mode_count + 1, dtype=float)
             return (n * math.pi / self.domain.length) ** 2
-        jk = np.asarray(self.mode_indices(), dtype=float)
+        jk = self._modes().astype(float)
         return math.pi**2 * (jk[:, 0] ** 2 / self.domain.a**2 + jk[:, 1] ** 2 / self.domain.b**2)
 
 
@@ -392,22 +395,51 @@ def _quad_cosine_coeffs(n_max: int, length: float, factor_lists, nodes: int | No
     return moments, (plan, float(np.max(err)))
 
 
+def _cosine_power_product(factors) -> np.ndarray:
+    """Cosine coefficients of prod_i p_i^{power_i} for cosine factors, as chebpow and chebmul.
+
+    c_0 + sum_k c_k cos k t is c_0 + sum_k (c_k / 2)(e^{ikt} + e^{-ikt}), so a
+    product is the np.convolve of such two-sided coefficients.  Each power is
+    a chain of convolutions; it and the product so far are then folded back
+    to one side and multiplied, with trailing zeros trimmed, so the result
+    is bit for bit the Chebyshev route's (halving and doubling are exact).
+    """
+    def trimmed(c):
+        return c[: max(1, len(np.trim_zeros(c, "b")))]
+
+    def two_sided(c):
+        half = 0.5 * c
+        return np.concatenate([half[:0:-1], c[:1], half[1:]])
+
+    def one_sided(z):
+        c = z[len(z) // 2 :].copy()
+        c[1:] *= 2.0
+        return c
+
+    product = np.ones(1)
+    for p, power in factors:
+        z = two_sided(trimmed(np.asarray(p.coeffs or (0.0,))))
+        term = np.ones(1)
+        for _ in range(power):
+            term = np.convolve(term, z)
+        product = trimmed(one_sided(np.convolve(two_sided(product), two_sided(one_sided(term)))))
+    return product
+
+
 def _cosine_coeffs(n_max: int, length: float, factor_lists, nodes: int | None = None):
     """Cosine coefficients of each list's prod_i p_i^{power_i}, enough for n_max modes.
 
-    Exact (Chebyshev products, trailing zeros trimmed) for cosine factors;
-    every other list goes into one shared quadrature call.  Returns the
-    coefficients, one array per list, and that call's (node plan, largest
-    self-check error), or None when no list needed quadrature.
+    Exact (``_cosine_power_product``) for cosine factors; every other list
+    goes into one shared quadrature call.  Returns the coefficients, one
+    array per list, and that call's (node plan, largest self-check error),
+    or None when no list needed quadrature.
     """
     out = []
     for factors in factor_lists:
         if any(p.is_zero and power > 0 for p, power in factors):
             out.append(np.zeros(1))
         elif all(isinstance(p, FourierCosine) for p, _ in factors):
-            cheb = np.polynomial.chebyshev  # cos p t cos q t = (cos (p+q) t + cos (p-q) t)/2
-            series = (cheb.chebpow(p.coeffs or (0.0,), power, None) for p, power in factors)
-            out.append(functools.reduce(cheb.chebmul, series, np.ones(1)))
+            out.append(_cosine_power_product(factors))
         else:
             out.append(None)
     quad = [i for i, c in enumerate(out) if c is None]
@@ -424,6 +456,14 @@ def _cosine_coeffs(n_max: int, length: float, factor_lists, nodes: int | None = 
 # ---------------------------------------------------------------------------
 
 
+def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, k) for every k < counts[row], row-major: ragged rows flattened without a loop."""
+    row = np.repeat(np.arange(len(counts)), counts)
+    k = np.arange(len(row))
+    k -= np.repeat(np.cumsum(counts) - counts, counts)
+    return row, k
+
+
 @dataclass(frozen=True)
 class SigmaPowerTable:
     """Matrices S_j[n, m] = <n| sigma^j |m> for j = 0..max_power, n, m = 1..size.
@@ -434,11 +474,11 @@ class SigmaPowerTable:
     the rectangle, the separable factors of each S_j: ``factors[j]`` lists
     (multinomial, X, Y) with S_j[n, m] the sum of multinomial X[x_n, x_m]
     Y[y_n, y_m] in list order, where (x_n, y_n) = ``index[:, n]`` is mode
-    n's 0-based index on either side.  ``rows(j, lo, hi)`` reads a block of
-    rows of S_j over the columns within ``width(j)`` of them, and
-    ``diagonal(j, d)`` one diagonal, both bit for bit what ``power(j)``
-    holds; ``power(j)`` forms the dense matrix once, on first use, and only
-    a rectangle diagonal off the main one reads it.
+    n's 0-based index on either side and ``pos[x, y]`` maps it back (-1 past
+    the truncation).  ``couplings(j, lo, hi)`` lists the entries of a block
+    of rows of S_j that can be nonzero and ``diagonal(j)`` the main
+    diagonal, both bit for bit what ``power(j)`` holds; ``power(j)`` forms
+    the dense matrix once, on first use.
     """
 
     max_power: int
@@ -447,8 +487,10 @@ class SigmaPowerTable:
     cosine: tuple[np.ndarray, ...] | None = None
     factors: tuple[tuple[tuple[float, np.ndarray, np.ndarray], ...], ...] | None = None
     index: np.ndarray | None = None  # shape (2, size) with the factors; None on the string
+    pos: np.ndarray | None = None  # the inverse of index, shape (X.shape[0], Y.shape[0])
     _dense: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _padded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _patterns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _check(self, j: int) -> None:
         if not 0 <= j <= self.max_power:
@@ -478,72 +520,90 @@ class SigmaPowerTable:
             out += term
         return out
 
-    def width(self, j: int) -> int:
-        """Highest offset d at which S_j[n, n + d] can be nonzero.
-
-        The highest stored harmonic of sigma^j on the string (capped at
-        size - 1, which quadrature coefficients always reach), and size - 1
-        on the rectangle.
-        """
-        self._check(j)
-        if self.cosine is None:
-            return self.size - 1
-        return min(len(self.cosine[j]) - 1, self.size - 1)
-
     def _coefficients(self, j: int) -> np.ndarray:
         """c_0..c_{2 size} of sigma^j on the string: all the selection rule reads, padded once."""
         if j not in self._padded:
             self._padded[j] = _padded_cosine(self.cosine[j], self.size)
         return self._padded[j]
 
-    def diagonal(self, j: int, d: int = 0) -> np.ndarray:
-        """S_j[n, n + d] for n < size - d.
+    def _pattern(self, j: int) -> tuple:
+        """Per side, (start, columns) of each row's exact nonzeros in any split of S_j, CSR style."""
+        if j not in self._patterns:
+            sides = []
+            for side, size in zip((1, 2), self.pos.shape):
+                nonzero = np.zeros((size, size), dtype=bool)
+                for split in self.factors[j]:
+                    nonzero |= split[side] != 0.0
+                rows, cols = np.nonzero(nonzero)
+                sides.append((np.searchsorted(rows, np.arange(size + 1)), cols))
+            self._patterns[j] = tuple(sides)
+        return self._patterns[j]
 
-        On the string it comes from the selection rule without forming S_j.
-        On the rectangle the main diagonal comes from the factors in
-        O(size) and every other one is a view of ``power(j)``: a walk over
-        all size offsets, as the closed form makes, is faster through one
-        dense S_j built in row blocks than through size factor gathers.
+    def diagonal(self, j: int) -> np.ndarray:
+        """S_j[n, n], from the selection rule or the factors in O(size), without forming S_j."""
+        self._check(j)
+        if self.cosine is None:
+            return self._add_factors(j, slice(None), slice(None), np.zeros(self.size))
+        c = self._coefficients(j)
+        return c[0] - 0.5 * c[2::2]
+
+    def row_step(self, j: int) -> int:
+        """Rows per ``couplings(j, ...)`` call in a walk over S_j.
+
+        ROW_BLOCK, or more when rows have few candidate entries, so that a
+        step considers at most about ROW_BLOCK x max(ROW_BLOCK, entries per row).
         """
         self._check(j)
-        m = self.size
-        if not 0 <= d < m:
-            raise ValidationError(f"diagonal offset {d} outside 0..{m - 1}")
-        if self.cosine is None:
-            if d:
-                return np.diagonal(self.power(j), d)
-            return self._add_factors(j, slice(None), slice(None), np.zeros(m))
-        # the selection rule of _exact_cosine_elements, one diagonal at a time
-        c = self._coefficients(j)
-        if d == 0:
-            return c[0] - 0.5 * c[2::2]
-        return 0.5 * (c[d] - c[d + 2 : 2 * m - d + 1 : 2])
+        if self.cosine is not None:
+            per_row = min(len(self.cosine[j]), self.size)
+        else:
+            (x_start, _), (y_start, _) = self._pattern(j)
+            per_row = int(np.max(np.diff(x_start)[self.index[0]] * np.diff(y_start)[self.index[1]]))
+        return max(ROW_BLOCK, ROW_BLOCK * ROW_BLOCK // max(per_row, 1))
 
-    def rows(self, j: int, lo: int, hi: int) -> tuple[int, np.ndarray]:
-        """(c0, S_j[lo:hi, c0:c1]): rows lo..hi-1 over every column within width(j) of them.
+    def couplings(self, j: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(n, m, S_j[n, m]) for the nonzero entries with m >= n of rows lo..hi-1, row by row.
 
-        c0 = max(0, lo - width(j)) and c1 = min(size, hi + width(j)).  On the
-        string the block comes from the selection rule, on the rectangle from
-        the factors over every column; either way S_j is not formed, and the
-        block is bit for bit what ``power`` holds.
+        Entries are listed where the structure allows a nonzero and kept where
+        the value is nonzero; every other entry of the rows with m >= n is
+        exactly 0.  On the string the selection rule allows offsets m - n up
+        to the highest stored harmonic of sigma^j, so a cosine profile of
+        highest harmonic b lists O(j b) pairs per row.  On the rectangle, a
+        pair of side indices nonzero in X and in Y of some split, mapped
+        through ``pos``: a few per row for cosine factors, and at most
+        ``size`` per row (O(size^2) in all) for dense ones.  Each value is bit
+        for bit what ``power(j)`` holds, and S_j is not formed.
         """
         self._check(j)
-        m = self.size
-        if not 0 <= lo < hi <= m:
-            raise ValidationError(f"row range {lo}..{hi} outside 0..{m}")
-        if self.cosine is None:
-            block = np.zeros((hi - lo, m))
-            return 0, self._add_factors(j, np.arange(lo, hi)[:, None], slice(None), block)
-        w = self.width(j)
-        c0 = max(0, lo - w)
-        c = self._coefficients(j)
-        n = np.arange(lo, hi)
-        k = np.arange(c0, min(m, hi + w))
-        block = c[np.abs(n[:, None] - k)] - c[n[:, None] + k + 2]  # c_|n-m| - c_{n+m}, 1-based
-        block *= 0.5
-        r = np.arange(hi - lo)
-        block[r, r + lo - c0] = c[0] - 0.5 * c[2 * n + 2]
-        return c0, block
+        m_size = self.size
+        if not 0 <= lo < hi <= m_size:
+            raise ValidationError(f"row range {lo}..{hi} outside 0..{m_size}")
+        rows = np.arange(lo, hi)
+        if self.cosine is not None:
+            # the selection rule of _exact_cosine_elements on the offsets d = m - n it allows
+            width = min(len(self.cosine[j]), m_size) - 1
+            n, d = _ragged(np.minimum(width, m_size - 1 - rows) + 1)
+            n += lo
+            m = n + d
+            c = self._coefficients(j)
+            value = c[d]
+            value -= c[n + m + 2]  # c_|n-m| - c_{n+m}, 1-based
+            value *= 0.5
+            on = d == 0
+            value[on] = c[0] - 0.5 * c[2 * n[on] + 2]
+        else:
+            (x_start, x_cols), (y_start, y_cols) = self._pattern(j)
+            x, y = self.index[:, lo:hi]
+            x_count, y_count = np.diff(x_start)[x], np.diff(y_start)[y]
+            row, k = _ragged(x_count * y_count)
+            y_count = y_count[row]
+            m = self.pos[x_cols[x_start[x[row]] + k // y_count], y_cols[y_start[y[row]] + k % y_count]]
+            n = rows[row]
+            upper = m >= n  # also drops side pairs past the truncation, where pos is -1
+            n, m = n[upper], m[upper]
+            value = self._add_factors(j, n, m, np.zeros(len(n)))
+        nonzero = value != 0.0
+        return n[nonzero], m[nonzero], value[nonzero]
 
 
 def _rectangle_side_bounds(a: float, b: float, count: int) -> tuple[int, int]:
@@ -579,11 +639,27 @@ def rectangle_table_doubles(domain: Rectangle2D, profile: Profile, mode_count: i
 
     Each split of the powers 0..J over the profile's T terms, C(J + T, T) of
     them, keeps two side factors, n x n for a bound on the side's highest
-    mode index n; the index map adds 2 per mode.
+    mode index n; the index map adds 2 per mode and its inverse ``pos``
+    n_x n_y.  The nonzero pattern ``couplings`` keeps for the power it reads
+    takes at most n^2 + n + 1 more per side.
     """
-    side_sq = sum(n * n for n in _rectangle_side_bounds(domain.a, domain.b, mode_count))
+    nx, ny = _rectangle_side_bounds(domain.a, domain.b, mode_count)
     terms = len(profile.terms) if isinstance(profile, Separable2D) else 1
-    return math.comb(max_power + terms, terms) * side_sq + 2 * mode_count
+    splits = math.comb(max_power + terms, terms)
+    return splits * (nx * nx + ny * ny) + (nx + 1) ** 2 + (ny + 1) ** 2 + nx * ny + 2 * mode_count
+
+
+def row_couplings_bound(domain: String1D | Rectangle2D, profile: Profile, mode_count: int) -> int:
+    """Entries ``couplings(1, ...)`` considers per row at most, counted without building the table.
+
+    On the string, the offsets up to S_1's highest harmonic: b + 1 for a
+    cosine profile of highest harmonic b, else every column.  On the
+    rectangle, every pair of side indices up to the side bounds: about
+    1.3 mode_count, which covers dense side factors.
+    """
+    if isinstance(domain, String1D):
+        return min(mode_count, profile.bandwidth() + 1 if isinstance(profile, FourierCosine) else mode_count)
+    return math.prod(_rectangle_side_bounds(domain.a, domain.b, mode_count))
 
 
 def build_sigma_table(
@@ -631,8 +707,10 @@ def build_sigma_table(
     if not isinstance(profile, Separable2D):
         raise ValidationError("2D tables need a Separable2D profile")
     meta = {"rule": "composite-gauss-legendre-32", "nodes": nodes or "auto"}
-    modes = np.asarray(basis.mode_indices(), dtype=int)
-    sizes = [int(n) for n in modes.max(axis=0)]
+    index = basis._modes().T - 1
+    sizes = [int(n) + 1 for n in index.max(axis=1)]
+    pos = np.full(sizes, -1)
+    pos[index[0], index[1]] = np.arange(m_size)
     factors = [[] for _ in range(max_power + 1)]
     factors[0].append((1.0, np.eye(sizes[0]), np.eye(sizes[1])))  # S_0, the identity
     terms = profile.terms
@@ -655,5 +733,5 @@ def build_sigma_table(
             y = _exact_cosine_elements(sizes[1], cy)
             factors[j].append((multinomial, x, y))
     return SigmaPowerTable(
-        max_power, m_size, meta, factors=tuple(map(tuple, factors)), index=modes.T - 1
+        max_power, m_size, meta, factors=tuple(map(tuple, factors)), index=index, pos=pos
     )

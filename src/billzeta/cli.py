@@ -33,6 +33,7 @@ from .basis import (
     Tabulated,
     build_sigma_table,
     rectangle_table_doubles,
+    row_couplings_bound,
 )
 from .errors import (
     ConfigError,
@@ -168,53 +169,46 @@ def _physical_memory() -> int | None:
 
 # Dense M x M float64 matrices the oracle holds besides S_1 (the overlap
 # I + lam S_1, its graded copy and LAPACK's untraced copy of that), from
-# tracemalloc at M=800: 2.02 traced.  The closed form and the trace routes
-# hold no matrix besides the dense S_j they read, counted apart.
+# tracemalloc at M=800: 2.02 traced.
 _ORACLE_MATRICES = 3
-# The closed form and the trace routes on a string table never form a
-# matrix: they read S_1 by diagonals or row blocks, so their working set is
-# length-M vectors.  This many vectors per diagonal of S_1 up to its width,
-# plus a fixed number, plus this many per order (the closed form keeps each
-# order's eps^-s), bound that from above with room to spare (tracemalloc, 2-3
-# orders and 2 lambdas: 0.25-0.43 MiB for a cosine profile at M=2000 and
-# 1.6-2.0 MiB at M=20000; 7.3 MiB for a polynomial profile at M=2000, set by
-# the quadrature build's chunk rows).
-_BAND_ROW_VECTORS, _BAND_VECTORS, _ORDER_VECTORS = 2, 32, 3
-# A trace route holds one row block of S_1 for each distinct series (Q and
-# each q[1/N]) and at most this many temporary blocks besides; forming a
-# rectangle S_j in row blocks holds at most this many too.
-_TRACE_BLOCKS = 6
+# The closed form and the trace routes form no matrix: they read S_1 as the
+# nonzero couplings of one step of rows at a time (SigmaPowerTable.row_step),
+# which considers at most ROW_BLOCK x max(ROW_BLOCK, row_couplings_bound)
+# entries.  Counted in arrays of that many pairs: this many while S_1's
+# couplings are listed or the closed form sums them, plus this many per
+# series (Q and each q[1/N]) on a trace route.
+_PAIR_ARRAYS, _SERIES_PAIR_ARRAYS = 12, 6
+# Length-M vectors: a fixed number, this many per order (the closed form
+# keeps each order's eps^-s), and on a trace route this many per series
+# (its order-0 and order-2 diagonals and row sums).
+_VECTORS, _ORDER_VECTORS, _SERIES_VECTORS = 32, 3, 6
+# Forming a dense rectangle S_j in row blocks holds at most this many
+# blocks of temporaries.
+_DENSE_BLOCKS = 6
 
 
 def _memory_need(command, route, domain, profile, modes, orders, max_order) -> int:
     """Bytes a command holds at its peak, the table and the working set, counted from above."""
     m = modes
     max_power = max(2, max_order)
-    trace = command == "sumrule" and route in ("trace1", "trace2")
     string = isinstance(domain, String1D)
-    if string and command == "sumrule" and route in ("closed", "trace1", "trace2"):
-        # S_1's width: b for a cosine profile of highest harmonic b, else M - 1
-        width = min(profile.bandwidth() if isinstance(profile, FourierCosine) else m, m - 1)
-        matrices, vectors = 0, _BAND_ROW_VECTORS * (width + 1)
-    else:
-        width = m - 1
-        # the dense S_j formed: every one the coefficient series read, none on a trace
-        # route, else S_1 (the oracle's overlap, the rectangle closed form's off-diagonals)
-        dense = max_power if command == "coeffs" else int(not trace)
-        work = {
-            "coeffs": 4 * (max_order + 1) + 1,  # q, Q and two power series per order
-            "verify": _ORACLE_MATRICES,
-            "spectrum": _ORACLE_MATRICES,
-        }.get(command, _ORACLE_MATRICES if route in ("oracle", "all") else 0)
-        matrices, vectors = dense + work, 0
-    vectors += _BAND_VECTORS + _ORDER_VECTORS * len(orders)
-    rows, cols = min(ROW_BLOCK, m), min(m, ROW_BLOCK + 2 * width)
-    blocks = 0 if string else _TRACE_BLOCKS  # a rectangle S_j is read in row blocks
+    oracle = command in ("verify", "spectrum") or (command == "sumrule" and route in ("oracle", "all"))
+    # the dense S_j formed: every one the coefficient series read, else S_1 for the oracle's overlap
+    dense = max_power if command == "coeffs" else int(oracle)
+    work = 4 * (max_order + 1) + 1 if command == "coeffs" else _ORACLE_MATRICES * oracle
+    vectors = _VECTORS + _ORDER_VECTORS * len(orders)
+    arrays = 0
+    if command == "verify" or (command == "sumrule" and route != "oracle"):  # a closed form or trace
+        arrays = _PAIR_ARRAYS
     if command == "sumrule" and route in ("trace1", "trace2", "all"):
         series = {n for o in orders for n in (1, o.n_root, o.n_root2) if n is not None}
-        blocks = len(series) + _TRACE_BLOCKS
+        arrays += _SERIES_PAIR_ARRAYS * len(series)
+        vectors += _SERIES_VECTORS * len(series)
+    rows = min(ROW_BLOCK, m)
+    pairs = arrays * rows * max(rows, row_couplings_bound(domain, profile, m))
+    blocks = 0 if string or not dense else _DENSE_BLOCKS * rows * m
     table = 0 if string else rectangle_table_doubles(domain, profile, m, max_power)
-    return (matrices * m * m + vectors * m + blocks * rows * cols + table) * 8
+    return ((dense + work) * m * m + vectors * m + pairs + blocks + table) * 8
 
 
 def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:

@@ -9,10 +9,10 @@ truncation, which the tests exploit.
 
 The trace routes need less: q^(0) is diagonal, so the lambda^2 trace reads the
 order-1 matrices entry by entry but only the diagonal of each order-2 one.
-Q_trace_terms and trace_terms give exactly that, (q^(0), q^(1), diag q^(2)),
-on one block of B rows of S_1 at a time: O(N) per entry of S_1's row blocks
-(O(N M^2) on the rectangle, O(N M (B + 2b)) on a cosine string of highest
-harmonic b) with no M x M matrix at all; the dense series above remain the
+Q_trace_terms and trace_terms form the order-1 entries on the nonzero
+couplings (n, m), m >= n, of S_1, and the row terms from which Q_diagonal and
+q_diagonal give the order-2 diagonals: O(N) per coupling, O(N nnz(S_1)) in
+all, with no M x M matrix at all; the dense series above remain the
 general-order reference.
 """
 
@@ -167,68 +167,81 @@ def q_generic_recursion(n_root: int, big_q, basis: ModeBasis) -> GreenCoefficien
     return GreenCoefficientSet(n, max_order, m, tuple(q_orders), tuple(big_q))
 
 
-def Q_trace_terms(s1: np.ndarray, s2_diag: np.ndarray, eps: np.ndarray, lo: int, c0: int) -> tuple:
-    """What the lambda^2 trace reads of Q on one block of rows: (Q^(0), Q^(1), diag Q^(2)).
+def Q_trace_terms(n: np.ndarray, m: np.ndarray, s1: np.ndarray, eps: np.ndarray) -> tuple:
+    """Q^(1) on pairs (n, m), m >= n, of S_1 (``SigmaPowerTable.couplings``), and their row terms.
 
-    s1 = S_1[lo:hi, c0:c1] (``SigmaPowerTable.rows``) and s2_diag = S_2[n, n]
-    on the same rows; eps is the whole spectrum.  Q^(0) is diagonal, so
-    tr(A_0 B_2) needs only diag B_2, and
-    diag Q^(2) = 2 b_2 S_2[n,n]/eps_n + b_1^2 sum_r S_1[n,r]^2/eps_r needs only
-    the rows of S_1.  Returns the terms on the rows (Q^(1) over the block's
-    columns) and sum_r S_1[n,r]^2, from the same S_1∘S_1, for the trace
-    route's completeness deficit.
+    Q^(1)[n, m] = b_1 S_1[n, m] (1/eps_m + 1/eps_n), symmetric, so each pair
+    stands for both triangles.  diag Q^(2) (``Q_diagonal``) needs the row
+    sums sum_r S_1[n, r]^2 / eps_r, to which the pair adds S_1[n, m]^2 / eps_m
+    at row n and S_1[n, m]^2 / eps_n at row m.  Returns Q^(1), S_1[n, m]^2
+    (the trace route's completeness deficit sums it the same way) and those
+    two row terms.
+    """
+    inv_n, inv_m = 1.0 / eps[n], 1.0 / eps[m]
+    half = half_binomial(1) * s1
+    q1 = half * inv_m
+    q1 += inv_n * half
+    sq = s1 * s1
+    return q1, sq, (sq * inv_m, sq * inv_n)
+
+
+def Q_diagonal(s2_diag: np.ndarray, row_sums: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """diag Q^(2) = 2 b_2 S_2[n,n]/eps_n + b_1^2 sum_r S_1[n,r]^2/eps_r, from Q_trace_terms' row sums.
+
+    Q^(0) is diagonal, so tr(A_0 B_2) needs only diag B_2.
     """
     b1, b2 = half_binomial(1), half_binomial(2)
-    inv_rows = 1.0 / eps[lo : lo + len(s1)]
-    inv_cols = 1.0 / eps[c0 : c0 + s1.shape[1]]
-    half = b1 * s1
-    q1 = half * inv_cols
-    q1 += inv_rows[:, None] * half
-    del half
-    sq = s1 * s1
-    q2_diag = 2.0 * b2 * s2_diag * inv_rows + b1 * b1 * (sq @ inv_cols)
-    return (inv_rows, q1, q2_diag), np.sum(sq, axis=1)
+    return 2.0 * b2 * s2_diag * (1.0 / eps) + b1 * b1 * row_sums
 
 
-def _root_powers(n_root: int, eps: np.ndarray) -> np.ndarray:
-    """Rows u^j = eps^{-j/N}, j = 0..N-1: every power the eta and xi kernels take."""
-    return np.exp(np.outer(-np.arange(n_root) / n_root, np.log(eps)))
+def _eta_xi(n_root: int, wn: np.ndarray, wm: np.ndarray) -> tuple:
+    """eta(N; eps_n, eps_m), xi(N; eps_n, eps_m, eps_n) and xi(N; eps_m, eps_n, eps_m) pair by pair.
 
-
-def _xi_rowsums(x: np.ndarray, u_rows: np.ndarray, u_cols: np.ndarray) -> np.ndarray:
-    """sum_r x[n,r] W[n,r] with W[n,r] = xi(N; eps_n, eps_r, eps_n), n over rows, r over columns.
-
-    u_rows and u_cols are the N powers of _root_powers on the rows and the
-    columns.  W = sum_{b=0}^{N-2} (N-1-b) u_n^{N-2-b} u_r^b, so the row sums
-    are one product of x with the N - 1 powers u_r^b: O(N) per entry of x, and
-    W itself is never formed.
+    From w = eps^{-1/N}: with E_j = sum_{k<=j} wn^k wm^{j-k}, symmetric in
+    wn and wm, eta = E_{N-1} and xi(N; eps_n, eps_m, eps_n) =
+    sum_{j<=N-2} E_j wn^{N-2-j}, so one Horner loop of N steps over positive
+    terms forms all three.
     """
-    b = np.arange(len(u_rows) - 1)
-    weights = (len(u_rows) - 1 - b)[:, None] * u_rows[: len(b)][::-1]  # (N-1-b) u_n^(N-2-b)
-    return np.einsum("nb,bn->n", x @ u_cols[: len(b)].T, weights)
+    e, power = np.ones(len(wn)), np.ones(len(wn))
+    xi_n, xi_m = np.zeros(len(wn)), np.zeros(len(wn))
+    for _ in range(n_root - 1):
+        xi_n *= wn
+        xi_n += e
+        xi_m *= wm
+        xi_m += e
+        power *= wn
+        e *= wm
+        e += power
+    return e, xi_n, xi_m
 
 
-def trace_terms(n_root: int, big_q, eps: np.ndarray, lo: int, c0: int) -> tuple:
-    """(q^(0), q^(1), diag q^(2)) of the order-1/N root of Q on one block of rows.
+def trace_terms(n_root: int, q0: np.ndarray, n: np.ndarray, m: np.ndarray, big_q1: np.ndarray) -> tuple:
+    """q^(1) of the order-1/N root of Q on pairs (n, m), and their xi-weighted row terms.
 
-    big_q is Q_trace_terms' triple for the rows lo.. over the columns c0..;
-    N = 1 gives back Q's terms.  q^(1) = Q^(1) / eta(N; eps_n, eps_m), with eta
-    the product of the rows' and columns' powers u^j.  The lambda^2 term of
-    the N-fold product (q^(0) + q^(1) lambda)^N has the diagonal
-    sum_r q^(1)[n,r]^2 xi(N; eps_n, eps_r, eps_n), so
-    diag q^(2) = (diag Q^(2) - that) / eta(N; eps_n, eps_n).  O(N) per entry of
-    the block, with no order-2 matrix.
+    q0 = eps^{-1/N} is q^(0) over the whole spectrum and big_q1 is
+    Q_trace_terms' Q^(1) on the pairs; N = 1 gives back Q^(1).
+    q^(1) = Q^(1) / eta(N; eps_n, eps_m).  The lambda^2 term of the N-fold
+    product (q^(0) + q^(1) lambda)^N has the diagonal
+    sum_r q^(1)[n,r]^2 xi(N; eps_n, eps_r, eps_n), so the pair adds
+    q^(1)^2 xi(N; eps_n, eps_m, eps_n) to row n's sum and
+    q^(1)^2 xi(N; eps_m, eps_n, eps_m) to row m's (``q_diagonal``).  O(N) per
+    pair.
     """
-    n = validate_root_order(n_root)
-    _, big_q1, big_q2_diag = big_q
-    rows = eps[lo : lo + len(big_q2_diag)]
-    u_rows = _root_powers(n, rows)
-    u_cols = _root_powers(n, eps[c0 : c0 + big_q1.shape[1]])
-    eta = u_rows[::-1].T @ u_cols  # sum_j eps_n^{-(N-1-j)/N} eps_m^{-j/N}
-    eta_diag = np.diagonal(eta, lo - c0)[: len(rows)].copy()  # eta(N; eps_n, eps_n)
-    q1 = np.divide(big_q1, eta, out=eta)
-    q2_diag = (big_q2_diag - _xi_rowsums(q1 * q1, u_rows, u_cols)) / eta_diag
-    return rows ** (-1.0 / n), q1, q2_diag
+    eta, xi_n, xi_m = _eta_xi(validate_root_order(n_root), q0[n], q0[m])
+    q1 = big_q1 / eta
+    sq = q1 * q1
+    xi_n *= sq
+    xi_m *= sq
+    return q1, (xi_n, xi_m)
+
+
+def q_diagonal(n_root: int, q0: np.ndarray, big_q2_diag: np.ndarray, row_sums: np.ndarray) -> np.ndarray:
+    """diag q^(2) = (diag Q^(2) - sum_r q^(1)[n,r]^2 xi(N; eps_n, eps_r, eps_n)) / eta(N; eps_n, eps_n).
+
+    q0 = eps^{-1/N}, so eta(N; eps_n, eps_n) = N q0^(N-1); row_sums are
+    trace_terms' xi-weighted row terms summed over every pair.
+    """
+    return (big_q2_diag - row_sums) / (n_root * q0 ** (n_root - 1))
 
 
 def verify_convolution(

@@ -12,11 +12,13 @@ computable deficit sum_n (S_2[n,n] - sum_m S_1[n,m]^2) eps_n^{-s}, which the
 trace routes add back so all routes are limited by rounding, not by the basis
 cutoff.  Both trace series start from a diagonal order 0, so a trace route
 needs each series' order-1 matrix entry by entry and only the diagonal of its
-order 2; it forms them one block of B rows of S_1 at a time, with no M x M
-matrix: O(N M^2) per root order N on the rectangle, O(N M (B + 2b)) on a
-cosine string of highest harmonic b.  Mode sums rely on
-numpy's pairwise reduction; the order-0 tail is a smooth-counting (Weyl)
-estimate appended to z0 only.
+order 2.  The closed form and the trace routes read S_1 only as its nonzero
+couplings S_1[n, m], m >= n, one step of rows at a time
+(``SigmaPowerTable.row_step``), and form no M x M matrix: O(N nnz(S_1)) time
+per root order N, which is O(N M) for a cosine profile on the string or the
+rectangle and O(N M^2) for a dense S_1, with one step's pairs in memory.  Mode sums rely on numpy's pairwise
+reduction; the order-0 tail is a smooth-counting (Weyl) estimate appended to
+z0 only.
 
 Every route has the form Z(s; lam) = z0 + lam c1 + lam^2 c2 with lambda-free
 c1, c2, so each takes sequences of orders and densities, forms its sums once
@@ -31,8 +33,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .basis import ROW_BLOCK, DensityPerturbation, ModeBasis, SigmaPowerTable
-from .coefficients import Q_trace_terms, trace_terms
+from .basis import DensityPerturbation, ModeBasis, SigmaPowerTable
+from .coefficients import Q_diagonal, Q_trace_terms, q_diagonal, trace_terms
 from .errors import ValidationError
 from .kernels import MAX_ROOT_ORDER, validate_root_order
 
@@ -204,23 +206,18 @@ def kernel_second_order_presplit(eps_n: float, eps_m: float, s: float) -> float:
     return (eps_m ** (-s) + eps_n ** (-s)) + 4.0 * kernel_second_order(eps_n, eps_m, s)
 
 
-def kernel_diagonal(
-    eps: np.ndarray, d: int, s: float, weights: np.ndarray | None = None
-) -> np.ndarray:
-    """Diagonal d of K(eps_n, eps_m; s): K(eps[n], eps[n + d]) for n < M - d.
+def kernel_pairs(lo: np.ndarray, hi: np.ndarray, s: float, weights: np.ndarray | None = None) -> np.ndarray:
+    """K(lo, hi; s) pair by pair, for eigenvalue pairs lo <= hi.
 
-    eps must be ascending (both bases sort their modes), so lo = eps[n] and
-    hi = eps[n + d].  Every pair is evaluated as lo^{-s} (-expm1((1-s) log1p(h)))/h
-    with h = (hi - lo)/lo, which has no cancellation near the diagonal or as
-    s -> 1; pairs with h <= 1e-12 take the analytic limit (s - 1) lo^{-s}, so
-    offset 0 is the diagonal.  Each unordered pair is evaluated once, which
-    makes the kernel it stands for exactly symmetric.  weights, if given, is
-    eps ** -s, formed once by a caller that walks many offsets.
+    Every pair is evaluated as lo^{-s} (-expm1((1-s) log1p(h)))/h with
+    h = (hi - lo)/lo, which has no cancellation near the diagonal or as
+    s -> 1; pairs with h <= 1e-12 take the analytic limit (s - 1) lo^{-s},
+    so lo == hi is the diagonal.  Each unordered pair is evaluated once,
+    which makes the kernel it stands for exactly symmetric.  weights, if
+    given, is lo ** -s, gathered from an eps ** -s a caller forms once.
     """
-    e = np.asarray(eps, dtype=float)
-    lo = e[: e.size - d]
-    base = lo ** (-s) if weights is None else weights[: e.size - d]
-    h = e[d:] - lo
+    base = lo ** (-s) if weights is None else weights
+    h = hi - lo
     h /= lo
     k = np.log1p(h)
     k *= 1.0 - s
@@ -308,6 +305,22 @@ def _resolve_route_inputs(orders, basis: ModeBasis, densities: list[DensityPertu
     return resolved
 
 
+def _kernel_block(table: SigmaPowerTable, lo: int, hi: int, eps, orders) -> tuple[bool, list]:
+    """Whether rows lo..hi-1 couple, and each (s, eps^{-s}) order's sum over
+    both triangles of K(eps_n, eps_m; s) S_1[n, m]^2 there."""
+    n, m, s1 = table.couplings(1, lo, hi)
+    sq = s1 * s1  # the kernel sum needs only S_1[n, m]^2 = S_1[m, n]^2
+    sq *= np.where(n == m, 1.0, 2.0)  # an off-diagonal pair stands for (n, m) and (m, n)
+    lo_eps, hi_eps = eps[n], eps[m]
+    sums = []
+    for s, weights in orders:
+        # the kernel at lo == hi is (s - 1) eps^{-s}, so one sum covers n == m
+        kernel = kernel_pairs(lo_eps, hi_eps, s, weights[n])
+        kernel *= sq
+        sums.append(kernel.sum())
+    return s1.size > 0, sums
+
+
 def z_closed_form(
     orders,
     table: SigmaPowerTable,
@@ -321,11 +334,13 @@ def z_closed_form(
     z0 = sum eps^{-s} (+ tail);  z1 = lam s sum <n|s|n> eps^{-s};
     z2 = (lam^2/2) s sum_{n, m} K(eps_n, eps_m; s) <n|s|m><m|s|n>,
     where the diagonal K(eps, eps; s) = (s-1) eps^{-s} carries the n == m terms.
-    The double sum walks the diagonals of S_1 up to its width once, reading
-    each through the table (O(M b) time and O(M) memory for a cosine table
-    with highest harmonic b).  The lambda-free sums are formed once per order.  With
-    diagonal_mode="resummed" the truncated diagonal lambda-series is replaced
-    by (1 + lam <n|s|n>)^s and the difference reported separately.
+    The double sum walks the nonzero couplings of S_1 with m >= n
+    (``SigmaPowerTable.couplings``) one ``row_step`` of rows at a time, each
+    pair off the diagonal counted twice: O(nnz(S_1)) time per order, with one
+    step's pairs in memory (O(M) pairs in all for a cosine profile,
+    O(M^2) for a dense one).  The lambda-free sums are formed once per order.
+    With diagonal_mode="resummed" the truncated diagonal lambda-series is
+    replaced by (1 + lam <n|s|n>)^s and the difference reported separately.
     """
     resolved = _resolve_route_inputs(orders, basis, densities)
     if table.max_power < 2:
@@ -335,24 +350,18 @@ def z_closed_form(
     m = table.size
     eps = basis.eigenvalues()[:m]
     diag = table.diagonal(1)
-    width = table.width(1)
-    order_weights = [eps ** (-s) for s, _ in resolved]
-    coupled = False
-    partial = np.zeros((len(resolved), width + 1))  # [i, d]: order i's kernel sum at offset d
+    order_weights = [(s, eps ** (-s)) for s, _ in resolved]
+    blocks = []
     if any(density.lam != 0.0 for density in densities):
-        for d in range(width + 1):
-            s1 = table.diagonal(1, d) if d else diag
-            coupled = coupled or bool(s1.any())
-            sq = s1 * s1  # the kernel sum needs only S_1[n, m]^2 = S_1[m, n]^2
-            if d:
-                sq *= 2.0  # offset d stands for (n, n + d) and (n + d, n)
-            for i, ((s, _), weights) in enumerate(zip(resolved, order_weights)):
-                # the kernel at offset 0 is (s - 1) eps^{-s}, so one sum covers n == m
-                k = kernel_diagonal(eps, d, s, weights)
-                k *= sq
-                partial[i, d] = k.sum()
+        step = table.row_step(1)
+        blocks = [
+            _kernel_block(table, lo, min(lo + step, m), eps, order_weights)
+            for lo in range(0, m, step)
+        ]
+    coupled = any(pairs for pairs, _ in blocks)
+    partial = np.array([sums for _, sums in blocks]).reshape(-1, len(resolved)).T  # [order, block]
     results = []
-    for (s, label), sums, weights in zip(resolved, partial, order_weights):
+    for (s, label), sums, (_, weights) in zip(resolved, partial, order_weights):
         tail = tail_estimate(basis, s, m)
         z0 = float(np.sum(weights)) + tail
         sum1 = float(np.sum(diag * weights))
@@ -375,20 +384,45 @@ def z_closed_form(
     return results
 
 
-def _series_traces(a, b, d: int) -> tuple[float, float, float]:
-    """One row block's share of orders 0..2 of tr(A B), for two (q^(0), q^(1), diag q^(2)) triples.
+def _add_ends(acc: np.ndarray, lo: int, ends, at_n: np.ndarray, at_m: np.ndarray) -> None:
+    """Add each pair's at_n to acc[n] and, off the diagonal, its at_m to acc[m].
 
-    Both series start from a diagonal order 0, so the lambda^2 term
-    tr(A_1 B_1) + tr(A_2 B_0) + tr(A_0 B_2) reads only the diagonals of A_2
-    and B_2.  Row r of the block's order-1 matrices has its diagonal entry in
-    column r + d.
+    ends = (n - lo, m - lo, 0 on the diagonal and 1 off it) for pairs with
+    lo <= n <= m, shared by every accumulator of a step.
     """
-    (a0, a1, a2), (b0, b1, b2) = a, b
-    a1_diag, b1_diag = (np.diagonal(x, d)[: len(a0)] for x in (a1, b1))
-    t0 = float(a0 @ b0)
-    t1 = float(a0 @ b1_diag) + float(a1_diag @ b0)
-    t2 = float(np.vdot(a1, b1)) + float(a2 @ b0) + float(a0 @ b2)
-    return t0, t1, t2
+    rows_n, rows_m, off = ends
+    for rows, terms in ((rows_n, at_n), (rows_m, at_m * off)):
+        sums = np.bincount(rows, terms)
+        acc[lo : lo + len(sums)] += sums
+
+
+def _trace_block(table, lo, hi, eps, order0, distinct, row_sums, s1_row_sq) -> list:
+    """Rows lo..hi-1 of the trace route: each distinct series pair's (tr(A_0 B_1) + tr(A_1 B_0),
+    tr(A_1 B_1)) share.
+
+    Forms Q^(1) and each q[1/N]^(1) on the block's couplings, from the
+    series' order-0 diagonals order0 (keyed by N, Q's under 1), and adds the
+    pairs' row terms at both ends to row_sums and S_1[n, m]^2 to s1_row_sq.
+    """
+    n, m, s1 = table.couplings(1, lo, hi)
+    on = n == m
+    twice = np.where(on, 1.0, 2.0)  # an off-diagonal pair stands for (n, m) and (m, n)
+    ends = (n - lo, m - lo, twice - 1.0)
+    diag = np.flatnonzero(on)
+    big_q1, sq, big_q_ends = Q_trace_terms(n, m, s1, eps)
+    _add_ends(s1_row_sq, lo, ends, sq, sq)
+    order1 = {1: (big_q1, big_q_ends)}
+    for r in order0:
+        if r != 1:
+            order1[r] = trace_terms(r, order0[r], n, m, big_q1)
+    for r, (_, row_terms) in order1.items():
+        _add_ends(row_sums[r], lo, ends, *row_terms)
+    shares = []
+    for a, b in distinct:
+        (a1, _), (b1, _) = order1[a], order1[b]
+        t1 = float(order0[a][n[diag]] @ b1[diag]) + float(a1[diag] @ order0[b][n[diag]])
+        shares.append((t1, float((twice * a1) @ b1)))
+    return shares
 
 
 def z_via_trace(
@@ -403,13 +437,15 @@ def z_via_trace(
     only: s <= 1 diverges in two dimensions).  The lambda^2 term carries the
     completeness-deficit compensation, after which the route matches the
     closed form to rounding on the same table.  Each series enters only as
-    (order-0 diagonal, order-1 matrix, order-2 diagonal), and all of them are
-    formed one block of ROW_BLOCK rows of S_1 at a time, over the columns
-    within S_1's width of the block: Q's terms once per block, each q set once
-    per block and root order N, and each distinct series pair's share of the
-    trace from them.  So no M x M matrix is formed: O(N M^2) time on the
-    rectangle, O(N M (ROW_BLOCK + 2b)) on a cosine string of highest harmonic b,
-    with a working set of a few blocks.
+    (order-0 diagonal, order-1 matrix, order-2 diagonal).  The order-1
+    matrices are symmetric, so they are formed on the nonzero couplings of
+    S_1 with m >= n, one ``row_step`` of rows at a time: Q's once per step and
+    each q[1/N]'s once per step and root order N.  Each distinct series
+    pair's tr(A_0 B_1) + tr(A_1 B_0) and tr(A_1 B_1) are summed from them, and
+    the row sums that the order-2 diagonals need go into length-M
+    accumulators at both ends of each pair.  So no M x M matrix is formed:
+    O(N nnz(S_1)) time, with one step's pairs and a few length-M vectors per
+    series in memory.
     """
     specs = list(specs)
     _resolve_route_inputs(specs, basis, densities)
@@ -417,24 +453,30 @@ def z_via_trace(
         raise ValidationError("trace route needs a table with max_power >= 2")
     m = table.size
     eps = basis.eigenvalues()[:m]
-    s2_diag = table.diagonal(2)
     # q[1/1] is Q itself: 1 + 1/N traces the series pair (1, N), 1/N + 1/N' the pair (N, N')
     pairs = [(1, o.n_root) if o.kind == "one_plus_inv" else (o.n_root, o.n_root2) for o in specs]
     distinct = list(dict.fromkeys(pairs))
-    roots = [n for n in dict.fromkeys(n for pair in distinct for n in pair) if n != 1]
-    starts = range(0, m, ROW_BLOCK)
-    partial = np.zeros((len(distinct), 3, len(starts)))  # [pair, order, block]
-    s1_row_sq = np.empty(m)
-    for k, lo in enumerate(starts):
-        hi = min(lo + ROW_BLOCK, m)
-        c0, s1 = table.rows(1, lo, hi)
-        big_q, s1_row_sq[lo:hi] = Q_trace_terms(s1, s2_diag[lo:hi], eps, lo, c0)
-        series = {1: big_q}
-        for n in roots:
-            series[n] = trace_terms(n, big_q, eps, lo, c0)
-        for i, (a, b) in enumerate(distinct):
-            partial[i, :, k] = _series_traces(series[a], series[b], lo - c0)
-    traces = dict(zip(distinct, np.sum(partial, axis=2).tolist()))
+    # every series' order-0 diagonal, and the row sums its order-2 diagonal subtracts: for Q
+    # those of S_1[n,r]^2 / eps_r, for q[1/N] the xi-weighted ones
+    series = dict.fromkeys((1, *(n for pair in distinct for n in pair)))
+    order0 = {n: 1.0 / eps if n == 1 else eps ** (-1.0 / n) for n in series}
+    row_sums = {n: np.zeros(m) for n in order0}
+    s1_row_sq = np.zeros(m)
+    step = table.row_step(1)
+    shares = np.array([  # [step, pair, (t1, tr(A_1 B_1))]: each step's share
+        _trace_block(table, lo, min(lo + step, m), eps, order0, distinct, row_sums, s1_row_sq)
+        for lo in range(0, m, step)
+    ]).reshape(-1, len(distinct), 2)
+    s2_diag = table.diagonal(2)
+    big_q2 = Q_diagonal(s2_diag, row_sums[1], eps)
+    order2 = {n: big_q2 if n == 1 else q_diagonal(n, order0[n], big_q2, row_sums[n]) for n in order0}
+    # both series start from a diagonal order 0, so the lambda^2 term
+    # tr(A_1 B_1) + tr(A_2 B_0) + tr(A_0 B_2) reads only the diagonals of A_2 and B_2
+    traces = {}
+    for (a, b), (t1, t2) in zip(distinct, np.sum(shares, axis=0)):
+        a0, b0 = order0[a], order0[b]
+        t2 += float(order2[a] @ b0) + float(a0 @ order2[b])
+        traces[(a, b)] = (float(a0 @ b0), float(t1), float(t2))
     # S_2[n,n] - sum_{m<=M} S_1[n,m]^2, free of s: weighted by eps^{-s}, the finite-basis
     # deficit between the pre-split trace and the completeness-split closed form
     deficit = s2_diag - s1_row_sq

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -15,6 +16,7 @@ from billzeta.basis import (
     String1D,
     Tabulated,
     _cosine_coeffs,
+    _cosine_power_product,
     _enumerate_rectangle_modes,
     _exact_cosine_elements,
     _quad_cosine_coeffs,
@@ -67,6 +69,31 @@ def test_rectangle_modes_enumerated_once_per_basis(monkeypatch):
     assert np.array_equal(again.eigenvalues(), first)
     assert again.mode_indices() == basis.mode_indices()
     assert _enumerate_rectangle_modes.cache_info().misses == misses
+
+
+def enumerate_modes_reference(a, b, count):
+    """The count lowest modes by sorting (eigenvalue, j, k) tuples of a growing candidate square."""
+    cap = max(4, int(math.isqrt(count)) + 2)
+    while True:
+        cand = sorted(
+            (math.pi**2 * (j * j / a**2 + k * k / b**2), j, k)
+            for j in range(1, cap + 1)
+            for k in range(1, cap + 1)
+        )
+        boundary = math.pi**2 * (cap + 1) ** 2 * min(1 / a**2, 1 / b**2)
+        if len(cand) >= count and cand[count - 1][0] < boundary:
+            return [(j, k) for _, j, k in cand[:count]]
+        cap *= 2
+
+
+@pytest.mark.parametrize("sides", [(1.0, 1.0), (1.0, 1.3), (50.0, 1.0), (1.0, 37.5)])
+def test_rectangle_modes_are_listed_in_the_reference_order(sides):
+    # the same float eigenvalues and the same tie order as sorting tuples: degenerate
+    # pairs on the square, elongated sides whose candidate square would be large
+    for m in (1, 2, 3, 30, 64, 500, 2000):
+        modes = ModeBasis(Rectangle2D(*sides), m).mode_indices()
+        assert modes == enumerate_modes_reference(*sides, m)
+        assert all(type(i) is int for mode in modes[:3] for i in mode)
 
 
 def test_mode_indices_is_a_fresh_list():
@@ -341,6 +368,40 @@ def test_cosine_coeffs_match_product_to_sum_reference():
         assert np.array_equal(_cosine_coeffs(10, 1.0, [[(COS2, j)]])[0][0], expected)
 
 
+def test_cosine_products_equal_numpy_chebyshev_products():
+    # the two-sided convolution is the Chebyshev route without numpy.polynomial, bit for bit
+    cheb = np.polynomial.chebyshev
+    rng = np.random.default_rng(3)
+    profiles = [(0.0, 0.0, 1.0), (0.1, -0.3, 0.2, 0.0, 0.05), (0.3, 0.1, 0.0, -0.2, 0.0, 0.05, 0.0, 0.0)]
+    profiles += [(1.0,), (0.0, 0.5)] + [tuple(rng.uniform(-1, 1, size)) for size in (2, 3, 9, 40)]
+    for a in profiles:
+        for b in profiles[:5]:
+            for j, k in itertools.product((1, 2, 3), (0, 1, 2)):
+                factors = [(FourierCosine(a), j), (FourierCosine(b), k)]
+                powers = (cheb.chebpow(p.coeffs, power) for p, power in factors)
+                expected = functools.reduce(cheb.chebmul, powers, np.ones(1))
+                assert _cosine_power_product(factors).tobytes() == expected.tobytes()
+
+
+def assert_couplings_match_power(table, j, step=ROW_BLOCK):
+    """couplings(j) over consecutive blocks of rows against power(j); returns the listed mask.
+
+    Every pair is listed once, with m >= n, in its block's rows, and its value
+    is power(j)'s bits; every unlisted entry with m >= n is exactly 0.
+    """
+    m = table.size
+    dense = table.power(j)
+    listed = np.zeros((m, m), dtype=bool)
+    for lo in range(0, m, step):
+        n, col, value = table.couplings(j, lo, min(lo + step, m))
+        assert np.all((lo <= n) & (n < lo + step) & (col >= n))
+        assert value.tobytes() == dense[n, col].tobytes()
+        assert not np.any(listed[n, col])
+        listed[n, col] = True
+    assert not np.any(dense[np.triu(~listed)])
+    return listed
+
+
 @pytest.mark.parametrize("coeffs, m", [
     ((0.0, 0.0, 1.0), 40),
     ((0.3, 0.1, 0.0, -0.2, 0.0, 0.05, 0.0, 0.0), 25),  # trailing zeros do not widen the band
@@ -358,25 +419,22 @@ def test_cosine_table_powers_and_bands_are_exact(coeffs, m):
         expected = _exact_cosine_elements(m, _cosine_coeffs(m, 1.0, [[(profile, j)]])[0][0])
         assert dense.tobytes() == expected.tobytes()  # bit for bit, signed zeros included
         assert table.power(j) is dense  # built once
-        assert table.width(j) == min(j * b, m - 1)
-        for d in range(table.width(j) + 1):
-            assert table.diagonal(j, d).tobytes() == np.diagonal(dense, d).tobytes()
-        # entries outside the band are exactly zero
-        outside = np.abs(np.subtract.outer(range(m), range(m))) > table.width(j)
-        assert np.all(dense[outside] == 0.0)
+        listed = assert_couplings_match_power(table, j)
+        # the selection rule lists nothing beyond the highest harmonic j b
+        assert np.all(np.abs(np.subtract.outer(range(m), range(m)))[listed] <= j * b)
+        assert table.diagonal(j).tobytes() == np.diagonal(dense).tobytes()
 
 
 def test_rectangle_diagonals_match_the_dense_power():
-    # every diagonal of every power, the identity's included, and the smallest sizes
+    # the main diagonal and the couplings of every power, the identity's included, and the
+    # smallest sizes
     for m in (1, 2, 7, 40):
         table = build_sigma_table(ModeBasis(RECT, m), SEP, 2)
         for j in range(3):
-            assert table.width(j) == m - 1
             main = table.diagonal(j)
             assert j not in table._dense  # the main diagonal comes from the factors
-            for d in range(m):
-                assert table.diagonal(j, d).tobytes() == np.diagonal(table.power(j), d).tobytes()
             assert main.tobytes() == np.diagonal(table.power(j)).tobytes()
+            assert_couplings_match_power(table, j, step=3)
 
 
 def test_rectangle_table_stores_no_identity():
@@ -404,9 +462,14 @@ def test_rectangle_table_doubles_bound_the_stored_table_without_listing_modes(si
     for m, terms in ((1, ((COS2, POLY),)), (40, ((COS2, POLY),)), (300, ((POLY, COS2), (COS2, POLY)))):
         profile = Separable2D(terms)
         table = build_sigma_table(ModeBasis(Rectangle2D(*sides), m), profile, 3)
-        stored = table.index.size + sum(x.size + y.size for splits in table.factors for _, x, y in splits)
+        table.couplings(1, 0, 1)  # the nonzero pattern the routes read
+        pattern = [(start.size, cols.size) for start, cols in table._patterns[1]]
+        stored = table.index.size + table.pos.size + sum(x.size + y.size for splits in table.factors for _, x, y in splits)
         counted = rectangle_table_doubles(Rectangle2D(*sides), profile, m, 3)
-        assert stored <= counted <= stored + math.comb(3 + len(terms), len(terms)) * 8 * (m + 2)
+        # the count takes the pattern as dense: (n + 1) + n^2 per side
+        assert stored + sum(rows + cols for rows, cols in pattern) <= counted
+        dense_pattern = sum(rows + (rows - 1) ** 2 for rows, _ in pattern)
+        assert counted <= stored + dense_pattern + math.comb(3 + len(terms), len(terms)) * 8 * (m + 2)
     misses = _enumerate_rectangle_modes.cache_info().misses
     assert rectangle_table_doubles(Rectangle2D(*sides), Separable2D(((COS2, POLY),)), 10**8, 2) < 10**11
     assert _enumerate_rectangle_modes.cache_info().misses == misses
@@ -444,37 +507,38 @@ def rectangle_reference(basis, terms, max_power):
 
 
 def test_rectangle_table_is_built_in_row_blocks_bit_for_bit():
-    # row blocks, diagonals and the dense power give the reference's bits, and nothing
-    # M x M exists before power(j) is called
+    # couplings, the main diagonal and the dense power give the reference's bits, and
+    # nothing M x M exists before power(j) is called
     for terms, max_power, m in RECTANGLE_TABLES:
         basis = ModeBasis(Rectangle2D(1.0, 1.3), m)
         table = build_sigma_table(basis, Separable2D(terms), max_power)
         expected = rectangle_reference(basis, terms, max_power)
-        blocks = [(lo, min(lo + ROW_BLOCK, m)) for lo in range(0, m, ROW_BLOCK)] + [(m // 2, m)]
+        steps = [(lo, min(lo + ROW_BLOCK, m)) for lo in range(0, m, ROW_BLOCK)] + [(m // 2, m)]
         for j in range(max_power + 1):
-            for lo, hi in blocks:
-                c0, block = table.rows(j, lo, hi)
-                assert c0 == 0 and block.tobytes() == expected[j, lo:hi].tobytes()
+            for lo, hi in steps:
+                n, col, value = table.couplings(j, lo, hi)
+                assert value.tobytes() == expected[j][n, col].tobytes()
+                upper = np.triu(np.ones((m, m), dtype=bool))[lo:hi]
+                upper[n - lo, col] = False
+                assert not np.any(expected[j][lo:hi][upper])
             assert table.diagonal(j).tobytes() == np.diagonal(expected[j]).tobytes()
         assert table._dense == {}
         for j in range(max_power + 1):
             assert table.power(j).tobytes() == expected[j].tobytes()
-            for d in sorted({1, m // 2, m - 1} & set(range(1, m))):
-                assert table.diagonal(j, d).tobytes() == np.diagonal(expected[j], d).tobytes()
 
 
 @pytest.mark.parametrize("profile", [COS2, POLY], ids=["cosine", "polynomial"])
 def test_string_diagonal_is_read_without_a_dense_power(profile):
     table = build_sigma_table(ModeBasis(String1D(1.0), 30), profile, 2)
-    diagonals = [[table.diagonal(j, d) for d in range(table.width(j) + 1)] for j in range(3)]
+    diagonals = [table.diagonal(j) for j in range(3)]
     assert table._dense == {}  # no dense S_j was formed
-    for j, diags in enumerate(diagonals):
-        for d, diag in enumerate(diags):
-            assert diag.tobytes() == np.diagonal(table.power(j), d).tobytes()
-        assert table.diagonal(j).tobytes() == diags[0].tobytes()  # the offset defaults to 0
-    for d in (-1, 30):
+    for j, diag in enumerate(diagonals):
+        assert diag.tobytes() == np.diagonal(table.power(j)).tobytes()
+    for lo, hi in ((-1, 3), (3, 3), (28, 31)):
         with pytest.raises(ValidationError):
-            table.diagonal(1, d)
+            table.couplings(1, lo, hi)
+    with pytest.raises(ValidationError):
+        table.couplings(3, 0, 1)
 
 
 def test_rectangle_main_diagonal_is_read_from_the_factors():
@@ -484,7 +548,8 @@ def test_rectangle_main_diagonal_is_read_from_the_factors():
     for j, diag in enumerate(diagonals):
         assert diag.tobytes() == np.diagonal(table.power(j)).tobytes()
     assert diagonals[0].tobytes() == np.ones(9).tobytes()  # the identity's
-    assert table.diagonal(0, 3).tobytes() == np.zeros(6).tobytes()
+    n, m, value = table.couplings(0, 0, 9)  # the identity's couplings are its diagonal
+    assert n.tolist() == m.tolist() == list(range(9)) and value.tobytes() == np.ones(9).tobytes()
 
 
 ROW_SIZES = (1, 2, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3)
@@ -495,31 +560,49 @@ ROW_SIZES = (1, 2, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3)
     FourierCosine(tuple(0.01 * (k % 7 - 3) for k in range(45))),  # band wider than small M
 ], ids=["cos2", "cosine", "zero", "polynomial", "wide"])
 def test_string_rows_match_the_dense_power_bit_for_bit(profile):
+    # the couplings of each block of rows, across the block edges
     for m in ROW_SIZES:
         table = build_sigma_table(ModeBasis(String1D(1.0), m), profile, 2)
-        blocks = {j: [table.rows(j, lo, min(lo + ROW_BLOCK, m)) for lo in range(0, m, ROW_BLOCK)]
-                  for j in range(3)}
+        blocks = [table.couplings(j, 0, min(ROW_BLOCK, m)) for j in range(3)]
         assert table._dense == {}  # read without a dense S_j
-        for j, row_blocks in blocks.items():
-            dense, w = table.power(j), table.width(j)
-            for lo, (c0, block) in zip(range(0, m, ROW_BLOCK), row_blocks):
-                hi = min(lo + ROW_BLOCK, m)
-                assert c0 == max(0, lo - w)
-                assert block.tobytes() == dense[lo:hi, c0 : min(m, hi + w)].tobytes()
-                outside = np.ones(m, bool)
-                outside[c0 : min(m, hi + w)] = False
-                assert not np.any(dense[lo:hi, outside])  # nothing beyond the width
-    with pytest.raises(ValidationError):
-        table.rows(1, 3, 3)
+        for j in range(3):
+            listed = assert_couplings_match_power(table, j)
+            assert listed[blocks[j][0], blocks[j][1]].all()
 
 
 def test_rectangle_rows_are_read_from_the_factors():
     table = build_sigma_table(ModeBasis(RECT, 9), SEP, 2)
-    blocks = [table.rows(j, 3, 7) for j in range(3)]
-    assert table._dense == {}  # every column of the rows, without a dense S_j
-    for j, (c0, block) in enumerate(blocks):
-        assert c0 == 0 and block.tobytes() == table.power(j)[3:7].tobytes()
-    assert blocks[0][1].tobytes() == np.eye(9)[3:7].tobytes()
+    blocks = [table.couplings(j, 3, 7) for j in range(3)]
+    assert table._dense == {}  # every coupling of the rows, without a dense S_j
+    for j, (n, m, value) in enumerate(blocks):
+        assert value.tobytes() == table.power(j)[n, m].tobytes()
+        assert np.count_nonzero(np.triu(table.power(j))[3:7]) == value.size
+    assert blocks[0][2].tobytes() == np.ones(4).tobytes()
+
+
+@pytest.mark.parametrize("domain, profile, per_row", [
+    (String1D(1.0), COS2, 1),
+    (String1D(1.0), POLY, None),
+    (Rectangle2D(1.0, 1.3), Separable2D(((COS2, COS2),)), 2),
+    (Rectangle2D(1.0, 1.3), SEP, None),
+    (RECT, Separable2D(((COS2, FourierCosine((1.0,))), (FourierCosine((1.0,)), FourierCosine((0.2, 0.0, 0.5))))), 3),
+], ids=["cosine-string", "polynomial-string", "cosine-rectangle", "polynomial-x-cosine", "two-terms"])
+def test_couplings_list_every_nonzero_of_the_power(domain, profile, per_row):
+    # each listed value is power(j)'s bits and every other entry with m >= n is exactly 0,
+    # for blocks of rows of several heights; a cosine profile's S_1 lists a few pairs per row
+    for m in (1, ROW_BLOCK + 1, 300):
+        table = build_sigma_table(ModeBasis(domain, m), profile, 3)
+        for j in range(4):
+            for step in (1, 7, ROW_BLOCK, table.row_step(j)):
+                listed = assert_couplings_match_power(table, j, step)
+            if j == 1 and per_row is not None:
+                assert listed.sum() <= per_row * m + 1
+    # at M = 300 a walk takes more than ROW_BLOCK rows at a time where rows are sparse, and
+    # ROW_BLOCK where S_1 is dense
+    if per_row is not None:
+        assert table.row_step(1) > ROW_BLOCK
+    if profile is POLY:
+        assert table.row_step(1) == ROW_BLOCK
 
 
 def test_density_bound_validation():

@@ -1,6 +1,9 @@
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -47,6 +50,9 @@ def write_config(tmp_path, **overrides):
 
 # a rectangle table: dense
 RECT_BASIS = {"kind": "rectangle", "a": 1.0, "b": 1.0}
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+COS = {"type": "fourier-cosine", "coeffs": [0.0, 0.0, 1.0]}
+COS_2D_DENSITY = {"profile": {"type": "separable", "terms": [{"x": COS, "y": COS}]}, "lambda": 0.1}
 RECT_DENSITY = {
     "profile": {"type": "separable", "terms": [{
         "x": {"type": "polynomial", "coeffs": [0.0, 1.0, -1.0]},
@@ -343,9 +349,10 @@ def test_oversized_rectangle_modes_exit_2_before_listing_modes(tmp_path, capsys)
 
     misses = _enumerate_rectangle_modes.cache_info().misses
     cfg = write_config(tmp_path, basis={"kind": "rectangle"}, density=RECT_DENSITY)
-    rc = main(["sumrule", "--config", str(cfg), "--modes", "100000000", "--route", "closed"])
-    assert rc == EXIT_VALIDATION
-    assert any(p.startswith("truncation.modes") for p in problems_on_stderr(capsys))
+    for route, order in (("closed", "3/2"), ("trace1", "1+1/2")):
+        rc = main(["sumrule", "--config", str(cfg), "--modes", "100000000", "--route", route, "--s", order])
+        assert rc == EXIT_VALIDATION
+        assert any(p.startswith("truncation.modes") for p in problems_on_stderr(capsys))
     assert _enumerate_rectangle_modes.cache_info().misses == misses
 
 
@@ -366,11 +373,12 @@ def test_working_set_counted_before_allocating(tmp_path, monkeypatch, capsys):
 
 
 def test_string_closed_form_counts_the_band_for_every_profile(tmp_path, monkeypatch):
-    # a polynomial string table is cosine coefficients too: the closed form holds
-    # about 2 M^2 doubles of band, not a dense 3-matrix table plus its working set
+    # a polynomial string table is cosine coefficients too: the closed form holds one
+    # row block of S_1's couplings (every column), not a dense 3-matrix table plus its
+    # working set
     from billzeta import cli
 
-    m = 100
+    m = 1000
     monkeypatch.setattr(cli, "_physical_memory", lambda: 3 * m * m * 8)
     cfg = write_config(tmp_path, density={
         "profile": {"type": "polynomial", "coeffs": [0.0, 1.0, -1.0]}, "lambda": 0.1,
@@ -401,7 +409,7 @@ def test_banded_closed_form_runs_at_large_modes(tmp_path):
 
 @pytest.mark.parametrize("command, route, kind", [
     ("sumrule", "all", "string"), ("sumrule", "oracle", "string"), ("verify", "all", "string"),
-    ("sumrule", "closed", "rectangle"),
+    ("sumrule", "all", "rectangle"),
 ])
 def test_dense_work_at_large_modes_exits_2_before_allocating(
     tmp_path, monkeypatch, capsys, command, route, kind
@@ -496,10 +504,10 @@ def test_high_frequency_2d_profile_density_bound_exits_2(tmp_path, capsys):
 def test_memory_error_exits_3_without_traceback(tmp_path, monkeypatch, capsys):
     from billzeta import sumrules
 
-    def exhausted(eps, d, s, weights=None):
+    def exhausted(lo, hi, s, weights=None):
         raise MemoryError()  # numpy's own can stringify to ""
 
-    monkeypatch.setattr(sumrules, "kernel_diagonal", exhausted)
+    monkeypatch.setattr(sumrules, "kernel_pairs", exhausted)
     rc = main(["sumrule", "--s", "3/2", "--lambda", "0.1", "--route", "closed", "--modes", "20"])
     assert rc == EXIT_NUMERICAL
     err = capsys.readouterr().err.strip()
@@ -510,10 +518,10 @@ def test_sumrule_sweep_forms_each_invariant_once(tmp_path, monkeypatch):
     from billzeta import coefficients, oracle, sumrules
 
     calls = {
-        "kernel_diagonal": 0, "Q_trace_terms": 0, "trace_terms": [], "solve_spectrum": 0,
+        "kernel_pairs": 0, "Q_trace_terms": 0, "trace_terms": [], "solve_spectrum": 0,
         "build_Q_series": 0, "q_generic_recursion": 0,
     }
-    kernel_pairs = set()
+    kernel_orders = set()
 
     def counted(fn):
         def wrapper(*args, **kwargs):
@@ -521,13 +529,13 @@ def test_sumrule_sweep_forms_each_invariant_once(tmp_path, monkeypatch):
                 calls["trace_terms"].append(args[0])
             else:
                 calls[fn.__name__] += 1
-            if fn.__name__ == "kernel_diagonal":
-                kernel_pairs.add((args[2], args[1]))  # (s, d)
+            if fn.__name__ == "kernel_pairs":
+                kernel_orders.add(args[2])  # s
             return fn(*args, **kwargs)
         return wrapper
 
     for module, name in (
-        (sumrules, "kernel_diagonal"), (sumrules, "Q_trace_terms"), (sumrules, "trace_terms"),
+        (sumrules, "kernel_pairs"), (sumrules, "Q_trace_terms"), (sumrules, "trace_terms"),
         (oracle, "solve_spectrum"), (coefficients, "build_Q_series"),
         (coefficients, "q_generic_recursion"),
     ):
@@ -536,12 +544,12 @@ def test_sumrule_sweep_forms_each_invariant_once(tmp_path, monkeypatch):
     for order in ("3/2", "1+1/4", "1/2+1/3"):
         argv += ["--s", order]
     assert main(argv) == EXIT_OK
-    # one kernel diagonal per distinct (s, d), d = 0..2 for cos(2 pi x), one set of Q terms
-    # (N = 1), one q set per distinct N (2, 4, 3), one spectrum per lambda, and no dense
-    # coefficient series at all
-    assert len(kernel_pairs) == 9
+    # M = 24 is one row block: one kernel evaluation per distinct s over its pairs, one set
+    # of Q terms (N = 1), one q set per distinct N (2, 4, 3), one spectrum per lambda, and
+    # no dense coefficient series at all
+    assert len(kernel_orders) == 3
     assert calls == {
-        "kernel_diagonal": 9, "Q_trace_terms": 1, "trace_terms": [2, 4, 3], "solve_spectrum": 4,
+        "kernel_pairs": 3, "Q_trace_terms": 1, "trace_terms": [2, 4, 3], "solve_spectrum": 4,
         "build_Q_series": 0, "q_generic_recursion": 0,
     }
 
@@ -616,6 +624,45 @@ def test_trace_routes_run_at_large_modes(tmp_path, route, orders):
     for trace, closed in zip(records[route], records["closed"]):
         assert trace["truncation"] == 100_000 and trace["order_label"] == closed["order_label"]
         assert trace["z_total"] == pytest.approx(closed["z_total"], rel=1e-12)
+
+
+def test_rectangle_routes_run_at_large_modes(tmp_path):
+    # on the rectangle both routes walk S_1's couplings and count one row block of them:
+    # M = 10^5 passes the memory check, and the closed form and the trace route agree
+    cfg = write_config(tmp_path, basis={"kind": "rectangle", "a": 1.0, "b": 1.3}, density=COS_2D_DENSITY)
+    argv = ["sumrule", "--config", str(cfg), "--modes", "100000", "--lambda", "0.1", "--format", "json",
+            "--s", "1+1/2", "--s", "1+1/8"]
+    records = {}
+    for route in ("closed", "trace1"):
+        out = tmp_path / f"{route}.json"
+        assert main(argv + ["--route", route, "--out", str(out)]) == EXIT_OK
+        records[route] = json.loads(out.read_text())["results"]
+    assert len(records["trace1"]) == 2
+    for trace, closed in zip(records["trace1"], records["closed"]):
+        assert trace["truncation"] == 100_000 and trace["order_label"] == closed["order_label"]
+        assert trace["z2"] != 0.0
+        assert trace["z_total"] == pytest.approx(closed["z_total"], rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["string", "rectangle"])
+def test_cosine_runs_leave_numpy_polynomial_unimported(tmp_path, kind):
+    # cosine tables are exact convolutions: only the quadrature path needs numpy.polynomial,
+    # whose import costs start-up time and memory on every run
+    cfg = write_config(tmp_path, basis={"kind": kind}, density=COS_2D_DENSITY if kind == "rectangle" else {})
+    script = (
+        "import sys\n"
+        "from billzeta.cli import main\n"
+        "for route, order in (('closed', '3/2'), ('trace1', '1+1/2')):\n"
+        f"    assert main(['sumrule', '--config', {str(cfg)!r}, '--modes', '100', '--route', route,\n"
+        "                 '--s', order, '--lambda', '0.1', '--out', 'r.csv']) == 0\n"
+        "print(sorted(name for name in sys.modules if name.startswith('numpy.polynomial')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+    assert (tmp_path / "r.csv").exists()
 
 
 def test_non_finite_length_exits_2(tmp_path, capsys):

@@ -17,20 +17,20 @@ from billzeta.basis import (
 )
 from billzeta.coefficients import (
     GreenCoefficientSet,
+    Q_diagonal,
     Q_trace_terms,
-    _root_powers,
-    _xi_rowsums,
     build_Q_series,
     export_coefficients_csv,
     half_binomial,
     q_closed_form,
+    q_diagonal,
     q_generic_recursion,
     reference_Q,
     trace_terms,
     verify_convolution,
 )
 from billzeta.errors import ValidationError
-from billzeta.kernels import delta, delta_matrix, eta_matrix, xi
+from billzeta.kernels import delta, delta_matrix, eta, eta_matrix, xi
 
 RNG = np.random.default_rng(11)
 COS2 = FourierCosine((0.0, 0.0, 1.0))
@@ -343,14 +343,11 @@ TRACE_TABLES = {
 }
 
 
-def row_blocks(table, sizes):
-    """(lo, c0, S_1's rows lo.., S_2's diagonal on them) for consecutive blocks of the given heights."""
-    lo = 0
-    for size in sizes:
-        hi = min(lo + size, table.size)
-        c0, s1 = table.rows(1, lo, hi)
-        yield lo, c0, s1, table.diagonal(2)[lo:hi]
-        lo = hi
+def add_ends(acc, n, m, at_n, at_m):
+    """Reference row sums: at_n into row n and, off the diagonal, at_m into row m, one at a time."""
+    np.add.at(acc, n, at_n)
+    off = n != m
+    np.add.at(acc, m[off], at_m[off])
 
 
 @pytest.mark.parametrize("n_root", [1, 2, 3, 8, 64])
@@ -358,54 +355,65 @@ def row_blocks(table, sizes):
 def test_trace_terms_match_the_recursion(kind, n_root):
     basis, profile = TRACE_TABLES[kind]
     table = build_sigma_table(basis, profile, 2)
-    eps = basis.eigenvalues()
+    eps, size = basis.eigenvalues(), basis.mode_count
     series = build_Q_series(2, table, basis)
     ref = q_generic_recursion(n_root, series, basis).q_orders
-    for lo, c0, s1, s2_diag in row_blocks(table, (1, 30, 7, 42)):  # uneven blocks, every row
-        hi, c1 = lo + len(s1), c0 + s1.shape[1]
-        big_q, s1_row_sq = Q_trace_terms(s1, s2_diag, eps, lo, c0)
-        assert np.array_equal(big_q[0], np.diagonal(series[0])[lo:hi])
-        assert np.array_equal(big_q[1], series[1][lo:hi, c0:c1])
-        assert not np.any(series[1][lo:hi, :c0]) and not np.any(series[1][lo:hi, c1:])
-        assert max_rel(big_q[2], np.diagonal(series[2])[lo:hi]) < 1e-13
-        assert max_rel(s1_row_sq, np.sum(table.power(1)[lo:hi] ** 2, axis=1)) < 1e-15
-        q0, q1, q2_diag = trace_terms(n_root, big_q, eps, lo, c0)
-        assert max_rel(q0, np.diagonal(ref[0])[lo:hi]) < 1e-13
-        assert max_rel(q1, ref[1][lo:hi, c0:c1]) < 1e-13
-        assert max_rel(q2_diag, np.diagonal(ref[2])[lo:hi]) < 1e-13
+    q0 = eps ** (-1.0 / n_root)
+    sq_sums, big_q_sums, q_sums = np.zeros(size), np.zeros(size), np.zeros(size)
+    listed = np.zeros((size, size), dtype=bool)
+    lo = 0
+    for rows in (1, 30, 7, 42):  # uneven blocks, every row
+        n, m, s1 = table.couplings(1, lo, min(lo + rows, size))
+        big_q1, sq, big_q_ends = Q_trace_terms(n, m, s1, eps)
+        assert np.array_equal(big_q1, series[1][n, m])
+        q1, q_ends = trace_terms(n_root, q0, n, m, big_q1)
+        assert max_rel(q1, ref[1][n, m]) < 1e-13
+        add_ends(sq_sums, n, m, sq, sq)
+        add_ends(big_q_sums, n, m, *big_q_ends)
+        add_ends(q_sums, n, m, *q_ends)
+        listed[n, m] = True
+        lo += rows
+    # the pairs are every entry of the upper triangle where Q^(1) and q^(1) can be nonzero
+    unlisted = np.triu(~listed)
+    assert not np.any(series[1][unlisted]) and not np.any(ref[1][unlisted])
+    assert max_rel(sq_sums, np.sum(table.power(1) ** 2, axis=1)) < 1e-15
+    big_q2 = Q_diagonal(table.diagonal(2), big_q_sums, eps)
+    assert max_rel(big_q2, np.diagonal(series[2])) < 1e-13
+    assert max_rel(q_diagonal(n_root, q0, big_q2, q_sums), np.diagonal(ref[2])) < 1e-13
 
 
-@pytest.mark.parametrize("n_root", range(1, 9))
+@pytest.mark.parametrize("n_root", [*range(1, 9), 64])
 def test_xi_row_sums_weight_by_the_xi_diagonal(n_root):
-    # a cyclic shift picks one entry per row, so m shifts read W entry by entry
+    # every pair (n, m), m >= n, of a 7-mode spectrum: q^(1) divides by the eta kernel and
+    # the row terms at either end carry the xi diagonal weight of that end's row
     eps = string_basis(7).eigenvalues()
-    m = eps.size
-    rows = np.arange(m)
-    u = _root_powers(n_root, eps)
-    assert max_rel(u, eps[None, :] ** (-np.arange(n_root)[:, None] / n_root)) < 1e-15
-    w = np.empty((m, m))
-    for k in range(m):
-        w[rows, (rows + k) % m] = _xi_rowsums(np.roll(np.eye(m), k, axis=1), u, u)
-    expected = xi(n_root, eps[:, None], eps[None, :], eps[:, None])
-    assert max_rel(w, expected) < 1e-14  # xi(1, ...) = 0: then both are exactly zero
-    # rows and columns from different parts of the spectrum
-    x = RNG.standard_normal((3, 5))
-    got = _xi_rowsums(x, _root_powers(n_root, eps[4:]), _root_powers(n_root, eps[2:7]))
-    expected = np.sum(x * xi(n_root, eps[4:, None], eps[None, 2:7], eps[4:, None]), axis=1)
-    assert max_rel(got, expected) < 1e-14
+    n, m = np.triu_indices(eps.size)
+    q0 = eps ** (-1.0 / n_root)
+    big_q1 = RNG.standard_normal(n.size)
+    q1, (at_n, at_m) = trace_terms(n_root, q0, n, m, big_q1)
+    tol = max(1e-14, 2 * n_root * np.finfo(float).eps)  # Horner's rule takes N steps
+    assert max_rel(q1, big_q1 / eta(n_root, eps[n], eps[m])) < tol
+    # xi(1, ...) = 0: then both are exactly zero
+    assert max_rel(at_n, q1 * q1 * xi(n_root, eps[n], eps[m], eps[n])) < tol
+    assert max_rel(at_m, q1 * q1 * xi(n_root, eps[m], eps[n], eps[m])) < tol
+    # eta(N; e, e), the order-2 diagonal's divisor
+    divisor = 1.0 / q_diagonal(n_root, q0, np.ones(eps.size), np.zeros(eps.size))
+    assert max_rel(divisor, eta(n_root, eps, eps)) < tol
 
 
 def test_trace_terms_of_a_zero_profile_vanish():
     basis = string_basis(12)
     eps = basis.eigenvalues()
     table = build_sigma_table(basis, FourierCosine(()), 2)
-    for lo, c0, s1, s2_diag in row_blocks(table, (5, 7)):
-        big_q, s1_row_sq = Q_trace_terms(s1, s2_diag, eps, lo, c0)
-        assert np.all(s1_row_sq == 0.0)
-        for n_root in (1, 2, 5):
-            q0, q1, q2_diag = trace_terms(n_root, big_q, eps, lo, c0)
-            assert np.array_equal(q0, eps[lo : lo + len(s1)] ** (-1.0 / n_root))
-            assert np.all(q1 == 0.0) and np.all(q2_diag == 0.0)
+    n, m, s1 = table.couplings(1, 0, 12)
+    assert n.size == m.size == s1.size == 0  # no pair at all
+    big_q1, sq, _ = Q_trace_terms(n, m, s1, eps)
+    big_q2 = Q_diagonal(table.diagonal(2), np.zeros(12), eps)
+    assert big_q1.size == sq.size == 0 and np.all(big_q2 == 0.0)
+    for n_root in (1, 2, 5):
+        q0 = eps ** (-1.0 / n_root)
+        assert trace_terms(n_root, q0, n, m, big_q1)[0].size == 0
+        assert np.all(q_diagonal(n_root, q0, big_q2, np.zeros(12)) == 0.0)
 
 
 def test_csv_export_roundtrip(tmp_path):

@@ -23,7 +23,7 @@ from billzeta.sumrules import (
     RESUMMED,
     TRUNCATED,
     RationalOrderSpec,
-    kernel_diagonal,
+    kernel_pairs,
     kernel_second_order,
     kernel_second_order_presplit,
     tail_estimate,
@@ -105,13 +105,13 @@ def test_kernel_symmetry_bitexact():
             assert kernel_second_order(a, b, s) == kernel_second_order(b, a, s)
     # each unordered pair is evaluated once; the tied pair gets the diagonal limit exactly
     eps = np.array([1.0, 2.0, 2.0, 50.0])
-    band = [kernel_diagonal(eps, d, 1.25) for d in range(4)]
+    band = [kernel_pairs(eps[: eps.size - d], eps[d:], 1.25) for d in range(4)]
     assert band[1][1] == band[0][1] == band[0][2] == 0.25 * 2.0 ** -1.25
 
 
 def test_kernel_band_matches_scalar():
     eps = np.array([1.0, 1.0 + 1e-14, 3.7, 88.0])
-    band = [kernel_diagonal(eps, d, 1.125) for d in range(4)]
+    band = [kernel_pairs(eps[: eps.size - d], eps[d:], 1.125) for d in range(4)]
     for i in range(4):
         for j in range(4):
             lo, hi = min(i, j), max(i, j)
@@ -126,7 +126,7 @@ def test_kernel_band_matches_decimal_reference_near_s_one():
     # (lo^{1-s} - hi^{1-s})/(hi - lo) cancels as s -> 1 and misses 2e-15
     s = 1.0 + 1.0 / 64.0
     eps = (np.arange(1, 41) * np.pi) ** 2
-    band = [kernel_diagonal(eps, d, s) for d in range(eps.size)]
+    band = [kernel_pairs(eps[: eps.size - d], eps[d:], s) for d in range(eps.size)]
     worst = 0.0
     with localcontext() as ctx:
         ctx.prec = 50
@@ -191,15 +191,16 @@ def test_banded_closed_form_matches_dense_sum(coeffs, m, mode):
             assert res.z2 == pytest.approx(0.5 * lam * lam * s * dense_sum, rel=1e-14, abs=0.0)
 
 
-def test_closed_form_working_set_is_a_few_vectors():
-    # one diagonal of S_1 and of the kernel at a time: O(M), even with all M diagonals
+def test_closed_form_working_set_is_one_row_block_of_pairs():
+    # a dense S_1 (polynomial string) lists every pair m >= n, yet the route holds only one
+    # row block's couplings at a time: O(ROW_BLOCK M), a few per cent of M^2 here
     import tracemalloc
 
     m = 2000
     profile = Polynomial((0.0, 4.0, -4.0))
     basis = ModeBasis(String1D(1.0), m)
     table = build_sigma_table(basis, profile, 2)
-    assert table.width(1) == m - 1
+    assert table.couplings(1, m - 1, m)[0].size == 1 and table.couplings(1, 0, 1)[0].size == m
     densities = [DensityPerturbation(profile, lam) for lam in (0.02, 0.04, 0.08, 0.16)]
     tracemalloc.start()
     try:
@@ -208,7 +209,8 @@ def test_closed_form_working_set_is_a_few_vectors():
     finally:
         tracemalloc.stop()
     assert len(results) == 12 and all(r.z2 != 0.0 for r in results)
-    assert peak < 32 * m * 8
+    assert table._dense == {}
+    assert peak < 12 * ROW_BLOCK * m * 8
 
 
 def test_banded_closed_form_zero_profile_keeps_signed_zeros():
@@ -457,6 +459,65 @@ def test_trace_row_blocks_match_the_dense_series(kind, profile, m):
         scale = abs(sum(expected))
         for got, want in zip((res.z0, res.z1, res.z2), expected):
             assert abs(got - want) <= 1e-14 * scale
+
+
+POLY = Polynomial((0.0, 4.0, -4.0))
+ONE = FourierCosine((1.0,))
+COUPLING_CASES = {  # the couplings of S_1: banded, dense, sparse 2D, dense x sparse, two terms
+    "cosine-string": (String1D(1.0), COS2),
+    "polynomial-string": (String1D(1.0), POLY),
+    "cosine-rectangle": (Rectangle2D(1.0, 1.3), Separable2D(((COS2, COS2),))),
+    "polynomial-x-cosine": (Rectangle2D(1.0, 1.3), Separable2D(((POLY, COS2),))),
+    "two-terms": (Rectangle2D(1.0, 1.0), Separable2D(((COS2, ONE), (ONE, FourierCosine((0.2, 0.0, 0.5)))))),
+}
+
+
+def dense_z2_sum(s1, eps, s):
+    """sum_{n, m} K(eps_n, eps_m; s) S_1[n, m]^2 from the dense S_1, a few hundred rows at a time."""
+    total = 0.0
+    for lo in range(0, eps.size, 500):
+        rows = slice(lo, lo + 500)
+        small, large = np.minimum.outer(eps[rows], eps), np.maximum.outer(eps[rows], eps)
+        h = (large - small) / small
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = small ** (-s) * (-np.expm1((1.0 - s) * np.log1p(h))) / h
+        k = np.where(h <= 1e-12, (s - 1.0) * small ** (-s), k)
+        total += float(np.sum(k * s1[rows] ** 2))
+    return total
+
+
+@pytest.mark.parametrize("m", [1, ROW_BLOCK + 1, 3000])
+@pytest.mark.parametrize("case", sorted(COUPLING_CASES))
+def test_closed_form_over_couplings_matches_the_dense_sum(case, m):
+    domain, profile = COUPLING_CASES[case]
+    basis = ModeBasis(domain, m)
+    table = build_sigma_table(basis, profile, 2)
+    densities = [DensityPerturbation(profile, lam) for lam in (0.05, -0.1)]
+    orders = [1.5, 1.125] + ([5.0 / 6.0] if basis.dimension == 1 else [])
+    results = z_closed_form(orders, table, basis, densities)
+    assert table._dense == {}  # read as couplings, never dense
+    eps, s1 = basis.eigenvalues(), table.power(1)
+    for i, s in enumerate(orders):
+        dense = 0.5 * s * dense_z2_sum(s1, eps, s)
+        for density, res in zip(densities, results[2 * i : 2 * i + 2]):
+            assert res.z2 == pytest.approx(density.lam**2 * dense, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("m", [1, ROW_BLOCK + 1, 300])
+@pytest.mark.parametrize("case", sorted(COUPLING_CASES))
+def test_trace_route_over_couplings_matches_the_dense_series(case, m):
+    domain, profile = COUPLING_CASES[case]
+    basis = ModeBasis(domain, m)
+    table = build_sigma_table(basis, profile, 2)
+    density = DensityPerturbation(profile, 0.1)
+    labels = ("1+1/2", "1+1/8", "1+1/64") + (("1/2+1/3",) if basis.dimension == 1 else ())
+    specs = [RationalOrderSpec.parse(label) for label in labels]
+    results = z_via_trace(specs, table, basis, [density])
+    assert table._dense == {}
+    for spec, res in zip(specs, results):
+        expected = dense_trace_reference(spec, table, basis, density.lam)
+        for got, want in zip((res.z0, res.z1, res.z2), expected):
+            assert abs(got - want) <= 1e-14 * abs(res.z_total)
 
 
 def test_rectangle_trace_route_peaks_below_half_a_dense_matrix():
