@@ -18,8 +18,9 @@ products, so S_j is a sum of elementwise products of such string factors,
 one per side; a rectangle table keeps those factors.  Either table lists the
 nonzero couplings S_j[n, m], m >= n, of any block of rows (O(j b) per row
 for a cosine profile of highest harmonic b) and its main diagonal without
-forming S_j, and builds dense matrices on first use.  Every table is built
-from scratch on each call.
+forming S_j.  A dense S_j is formed only on request, as a new array the
+caller owns, and is never kept.  Every table is built from scratch on each
+call.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ import numpy as np
 from .errors import QuadratureError, ValidationError
 
 _GL_PANEL_NODES = 32
-_NODE_CHUNK = 1024  # quadrature nodes per block of exponential rows
-ROW_BLOCK = 64  # rows per step wherever a rectangle S_j is formed or S_1 is walked
+_NODE_CHUNK = 256  # quadrature nodes per block of exponential rows
+ROW_BLOCK = 64  # rows per step wherever S_j's couplings are walked
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +218,9 @@ class Separable2D:
 Profile = Profile1D | Separable2D
 
 
+@functools.lru_cache(maxsize=None)
 def _profile_sup(profile: Profile1D, length: float) -> float:
-    """Sampled sup |profile| on [0, length]."""
+    """Sampled sup |profile| on [0, length], memoized: profiles are frozen and hashable."""
     # 32 samples per period of the fastest cosine, so high frequencies cannot alias
     xs = np.linspace(0.0, length, max(4097, 32 * profile.bandwidth() + 1))
     if isinstance(profile, Tabulated):
@@ -477,8 +479,8 @@ class SigmaPowerTable:
     n's 0-based index on either side and ``pos[x, y]`` maps it back (-1 past
     the truncation).  ``couplings(j, lo, hi)`` lists the entries of a block
     of rows of S_j that can be nonzero and ``diagonal(j)`` the main
-    diagonal, both bit for bit what ``power(j)`` holds; ``power(j)`` forms
-    the dense matrix once, on first use.
+    diagonal, both bit for bit what ``power(j)`` returns; ``power(j)`` forms
+    a new dense matrix on every call, which the caller owns.
     """
 
     max_power: int
@@ -488,7 +490,6 @@ class SigmaPowerTable:
     factors: tuple[tuple[tuple[float, np.ndarray, np.ndarray], ...], ...] | None = None
     index: np.ndarray | None = None  # shape (2, size) with the factors; None on the string
     pos: np.ndarray | None = None  # the inverse of index, shape (X.shape[0], Y.shape[0])
-    _dense: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _padded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _patterns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -497,18 +498,23 @@ class SigmaPowerTable:
             raise ValidationError(f"power {j} outside table range 0..{self.max_power}")
 
     def power(self, j: int) -> np.ndarray:
+        """A new dense S_j: the selection rule on the string, else the couplings scattered.
+
+        On the rectangle S_j is zero-filled and each step of rows' couplings
+        (``row_step``) goes into both triangles, so only one step of pair
+        arrays is live besides S_j.
+        """
         self._check(j)
-        if j not in self._dense:  # built once, the same matrix on every call
-            if self.cosine is not None:
-                self._dense[j] = _exact_cosine_elements(self.size, self.cosine[j])
-            else:
-                m = self.size
-                dense = np.zeros((m, m))
-                for lo in range(0, m, ROW_BLOCK):  # a few row blocks of temporaries at a time
-                    rows = np.arange(lo, min(lo + ROW_BLOCK, m))[:, None]
-                    self._add_factors(j, rows, slice(None), dense[lo : lo + ROW_BLOCK])
-                self._dense[j] = dense
-        return self._dense[j]
+        if self.cosine is not None:
+            return _exact_cosine_elements(self.size, self.cosine[j])
+        m_size = self.size
+        dense = np.zeros((m_size, m_size))
+        step = self.row_step(j)
+        for lo in range(0, m_size, step):
+            n, m, value = self.couplings(j, lo, min(lo + step, m_size))
+            dense[n, m] = value
+            dense[m, n] = value
+        return dense
 
     def _add_factors(self, j: int, rows, cols, out: np.ndarray) -> np.ndarray:
         """Add S_j[rows, cols] to out (zeros): multinomial * X * Y per split, in list order."""
@@ -572,7 +578,7 @@ class SigmaPowerTable:
         pair of side indices nonzero in X and in Y of some split, mapped
         through ``pos``: a few per row for cosine factors, and at most
         ``size`` per row (O(size^2) in all) for dense ones.  Each value is bit
-        for bit what ``power(j)`` holds, and S_j is not formed.
+        for bit what ``power(j)`` returns, and S_j is not formed.
         """
         self._check(j)
         m_size = self.size

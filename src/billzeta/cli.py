@@ -167,24 +167,23 @@ def _physical_memory() -> int | None:
         return None
 
 
-# Dense M x M float64 matrices the oracle holds besides S_1 (the overlap
-# I + lam S_1, its graded copy and LAPACK's untraced copy of that), from
-# tracemalloc at M=800: 2.02 traced.
-_ORACLE_MATRICES = 3
+# Dense M x M float64 matrices the oracle holds: the pencil, graded in place
+# from a fresh S_1, and LAPACK's untraced copy of it; from tracemalloc at
+# M=800: 1.03 traced.
+_ORACLE_MATRICES = 2
 # The closed form and the trace routes form no matrix: they read S_1 as the
 # nonzero couplings of one step of rows at a time (SigmaPowerTable.row_step),
 # which considers at most ROW_BLOCK x max(ROW_BLOCK, row_couplings_bound)
 # entries.  Counted in arrays of that many pairs: this many while S_1's
 # couplings are listed or the closed form sums them, plus this many per
-# series (Q and each q[1/N]) on a trace route.
+# series (Q and each q[1/N]) on a trace route.  A dense rectangle S_j (the
+# oracle's S_1 or a coefficient series' S_j) is scattered from one step of
+# couplings at a time, which adds _PAIR_ARRAYS more.
 _PAIR_ARRAYS, _SERIES_PAIR_ARRAYS = 12, 6
 # Length-M vectors: a fixed number, this many per order (the closed form
 # keeps each order's eps^-s), and on a trace route this many per series
 # (its order-0 and order-2 diagonals and row sums).
 _VECTORS, _ORDER_VECTORS, _SERIES_VECTORS = 32, 3, 6
-# Forming a dense rectangle S_j in row blocks holds at most this many
-# blocks of temporaries.
-_DENSE_BLOCKS = 6
 
 
 def _memory_need(command, route, domain, profile, modes, orders, max_order) -> int:
@@ -193,8 +192,8 @@ def _memory_need(command, route, domain, profile, modes, orders, max_order) -> i
     max_power = max(2, max_order)
     string = isinstance(domain, String1D)
     oracle = command in ("verify", "spectrum") or (command == "sumrule" and route in ("oracle", "all"))
-    # the dense S_j formed: every one the coefficient series read, else S_1 for the oracle's overlap
-    dense = max_power if command == "coeffs" else int(oracle)
+    # the dense S_j formed: every one the coefficient series read; the oracle's S_1 is its pencil
+    dense = max_power if command == "coeffs" else 0
     work = 4 * (max_order + 1) + 1 if command == "coeffs" else _ORACLE_MATRICES * oracle
     vectors = _VECTORS + _ORDER_VECTORS * len(orders)
     arrays = 0
@@ -204,11 +203,12 @@ def _memory_need(command, route, domain, profile, modes, orders, max_order) -> i
         series = {n for o in orders for n in (1, o.n_root, o.n_root2) if n is not None}
         arrays += _SERIES_PAIR_ARRAYS * len(series)
         vectors += _SERIES_VECTORS * len(series)
+    if not string and (dense or oracle):  # a rectangle S_j scattered from its couplings
+        arrays += _PAIR_ARRAYS
     rows = min(ROW_BLOCK, m)
     pairs = arrays * rows * max(rows, row_couplings_bound(domain, profile, m))
-    blocks = 0 if string or not dense else _DENSE_BLOCKS * rows * m
     table = 0 if string else rectangle_table_doubles(domain, profile, m, max_power)
-    return ((dense + work) * m * m + vectors * m + pairs + blocks + table) * 8
+    return ((dense + work) * m * m + vectors * m + pairs + table) * 8
 
 
 def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:

@@ -3,8 +3,10 @@
 Projecting the heterogeneous Helmholtz equation onto the first M homogeneous
 modes gives K c = E S c with K = diag(eps_n) and S = I + lam * S_1.  Because K
 is diagonal, the pencil is solved as one dense symmetric eigenproblem for the
-graded matrix K^{-1/2} S K^{-1/2} (numpy/LAPACK); the heterogeneous
-eigenvalues' direct zeta sums validate every perturbative claim.
+graded matrix K^{-1/2} S K^{-1/2} (numpy/LAPACK), graded in place from a
+fresh S_1: one M x M array per solve besides LAPACK's copy.  The
+heterogeneous eigenvalues' direct zeta sums validate every perturbative
+claim.
 """
 
 from __future__ import annotations
@@ -42,10 +44,14 @@ from .sumrules import (
 
 @dataclass(frozen=True)
 class GeneralizedProblem:
-    """Galerkin projection K c = E S c on the truncated homogeneous basis."""
+    """Galerkin projection K c = E S c on the truncated homogeneous basis, kept graded.
+
+    With r = K^{-1/2}, ``graded`` holds B = r S r for the overlap
+    S = I + lam * S_1: the one M x M array of the pencil.
+    """
 
     stiffness: np.ndarray  # diagonal of K: the homogeneous eigenvalues
-    overlap: np.ndarray  # S = I + lam * S_1, symmetric positive definite
+    graded: np.ndarray  # B = K^-1/2 S K^-1/2, symmetric positive definite
     basis: ModeBasis
     density: DensityPerturbation
 
@@ -53,9 +59,10 @@ class GeneralizedProblem:
 def assemble(
     basis: ModeBasis, density: DensityPerturbation, *, table: SigmaPowerTable | None = None
 ) -> GeneralizedProblem:
-    """Assemble the generalized problem from the density's power-1 elements.
+    """Assemble the graded pencil from the density's power-1 elements, in one M x M array.
 
-    Without a table, a power-1 table of the basis size is built.
+    The table's fresh S_1 becomes B = r (I + lam S_1) r in place.  Without a
+    table, a power-1 table of the basis size is built.
     """
     density.validate(basis.domain)
     m = basis.mode_count
@@ -63,12 +70,19 @@ def assemble(
         table = build_sigma_table(basis, density, 1)
     if table.size < m:
         raise ValidationError("table smaller than requested problem size")
+    stiffness = basis.eigenvalues()
+    graded = table.power(1)
+    if table.size > m:
+        graded = graded[:m, :m].copy()
     # S = I + lam * S_1 with no identity matrix: adding 0.0 turns the -0.0 of a negative
     # lam into the +0.0 the identity's zeros give, since LAPACK's reflectors read its sign
-    overlap = density.lam * table.power(1)[:m, :m]
-    overlap += 0.0
-    overlap.flat[:: m + 1] += 1.0
-    return GeneralizedProblem(basis.eigenvalues(), overlap, basis, density)
+    graded *= density.lam
+    graded += 0.0
+    graded.flat[:: m + 1] += 1.0
+    r = 1.0 / np.sqrt(stiffness)
+    graded *= r[:, None]
+    graded *= r[None, :]
+    return GeneralizedProblem(stiffness, graded, basis, density)
 
 
 def solve_spectrum(problem: GeneralizedProblem, *, want_vectors: bool = False):
@@ -80,14 +94,11 @@ def solve_spectrum(problem: GeneralizedProblem, *, want_vectors: bool = False):
     sup|lam*sigma| < 1.  With want_vectors=True the S-orthonormal generalized
     eigenvectors c = r y / sqrt(mu) are returned as columns.
     """
-    r = 1.0 / np.sqrt(problem.stiffness)
-    graded = r[:, None] * problem.overlap
-    graded *= r[None, :]
     try:
         if want_vectors:
-            mu, y = np.linalg.eigh(graded)
+            mu, y = np.linalg.eigh(problem.graded)
         else:
-            mu = np.linalg.eigvalsh(graded)
+            mu = np.linalg.eigvalsh(problem.graded)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"dense eigensolve failed: {exc}") from exc
     if not np.all(np.isfinite(mu)):
@@ -99,14 +110,16 @@ def solve_spectrum(problem: GeneralizedProblem, *, want_vectors: bool = False):
         )
     mu = mu[::-1]
     if want_vectors:
+        r = 1.0 / np.sqrt(problem.stiffness)
         return 1.0 / mu, r[:, None] * y[:, ::-1] / np.sqrt(mu)
     return 1.0 / mu
 
 
 def residual_norms(problem: GeneralizedProblem, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Relative residuals ||K c - E S c|| / ||K c|| per eigenpair."""
+    """Relative residuals ||K c - E S c|| / ||K c|| per eigenpair, with S c = r^-1 B (r^-1 c)."""
+    root = np.sqrt(problem.stiffness)  # r^-1
     kc = problem.stiffness[:, None] * vectors
-    sc = problem.overlap @ vectors
+    sc = root[:, None] * (problem.graded @ (root[:, None] * vectors))
     num = np.linalg.norm(kc - values[None, :] * sc, axis=0)
     den = np.linalg.norm(kc, axis=0)
     return num / den

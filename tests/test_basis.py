@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import itertools
 import math
@@ -13,6 +14,7 @@ from billzeta.basis import (
     Polynomial,
     Rectangle2D,
     Separable2D,
+    SigmaPowerTable,
     String1D,
     Tabulated,
     _cosine_coeffs,
@@ -314,6 +316,23 @@ def test_string_quadrature_build_works_in_node_chunks():
     assert peak < 12 * 2**20
 
 
+def test_quadrature_coefficients_do_not_depend_on_the_node_chunk(monkeypatch):
+    # 33 panels of 32 nodes, and 51 on the self-check's grid: neither is a multiple of 64 or
+    # 256, so both grids end in a partial chunk; the self-check passes with either chunk
+    from billzeta import basis
+
+    m, plan = 100, 33 * 32
+    assert len(basis._composite_grid(1.0, plan)[0]) % 64 != 0
+    assert len(basis._composite_grid(1.0, int(1.5 * plan) + 32)[0]) % 64 != 0
+    lists = [[(POLY, 1)], [(POLY, 2)], [(Polynomial((0.3, -1.0, 0.0, 2.0)), 3)]]
+    default, (_, default_error) = _quad_cosine_coeffs(m, 1.0, lists, plan)
+    monkeypatch.setattr(basis, "_NODE_CHUNK", 64)
+    small, (_, small_error) = _quad_cosine_coeffs(m, 1.0, lists, plan)
+    for a, b in zip(default, small):
+        assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(a))
+    assert 0.0 < small_error < 1e-10 and 0.0 < default_error < 1e-10
+
+
 def test_2d_quadrature_factors_share_rows_and_match_string_tables():
     # sigma = x * 1 + 1 * y: S_1 = X_1 (x) I + I (x) Y_1, S_2 = X_2 (x) I + 2 X_1 (x) Y_1 + I (x) Y_2
     rect = Rectangle2D(1.0, 1.3)
@@ -383,22 +402,40 @@ def test_cosine_products_equal_numpy_chebyshev_products():
                 assert _cosine_power_product(factors).tobytes() == expected.tobytes()
 
 
+@contextlib.contextmanager
+def no_dense_power():
+    """Within the block SigmaPowerTable.power raises, so what runs there forms no dense S_j."""
+    def forbidden(self, j):
+        raise AssertionError(f"a dense S_{j} was formed")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SigmaPowerTable, "power", forbidden)
+        yield
+
+
 def assert_couplings_match_power(table, j, step=ROW_BLOCK):
     """couplings(j) over consecutive blocks of rows against power(j); returns the listed mask.
 
     Every pair is listed once, with m >= n, in its block's rows, and its value
-    is power(j)'s bits; every unlisted entry with m >= n is exactly 0.
+    is power(j)'s bits; every unlisted entry with m >= n is exactly 0.  Each
+    power(j) call returns a new array, the last call's bits, and so does a
+    scatter of the couplings into both triangles.
     """
     m = table.size
     dense = table.power(j)
+    again = table.power(j)
+    assert again is not dense and again.tobytes() == dense.tobytes()
     listed = np.zeros((m, m), dtype=bool)
+    scattered = np.zeros((m, m))
     for lo in range(0, m, step):
         n, col, value = table.couplings(j, lo, min(lo + step, m))
         assert np.all((lo <= n) & (n < lo + step) & (col >= n))
         assert value.tobytes() == dense[n, col].tobytes()
         assert not np.any(listed[n, col])
         listed[n, col] = True
+        scattered[n, col] = scattered[col, n] = value
     assert not np.any(dense[np.triu(~listed)])
+    assert scattered.tobytes() == dense.tobytes()
     return listed
 
 
@@ -418,7 +455,6 @@ def test_cosine_table_powers_and_bands_are_exact(coeffs, m):
         dense = table.power(j)
         expected = _exact_cosine_elements(m, _cosine_coeffs(m, 1.0, [[(profile, j)]])[0][0])
         assert dense.tobytes() == expected.tobytes()  # bit for bit, signed zeros included
-        assert table.power(j) is dense  # built once
         listed = assert_couplings_match_power(table, j)
         # the selection rule lists nothing beyond the highest harmonic j b
         assert np.all(np.abs(np.subtract.outer(range(m), range(m)))[listed] <= j * b)
@@ -431,24 +467,26 @@ def test_rectangle_diagonals_match_the_dense_power():
     for m in (1, 2, 7, 40):
         table = build_sigma_table(ModeBasis(RECT, m), SEP, 2)
         for j in range(3):
-            main = table.diagonal(j)
-            assert j not in table._dense  # the main diagonal comes from the factors
+            with no_dense_power():  # the main diagonal comes from the factors
+                main = table.diagonal(j)
             assert main.tobytes() == np.diagonal(table.power(j)).tobytes()
             assert_couplings_match_power(table, j, step=3)
 
 
 def test_rectangle_table_stores_no_identity():
-    # nor any M x M array: two side factors per split of each power, until power(j) is called
+    # nor any M x M array: two side factors per split of each power; power(j) keeps nothing
     basis = ModeBasis(RECT, 2 * ROW_BLOCK + 3)
     m, sides = basis.mode_count, np.max(basis.mode_indices(), axis=0)
     table = build_sigma_table(basis, SEP, 3)
-    assert table._dense == {} and table.index.shape == (2, m) and max(sides) < m
+    assert table.index.shape == (2, m) and max(sides) < m
     assert [len(splits) for splits in table.factors] == [1, 1, 1, 1]  # one term: one split per power
     for splits in table.factors:
         for multinomial, x, y in splits:
             assert multinomial == 1.0 and x.shape == (sides[0],) * 2 and y.shape == (sides[1],) * 2
+    identity = table.power(0)
+    assert identity.tobytes() == np.eye(m).tobytes()
+    identity[0, 0] = 2.0  # the caller owns the array: the table is unchanged
     assert table.power(0).tobytes() == np.eye(m).tobytes()
-    assert list(table._dense) == [0]
     zero = build_sigma_table(ModeBasis(RECT, 4), Separable2D(()), 2)
     assert zero.factors[1:] == ((), ())  # a zero profile has no factors past the identity's
     assert zero.power(2).tobytes() == np.zeros((4, 4)).tobytes()
@@ -508,7 +546,7 @@ def rectangle_reference(basis, terms, max_power):
 
 def test_rectangle_table_is_built_in_row_blocks_bit_for_bit():
     # couplings, the main diagonal and the dense power give the reference's bits, and
-    # nothing M x M exists before power(j) is called
+    # couplings and diagonals form no dense S_j
     for terms, max_power, m in RECTANGLE_TABLES:
         basis = ModeBasis(Rectangle2D(1.0, 1.3), m)
         table = build_sigma_table(basis, Separable2D(terms), max_power)
@@ -516,13 +554,15 @@ def test_rectangle_table_is_built_in_row_blocks_bit_for_bit():
         steps = [(lo, min(lo + ROW_BLOCK, m)) for lo in range(0, m, ROW_BLOCK)] + [(m // 2, m)]
         for j in range(max_power + 1):
             for lo, hi in steps:
-                n, col, value = table.couplings(j, lo, hi)
+                with no_dense_power():
+                    n, col, value = table.couplings(j, lo, hi)
                 assert value.tobytes() == expected[j][n, col].tobytes()
                 upper = np.triu(np.ones((m, m), dtype=bool))[lo:hi]
                 upper[n - lo, col] = False
                 assert not np.any(expected[j][lo:hi][upper])
-            assert table.diagonal(j).tobytes() == np.diagonal(expected[j]).tobytes()
-        assert table._dense == {}
+            with no_dense_power():
+                main = table.diagonal(j)
+            assert main.tobytes() == np.diagonal(expected[j]).tobytes()
         for j in range(max_power + 1):
             assert table.power(j).tobytes() == expected[j].tobytes()
 
@@ -530,8 +570,8 @@ def test_rectangle_table_is_built_in_row_blocks_bit_for_bit():
 @pytest.mark.parametrize("profile", [COS2, POLY], ids=["cosine", "polynomial"])
 def test_string_diagonal_is_read_without_a_dense_power(profile):
     table = build_sigma_table(ModeBasis(String1D(1.0), 30), profile, 2)
-    diagonals = [table.diagonal(j) for j in range(3)]
-    assert table._dense == {}  # no dense S_j was formed
+    with no_dense_power():
+        diagonals = [table.diagonal(j) for j in range(3)]
     for j, diag in enumerate(diagonals):
         assert diag.tobytes() == np.diagonal(table.power(j)).tobytes()
     for lo, hi in ((-1, 3), (3, 3), (28, 31)):
@@ -543,8 +583,8 @@ def test_string_diagonal_is_read_without_a_dense_power(profile):
 
 def test_rectangle_main_diagonal_is_read_from_the_factors():
     table = build_sigma_table(ModeBasis(RECT, 9), SEP, 2)
-    diagonals = [table.diagonal(j) for j in range(3)]
-    assert table._dense == {}  # no dense S_j was formed
+    with no_dense_power():
+        diagonals = [table.diagonal(j) for j in range(3)]
     for j, diag in enumerate(diagonals):
         assert diag.tobytes() == np.diagonal(table.power(j)).tobytes()
     assert diagonals[0].tobytes() == np.ones(9).tobytes()  # the identity's
@@ -563,8 +603,8 @@ def test_string_rows_match_the_dense_power_bit_for_bit(profile):
     # the couplings of each block of rows, across the block edges
     for m in ROW_SIZES:
         table = build_sigma_table(ModeBasis(String1D(1.0), m), profile, 2)
-        blocks = [table.couplings(j, 0, min(ROW_BLOCK, m)) for j in range(3)]
-        assert table._dense == {}  # read without a dense S_j
+        with no_dense_power():
+            blocks = [table.couplings(j, 0, min(ROW_BLOCK, m)) for j in range(3)]
         for j in range(3):
             listed = assert_couplings_match_power(table, j)
             assert listed[blocks[j][0], blocks[j][1]].all()
@@ -572,8 +612,8 @@ def test_string_rows_match_the_dense_power_bit_for_bit(profile):
 
 def test_rectangle_rows_are_read_from_the_factors():
     table = build_sigma_table(ModeBasis(RECT, 9), SEP, 2)
-    blocks = [table.couplings(j, 3, 7) for j in range(3)]
-    assert table._dense == {}  # every coupling of the rows, without a dense S_j
+    with no_dense_power():  # every coupling of the rows, without a dense S_j
+        blocks = [table.couplings(j, 3, 7) for j in range(3)]
     for j, (n, m, value) in enumerate(blocks):
         assert value.tobytes() == table.power(j)[n, m].tobytes()
         assert np.count_nonzero(np.triu(table.power(j))[3:7]) == value.size

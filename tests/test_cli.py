@@ -363,8 +363,8 @@ def test_working_set_counted_before_allocating(tmp_path, monkeypatch, capsys):
         raise AssertionError("build_sigma_table called")
 
     m = 100
-    # the dense 3-matrix table fits; table plus the oracle's working set does not
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 4 * m * m * 8)
+    # one dense matrix fits; the oracle's pencil plus LAPACK's copy of it does not
+    monkeypatch.setattr(cli, "_physical_memory", lambda: m * m * 8)
     monkeypatch.setattr(cli, "build_sigma_table", never)
     cfg = write_config(tmp_path)
     rc = main(["sumrule", "--config", str(cfg), "--modes", str(m), "--route", "oracle"])
@@ -584,6 +584,32 @@ def test_runs_peak_below_the_counted_need(tmp_path, run, route):
         argv += ["--s", order]
     loaded = load_config(str(cfg), _build_parser().parse_args(argv))
     need = _memory_need("sumrule", route, loaded.basis.domain, loaded.profile, m, loaded.orders, 2)
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < need
+
+
+@pytest.mark.parametrize("run, m", [("rectangle", 400), ("cosine-string", 800), ("polynomial-string", 800)])
+@pytest.mark.parametrize("command", ["sumrule", "spectrum"])
+def test_oracle_peaks_below_the_counted_need(tmp_path, run, m, command):
+    # the oracle counts its pencil and LAPACK's untraced copy: the traced peak, table
+    # included, stays below the count
+    import tracemalloc
+
+    from billzeta.cli import _memory_need
+
+    kind, density, _ = PEAK_RUNS[run]
+    cfg = write_config(tmp_path, basis={"kind": kind}, density=density)
+    argv = [command, "--config", str(cfg), "--modes", str(m), "--lambda", "0.1",
+            "--out", str(tmp_path / "r.csv")]
+    if command == "sumrule":
+        argv += ["--route", "oracle", "--s", "3/2"]
+    loaded = load_config(str(cfg), _build_parser().parse_args(argv))
+    need = _memory_need(command, "oracle", loaded.basis.domain, loaded.profile, m, loaded.orders, 2)
     tracemalloc.start()
     try:
         assert main(argv) == EXIT_OK

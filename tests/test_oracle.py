@@ -8,6 +8,7 @@ from billzeta.basis import (
     DensityPerturbation,
     FourierCosine,
     ModeBasis,
+    Polynomial,
     Rectangle2D,
     Separable2D,
     String1D,
@@ -37,11 +38,16 @@ COS2 = FourierCosine((0.0, 0.0, 1.0))
 ZETA3 = 1.2020569031595942854
 
 
+def overlap(basis, density):
+    """S = I + lam * S_1, formed from the table apart from assemble: an independent reference."""
+    s1 = build_sigma_table(basis, density, 1).power(1)
+    return np.eye(basis.mode_count) + density.lam * s1
+
+
 def test_assemble_pattern():
     basis = ModeBasis(String1D(1.0), 4)
     dens = DensityPerturbation(COS2, 0.1)
-    problem = assemble(basis, dens)
-    s = problem.overlap
+    s = overlap(basis, dens)
     assert s[0, 0] == pytest.approx(0.95, abs=1e-14)
     assert s[0, 2] == pytest.approx(0.05, abs=1e-14)
     assert s[2, 0] == pytest.approx(0.05, abs=1e-14)
@@ -52,6 +58,24 @@ def test_assemble_pattern():
         zero_mask[i, j] = False
     assert np.all(s[zero_mask] == 0.0)
     assert np.array_equal(s, s.T)
+
+
+@pytest.mark.parametrize("profile, lam", [
+    (COS2, 0.1), (COS2, -0.3), (Polynomial((0.0, 4.0, -4.0)), -0.2),
+], ids=["cosine", "negative", "polynomial"])
+def test_assemble_grades_the_overlap_bit_for_bit(profile, lam):
+    # B = r S r with r = K^-1/2, graded in place from a fresh S_1: the bits of grading the
+    # reference S, signed zeros included
+    basis = ModeBasis(String1D(1.0), 30)
+    density = DensityPerturbation(profile, lam)
+    problem = assemble(basis, density)
+    r = 1.0 / np.sqrt(basis.eigenvalues())
+    expected = r[:, None] * overlap(basis, density) * r[None, :]
+    assert problem.graded.tobytes() == expected.tobytes()
+    # a larger table's S_1 is cut to the basis size
+    larger = build_sigma_table(ModeBasis(String1D(1.0), 45), profile, 1)
+    expected = r[:, None] * (np.eye(30) + lam * larger.power(1)[:30, :30]) * r[None, :]
+    assert assemble(basis, density, table=larger).graded.tobytes() == expected.tobytes()
 
 
 def test_homogeneous_spectrum_exact():
@@ -100,6 +124,41 @@ def test_residual_invariant():
     assert np.max(residual_norms(problem, values, vectors)) < 1e-10
 
 
+def test_residuals_at_400_modes_match_the_reference_overlap():
+    # residual_norms reads S c from the graded pencil; about 2.6e-11 here
+    basis = ModeBasis(String1D(1.0), 400)
+    dens = DensityPerturbation(COS2, 0.16)
+    problem = assemble(basis, dens)
+    values, vectors = solve_spectrum(problem, want_vectors=True)
+    assert np.max(residual_norms(problem, values, vectors)) < 1e-10
+    kc = basis.eigenvalues()[:, None] * vectors
+    sc = overlap(basis, dens) @ vectors
+    reference = np.linalg.norm(kc - values * sc, axis=0) / np.linalg.norm(kc, axis=0)
+    assert np.max(reference) < 1e-10
+
+
+def test_oracle_holds_one_dense_matrix_per_solve():
+    # the pencil is graded in place from a fresh S_1, so tracemalloc sees one M x M array
+    # per solve (LAPACK's copy is not traced)
+    import tracemalloc
+
+    m = 400
+    orders = [RationalOrderSpec.parse("3/2")]
+    densities = [DensityPerturbation(COS2, lam) for lam in (0.08, 0.16)]
+    small = ModeBasis(String1D(1.0), 8)
+    oracle_sum_rule(orders, build_sigma_table(small, COS2, 2), small, densities)  # lazy imports
+    basis = ModeBasis(String1D(1.0), m)
+    table = build_sigma_table(basis, COS2, 2)
+    tracemalloc.start()
+    try:
+        results = oracle_sum_rule(orders, table, basis, densities)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(results) == 2
+    assert peak <= 1.5 * m * m * 8
+
+
 def test_galerkin_monotone_in_truncation():
     dens = DensityPerturbation(COS2, 0.1)
     prev = None
@@ -121,9 +180,11 @@ def test_added_mass_lowers_every_eigenvalue():
 
 def test_factorization_error_names_density_bound():
     basis = ModeBasis(String1D(1.0), 3)
+    r = 1.0 / np.sqrt(basis.eigenvalues())
+    indefinite = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     bad = GeneralizedProblem(
         basis.eigenvalues(),
-        np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        r[:, None] * indefinite * r[None, :],
         basis,
         DensityPerturbation(COS2, 0.9),
     )
@@ -134,8 +195,9 @@ def test_factorization_error_names_density_bound():
 def test_kept_spectrum_matches_cholesky_reference():
     # test-only reference: S = L L^T, eigenvalues of L^-1 K L^-T
     basis = ModeBasis(String1D(1.0), 200)
-    problem = assemble(basis, DensityPerturbation(COS2, 0.16))
-    lower = np.linalg.cholesky(problem.overlap)
+    dens = DensityPerturbation(COS2, 0.16)
+    problem = assemble(basis, dens)
+    lower = np.linalg.cholesky(overlap(basis, dens))
     half = np.linalg.solve(lower, np.diag(problem.stiffness))
     reduced = np.linalg.solve(lower, half.T)
     reference = np.linalg.eigvalsh(0.5 * (reduced + reduced.T))
@@ -147,18 +209,18 @@ def test_kept_spectrum_matches_cholesky_reference():
 
 def test_eigenvectors_are_overlap_orthonormal():
     basis = ModeBasis(String1D(1.0), 200)
-    problem = assemble(basis, DensityPerturbation(COS2, 0.16))
-    _, vectors = solve_spectrum(problem, want_vectors=True)
-    gram = vectors.T @ problem.overlap @ vectors
+    dens = DensityPerturbation(COS2, 0.16)
+    _, vectors = solve_spectrum(assemble(basis, dens), want_vectors=True)
+    gram = vectors.T @ overlap(basis, dens) @ vectors
     assert np.max(np.abs(gram - np.eye(200))) < 1e-10
 
 
 @pytest.mark.parametrize("want_vectors", [False, True])
 def test_nan_overlap_is_a_numerical_failure(want_vectors):
     basis = ModeBasis(String1D(1.0), 4)
-    overlap = np.eye(4)
-    overlap[1, 2] = overlap[2, 1] = np.nan
-    bad = GeneralizedProblem(basis.eigenvalues(), overlap, basis, DensityPerturbation(COS2, 0.1))
+    graded = np.diag(1.0 / basis.eigenvalues())
+    graded[1, 2] = graded[2, 1] = np.nan
+    bad = GeneralizedProblem(basis.eigenvalues(), graded, basis, DensityPerturbation(COS2, 0.1))
     with pytest.raises((NumericalError, FactorizationError)):
         solve_spectrum(bad, want_vectors=want_vectors)
 

@@ -31,6 +31,8 @@ from billzeta.sumrules import (
     z_via_trace,
 )
 
+from test_basis import no_dense_power
+
 COS2 = FourierCosine((0.0, 0.0, 1.0))
 ZETA3 = 1.2020569031595942854
 STRING = ModeBasis(String1D(1.0), 120)
@@ -204,12 +206,12 @@ def test_closed_form_working_set_is_one_row_block_of_pairs():
     densities = [DensityPerturbation(profile, lam) for lam in (0.02, 0.04, 0.08, 0.16)]
     tracemalloc.start()
     try:
-        results = z_closed_form([1.5, 1.125, 5.0 / 6.0], table, basis, densities)
+        with no_dense_power():
+            results = z_closed_form([1.5, 1.125, 5.0 / 6.0], table, basis, densities)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(results) == 12 and all(r.z2 != 0.0 for r in results)
-    assert table._dense == {}
     assert peak < 12 * ROW_BLOCK * m * 8
 
 
@@ -452,8 +454,8 @@ def test_trace_row_blocks_match_the_dense_series(kind, profile, m):
     density = DensityPerturbation(profile, 0.1)
     order_kinds = TRACE_ORDERS if kind == "string" else {"one_plus_inv": TRACE_ORDERS["one_plus_inv"]}
     specs = [RationalOrderSpec.parse(label) for labels in order_kinds.values() for label in labels]
-    results = z_via_trace(specs, table, basis, [density])
-    assert table._dense == {}  # the route read S_1 by row blocks only
+    with no_dense_power():  # the route reads S_1 by row blocks only
+        results = z_via_trace(specs, table, basis, [density])
     for spec, res in zip(specs, results):
         expected = dense_trace_reference(spec, table, basis, density.lam)
         scale = abs(sum(expected))
@@ -494,8 +496,8 @@ def test_closed_form_over_couplings_matches_the_dense_sum(case, m):
     table = build_sigma_table(basis, profile, 2)
     densities = [DensityPerturbation(profile, lam) for lam in (0.05, -0.1)]
     orders = [1.5, 1.125] + ([5.0 / 6.0] if basis.dimension == 1 else [])
-    results = z_closed_form(orders, table, basis, densities)
-    assert table._dense == {}  # read as couplings, never dense
+    with no_dense_power():  # read as couplings, never dense
+        results = z_closed_form(orders, table, basis, densities)
     eps, s1 = basis.eigenvalues(), table.power(1)
     for i, s in enumerate(orders):
         dense = 0.5 * s * dense_z2_sum(s1, eps, s)
@@ -512,8 +514,8 @@ def test_trace_route_over_couplings_matches_the_dense_series(case, m):
     density = DensityPerturbation(profile, 0.1)
     labels = ("1+1/2", "1+1/8", "1+1/64") + (("1/2+1/3",) if basis.dimension == 1 else ())
     specs = [RationalOrderSpec.parse(label) for label in labels]
-    results = z_via_trace(specs, table, basis, [density])
-    assert table._dense == {}
+    with no_dense_power():
+        results = z_via_trace(specs, table, basis, [density])
     for spec, res in zip(specs, results):
         expected = dense_trace_reference(spec, table, basis, density.lam)
         for got, want in zip((res.z0, res.z1, res.z2), expected):
@@ -531,11 +533,11 @@ def test_rectangle_trace_route_peaks_below_half_a_dense_matrix():
     tracemalloc.start()
     try:
         table = build_sigma_table(basis, profile, 2)
-        z_via_trace([RationalOrderSpec.parse("1+1/2")], table, basis, [DensityPerturbation(profile, 0.1)])
+        with no_dense_power():
+            z_via_trace([RationalOrderSpec.parse("1+1/2")], table, basis, [DensityPerturbation(profile, 0.1)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert table._dense == {}
     assert peak < 0.5 * m * m * 8
 
 
