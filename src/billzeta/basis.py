@@ -18,9 +18,9 @@ products, so S_j is a sum of elementwise products of such string factors,
 one per side; a rectangle table keeps those factors.  Either table lists the
 nonzero couplings S_j[n, m], m >= n, of any block of rows (O(j b) per row
 for a cosine profile of highest harmonic b) and its main diagonal without
-forming S_j.  A dense S_j is formed only on request, as a new array the
-caller owns, and is never kept.  Every table is built from scratch on each
-call.
+forming S_j, and finds the exact blocks of S_1 from those couplings.  A
+dense S_j is formed only on request, as a new array the caller owns, and
+is never kept.  Every table is built from scratch on each call.
 """
 
 from __future__ import annotations
@@ -272,9 +272,32 @@ class DensityPerturbation:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _gl_panel(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(nodes)
+# The positive half of the 32-point Gauss-Legendre rule on [-1, 1], ascending: (node, weight).
+# numpy's leggauss(32) symmetrises its rule, so the negative half mirrors these bits exactly.
+_GL_HALF = (
+    (0.048307665687738324, 0.09654008851472766),
+    (0.1444719615827965, 0.09563872007927471),
+    (0.23928736225213706, 0.09384439908080451),
+    (0.33186860228212767, 0.09117387869576378),
+    (0.42135127613063533, 0.08765209300440378),
+    (0.5068999089322294, 0.08331192422694671),
+    (0.5877157572407623, 0.07819389578707023),
+    (0.6630442669302152, 0.07234579410884834),
+    (0.7321821187402897, 0.06582222277636168),
+    (0.7944837959679424, 0.058684093478535565),
+    (0.84936761373257, 0.05099805926237609),
+    (0.8963211557660521, 0.042835898022226836),
+    (0.9349060759377397, 0.034273862913021765),
+    (0.9647622555875064, 0.025392065309262024),
+    (0.9856115115452684, 0.016274394730905743),
+    (0.9972638618494816, 0.007018610009470506),
+)
+
+
+def _gl_panel() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the 32-point Gauss-Legendre rule: leggauss(32), bit for bit."""
+    x, w = np.array(_GL_HALF).T
+    return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
 
 
 def _composite_grid(length: float, total_nodes: int, breakpoints=()) -> tuple[np.ndarray, np.ndarray]:
@@ -289,7 +312,7 @@ def _composite_grid(length: float, total_nodes: int, breakpoints=()) -> tuple[np
         inner = np.asarray(breakpoints, dtype=float)
         inner = inner[(inner > 0.0) & (inner < length)]
         edges = np.unique(np.concatenate([edges, inner]))
-    xg, wg = _gl_panel(_GL_PANEL_NODES)
+    xg, wg = _gl_panel()
     lo, hi = edges[:-1], edges[1:]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
@@ -466,6 +489,29 @@ def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return row, k
 
 
+def _join(root: np.ndarray, n: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The forest ``root`` with the trees of n[i] and m[i] joined for every pair, roots the lowest.
+
+    Each entry of root points at its tree's root, which is its lowest
+    member.  Each round hooks the higher root of every pair that still spans
+    two trees onto the lower (any one offer wins: every hook points down, so
+    no cycle forms), then repoints every entry at its new root by pointer
+    jumping.
+    """
+    while True:
+        a, b = root[n], root[m]
+        apart = a != b
+        if not apart.any():
+            return root
+        n, m, a, b = n[apart], m[apart], a[apart], b[apart]
+        root[np.maximum(a, b)] = np.minimum(a, b)
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+
+
 @dataclass(frozen=True)
 class SigmaPowerTable:
     """Matrices S_j[n, m] = <n| sigma^j |m> for j = 0..max_power, n, m = 1..size.
@@ -480,7 +526,8 @@ class SigmaPowerTable:
     the truncation).  ``couplings(j, lo, hi)`` lists the entries of a block
     of rows of S_j that can be nonzero and ``diagonal(j)`` the main
     diagonal, both bit for bit what ``power(j)`` returns; ``power(j)`` forms
-    a new dense matrix on every call, which the caller owns.
+    a new dense matrix on every call, which the caller owns.  ``blocks()``
+    lists the exact blocks of S_1, found once from its couplings.
     """
 
     max_power: int
@@ -492,6 +539,7 @@ class SigmaPowerTable:
     pos: np.ndarray | None = None  # the inverse of index, shape (X.shape[0], Y.shape[0])
     _padded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _patterns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _blocks: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def _check(self, j: int) -> None:
         if not 0 <= j <= self.max_power:
@@ -610,6 +658,31 @@ class SigmaPowerTable:
             value = self._add_factors(j, n, m, np.zeros(len(n)))
         nonzero = value != 0.0
         return n[nonzero], m[nonzero], value[nonzero]
+
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """The exact blocks of S_1: each connected component of S_1 != 0, as ascending modes.
+
+        Every entry of S_1 between two blocks is exactly 0.  The couplings are
+        walked one ``row_step`` at a time, after row 0 alone, and each step's
+        pairs join the trees of a forest over the modes; the walk stops as
+        soon as one block is left, so a dense S_1 settles after its first
+        row.  Blocks come in order of their lowest mode.  Found once per
+        table, so the arrays are read-only.
+        """
+        if not self._blocks:
+            root = np.arange(self.size)  # every mode's tree root: the lowest mode joined to it
+            # row 0 on its own first: a dense S_1 joins every mode to it, and the walk ends
+            bounds = [0, *range(1, self.size, self.row_step(1)), self.size]
+            for lo, hi in itertools.pairwise(bounds):
+                n, m, _ = self.couplings(1, lo, hi)
+                root = _join(root, n, m)
+                if not root.any():  # every mode's root is mode 0: one block
+                    break
+            order = np.argsort(root, kind="stable")
+            order.flags.writeable = False  # every caller shares the blocks, views of order
+            cuts = np.flatnonzero(np.diff(root[order])) + 1
+            self._blocks.append(tuple(np.split(order, cuts)))
+        return self._blocks[0]
 
 
 def _rectangle_side_bounds(a: float, b: float, count: int) -> tuple[int, int]:

@@ -167,9 +167,11 @@ def _physical_memory() -> int | None:
         return None
 
 
-# Dense M x M float64 matrices the oracle holds: the pencil, graded in place
-# from a fresh S_1, and LAPACK's untraced copy of it; from tracemalloc at
-# M=800: 1.03 traced.
+# Dense M x M float64 matrices the oracle holds at most: the pencil, graded in
+# place from a fresh S_1, and LAPACK's untraced copy of it; from tracemalloc at
+# M=800: 1.03 traced.  An upper bound whatever S_1's exact blocks: several
+# blocks hold their squares, which sum to less than M^2, and LAPACK copies
+# one block at a time (0.57 M^2 traced for the cosine string's two at M=400).
 _ORACLE_MATRICES = 2
 # The closed form and the trace routes form no matrix: they read S_1 as the
 # nonzero couplings of one step of rows at a time (SigmaPowerTable.row_step),
@@ -564,11 +566,9 @@ def main(argv=None) -> int:
         if args.command == "spectrum":
             return cmd_spectrum(cfg)
         raise ValidationError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(json.dumps({"error": "validation", "problems": exc.problems}), file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ValidationError, InsufficientDataError) as exc:
-        print(json.dumps({"error": "validation", "detail": str(exc)}), file=sys.stderr)
+    except (ValidationError, InsufficientDataError) as exc:  # a ConfigError lists every problem
+        problems = exc.problems if isinstance(exc, ConfigError) else [str(exc)]
+        print(json.dumps({"error": "validation", "problems": problems}), file=sys.stderr)
         return EXIT_VALIDATION
     except (QuadratureError, FactorizationError, NumericalError, MemoryError) as exc:
         detail = str(exc) or "out of memory"  # numpy's MemoryError can stringify to ""

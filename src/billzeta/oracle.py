@@ -2,11 +2,13 @@
 
 Projecting the heterogeneous Helmholtz equation onto the first M homogeneous
 modes gives K c = E S c with K = diag(eps_n) and S = I + lam * S_1.  Because K
-is diagonal, the pencil is solved as one dense symmetric eigenproblem for the
-graded matrix K^{-1/2} S K^{-1/2} (numpy/LAPACK), graded in place from a
-fresh S_1: one M x M array per solve besides LAPACK's copy.  The
-heterogeneous eigenvalues' direct zeta sums validate every perturbative
-claim.
+is diagonal, the pencil is solved as a dense symmetric eigenproblem for the
+graded matrix K^{-1/2} S K^{-1/2} (numpy/LAPACK), which is block diagonal
+over the exact blocks of S_1 (the connected components of S_1 != 0): one
+LAPACK call per block, merged in order.  A single block is graded in place
+from a fresh S_1, one M x M array per solve besides LAPACK's copy; several
+are scattered from S_1's couplings.  The heterogeneous eigenvalues' direct
+zeta sums validate every perturbative claim.
 """
 
 from __future__ import annotations
@@ -44,25 +46,52 @@ from .sumrules import (
 
 @dataclass(frozen=True)
 class GeneralizedProblem:
-    """Galerkin projection K c = E S c on the truncated homogeneous basis, kept graded.
+    """Galerkin projection K c = E S c on the truncated homogeneous basis, kept graded by blocks.
 
-    With r = K^{-1/2}, ``graded`` holds B = r S r for the overlap
-    S = I + lam * S_1: the one M x M array of the pencil.
+    With r = K^{-1/2} and the overlap S = I + lam * S_1, B = r S r is block
+    diagonal over the exact blocks of S_1: ``blocks`` holds, per block, its
+    ascending modes and B restricted to them.
     """
 
     stiffness: np.ndarray  # diagonal of K: the homogeneous eigenvalues
-    graded: np.ndarray  # B = K^-1/2 S K^-1/2, symmetric positive definite
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]  # (modes, B[modes][:, modes]), each SPD
     basis: ModeBasis
     density: DensityPerturbation
+
+
+def _scattered_blocks(table: SigmaPowerTable, blocks, m: int) -> list[np.ndarray]:
+    """S_1 restricted to each block of modes below m, scattered from its couplings.
+
+    All blocks share one zero-filled buffer; the couplings come one
+    ``row_step`` of rows at a time, and each pair lands in its block and the
+    mirror entry.
+    """
+    sizes = np.array([len(modes) for modes in blocks])
+    starts = np.cumsum(sizes * sizes) - sizes * sizes
+    buffer = np.zeros(int(np.sum(sizes * sizes)))
+    block, local = np.empty(m, dtype=np.intp), np.empty(m, dtype=np.intp)
+    for b, modes in enumerate(blocks):
+        block[modes] = b
+        local[modes] = np.arange(len(modes))
+    step = table.row_step(1)
+    for lo in range(0, m, step):
+        n, k, value = table.couplings(1, lo, min(lo + step, m))
+        inside = k < m
+        n, k, value = n[inside], k[inside], value[inside]
+        start, size = starts[block[n]], sizes[block[n]]
+        buffer[start + local[n] * size + local[k]] = value
+        buffer[start + local[k] * size + local[n]] = value
+    return [buffer[start : start + size * size].reshape(size, size) for start, size in zip(starts, sizes)]
 
 
 def assemble(
     basis: ModeBasis, density: DensityPerturbation, *, table: SigmaPowerTable | None = None
 ) -> GeneralizedProblem:
-    """Assemble the graded pencil from the density's power-1 elements, in one M x M array.
+    """Assemble the graded pencil block by block over the exact blocks of S_1.
 
-    The table's fresh S_1 becomes B = r (I + lam S_1) r in place.  Without a
-    table, a power-1 table of the basis size is built.
+    Each block's S_1 becomes r (I + lam S_1) r in place.  One block is the
+    table's fresh dense S_1; several are scattered from its couplings.
+    Without a table, a power-1 table of the basis size is built.
     """
     density.validate(basis.domain)
     m = basis.mode_count
@@ -71,55 +100,74 @@ def assemble(
     if table.size < m:
         raise ValidationError("table smaller than requested problem size")
     stiffness = basis.eigenvalues()
-    graded = table.power(1)
-    if table.size > m:
-        graded = graded[:m, :m].copy()
-    # S = I + lam * S_1 with no identity matrix: adding 0.0 turns the -0.0 of a negative
-    # lam into the +0.0 the identity's zeros give, since LAPACK's reflectors read its sign
-    graded *= density.lam
-    graded += 0.0
-    graded.flat[:: m + 1] += 1.0
+    # a larger table's blocks, cut to the basis size, are unions of the basis's blocks
+    blocks = [modes[: np.searchsorted(modes, m)] for modes in table.blocks()]
+    blocks = [modes for modes in blocks if len(modes)]
+    if len(blocks) == 1:
+        graded = table.power(1)
+        pencils = [graded[:m, :m].copy() if table.size > m else graded]
+    else:
+        pencils = _scattered_blocks(table, blocks, m)
     r = 1.0 / np.sqrt(stiffness)
-    graded *= r[:, None]
-    graded *= r[None, :]
-    return GeneralizedProblem(stiffness, graded, basis, density)
+    for modes, graded in zip(blocks, pencils):
+        # S = I + lam * S_1 with no identity matrix: adding 0.0 turns the -0.0 of a negative
+        # lam into the +0.0 the identity's zeros give, since LAPACK's reflectors read its sign
+        graded *= density.lam
+        graded += 0.0
+        graded.flat[:: len(modes) + 1] += 1.0
+        graded *= r[modes, None]
+        graded *= r[None, modes]
+    return GeneralizedProblem(stiffness, tuple(zip(blocks, pencils)), basis, density)
 
 
 def solve_spectrum(problem: GeneralizedProblem, *, want_vectors: bool = False):
-    """Eigenvalues (ascending) of K c = E S c.
+    """Eigenvalues (ascending) of K c = E S c, one LAPACK call per block.
 
-    With r = K^{-1/2}, the eigenvalues mu of the symmetric B = r S r give
-    E = 1/mu.  A non-positive mu means S is not positive definite, which is
-    reported as a density-bound problem: S stays positive definite whenever
+    With r = K^{-1/2}, the eigenvalues mu of each block of the symmetric
+    B = r S r give E = 1/mu; the blocks' values are merged in order.  A
+    non-positive mu means S is not positive definite, which is reported as a
+    density-bound problem: S stays positive definite whenever
     sup|lam*sigma| < 1.  With want_vectors=True the S-orthonormal generalized
-    eigenvectors c = r y / sqrt(mu) are returned as columns.
+    eigenvectors c = r y / sqrt(mu) are returned as columns, each zero
+    outside its block's modes.
     """
-    try:
-        if want_vectors:
-            mu, y = np.linalg.eigh(problem.graded)
-        else:
-            mu = np.linalg.eigvalsh(problem.graded)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"dense eigensolve failed: {exc}") from exc
+    solved = []
+    for _, graded in problem.blocks:
+        try:
+            solved.append(np.linalg.eigh(graded) if want_vectors else (np.linalg.eigvalsh(graded), None))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"dense eigensolve failed: {exc}") from exc
+    mu = np.concatenate([mu for mu, _ in solved])
     if not np.all(np.isfinite(mu)):
         raise NumericalError("non-finite eigenvalue: overlap or stiffness is not finite")
-    if mu[0] <= 0.0:
+    if mu.min() <= 0.0:
         raise FactorizationError(
             "overlap matrix is not positive definite; the density bound "
-            f"sup|lambda*sigma| < 1 is violated or nearly so (min eigenvalue {mu[0]:.3e})"
+            f"sup|lambda*sigma| < 1 is violated or nearly so (min eigenvalue {mu.min():.3e})"
         )
-    mu = mu[::-1]
-    if want_vectors:
-        r = 1.0 / np.sqrt(problem.stiffness)
-        return 1.0 / mu, r[:, None] * y[:, ::-1] / np.sqrt(mu)
-    return 1.0 / mu
+    order = np.argsort(mu, kind="stable")[::-1]  # descending mu: ascending E
+    if not want_vectors:
+        return 1.0 / mu[order]
+    r = 1.0 / np.sqrt(problem.stiffness)
+    column = np.empty(len(mu), dtype=np.intp)
+    column[order] = np.arange(len(mu))  # each block eigenvalue's place in the merged order
+    vectors = np.zeros((len(mu), len(mu)))
+    start = 0
+    for (modes, _), (block_mu, y) in zip(problem.blocks, solved):
+        y *= r[modes, None]
+        y /= np.sqrt(block_mu)
+        vectors[np.ix_(modes, column[start : start + len(modes)])] = y
+        start += len(modes)
+    return 1.0 / mu[order], vectors
 
 
 def residual_norms(problem: GeneralizedProblem, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Relative residuals ||K c - E S c|| / ||K c|| per eigenpair, with S c = r^-1 B (r^-1 c)."""
+    """Relative residuals ||K c - E S c|| / ||K c|| per eigenpair, with S c = r^-1 B (r^-1 c) by blocks."""
     root = np.sqrt(problem.stiffness)  # r^-1
     kc = problem.stiffness[:, None] * vectors
-    sc = root[:, None] * (problem.graded @ (root[:, None] * vectors))
+    sc = np.empty_like(vectors)
+    for modes, graded in problem.blocks:
+        sc[modes] = root[modes, None] * (graded @ (root[modes, None] * vectors[modes]))
     num = np.linalg.norm(kc - values[None, :] * sc, axis=0)
     den = np.linalg.norm(kc, axis=0)
     return num / den

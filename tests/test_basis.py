@@ -303,6 +303,16 @@ def test_quadrature_rows_are_accurate_at_the_highest_harmonics():
     assert np.max(np.abs(table.cosine[1] - expected)) < 1e-12
 
 
+def test_gl_panel_is_leggauss_32():
+    # the literal half rule, mirrored, is numpy's symmetrised leggauss(32) to the last bit
+    from billzeta import basis
+
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    x, w = basis._gl_panel()
+    assert x.tobytes() == nodes.tobytes()
+    assert w.tobytes() == weights.tobytes()
+
+
 def test_string_quadrature_build_works_in_node_chunks():
     # the rows of one node chunk, not of the whole grid, are live at once
     import tracemalloc

@@ -472,6 +472,23 @@ def test_verify_needs_three_distinct_positive_lambdas(tmp_path, monkeypatch, cap
     assert any("at least 3 lambda values, distinct and positive" in p for p in problems)
 
 
+def test_verify_too_few_usable_points_lists_the_problem(tmp_path, capsys):
+    # the numerical floor depends on the solved spectra, so this check runs after them; it
+    # still reports a problems list like every other exit-2 input
+    term = {"x": {"type": "fourier-cosine", "coeffs": [0.0, 0.0, 1.0]},
+            "y": {"type": "fourier-cosine", "coeffs": [0.0, 0.0, 1.0]}}
+    cfg = write_config(
+        tmp_path,
+        basis={"kind": "rectangle", "a": 1.0, "b": 1.3},
+        density={"profile": {"type": "separable", "terms": [term]}},
+    )
+    argv = ["verify", "--config", str(cfg), "--s", "3/2", "--lambda", "0.02,0.04,0.08,0.16",
+            "--modes", "150"]
+    assert main(argv) == EXIT_VALIDATION
+    problems = problems_on_stderr(capsys)
+    assert len(problems) == 1 and "usable points above the numerical floor" in problems[0]
+
+
 @pytest.mark.parametrize("route", ["closed", "oracle"])
 def test_high_frequency_profile_density_bound_exits_2(tmp_path, capsys, route):
     # cos(pi x) - cos(8191 pi x) has sup ~2 but vanishes at all 4097 evenly spaced points
@@ -516,6 +533,7 @@ def test_memory_error_exits_3_without_traceback(tmp_path, monkeypatch, capsys):
 
 def test_sumrule_sweep_forms_each_invariant_once(tmp_path, monkeypatch):
     from billzeta import coefficients, oracle, sumrules
+    from billzeta.basis import SigmaPowerTable
 
     calls = {
         "kernel_pairs": 0, "Q_trace_terms": 0, "trace_terms": [], "solve_spectrum": 0,
@@ -540,14 +558,18 @@ def test_sumrule_sweep_forms_each_invariant_once(tmp_path, monkeypatch):
         (coefficients, "q_generic_recursion"),
     ):
         monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    found = []  # every SigmaPowerTable.blocks result
+    blocks = SigmaPowerTable.blocks
+    monkeypatch.setattr(SigmaPowerTable, "blocks", lambda self: found.append(blocks(self)) or found[-1])
     argv = ["sumrule", "--route", "all", "--modes", "24", "--lambda", "0.02,0.04,0.08,0.16"]
     for order in ("3/2", "1+1/4", "1/2+1/3"):
         argv += ["--s", order]
     assert main(argv) == EXIT_OK
     # M = 24 is one row block: one kernel evaluation per distinct s over its pairs, one set
-    # of Q terms (N = 1), one q set per distinct N (2, 4, 3), one spectrum per lambda, and
-    # no dense coefficient series at all
+    # of Q terms (N = 1), one q set per distinct N (2, 4, 3), one spectrum per lambda, S_1's
+    # blocks found once for the table, and no dense coefficient series at all
     assert len(kernel_orders) == 3
+    assert len(found) == 4 and all(b is found[0] for b in found)
     assert calls == {
         "kernel_pairs": 3, "Q_trace_terms": 1, "trace_terms": [2, 4, 3], "solve_spectrum": 4,
         "build_Q_series": 0, "q_generic_recursion": 0,
@@ -672,8 +694,8 @@ def test_rectangle_routes_run_at_large_modes(tmp_path):
 
 @pytest.mark.parametrize("kind", ["string", "rectangle"])
 def test_cosine_runs_leave_numpy_polynomial_unimported(tmp_path, kind):
-    # cosine tables are exact convolutions: only the quadrature path needs numpy.polynomial,
-    # whose import costs start-up time and memory on every run
+    # cosine tables are exact convolutions, with no quadrature: numpy.polynomial, whose import
+    # costs start-up time and memory on every run, is not needed
     cfg = write_config(tmp_path, basis={"kind": kind}, density=COS_2D_DENSITY if kind == "rectangle" else {})
     script = (
         "import sys\n"
