@@ -12,8 +12,10 @@ On the string 2 sin(n t) sin(m t) = cos((n-m) t) - cos((n+m) t), so every
 matrix element is read from the cosine coefficients c_k of the function:
 <n| f |m> = (c_|n-m| - c_{n+m})/2, plus c_0 on the diagonal.  Those are
 exact products of cosine series (convolutions) for a cosine profile and
-composite Gauss-Legendre moments otherwise.  A string table keeps only the
-coefficients of sigma^j.  On the rectangle sigma^j is a sum of separable
+composite Gauss-Legendre moments otherwise; a profile even about the
+midpoint of its side has exactly zero odd coefficients, so S_j[n, m] is 0
+for n + m odd (mirror parity, an exact selection rule).  A string table
+keeps only the coefficients of sigma^j.  On the rectangle sigma^j is a sum of separable
 products, so S_j is a sum of elementwise products of such string factors,
 one per side; a rectangle table keeps those factors.  Either table lists the
 nonzero couplings S_j[n, m], m >= n, of any block of rows (O(j b) per row
@@ -29,6 +31,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -144,6 +147,10 @@ class FourierCosine:
     def bandwidth(self) -> int:
         return max((k for k, c in enumerate(self.coeffs) if c != 0.0), default=0)
 
+    def is_even(self, length: float) -> bool:
+        """sigma(L - x) = sigma(x) exactly: cos(k pi (L - x) / L) = (-1)^k cos(k pi x / L), so no odd k."""
+        return all(c == 0.0 for c in self.coeffs[1::2])
+
 
 @dataclass(frozen=True)
 class Polynomial:
@@ -168,6 +175,17 @@ class Polynomial:
     def bandwidth(self) -> int:
         # algebraic, not oscillatory; small constant keeps the node plan safe
         return len(self.coeffs) + 8
+
+    def is_even(self, length: float) -> bool:
+        """p(L - x) = p(x) exactly: p(L - x) expanded in rationals, each float taken exactly, is p."""
+        if not all(map(math.isfinite, self.coeffs)):
+            return False
+        a, ell = [Fraction(c) for c in self.coeffs], Fraction(length)
+        mirrored = [
+            (-1) ** q * sum(a[p] * math.comb(p, q) * ell ** (p - q) for p in range(q, len(a)))
+            for q in range(len(a))
+        ]
+        return mirrored == a
 
 
 @dataclass(frozen=True)
@@ -196,6 +214,15 @@ class Tabulated:
 
     def bandwidth(self) -> int:
         return max(16, len(self.xs))
+
+    def is_even(self, length: float) -> bool:
+        """The interpolant is mirror-even exactly: ys a palindrome, xs[i] + xs[-1-i] = L in rationals."""
+        if not all(map(math.isfinite, self.xs)):
+            return False
+        ell = Fraction(length)
+        return self.ys == self.ys[::-1] and all(
+            Fraction(a) + Fraction(b) == ell for a, b in zip(self.xs, reversed(self.xs))
+        )
 
 
 Profile1D = FourierCosine | Polynomial | Tabulated
@@ -394,8 +421,11 @@ def _quad_cosine_coeffs(n_max: int, length: float, factor_lists, nodes: int | No
     overrides it), and so share every exponential row.  Every element
     <n| f |m> = I_|n-m| - I_{n+m} of the moments I_k, so a recomputation of
     every moment on a 1.5x grid bounds each list's element error by
-    2 max |dI|; it guards against an insufficient node plan.  Returns the
-    coefficients (one row per list) and (the plan, the largest error bound).
+    2 max |dI|; it guards against an insufficient node plan.  A list whose
+    factors are all mirror-even (``is_even``) has every odd coefficient
+    exactly 0, so those are set to 0.0 after the check; the rest are the
+    quadrature's.  Returns the coefficients (one row per list) and (the
+    plan, the largest error bound).
     """
     breakpoints = [
         x for factors in factor_lists for p, _ in factors if isinstance(p, Tabulated) for x in p.xs
@@ -417,6 +447,9 @@ def _quad_cosine_coeffs(n_max: int, length: float, factor_lists, nodes: int | No
                 f"quadrature self-check failed: element error {e:.3e} at {plan} nodes"
             )
     moments[:, 1:] *= 2.0  # c_k = 2 I_k past the constant
+    for c, factors in zip(moments, factor_lists):
+        if all(p.is_even(length) for p, _ in factors):
+            c[1::2] = 0.0  # the integrand is odd about the midpoint: not quadrature noise, 0
     return moments, (plan, float(np.max(err)))
 
 
@@ -523,11 +556,14 @@ class SigmaPowerTable:
     (multinomial, X, Y) with S_j[n, m] the sum of multinomial X[x_n, x_m]
     Y[y_n, y_m] in list order, where (x_n, y_n) = ``index[:, n]`` is mode
     n's 0-based index on either side and ``pos[x, y]`` maps it back (-1 past
-    the truncation).  ``couplings(j, lo, hi)`` lists the entries of a block
-    of rows of S_j that can be nonzero and ``diagonal(j)`` the main
-    diagonal, both bit for bit what ``power(j)`` returns; ``power(j)`` forms
-    a new dense matrix on every call, which the caller owns.  ``blocks()``
-    lists the exact blocks of S_1, found once from its couplings.
+    the truncation).  A mirror-even profile (``is_even``) has exactly zero
+    odd coefficients, in ``cosine[j]`` or behind a side factor, so S_j[n, m]
+    = 0 where n + m, or that side's index sum, is odd.
+    ``couplings(j, lo, hi)`` lists the entries of a block of rows of S_j
+    that can be nonzero and ``diagonal(j)`` the main diagonal, both bit for
+    bit what ``power(j)`` returns; ``power(j)`` forms a new dense matrix on
+    every call, which the caller owns.  ``blocks()`` lists the exact blocks
+    of S_1, found once from its couplings.
     """
 
     max_power: int
@@ -574,10 +610,16 @@ class SigmaPowerTable:
             out += term
         return out
 
-    def _coefficients(self, j: int) -> np.ndarray:
-        """c_0..c_{2 size} of sigma^j on the string: all the selection rule reads, padded once."""
+    def _coefficients(self, j: int) -> tuple[np.ndarray, int]:
+        """c_0..c_{2 size} of sigma^j on the string, padded once, and the step of the offsets it couples.
+
+        The coefficients are all the selection rule reads.  The step is 2 when
+        every odd one is exactly 0 (sigma^j mirror-even about the midpoint):
+        an odd offset m - n then has n + m odd too, and S_j[n, m] is (0 - 0)/2.
+        """
         if j not in self._padded:
-            self._padded[j] = _padded_cosine(self.cosine[j], self.size)
+            c = _padded_cosine(self.cosine[j], self.size)
+            self._padded[j] = c, 1 if c[1::2].any() else 2
         return self._padded[j]
 
     def _pattern(self, j: int) -> tuple:
@@ -598,18 +640,19 @@ class SigmaPowerTable:
         self._check(j)
         if self.cosine is None:
             return self._add_factors(j, slice(None), slice(None), np.zeros(self.size))
-        c = self._coefficients(j)
+        c, _ = self._coefficients(j)
         return c[0] - 0.5 * c[2::2]
 
     def row_step(self, j: int) -> int:
         """Rows per ``couplings(j, ...)`` call in a walk over S_j.
 
         ROW_BLOCK, or more when rows have few candidate entries, so that a
-        step considers at most about ROW_BLOCK x max(ROW_BLOCK, entries per row).
+        step considers at most about ROW_BLOCK x max(ROW_BLOCK, entries per row);
+        on the string those are the offsets ``couplings`` strides over.
         """
         self._check(j)
         if self.cosine is not None:
-            per_row = min(len(self.cosine[j]), self.size)
+            per_row = (min(len(self.cosine[j]), self.size) - 1) // self._coefficients(j)[1] + 1
         else:
             (x_start, _), (y_start, _) = self._pattern(j)
             per_row = int(np.max(np.diff(x_start)[self.index[0]] * np.diff(y_start)[self.index[1]]))
@@ -622,7 +665,9 @@ class SigmaPowerTable:
         the value is nonzero; every other entry of the rows with m >= n is
         exactly 0.  On the string the selection rule allows offsets m - n up
         to the highest stored harmonic of sigma^j, so a cosine profile of
-        highest harmonic b lists O(j b) pairs per row.  On the rectangle, a
+        highest harmonic b lists O(j b) pairs per row, and only the even
+        offsets when every odd coefficient of sigma^j is exactly 0 (a
+        mirror-even profile: half the pairs of a dense S_j).  On the rectangle, a
         pair of side indices nonzero in X and in Y of some split, mapped
         through ``pos``: a few per row for cosine factors, and at most
         ``size`` per row (O(size^2) in all) for dense ones.  Each value is bit
@@ -635,11 +680,12 @@ class SigmaPowerTable:
         rows = np.arange(lo, hi)
         if self.cosine is not None:
             # the selection rule of _exact_cosine_elements on the offsets d = m - n it allows
+            c, step = self._coefficients(j)
             width = min(len(self.cosine[j]), m_size) - 1
-            n, d = _ragged(np.minimum(width, m_size - 1 - rows) + 1)
+            n, d = _ragged(np.minimum(width, m_size - 1 - rows) // step + 1)
+            d *= step
             n += lo
             m = n + d
-            c = self._coefficients(j)
             value = c[d]
             value -= c[n + m + 2]  # c_|n-m| - c_{n+m}, 1-based
             value *= 0.5
@@ -666,7 +712,8 @@ class SigmaPowerTable:
         walked one ``row_step`` at a time, after row 0 alone, and each step's
         pairs join the trees of a forest over the modes; the walk stops as
         soon as one block is left, so a dense S_1 settles after its first
-        row.  Blocks come in order of their lowest mode.  Found once per
+        row; a mirror-even profile's S_1, odd and even modes apart, is walked
+        whole.  Blocks come in order of their lowest mode.  Found once per
         table, so the arrays are read-only.
         """
         if not self._blocks:
@@ -752,10 +799,16 @@ def build_sigma_table(
 
     A string table keeps the cosine coefficients of each sigma^j: exact for
     a cosine profile (O(J b) numbers), from quadrature otherwise (2M + 1
-    each).  A rectangle table keeps, for each split of each power over the
-    profile's terms, the multinomial and the two side factors: matrices of
-    the side's highest mode index squared, built from one coefficient call
-    per side, plus the mode index map.  No M x M matrix is formed.
+    each).  Quadrature coefficients of a power whose factors are all
+    mirror-even (``is_even``) keep exactly 0.0 at every odd harmonic, so
+    S_j[n, m] = 0 exactly for n + m odd and the blocks of S_1 split by
+    parity; a profile whose float coefficients are not exactly
+    mirror-symmetric keeps its quadrature noise there and one block, which
+    is still correct, only slower.  A rectangle table keeps, for each split
+    of each power over the profile's terms, the multinomial and the two side
+    factors: matrices of the side's highest mode index squared, built from
+    one coefficient call per side, plus the mode index map.  No M x M matrix
+    is formed.
 
     Parameters
     ----------

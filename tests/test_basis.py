@@ -303,6 +303,74 @@ def test_quadrature_rows_are_accurate_at_the_highest_harmonics():
     assert np.max(np.abs(table.cosine[1] - expected)) < 1e-12
 
 
+MIRROR_TAB = Tabulated((0.0, 0.25, 0.5, 0.75, 1.0), (0.0, 1.0, 2.0, 1.0, 0.0))
+
+
+@pytest.mark.parametrize("profile, length, even", [
+    (POLY, 1.0, True),
+    (Polynomial((0.0, 2.0, -1.0)), 2.0, True),  # x(2 - x)
+    (Polynomial((0.0, 0.3, -1.0)), 0.3, True),  # x(0.3 - x): the float 0.3 on both sides, exactly
+    (MIRROR_TAB, 1.0, True),
+    (COS2, 1.0, True),
+    (FourierCosine((0.5, 0.0, 0.0, 0.0, -0.2)), 3.0, True),
+    (Polynomial(()), 1.0, True),
+    (Polynomial((0.0, 1.0)), 1.0, False),  # x
+    (Polynomial((1.0, 0.0, -12.0)), 1.0, False),  # 1 - 12 x^2
+    (POLY, 2.0, False),  # even about 1/2, not about the midpoint of [0, 2]
+    (Polynomial((0.0, 4.0, -4.0 * (1.0 + 2.0**-52))), 1.0, False),  # one rounding unit off
+    (Polynomial((math.nan, 0.0)), 1.0, False),
+    (Tabulated((0.0, 0.3, 1.0), (0.0, 1.0, 0.0)), 1.0, False),
+    (Tabulated((0.0, 0.1, 0.2, 0.3), (0.0, 1.0, 1.0, 0.0)), 0.3, False),  # 0.1 + 0.2 != 0.3 in binary
+    (Tabulated((0.0, 0.5, 1.0), (0.0, 1.0, 1e-300)), 1.0, False),
+    (Tabulated((-math.inf, math.inf), (1.0, 1.0)), 1.0, False),
+    (FourierCosine((0.0, 0.0, 1.0, 1e-300)), 1.0, False),  # an odd harmonic, however small
+])
+def test_mirror_evenness_is_found_exactly(profile, length, even):
+    assert profile.is_even(length) is even
+
+
+def test_mirror_even_table_odd_coefficients_are_exact_zeros():
+    # a symmetric table's odd coefficients are 0.0, not quadrature noise; its even ones are
+    # the quadrature's moments bit for bit (c_0 = I_0, c_k = 2 I_k), on the same plan
+    from billzeta.basis import _cosine_moments
+
+    m = 40
+    table = build_sigma_table(ModeBasis(String1D(1.0), m), MIRROR_TAB, 2)
+    plan = table.quadrature_meta["nodes"]
+    lists = [[(MIRROR_TAB, 1)], [(MIRROR_TAB, 2)]]
+    moments = _cosine_moments(2 * m + 1, 1.0, lists, plan, MIRROR_TAB.xs * 2)
+    for j, moment in zip((1, 2), moments):
+        c = table.cosine[j]
+        assert c[1::2].tobytes() == np.zeros(m).tobytes()  # +0.0 every one
+        assert c[0] == moment[0] and c[2::2].tobytes() == (2.0 * moment[2::2]).tobytes()
+        assert np.max(np.abs(moment[1::2])) > 0.0  # what quadrature alone would have left
+        assert_couplings_match_power(table, j)
+
+
+def test_mirror_even_string_s1_couples_even_offsets_only():
+    # 4x(1-x) at M = 300: every S_j[n, m] with n + m odd is exactly 0.0, and the couplings
+    # stride over even offsets only, half of each row
+    m = 300
+    table = build_sigma_table(ModeBasis(String1D(1.0), m), POLY, 2)
+    n = np.arange(m)
+    odd = (n[:, None] + n[None, :]) % 2 == 1
+    assert np.count_nonzero(odd) == 45_000
+    for j in (1, 2):
+        assert np.all(table.power(j)[odd] == 0.0)
+    rows, cols, _ = table.couplings(1, 0, 1)
+    assert np.array_equal(cols, np.arange(0, m, 2)) and np.all(rows == 0)
+
+
+def test_even_harmonic_cosine_rows_step_over_their_candidates():
+    # harmonics 0, 2, .., 40 only: 21 candidate offsets per row, not 41, so a walk takes
+    # ROW_BLOCK^2 / 21 rows at a time
+    profile = FourierCosine(tuple(0.1 / (k + 1) * (k % 2 == 0) for k in range(41)))
+    table = build_sigma_table(ModeBasis(String1D(1.0), 500), profile, 1)
+    assert table.row_step(1) == ROW_BLOCK * ROW_BLOCK // 21
+    assert table.couplings(1, 0, 1)[1].tolist() == list(range(0, 41, 2))
+    assert_couplings_match_power(table, 1, table.row_step(1))
+
+
 def test_gl_panel_is_leggauss_32():
     # the literal half rule, mirrored, is numpy's symmetrised leggauss(32) to the last bit
     from billzeta import basis

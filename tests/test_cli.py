@@ -692,6 +692,41 @@ def test_rectangle_routes_run_at_large_modes(tmp_path):
         assert trace["z_total"] == pytest.approx(closed["z_total"], rel=1e-12)
 
 
+# z_total of `sumrule --route all` on 4x(1-x) at M = 300, recorded to 17 digits while
+# quadrature still left S_1's parity-forbidden entries (n + m odd) as rounding noise:
+# (closed form, oracle) per order and lambda.  Exact zeros there change no record beyond
+# rounding.
+POLY_RECORDS = {
+    ("1+1/2", 0.05): (0.04124114073813644, 0.04124096169354229),
+    ("1+1/2", 0.1): (0.043766693594324974, 0.043765230991315573),
+    ("1+1/4", 0.05): (0.08066488462535688, 0.08066496558848209),
+    ("1+1/4", 0.1): (0.08468673709841305, 0.08468558261284197),
+    ("1/2+1/3", 0.05): (0.32508922796524514, 0.32522716869471574),
+    ("1/2+1/3", 0.1): (0.3349904960225585, 0.33526882111523454),
+}
+
+
+def test_mirror_even_polynomial_keeps_its_recorded_sums(tmp_path):
+    # the closed form and the trace routes agree with the record to rounding; the oracle,
+    # now solved as odd and even blocks, to a few rounding units of its eigenvalues
+    density = {"profile": {"type": "polynomial", "coeffs": [0.0, 4.0, -4.0]}}
+    cfg = write_config(tmp_path, density=density)
+    out = tmp_path / "all.json"
+    argv = ["sumrule", "--config", str(cfg), "--route", "all", "--modes", "300",
+            "--lambda", "0.05,0.1", "--format", "json", "--out", str(out)]
+    for order in ("3/2", "1+1/4", "1/2+1/3"):
+        argv += ["--s", order]
+    assert main(argv) == EXIT_OK
+    records = json.loads(out.read_text())["results"]
+    assert len(records) == 3 * len(POLY_RECORDS)
+    for record in records:
+        closed, oracle = POLY_RECORDS[record["order_label"], record["lam"]]
+        if record["route"] == "oracle":
+            assert record["z_total"] == pytest.approx(oracle, rel=1e-12, abs=0.0)
+        else:
+            assert record["z_total"] == pytest.approx(closed, rel=1e-14, abs=0.0)
+
+
 @pytest.mark.parametrize("kind", ["string", "rectangle"])
 def test_cosine_runs_leave_numpy_polynomial_unimported(tmp_path, kind):
     # cosine tables are exact convolutions, with no quadrature: numpy.polynomial, whose import

@@ -36,7 +36,8 @@ from billzeta.sumrules import RationalOrderSpec
 
 COS2 = FourierCosine((0.0, 0.0, 1.0))
 COS4 = FourierCosine((0.0, 0.0, 0.0, 0.0, 1.0))
-POLY = Polynomial((0.0, 4.0, -4.0))
+POLY = Polynomial((0.0, 4.0, -4.0))  # 4x(1-x): mirror-even, so S_1 couples n + m even only
+SKEW = Polynomial((0.3, 1.0, -0.5))  # not mirror-even: a dense S_1, one block
 RECT = Rectangle2D(1.0, 1.3)
 COS_2D = Separable2D(((COS2, COS2),))
 ZETA3 = 1.2020569031595942854
@@ -98,8 +99,11 @@ def test_blocks_follow_the_exact_couplings():
     # of their lowest mode
     basis = ModeBasis(String1D(1.0), 60)
     n = np.arange(1, 61)
-    [whole] = build_sigma_table(basis, POLY, 1).blocks()
+    [whole] = build_sigma_table(basis, SKEW, 1).blocks()
     assert np.array_equal(whole, np.arange(60))
+    # 4x(1-x) is even about x = 1/2: every odd coefficient is 0, so odd and even modes
+    odd, even = build_sigma_table(basis, POLY, 1).blocks()
+    assert np.array_equal(n[odd], n[n % 2 == 1]) and np.array_equal(n[even], n[n % 2 == 0])
     # cos(2 pi x): c_2 couples modes two apart, so odd and even modes
     odd, even = build_sigma_table(basis, COS2, 1).blocks()
     assert np.array_equal(n[odd], n[n % 2 == 1]) and np.array_equal(n[even], n[n % 2 == 0])
@@ -161,10 +165,34 @@ def test_rectangle_blocks_are_parity_classes_with_the_even_class_split():
     )
 
 
+def test_mirror_even_polynomial_splits_into_parity_blocks():
+    # 4x(1-x) cos(2 pi y / b): both side factors are even about their midpoints, so S_1
+    # couples modes of one side-index parity class only, and the dense x factor joins each
+    # class whole (the even-even class is not split as for cos(2 pi x) cos(2 pi y / b))
+    basis = ModeBasis(RECT, 2000)
+    blocks = build_sigma_table(basis, Separable2D(((POLY, COS2),)), 1).blocks()
+    j, k = np.array(basis.mode_indices()).T
+    assert [len(modes) for modes in blocks] == [510, 502, 499, 489]
+    assert sorted(tuple(modes) for modes in blocks) == sorted(
+        tuple(np.flatnonzero((j % 2 == p) & (k % 2 == q))) for p in (0, 1) for q in (0, 1)
+    )
+
+
+@pytest.mark.parametrize("domain, profile, m", [
+    (String1D(1.0), POLY, 90), (RECT, Separable2D(((POLY, COS2),)), 150),
+], ids=["polynomial-string", "polynomial-x-cosine"])
+def test_parity_blocks_are_the_components_of_the_nonzero_pattern(domain, profile, m):
+    table = build_sigma_table(ModeBasis(domain, m), profile, 1)
+    assert len(table.blocks()) == (2 if domain == String1D(1.0) else 4)
+    assert [list(modes) for modes in table.blocks()] == components(table.power(1) != 0.0)
+
+
 @pytest.mark.parametrize("domain, profile, size", [
     (String1D(1.0), COS2, 120), (String1D(1.0), COS4, 150), (RECT, COS_2D, 120),
     (RECT, COS_2D, 160), (RECT, Separable2D(((POLY, COS2),)), 140),
-], ids=["cosine", "cos4-larger-table", "rectangle", "rectangle-larger-table", "polynomial-x-cosine"])
+    (String1D(1.0), POLY, 120), (String1D(1.0), POLY, 131),
+], ids=["cosine", "cos4-larger-table", "rectangle", "rectangle-larger-table", "polynomial-x-cosine",
+        "polynomial", "polynomial-larger-table"])
 def test_block_spectrum_matches_the_dense_pencil(domain, profile, size):
     # one LAPACK call per block, merged in order: the eigenvalues of the whole graded pencil
     basis = ModeBasis(domain, 120)
@@ -283,7 +311,7 @@ def oracle_traced_peak(profile, m):
 def test_oracle_holds_one_dense_matrix_per_solve():
     # one block: the pencil is graded in place from a fresh S_1, so tracemalloc sees one
     # M x M array per solve (LAPACK's copy is not traced)
-    assert oracle_traced_peak(POLY, 400) <= 1.5
+    assert oracle_traced_peak(SKEW, 400) <= 1.5
 
 
 def test_two_block_oracle_holds_half_a_dense_matrix():

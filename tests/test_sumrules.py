@@ -194,12 +194,13 @@ def test_banded_closed_form_matches_dense_sum(coeffs, m, mode):
 
 
 def test_closed_form_working_set_is_one_row_block_of_pairs():
-    # a dense S_1 (polynomial string) lists every pair m >= n, yet the route holds only one
-    # row block's couplings at a time: O(ROW_BLOCK M), a few per cent of M^2 here
+    # a dense S_1 (a polynomial string, not mirror-even) lists every pair m >= n, yet the
+    # route holds only one row block's couplings at a time: O(ROW_BLOCK M), a few per cent
+    # of M^2 here
     import tracemalloc
 
     m = 2000
-    profile = Polynomial((0.0, 4.0, -4.0))
+    profile = Polynomial((0.3, 1.0, -0.5))
     basis = ModeBasis(String1D(1.0), m)
     table = build_sigma_table(basis, profile, 2)
     assert table.couplings(1, m - 1, m)[0].size == 1 and table.couplings(1, 0, 1)[0].size == m
