@@ -21,7 +21,7 @@ one per side; a rectangle table keeps those factors.  Either table lists the
 nonzero couplings S_j[n, m], m >= n, of any block of rows (O(j b) per row
 for a cosine profile of highest harmonic b) and its main diagonal without
 forming S_j, and finds the exact blocks of S_1 from those couplings.  A
-dense S_j is formed only on request, as a new array the caller owns, and
+dense S_j is formed only on request, in new arrays the caller owns, and
 is never kept.  Every table is built from scratch on each call.
 """
 
@@ -560,10 +560,11 @@ class SigmaPowerTable:
     odd coefficients, in ``cosine[j]`` or behind a side factor, so S_j[n, m]
     = 0 where n + m, or that side's index sum, is odd.
     ``couplings(j, lo, hi)`` lists the entries of a block of rows of S_j
-    that can be nonzero and ``diagonal(j)`` the main diagonal, both bit for
-    bit what ``power(j)`` returns; ``power(j)`` forms a new dense matrix on
-    every call, which the caller owns.  ``blocks()`` lists the exact blocks
-    of S_1, found once from its couplings.
+    that can be nonzero and ``diagonal(j)`` the main diagonal; ``blocks()``
+    lists the exact blocks of S_1, found once from its couplings.
+    ``restrict(j, blocks, size)`` forms S_j on the blocks of a partition of
+    the first ``size`` modes, and ``power(j)`` on one block of every mode, in
+    new arrays the caller owns.  All of them give the same bits.
     """
 
     max_power: int
@@ -582,23 +583,43 @@ class SigmaPowerTable:
             raise ValidationError(f"power {j} outside table range 0..{self.max_power}")
 
     def power(self, j: int) -> np.ndarray:
-        """A new dense S_j: the selection rule on the string, else the couplings scattered.
+        """A new dense S_j, which the caller owns: ``restrict`` on one block of every mode."""
+        return self.restrict(j, [np.arange(self.size)], self.size)[0]
 
-        On the rectangle S_j is zero-filled and each step of rows' couplings
-        (``row_step``) goes into both triangles, so only one step of pair
-        arrays is live besides S_j.
+    def restrict(self, j: int, blocks, size: int) -> list[np.ndarray]:
+        """S_j[np.ix_(modes, modes)] for each of ``blocks``, in new arrays the caller owns.
+
+        ``blocks`` partitions modes 0..size-1 into ascending arrays, and S_j
+        must be exactly 0 between two of them, as S_1 is between its exact
+        blocks (``blocks()``, cut to ``size``); that is not checked.  One
+        block on the string is the selection rule: one M x M array, where the
+        scatter traces 2.3 M^2 (M = 400) and takes 7x as long (M = 2000).
+        Everything else is one scatter into a zero-filled buffer the blocks
+        share, entry (n, m) of a block at ``buffer[row[n] + col[m]]``, one
+        ``row_step`` of couplings at a time; columns past ``size`` are
+        dropped only when the table has more modes.
         """
         self._check(j)
-        if self.cosine is not None:
-            return _exact_cosine_elements(self.size, self.cosine[j])
-        m_size = self.size
-        dense = np.zeros((m_size, m_size))
+        if not 0 < size <= self.size:
+            raise ValidationError(f"size {size} outside the table's 1..{self.size} modes")
+        if self.cosine is not None and len(blocks) == 1:
+            return [_exact_cosine_elements(size, self.cosine[j])]
+        sizes = np.array([len(modes) for modes in blocks])
+        starts = np.cumsum(sizes * sizes) - sizes * sizes
+        buffer = np.zeros(int(np.sum(sizes * sizes)))
+        row, col = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp)
+        for start, modes in zip(starts, blocks):
+            col[modes] = np.arange(len(modes))
+            row[modes] = start + col[modes] * len(modes)
         step = self.row_step(j)
-        for lo in range(0, m_size, step):
-            n, m, value = self.couplings(j, lo, min(lo + step, m_size))
-            dense[n, m] = value
-            dense[m, n] = value
-        return dense
+        for lo in range(0, size, step):
+            n, m, value = self.couplings(j, lo, min(lo + step, size))
+            if size < self.size:
+                inside = m < size
+                n, m, value = n[inside], m[inside], value[inside]
+            buffer[row[n] + col[m]] = value
+            buffer[row[m] + col[n]] = value
+        return [buffer[start : start + k * k].reshape(k, k) for start, k in zip(starts, sizes)]
 
     def _add_factors(self, j: int, rows, cols, out: np.ndarray) -> np.ndarray:
         """Add S_j[rows, cols] to out (zeros): multinomial * X * Y per split, in list order."""

@@ -515,8 +515,15 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValidationError (subparsers share the class): JSON on stderr, exit 2."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="billzeta",
         description="Spectral zeta functions of rational order for heterogeneous billiards",
     )
@@ -553,9 +560,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)  # a usage error raises ValidationError too
         cfg = load_config(args.config, args)
         if args.command == "sumrule":
             return cmd_sumrule(cfg)

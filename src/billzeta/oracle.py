@@ -5,10 +5,10 @@ modes gives K c = E S c with K = diag(eps_n) and S = I + lam * S_1.  Because K
 is diagonal, the pencil is solved as a dense symmetric eigenproblem for the
 graded matrix K^{-1/2} S K^{-1/2} (numpy/LAPACK), which is block diagonal
 over the exact blocks of S_1 (the connected components of S_1 != 0): one
-LAPACK call per block, merged in order.  A single block is graded in place
-from a fresh S_1, one M x M array per solve besides LAPACK's copy; several
-are scattered from S_1's couplings.  The heterogeneous eigenvalues' direct
-zeta sums validate every perturbative claim.
+LAPACK call per block, merged in order.  Each block is graded in place from
+the table's fresh S_1 on it (``SigmaPowerTable.restrict``), so a solve holds
+one dense array per block besides LAPACK's copy.  The heterogeneous
+eigenvalues' direct zeta sums validate every perturbative claim.
 """
 
 from __future__ import annotations
@@ -59,55 +59,25 @@ class GeneralizedProblem:
     density: DensityPerturbation
 
 
-def _scattered_blocks(table: SigmaPowerTable, blocks, m: int) -> list[np.ndarray]:
-    """S_1 restricted to each block of modes below m, scattered from its couplings.
-
-    All blocks share one zero-filled buffer; the couplings come one
-    ``row_step`` of rows at a time, and each pair lands in its block and the
-    mirror entry.
-    """
-    sizes = np.array([len(modes) for modes in blocks])
-    starts = np.cumsum(sizes * sizes) - sizes * sizes
-    buffer = np.zeros(int(np.sum(sizes * sizes)))
-    block, local = np.empty(m, dtype=np.intp), np.empty(m, dtype=np.intp)
-    for b, modes in enumerate(blocks):
-        block[modes] = b
-        local[modes] = np.arange(len(modes))
-    step = table.row_step(1)
-    for lo in range(0, m, step):
-        n, k, value = table.couplings(1, lo, min(lo + step, m))
-        inside = k < m
-        n, k, value = n[inside], k[inside], value[inside]
-        start, size = starts[block[n]], sizes[block[n]]
-        buffer[start + local[n] * size + local[k]] = value
-        buffer[start + local[k] * size + local[n]] = value
-    return [buffer[start : start + size * size].reshape(size, size) for start, size in zip(starts, sizes)]
-
-
 def assemble(
     basis: ModeBasis, density: DensityPerturbation, *, table: SigmaPowerTable | None = None
 ) -> GeneralizedProblem:
     """Assemble the graded pencil block by block over the exact blocks of S_1.
 
-    Each block's S_1 becomes r (I + lam S_1) r in place.  One block is the
-    table's fresh dense S_1; several are scattered from its couplings.
-    Without a table, a power-1 table of the basis size is built.
+    The table's blocks, cut to the basis size, partition the basis; its
+    ``restrict`` gives S_1 on each in a new array, which becomes
+    r (I + lam S_1) r in place.  Without a table, a power-1 table of the
+    basis size is built.
     """
     density.validate(basis.domain)
     m = basis.mode_count
     if table is None:
         table = build_sigma_table(basis, density, 1)
-    if table.size < m:
-        raise ValidationError("table smaller than requested problem size")
     stiffness = basis.eigenvalues()
     # a larger table's blocks, cut to the basis size, are unions of the basis's blocks
     blocks = [modes[: np.searchsorted(modes, m)] for modes in table.blocks()]
     blocks = [modes for modes in blocks if len(modes)]
-    if len(blocks) == 1:
-        graded = table.power(1)
-        pencils = [graded[:m, :m].copy() if table.size > m else graded]
-    else:
-        pencils = _scattered_blocks(table, blocks, m)
+    pencils = table.restrict(1, blocks, m)
     r = 1.0 / np.sqrt(stiffness)
     for modes, graded in zip(blocks, pencils):
         # S = I + lam * S_1 with no identity matrix: adding 0.0 turns the -0.0 of a negative

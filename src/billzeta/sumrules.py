@@ -259,13 +259,10 @@ def tail_estimate(
     m = count if count is not None else basis.mode_count
     if m < 1:
         raise ValidationError("tail needs count >= 1")
+    _validate_s_for_basis(s, basis)
     if basis.dimension == 1:
-        if s <= 0.5:
-            raise ValidationError(f"tail diverges for s = {s} <= 1/2 in 1D")
         ell = length if length is not None else basis.domain.length
         return (ell / math.pi) ** (2 * s) * (m + 0.5) ** (1 - 2 * s) / (2 * s - 1)
-    if s <= 1.0:
-        raise ValidationError(f"tail diverges for s = {s} <= 1 in 2D")
     dom = basis.domain
     a_eff = area if area is not None else dom.a * dom.b
     p_eff = perimeter if perimeter is not None else 2.0 * (dom.a + dom.b)

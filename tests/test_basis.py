@@ -482,12 +482,13 @@ def test_cosine_products_equal_numpy_chebyshev_products():
 
 @contextlib.contextmanager
 def no_dense_power():
-    """Within the block SigmaPowerTable.power raises, so what runs there forms no dense S_j."""
-    def forbidden(self, j):
+    """Within the block SigmaPowerTable.power and .restrict raise: what runs there forms no dense S_j."""
+    def forbidden(self, j, *blocks):
         raise AssertionError(f"a dense S_{j} was formed")
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(SigmaPowerTable, "power", forbidden)
+        patch.setattr(SigmaPowerTable, "restrict", forbidden)
         yield
 
 
@@ -721,6 +722,36 @@ def test_couplings_list_every_nonzero_of_the_power(domain, profile, per_row):
         assert table.row_step(1) > ROW_BLOCK
     if profile is POLY:
         assert table.row_step(1) == ROW_BLOCK
+
+
+SKEW = Polynomial((0.3, 1.0, -0.5))  # not mirror-even: a dense S_1, one block
+
+
+@pytest.mark.parametrize("domain, profile, count", [
+    (String1D(1.0), SKEW, 1),
+    (String1D(1.0), COS2, 2),
+    (String1D(1.0), POLY, 2),
+    (Rectangle2D(1.0, 1.3), Separable2D(((SKEW, FourierCosine((0.0, 1.0))),)), 1),
+    (Rectangle2D(1.0, 1.3), SEP, 4),
+], ids=["polynomial-string", "cosine-string", "even-polynomial-string", "polynomial-x-cosine", "parity-rectangle"])
+def test_restrict_gives_the_dense_power_on_each_block(domain, profile, count):
+    # S_1's exact blocks cut to a size at or below the table's, and one block of every mode
+    # below it: each array is power(j)'s bits on its block, new on every call
+    table = build_sigma_table(ModeBasis(domain, 2 * ROW_BLOCK + 3), profile, 2)
+    assert len(table.blocks()) == count
+    dense = [table.power(j) for j in range(3)]
+    for size in (table.size, ROW_BLOCK + 1, 1):
+        cut = [modes[modes < size] for modes in table.blocks()]
+        for partition in ([modes for modes in cut if len(modes)], [np.arange(size)]):
+            for j in range(3):
+                restricted = table.restrict(j, partition, size)
+                assert len(restricted) == len(partition)
+                for modes, block in zip(partition, restricted):
+                    assert block.tobytes() == dense[j][np.ix_(modes, modes)].tobytes()
+            assert not np.shares_memory(restricted[0], table.restrict(2, partition, size)[0])
+    for size in (0, table.size + 1):
+        with pytest.raises(ValidationError):
+            table.restrict(1, [np.arange(size)], size)
 
 
 def test_density_bound_validation():

@@ -268,6 +268,28 @@ def problems_on_stderr(capsys):
     return doc["problems"]
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["sumrule", "--route", "bogus"], "--route"),
+    (["sumrule", "--modes", "abc"], "--modes"),
+    (["sumrule", "--format", "xml"], "--format"),
+    (["sumrule", "--no-such-flag"], "--no-such-flag"),
+    (["coeffs", "--n-root", "x"], "--n-root"),
+    ([], "command"),
+], ids=["route", "modes", "format", "unknown-flag", "n-root", "no-command"])
+def test_usage_errors_are_one_json_line(capsys, argv, flag):
+    assert main(argv) == EXIT_VALIDATION
+    problems = problems_on_stderr(capsys)
+    assert len(problems) == 1 and flag in problems[0]  # one line: no usage text either
+
+
+def test_help_still_exits_0(capsys):
+    for argv in (["-h"], ["sumrule", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("route", ["closed", "oracle"])
 def test_non_finite_lambda_exits_2(tmp_path, capsys, route):
     rc = main(["sumrule", "--s", "3/2", "--lambda", "nan", "--route", route, "--modes", "20"])

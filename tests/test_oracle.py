@@ -288,22 +288,28 @@ def test_residuals_at_400_modes_match_the_reference_overlap():
     assert np.max(reference) < 1e-10
 
 
-def oracle_traced_peak(profile, m):
-    """tracemalloc's peak, in M x M arrays of doubles, over oracle_sum_rule at two lambdas."""
+def traced_peak(run):
+    """tracemalloc's peak over run(), in bytes."""
     import tracemalloc
 
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def oracle_traced_peak(profile, m):
+    """tracemalloc's peak, in M x M arrays of doubles, over oracle_sum_rule at two lambdas."""
     orders = [RationalOrderSpec.parse("3/2")]
     densities = [DensityPerturbation(profile, lam) for lam in (0.08, 0.16)]
     small = ModeBasis(String1D(1.0), 8)
     oracle_sum_rule(orders, build_sigma_table(small, profile, 2), small, densities)  # lazy imports
     basis = ModeBasis(String1D(1.0), m)
     table = build_sigma_table(basis, profile, 2)
-    tracemalloc.start()
-    try:
-        results = oracle_sum_rule(orders, table, basis, densities)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    results = []
+    peak = traced_peak(lambda: results.extend(oracle_sum_rule(orders, table, basis, densities)))
     assert len(results) == 2
     return peak / (m * m * 8)
 
@@ -317,6 +323,25 @@ def test_oracle_holds_one_dense_matrix_per_solve():
 def test_two_block_oracle_holds_half_a_dense_matrix():
     # the cosine string's odd and even blocks: two (M/2) x (M/2) arrays, 0.57 M^2 measured
     assert oracle_traced_peak(COS2, 400) <= 0.7
+
+
+@pytest.mark.parametrize("domain, profile, dense_sides", [
+    (String1D(1.0), SKEW, False),
+    (RECT, Separable2D(((SKEW, FourierCosine((0.0, 1.0))),)), False),
+    (RECT, Separable2D(((SKEW, Polynomial((0.1, -0.7, 0.4))),)), True),
+], ids=["polynomial-string", "polynomial-x-cosine", "polynomial-x-polynomial"])
+def test_assemble_from_a_larger_table_forms_s1_on_the_basis_only(domain, profile, dense_sides):
+    # one block at M = 400 from an 800-mode table: S_1 is formed on the basis's modes, not
+    # on the table's and cut (5.0 M^2 traced that way on the string, 8.8 on the dense
+    # rectangle).  Dense side factors list about 1.3 x 800 pairs per row, so one step of
+    # couplings, traced on its own, comes on top there.
+    big = build_sigma_table(ModeBasis(domain, 800), profile, 1)
+    basis, density = ModeBasis(domain, 400), DensityPerturbation(profile, 0.1)
+    assert len(big.blocks()) == 1
+    assemble(basis, density, table=big)  # lazy imports and the table's cached pattern
+    step = traced_peak(lambda: big.couplings(1, 0, big.row_step(1))) if dense_sides else 0
+    peak = traced_peak(lambda: assemble(basis, density, table=big))
+    assert peak <= 1.5 * 400 * 400 * 8 + step
 
 
 def test_galerkin_monotone_in_truncation():
