@@ -22,7 +22,6 @@ from .coefficients import (
     GreenCoefficientSet,
     Q_trace_terms,
     build_Q_series,
-    q_closed_form,
     q_generic_recursion,
     trace_terms,
     verify_convolution,
@@ -46,8 +45,6 @@ from .oracle import (
 from .sumrules import (
     RationalOrderSpec,
     SumRuleResult,
-    kernel_second_order,
-    kernel_second_order_presplit,
     tail_estimate,
     z_closed_form,
     z_via_trace,
@@ -83,9 +80,6 @@ __all__ = [
     "convergence_order_fit",
     "delta",
     "eta",
-    "kernel_second_order",
-    "kernel_second_order_presplit",
-    "q_closed_form",
     "q_generic_recursion",
     "solve_spectrum",
     "tail_estimate",

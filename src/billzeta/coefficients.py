@@ -3,9 +3,9 @@
 Q^(k) are the perturbative orders of the density-dressed Green's function in
 the homogeneous basis; q^(k) those of its order-1/N root, defined so that the
 N-fold matrix convolution of sum_k q^(k) lambda^k reproduces sum_k Q^(k) lambda^k
-order by order.  Both a generic per-order recursion and the explicit closed
-forms (orders <= 2, any N) are provided; they agree to rounding on the same
-truncation, which the tests exploit.
+order by order.  A generic per-order recursion solves for them; the tests
+hold it to the explicit closed forms (orders <= 2, any N), which agree to
+rounding on the same truncation.
 
 The trace routes need less: q^(0) is diagonal, so the lambda^2 trace reads the
 order-1 matrices entry by entry but only the diagonal of each order-2 one.
@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ModeBasis, SigmaPowerTable, build_sigma_table
+from .basis import ModeBasis, SigmaPowerTable
 from .errors import ValidationError
-from .kernels import delta_matrix, eta_matrix, validate_root_order
+from .kernels import eta_matrix, validate_root_order
 
 
 def half_binomial(k: int) -> float:
@@ -97,38 +97,6 @@ def build_Q_series(k: int, table: SigmaPowerTable, basis: ModeBasis) -> tuple:
     half = [np.ones(table.size)] + [half_binomial(j) * table.power(j) for j in range(1, k + 1)]
     series = _series_product([h * inv for h in half], half, k)
     return (np.diag(series[0]), *(_sym(q) for q in series[1:]))
-
-
-def q_closed_form(n_root: int, k: int, table: SigmaPowerTable, basis: ModeBasis) -> np.ndarray:
-    """Explicit closed forms of q^(k) for k <= 2 at any root order N.
-
-    q^(0) = diag(eps^{-1/N}); q^(1) = (1/2) Delta * S_1; q^(2) adds the
-    xi-kernel double sum.  Orders above two must use the generic recursion.
-    """
-    n = validate_root_order(n_root)
-    if k < 0 or k > 2:
-        raise ValidationError("closed forms cover orders 0..2; use the generic recursion")
-    m = table.size
-    eps = basis.eigenvalues()[:m]
-    if k == 0:
-        return np.diag(eps ** (-1.0 / n))
-    dmat = delta_matrix(n, eps)
-    if k == 1:
-        return _sym(0.5 * dmat * table.power(1))
-    s1 = table.power(1)
-    b = dmat * s1
-    inv = 1.0 / eps
-    plain = (s1 * inv[None, :]) @ s1
-    # xi-weighted part: sum over the (j, l) exponent lattice of the xi kernel
-    lattice = np.zeros((m, m))
-    for j in range(n - 1):
-        u_j = eps ** (-j / n)
-        for l in range(n - 1 - j):
-            u_l = eps ** (-l / n)
-            u_c = eps ** (-(n - 2 - j - l) / n)
-            lattice += (u_j[:, None] * b * u_l[None, :]) @ (b * u_c[None, :])
-    q2 = -0.125 * dmat * table.power(2) + (plain - lattice) / (4.0 * eta_matrix(n, eps))
-    return _sym(q2)
 
 
 def _series_power(series, n_factors: int, top: int) -> list:
@@ -272,17 +240,6 @@ def verify_convolution(
         float(np.max(np.abs(conv[inner, inner] - target[inner, inner])))
         for conv, target in zip(chain, targets)
     ]
-
-
-def reference_Q(k: int, basis: ModeBasis, density, size: int, *, growth: int = 2, nodes=None) -> list:
-    """Q^(0..k) with internal sums converged beyond truncation `size`.
-
-    Built at growth * size modes and sliced back; for banded (cosine) profiles
-    this makes the internal mode sums exact for the retained block.
-    """
-    big = ModeBasis(basis.domain, max(size * growth, size + 8))
-    table = build_sigma_table(big, density, max(k, 1), nodes=nodes)
-    return [q[:size, :size] for q in build_Q_series(k, table, big)]
 
 
 def export_coefficients_csv(matrix: np.ndarray, path) -> None:

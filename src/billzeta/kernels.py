@@ -92,8 +92,3 @@ def eta_matrix(n_root: int, eps: np.ndarray) -> np.ndarray:
     e = np.asarray(eps, dtype=float)
     return eta(n_root, e[:, None], e[None, :])
 
-
-def delta_matrix(n_root: int, eps: np.ndarray) -> np.ndarray:
-    """Dense delta(N; eps_i, eps_j) over one eigenvalue vector."""
-    e = np.asarray(eps, dtype=float)
-    return delta(n_root, e[:, None], e[None, :])

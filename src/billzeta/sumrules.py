@@ -178,34 +178,6 @@ class SumRuleResult:
 # ---------------------------------------------------------------------------
 
 
-def kernel_second_order(eps_n: float, eps_m: float, s: float, *, rtol: float = 1e-12) -> float:
-    """Off-diagonal second-order kernel K = (eps_n^{1-s} - eps_m^{1-s})/(eps_m - eps_n).
-
-    Evaluated through expm1/log1p near the diagonal, so nearly and exactly
-    degenerate pairs get the analytic limit (s - 1) eps_n^{-s} without
-    cancellation.  Arguments are ordered internally, making the symmetry
-    K(a, b) = K(b, a) bit-exact.
-    """
-    if eps_n <= 0 or eps_m <= 0:
-        raise ValidationError("eigenvalues must be positive")
-    lo, hi = (eps_n, eps_m) if eps_n <= eps_m else (eps_m, eps_n)
-    h = (hi - lo) / lo
-    if abs(h) <= rtol:
-        return (s - 1.0) * lo ** (-s)
-    if h < 0.5:
-        return lo ** (-s) * (-math.expm1((1.0 - s) * math.log1p(h))) / h
-    return (lo ** (1.0 - s) - hi ** (1.0 - s)) / (hi - lo)
-
-
-def kernel_second_order_presplit(eps_n: float, eps_m: float, s: float) -> float:
-    """Pre-split kernel ((eps_m + 3 eps_n) eps_n^{-s} - (3 eps_m + eps_n) eps_m^{-s})/(eps_m - eps_n).
-
-    Equal to (eps_m^{-s} + eps_n^{-s}) + 4 K(eps_n, eps_m; s); its diagonal
-    limit 2(2s - 1) eps_n^{-s} is the regularity anchor.
-    """
-    return (eps_m ** (-s) + eps_n ** (-s)) + 4.0 * kernel_second_order(eps_n, eps_m, s)
-
-
 def kernel_pairs(lo: np.ndarray, hi: np.ndarray, s: float, weights: np.ndarray | None = None) -> np.ndarray:
     """K(lo, hi; s) pair by pair, for eigenvalue pairs lo <= hi.
 

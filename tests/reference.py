@@ -1,0 +1,101 @@
+"""Independent references the tests check the library against; no route calls them.
+
+* ``q_closed_form``: the explicit closed forms of q^(k), k <= 2, at any root
+  order N, against which the generic recursion is checked;
+* ``reference_Q``: Q^(0..k) with its internal mode sums converged beyond a
+  truncation;
+* ``kernel_second_order`` and ``kernel_second_order_presplit``: the scalar
+  second-order kernels, against which ``sumrules.kernel_pairs`` and the
+  diagonal regularity anchor are checked.
+"""
+
+import math
+
+import numpy as np
+
+from billzeta.basis import ModeBasis, SigmaPowerTable, build_sigma_table
+from billzeta.coefficients import build_Q_series
+from billzeta.errors import ValidationError
+from billzeta.kernels import delta, eta_matrix, validate_root_order
+
+
+def delta_matrix(n_root: int, eps: np.ndarray) -> np.ndarray:
+    """Dense delta(N; eps_i, eps_j) over one eigenvalue vector."""
+    e = np.asarray(eps, dtype=float)
+    return delta(n_root, e[:, None], e[None, :])
+
+
+def _sym(a: np.ndarray) -> np.ndarray:
+    """Symmetric part (a + a^T)/2."""
+    return (a + a.T) * 0.5
+
+
+def q_closed_form(n_root: int, k: int, table: SigmaPowerTable, basis: ModeBasis) -> np.ndarray:
+    """Explicit closed forms of q^(k) for k <= 2 at any root order N.
+
+    q^(0) = diag(eps^{-1/N}); q^(1) = (1/2) Delta * S_1; q^(2) adds the
+    xi-kernel double sum.  Orders above two must use the generic recursion.
+    """
+    n = validate_root_order(n_root)
+    if k < 0 or k > 2:
+        raise ValidationError("closed forms cover orders 0..2; use the generic recursion")
+    m = table.size
+    eps = basis.eigenvalues()[:m]
+    if k == 0:
+        return np.diag(eps ** (-1.0 / n))
+    dmat = delta_matrix(n, eps)
+    if k == 1:
+        return _sym(0.5 * dmat * table.power(1))
+    s1 = table.power(1)
+    b = dmat * s1
+    inv = 1.0 / eps
+    plain = (s1 * inv[None, :]) @ s1
+    # xi-weighted part: sum over the (j, l) exponent lattice of the xi kernel
+    lattice = np.zeros((m, m))
+    for j in range(n - 1):
+        u_j = eps ** (-j / n)
+        for l in range(n - 1 - j):
+            u_l = eps ** (-l / n)
+            u_c = eps ** (-(n - 2 - j - l) / n)
+            lattice += (u_j[:, None] * b * u_l[None, :]) @ (b * u_c[None, :])
+    q2 = -0.125 * dmat * table.power(2) + (plain - lattice) / (4.0 * eta_matrix(n, eps))
+    return _sym(q2)
+
+
+def reference_Q(k: int, basis: ModeBasis, density, size: int, *, growth: int = 2, nodes=None) -> list:
+    """Q^(0..k) with internal sums converged beyond truncation `size`.
+
+    Built at growth * size modes and sliced back; for banded (cosine) profiles
+    this makes the internal mode sums exact for the retained block.
+    """
+    big = ModeBasis(basis.domain, max(size * growth, size + 8))
+    table = build_sigma_table(big, density, max(k, 1), nodes=nodes)
+    return [q[:size, :size] for q in build_Q_series(k, table, big)]
+
+
+def kernel_second_order(eps_n: float, eps_m: float, s: float, *, rtol: float = 1e-12) -> float:
+    """Off-diagonal second-order kernel K = (eps_n^{1-s} - eps_m^{1-s})/(eps_m - eps_n).
+
+    Evaluated through expm1/log1p near the diagonal, so nearly and exactly
+    degenerate pairs get the analytic limit (s - 1) eps_n^{-s} without
+    cancellation.  Arguments are ordered internally, making the symmetry
+    K(a, b) = K(b, a) bit-exact.
+    """
+    if eps_n <= 0 or eps_m <= 0:
+        raise ValidationError("eigenvalues must be positive")
+    lo, hi = (eps_n, eps_m) if eps_n <= eps_m else (eps_m, eps_n)
+    h = (hi - lo) / lo
+    if abs(h) <= rtol:
+        return (s - 1.0) * lo ** (-s)
+    if h < 0.5:
+        return lo ** (-s) * (-math.expm1((1.0 - s) * math.log1p(h))) / h
+    return (lo ** (1.0 - s) - hi ** (1.0 - s)) / (hi - lo)
+
+
+def kernel_second_order_presplit(eps_n: float, eps_m: float, s: float) -> float:
+    """Pre-split kernel ((eps_m + 3 eps_n) eps_n^{-s} - (3 eps_m + eps_n) eps_m^{-s})/(eps_m - eps_n).
+
+    Equal to (eps_m^{-s} + eps_n^{-s}) + 4 K(eps_n, eps_m; s); its diagonal
+    limit 2(2s - 1) eps_n^{-s} is the regularity anchor.
+    """
+    return (eps_m ** (-s) + eps_n ** (-s)) + 4.0 * kernel_second_order(eps_n, eps_m, s)

@@ -20,9 +20,7 @@ from billzeta.basis import (
 )
 from billzeta.coefficients import (
     build_Q_series,
-    q_closed_form,
     q_generic_recursion,
-    reference_Q,
     verify_convolution,
 )
 from billzeta.kernels import delta, eta, xi
@@ -35,11 +33,11 @@ from billzeta.oracle import (
 )
 from billzeta.sumrules import (
     RationalOrderSpec,
-    kernel_second_order_presplit,
     z_closed_form,
     z_via_trace,
 )
 
+from reference import kernel_second_order_presplit, q_closed_form, reference_Q
 from test_coefficients import half_order_recursive_forms, max_rel, random_table
 from test_kernels import delta_table, eta_table, xi_table
 

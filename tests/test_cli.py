@@ -1,10 +1,13 @@
 import argparse
 import csv
+import gc
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -180,7 +183,7 @@ def test_coeffs_matches_closed_form_route(tmp_path):
          "--lambda", "0.1", "--out", str(out)]
     ) == EXIT_OK
     from billzeta.basis import FourierCosine, ModeBasis, String1D, build_sigma_table
-    from billzeta.coefficients import q_closed_form
+    from reference import q_closed_form
 
     basis = ModeBasis(String1D(1.0), 12)
     table = build_sigma_table(basis, FourierCosine((0.0, 0.0, 1.0)), 2)
@@ -768,6 +771,58 @@ def test_cosine_runs_leave_numpy_polynomial_unimported(tmp_path, kind):
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
     assert (tmp_path / "r.csv").exists()
+
+
+def test_main_freezes_the_start_up_heap_and_still_collects_the_runs_cycles(tmp_path):
+    enabled = gc.isenabled()
+    assert main(["sumrule", "--modes", "20", "--s", "3/2", "--lambda", "0.1",
+                 "--route", "closed", "--out", str(tmp_path / "r.csv")]) == EXIT_OK
+    assert gc.isenabled() == enabled
+    assert gc.get_freeze_count() > 0
+
+    class Node:
+        pass
+
+    node = Node()
+    node.self = node  # a reference cycle made after the freeze
+    watched = weakref.ref(node)
+    del node
+    gc.collect()
+    assert watched() is None
+
+
+def test_module_entry_point_writes_finite_csv(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "billzeta.cli", "sumrule", "--modes", "40", "--s", "3/2",
+         "--s", "1+1/2", "--lambda", "0.1", "--out", "r.csv"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    rows = read_csv(tmp_path / "r.csv")
+    assert len(rows) == 6  # two orders on three routes
+    assert all(math.isfinite(float(r["z_total"])) and float(r["z_total"]) > 0 for r in rows)
+
+
+@pytest.mark.parametrize("basis, density, where", [
+    ({"kind": "string", "length": 1e150}, {}, "order 1+1/2"),  # eps^-s overflows
+    ({"kind": "string", "length": 1e-150}, {}, "order 1+1/2"),  # eps^-s underflows
+    ({"kind": "rectangle", "a": 1e-200, "b": 1.0}, COS_2D_DENSITY, "basis: pi^2/a^2"),
+    ({"kind": "rectangle", "a": 1e200, "b": 1.0}, COS_2D_DENSITY, "basis: pi^2/a^2"),
+], ids=["long-string", "short-string", "thin-rectangle", "long-rectangle"])
+def test_extreme_geometry_exits_2(tmp_path, capsys, basis, density, where):
+    cfg = write_config(tmp_path, basis=basis, density=density)
+    argv = ["sumrule", "--config", str(cfg), "--modes", "40", "--s", "1+1/2", "--lambda", "0.1"]
+    assert main(argv) == EXIT_VALIDATION
+    problems = problems_on_stderr(capsys)
+    assert len(problems) == 1 and problems[0].startswith(where) and "normal doubles" in problems[0]
+
+
+def test_short_string_inside_the_normal_doubles_still_runs(tmp_path):
+    cfg = write_config(tmp_path, basis={"kind": "string", "length": 1e-100},
+                       output={"path": str(tmp_path / "r.csv")})
+    assert main(["sumrule", "--config", str(cfg), "--modes", "40", "--s", "1+1/2"]) == EXIT_OK
+    assert all(float(r["z_total"]) > 0 for r in read_csv(tmp_path / "r.csv"))
 
 
 def test_non_finite_length_exits_2(tmp_path, capsys):

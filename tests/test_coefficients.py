@@ -22,15 +22,15 @@ from billzeta.coefficients import (
     build_Q_series,
     export_coefficients_csv,
     half_binomial,
-    q_closed_form,
     q_diagonal,
     q_generic_recursion,
-    reference_Q,
     trace_terms,
     verify_convolution,
 )
 from billzeta.errors import ValidationError
-from billzeta.kernels import delta, delta_matrix, eta, eta_matrix, xi
+from billzeta.kernels import delta, eta, eta_matrix, xi
+
+from reference import delta_matrix, q_closed_form, reference_Q
 
 RNG = np.random.default_rng(11)
 COS2 = FourierCosine((0.0, 0.0, 1.0))

