@@ -30,11 +30,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
+from ._record import dataclass, field
 from .errors import QuadratureError, ValidationError
 
 _GL_PANEL_NODES = 32
@@ -545,7 +545,7 @@ def _join(root: np.ndarray, n: np.ndarray, m: np.ndarray) -> np.ndarray:
             root = jumped
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: identity == and hash
 class SigmaPowerTable:
     """Matrices S_j[n, m] = <n| sigma^j |m> for j = 0..max_power, n, m = 1..size.
 

@@ -18,10 +18,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import coefficients, oracle, sumrules
+from ._record import dataclass
 from .basis import (
     ROW_BLOCK,
     DensityPerturbation,
@@ -450,10 +452,24 @@ def _write_records(records: list[SumRuleResult], cfg: RunConfig, extra: dict | N
 def _emit(text: str, cfg: RunConfig) -> None:
     """Write text to the configured output path, or to stdout."""
     if cfg.out_path:
-        with open(cfg.out_path, "w", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out_path, "w", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _unwritable(cfg.out_path, exc) from exc
     else:
         sys.stdout.write(text)
+
+
+def _require_finite(values, what: str) -> None:
+    """A result outside the doubles is a numerical failure (exit 3): exit 0 prints only finite numbers."""
+    if not np.isfinite(values).all():
+        raise NumericalError(f"{what} is not finite")
+
+
+def _unwritable(path: str, exc: OSError) -> ValidationError:
+    """An output path the run cannot write to is a usage error (exit 2) that names the path."""
+    return ValidationError(f"output path {path!r} cannot be written: {exc.strerror or exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +500,10 @@ def cmd_sumrule(cfg: RunConfig) -> int:
                 "order": spec.label(), "lambda": density.lam, "pair": f"{a}-vs-{b}",
                 "abs_difference": abs(group[a].z_total - group[b].z_total),
             })
+    for r in records:
+        _require_finite([r.z0, r.z1, r.z2, r.resummation_correction, r.z_total, r.tail_estimate],
+                        f"{r.route} Z({r.order_label}) at lambda={r.lam:g}")
+    _require_finite([d["abs_difference"] for d in diffs], "a pairwise difference")
     extra = {"differences": diffs} if diffs else None
     _write_records(records, cfg, extra)
     if diffs and (cfg.out_path or cfg.out_format == "csv"):
@@ -501,14 +521,17 @@ def cmd_coeffs(cfg: RunConfig, n_root: int, max_order: int) -> int:
     cset = coefficients.q_generic_recursion(n_root, big_q, cfg.basis)
     residuals = coefficients.verify_convolution(cset, discard=cfg.inner_discard)
     out_dir = Path(cfg.out_path or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
     summary = {"n_root": n_root, "max_order": max_order, "modes": cfg.basis.mode_count, "orders": []}
-    for k, residual in enumerate(residuals):
-        path = out_dir / f"q_N{n_root}_order{k}.csv"
-        coefficients.export_coefficients_csv(cset.q_orders[k], path)
-        summary["orders"].append({"order": k, "file": path.name, "convolution_residual": residual})
     summary_path = out_dir / f"residuals_N{n_root}.json"
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for k, residual in enumerate(residuals):
+            path = out_dir / f"q_N{n_root}_order{k}.csv"
+            coefficients.export_coefficients_csv(cset.q_orders[k], path)
+            summary["orders"].append({"order": k, "file": path.name, "convolution_residual": residual})
+        summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise _unwritable(str(out_dir), exc) from exc
     sys.stdout.write(f"wrote {max_order + 1} coefficient files and {summary_path.name}\n")
     return EXIT_OK
 
@@ -561,39 +584,36 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # the options every subcommand takes, built once and copied into each subparser
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", default=None, help="JSON run configuration")
+    common.add_argument("--s", action="append", default=None, metavar="SPEC",
+                        help="rational order, e.g. 3/2, 1+1/4 or 1/2+1/3 (repeatable)")
+    common.add_argument("--lambda", dest="lam", default=None, metavar="X[,X...]",
+                        help="density strength(s)")
+    common.add_argument("--route", choices=ROUTES, default=None)
+    common.add_argument("--resummed", action="store_true", help="resummed diagonal mode")
+    # ignored; kept only because perfbench/workloads.py passes it on every invocation
+    common.add_argument("--cache-dir", help=argparse.SUPPRESS)
+    common.add_argument("--out", default=None)
+    common.add_argument("--format", choices=("csv", "json"), default=None)
+    common.add_argument("--modes", type=int, default=None, help="basis truncation M")
+
     parser = _Parser(
         prog="billzeta",
         description="Spectral zeta functions of rational order for heterogeneous billiards",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", default=None, help="JSON run configuration")
-        p.add_argument("--s", action="append", default=None, metavar="SPEC",
-                       help="rational order, e.g. 3/2, 1+1/4 or 1/2+1/3 (repeatable)")
-        p.add_argument("--lambda", dest="lam", default=None, metavar="X[,X...]",
-                       help="density strength(s)")
-        p.add_argument("--route", choices=ROUTES, default=None)
-        p.add_argument("--resummed", action="store_true", help="resummed diagonal mode")
-        # ignored; kept only because perfbench/workloads.py passes it on every invocation
-        p.add_argument("--cache-dir", help=argparse.SUPPRESS)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--modes", type=int, default=None, help="basis truncation M")
-
-    p_sum = sub.add_parser("sumrule", help="compute Z(s) by the requested routes")
-    common(p_sum)
-    p_coef = sub.add_parser("coeffs", help="dump q^(k) coefficient matrices as CSV")
-    common(p_coef)
+    sub.add_parser("sumrule", parents=[common], help="compute Z(s) by the requested routes")
+    p_coef = sub.add_parser("coeffs", parents=[common], help="dump q^(k) coefficient matrices as CSV")
     p_coef.add_argument("--n-root", type=int, default=2, help="root order N")
     p_coef.add_argument("--max-order", type=int, default=2)
-    p_ver = sub.add_parser("verify", help="lambda-scaling validation against the oracle")
-    common(p_ver)
+    p_ver = sub.add_parser("verify", parents=[common],
+                           help="lambda-scaling validation against the oracle")
     p_ver.add_argument("--threshold", type=float, default=None, help="minimum slope")
     p_ver.add_argument("--first-order-only", action="store_true",
                        help="drop the second-order term (harness self-check)")
-    p_spec = sub.add_parser("spectrum", help="export the heterogeneous spectrum as CSV")
-    common(p_spec)
+    sub.add_parser("spectrum", parents=[common], help="export the heterogeneous spectrum as CSV")
     return parser
 
 

@@ -18,10 +18,9 @@ general-order reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import dataclass
 from .basis import ModeBasis, SigmaPowerTable
 from .errors import ValidationError
 from .kernels import eta_matrix, validate_root_order
@@ -40,7 +39,7 @@ def half_binomial(k: int) -> float:
     return b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: identity == and hash
 class GreenCoefficientSet:
     """Per-order coefficient matrices q^(0..K) and Q^(0..K) for one root order."""
 

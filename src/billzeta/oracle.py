@@ -14,10 +14,10 @@ eigenvalues' direct zeta sums validate every perturbative claim.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._record import dataclass, field
 from .basis import (
     DensityPerturbation,
     ModeBasis,
@@ -44,7 +44,7 @@ from .sumrules import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: identity == and hash
 class GeneralizedProblem:
     """Galerkin projection K c = E S c on the truncated homogeneous basis, kept graded by blocks.
 

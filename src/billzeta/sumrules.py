@@ -28,11 +28,11 @@ per order, and returns one result per (order, density), order-major.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from ._record import dataclass
 from .basis import DensityPerturbation, ModeBasis, SigmaPowerTable
 from .coefficients import Q_diagonal, Q_trace_terms, q_diagonal, trace_terms
 from .errors import ValidationError

@@ -1,9 +1,12 @@
 import argparse
+import contextlib
 import csv
 import gc
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -12,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from billzeta.cli import (
@@ -20,6 +23,7 @@ from billzeta.cli import (
     EXIT_OK,
     EXIT_SLOPE,
     EXIT_VALIDATION,
+    ROUTES,
     _build_parser,
     load_config,
     main,
@@ -291,6 +295,20 @@ def test_help_still_exits_0(capsys):
             main(argv)
         assert exc.value.code == 0
         assert "usage:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, out", [
+    ("sumrule", "missing/r.csv"),
+    ("spectrum", "."),
+    ("coeffs", "afile"),
+    ("coeffs", "afile/sub"),
+], ids=["sumrule-missing-directory", "spectrum-directory", "coeffs-existing-file", "coeffs-below-a-file"])
+def test_unwritable_output_path_exits_2_naming_it(tmp_path, capsys, command, out):
+    (tmp_path / "afile").write_text("")
+    out = str(tmp_path / out)
+    assert main([command, "--modes", "20", "--lambda", "0.1", "--out", out]) == EXIT_VALIDATION
+    problems = problems_on_stderr(capsys)
+    assert len(problems) == 1 and repr(out) in problems[0]
 
 
 @pytest.mark.parametrize("route", ["closed", "oracle"])
@@ -909,3 +927,74 @@ def test_any_json_object_loads_or_raises_config_error(config):
             load_config(str(path), NoOverrides())
         except ConfigError as exc:
             assert exc.problems
+
+
+def _side_profile(draw, length):
+    """A 1D profile dict on [0, length] and an upper bound of its sup there."""
+    kind = draw(st.sampled_from(["fourier-cosine", "polynomial", "tabulated"]))
+    unit = st.floats(-1.0, 1.0)
+    if kind == "fourier-cosine":
+        coeffs = draw(st.lists(unit, min_size=1, max_size=4))
+        return {"type": kind, "coeffs": coeffs}, sum(map(abs, coeffs))
+    if kind == "polynomial":  # sum_p b_p (x / L)^p, whose coefficients may leave the doubles
+        scaled = draw(st.lists(unit, min_size=1, max_size=3))
+        with np.errstate(all="ignore"):
+            coeffs = [float(np.float64(b) / np.float64(length) ** p) for p, b in enumerate(scaled)]
+        return {"type": kind, "coeffs": coeffs}, sum(map(abs, scaled))
+    # samples reach past both ends of [0, L]; np.interp holds the end values beyond them
+    fractions = draw(st.lists(st.floats(-0.5, 1.5), min_size=2, max_size=5, unique=True))
+    ys = draw(st.lists(unit, min_size=len(fractions), max_size=len(fractions)))
+    return {"type": kind, "x": [f * length for f in sorted(fractions)], "y": ys}, max(map(abs, ys))
+
+
+@st.composite
+def _runs(draw):
+    """argv for any subcommand on a valid-looking config, with extreme sizes and strengths."""
+    length = (st.floats(-3.0, 3.0) | st.floats(-300.0, 300.0)).map(lambda e: 10.0**e)
+    if draw(st.booleans()):
+        side = draw(length)
+        basis = {"kind": "string", "length": side}
+        profile, sup = _side_profile(draw, side)
+    else:
+        a, b = draw(length), draw(length)
+        (px, sup_x), (py, sup_y) = _side_profile(draw, a), _side_profile(draw, b)
+        basis = {"kind": "rectangle", "a": a, "b": b}
+        profile, sup = {"type": "separable", "terms": [{"x": px, "y": py}]}, sup_x * sup_y
+    ratio = draw(st.floats(-1.0, 1.0))  # lambda * sup|sigma|, up to the bound
+    lam = ratio / sup if 0.0 < sup < math.inf else ratio
+    # 1/2 + 1/64 and 1 + 1/64 are next to the 1D and 2D divergences; 1/N + 1/N' may pass them
+    n, n2 = draw(st.integers(2, 64)), draw(st.integers(2, 64))
+    order = draw(st.sampled_from([f"1+1/{n}", f"1/2+1/{n}", f"1/{n}+1/{n2}"]))
+    command = draw(st.sampled_from(["sumrule", "verify", "spectrum", "coeffs"]))
+    argv = [command, "--modes", str(draw(st.integers(1, 40))), "--s", order]
+    if command == "sumrule":
+        argv += ["--route", draw(st.sampled_from(ROUTES))]
+    lams = [abs(lam) / 4, abs(lam) / 2, abs(lam)] if command == "verify" else [lam]
+    argv.append("--lambda=" + ",".join(repr(x) for x in lams))  # "=": "-1e-05" is not an option
+    return {"basis": basis, "density": {"profile": profile}}, argv
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_runs())
+# lambda^2 overflows while <sigma^2> underflows, so z2 is inf * 0: exit 3, not a NaN with exit 0
+@example(({"basis": {"kind": "string", "length": 1.0},
+           "density": {"profile": {"type": "tabulated", "x": [0.0, 1.0], "y": [0.0, 1.4681182666877972e-189]}}},
+          ["sumrule", "--modes", "1", "--s", "1+1/2", "--route", "closed", "--lambda=6.811440349802929e+188"]))
+def test_any_valid_looking_run_exits_cleanly(run):
+    config, argv = run
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.json"
+        path.write_text(json.dumps(config))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--config", str(path), "--out", str(Path(tmp) / "out")])
+        written = [p.read_text() for p in Path(tmp).rglob("*") if p.is_file() and p != path]
+    if code == EXIT_SLOPE:  # a verify fit below the threshold: a verdict on stdout, not an error
+        assert argv[0] == "verify" and err.getvalue() == ""
+    elif code != EXIT_OK:
+        assert code in (EXIT_VALIDATION, EXIT_NUMERICAL)
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] in ("validation", "numerical")
+    else:
+        for text in [out.getvalue(), *written]:
+            assert not re.search(r"(?i)\b(nan|inf|infinity)\b", text), text
