@@ -32,7 +32,6 @@ from .errors import (
     FactorizationError,
     InsufficientDataError,
     NumericalError,
-    QuadratureError,
     ValidationError,
 )
 from .kernels import delta, eta, xi
@@ -64,7 +63,6 @@ __all__ = [
     "ModeBasis",
     "NumericalError",
     "Polynomial",
-    "QuadratureError",
     "Q_trace_terms",
     "RationalOrderSpec",
     "Rectangle2D",

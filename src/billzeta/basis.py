@@ -11,8 +11,8 @@ consumes the basis through two objects built here:
 On the string 2 sin(n t) sin(m t) = cos((n-m) t) - cos((n+m) t), so every
 matrix element is read from the cosine coefficients c_k of the function:
 <n| f |m> = (c_|n-m| - c_{n+m})/2, plus c_0 on the diagonal.  Those are
-exact products of cosine series (convolutions) for a cosine profile and
-composite Gauss-Legendre moments otherwise; a profile even about the
+exact: convolutions for cosine factors, closed-form moments of polynomial
+pieces (with a rounding bound) otherwise; a profile even about the
 midpoint of its side has exactly zero odd coefficients, so S_j[n, m] is 0
 for n + m odd (mirror parity, an exact selection rule).  A string table
 keeps only the coefficients of sigma^j.  On the rectangle sigma^j is a sum of separable
@@ -35,10 +35,12 @@ from fractions import Fraction
 import numpy as np
 
 from ._record import dataclass, field
-from .errors import QuadratureError, ValidationError
+from .errors import NumericalError, ValidationError
 
-_GL_PANEL_NODES = 32
-_NODE_CHUNK = 256  # quadrature nodes per block of exponential rows
+_PIECE_DEGREE = 8  # a piecewise-polynomial product of degree D is cut into 1 + D // 8 pieces or more
+_MOMENT_BLOCK = 2**15  # pieces x harmonics per array of the moment recursion
+_RECURSION_UNITS = 64  # rounding units that bound the error of each moment r_p of a piece
+_EPS = float(np.finfo(float).eps)
 ROW_BLOCK = 64  # rows per step wherever S_j's couplings are walked
 
 
@@ -173,8 +175,19 @@ class Polynomial:
         return all(c == 0.0 for c in self.coeffs)
 
     def bandwidth(self) -> int:
-        # algebraic, not oscillatory; small constant keeps the node plan safe
+        # algebraic, not oscillatory: a small constant sets _profile_sup's sampling
         return len(self.coeffs) + 8
+
+    def local_coefficients(self, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """p(c + h t) in t on each piece [c - h, c + h] between edges, by Horner's rule; rounding bounds."""
+        line = np.stack([0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])], axis=1)
+        line = line, _EPS * np.abs(line)
+        q = np.full((len(edges) - 1, 1), self.coeffs[-1]), np.zeros((len(edges) - 1, 1))
+        for a in self.coeffs[-2::-1]:
+            q = _local_product(q, line)
+            q[0][:, 0] += a
+            q[1][:, 0] += _EPS * np.abs(q[0][:, 0])
+        return q
 
     def is_even(self, length: float) -> bool:
         """p(L - x) = p(x) exactly: p(L - x) expanded in rationals, each float taken exactly, is p."""
@@ -190,7 +203,7 @@ class Polynomial:
 
 @dataclass(frozen=True)
 class Tabulated:
-    """Piecewise-linear interpolation through (x, y) samples (lower-accuracy path)."""
+    """Piecewise-linear interpolation through (x, y) samples, constant beyond them (np.interp)."""
 
     xs: tuple[float, ...]
     ys: tuple[float, ...]
@@ -214,6 +227,13 @@ class Tabulated:
 
     def bandwidth(self) -> int:
         return max(16, len(self.xs))
+
+    def local_coefficients(self, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(v_0 + v_1)/2 + t (v_1 - v_0)/2 on each piece between edges, which include every abscissa
+        inside them; np.interp's end values are within a few units of the largest |sample|."""
+        v = np.interp(edges, self.xs, self.ys)
+        q = np.stack([0.5 * (v[1:] + v[:-1]), 0.5 * (v[1:] - v[:-1])], axis=1)
+        return q, np.full_like(q, 4 * _EPS * max(map(abs, self.ys)))
 
     def is_even(self, length: float) -> bool:
         """The interpolant is mirror-even exactly: ys a palindrome, xs[i] + xs[-1-i] = L in rationals."""
@@ -251,7 +271,7 @@ def _profile_sup(profile: Profile1D, length: float) -> float:
     # 32 samples per period of the fastest cosine, so high frequencies cannot alias
     xs = np.linspace(0.0, length, max(4097, 32 * profile.bandwidth() + 1))
     if isinstance(profile, Tabulated):
-        xs = np.union1d(xs, np.clip(profile.xs, 0.0, length))
+        xs = np.concatenate([xs, np.clip(profile.xs, 0.0, length)])  # np.union1d would import numpy.ma
     return float(np.max(np.abs(profile.evaluate(xs, length))))
 
 
@@ -295,57 +315,8 @@ class DensityPerturbation:
 
 
 # ---------------------------------------------------------------------------
-# quadrature machinery
+# cosine coefficients
 # ---------------------------------------------------------------------------
-
-
-# The positive half of the 32-point Gauss-Legendre rule on [-1, 1], ascending: (node, weight).
-# numpy's leggauss(32) symmetrises its rule, so the negative half mirrors these bits exactly.
-_GL_HALF = (
-    (0.048307665687738324, 0.09654008851472766),
-    (0.1444719615827965, 0.09563872007927471),
-    (0.23928736225213706, 0.09384439908080451),
-    (0.33186860228212767, 0.09117387869576378),
-    (0.42135127613063533, 0.08765209300440378),
-    (0.5068999089322294, 0.08331192422694671),
-    (0.5877157572407623, 0.07819389578707023),
-    (0.6630442669302152, 0.07234579410884834),
-    (0.7321821187402897, 0.06582222277636168),
-    (0.7944837959679424, 0.058684093478535565),
-    (0.84936761373257, 0.05099805926237609),
-    (0.8963211557660521, 0.042835898022226836),
-    (0.9349060759377397, 0.034273862913021765),
-    (0.9647622555875064, 0.025392065309262024),
-    (0.9856115115452684, 0.016274394730905743),
-    (0.9972638618494816, 0.007018610009470506),
-)
-
-
-def _gl_panel() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes (ascending) and weights of the 32-point Gauss-Legendre rule: leggauss(32), bit for bit."""
-    x, w = np.array(_GL_HALF).T
-    return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
-
-
-def _composite_grid(length: float, total_nodes: int, breakpoints=()) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre grid on [0, length] with >= total_nodes nodes.
-
-    Panel edges include any interpolation breakpoints so piecewise-smooth
-    integrands stay panelwise analytic.
-    """
-    panels = max(1, math.ceil(total_nodes / _GL_PANEL_NODES))
-    edges = np.linspace(0.0, length, panels + 1)
-    if len(breakpoints):
-        inner = np.asarray(breakpoints, dtype=float)
-        inner = inner[(inner > 0.0) & (inner < length)]
-        edges = np.unique(np.concatenate([edges, inner]))
-    xg, wg = _gl_panel()
-    lo, hi = edges[:-1], edges[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    x = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    w = (half[:, None] * wg[None, :]).ravel()
-    return x, w
 
 
 def _padded_cosine(coeffs: np.ndarray, n_max: int) -> np.ndarray:
@@ -367,90 +338,110 @@ def _exact_cosine_elements(n_max: int, coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _exp_rows(step: np.ndarray, count: int) -> np.ndarray:
-    """Rows step**k, k = 0..count-1, by doubling: each new block is the rows so far times one row.
+def _local_product(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """The product of two polynomials on each piece, as (coefficients, rounding bounds) pairs: row-wise
+    np.convolve; (a + da)(b + db) - ab = a db + da (b + db), and each sum rounds within min(deg) + 2 units."""
+    def convolve(x, y):
+        out = np.zeros((len(x), x.shape[1] + y.shape[1] - 1))
+        for i in range(x.shape[1]):
+            out[:, i : i + y.shape[1]] += x[:, i, None] * y
+        return out
 
-    That takes about log2(count) vectorised multiplications.  Row k is still a
-    product of k factors, so for |step| = 1 its error stays within about k
-    rounding units.
+    (a, da), (b, db) = a, b
+    units = (min(a.shape[1], b.shape[1]) + 1) * _EPS
+    bound = convolve(np.abs(a), db) + convolve(da, np.abs(b) + db) + units * convolve(np.abs(a), np.abs(b))
+    return convolve(a, b), bound
+
+
+def _cos_sin(x: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos(k pi x) and sin(k pi x), k < count, for each row's x: with k = s a + b, s ~ sqrt(count),
+    from those at s a x and at b x, each reduced mod 2 exactly, by angle addition."""
+    step = math.isqrt(count - 1) + 1
+    turns = [x * np.arange(0, count, step), x * np.arange(step)]
+    a, b = (np.pi * (kx - 2.0 * np.rint(0.5 * kx)) for kx in turns)  # exact: the two are within 1
+    ca, sa, cb, sb = np.cos(a)[..., None], np.sin(a)[..., None], np.cos(b)[:, None], np.sin(b)[:, None]
+    joined = (ca * cb - sa * sb, sa * cb + ca * sb)
+    return tuple(part.reshape(len(x), -1)[:, :count] for part in joined)
+
+
+def _piece_moments(q: np.ndarray, centre: np.ndarray, half: np.ndarray, count: int) -> np.ndarray:
+    """J_k = sum over pieces of h int_{-1}^{1} q(t) cos(k pi (c + h t)) dt, k = 0..count-1.
+
+    Row i of q holds the coefficients of t^0..t^D on the piece of centre c
+    and half width h.  With theta = k pi h, r_p = int_{-1}^{1} t^p cs(theta t) dt
+    (cs = cos for even p, sin for odd) obeys, by parts, theta r_p =
+    2 sin theta - p r_{p-1} (p even) and p r_{p-1} - 2 cos theta (p odd).  A
+    step forward scales an error by p / theta and one back by theta / p, so
+    r_p is taken forward where p < theta and back from r_{2D+40} = 0
+    elsewhere (that start's error shrinks by prod_{p > D} D / p < 1e-20).
+    The piece adds h (cos(k pi c) R - sin(k pi c) S), R and S the sums of
+    q_p r_p over even and odd p.  About _MOMENT_BLOCK numbers per array are live.
     """
-    rows = np.empty((count, len(step)), dtype=complex)
-    rows[0] = 1.0
-    filled = 1
-    while filled < count:
-        block = min(filled, count - filled)
-        np.multiply(rows[:block], rows[filled - 1] * step, out=rows[filled : filled + block])
-        filled += block
-    return rows
+    degree = q.shape[1] - 1
+    k = np.arange(count, dtype=float)
+    out = np.zeros(count)
+    rows = max(1, _MOMENT_BLOCK // count)
+    for lo in range(0, len(q), rows):
+        coeffs, c, h = q[lo : lo + rows, :, None], centre[lo : lo + rows, None], half[lo : lo + rows, None]
+        theta = np.pi * h * k
+        cos2, sin2 = (2.0 * part for part in _cos_sin(h, count))
+        cut = int(min(count, degree / (np.pi * h.min()) + 1))  # past it, theta > D in every row
+        sums = np.zeros((2, *theta.shape))  # over even and over odd p
+        r = np.zeros_like(theta)
+        for p in range(degree + 1):  # forward values where p >= theta may overflow: none is read
+            r = (sin2 - p * r) / theta if p % 2 == 0 else (p * r - cos2) / theta
+            np.add(sums[p % 2], coeffs[:, p] * r, out=sums[p % 2], where=p < theta)
+        theta, sin2, cos2 = theta[:, :cut], sin2[:, :cut], cos2[:, :cut]
+        r = np.zeros_like(theta)
+        for p in range(2 * degree + 40, 0, -1):
+            r = (sin2 - theta * r) / p if p % 2 == 0 else (cos2 + theta * r) / p
+            if p <= degree + 1:  # r is r_{p-1}
+                part = sums[(p - 1) % 2, :, :cut]
+                np.add(part, coeffs[:, p - 1] * r, out=part, where=p - 1 >= theta)
+        cos_c, sin_c = _cos_sin(c, count)
+        out += np.sum(h * (cos_c * sums[0] - sin_c * sums[1]), axis=0)
+    return out
 
 
-def _cosine_moments(count: int, length: float, factor_lists, plan: int, breakpoints) -> np.ndarray:
-    """I_k = (1/L) int_0^L f(x) cos(k pi x / L) dx, k = 0..count-1, for each list's f.
+@np.errstate(all="ignore")  # overflow and NaN show in the result and its bound, which the caller checks
+def _piecewise_cosine_coeffs(n_max: int, length: float, factors) -> tuple[np.ndarray, float]:
+    """c_0..c_{2 n_max} of prod_i p_i^{power_i} with a Polynomial or Tabulated factor, and their bound.
 
-    Returns one row per factor list, all from one plan-node grid.  With
-    k = a r + q, r ~ sqrt(count), cos(k t) = Re[e^{i a r t} e^{i q t}], so each
-    chunk of _NODE_CHUNK nodes forms about 2 sqrt(count) exponential rows by
-    recurrence (two np.exp calls) and every list shares them in one product.
+    [0, L] is cut at the tabulated abscissae and into 1 + D // _PIECE_DEGREE
+    equal parts (D the degree); on each piece the factors' product is one
+    polynomial in t in [-1, 1] with a rounding bound (``local_coefficients``,
+    ``_local_product``).  ``_piece_moments`` gives its moments J_k and the
+    cosine factors' product sum_a g_a cos(a pi x / L) shifts them: I_k =
+    sum_a g_a (J_{k+a} + J_{|k-a|}) / 2, c_0 = I_0, c_k = 2 I_k.  Every element
+    <n| f |m> is I_|n-m| - I_{n+m}, so twice the bound on any I_k bounds its error.
     """
-    x, w = _composite_grid(length, plan, breakpoints)
-    values = {p: p.evaluate(x, length) for factors in factor_lists for p, _ in factors}
-    wf = np.empty((len(factor_lists), len(x)))
-    for row, factors in zip(wf, factor_lists):
-        row[:] = w / length
-        for p, power in factors:
-            row *= values[p] ** power
-    t = x * (math.pi / length)
-    r = math.isqrt(count - 1) + 1
-    coarse_count = -(-count // r)
-    moments = np.zeros((len(factor_lists) * coarse_count, r))
-    for lo in range(0, len(t), _NODE_CHUNK):
-        chunk = t[lo : lo + _NODE_CHUNK]
-        fine = _exp_rows(np.exp(-1j * chunk), r)  # conjugate rows e^{-i q t}
-        coarse = _exp_rows(np.exp(1j * r * chunk), coarse_count)
-        weighted = (coarse * wf[:, None, lo : lo + _NODE_CHUNK]).reshape(-1, len(chunk))
-        # a complex row viewed as floats interleaves (Re, Im), so one real product of the
-        # weighted rows with the conjugate rows is Re[(E_coarse wf) @ E_fine^T]
-        moments += weighted.view(float) @ fine.view(float).T
-    return moments.reshape(len(factor_lists), -1)[:, :count]
-
-
-def _quad_cosine_coeffs(n_max: int, length: float, factor_lists, nodes: int | None):
-    """Cosine coefficients c_0..c_{2 n_max} of each list's prod_i p_i^{power_i}, by quadrature.
-
-    All lists share one node plan, the largest any of them needs (``nodes``
-    overrides it), and so share every exponential row.  Every element
-    <n| f |m> = I_|n-m| - I_{n+m} of the moments I_k, so a recomputation of
-    every moment on a 1.5x grid bounds each list's element error by
-    2 max |dI|; it guards against an insufficient node plan.  A list whose
-    factors are all mirror-even (``is_even``) has every odd coefficient
-    exactly 0, so those are set to 0.0 after the check; the rest are the
-    quadrature's.  Returns the coefficients (one row per list) and (the
-    plan, the largest error bound).
-    """
-    breakpoints = [
-        x for factors in factor_lists for p, _ in factors if isinstance(p, Tabulated) for x in p.xs
-    ]
-    plan = nodes or max(
-        max(256, 8 * (n_max + sum(p.bandwidth() * power for p, power in factors)))
-        for factors in factor_lists
-    )
-    count = 2 * n_max + 1
-    moments = _cosine_moments(count, length, factor_lists, plan, breakpoints)
-    check_plan = int(plan * 1.5) + _GL_PANEL_NODES
-    check = _cosine_moments(count, length, factor_lists, check_plan, breakpoints)
-    diagonal = moments[:, :1] - moments[:, 2::2]
-    scale = np.maximum(1.0, np.max(np.abs(diagonal), axis=1))
-    err = 2.0 * np.max(np.abs(check - moments), axis=1)
-    for e, s in zip(err, scale):
-        if not e <= 1e-10 * s:  # also catches a NaN error
-            raise QuadratureError(
-                f"quadrature self-check failed: element error {e:.3e} at {plan} nodes"
-            )
-    moments[:, 1:] *= 2.0  # c_k = 2 I_k past the constant
-    for c, factors in zip(moments, factor_lists):
-        if all(p.is_even(length) for p, _ in factors):
-            c[1::2] = 0.0  # the integrand is odd about the midpoint: not quadrature noise, 0
-    return moments, (plan, float(np.max(err)))
+    cosines = [(p, power) for p, power in factors if isinstance(p, FourierCosine)]
+    pieces = [(p, power) for p, power in factors if not isinstance(p, FourierCosine)]
+    tables = [p.xs for p, _ in pieces if isinstance(p, Tabulated)]
+    degree = sum((1 if isinstance(p, Tabulated) else len(p.coeffs) - 1) * power for p, power in pieces)
+    cuts = np.linspace(0.0, length, 2 + degree // _PIECE_DEGREE)
+    edges = np.sort(np.clip(np.concatenate([cuts, *tables]), 0.0, length))
+    edges = edges[np.concatenate([[True], edges[1:] > edges[:-1]])]  # as np.unique, without numpy.ma
+    xi = edges / length
+    centre, half = 0.5 * (xi[1:] + xi[:-1]), 0.5 * (xi[1:] - xi[:-1])
+    product = np.ones((len(half), 1)), np.zeros((len(half), 1))
+    for p, power in pieces:
+        local = p.local_coefficients(edges)
+        for _ in range(power):
+            product = _local_product(product, local)
+    (q, q_error), g, count = product, _cosine_power_product(cosines), 2 * n_max + 1
+    moments = _piece_moments(q, centre, half, count + len(g) - 1)
+    k, coeffs = np.arange(count), np.zeros(count)
+    for a, g_a in enumerate(g):
+        coeffs += 0.5 * g_a * (moments[k + a] + moments[np.abs(k - a)])
+    coeffs[1:] *= 2.0
+    # |r_p| <= 2 / (p + 1): a term q_p r_p is off by q_p's bound times that, by |q_p| times the
+    # recursion's error and its own and the sums' rounding; the phase k pi c, off by about 2 pi k c
+    # units, times a piece's moment, at most 4 / theta, adds 8 c / h units of h sum_p |q_p|
+    width = 2.0 / np.arange(1, q.shape[1] + 1)
+    units = width * (degree + len(g) + 3) + _RECURSION_UNITS
+    terms = half * (q_error @ width + _EPS * (np.abs(q) @ units)) + 8 * _EPS * centre * np.abs(q).sum(1)
+    return coeffs, 2.0 * float(np.sum(terms)) * float(np.sum(np.abs(g)))
 
 
 def _cosine_power_product(factors) -> np.ndarray:
@@ -484,29 +475,34 @@ def _cosine_power_product(factors) -> np.ndarray:
     return product
 
 
-def _cosine_coeffs(n_max: int, length: float, factor_lists, nodes: int | None = None):
-    """Cosine coefficients of each list's prod_i p_i^{power_i}, enough for n_max modes.
+def _cosine_coeffs(n_max: int, length: float, factor_lists) -> list[np.ndarray]:
+    """Cosine coefficients of each list's prod_i p_i^{power_i}, enough for n_max modes, exactly.
 
-    Exact (``_cosine_power_product``) for cosine factors; every other list
-    goes into one shared quadrature call.  Returns the coefficients, one
-    array per list, and that call's (node plan, largest self-check error),
-    or None when no list needed quadrature.
+    ``_cosine_power_product`` for cosine factors alone, else c_0..c_{2 n_max}
+    from ``_piecewise_cosine_coeffs``, whose element error bound must stay
+    within 1e-10 of the largest diagonal element (or of 1); odd ones are set
+    to 0.0 when every factor is mirror-even (``is_even``), as rounding would
+    not cancel them.  A failed bound or a non-finite coefficient raises NumericalError.
     """
     out = []
     for factors in factor_lists:
         if any(p.is_zero and power > 0 for p, power in factors):
             out.append(np.zeros(1))
-        elif all(isinstance(p, FourierCosine) for p, _ in factors):
-            out.append(_cosine_power_product(factors))
+            continue
+        if all(isinstance(p, FourierCosine) for p, _ in factors):
+            c = _cosine_power_product(factors)
         else:
-            out.append(None)
-    quad = [i for i, c in enumerate(out) if c is None]
-    if not quad:
-        return out, None
-    coeffs, check = _quad_cosine_coeffs(n_max, length, [factor_lists[i] for i in quad], nodes)
-    for i, c in zip(quad, coeffs):
-        out[i] = c
-    return out, check
+            c, error = _piecewise_cosine_coeffs(n_max, length, factors)
+            scale = max(1.0, float(np.max(np.abs(c[0] - 0.5 * c[2::2]))))
+            if not error <= 1e-10 * scale:  # also catches a NaN bound
+                raise NumericalError(f"cosine coefficients: element rounding bound {error:.3e} exceeds "
+                                     f"1e-10 of {scale:.3e}")
+            if all(p.is_even(length) for p, _ in factors):
+                c[1::2] = 0.0  # the integrand is odd about the midpoint: not rounding, 0
+        if not np.isfinite(c).all():
+            raise NumericalError("cosine coefficients of the profile are not finite")
+        out.append(c)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +565,6 @@ class SigmaPowerTable:
 
     max_power: int
     size: int
-    quadrature_meta: dict
     cosine: tuple[np.ndarray, ...] | None = None
     factors: tuple[tuple[tuple[float, np.ndarray, np.ndarray], ...], ...] | None = None
     index: np.ndarray | None = None  # shape (2, size) with the factors; None on the string
@@ -810,22 +805,18 @@ def row_couplings_bound(domain: String1D | Rectangle2D, profile: Profile, mode_c
 
 
 def build_sigma_table(
-    basis: ModeBasis,
-    density: DensityPerturbation | Profile,
-    max_power: int,
-    *,
-    nodes: int | None = None,
+    basis: ModeBasis, density: DensityPerturbation | Profile, max_power: int
 ) -> SigmaPowerTable:
     """Build the table of <n| sigma^j |m>, j = 0..max_power.
 
-    A string table keeps the cosine coefficients of each sigma^j: exact for
-    a cosine profile (O(J b) numbers), from quadrature otherwise (2M + 1
-    each).  Quadrature coefficients of a power whose factors are all
-    mirror-even (``is_even``) keep exactly 0.0 at every odd harmonic, so
-    S_j[n, m] = 0 exactly for n + m odd and the blocks of S_1 split by
+    A string table keeps the cosine coefficients of each sigma^j, exact to
+    rounding (``_cosine_coeffs``): O(J b) numbers for a cosine profile of
+    highest harmonic b, 2M + 1 otherwise.  Those of a power whose factors
+    are all mirror-even (``is_even``) are exactly 0.0 at every odd harmonic,
+    so S_j[n, m] = 0 exactly for n + m odd and the blocks of S_1 split by
     parity; a profile whose float coefficients are not exactly
-    mirror-symmetric keeps its quadrature noise there and one block, which
-    is still correct, only slower.  A rectangle table keeps, for each split
+    mirror-symmetric keeps rounding noise there and one block, which is
+    still correct, only slower.  A rectangle table keeps, for each split
     of each power over the profile's terms, the multinomial and the two side
     factors: matrices of the side's highest mode index squared, built from
     one coefficient call per side, plus the mode index map.  No M x M matrix
@@ -838,28 +829,19 @@ def build_sigma_table(
         Only the profile matters; the table is independent of the strength.
     max_power : int
         Highest power J >= 1.
-    nodes : int, optional
-        Override the automatic quadrature node plan (at least 1 node).
     """
     if max_power < 1:
         raise ValidationError("max_power must be >= 1")
-    if nodes is not None and nodes < 1:
-        raise ValidationError(f"quadrature nodes must be >= 1, got {nodes}")
     m_size = basis.mode_count
     profile = density.profile if isinstance(density, DensityPerturbation) else density
 
     if isinstance(basis.domain, String1D):
         powers = [[(profile, j)] for j in range(1, max_power + 1)]
-        coeffs, quad = _cosine_coeffs(m_size, basis.domain.length, powers, nodes)
-        meta = {"rule": "exact-cosine"}
-        if quad is not None:  # the plan every power used and its largest element error bound
-            plan, error = quad
-            meta = {"rule": "composite-gauss-legendre-32", "nodes": plan, "self_check_error": error}
-        return SigmaPowerTable(max_power, m_size, meta, cosine=(np.ones(1), *coeffs))
+        coeffs = _cosine_coeffs(m_size, basis.domain.length, powers)
+        return SigmaPowerTable(max_power, m_size, cosine=(np.ones(1), *coeffs))
 
     if not isinstance(profile, Separable2D):
         raise ValidationError("2D tables need a Separable2D profile")
-    meta = {"rule": "composite-gauss-legendre-32", "nodes": nodes or "auto"}
     index = basis._modes().T - 1
     sizes = [int(n) + 1 for n in index.max(axis=1)]
     pos = np.full(sizes, -1)
@@ -875,7 +857,7 @@ def build_sigma_table(
     def factor(side: int, length: float) -> list:
         """Cosine coefficients of prod_t p_t^alpha_t on one side, for every alpha, from one call."""
         lists = [[(terms[t][side], p) for t, p in enumerate(alpha) if p > 0] for alpha in alphas]
-        return _cosine_coeffs(sizes[side], length, lists, nodes)[0]
+        return _cosine_coeffs(sizes[side], length, lists)
 
     if not profile.is_zero:  # else every S_j, j >= 1, is zero: no factors at all
         for alpha, cx, cy in zip(alphas, factor(0, basis.domain.a), factor(1, basis.domain.b)):
@@ -885,6 +867,4 @@ def build_sigma_table(
             x = _exact_cosine_elements(sizes[0], cx)
             y = _exact_cosine_elements(sizes[1], cy)
             factors[j].append((multinomial, x, y))
-    return SigmaPowerTable(
-        max_power, m_size, meta, factors=tuple(map(tuple, factors)), index=index, pos=pos
-    )
+    return SigmaPowerTable(max_power, m_size, factors=tuple(map(tuple, factors)), index=index, pos=pos)

@@ -17,6 +17,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -43,7 +44,6 @@ from .errors import (
     FactorizationError,
     InsufficientDataError,
     NumericalError,
-    QuadratureError,
     ValidationError,
 )
 from .kernels import MAX_ROOT_ORDER
@@ -87,7 +87,6 @@ class RunConfig:
     profile: object
     lam_list: list
     orders: list
-    quadrature_nodes: int | None = None
     inner_discard: int | None = None
     top_discard: float = 0.25
     route: str = "all"
@@ -275,7 +274,7 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
     # --- basis ---
     basis_node = _typed(data.get("basis", {"kind": "string"}), dict, "basis", problems, {})
     trunc_node = _typed(data.get("truncation", {}), dict, "truncation", problems, {})
-    if set(trunc_node) - {"modes", "quadrature_nodes", "inner_discard", "top_discard_fraction"}:
+    if set(trunc_node) - {"modes", "inner_discard", "top_discard_fraction"}:
         problems.append("truncation: unknown keys")
     modes = trunc_node.get("modes", 200)
     if getattr(overrides, "modes", None) is not None:
@@ -301,13 +300,9 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
             basis = ModeBasis(domain, modes)
         except ValidationError as exc:
             problems.append(f"basis: {exc}")
-    quadrature_nodes, inner_discard = (
-        None if trunc_node.get(key) is None
-        else _number(trunc_node[key], f"truncation.{key}", problems, int)
-        for key in ("quadrature_nodes", "inner_discard")
-    )
-    if quadrature_nodes is not None and quadrature_nodes < 1:
-        problems.append(f"truncation.quadrature_nodes must be >= 1, got {quadrature_nodes}")
+    inner_discard = trunc_node.get("inner_discard")
+    if inner_discard is not None:
+        inner_discard = _number(inner_discard, "truncation.inner_discard", problems, int)
     if basis is not None and inner_discard is not None and not 0 <= inner_discard < modes:
         problems.append(f"truncation.inner_discard must be in [0, {modes}), got {inner_discard}")
     top_discard = _number(
@@ -422,7 +417,6 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
         profile=profile,
         lam_list=lam_list,
         orders=orders,
-        quadrature_nodes=quadrature_nodes,
         inner_discard=inner_discard,
         top_discard=top_discard,
         route=route,
@@ -478,7 +472,7 @@ def _unwritable(path: str, exc: OSError) -> ValidationError:
 
 
 def cmd_sumrule(cfg: RunConfig) -> int:
-    table = build_sigma_table(cfg.basis, cfg.profile, 2, nodes=cfg.quadrature_nodes)
+    table = build_sigma_table(cfg.basis, cfg.profile, 2)
     densities = cfg.densities()
     shared = (cfg.orders, table, cfg.basis, densities)
     # route -> one result per (order, density), order-major; each route runs once
@@ -516,7 +510,7 @@ def cmd_sumrule(cfg: RunConfig) -> int:
 
 
 def cmd_coeffs(cfg: RunConfig, n_root: int, max_order: int) -> int:
-    table = build_sigma_table(cfg.basis, cfg.profile, max(max_order, 1), nodes=cfg.quadrature_nodes)
+    table = build_sigma_table(cfg.basis, cfg.profile, max(max_order, 1))
     big_q = coefficients.build_Q_series(max_order, table, cfg.basis)
     cset = coefficients.q_generic_recursion(n_root, big_q, cfg.basis)
     residuals = coefficients.verify_convolution(cset, discard=cfg.inner_discard)
@@ -537,7 +531,7 @@ def cmd_coeffs(cfg: RunConfig, n_root: int, max_order: int) -> int:
 
 
 def cmd_verify(cfg: RunConfig, first_order_only: bool) -> int:
-    table = build_sigma_table(cfg.basis, cfg.profile, 2, nodes=cfg.quadrature_nodes)
+    table = build_sigma_table(cfg.basis, cfg.profile, 2)
     fit = oracle.convergence_order_fit(
         cfg.orders[0],
         table,
@@ -547,23 +541,18 @@ def cmd_verify(cfg: RunConfig, first_order_only: bool) -> int:
         top_discard=cfg.top_discard,
         diagonal_mode=cfg.diagonal_mode,
     )
-    sys.stdout.write("lambda,abs_error\n")
-    for lam, err in fit.pairs:
-        sys.stdout.write(f"{lam:.17g},{err:.17g}\n")
+    failed = fit.slope < cfg.slope_threshold
+    lines = ["lambda,abs_error"] + [f"{lam:.17g},{err:.17g}" for lam, err in fit.pairs]
     for lam, err, floor in fit.excluded:
-        sys.stdout.write(f"# excluded lambda={lam:g}: error {err:.3e} below floor {floor:.3e}\n")
-    sys.stdout.write(f"slope,{fit.slope:.17g}\n")
-    sys.stdout.write(f"threshold,{cfg.slope_threshold:.17g}\n")
-    if fit.slope < cfg.slope_threshold:
-        sys.stdout.write("verdict,FAIL\n")
-        return EXIT_SLOPE
-    sys.stdout.write("verdict,PASS\n")
-    return EXIT_OK
+        lines.append(f"# excluded lambda={lam:g}: error {err:.3e} below floor {floor:.3e}")
+    lines += [f"slope,{fit.slope:.17g}", f"threshold,{cfg.slope_threshold:.17g}"]
+    _emit("\n".join([*lines, f"verdict,{'FAIL' if failed else 'PASS'}"]) + "\n", cfg)
+    return EXIT_SLOPE if failed else EXIT_OK
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
     density = cfg.densities()[0]
-    table = build_sigma_table(cfg.basis, cfg.profile, 1, nodes=cfg.quadrature_nodes)
+    table = build_sigma_table(cfg.basis, cfg.profile, 1)
     problem = oracle.assemble(cfg.basis, density, table=table)
     values = oracle.solve_spectrum(problem)
     lines = ["index,eigenvalue"] + [f"{i + 1},{v:.17g}" for i, v in enumerate(values)]
@@ -578,6 +567,11 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors raise ValidationError (subparsers share the class): JSON on stderr, exit 2."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # no option starts with "-" and a digit: "--lambda -1e-05" and "-0.5,0.1" are values
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         raise ValidationError(message)
@@ -645,7 +639,7 @@ def main(argv=None) -> int:
         problems = exc.problems if isinstance(exc, ConfigError) else [str(exc)]
         print(json.dumps({"error": "validation", "problems": problems}), file=sys.stderr)
         return EXIT_VALIDATION
-    except (QuadratureError, FactorizationError, NumericalError, MemoryError) as exc:
+    except (FactorizationError, NumericalError, MemoryError) as exc:
         detail = str(exc) or "out of memory"  # numpy's MemoryError can stringify to ""
         print(json.dumps({"error": "numerical", "detail": detail}), file=sys.stderr)
         return EXIT_NUMERICAL

@@ -17,10 +17,6 @@ class ConfigError(ValidationError):
         super().__init__("; ".join(self.problems))
 
 
-class QuadratureError(BillzetaError):
-    """Quadrature self-check failed: node count insufficient for the requested accuracy."""
-
-
 class FactorizationError(BillzetaError):
     """Overlap matrix factorization failed (not positive definite)."""
 

@@ -24,7 +24,6 @@ from .basis import (
     Rectangle2D,
     SigmaPowerTable,
     String1D,
-    _composite_grid,
     build_sigma_table,
 )
 from .errors import (
@@ -146,6 +145,36 @@ def residual_norms(problem: GeneralizedProblem, values: np.ndarray, vectors: np.
 # ---------------------------------------------------------------------------
 # effective (optical) geometry for heterogeneous tails
 # ---------------------------------------------------------------------------
+
+
+# The positive half of the 32-point Gauss-Legendre rule on [-1, 1], ascending; numpy's
+# leggauss(32) symmetrises its rule, so the negative half mirrors these bits exactly.
+_GL_NODES = (
+    0.048307665687738324, 0.1444719615827965, 0.23928736225213706, 0.33186860228212767,
+    0.42135127613063533, 0.5068999089322294, 0.5877157572407623, 0.6630442669302152,
+    0.7321821187402897, 0.7944837959679424, 0.84936761373257, 0.8963211557660521,
+    0.9349060759377397, 0.9647622555875064, 0.9856115115452684, 0.9972638618494816,
+)
+_GL_WEIGHTS = (
+    0.09654008851472766, 0.09563872007927471, 0.09384439908080451, 0.09117387869576378,
+    0.08765209300440378, 0.08331192422694671, 0.07819389578707023, 0.07234579410884834,
+    0.06582222277636168, 0.058684093478535565, 0.05099805926237609, 0.042835898022226836,
+    0.034273862913021765, 0.025392065309262024, 0.016274394730905743, 0.007018610009470506,
+)
+
+
+def _gl_panel() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the 32-point Gauss-Legendre rule: leggauss(32), bit for bit."""
+    x, w = np.array(_GL_NODES), np.array(_GL_WEIGHTS)
+    return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
+
+
+def _composite_grid(length: float, total_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre grid on [0, length]: equal 32-node panels, >= total_nodes nodes."""
+    xg, wg = _gl_panel()
+    edges = np.linspace(0.0, length, max(1, math.ceil(total_nodes / len(xg))) + 1)
+    half, mid = 0.5 * np.diff(edges)[:, None], 0.5 * (edges[1:] + edges[:-1])[:, None]
+    return (mid + half * xg).ravel(), (half * wg).ravel()
 
 
 def effective_length(domain: String1D, density: DensityPerturbation, nodes: int = 2048) -> float:

@@ -6,14 +6,17 @@
   truncation;
 * ``kernel_second_order`` and ``kernel_second_order_presplit``: the scalar
   second-order kernels, against which ``sumrules.kernel_pairs`` and the
-  diagonal regularity anchor are checked.
+  diagonal regularity anchor are checked;
+* ``cosine_coefficients_by_quadrature``: cosine coefficients of a product of
+  profile powers by composite Gauss-Legendre quadrature, against which the
+  exact coefficients of ``basis._cosine_coeffs`` are checked.
 """
 
 import math
 
 import numpy as np
 
-from billzeta.basis import ModeBasis, SigmaPowerTable, build_sigma_table
+from billzeta.basis import ModeBasis, SigmaPowerTable, Tabulated, build_sigma_table
 from billzeta.coefficients import build_Q_series
 from billzeta.errors import ValidationError
 from billzeta.kernels import delta, eta_matrix, validate_root_order
@@ -62,14 +65,14 @@ def q_closed_form(n_root: int, k: int, table: SigmaPowerTable, basis: ModeBasis)
     return _sym(q2)
 
 
-def reference_Q(k: int, basis: ModeBasis, density, size: int, *, growth: int = 2, nodes=None) -> list:
+def reference_Q(k: int, basis: ModeBasis, density, size: int, *, growth: int = 2) -> list:
     """Q^(0..k) with internal sums converged beyond truncation `size`.
 
     Built at growth * size modes and sliced back; for banded (cosine) profiles
     this makes the internal mode sums exact for the retained block.
     """
     big = ModeBasis(basis.domain, max(size * growth, size + 8))
-    table = build_sigma_table(big, density, max(k, 1), nodes=nodes)
+    table = build_sigma_table(big, density, max(k, 1))
     return [q[:size, :size] for q in build_Q_series(k, table, big)]
 
 
@@ -99,3 +102,24 @@ def kernel_second_order_presplit(eps_n: float, eps_m: float, s: float) -> float:
     limit 2(2s - 1) eps_n^{-s} is the regularity anchor.
     """
     return (eps_m ** (-s) + eps_n ** (-s)) + 4.0 * kernel_second_order(eps_n, eps_m, s)
+
+
+def cosine_coefficients_by_quadrature(factors, length: float, count: int) -> np.ndarray:
+    """c_0..c_{count-1} of prod_i p_i^{power_i} on [0, L], by composite 64-point Gauss-Legendre.
+
+    Panels are max(64, count) equal cuts of [0, L], further cut at every
+    tabulated abscissa inside it, so on each panel the integrand is one
+    polynomial times cosines of at most half a period: the rule integrates
+    it to rounding for a product of degree up to about 80.
+    """
+    inner = [x for p, _ in factors if isinstance(p, Tabulated) for x in p.xs if 0.0 < x < length]
+    edges = np.unique(np.concatenate([np.linspace(0.0, length, max(64, count) + 1), inner]))
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    half, mid = 0.5 * np.diff(edges)[:, None], 0.5 * (edges[1:] + edges[:-1])[:, None]
+    x = (mid + half * nodes).ravel()
+    f = (half * weights).ravel() / length
+    for p, power in factors:
+        f = f * p.evaluate(x, length) ** power
+    c = np.array([f @ np.cos(np.pi * np.fmod(k * x / length, 2.0)) for k in range(count)])
+    c[1:] *= 2.0
+    return c

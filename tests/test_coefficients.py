@@ -42,9 +42,7 @@ def one_factor_table(powers):
     factors = [((1.0, np.eye(m), np.ones((1, 1))),)] + [((1.0, s, np.ones((1, 1))),) for s in powers]
     index = np.stack([np.arange(m), np.zeros(m, dtype=int)])  # mode n is (n, 0)
     pos = np.arange(m)[:, None]  # and (n, 0) is mode n
-    return SigmaPowerTable(
-        len(powers), m, {"rule": "synthetic"}, factors=tuple(factors), index=index, pos=pos
-    )
+    return SigmaPowerTable(len(powers), m, factors=tuple(factors), index=index, pos=pos)
 
 
 def random_table(m, max_power, seed=None):

@@ -41,7 +41,7 @@ def test_all_lists_exactly_the_public_names():
 
 
 def test_sumrule_and_verify_leave_numpy_polynomial_unimported(tmp_path):
-    # the quadrature's Gauss-Legendre panel is a literal rule: no run imports numpy.polynomial,
+    # the oracle's Gauss-Legendre panel is a literal rule: no run imports numpy.polynomial,
     # whose import costs memory on every run
     poly = tmp_path / "poly.json"
     poly.write_text(json.dumps({"density": {"profile": {"type": "polynomial", "coeffs": [0, 4, -4]}}}))
@@ -55,6 +55,22 @@ def test_sumrule_and_verify_leave_numpy_polynomial_unimported(tmp_path):
         "print(sorted(name for name in sys.modules if name.startswith('numpy.polynomial')))\n"
     )
     assert _last_line_of_fresh_run(script, tmp_path) == "[]"
+
+
+def test_piecewise_tables_leave_numpy_ma_unimported(tmp_path):
+    # np.unique imports numpy.ma (about 1.3 MiB of peak RSS): the exact tables cut their
+    # pieces without it, tabulated samples past both ends included
+    table = tmp_path / "table.json"
+    profile = {"type": "tabulated", "x": [-0.5, 0.25, 0.5, 1.5], "y": [0.0, 1.0, -0.5, 0.3]}
+    table.write_text(json.dumps({"density": {"profile": profile}}))
+    script = (
+        "import sys\n"
+        "from billzeta.cli import main\n"
+        f"assert main(['sumrule', '--config', {str(table)!r}, '--route', 'all', '--modes', '60',\n"
+        "             '--s', '3/2', '--lambda', '0.1', '--out', 'r.csv']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    assert _last_line_of_fresh_run(script, tmp_path) == "False"
 
 
 def _last_line_of_fresh_run(script, cwd):
