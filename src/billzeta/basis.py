@@ -72,6 +72,17 @@ class Rectangle2D:
             raise ValidationError("rectangle sides must be finite and positive")
 
 
+def _side_square(side: float) -> float:
+    """side^2, or inf where it overflows: a side's term j^2 / side^2 is then 0, not an error.
+
+    Such a term lies below the normal doubles, lost beside the other side's.
+    """
+    try:
+        return side**2
+    except OverflowError:
+        return math.inf
+
+
 @functools.lru_cache(maxsize=None)
 def _enumerate_rectangle_modes(a: float, b: float, count: int) -> np.ndarray:
     """The count lowest modes (j, k), shape (count, 2): ascending eigenvalue, ties by j then k.
@@ -82,7 +93,7 @@ def _enumerate_rectangle_modes(a: float, b: float, count: int) -> np.ndarray:
     """
     nx, ny = _rectangle_side_bounds(a, b, count)
     j, k = np.repeat(np.arange(1, nx + 1), ny), np.tile(np.arange(1, ny + 1), nx)
-    eps = math.pi**2 * (j * j / a**2 + k * k / b**2)
+    eps = math.pi**2 * (j * j / _side_square(a) + k * k / _side_square(b))
     order = np.lexsort((k, j, eps))[:count]
     modes = np.stack((j[order], k[order]), axis=1)
     modes.flags.writeable = False
@@ -118,7 +129,8 @@ class ModeBasis:
             n = np.arange(1, self.mode_count + 1, dtype=float)
             return (n * math.pi / self.domain.length) ** 2
         jk = self._modes().astype(float)
-        return math.pi**2 * (jk[:, 0] ** 2 / self.domain.a**2 + jk[:, 1] ** 2 / self.domain.b**2)
+        a2, b2 = _side_square(self.domain.a), _side_square(self.domain.b)
+        return math.pi**2 * (jk[:, 0] ** 2 / a2 + jk[:, 1] ** 2 / b2)
 
 
 # ---------------------------------------------------------------------------
@@ -751,28 +763,33 @@ class SigmaPowerTable:
 def _rectangle_side_bounds(a: float, b: float, count: int) -> tuple[int, int]:
     """Upper bounds on each side's highest index among the count lowest rectangle modes.
 
-    No mode is listed.  With r = lam / pi^2, bisection finds the least r
-    with at least count lattice modes j^2/a^2 + k^2/b^2 <= r, counted in
-    one numpy pass over the shorter side's indices (O(sqrt(count))), from
-    the k x k square's corner k^2 (1/a^2 + 1/b^2), k = ceil(sqrt(count)).
-    The count-th eigenvalue is at most that r, so a retained mode has
-    n_x^2 / a^2 + 1 / b^2 <= r, and likewise n_y; no index exceeds count.
+    No mode is listed.  With side frequencies u = pi / a and v = pi / b,
+    bisection finds the least lam with at least count lattice modes
+    j^2 u^2 + k^2 v^2 <= lam, counted in one numpy pass over the shorter
+    side's indices (O(sqrt(count))), from the k x k square's corner
+    k^2 (u^2 + v^2), k = ceil(sqrt(count)).  The count-th eigenvalue is at
+    most that lam, so a retained mode has n_x^2 u^2 + v^2 <= lam, and likewise
+    n_y; no index exceeds count.  Only u^2, v^2 and the corner are squared,
+    so any side whose eigenvalue terms are normal doubles is safe; a side's
+    a^2 itself may overflow.  Counts past count are cut to count.
     """
     k = math.isqrt(count - 1) + 1
-    lo, hi = 0.0, k * k * (1 / a**2 + 1 / b**2)
-    short, long_ = sorted((a, b))
+    u, v = math.pi / a, math.pi / b
+    lo, hi = 0.0, k * k * (u * u + v * v)
+    short, long_ = sorted((u, v), reverse=True)  # the shorter side's frequency is the larger
 
-    def modes_below(r: float) -> int:
-        i = np.arange(1, int(short * math.sqrt(r)) + 1)
-        return int(np.floor(long_ * np.sqrt(np.maximum(r - (i / short) ** 2, 0.0))).sum())
+    def modes_below(lam: float) -> int:
+        i = np.arange(1, int(min(count, math.sqrt(lam) / short)) + 1)
+        per_row = np.sqrt(np.maximum(lam - (i * short) ** 2, 0.0)) / long_
+        return int(np.floor(np.minimum(per_row, count)).sum())
 
     for _ in range(64):
         mid = 0.5 * (lo + hi)
         lo, hi = (lo, mid) if modes_below(mid) >= count else (mid, hi)
-    r = hi * (1 + 1e-9)  # room for rounding in the lattice counts
+    lam = hi * (1 + 1e-9)  # room for rounding in the lattice counts
     return tuple(
-        min(count, int(side * math.sqrt(max(r - 1 / other**2, 0.0))) + 1)
-        for side, other in ((a, b), (b, a))
+        min(count, int(min(count, math.sqrt(max(lam - other * other, 0.0)) / side)) + 1)
+        for side, other in ((u, v), (v, u))
     )
 
 

@@ -101,6 +101,15 @@ def test_rectangle_modes_are_listed_in_the_reference_order(sides):
         assert all(type(i) is int for mode in modes[:3] for i in mode)
 
 
+def test_a_side_whose_square_overflows_lists_its_modes():
+    # b^2 overflows a double while pi^2 / b^2 is still normal: the long side's
+    # terms vanish beside the short side's, so its modes come in the order k = 1, 2, ...
+    basis = ModeBasis(Rectangle2D(1.0, 10.0**154.25), 5)
+    assert basis.mode_indices() == [(1, k) for k in range(1, 6)]
+    assert np.array_equal(basis.eigenvalues(), np.full(5, math.pi**2))
+    assert np.isfinite(build_sigma_table(basis, SEP, 1).power(1)).all()
+
+
 def test_mode_indices_is_a_fresh_list():
     basis = ModeBasis(Rectangle2D(1.0, 1.3), 12)
     modes = basis.mode_indices()
