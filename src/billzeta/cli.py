@@ -11,15 +11,14 @@ memory included), 4 convergence slope below threshold (verify).
 
 from __future__ import annotations
 
-import argparse
 import gc
 import itertools
 import json
 import math
 import os
-import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -250,11 +249,13 @@ def _memory_need(command, route, domain, profile, modes, orders, max_order) -> i
     return ((dense + work) * m * m + vectors * m + pairs + table) * 8
 
 
-def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
+def load_config(path: str | None, overrides) -> RunConfig:
     """Parse and validate configuration; raise ConfigError listing every problem.
 
-    Every node's type and every scalar conversion is checked here, so any
-    JSON object either loads or raises ConfigError.
+    overrides is any object with the option attributes (parse_args gives
+    one); missing ones read as unset.  Every node's type and every scalar
+    conversion is checked here, so any JSON object either loads or raises
+    ConfigError.
     """
     problems: list[str] = []
     data: dict = {}
@@ -367,10 +368,10 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
 
     # --- cross validation (one pass, everything reported) ---
     command = getattr(overrides, "command", None)
+    max_order = getattr(overrides, "max_order", 2)
     geometry = [] if basis is None else _geometry_problems(domain, modes, orders)
     problems += geometry
     if basis is not None and not geometry:  # an extreme side overflows the side bounds
-        max_order = getattr(overrides, "max_order", 2)
         need = _memory_need(command, route, domain, profile, modes, orders, max_order)
         memory = _physical_memory()
         if memory is not None and need > memory:
@@ -379,10 +380,13 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
                 f"working set, more than the {memory / 2**30:.3g} GiB of physical memory"
             )
     if command == "coeffs":
-        if not 1 <= overrides.n_root <= MAX_ROOT_ORDER:
-            problems.append(f"--n-root must be in 1..{MAX_ROOT_ORDER}, got {overrides.n_root}")
-        if overrides.max_order < 0:
-            problems.append(f"--max-order must be >= 0, got {overrides.max_order}")
+        n_root = getattr(overrides, "n_root", 2)
+        if not 1 <= n_root <= MAX_ROOT_ORDER:
+            problems.append(f"--n-root must be in 1..{MAX_ROOT_ORDER}, got {n_root}")
+        if max_order < 0:
+            problems.append(f"--max-order must be >= 0, got {max_order}")
+    if command not in (None, "sumrule") and out_format == "json":
+        problems.append(f"{command} writes CSV only; JSON output is sumrule's")
     if command == "spectrum" and len(lam_list) > 1:
         problems.append(f"spectrum takes one lambda; extra values {lam_list[1:]}")
     if command == "verify" and len(orders) > 1:
@@ -565,50 +569,142 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors raise ValidationError (subparsers share the class): JSON on stderr, exit 2."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # no option starts with "-" and a digit: "--lambda -1e-05" and "-0.5,0.1" are values
-        self._negative_number_matcher = re.compile(r"-\.?\d")
-
-    def error(self, message):
-        raise ValidationError(message)
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    # the options every subcommand takes, built once and copied into each subparser
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, help="JSON run configuration")
-    common.add_argument("--s", action="append", default=None, metavar="SPEC",
-                        help="rational order, e.g. 3/2, 1+1/4 or 1/2+1/3 (repeatable)")
-    common.add_argument("--lambda", dest="lam", default=None, metavar="X[,X...]",
-                        help="density strength(s)")
-    common.add_argument("--route", choices=ROUTES, default=None)
-    common.add_argument("--resummed", action="store_true", help="resummed diagonal mode")
+# The options of each subcommand: flag -> (destination, kind, default, help).
+# A kind is a type that converts the value, a tuple of the values allowed,
+# "append" (repeatable, the values in a list) or "flag" (takes no value; True
+# when given).  An option with no help is left out of -h.
+_COMMON = {
+    "--config": ("config", str, None, "JSON run configuration"),
+    "--s": ("s", "append", None, "rational order, e.g. 3/2, 1+1/4 or 1/2+1/3 (repeatable)"),
+    "--lambda": ("lam", str, None, "density strength(s), X[,X...]"),
+    "--route": ("route", ROUTES, None, "the routes sumrule computes"),
+    "--resummed": ("resummed", "flag", False, "resummed diagonal mode"),
     # ignored; kept only because perfbench/workloads.py passes it on every invocation
-    common.add_argument("--cache-dir", help=argparse.SUPPRESS)
-    common.add_argument("--out", default=None)
-    common.add_argument("--format", choices=("csv", "json"), default=None)
-    common.add_argument("--modes", type=int, default=None, help="basis truncation M")
+    "--cache-dir": ("cache_dir", str, None, None),
+    "--out": ("out", str, None, "output file (coeffs: output directory)"),
+    "--format": ("format", ("csv", "json"), None, "sumrule's output format"),
+    "--modes": ("modes", int, None, "basis truncation M"),
+}
+OPTIONS = {
+    "sumrule": _COMMON,
+    "coeffs": {
+        **_COMMON,
+        "--n-root": ("n_root", int, 2, "root order N"),
+        "--max-order": ("max_order", int, 2, "highest coefficient order"),
+    },
+    "verify": {
+        **_COMMON,
+        "--threshold": ("threshold", float, None, "minimum slope"),
+        "--first-order-only": ("first_order_only", "flag", False,
+                               "drop the second-order term (harness self-check)"),
+    },
+    "spectrum": _COMMON,
+}
+_ABOUT = {
+    None: "Spectral zeta functions of rational order for heterogeneous billiards",
+    "sumrule": "compute Z(s) by the requested routes",
+    "coeffs": "dump q^(k) coefficient matrices as CSV",
+    "verify": "lambda-scaling validation against the oracle",
+    "spectrum": "export the heterogeneous spectrum as CSV",
+}
+_HELP = ("help", "flag", False, "show this help message and exit")
 
-    parser = _Parser(
-        prog="billzeta",
-        description="Spectral zeta functions of rational order for heterogeneous billiards",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("sumrule", parents=[common], help="compute Z(s) by the requested routes")
-    p_coef = sub.add_parser("coeffs", parents=[common], help="dump q^(k) coefficient matrices as CSV")
-    p_coef.add_argument("--n-root", type=int, default=2, help="root order N")
-    p_coef.add_argument("--max-order", type=int, default=2)
-    p_ver = sub.add_parser("verify", parents=[common],
-                           help="lambda-scaling validation against the oracle")
-    p_ver.add_argument("--threshold", type=float, default=None, help="minimum slope")
-    p_ver.add_argument("--first-order-only", action="store_true",
-                       help="drop the second-order term (harness self-check)")
-    sub.add_parser("spectrum", parents=[common], help="export the heterogeneous spectrum as CSV")
-    return parser
+
+def _is_value(token: str) -> bool:
+    """A token is a value unless it starts with "-": "-1e-05", "-.5" and "-0.5,0.1" are values too."""
+    return not token.startswith("-") or token[1:].removeprefix(".")[:1].isdecimal()
+
+
+def _choices(values) -> str:
+    return f"(choose from {', '.join(map(repr, values))})"
+
+
+def _help(command: str | None) -> str:
+    if command is None:
+        lines = [f"usage: billzeta [-h] {{{','.join(OPTIONS)}}} ...", "", _ABOUT[None], "", "commands:"]
+        lines += [f"  {name:<10}{_ABOUT[name]}" for name in OPTIONS]
+    else:
+        lines = [f"usage: billzeta {command} [-h] [options]", "", _ABOUT[command], "", "options:"]
+        for flag, (dest, kind, _, about) in {"-h, --help": _HELP, **OPTIONS[command]}.items():
+            if isinstance(kind, tuple):
+                flag += f" {{{','.join(kind)}}}"
+            elif kind != "flag":
+                flag += f" {dest.upper()}"
+            if about is not None:
+                lines.append(f"  {flag:<28}  {about}")
+    return "\n".join(lines) + "\n"
+
+
+def _flag(name: str, table: dict) -> str | None:
+    """The flag a name stands for: itself, or one a "--" prefix abbreviates ("--lam" is "--lambda")."""
+    if name == "-h":
+        return "--help"
+    found = [name] if name in table else [
+        flag for flag in table if len(name) > 2 and name.startswith("--") and flag.startswith(name)
+    ]
+    if len(found) > 1:
+        raise ValidationError(f"ambiguous option: {name} could match {', '.join(found)}")
+    return found[0] if found else None
+
+
+def _parse_options(tokens: list, command: str | None) -> tuple[dict, list]:
+    """Each option's value by destination, defaults filled, and the tokens no option takes.
+
+    A usage error raises ValidationError; -h prints the command's help and
+    exits 0.  Every flag is matched before any is read, so an ambiguous
+    prefix is reported whatever comes before it.
+    """
+    options = OPTIONS.get(command, {})
+    table = {**options, "--help": _HELP}
+    values = {dest: default for dest, _, default, _ in options.values()}
+    pairs = iter([(token, _flag(token.partition("=")[0], table)) for token in tokens])
+    extras = []
+    for token, flag in pairs:
+        if flag is None:
+            extras.append(token)
+            continue
+        _, eq, value = token.partition("=")
+        dest, kind, _, _ = table[flag]
+        if kind == "flag":
+            if eq:
+                raise ValidationError(f"argument {flag}: ignored explicit argument {value!r}")
+            if flag == "--help":
+                sys.stdout.write(_help(command))
+                raise SystemExit(EXIT_OK)
+            values[dest] = True
+            continue
+        if not eq:
+            value = next(pairs, (None,))[0]
+            if value is None or not _is_value(value):
+                raise ValidationError(f"argument {flag}: expected one argument")
+        if kind == "append":
+            value = [*(values[dest] or []), value]
+        elif isinstance(kind, tuple):
+            if value not in kind:
+                raise ValidationError(f"argument {flag}: invalid choice: {value!r} {_choices(kind)}")
+        else:
+            try:
+                value = kind(value)
+            except ValueError:
+                raise ValidationError(f"argument {flag}: invalid {kind.__name__} value: {value!r}") from None
+        values[dest] = value
+    return values, extras
+
+
+def parse_args(argv=None) -> SimpleNamespace:
+    """The subcommand and its options; a usage error raises ValidationError, -h exits 0."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    at = next((i for i, token in enumerate(argv) if _is_value(token)), len(argv))
+    _, extras = _parse_options(argv[:at], None)  # only -h may come before the command
+    if at == len(argv):
+        raise ValidationError("the following arguments are required: command")
+    command = argv[at]
+    if command not in OPTIONS:
+        raise ValidationError(f"argument command: invalid choice: {command!r} {_choices(OPTIONS)}")
+    values, more = _parse_options(argv[at + 1:], command)
+    if extras or more:
+        raise ValidationError(f"unrecognized arguments: {' '.join(extras + more)}")
+    return SimpleNamespace(command=command, **values)
 
 
 def main(argv=None) -> int:
@@ -624,7 +720,7 @@ def main(argv=None) -> int:
     # collection, the one at interpreter shutdown included
     gc.freeze()
     try:
-        args = _build_parser().parse_args(argv)  # a usage error raises ValidationError too
+        args = parse_args(argv)  # a usage error raises ValidationError too
         cfg = load_config(args.config, args)
         if args.command == "sumrule":
             return cmd_sumrule(cfg)

@@ -23,10 +23,11 @@ from billzeta.cli import (
     EXIT_OK,
     EXIT_SLOPE,
     EXIT_VALIDATION,
+    OPTIONS,
     ROUTES,
-    _build_parser,
     load_config,
     main,
+    parse_args,
 )
 from billzeta.errors import ConfigError
 
@@ -242,8 +243,8 @@ def test_verify_to_an_unwritable_path_exits_2(tmp_path, capsys):
     ("-1e-05", [-1e-05]), ("-.5", [-0.5]), ("-1E-2,3e-2", [-0.01, 0.03]), ("-0.1,-2e-3", [-0.1, -0.002]),
 ])
 def test_negative_lambda_parses_after_a_space(tmp_path, lam, expected):
-    # argparse takes only -\d+ and -\d*.\d+ as negative numbers by default; every form of a
-    # negative strength list is a value here, as it is after "="
+    # a token starting with "-" and a digit, or "-." and a digit, is a value: every form of a
+    # negative strength list parses after a space, as it does after "="
     for argv in (["--lambda", lam], [f"--lambda={lam}"]):
         out = tmp_path / "r.json"
         assert main(["sumrule", "--modes", "20", "--s", "3/2", "--route", "closed", "--format", "json",
@@ -324,6 +325,97 @@ def test_help_still_exits_0(capsys):
             main(argv)
         assert exc.value.code == 0
         assert "usage:" in capsys.readouterr().out
+
+
+# a value for each kind of option in cli.OPTIONS; a choice option takes its last choice
+SAMPLES = {str: "x", int: 7, float: 2.5, "append": ["3/2", "1+1/4"], "flag": True}
+
+
+def _sample(kind):
+    return kind[-1] if isinstance(kind, tuple) else SAMPLES[kind]
+
+
+def _option_argv(flag, kind, joined):
+    """Tokens giving an option its sample value: each value after a space, or after "="."""
+    if kind == "flag":
+        return [flag]
+    value = _sample(kind)
+    values = value if kind == "append" else [value]
+    return [f"{flag}={v}" for v in values] if joined else [t for v in values for t in (flag, str(v))]
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, table in OPTIONS.items() for f in table])
+def test_every_option_parses_after_a_space_and_after_equals(capsys, command, flag):
+    dest, kind, default, _ = OPTIONS[command][flag]
+    assert getattr(parse_args([command]), dest) == default
+    for joined in (False, True):
+        args = parse_args([command, *_option_argv(flag, kind, joined)])
+        assert args.command == command
+        assert getattr(args, dest) == _sample(kind)
+    # a flag given a value, or an option at the end of argv without one, is a usage error
+    argv, message = ([f"{flag}=1"], f"argument {flag}: ignored explicit argument '1'") if kind == "flag" \
+        else ([flag], f"argument {flag}: expected one argument")
+    assert main([command, *argv]) == EXIT_VALIDATION
+    assert problems_on_stderr(capsys) == [message]
+
+
+@pytest.mark.parametrize("command", OPTIONS)
+def test_unique_prefixes_abbreviate_and_shared_ones_exit_2(capsys, command):
+    flags = [*OPTIONS[command], "--help"]
+    for flag, (dest, kind, _, _) in OPTIONS[command].items():
+        for prefix in (flag[:end] for end in range(3, len(flag))):
+            matches = [f for f in flags if f.startswith(prefix)]
+            argv = [command, *_option_argv(prefix, kind, joined=False)]
+            if len(matches) == 1:
+                assert getattr(parse_args(argv), dest) == _sample(kind)
+            else:
+                assert main(argv) == EXIT_VALIDATION
+                assert problems_on_stderr(capsys) == [
+                    f"ambiguous option: {prefix} could match {', '.join(matches)}"
+                ]
+    assert parse_args([command, "--lam", "-0.1"]).lam == "-0.1"
+    assert main([command, "--r", "closed"]) == EXIT_VALIDATION
+    assert problems_on_stderr(capsys) == ["ambiguous option: --r could match --route, --resummed"]
+
+
+def test_unknown_subcommand_exits_2_listing_the_commands(capsys):
+    assert main(["sumrules", "--modes", "20"]) == EXIT_VALIDATION
+    assert problems_on_stderr(capsys) == [
+        "argument command: invalid choice: 'sumrules' "
+        "(choose from 'sumrule', 'coeffs', 'verify', 'spectrum')"
+    ]
+
+
+@pytest.mark.parametrize("command", OPTIONS)
+def test_help_lists_each_commands_options(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: billzeta {command} ")
+    listed = re.findall(r"^  (--[a-z-]+)", out, re.MULTILINE)
+    # --cache-dir is accepted and ignored, and not listed
+    assert listed == [flag for flag, option in OPTIONS[command].items() if option[3] is not None]
+    assert "--cache-dir" not in out
+    with pytest.raises(SystemExit):
+        main(["-h"])
+    assert re.findall(r"^  ([a-z]+) ", capsys.readouterr().out, re.MULTILINE) == list(OPTIONS)
+
+
+@pytest.mark.parametrize("given", ["flag", "config"])
+@pytest.mark.parametrize("command, argv", [
+    ("spectrum", ["--lambda", "0.1"]),
+    ("verify", ["--lambda", "0.02,0.04,0.08"]),
+    ("coeffs", []),
+])
+def test_json_output_is_sumrules_only(tmp_path, capsys, command, argv, given):
+    cfg = write_config(tmp_path, output={"format": "json" if given == "config" else "csv"})
+    argv = [command, "--config", str(cfg), "--modes", "20", "--out", str(tmp_path / "out"), *argv]
+    if given == "flag":
+        argv += ["--format", "json"]
+    assert main(argv) == EXIT_VALIDATION
+    assert problems_on_stderr(capsys) == [f"{command} writes CSV only; JSON output is sumrule's"]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, out", [
@@ -663,7 +755,7 @@ def test_runs_peak_below_the_counted_need(tmp_path, run, route):
             "--lambda", "0.05,0.1", "--out", str(tmp_path / "r.csv")]
     for order in orders:
         argv += ["--s", order]
-    loaded = load_config(str(cfg), _build_parser().parse_args(argv))
+    loaded = load_config(str(cfg), parse_args(argv))
     need = _memory_need("sumrule", route, loaded.basis.domain, loaded.profile, m, loaded.orders, 2)
     tracemalloc.start()
     try:
@@ -689,7 +781,7 @@ def test_oracle_peaks_below_the_counted_need(tmp_path, run, m, command):
             "--out", str(tmp_path / "r.csv")]
     if command == "sumrule":
         argv += ["--route", "oracle", "--s", "3/2"]
-    loaded = load_config(str(cfg), _build_parser().parse_args(argv))
+    loaded = load_config(str(cfg), parse_args(argv))
     need = _memory_need(command, "oracle", loaded.basis.domain, loaded.profile, m, loaded.orders, 2)
     tracemalloc.start()
     try:
@@ -707,7 +799,7 @@ def test_rectangle_trace_need_grows_like_its_row_blocks(tmp_path):
 
     cfg = write_config(tmp_path, basis={"kind": "rectangle"}, density=RECT_DENSITY)
     argv = ["sumrule", "--config", str(cfg), "--route", "trace1", "--s", "1+1/2", "--s", "1+1/8"]
-    loaded = load_config(str(cfg), _build_parser().parse_args(argv))
+    loaded = load_config(str(cfg), parse_args(argv))
     need = {m: _memory_need("sumrule", "trace1", loaded.basis.domain, loaded.profile, m, loaded.orders, 2)
             for m in (2000, 4000)}
     assert need[4000] / need[2000] < 3
@@ -836,6 +928,18 @@ def test_module_entry_point_writes_finite_csv(tmp_path):
     rows = read_csv(tmp_path / "r.csv")
     assert len(rows) == 6  # two orders on three routes
     assert all(math.isfinite(float(r["z_total"])) and float(r["z_total"]) > 0 for r in rows)
+
+
+def test_module_entry_point_usage_error_is_one_json_line(tmp_path):
+    # a usage error leaves main as exit code 2, which the console-script wrapper passes on
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "billzeta.cli", "sumrule", "--no-such-flag"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_VALIDATION
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "validation", "problems": ["unrecognized arguments: --no-such-flag"]}
 
 
 @pytest.mark.parametrize("basis, density, where", [

@@ -95,6 +95,21 @@ def test_cli_run_leaves_dataclasses_unimported(tmp_path):
     assert _last_line_of_fresh_run(script, tmp_path) == "False"
 
 
+def test_cli_runs_leave_argparse_gettext_and_locale_unimported(tmp_path):
+    # the options are parsed from one table: argparse, and the gettext and locale it loads,
+    # would cost every run a few milliseconds of start-up
+    script = (
+        "import sys\n"
+        "from billzeta.cli import main\n"
+        "assert main(['sumrule', '--route', 'all', '--modes', '40', '--s', '3/2', '--s', '1/2+1/3',\n"
+        "             '--lambda', '0.05,0.1', '--out', 'r.csv']) == 0\n"
+        "assert main(['verify', '--modes', '60', '--s', '3/2', '--lambda', '0.02,0.04,0.08,0.16',\n"
+        "             '--out', 'v.csv']) == 0\n"
+        "print(sorted(name for name in ('argparse', 'gettext', 'locale') if name in sys.modules))\n"
+    )
+    assert _last_line_of_fresh_run(script, tmp_path) == "[]"
+
+
 COS = FourierCosine((0, 0, 1))
 RESULT_FIELDS = {
     "s": 1.5, "lam": 0.1, "z0": 1.0, "z1": 0.5, "z2": 0.25, "diagonal_mode": "truncated",
