@@ -17,12 +17,13 @@ midpoint of its side has exactly zero odd coefficients, so S_j[n, m] is 0
 for n + m odd (mirror parity, an exact selection rule).  A string table
 keeps only the coefficients of sigma^j.  On the rectangle sigma^j is a sum of separable
 products, so S_j is a sum of elementwise products of such string factors,
-one per side; a rectangle table keeps those factors.  Either table lists the
-nonzero couplings S_j[n, m], m >= n, of any block of rows (O(j b) per row
-for a cosine profile of highest harmonic b) and its main diagonal without
-forming S_j, and finds the exact blocks of S_1 from those couplings.  A
+one per side; a rectangle table keeps those factors.  Either table walks the
+nonzero couplings S_j[n, m], m >= n, one step of rows at a time (O(j b) per
+row for a cosine profile of highest harmonic b), reads its main diagonal
+without forming S_j, and finds the exact blocks of S_1 from that walk.  A
 dense S_j is formed only on request, in new arrays the caller owns, and
-is never kept.  Every table is built from scratch on each call.
+is never kept.  Every table is built from scratch on each call and serves
+exactly the basis it was built for.
 """
 
 from __future__ import annotations
@@ -567,12 +568,13 @@ class SigmaPowerTable:
     the truncation).  A mirror-even profile (``is_even``) has exactly zero
     odd coefficients, in ``cosine[j]`` or behind a side factor, so S_j[n, m]
     = 0 where n + m, or that side's index sum, is odd.
-    ``couplings(j, lo, hi)`` lists the entries of a block of rows of S_j
-    that can be nonzero and ``diagonal(j)`` the main diagonal; ``blocks()``
-    lists the exact blocks of S_1, found once from its couplings.
-    ``restrict(j, blocks, size)`` forms S_j on the blocks of a partition of
-    the first ``size`` modes, and ``power(j)`` on one block of every mode, in
-    new arrays the caller owns.  All of them give the same bits.
+    ``walk(j)`` yields the nonzero couplings of S_j one step of rows at a
+    time, the only loop over them, and ``diagonal(j)`` the main diagonal;
+    ``blocks()`` lists the exact blocks of S_1, found once from its walk.
+    ``restrict(j, blocks)`` forms S_j on the blocks of a partition of the
+    modes, and ``power(j)`` on one block of every mode, in new arrays the
+    caller owns.  All of them give the same bits.  A table serves exactly
+    the basis it was built for (``check_basis``).
     """
 
     max_power: int
@@ -589,41 +591,37 @@ class SigmaPowerTable:
         if not 0 <= j <= self.max_power:
             raise ValidationError(f"power {j} outside table range 0..{self.max_power}")
 
+    def check_basis(self, basis: ModeBasis) -> None:
+        """Raise ValidationError unless the table has exactly the basis's modes: it serves that basis only."""
+        if self.size != basis.mode_count:
+            raise ValidationError(f"a table of {self.size} modes cannot serve a basis of {basis.mode_count}")
+
     def power(self, j: int) -> np.ndarray:
         """A new dense S_j, which the caller owns: ``restrict`` on one block of every mode."""
-        return self.restrict(j, [np.arange(self.size)], self.size)[0]
+        return self.restrict(j, [np.arange(self.size)])[0]
 
-    def restrict(self, j: int, blocks, size: int) -> list[np.ndarray]:
+    def restrict(self, j: int, blocks) -> list[np.ndarray]:
         """S_j[np.ix_(modes, modes)] for each of ``blocks``, in new arrays the caller owns.
 
-        ``blocks`` partitions modes 0..size-1 into ascending arrays, and S_j
+        ``blocks`` partitions the table's modes into ascending arrays, and S_j
         must be exactly 0 between two of them, as S_1 is between its exact
-        blocks (``blocks()``, cut to ``size``); that is not checked.  One
-        block on the string is the selection rule: one M x M array, where the
-        scatter traces 2.3 M^2 (M = 400) and takes 7x as long (M = 2000).
-        Everything else is one scatter into a zero-filled buffer the blocks
-        share, entry (n, m) of a block at ``buffer[row[n] + col[m]]``, one
-        ``row_step`` of couplings at a time; columns past ``size`` are
-        dropped only when the table has more modes.
+        blocks (``blocks()``); that is not checked.  One block on the string
+        is the selection rule: one M x M array, where the scatter traces
+        2.3 M^2 (M = 400) and takes 7x as long (M = 2000).  Everything else
+        is one scatter of ``walk(j)`` into a zero-filled buffer the blocks
+        share, entry (n, m) of a block at ``buffer[row[n] + col[m]]``.
         """
         self._check(j)
-        if not 0 < size <= self.size:
-            raise ValidationError(f"size {size} outside the table's 1..{self.size} modes")
         if self.cosine is not None and len(blocks) == 1:
-            return [_exact_cosine_elements(size, self.cosine[j])]
+            return [_exact_cosine_elements(self.size, self.cosine[j])]
         sizes = np.array([len(modes) for modes in blocks])
         starts = np.cumsum(sizes * sizes) - sizes * sizes
         buffer = np.zeros(int(np.sum(sizes * sizes)))
-        row, col = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp)
+        row, col = np.empty(self.size, dtype=np.intp), np.empty(self.size, dtype=np.intp)
         for start, modes in zip(starts, blocks):
             col[modes] = np.arange(len(modes))
             row[modes] = start + col[modes] * len(modes)
-        step = self.row_step(j)
-        for lo in range(0, size, step):
-            n, m, value = self.couplings(j, lo, min(lo + step, size))
-            if size < self.size:
-                inside = m < size
-                n, m, value = n[inside], m[inside], value[inside]
+        for _, n, m, value in self.walk(j):
             buffer[row[n] + col[m]] = value
             buffer[row[m] + col[n]] = value
         return [buffer[start : start + k * k].reshape(k, k) for start, k in zip(starts, sizes)]
@@ -671,14 +669,23 @@ class SigmaPowerTable:
         c, _ = self._coefficients(j)
         return c[0] - 0.5 * c[2::2]
 
-    def row_step(self, j: int) -> int:
-        """Rows per ``couplings(j, ...)`` call in a walk over S_j.
+    def walk(self, j: int):
+        """(lo, n, m, S_j[n, m]) per step of ``_row_step(j)`` rows from lo: their ``_couplings``.
+
+        The one loop over the couplings of S_j.  j is checked at the call;
+        each step is formed as it is read, so one step's pairs are in memory.
+        """
+        self._check(j)
+        step = self._row_step(j)
+        return ((lo, *self._couplings(j, lo, min(lo + step, self.size))) for lo in range(0, self.size, step))
+
+    def _row_step(self, j: int) -> int:
+        """Rows per step of ``walk(j)``.
 
         ROW_BLOCK, or more when rows have few candidate entries, so that a
         step considers at most about ROW_BLOCK x max(ROW_BLOCK, entries per row);
-        on the string those are the offsets ``couplings`` strides over.
+        on the string those are the offsets ``_couplings`` strides over.
         """
-        self._check(j)
         if self.cosine is not None:
             per_row = (min(len(self.cosine[j]), self.size) - 1) // self._coefficients(j)[1] + 1
         else:
@@ -686,7 +693,7 @@ class SigmaPowerTable:
             per_row = int(np.max(np.diff(x_start)[self.index[0]] * np.diff(y_start)[self.index[1]]))
         return max(ROW_BLOCK, ROW_BLOCK * ROW_BLOCK // max(per_row, 1))
 
-    def couplings(self, j: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _couplings(self, j: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(n, m, S_j[n, m]) for the nonzero entries with m >= n of rows lo..hi-1, row by row.
 
         Entries are listed where the structure allows a nonzero and kept where
@@ -698,13 +705,11 @@ class SigmaPowerTable:
         mirror-even profile: half the pairs of a dense S_j).  On the rectangle, a
         pair of side indices nonzero in X and in Y of some split, mapped
         through ``pos``: a few per row for cosine factors, and at most
-        ``size`` per row (O(size^2) in all) for dense ones.  Each value is bit
-        for bit what ``power(j)`` returns, and S_j is not formed.
+        ``size`` per row (O(size^2) in all) for dense ones; the candidates'
+        index arrays are released before the values are formed.  Each value
+        is bit for bit what ``power(j)`` returns, and S_j is not formed.
         """
-        self._check(j)
         m_size = self.size
-        if not 0 <= lo < hi <= m_size:
-            raise ValidationError(f"row range {lo}..{hi} outside 0..{m_size}")
         rows = np.arange(lo, hi)
         if self.cosine is not None:
             # the selection rule of _exact_cosine_elements on the offsets d = m - n it allows
@@ -727,8 +732,10 @@ class SigmaPowerTable:
             y_count = y_count[row]
             m = self.pos[x_cols[x_start[x[row]] + k // y_count], y_cols[y_start[y[row]] + k % y_count]]
             n = rows[row]
+            del row, k, y_count  # with dense side factors these are the step's largest arrays
             upper = m >= n  # also drops side pairs past the truncation, where pos is -1
             n, m = n[upper], m[upper]
+            del upper
             value = self._add_factors(j, n, m, np.zeros(len(n)))
         nonzero = value != 0.0
         return n[nonzero], m[nonzero], value[nonzero]
@@ -736,20 +743,16 @@ class SigmaPowerTable:
     def blocks(self) -> tuple[np.ndarray, ...]:
         """The exact blocks of S_1: each connected component of S_1 != 0, as ascending modes.
 
-        Every entry of S_1 between two blocks is exactly 0.  The couplings are
-        walked one ``row_step`` at a time, after row 0 alone, and each step's
-        pairs join the trees of a forest over the modes; the walk stops as
-        soon as one block is left, so a dense S_1 settles after its first
-        row; a mirror-even profile's S_1, odd and even modes apart, is walked
-        whole.  Blocks come in order of their lowest mode.  Found once per
-        table, so the arrays are read-only.
+        Every entry of S_1 between two blocks is exactly 0.  Each step of
+        ``walk(1)`` joins the trees of a forest over the modes with its pairs;
+        the walk stops as soon as one block is left, so a dense S_1 settles
+        after its first step; a mirror-even profile's S_1, odd and even modes
+        apart, is walked whole.  Blocks come in order of their lowest mode.
+        Found once per table, so the arrays are read-only.
         """
         if not self._blocks:
             root = np.arange(self.size)  # every mode's tree root: the lowest mode joined to it
-            # row 0 on its own first: a dense S_1 joins every mode to it, and the walk ends
-            bounds = [0, *range(1, self.size, self.row_step(1)), self.size]
-            for lo, hi in itertools.pairwise(bounds):
-                n, m, _ = self.couplings(1, lo, hi)
+            for _, n, m, _ in self.walk(1):
                 root = _join(root, n, m)
                 if not root.any():  # every mode's root is mode 0: one block
                     break
@@ -799,7 +802,7 @@ def rectangle_table_doubles(domain: Rectangle2D, profile: Profile, mode_count: i
     Each split of the powers 0..J over the profile's T terms, C(J + T, T) of
     them, keeps two side factors, n x n for a bound on the side's highest
     mode index n; the index map adds 2 per mode and its inverse ``pos``
-    n_x n_y.  The nonzero pattern ``couplings`` keeps for the power it reads
+    n_x n_y.  The nonzero pattern ``walk`` keeps for the power it reads
     takes at most n^2 + n + 1 more per side.
     """
     nx, ny = _rectangle_side_bounds(domain.a, domain.b, mode_count)
@@ -808,17 +811,20 @@ def rectangle_table_doubles(domain: Rectangle2D, profile: Profile, mode_count: i
     return splits * (nx * nx + ny * ny) + (nx + 1) ** 2 + (ny + 1) ** 2 + nx * ny + 2 * mode_count
 
 
-def row_couplings_bound(domain: String1D | Rectangle2D, profile: Profile, mode_count: int) -> int:
-    """Entries ``couplings(1, ...)`` considers per row at most, counted without building the table.
+def walk_step_bound(domain: String1D | Rectangle2D, profile: Profile, mode_count: int) -> int:
+    """Entries one step of ``walk(1)`` considers at most, R x max(R, per row), R = min(ROW_BLOCK, M).
 
-    On the string, the offsets up to S_1's highest harmonic: b + 1 for a
-    cosine profile of highest harmonic b, else every column.  On the
-    rectangle, every pair of side indices up to the side bounds: about
-    1.3 mode_count, which covers dense side factors.
+    Counted without building the table.  Per row on the string, the offsets
+    up to S_1's highest harmonic: b + 1 for a cosine profile of highest
+    harmonic b, else every column; on the rectangle, every pair of side
+    indices up to the side bounds: about 1.3 M, which covers dense factors.
     """
-    if isinstance(domain, String1D):
-        return min(mode_count, profile.bandwidth() + 1 if isinstance(profile, FourierCosine) else mode_count)
-    return math.prod(_rectangle_side_bounds(domain.a, domain.b, mode_count))
+    rows, per_row = min(ROW_BLOCK, mode_count), mode_count
+    if isinstance(domain, Rectangle2D):
+        per_row = math.prod(_rectangle_side_bounds(domain.a, domain.b, mode_count))
+    elif isinstance(profile, FourierCosine):
+        per_row = min(mode_count, profile.bandwidth() + 1)
+    return rows * max(rows, per_row)
 
 
 def build_sigma_table(

@@ -25,7 +25,6 @@ import numpy as np
 from . import coefficients, oracle, sumrules
 from ._record import dataclass
 from .basis import (
-    ROW_BLOCK,
     DensityPerturbation,
     FourierCosine,
     ModeBasis,
@@ -36,7 +35,7 @@ from .basis import (
     Tabulated,
     build_sigma_table,
     rectangle_table_doubles,
-    row_couplings_bound,
+    walk_step_bound,
 )
 from .errors import (
     ConfigError,
@@ -174,14 +173,12 @@ def _physical_memory() -> int | None:
 # blocks hold their squares, which sum to less than M^2, and LAPACK copies
 # one block at a time (0.57 M^2 traced for the cosine string's two at M=400).
 _ORACLE_MATRICES = 2
-# The closed form and the trace routes form no matrix: they read S_1 as the
-# nonzero couplings of one step of rows at a time (SigmaPowerTable.row_step),
-# which considers at most ROW_BLOCK x max(ROW_BLOCK, row_couplings_bound)
-# entries.  Counted in arrays of that many pairs: this many while S_1's
-# couplings are listed or the closed form sums them, plus this many per
-# series (Q and each q[1/N]) on a trace route.  A dense rectangle S_j (the
-# oracle's S_1 or a coefficient series' S_j) is scattered from one step of
-# couplings at a time, which adds _PAIR_ARRAYS more.
+# The closed form and the trace routes form no matrix: they read S_1 one step
+# of SigmaPowerTable.walk at a time, at most walk_step_bound entries.  Counted
+# in arrays of that many pairs: this many while S_1's couplings are listed or
+# the closed form sums them, plus this many per series (Q and each q[1/N]) on
+# a trace route.  A dense rectangle S_j (the oracle's S_1 or a coefficient
+# series' S_j) is scattered from the walk, which adds _PAIR_ARRAYS more.
 _PAIR_ARRAYS, _SERIES_PAIR_ARRAYS = 12, 6
 # Length-M vectors: a fixed number, this many per order (the closed form
 # keeps each order's eps^-s), and on a trace route this many per series
@@ -243,8 +240,7 @@ def _memory_need(command, route, domain, profile, modes, orders, max_order) -> i
         vectors += _SERIES_VECTORS * len(series)
     if not string and (dense or oracle):  # a rectangle S_j scattered from its couplings
         arrays += _PAIR_ARRAYS
-    rows = min(ROW_BLOCK, m)
-    pairs = arrays * rows * max(rows, row_couplings_bound(domain, profile, m))
+    pairs = arrays * walk_step_bound(domain, profile, m)
     table = 0 if string else rectangle_table_doubles(domain, profile, m, max_power)
     return ((dense + work) * m * m + vectors * m + pairs + table) * 8
 

@@ -86,13 +86,14 @@ def build_Q_series(k: int, table: SigmaPowerTable, basis: ModeBasis) -> tuple:
     """Orders 0..k of the dressed Green's function, Q^(0..k).
 
     Q^(c)[n,m] = sum_{j<=c} binom(1/2,j) binom(1/2,c-j) sum_r S_j[n,r] S_{c-j}[r,m] / eps_r
-    with the internal sum truncated at the table size.
+    with the internal sum truncated at the basis, which the table must have exactly.
     """
+    table.check_basis(basis)
     if k < 0:
         raise ValidationError("order must be >= 0")
     if k > table.max_power:
         raise ValidationError(f"order {k} exceeds table max_power {table.max_power}")
-    inv = 1.0 / basis.eigenvalues()[: table.size]
+    inv = 1.0 / basis.eigenvalues()
     half = [np.ones(table.size)] + [half_binomial(j) * table.power(j) for j in range(1, k + 1)]
     series = _series_product([h * inv for h in half], half, k)
     return (np.diag(series[0]), *(_sym(q) for q in series[1:]))
@@ -135,7 +136,7 @@ def q_generic_recursion(n_root: int, big_q, basis: ModeBasis) -> GreenCoefficien
 
 
 def Q_trace_terms(n: np.ndarray, m: np.ndarray, s1: np.ndarray, eps: np.ndarray) -> tuple:
-    """Q^(1) on pairs (n, m), m >= n, of S_1 (``SigmaPowerTable.couplings``), and their row terms.
+    """Q^(1) on pairs (n, m), m >= n, of S_1 (a step of ``SigmaPowerTable.walk``), and their row terms.
 
     Q^(1)[n, m] = b_1 S_1[n, m] (1/eps_m + 1/eps_n), symmetric, so each pair
     stands for both triangles.  diag Q^(2) (``Q_diagonal``) needs the row

@@ -63,20 +63,17 @@ def assemble(
 ) -> GeneralizedProblem:
     """Assemble the graded pencil block by block over the exact blocks of S_1.
 
-    The table's blocks, cut to the basis size, partition the basis; its
-    ``restrict`` gives S_1 on each in a new array, which becomes
-    r (I + lam S_1) r in place.  Without a table, a power-1 table of the
-    basis size is built.
+    The table, of exactly the basis's modes, gives S_1 on each of its blocks
+    in a new array (``restrict``), which becomes r (I + lam S_1) r in place.
+    Without a table, a power-1 table of the basis is built.
     """
     density.validate(basis.domain)
-    m = basis.mode_count
     if table is None:
         table = build_sigma_table(basis, density, 1)
+    table.check_basis(basis)
     stiffness = basis.eigenvalues()
-    # a larger table's blocks, cut to the basis size, are unions of the basis's blocks
-    blocks = [modes[: np.searchsorted(modes, m)] for modes in table.blocks()]
-    blocks = [modes for modes in blocks if len(modes)]
-    pencils = table.restrict(1, blocks, m)
+    blocks = table.blocks()
+    pencils = table.restrict(1, blocks)
     r = 1.0 / np.sqrt(stiffness)
     for modes, graded in zip(blocks, pencils):
         # S = I + lam * S_1 with no identity matrix: adding 0.0 turns the -0.0 of a negative
@@ -278,7 +275,7 @@ def oracle_sum_rule(
     top_discard: float = 0.25,
 ) -> list[SumRuleResult]:
     """Full oracle route: one spectrum per density, summed for every order (z0 carries all)."""
-    resolved = _resolve_route_inputs(orders, basis, densities)
+    resolved = _resolve_route_inputs(orders, table, basis, densities)
     per_density = [
         z_direct_detail(
             solve_spectrum(assemble(basis, density, table=table)), [s for s, _ in resolved],

@@ -14,11 +14,12 @@ cutoff.  Both trace series start from a diagonal order 0, so a trace route
 needs each series' order-1 matrix entry by entry and only the diagonal of its
 order 2.  The closed form and the trace routes read S_1 only as its nonzero
 couplings S_1[n, m], m >= n, one step of rows at a time
-(``SigmaPowerTable.row_step``), and form no M x M matrix: O(N nnz(S_1)) time
+(``SigmaPowerTable.walk``), and form no M x M matrix: O(N nnz(S_1)) time
 per root order N, which is O(N M) for a cosine profile on the string or the
-rectangle and O(N M^2) for a dense S_1, with one step's pairs in memory.  Mode sums rely on numpy's pairwise
-reduction; the order-0 tail is a smooth-counting (Weyl) estimate appended to
-z0 only.
+rectangle and O(N M^2) for a dense S_1, with one step's pairs in memory.
+Every route takes a table of exactly its basis's modes.  Mode sums rely on
+numpy's pairwise reduction; the order-0 tail is a smooth-counting (Weyl)
+estimate appended to z0 only.
 
 Every route has the form Z(s; lam) = z0 + lam c1 + lam^2 c2 with lambda-free
 c1, c2, so each takes sequences of orders and densities, forms its sums once
@@ -261,8 +262,9 @@ def _validate_s_for_basis(s: float, basis: ModeBasis) -> None:
         raise ValidationError(f"s = {s} diverges on a 2D rectangle (needs s > 1)")
 
 
-def _resolve_route_inputs(orders, basis: ModeBasis, densities: list[DensityPerturbation]):
-    """(s, label) of every order (a RationalOrderSpec or a number); checks orders and densities."""
+def _resolve_route_inputs(orders, table: SigmaPowerTable, basis: ModeBasis, densities):
+    """(s, label) of every order (a RationalOrderSpec or a number); checks the table, orders and densities."""
+    table.check_basis(basis)
     resolved = [
         (o.s, o.label()) if isinstance(o, RationalOrderSpec) else (float(o), f"{float(o):g}")
         for o in orders
@@ -274,10 +276,9 @@ def _resolve_route_inputs(orders, basis: ModeBasis, densities: list[DensityPertu
     return resolved
 
 
-def _kernel_block(table: SigmaPowerTable, lo: int, hi: int, eps, orders) -> tuple[bool, list]:
-    """Whether rows lo..hi-1 couple, and each (s, eps^{-s}) order's sum over
-    both triangles of K(eps_n, eps_m; s) S_1[n, m]^2 there."""
-    n, m, s1 = table.couplings(1, lo, hi)
+def _kernel_block(n, m, s1, eps, orders) -> tuple[bool, list]:
+    """Whether a step of couplings (n, m, S_1[n, m]) has any, and each (s, eps^{-s}) order's sum
+    over both triangles of K(eps_n, eps_m; s) S_1[n, m]^2 there."""
     sq = s1 * s1  # the kernel sum needs only S_1[n, m]^2 = S_1[m, n]^2
     sq *= np.where(n == m, 1.0, 2.0)  # an off-diagonal pair stands for (n, m) and (m, n)
     lo_eps, hi_eps = eps[n], eps[m]
@@ -304,29 +305,25 @@ def z_closed_form(
     z2 = (lam^2/2) s sum_{n, m} K(eps_n, eps_m; s) <n|s|m><m|s|n>,
     where the diagonal K(eps, eps; s) = (s-1) eps^{-s} carries the n == m terms.
     The double sum walks the nonzero couplings of S_1 with m >= n
-    (``SigmaPowerTable.couplings``) one ``row_step`` of rows at a time, each
+    (``SigmaPowerTable.walk``) one step of rows at a time, each
     pair off the diagonal counted twice: O(nnz(S_1)) time per order, with one
     step's pairs in memory (O(M) pairs in all for a cosine profile,
     O(M^2) for a dense one).  The lambda-free sums are formed once per order.
     With diagonal_mode="resummed" the truncated diagonal lambda-series is
     replaced by (1 + lam <n|s|n>)^s and the difference reported separately.
     """
-    resolved = _resolve_route_inputs(orders, basis, densities)
+    resolved = _resolve_route_inputs(orders, table, basis, densities)
     if table.max_power < 2:
         raise ValidationError("closed form needs a table with max_power >= 2")
     if diagonal_mode not in (TRUNCATED, RESUMMED):
         raise ValidationError(f"unknown diagonal mode {diagonal_mode!r}")
     m = table.size
-    eps = basis.eigenvalues()[:m]
+    eps = basis.eigenvalues()
     diag = table.diagonal(1)
     order_weights = [(s, eps ** (-s)) for s, _ in resolved]
     blocks = []
     if any(density.lam != 0.0 for density in densities):
-        step = table.row_step(1)
-        blocks = [
-            _kernel_block(table, lo, min(lo + step, m), eps, order_weights)
-            for lo in range(0, m, step)
-        ]
+        blocks = [_kernel_block(rows, cols, s1, eps, order_weights) for _, rows, cols, s1 in table.walk(1)]
     coupled = any(pairs for pairs, _ in blocks)
     partial = np.array([sums for _, sums in blocks]).reshape(-1, len(resolved)).T  # [order, block]
     results = []
@@ -365,15 +362,14 @@ def _add_ends(acc: np.ndarray, lo: int, ends, at_n: np.ndarray, at_m: np.ndarray
         acc[lo : lo + len(sums)] += sums
 
 
-def _trace_block(table, lo, hi, eps, order0, distinct, row_sums, s1_row_sq) -> list:
-    """Rows lo..hi-1 of the trace route: each distinct series pair's (tr(A_0 B_1) + tr(A_1 B_0),
-    tr(A_1 B_1)) share.
+def _trace_block(lo, n, m, s1, eps, order0, distinct, row_sums, s1_row_sq) -> list:
+    """One step of couplings (n, m, S_1[n, m]) of rows lo.. in the trace route: each distinct
+    series pair's (tr(A_0 B_1) + tr(A_1 B_0), tr(A_1 B_1)) share.
 
-    Forms Q^(1) and each q[1/N]^(1) on the block's couplings, from the
+    Forms Q^(1) and each q[1/N]^(1) on the step's couplings, from the
     series' order-0 diagonals order0 (keyed by N, Q's under 1), and adds the
     pairs' row terms at both ends to row_sums and S_1[n, m]^2 to s1_row_sq.
     """
-    n, m, s1 = table.couplings(1, lo, hi)
     on = n == m
     twice = np.where(on, 1.0, 2.0)  # an off-diagonal pair stands for (n, m) and (m, n)
     ends = (n - lo, m - lo, twice - 1.0)
@@ -408,7 +404,7 @@ def z_via_trace(
     closed form to rounding on the same table.  Each series enters only as
     (order-0 diagonal, order-1 matrix, order-2 diagonal).  The order-1
     matrices are symmetric, so they are formed on the nonzero couplings of
-    S_1 with m >= n, one ``row_step`` of rows at a time: Q's once per step and
+    S_1 with m >= n (``SigmaPowerTable.walk``): Q's once per step and
     each q[1/N]'s once per step and root order N.  Each distinct series
     pair's tr(A_0 B_1) + tr(A_1 B_0) and tr(A_1 B_1) are summed from them, and
     the row sums that the order-2 diagonals need go into length-M
@@ -417,11 +413,14 @@ def z_via_trace(
     series in memory.
     """
     specs = list(specs)
-    _resolve_route_inputs(specs, basis, densities)
+    for spec in specs:  # a number carries no decomposition 1 + 1/N or 1/N + 1/N'
+        if not isinstance(spec, RationalOrderSpec):
+            raise ValidationError(f"order {spec!r}: the trace route needs a RationalOrderSpec")
+    _resolve_route_inputs(specs, table, basis, densities)
     if table.max_power < 2:
         raise ValidationError("trace route needs a table with max_power >= 2")
     m = table.size
-    eps = basis.eigenvalues()[:m]
+    eps = basis.eigenvalues()
     # q[1/1] is Q itself: 1 + 1/N traces the series pair (1, N), 1/N + 1/N' the pair (N, N')
     pairs = [(1, o.n_root) if o.kind == "one_plus_inv" else (o.n_root, o.n_root2) for o in specs]
     distinct = list(dict.fromkeys(pairs))
@@ -431,10 +430,8 @@ def z_via_trace(
     order0 = {n: 1.0 / eps if n == 1 else eps ** (-1.0 / n) for n in series}
     row_sums = {n: np.zeros(m) for n in order0}
     s1_row_sq = np.zeros(m)
-    step = table.row_step(1)
     shares = np.array([  # [step, pair, (t1, tr(A_1 B_1))]: each step's share
-        _trace_block(table, lo, min(lo + step, m), eps, order0, distinct, row_sums, s1_row_sq)
-        for lo in range(0, m, step)
+        _trace_block(*coupled, eps, order0, distinct, row_sums, s1_row_sq) for coupled in table.walk(1)
     ]).reshape(-1, len(distinct), 2)
     s2_diag = table.diagonal(2)
     big_q2 = Q_diagonal(s2_diag, row_sums[1], eps)
@@ -459,7 +456,8 @@ def z_via_trace(
         c2 = t2 + 0.25 * s * float(np.sum(deficit * eps ** (-s)))
         results += [
             SumRuleResult(
-                s=s, lam=d.lam, z0=z0, z1=d.lam * t1, z2=d.lam * d.lam * c2,
+                # adding 0.0 makes a zero term +0.0 whatever the sign of lambda, as in the closed form
+                s=s, lam=d.lam, z0=z0, z1=d.lam * t1 + 0.0, z2=d.lam * d.lam * c2 + 0.0,
                 diagonal_mode=TRUNCATED, tail_estimate=tail, truncation=m, route=route,
                 order_label=spec.label(),
             )

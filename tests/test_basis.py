@@ -448,7 +448,7 @@ def test_mirror_even_string_s1_couples_even_offsets_only():
     assert np.count_nonzero(odd) == 45_000
     for j in (1, 2):
         assert np.all(table.power(j)[odd] == 0.0)
-    rows, cols, _ = table.couplings(1, 0, 1)
+    rows, cols, _ = table._couplings(1, 0, 1)
     assert np.array_equal(cols, np.arange(0, m, 2)) and np.all(rows == 0)
 
 
@@ -457,9 +457,9 @@ def test_even_harmonic_cosine_rows_step_over_their_candidates():
     # ROW_BLOCK^2 / 21 rows at a time
     profile = FourierCosine(tuple(0.1 / (k + 1) * (k % 2 == 0) for k in range(41)))
     table = build_sigma_table(ModeBasis(String1D(1.0), 500), profile, 1)
-    assert table.row_step(1) == ROW_BLOCK * ROW_BLOCK // 21
-    assert table.couplings(1, 0, 1)[1].tolist() == list(range(0, 41, 2))
-    assert_couplings_match_power(table, 1, table.row_step(1))
+    assert table._row_step(1) == ROW_BLOCK * ROW_BLOCK // 21
+    assert table._couplings(1, 0, 1)[1].tolist() == list(range(0, 41, 2))
+    assert_couplings_match_power(table, 1, table._row_step(1))
 
 
 def test_gl_panel_is_leggauss_32():
@@ -553,7 +553,7 @@ def no_dense_power():
 
 
 def assert_couplings_match_power(table, j, step=ROW_BLOCK):
-    """couplings(j) over consecutive blocks of rows against power(j); returns the listed mask.
+    """_couplings(j) over consecutive blocks of rows against power(j); returns the listed mask.
 
     Every pair is listed once, with m >= n, in its block's rows, and its value
     is power(j)'s bits; every unlisted entry with m >= n is exactly 0.  Each
@@ -567,7 +567,7 @@ def assert_couplings_match_power(table, j, step=ROW_BLOCK):
     listed = np.zeros((m, m), dtype=bool)
     scattered = np.zeros((m, m))
     for lo in range(0, m, step):
-        n, col, value = table.couplings(j, lo, min(lo + step, m))
+        n, col, value = table._couplings(j, lo, min(lo + step, m))
         assert np.all((lo <= n) & (n < lo + step) & (col >= n))
         assert value.tobytes() == dense[n, col].tobytes()
         assert not np.any(listed[n, col])
@@ -639,7 +639,7 @@ def test_rectangle_table_doubles_bound_the_stored_table_without_listing_modes(si
     for m, terms in ((1, ((COS2, POLY),)), (40, ((COS2, POLY),)), (300, ((POLY, COS2), (COS2, POLY)))):
         profile = Separable2D(terms)
         table = build_sigma_table(ModeBasis(Rectangle2D(*sides), m), profile, 3)
-        table.couplings(1, 0, 1)  # the nonzero pattern the routes read
+        table._couplings(1, 0, 1)  # the nonzero pattern the routes read
         pattern = [(start.size, cols.size) for start, cols in table._patterns[1]]
         stored = table.index.size + table.pos.size + sum(x.size + y.size for splits in table.factors for _, x, y in splits)
         counted = rectangle_table_doubles(Rectangle2D(*sides), profile, m, 3)
@@ -694,7 +694,7 @@ def test_rectangle_table_is_built_in_row_blocks_bit_for_bit():
         for j in range(max_power + 1):
             for lo, hi in steps:
                 with no_dense_power():
-                    n, col, value = table.couplings(j, lo, hi)
+                    n, col, value = table._couplings(j, lo, hi)
                 assert value.tobytes() == expected[j][n, col].tobytes()
                 upper = np.triu(np.ones((m, m), dtype=bool))[lo:hi]
                 upper[n - lo, col] = False
@@ -713,11 +713,8 @@ def test_string_diagonal_is_read_without_a_dense_power(profile):
         diagonals = [table.diagonal(j) for j in range(3)]
     for j, diag in enumerate(diagonals):
         assert diag.tobytes() == np.diagonal(table.power(j)).tobytes()
-    for lo, hi in ((-1, 3), (3, 3), (28, 31)):
-        with pytest.raises(ValidationError):
-            table.couplings(1, lo, hi)
     with pytest.raises(ValidationError):
-        table.couplings(3, 0, 1)
+        table.walk(3)  # checked at the call, before any step is read
 
 
 def test_rectangle_main_diagonal_is_read_from_the_factors():
@@ -727,7 +724,7 @@ def test_rectangle_main_diagonal_is_read_from_the_factors():
     for j, diag in enumerate(diagonals):
         assert diag.tobytes() == np.diagonal(table.power(j)).tobytes()
     assert diagonals[0].tobytes() == np.ones(9).tobytes()  # the identity's
-    n, m, value = table.couplings(0, 0, 9)  # the identity's couplings are its diagonal
+    n, m, value = table._couplings(0, 0, 9)  # the identity's couplings are its diagonal
     assert n.tolist() == m.tolist() == list(range(9)) and value.tobytes() == np.ones(9).tobytes()
 
 
@@ -743,7 +740,7 @@ def test_string_rows_match_the_dense_power_bit_for_bit(profile):
     for m in ROW_SIZES:
         table = build_sigma_table(ModeBasis(String1D(1.0), m), profile, 2)
         with no_dense_power():
-            blocks = [table.couplings(j, 0, min(ROW_BLOCK, m)) for j in range(3)]
+            blocks = [table._couplings(j, 0, min(ROW_BLOCK, m)) for j in range(3)]
         for j in range(3):
             listed = assert_couplings_match_power(table, j)
             assert listed[blocks[j][0], blocks[j][1]].all()
@@ -752,7 +749,7 @@ def test_string_rows_match_the_dense_power_bit_for_bit(profile):
 def test_rectangle_rows_are_read_from_the_factors():
     table = build_sigma_table(ModeBasis(RECT, 9), SEP, 2)
     with no_dense_power():  # every coupling of the rows, without a dense S_j
-        blocks = [table.couplings(j, 3, 7) for j in range(3)]
+        blocks = [table._couplings(j, 3, 7) for j in range(3)]
     for j, (n, m, value) in enumerate(blocks):
         assert value.tobytes() == table.power(j)[n, m].tobytes()
         assert np.count_nonzero(np.triu(table.power(j))[3:7]) == value.size
@@ -772,16 +769,16 @@ def test_couplings_list_every_nonzero_of_the_power(domain, profile, per_row):
     for m in (1, ROW_BLOCK + 1, 300):
         table = build_sigma_table(ModeBasis(domain, m), profile, 3)
         for j in range(4):
-            for step in (1, 7, ROW_BLOCK, table.row_step(j)):
+            for step in (1, 7, ROW_BLOCK, table._row_step(j)):
                 listed = assert_couplings_match_power(table, j, step)
             if j == 1 and per_row is not None:
                 assert listed.sum() <= per_row * m + 1
     # at M = 300 a walk takes more than ROW_BLOCK rows at a time where rows are sparse, and
     # ROW_BLOCK where S_1 is dense
     if per_row is not None:
-        assert table.row_step(1) > ROW_BLOCK
+        assert table._row_step(1) > ROW_BLOCK
     if profile is POLY:
-        assert table.row_step(1) == ROW_BLOCK
+        assert table._row_step(1) == ROW_BLOCK
 
 
 SKEW = Polynomial((0.3, 1.0, -0.5))  # not mirror-even: a dense S_1, one block
@@ -795,23 +792,40 @@ SKEW = Polynomial((0.3, 1.0, -0.5))  # not mirror-even: a dense S_1, one block
     (Rectangle2D(1.0, 1.3), SEP, 4),
 ], ids=["polynomial-string", "cosine-string", "even-polynomial-string", "polynomial-x-cosine", "parity-rectangle"])
 def test_restrict_gives_the_dense_power_on_each_block(domain, profile, count):
-    # S_1's exact blocks cut to a size at or below the table's, and one block of every mode
-    # below it: each array is power(j)'s bits on its block, new on every call
-    table = build_sigma_table(ModeBasis(domain, 2 * ROW_BLOCK + 3), profile, 2)
-    assert len(table.blocks()) == count
-    dense = [table.power(j) for j in range(3)]
-    for size in (table.size, ROW_BLOCK + 1, 1):
-        cut = [modes[modes < size] for modes in table.blocks()]
-        for partition in ([modes for modes in cut if len(modes)], [np.arange(size)]):
+    # S_1's exact blocks and one block of every mode, on tables across the row-block edges:
+    # each array is power(j)'s bits on its block, new on every call
+    for size in (2 * ROW_BLOCK + 3, ROW_BLOCK + 1, 1):
+        table = build_sigma_table(ModeBasis(domain, size), profile, 2)
+        assert len(table.blocks()) == (count if size > 1 else 1)
+        dense = [table.power(j) for j in range(3)]
+        for partition in (table.blocks(), [np.arange(size)]):
             for j in range(3):
-                restricted = table.restrict(j, partition, size)
+                restricted = table.restrict(j, partition)
                 assert len(restricted) == len(partition)
                 for modes, block in zip(partition, restricted):
                     assert block.tobytes() == dense[j][np.ix_(modes, modes)].tobytes()
-            assert not np.shares_memory(restricted[0], table.restrict(2, partition, size)[0])
-    for size in (0, table.size + 1):
-        with pytest.raises(ValidationError):
-            table.restrict(1, [np.arange(size)], size)
+            assert not np.shares_memory(restricted[0], table.restrict(2, partition)[0])
+
+
+@pytest.mark.parametrize("domain, profile", [
+    (String1D(1.0), COS2), (String1D(1.0), SKEW), (Rectangle2D(1.0, 1.3), SEP),
+], ids=["cosine-string", "polynomial-string", "polynomial-x-cosine"])
+def test_walk_steps_through_every_row_once(domain, profile):
+    # walk(j) yields _couplings of consecutive steps of _row_step(j) rows, the last one cut
+    # at the table's size, and the steps together list power(j)'s upper triangle
+    for m in (1, ROW_BLOCK + 1, 300):
+        table = build_sigma_table(ModeBasis(domain, m), profile, 2)
+        for j in range(3):
+            step = table._row_step(j)
+            walked = list(table.walk(j))
+            assert [lo for lo, *_ in walked] == list(range(0, m, step))
+            for lo, n, col, value in walked:
+                for got, want in zip((n, col, value), table._couplings(j, lo, min(lo + step, m))):
+                    assert got.tobytes() == want.tobytes()
+            listed = np.zeros((m, m))
+            for _, n, col, value in walked:
+                listed[n, col] = value
+            assert np.array_equal(listed, np.triu(table.power(j)))
 
 
 def test_density_bound_validation():

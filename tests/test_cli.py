@@ -119,6 +119,20 @@ def test_sumrule_json_output_with_differences(tmp_path):
     assert pair_diffs["closed-vs-trace1"] < 1e-12
 
 
+@pytest.mark.parametrize("profile, lam", [
+    (COS, "0"), ({"type": "fourier-cosine", "coeffs": []}, "-0.1"),
+], ids=["zero-lambda", "zero-profile"])
+def test_sumrule_csv_writes_no_negative_zero(tmp_path, capsys, profile, lam):
+    # every zero term is +0.0 on every route: lam * 0.0 with a negative factor is -0.0, which
+    # the trace routes printed as -0 for z1 and z2
+    cfg = write_config(tmp_path, density={"profile": profile}, orders=["1+1/2", "1/2+1/3"])
+    assert main(["sumrule", "--config", str(cfg), "--modes", "40", "--lambda", lam]) == EXIT_OK
+    records = capsys.readouterr().out.split("pairwise")[0]
+    rows = list(csv.DictReader(io.StringIO(records)))
+    assert len(rows) == 6 and {row["z1"] for row in rows} == {"0"}
+    assert all("-0" not in row.values() for row in rows)
+
+
 def test_malformed_config_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

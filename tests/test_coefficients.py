@@ -364,7 +364,7 @@ def test_trace_terms_match_the_recursion(kind, n_root):
     listed = np.zeros((size, size), dtype=bool)
     lo = 0
     for rows in (1, 30, 7, 42):  # uneven blocks, every row
-        n, m, s1 = table.couplings(1, lo, min(lo + rows, size))
+        n, m, s1 = table._couplings(1, lo, min(lo + rows, size))
         big_q1, sq, big_q_ends = Q_trace_terms(n, m, s1, eps)
         assert np.array_equal(big_q1, series[1][n, m])
         q1, q_ends = trace_terms(n_root, q0, n, m, big_q1)
@@ -406,7 +406,7 @@ def test_trace_terms_of_a_zero_profile_vanish():
     basis = string_basis(12)
     eps = basis.eigenvalues()
     table = build_sigma_table(basis, FourierCosine(()), 2)
-    n, m, s1 = table.couplings(1, 0, 12)
+    n, m, s1 = table._couplings(1, 0, 12)
     assert n.size == m.size == s1.size == 0  # no pair at all
     big_q1, sq, _ = Q_trace_terms(n, m, s1, eps)
     big_q2 = Q_diagonal(table.diagonal(2), np.zeros(12), eps)

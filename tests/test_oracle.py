@@ -88,10 +88,6 @@ def test_assemble_grades_the_overlap_bit_for_bit(profile, lam):
     r = 1.0 / np.sqrt(basis.eigenvalues())
     expected = r[:, None] * overlap(basis, density) * r[None, :]
     assert graded_matrix(problem).tobytes() == expected.tobytes()
-    # a larger table's S_1 is cut to the basis size
-    larger = build_sigma_table(ModeBasis(String1D(1.0), 45), profile, 1)
-    expected = r[:, None] * (np.eye(30) + lam * larger.power(1)[:30, :30]) * r[None, :]
-    assert graded_matrix(assemble(basis, density, table=larger)).tobytes() == expected.tobytes()
 
 
 def test_blocks_follow_the_exact_couplings():
@@ -191,17 +187,17 @@ def test_parity_blocks_are_the_components_of_the_nonzero_pattern(domain, profile
     (String1D(1.0), COS2, 120), (String1D(1.0), COS4, 150), (RECT, COS_2D, 120),
     (RECT, COS_2D, 160), (RECT, Separable2D(((POLY, COS2),)), 140),
     (String1D(1.0), POLY, 120), (String1D(1.0), POLY, 131),
-], ids=["cosine", "cos4-larger-table", "rectangle", "rectangle-larger-table", "polynomial-x-cosine",
-        "polynomial", "polynomial-larger-table"])
+], ids=["cosine", "cos4", "rectangle", "rectangle-160", "polynomial-x-cosine", "polynomial",
+        "polynomial-131"])
 def test_block_spectrum_matches_the_dense_pencil(domain, profile, size):
     # one LAPACK call per block, merged in order: the eigenvalues of the whole graded pencil
-    basis = ModeBasis(domain, 120)
+    basis = ModeBasis(domain, size)
     density = DensityPerturbation(profile, 0.16)
-    table = build_sigma_table(ModeBasis(domain, size), profile, 1)
+    table = build_sigma_table(basis, profile, 1)
     problem = assemble(basis, density, table=table)
     assert len(problem.blocks) > 1
     r = 1.0 / np.sqrt(basis.eigenvalues())
-    graded = r[:, None] * (np.eye(120) + density.lam * table.power(1)[:120, :120]) * r[None, :]
+    graded = r[:, None] * (np.eye(size) + density.lam * table.power(1)) * r[None, :]
     reference = 1.0 / np.linalg.eigvalsh(graded)[::-1]
     values = solve_spectrum(problem)
     assert np.max(np.abs(values - reference) / reference) <= 1e-13
@@ -288,6 +284,20 @@ def test_residuals_at_400_modes_match_the_reference_overlap():
     assert np.max(reference) < 1e-10
 
 
+@pytest.mark.parametrize("lam", [0.16, -0.16])
+@pytest.mark.parametrize("domain, profile", [
+    (String1D(1.0), COS2), (String1D(1.0), SKEW), (RECT, COS_2D),
+], ids=["cosine-string", "polynomial-string", "cosine-rectangle"])
+def test_eigenvector_residuals_hold_criterion_9_at_400_modes(domain, profile, lam):
+    # criterion 9 checks M = 200, but the worst residual grows with M: on the cosine string
+    # 7.9e-12 at M = 200, 4.1e-11 at 400 and 1.43e-10 at 800, past the bound.  M = 400 is
+    # held to criterion 9's 1e-10 so that any further loss shows here first
+    basis = ModeBasis(domain, 400)
+    problem = assemble(basis, DensityPerturbation(profile, lam))
+    values, vectors = solve_spectrum(problem, want_vectors=True)
+    assert np.max(residual_norms(problem, values, vectors)) <= 1e-10
+
+
 def traced_peak(run):
     """tracemalloc's peak over run(), in bytes."""
     import tracemalloc
@@ -330,18 +340,20 @@ def test_two_block_oracle_holds_half_a_dense_matrix():
     (RECT, Separable2D(((SKEW, FourierCosine((0.0, 1.0))),)), False),
     (RECT, Separable2D(((SKEW, Polynomial((0.1, -0.7, 0.4))),)), True),
 ], ids=["polynomial-string", "polynomial-x-cosine", "polynomial-x-polynomial"])
-def test_assemble_from_a_larger_table_forms_s1_on_the_basis_only(domain, profile, dense_sides):
-    # one block at M = 400 from an 800-mode table: S_1 is formed on the basis's modes, not
-    # on the table's and cut (5.0 M^2 traced that way on the string, 8.8 on the dense
-    # rectangle).  Dense side factors list about 1.3 x 800 pairs per row, so one step of
-    # couplings, traced on its own, comes on top there.
-    big = build_sigma_table(ModeBasis(domain, 800), profile, 1)
-    basis, density = ModeBasis(domain, 400), DensityPerturbation(profile, 0.1)
-    assert len(big.blocks()) == 1
-    assemble(basis, density, table=big)  # lazy imports and the table's cached pattern
-    step = traced_peak(lambda: big.couplings(1, 0, big.row_step(1))) if dense_sides else 0
-    peak = traced_peak(lambda: assemble(basis, density, table=big))
-    assert peak <= 1.5 * 400 * 400 * 8 + step
+def test_assemble_holds_one_dense_s1_and_one_walk_step(domain, profile, dense_sides):
+    # one block at M = 400: S_1 is formed once, in the pencil.  Dense side factors list
+    # about 1.3 x 400 pairs per row, so one step of the walk, traced on its own, comes on
+    # top there: 1.33 M^2 measured, with the step's candidate indices released before its
+    # values are formed
+    m = 400
+    basis, density = ModeBasis(domain, m), DensityPerturbation(profile, 0.1)
+    table = build_sigma_table(basis, profile, 1)
+    assert len(table.blocks()) == 1
+    assemble(basis, density, table=table)  # lazy imports and the table's cached pattern
+    step = traced_peak(lambda: next(table.walk(1))) if dense_sides else 0
+    assert step <= 1.4 * m * m * 8
+    peak = traced_peak(lambda: assemble(basis, density, table=table))
+    assert peak <= 1.5 * m * m * 8 + step
 
 
 def test_galerkin_monotone_in_truncation():

@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from billzeta.basis import (
 )
 from billzeta.coefficients import build_Q_series, q_generic_recursion
 from billzeta.errors import ValidationError
-from billzeta.oracle import oracle_sum_rule
+from billzeta.oracle import assemble, convergence_order_fit, oracle_sum_rule
 from billzeta.sumrules import (
     RESUMMED,
     TRUNCATED,
@@ -202,7 +203,7 @@ def test_closed_form_working_set_is_one_row_block_of_pairs():
     profile = Polynomial((0.3, 1.0, -0.5))
     basis = ModeBasis(String1D(1.0), m)
     table = build_sigma_table(basis, profile, 2)
-    assert table.couplings(1, m - 1, m)[0].size == 1 and table.couplings(1, 0, 1)[0].size == m
+    assert table._couplings(1, m - 1, m)[0].size == 1 and table._couplings(1, 0, 1)[0].size == m
     densities = [DensityPerturbation(profile, lam) for lam in (0.02, 0.04, 0.08, 0.16)]
     tracemalloc.start()
     try:
@@ -617,3 +618,34 @@ def test_route_validates_every_order():
     for route in (z_closed_form, z_via_trace, oracle_sum_rule):
         with pytest.raises(ValidationError, match="diverges"):
             route(specs, table, basis, densities)
+
+
+@pytest.mark.parametrize("order", [1.5, Fraction(3, 2), "1+1/2"])
+def test_trace_route_rejects_plain_number_orders(order):
+    # the closed form and the oracle take a number for s; the trace route needs the
+    # decomposition, and names the order it cannot read
+    specs = [RationalOrderSpec.parse("1+1/4"), order]
+    density = DensityPerturbation(COS2, 0.1)
+    with pytest.raises(ValidationError, match=re.escape(repr(order))):
+        z_via_trace(specs, reference_table(20), ModeBasis(String1D(1.0), 20), [density])
+
+
+@pytest.mark.parametrize("modes", [10, 30])
+def test_a_table_serves_exactly_its_basis(modes):
+    # a 20-mode table with a smaller or a larger basis: every function that takes both
+    # raises before any work, where it used to index past the table or cut the sums short
+    table = reference_table(20)
+    basis = ModeBasis(String1D(1.0), modes)
+    spec = RationalOrderSpec.parse("3/2")
+    densities = [DensityPerturbation(COS2, lam) for lam in (0.04, 0.08, 0.16)]
+    calls = {
+        "closed form": lambda: z_closed_form([spec], table, basis, densities),
+        "trace": lambda: z_via_trace([spec], table, basis, densities),
+        "oracle": lambda: oracle_sum_rule([spec], table, basis, densities),
+        "assemble": lambda: assemble(basis, densities[0], table=table),
+        "Q series": lambda: build_Q_series(2, table, basis),
+        "fit": lambda: convergence_order_fit(spec, table, basis, densities),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValidationError, match=f"table of 20 modes cannot serve a basis of {modes}"):
+            call()
