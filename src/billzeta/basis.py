@@ -763,6 +763,7 @@ class SigmaPowerTable:
         return self._blocks[0]
 
 
+@functools.lru_cache(maxsize=None)
 def _rectangle_side_bounds(a: float, b: float, count: int) -> tuple[int, int]:
     """Upper bounds on each side's highest index among the count lowest rectangle modes.
 

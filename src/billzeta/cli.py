@@ -6,7 +6,8 @@ overriding individual entries.  Outputs are CSV or JSON records with floats
 printed to 17 significant digits; errors are single-line JSON on stderr.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical failure (out of
-memory included), 4 convergence slope below threshold (verify).
+memory included), 4 convergence slope below threshold (verify), 141 stdout
+closed before the output was written (nothing more is printed).
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_SLOPE = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer the signal ended
 
 ROUTES = ("closed", "trace1", "trace2", "oracle", "all")
 
@@ -62,19 +64,62 @@ _PROFILES = {
     "separable": (Separable2D, ("terms",)),
 }
 
-_TOP_KEYS = {
-    "version",
-    "basis",
-    "density",
-    "truncation",
-    "orders",
-    "route",
-    "diagonal_mode",
-    "output",
-    "slope_threshold",
-}
-
 _BASIS_SIDES = {"string": ("length",), "rectangle": ("a", "b")}
+_COMMANDS = ("sumrule", "coeffs", "verify", "spectrum")
+
+
+@dataclass(frozen=True)
+class _Setting:
+    """One setting: its flag, JSON path, kind, default and range.  A given flag wins, then JSON.
+
+    A kind is int or float (a finite number; JSON text is none), str, a tuple (one of these
+    values), "orders" (--s, repeated, or a JSON array), "numbers" (--lambda's X[,X...] or a
+    JSON array), "flag" (no value: True when given) or None (parsed by load_config's own
+    code).  JSON null is the default where that is None (unset), else wrong.
+    """
+
+    flag: str | None  # None: the config file's only
+    path: str | None  # "key" or "section.key"; None: the command line's only
+    kind: object
+    default: object = None
+    span: tuple | None = None  # a number's range [lo, hi)
+    switch: object = None  # set: the flag takes no value and stands for this one
+    commands: tuple = _COMMANDS  # those that take the flag
+    about: str | None = None  # -h text; a flag without it is left out of -h
+
+
+# Every setting, one row each, by the destination parse_args gives its flag.
+_SETTINGS = {
+    "config": _Setting("--config", None, str, about="JSON run configuration"),
+    "version": _Setting(None, "version", (1,)),
+    "basis": _Setting(None, "basis", None, {"kind": "string"}),
+    "s": _Setting("--s", "orders", "orders", ["3/2"],
+                  about="rational order, e.g. 3/2, 1+1/4 or 1/2+1/3 (repeatable)"),
+    "lam": _Setting("--lambda", "density.lambda_list", "numbers", about="density strength(s), X[,X...]"),
+    "lambda": _Setting(None, "density.lambda", float, 0.1),  # read without --lambda and lambda_list
+    "profile": _Setting(None, "density.profile", None),  # unset: the reference cos(2 pi x / L)
+    "route": _Setting("--route", "route", ROUTES, "all", about="the routes sumrule computes"),
+    "resummed": _Setting("--resummed", "diagonal_mode", (sumrules.TRUNCATED, sumrules.RESUMMED),
+                         sumrules.TRUNCATED, switch=sumrules.RESUMMED, about="resummed diagonal mode"),
+    # ignored; kept only because perfbench/workloads.py passes it on every invocation
+    "cache_dir": _Setting("--cache-dir", None, str),
+    "out": _Setting("--out", "output.path", str, about="output file (coeffs: output directory)"),
+    "format": _Setting("--format", "output.format", ("csv", "json"), "csv", about="sumrule's output format"),
+    "modes": _Setting("--modes", "truncation.modes", int, 200, about="basis truncation M"),
+    "inner_discard": _Setting(None, "truncation.inner_discard", int),  # unset: modes // 4
+    "top_discard": _Setting(None, "truncation.top_discard_fraction", float, 0.25, span=(0.0, 1.0)),
+    "n_root": _Setting("--n-root", None, int, 2, commands=("coeffs",), about="root order N"),
+    "max_order": _Setting("--max-order", None, int, 2, commands=("coeffs",),
+                          about="highest coefficient order"),
+    "threshold": _Setting("--threshold", "slope_threshold", float, 2.7, commands=("verify",),
+                          about="minimum slope"),
+    "first_order_only": _Setting("--first-order-only", None, "flag", False, commands=("verify",),
+                                 about="drop the second-order term (harness self-check)"),
+}
+_PATHS = [row.path.rpartition(".") for row in _SETTINGS.values() if row.path]  # (section, ".", key)
+# each JSON object holding settings -> the keys it may hold; "" is the root
+_KEYS = {"": {section or key for section, _, key in _PATHS}}
+_KEYS |= {section: {k for s, _, k in _PATHS if s == section} for section, _, _ in _PATHS if section}
 
 
 @dataclass
@@ -85,13 +130,13 @@ class RunConfig:
     profile: object
     lam_list: list
     orders: list
-    inner_discard: int | None = None
-    top_discard: float = 0.25
-    route: str = "all"
-    diagonal_mode: str = sumrules.TRUNCATED
-    out_format: str = "csv"
-    out_path: str | None = None
-    slope_threshold: float = 2.7
+    inner_discard: int | None = _SETTINGS["inner_discard"].default
+    top_discard: float = _SETTINGS["top_discard"].default
+    route: str = _SETTINGS["route"].default
+    diagonal_mode: str = _SETTINGS["resummed"].default
+    out_format: str = _SETTINGS["format"].default
+    out_path: str | None = _SETTINGS["out"].default
+    slope_threshold: float = _SETTINGS["threshold"].default
 
     def densities(self):
         return [DensityPerturbation(self.profile, lam) for lam in self.lam_list]
@@ -105,10 +150,10 @@ def _typed(node, kind, where, problems, fallback):
     return fallback
 
 
-def _number(value, where, problems, kind=float):
-    """value as a finite float (no bool), integral if kind is int; None with a problem otherwise."""
+def _number(value, where, problems, kind=float, text=False):
+    """value as a finite float, integral for int, never a bool nor, unless text, a string; else None."""
     try:
-        number = math.nan if isinstance(value, bool) else float(value)  # a bool is no number
+        number = math.nan if isinstance(value, bool) or isinstance(value, str) and not text else float(value)
         if not math.isfinite(number) or (kind is int and not number.is_integer()):
             raise ValueError
     except (TypeError, ValueError, OverflowError):
@@ -118,11 +163,54 @@ def _number(value, where, problems, kind=float):
     return kind(number)
 
 
-def _numbers(values, where, problems) -> list:
+def _numbers(values, where, problems, text=False) -> list:
     """The finite entries of a JSON array; each other entry is recorded as a problem."""
     entries = _typed(values, list, where, problems, [])
-    numbers = [_number(v, f"{where}[{i}]", problems) for i, v in enumerate(entries)]
+    numbers = [_number(v, f"{where}[{i}]", problems, text=text) for i, v in enumerate(entries)]
     return [v for v in numbers if v is not None]
+
+
+def _setting(dest: str, overrides, nodes: dict, problems: list):
+    """A setting's value: its flag's if given, else its JSON path's, else its default, checked by kind.
+
+    A wrong one is a problem naming its source and reads as None (a choice: the default).
+    """
+    row = _SETTINGS[dest]
+    value = getattr(overrides, dest, None) if row.flag else None
+    if row.switch is not None:  # the flag reads True when given
+        value = row.switch if value else None
+    where, kind = row.flag, row.kind
+    if value is None:
+        section, _, key = row.path.rpartition(".")
+        value, where = nodes[section].get(key, row.default), row.path
+    text = where == row.flag  # a command-line value may be text
+    if kind is None or value is None and row.default is None:
+        return value
+    if isinstance(kind, tuple):
+        if value in kind:
+            return value
+        problems.append(f"{where} must be one of {kind}, got {value!r}")
+        return row.default
+    if kind is str:
+        return _typed(value, str, where, problems, None)
+    if kind == "numbers":
+        tokens = [tok for tok in str(value).split(",") if tok] if text else value
+        return _numbers(tokens, where, problems, text)
+    if kind == "orders":
+        orders = []
+        for tok in _typed(value, list, where, problems, []):
+            try:
+                orders.append(RationalOrderSpec.parse(str(tok)))
+            except (ValidationError, ValueError, ZeroDivisionError) as exc:
+                problems.append(f"order {tok!r}: {exc}")
+        if value == []:
+            problems.append("no orders given")
+        return orders
+    number = _number(value, where, problems, kind, text)
+    if number is not None and row.span and not row.span[0] <= number < row.span[1]:
+        problems.append(f"{where} must be in [{row.span[0]:g}, {row.span[1]:g}), got {number!r}")
+        return None
+    return number
 
 
 def _parse_profile(node, problems, where="density.profile"):
@@ -248,10 +336,9 @@ def _memory_need(command, route, domain, profile, modes, orders, max_order) -> i
 def load_config(path: str | None, overrides) -> RunConfig:
     """Parse and validate configuration; raise ConfigError listing every problem.
 
-    overrides is any object with the option attributes (parse_args gives
-    one); missing ones read as unset.  Every node's type and every scalar
-    conversion is checked here, so any JSON object either loads or raises
-    ConfigError.
+    overrides holds the flags by destination (parse_args gives them); a
+    missing one reads as unset.  Every node's type and every value is
+    checked here, so any JSON object either loads or raises ConfigError.
     """
     problems: list[str] = []
     data: dict = {}
@@ -262,21 +349,25 @@ def load_config(path: str | None, overrides) -> RunConfig:
             raise ConfigError([f"cannot read config {path}: {exc}"])
         if not isinstance(data, dict):
             raise ConfigError(["config root must be a JSON object"])
-        unknown = set(data) - _TOP_KEYS
+    nodes = {"": data}  # each JSON object holding settings, by name
+    for name, keys in _KEYS.items():
+        if name:
+            nodes[name] = _typed(data.get(name, {}), dict, name, problems, {})
+        unknown = set(nodes[name]) - keys
         if unknown:
-            problems.append(f"unknown config keys {sorted(unknown)}")
-        if data.get("version") not in (None, 1):
-            problems.append(f"unsupported config version {data.get('version')!r}")
+            problems.append(f"{name}: unknown keys" if name else f"unknown config keys {sorted(unknown)}")
+    values = {dest: _setting(dest, overrides, nodes, problems)
+              for dest, row in _SETTINGS.items() if row.path and dest != "lambda"}
+    modes, lam_list, orders, route = values["modes"], values["lam"], values["s"], values["route"]
+    if "lambda" in nodes["density"] and "lambda_list" in nodes["density"]:
+        problems.append("density: give either lambda or lambda_list, not both")
+    if lam_list is None:  # neither --lambda nor density.lambda_list: density.lambda's one value
+        lam = _setting("lambda", overrides, nodes, problems)
+        lam_list = [] if lam is None else [lam]
 
-    # --- basis ---
-    basis_node = _typed(data.get("basis", {"kind": "string"}), dict, "basis", problems, {})
-    trunc_node = _typed(data.get("truncation", {}), dict, "truncation", problems, {})
-    if set(trunc_node) - {"modes", "inner_discard", "top_discard_fraction"}:
-        problems.append("truncation: unknown keys")
-    modes = trunc_node.get("modes", 200)
-    if getattr(overrides, "modes", None) is not None:
-        modes = overrides.modes
-    domain = None
+    # --- basis and profile ---
+    basis_node = _typed(values["basis"], dict, "basis", problems, {})
+    basis = None
     kind = basis_node.get("kind")
     sides = _BASIS_SIDES.get(kind) if isinstance(kind, str) else None
     if sides is None:
@@ -284,104 +375,37 @@ def load_config(path: str | None, overrides) -> RunConfig:
     else:
         if set(basis_node) - {"kind", *sides}:
             problems.append("basis: unknown keys")
-        values = [_number(basis_node.get(side, 1.0), f"basis.{side}", problems) for side in sides]
-        if None not in values:
+        sizes = [_number(basis_node.get(side, 1.0), f"basis.{side}", problems) for side in sides]
+        if None not in sizes:
             try:
-                domain = (String1D if kind == "string" else Rectangle2D)(*values)
+                domain = (String1D if kind == "string" else Rectangle2D)(*sizes)
+                basis = None if modes is None else ModeBasis(domain, modes)
             except ValidationError as exc:
                 problems.append(f"basis: {exc}")
-    basis = None
-    modes = _number(modes, "truncation.modes", problems, int)
-    if domain is not None and modes is not None:
-        try:
-            basis = ModeBasis(domain, modes)
-        except ValidationError as exc:
-            problems.append(f"basis: {exc}")
-    inner_discard = trunc_node.get("inner_discard")
-    if inner_discard is not None:
-        inner_discard = _number(inner_discard, "truncation.inner_discard", problems, int)
+    inner_discard = values["inner_discard"]
     if basis is not None and inner_discard is not None and not 0 <= inner_discard < modes:
         problems.append(f"truncation.inner_discard must be in [0, {modes}), got {inner_discard}")
-    top_discard = _number(
-        trunc_node.get("top_discard_fraction", 0.25), "truncation.top_discard_fraction", problems
-    )
-    if top_discard is not None and not 0.0 <= top_discard < 1.0:
-        problems.append(f"truncation.top_discard_fraction must be in [0, 1), got {top_discard!r}")
-
-    # --- density ---
-    dens_node = _typed(data.get("density", {}), dict, "density", problems, {})
-    if set(dens_node) - {"profile", "lambda", "lambda_list"}:
-        problems.append("density: unknown keys")
-    if "lambda" in dens_node and "lambda_list" in dens_node:
-        problems.append("density: give either lambda or lambda_list, not both")
-    profile_node = dens_node.get("profile")
-    if profile_node is None:
-        profile = FourierCosine((0.0, 0.0, 1.0))  # reference profile cos(2 pi x / L)
-    else:
-        profile = _parse_profile(profile_node, problems)
-    if getattr(overrides, "lam", None) is not None:
-        tokens = [tok for tok in str(overrides.lam).split(",") if tok]
-        lam_list = _numbers(tokens, "--lambda", problems)
-    elif "lambda_list" in dens_node:
-        lam_list = _numbers(dens_node["lambda_list"], "density.lambda_list", problems)
-    else:
-        lam = _number(dens_node.get("lambda", 0.1), "density.lambda", problems)
-        lam_list = [] if lam is None else [lam]
-
-    # --- orders ---
-    order_tokens = overrides.s if getattr(overrides, "s", None) else data.get("orders", ["3/2"])
-    orders = []
-    for tok in _typed(order_tokens, list, "orders", problems, []):
-        try:
-            orders.append(RationalOrderSpec.parse(str(tok)))
-        except (ValidationError, ValueError, ZeroDivisionError) as exc:
-            problems.append(f"order {tok!r}: {exc}")
-    if order_tokens == []:
-        problems.append("no orders given")
-
-    # --- remaining scalars ---
-    route = getattr(overrides, "route", None) or data.get("route", "all")
-    if route not in ROUTES:
-        problems.append(f"route must be one of {ROUTES}, got {route!r}")
-        route = "all"
-    diagonal_mode = data.get("diagonal_mode", sumrules.TRUNCATED)
-    if getattr(overrides, "resummed", False):
-        diagonal_mode = sumrules.RESUMMED
-    if diagonal_mode not in (sumrules.TRUNCATED, sumrules.RESUMMED):
-        problems.append(f"diagonal_mode must be truncated|resummed, got {diagonal_mode!r}")
-    out_node = _typed(data.get("output", {}), dict, "output", problems, {})
-    if set(out_node) - {"format", "path"}:
-        problems.append("output: unknown keys")
-    out_format = getattr(overrides, "format", None) or out_node.get("format", "csv")
-    if out_format not in ("csv", "json"):
-        problems.append(f"output format must be csv|json, got {out_format!r}")
-    out_path = getattr(overrides, "out", None) or out_node.get("path")
-    out_path = _typed(out_path, (str, type(None)), "output.path", problems, None)
-    threshold = getattr(overrides, "threshold", None)
-    if threshold is None:
-        threshold = data.get("slope_threshold", 2.7)
-    threshold = _number(threshold, "slope_threshold", problems)
+    profile = values["profile"]  # unset: the reference profile cos(2 pi x / L)
+    profile = FourierCosine((0.0, 0.0, 1.0)) if profile is None else _parse_profile(profile, problems)
 
     # --- cross validation (one pass, everything reported) ---
     command = getattr(overrides, "command", None)
-    max_order = getattr(overrides, "max_order", 2)
-    geometry = [] if basis is None else _geometry_problems(domain, modes, orders)
+    max_order = getattr(overrides, "max_order", _SETTINGS["max_order"].default)
+    geometry = [] if basis is None else _geometry_problems(basis.domain, modes, orders)
     problems += geometry
     if basis is not None and not geometry:  # an extreme side overflows the side bounds
-        need = _memory_need(command, route, domain, profile, modes, orders, max_order)
+        need = _memory_need(command, route, basis.domain, profile, modes, orders, max_order)
         memory = _physical_memory()
         if memory is not None and need > memory:
-            problems.append(
-                f"truncation.modes: {modes} modes need {need / 2**30:.3g} GiB for the table and "
-                f"working set, more than the {memory / 2**30:.3g} GiB of physical memory"
-            )
+            problems.append(f"truncation.modes: {modes} modes need {need / 2**30:.3g} GiB for the table and "
+                            f"working set, more than the {memory / 2**30:.3g} GiB of physical memory")
     if command == "coeffs":
-        n_root = getattr(overrides, "n_root", 2)
+        n_root = getattr(overrides, "n_root", _SETTINGS["n_root"].default)
         if not 1 <= n_root <= MAX_ROOT_ORDER:
             problems.append(f"--n-root must be in 1..{MAX_ROOT_ORDER}, got {n_root}")
         if max_order < 0:
             problems.append(f"--max-order must be >= 0, got {max_order}")
-    if command not in (None, "sumrule") and out_format == "json":
+    if command not in (None, "sumrule") and values["format"] == "json":
         problems.append(f"{command} writes CSV only; JSON output is sumrule's")
     if command == "spectrum" and len(lam_list) > 1:
         problems.append(f"spectrum takes one lambda; extra values {lam_list[1:]}")
@@ -389,9 +413,7 @@ def load_config(path: str | None, overrides) -> RunConfig:
         problems.append(f"verify fits one order; extra orders {[o.label() for o in orders[1:]]}")
     if command == "verify" and (len(set(lam_list)) < 3 or min(lam_list, default=0.0) <= 0.0):
         # the fit is a line through (log lambda, log error): 3 distinct abscissae, each defined
-        problems.append(
-            f"verify needs at least 3 lambda values, distinct and positive, got {lam_list}"
-        )
+        problems.append(f"verify needs at least 3 lambda values, distinct and positive, got {lam_list}")
     if basis is not None and profile is not None:
         for lam in lam_list:
             density = DensityPerturbation(profile, lam)
@@ -413,17 +435,9 @@ def load_config(path: str | None, overrides) -> RunConfig:
     if problems:
         raise ConfigError(problems)
     return RunConfig(
-        basis=basis,
-        profile=profile,
-        lam_list=lam_list,
-        orders=orders,
-        inner_discard=inner_discard,
-        top_discard=top_discard,
-        route=route,
-        diagonal_mode=diagonal_mode,
-        out_format=out_format,
-        out_path=out_path,
-        slope_threshold=threshold,
+        basis=basis, profile=profile, lam_list=lam_list, orders=orders, inner_discard=inner_discard,
+        top_discard=values["top_discard"], route=route, diagonal_mode=values["resummed"],
+        out_format=values["format"], out_path=values["out"], slope_threshold=values["threshold"],
     )
 
 
@@ -565,36 +579,18 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-# The options of each subcommand: flag -> (destination, kind, default, help).
-# A kind is a type that converts the value, a tuple of the values allowed,
-# "append" (repeatable, the values in a list) or "flag" (takes no value; True
-# when given).  An option with no help is left out of -h.
-_COMMON = {
-    "--config": ("config", str, None, "JSON run configuration"),
-    "--s": ("s", "append", None, "rational order, e.g. 3/2, 1+1/4 or 1/2+1/3 (repeatable)"),
-    "--lambda": ("lam", str, None, "density strength(s), X[,X...]"),
-    "--route": ("route", ROUTES, None, "the routes sumrule computes"),
-    "--resummed": ("resummed", "flag", False, "resummed diagonal mode"),
-    # ignored; kept only because perfbench/workloads.py passes it on every invocation
-    "--cache-dir": ("cache_dir", str, None, None),
-    "--out": ("out", str, None, "output file (coeffs: output directory)"),
-    "--format": ("format", ("csv", "json"), None, "sumrule's output format"),
-    "--modes": ("modes", int, None, "basis truncation M"),
-}
+# Each subcommand's view of the settings it takes a flag for: flag -> (destination, kind,
+# default, help).  A kind is a type that converts the value, a tuple of the values allowed,
+# "append" (repeatable, the values in a list) or "flag" (takes no value; True when given).
+# A flag with a JSON path defaults to None, so that load_config tells it from the config's.
+_PARSED = {"orders": "append", "numbers": str}  # a setting's kind -> the kind its flag parses as
 OPTIONS = {
-    "sumrule": _COMMON,
-    "coeffs": {
-        **_COMMON,
-        "--n-root": ("n_root", int, 2, "root order N"),
-        "--max-order": ("max_order", int, 2, "highest coefficient order"),
-    },
-    "verify": {
-        **_COMMON,
-        "--threshold": ("threshold", float, None, "minimum slope"),
-        "--first-order-only": ("first_order_only", "flag", False,
-                               "drop the second-order term (harness self-check)"),
-    },
-    "spectrum": _COMMON,
+    command: {
+        row.flag: (dest, "flag" if row.switch is not None else _PARSED.get(row.kind, row.kind),
+                   None if row.path else row.default, row.about)
+        for dest, row in _SETTINGS.items() if row.flag and command in row.commands
+    }
+    for command in _COMMANDS
 }
 _ABOUT = {
     None: "Spectral zeta functions of rational order for heterogeneous billiards",
@@ -712,21 +708,18 @@ def main(argv=None) -> int:
     more (about 20 ms of a 250 ms run).  Objects the run creates are collected
     as before.  In-process callers, tests included, see the same freeze.
     """
-    # start-up objects are never garbage: keep them out of every later full
-    # collection, the one at interpreter shutdown included
     gc.freeze()
     try:
         args = parse_args(argv)  # a usage error raises ValidationError too
         cfg = load_config(args.config, args)
-        if args.command == "sumrule":
-            return cmd_sumrule(cfg)
         if args.command == "coeffs":
-            return cmd_coeffs(cfg, args.n_root, args.max_order)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.first_order_only)
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg)
-        raise ValidationError(f"unknown command {args.command!r}")
+            code = cmd_coeffs(cfg, args.n_root, args.max_order)
+        elif args.command == "verify":
+            code = cmd_verify(cfg, args.first_order_only)
+        else:
+            code = (cmd_sumrule if args.command == "sumrule" else cmd_spectrum)(cfg)
+        sys.stdout.flush()  # a closed stdout fails here, not in the interpreter's last flush
+        return code
     except (ValidationError, InsufficientDataError) as exc:  # a ConfigError lists every problem
         problems = exc.problems if isinstance(exc, ConfigError) else [str(exc)]
         print(json.dumps({"error": "validation", "problems": problems}), file=sys.stderr)
@@ -735,6 +728,10 @@ def main(argv=None) -> int:
         detail = str(exc) or "out of memory"  # numpy's MemoryError can stringify to ""
         print(json.dumps({"error": "numerical", "detail": detail}), file=sys.stderr)
         return EXIT_NUMERICAL
+    except BrokenPipeError:  # stdout's reader has gone (`| head`): stop without a word
+        # stdout now leads to devnull, so what is still buffered cannot fail at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 def entrypoint() -> None:  # console-script wrapper

@@ -18,7 +18,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from billzeta import cli
 from billzeta.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_SLOPE,
@@ -29,7 +31,8 @@ from billzeta.cli import (
     main,
     parse_args,
 )
-from billzeta.errors import ConfigError
+from billzeta.errors import ConfigError, ValidationError
+from billzeta.sumrules import RationalOrderSpec
 
 
 @pytest.fixture(autouse=True)
@@ -1081,7 +1084,10 @@ def _side_profile(draw, length):
 
 @st.composite
 def _runs(draw):
-    """argv for any subcommand on a valid-looking config, with extreme sizes and strengths."""
+    """argv for any subcommand on a valid-looking config, with extreme sizes and strengths.
+
+    Each setting with both a flag and a JSON path is drawn from one of the two.
+    """
     length = (st.floats(-3.0, 3.0) | st.floats(-300.0, 300.0)).map(lambda e: 10.0**e)
     if draw(st.booleans()):
         side = draw(length)
@@ -1098,14 +1104,25 @@ def _runs(draw):
     n, n2 = draw(st.integers(2, 64)), draw(st.integers(2, 64))
     order = draw(st.sampled_from([f"1+1/{n}", f"1/2+1/{n}", f"1/{n}+1/{n2}"]))
     command = draw(st.sampled_from(["sumrule", "verify", "spectrum", "coeffs"]))
-    argv = [command, "--modes", str(draw(st.integers(1, 40))), "--s", order]
+    lams = [abs(lam) / 4, abs(lam) / 2, abs(lam)] if command == "verify" else [lam]
+    config, argv = {"basis": basis, "density": {"profile": profile}}, [command]
+    modes = draw(st.integers(1, 40))
+    shared = [("--modes", str(modes), "truncation.modes", modes), ("--s", order, "orders", [order]),
+              ("--lambda", ",".join(repr(x) for x in lams), "density.lambda_list", lams)]
     if command == "sumrule":
-        argv += ["--route", draw(st.sampled_from(ROUTES))]
+        route = draw(st.sampled_from(ROUTES))
+        shared.append(("--route", route, "route", route))
+    if draw(st.booleans()):  # output.path, set where the run's directory is known
+        config["output"] = {}
+    for flag, token, path, value in shared:  # (flag, its token, JSON path, its value)
+        if draw(st.booleans()):
+            argv += [flag, token]
+        else:
+            section, _, key = path.rpartition(".")
+            (config.setdefault(section, {}) if section else config)[key] = value
     if command == "coeffs":  # sigma^j up to j = 6: degree 7 polynomials to degree 42
         argv += ["--max-order", str(draw(st.integers(0, 6)))]
-    lams = [abs(lam) / 4, abs(lam) / 2, abs(lam)] if command == "verify" else [lam]
-    argv += ["--lambda", ",".join(repr(x) for x in lams)]
-    return {"basis": basis, "density": {"profile": profile}}, argv
+    return config, argv
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -1117,11 +1134,15 @@ def _runs(draw):
 def test_any_valid_looking_run_exits_cleanly(run):
     config, argv = run
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "run.json"
+        path, target = Path(tmp) / "run.json", str(Path(tmp) / "out")
+        if "output" in config:
+            config = {**config, "output": {"path": target}}
+        else:
+            argv = [*argv, "--out", target]
         path.write_text(json.dumps(config))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([*argv, "--config", str(path), "--out", str(Path(tmp) / "out")])
+            code = main([*argv, "--config", str(path)])
         written = [p.read_text() for p in Path(tmp).rglob("*") if p.is_file() and p != path]
     if code == EXIT_SLOPE:  # a verify fit below the threshold: a verdict on stdout, not an error
         assert argv[0] == "verify" and err.getvalue() == ""
@@ -1132,3 +1153,167 @@ def test_any_valid_looking_run_exits_cleanly(run):
     else:
         for text in [out.getvalue(), *written]:
             assert not re.search(r"(?i)\b(nan|inf|infinity)\b", text), text
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_ends_quietly_with_its_exit_code(tmp_path, unbuffered):
+    # stdout's reader has gone before the run writes (a `| head` that has read enough): the
+    # run ends with the documented code and nothing on stderr, whether stdout is buffered or not
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "billzeta.cli", "sumrule", "--modes", "40", "--s", "1+1/2", "--lambda=0"],
+            cwd=tmp_path, env=env, stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (EXIT_BROKEN_PIPE, "")
+
+
+COS_PROFILE = {"type": "fourier-cosine", "coeffs": [0.0, 0.0, 1.0]}
+# every JSON path that holds a number -> a config holding a numeric string there
+NUMERIC_STRINGS = {
+    "truncation.modes": {"truncation": {"modes": "20"}},
+    "truncation.inner_discard": {"truncation": {"modes": 20, "inner_discard": "2"}},
+    "truncation.top_discard_fraction": {"truncation": {"modes": 20, "top_discard_fraction": "0.25"}},
+    "density.lambda": {"density": {"profile": COS_PROFILE, "lambda": "0.1"}},
+    "density.lambda_list[1]": {"density": {"profile": COS_PROFILE, "lambda_list": [0.05, "0.1"]}},
+    "slope_threshold": {"slope_threshold": "2.7"},
+    "basis.length": {"basis": {"kind": "string", "length": "1.0"}},
+    "basis.a": {"basis": {"kind": "rectangle", "a": "1.0"}, "density": COS_2D_DENSITY},
+    "basis.b": {"basis": {"kind": "rectangle", "b": "1.3"}, "density": COS_2D_DENSITY},
+    "density.profile.coeffs[2]": {"density": {"profile": {"type": "fourier-cosine", "coeffs": [0, 0, "1"]}}},
+    "density.profile.coeffs[0]": {"density": {"profile": {"type": "polynomial", "coeffs": ["0.5", 1]}}},
+    "density.profile.x[1]": {"density": {"profile": {"type": "tabulated", "x": [0, "1"], "y": [0, 1]}}},
+    "density.profile.y[0]": {"density": {"profile": {"type": "tabulated", "x": [0, 1], "y": ["0", 1]}}},
+    "density.profile.terms[0].y.coeffs[0]": {"basis": {"kind": "rectangle"}, "density": {"profile": {
+        "type": "separable", "terms": [{"x": COS_PROFILE, "y": {"type": "polynomial", "coeffs": ["1"]}}]}}},
+}
+
+
+def _numbers_for_strings(node):
+    """node with each numeric string made the number it spells."""
+    if isinstance(node, dict):
+        return {key: _numbers_for_strings(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_numbers_for_strings(value) for value in node]
+    return float(node) if isinstance(node, str) and node[:1].isdigit() else node
+
+
+@pytest.mark.parametrize("where", NUMERIC_STRINGS)
+def test_a_json_string_is_no_number(tmp_path, capsys, where):
+    # a JSON value of the wrong type is a validation failure, however it spells a number; the
+    # same config with the number itself loads
+    sections = {"density": {"profile": COS_PROFILE}, **NUMERIC_STRINGS[where]}
+    sections.setdefault("truncation", {"modes": 20})
+    cfg = write_config(tmp_path, **sections)
+    assert main(["sumrule", "--config", str(cfg), "--route", "closed", "--s", "1+1/2"]) == EXIT_VALIDATION
+    assert [p for p in problems_on_stderr(capsys) if p.startswith(f"{where}: expected")]
+    write_config(tmp_path, **_numbers_for_strings(sections))
+    load_config(str(cfg), parse_args(["sumrule", "--route", "closed", "--s", "1+1/2"]))
+
+
+def test_a_command_line_number_is_still_text(tmp_path):
+    cfg = write_config(tmp_path, slope_threshold=2.7)
+    args = parse_args(["verify", "--config", str(cfg), "--lambda", "0.02,0.04,0.08", "--threshold", "2.5"])
+    loaded = load_config(str(cfg), args)
+    assert (loaded.lam_list, loaded.slope_threshold) == ([0.02, 0.04, 0.08], 2.5)
+
+
+def test_rectangle_side_bounds_bisect_once_per_geometry(tmp_path):
+    # the memory pre-check counts the table and a walk step from the side bounds, and the
+    # basis lists its modes from them: one bisection serves all three
+    from billzeta.basis import _rectangle_side_bounds, build_sigma_table
+
+    basis = {"kind": "rectangle", "a": 1.0, "b": 1.0 + 2.0**-20}  # a geometry no other test bisects
+    cfg = write_config(tmp_path, basis=basis, density=COS_2D_DENSITY)
+    before = _rectangle_side_bounds.cache_info()
+    args = parse_args(["sumrule", "--config", str(cfg), "--modes", "137", "--route", "closed"])
+    loaded = load_config(str(cfg), args)
+    build_sigma_table(loaded.basis, loaded.profile, 2)
+    after = _rectangle_side_bounds.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 2)
+
+
+ALL_COMMANDS = tuple(OPTIONS)
+ORDER = RationalOrderSpec.parse
+# a setting's kind -> (flag token, the value it gives, JSON value, the value it gives, wrong JSON value)
+KIND_SAMPLES = {
+    int: ("7", 7, 9, 9, "9"),
+    float: ("0.5", 0.5, 0.75, 0.75, "0.75"),
+    str: ("x", "x", "y", "y", 5),
+    "orders": ("1+1/4", [ORDER("1+1/4")], ["1/3+1/4"], [ORDER("1/3+1/4")], "3/2"),
+    "numbers": ("0.1,0.2", [0.1, 0.2], [0.3], [0.3], ["0.3"]),
+    "flag": (None, True, None, None, None),
+    None: (None, None, {"kind": "sample"}, {"kind": "sample"}, None),  # parsed by load_config's own code
+}
+WRONG_FLAG = {int: "x", float: "nan", "numbers": "nan"}  # a wrong value each kind's flag can be given
+
+
+def _samples(row):
+    if isinstance(row.kind, tuple):  # a choice: the flag takes the last, JSON the first
+        samples = (row.kind[-1], row.kind[-1], row.kind[0], row.kind[0], "bogus")
+    else:
+        samples = KIND_SAMPLES[row.kind]
+    if row.switch is not None:  # the flag takes no value
+        samples = (None, row.switch, *samples[2:])
+    wrong = "bogus" if isinstance(row.kind, tuple) and row.switch is None else WRONG_FLAG.get(row.kind)
+    return (*samples, wrong)
+
+
+def _json_at(path, value):
+    section, _, key = path.rpartition(".")
+    return {section: {key: value}} if section else {key: value}
+
+
+@pytest.mark.parametrize("dest", list(cli._SETTINGS))
+def test_each_setting_takes_its_flag_then_its_json_then_its_default(dest):
+    # one pass over the settings table: a row added later is covered with no new test
+    row = cli._SETTINGS[dest]
+    token, from_flag, json_value, from_json, wrong_json, wrong_flag = _samples(row)
+
+    def read(argv, data):
+        problems = []
+        args = parse_args([row.commands[0], *argv])
+        if row.path is None:
+            return getattr(args, dest), problems
+        nodes = {"": data, **{name: data.get(name, {}) for name in cli._KEYS if name}}
+        return cli._setting(dest, args, nodes, problems), problems
+
+    default = [ORDER(t) for t in row.default] if row.kind == "orders" else row.default
+    flag = [row.flag] if row.flag and OPTIONS[row.commands[0]][row.flag][1] == "flag" else [row.flag, token]
+    assert read([], {}) == (default, [])
+    if row.flag:
+        assert read(flag, {}) == (from_flag, [])
+    if row.path:
+        assert read([], _json_at(row.path, json_value)) == (from_json, [])
+    if row.flag and row.path:
+        assert read(flag, _json_at(row.path, json_value)) == (from_flag, [])
+    if row.path and wrong_json is not None:
+        _, problems = read([], _json_at(row.path, wrong_json))
+        assert problems and problems[0].startswith(row.path)
+    if row.span:
+        _, problems = read([], _json_at(row.path, row.span[1]))
+        assert problems and problems[0].startswith(row.path)
+    if row.flag and wrong_flag is not None:
+        try:
+            _, problems = read([row.flag, wrong_flag], {})
+        except ValidationError as exc:
+            problems = [str(exc)]
+        assert problems and row.flag in problems[0]
+
+
+def test_readme_settings_table_lists_every_row():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = ["| Flag | JSON path | Default | Commands |", "| --- | --- | --- | --- |"]
+    for row in cli._SETTINGS.values():
+        default = "" if row.default is None else f"`{json.dumps(row.default)}`"
+        commands = "" if not row.flag else "all" if row.commands == ALL_COMMANDS else ", ".join(row.commands)
+        cells = [f"`{row.flag}`" if row.flag else "", f"`{row.path}`" if row.path else "", default, commands]
+        lines.append("|" + "|".join(f" {cell} " if cell else " " for cell in cells) + "|")
+    assert "\n".join(lines) in readme
