@@ -34,7 +34,6 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .kernels import delta, eta, xi
 from .oracle import (
     GeneralizedProblem,
     assemble,
@@ -76,14 +75,11 @@ __all__ = [
     "build_Q_series",
     "build_sigma_table",
     "convergence_order_fit",
-    "delta",
-    "eta",
     "q_generic_recursion",
     "solve_spectrum",
     "tail_estimate",
     "trace_terms",
     "verify_convolution",
-    "xi",
     "z_closed_form",
     "z_via_trace",
 ]

@@ -285,7 +285,8 @@ def _profile_sup(profile: Profile1D, length: float) -> float:
     xs = np.linspace(0.0, length, max(4097, 32 * profile.bandwidth() + 1))
     if isinstance(profile, Tabulated):
         xs = np.concatenate([xs, np.clip(profile.xs, 0.0, length)])  # np.union1d would import numpy.ma
-    return float(np.max(np.abs(profile.evaluate(xs, length))))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf or nan, which fails the bound
+        return float(np.max(np.abs(profile.evaluate(xs, length))))
 
 
 @dataclass(frozen=True)

@@ -393,10 +393,14 @@ def load_config(path: str | None, overrides) -> RunConfig:
     max_order = getattr(overrides, "max_order", _SETTINGS["max_order"].default)
     geometry = [] if basis is None else _geometry_problems(basis.domain, modes, orders)
     problems += geometry
-    if basis is not None and not geometry:  # an extreme side overflows the side bounds
-        need = _memory_need(command, route, basis.domain, profile, modes, orders, max_order)
-        memory = _physical_memory()
-        if memory is not None and need > memory:
+    memory = _physical_memory()
+    # an extreme side overflows the rectangle's side bounds, and forming them costs O(sqrt(M)):
+    # the fixed vectors, a floor of the need, are compared first
+    if basis is not None and not geometry and memory is not None:
+        need = _VECTORS * modes * 8
+        if need <= memory:
+            need = _memory_need(command, route, basis.domain, profile, modes, orders, max_order)
+        if need > memory:
             problems.append(f"truncation.modes: {modes} modes need {need / 2**30:.3g} GiB for the table and "
                             f"working set, more than the {memory / 2**30:.3g} GiB of physical memory")
     if command == "coeffs":

@@ -23,7 +23,7 @@ import numpy as np
 from ._record import dataclass
 from .basis import ModeBasis, SigmaPowerTable
 from .errors import ValidationError
-from .kernels import eta_matrix, validate_root_order
+from .kernels import eta_xi, validate_root_order
 
 
 def half_binomial(k: int) -> float:
@@ -124,9 +124,9 @@ def q_generic_recursion(n_root: int, big_q, basis: ModeBasis) -> GreenCoefficien
     n = validate_root_order(n_root)
     max_order = len(big_q) - 1
     m = len(big_q[0])
-    eps = basis.eigenvalues()[:m]
-    eta = eta_matrix(n, eps)
-    q_orders = [eps ** (-1.0 / n)]
+    w = basis.eigenvalues()[:m] ** (-1.0 / n)
+    eta = eta_xi(n, w[:, None], w[None, :])[0]
+    q_orders = [w]
     for k in range(1, max_order + 1):
         chain = _series_power(q_orders, n, k)  # all parts <= k-1
         lower = chain[k] if k < len(chain) else 0.0  # an absent order is zero
@@ -162,27 +162,6 @@ def Q_diagonal(s2_diag: np.ndarray, row_sums: np.ndarray, eps: np.ndarray) -> np
     return 2.0 * b2 * s2_diag * (1.0 / eps) + b1 * b1 * row_sums
 
 
-def _eta_xi(n_root: int, wn: np.ndarray, wm: np.ndarray) -> tuple:
-    """eta(N; eps_n, eps_m), xi(N; eps_n, eps_m, eps_n) and xi(N; eps_m, eps_n, eps_m) pair by pair.
-
-    From w = eps^{-1/N}: with E_j = sum_{k<=j} wn^k wm^{j-k}, symmetric in
-    wn and wm, eta = E_{N-1} and xi(N; eps_n, eps_m, eps_n) =
-    sum_{j<=N-2} E_j wn^{N-2-j}, so one Horner loop of N steps over positive
-    terms forms all three.
-    """
-    e, power = np.ones(len(wn)), np.ones(len(wn))
-    xi_n, xi_m = np.zeros(len(wn)), np.zeros(len(wn))
-    for _ in range(n_root - 1):
-        xi_n *= wn
-        xi_n += e
-        xi_m *= wm
-        xi_m += e
-        power *= wn
-        e *= wm
-        e += power
-    return e, xi_n, xi_m
-
-
 def trace_terms(n_root: int, q0: np.ndarray, n: np.ndarray, m: np.ndarray, big_q1: np.ndarray) -> tuple:
     """q^(1) of the order-1/N root of Q on pairs (n, m), and their xi-weighted row terms.
 
@@ -195,7 +174,7 @@ def trace_terms(n_root: int, q0: np.ndarray, n: np.ndarray, m: np.ndarray, big_q
     q^(1)^2 xi(N; eps_m, eps_n, eps_m) to row m's (``q_diagonal``).  O(N) per
     pair.
     """
-    eta, xi_n, xi_m = _eta_xi(validate_root_order(n_root), q0[n], q0[m])
+    eta, xi_n, xi_m = eta_xi(validate_root_order(n_root), q0[n], q0[m])
     q1 = big_q1 / eta
     sq = q1 * q1
     xi_n *= sq

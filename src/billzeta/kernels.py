@@ -1,14 +1,13 @@
-"""Closed-form eigenvalue kernels of the rational-order perturbative solution.
+"""Eigenvalue kernels of the rational-order perturbative solution.
 
-For a root order N >= 1 and positive eigenvalues these evaluate
+For a root order N >= 1 and positive eigenvalues
 
     eta(N; a, b)   = sum_{j=0}^{N-1} a^{-(N-1-j)/N} b^{-j/N}
-    delta(N; a, b) = (1/a + 1/b) / eta(N; a, b)
     xi(N; a, r, b) = sum_{j=0}^{N-2} sum_{l=0}^{N-2-j} a^{-j/N} b^{-(N-2-j-l)/N} r^{-l/N}
 
-eta is the denominator that isolates each new perturbative order; delta and
-xi organize the first- and second-order coefficients.  N = 2 reduces to the
-half-order (square-root) case.
+eta is the denominator that isolates each new perturbative order; xi weighs
+the second-order diagonal.  N = 2 reduces to the half-order (square-root)
+case.  Both routes and the dense recursion evaluate them through ``eta_xi``.
 """
 
 import numpy as np
@@ -33,62 +32,24 @@ def validate_root_order(n_root: int) -> int:
     return int(n_root)
 
 
-def _check_positive(*eigenvalues) -> None:
-    for e in eigenvalues:
-        if not np.all(np.asarray(e) > 0.0):
-            raise ValidationError("eigenvalue inputs must be strictly positive")
+def eta_xi(n_root: int, wn, wm) -> tuple:
+    """eta(N; eps_n, eps_m), xi(N; eps_n, eps_m, eps_n) and xi(N; eps_m, eps_n, eps_m), broadcast.
 
-
-def _frac_power(e, p_over_n: float):
-    # exp((p/N) log e) on positive reals; no branch issues for a Dirichlet spectrum
-    return np.exp(p_over_n * np.log(e))
-
-
-def eta(n_root: int, eps_n, eps_m):
-    """eta kernel; strictly positive, symmetric in its eigenvalue arguments."""
-    n = validate_root_order(n_root)
-    _check_positive(eps_n, eps_m)
-    a = np.asarray(eps_n, dtype=float)
-    b = np.asarray(eps_m, dtype=float)
-    total = np.zeros(np.broadcast(a, b).shape)
-    for j in range(n):
-        total += _frac_power(a, -(n - 1 - j) / n) * _frac_power(b, -j / n)
-    return total if total.shape else float(total)
-
-
-def delta(n_root: int, eps_n, eps_m):
-    """delta kernel: (1/eps_n + 1/eps_m) / eta."""
-    n = validate_root_order(n_root)
-    _check_positive(eps_n, eps_m)
-    a = np.asarray(eps_n, dtype=float)
-    b = np.asarray(eps_m, dtype=float)
-    out = (1.0 / a + 1.0 / b) / eta(n, a, b)
-    return out if out.shape else float(out)
-
-
-def xi(n_root: int, eps_n, eps_r, eps_m):
-    """xi kernel (three eigenvalue slots; middle slot is the internal sum index).
-
-    xi(1, ...) = 0 and xi(2, ...) = 1 identically.
+    From w = eps^{-1/N}: with E_j = sum_{k<=j} wn^k wm^{j-k}, symmetric in
+    wn and wm, eta = E_{N-1} and xi(N; eps_n, eps_m, eps_n) =
+    sum_{j<=N-2} E_j wn^{N-2-j}, so one Horner loop of N steps over positive
+    terms forms all three.  wn and wm broadcast against each other: a
+    column and a row give the dense M x M kernels.
     """
-    n = validate_root_order(n_root)
-    _check_positive(eps_n, eps_r, eps_m)
-    a = np.asarray(eps_n, dtype=float)
-    r = np.asarray(eps_r, dtype=float)
-    b = np.asarray(eps_m, dtype=float)
-    total = np.zeros(np.broadcast(a, r, b).shape)
-    for j in range(n - 1):
-        for l in range(n - 1 - j):
-            total = total + (
-                _frac_power(a, -j / n)
-                * _frac_power(b, -(n - 2 - j - l) / n)
-                * _frac_power(r, -l / n)
-            )
-    return total if total.shape else float(total)
-
-
-def eta_matrix(n_root: int, eps: np.ndarray) -> np.ndarray:
-    """Dense eta(N; eps_i, eps_j) over one eigenvalue vector."""
-    e = np.asarray(eps, dtype=float)
-    return eta(n_root, e[:, None], e[None, :])
-
+    shape = np.broadcast_shapes(np.shape(wn), np.shape(wm))
+    e, power = np.ones(shape), np.ones(shape)
+    xi_n, xi_m = np.zeros(shape), np.zeros(shape)
+    for _ in range(n_root - 1):
+        xi_n *= wn
+        xi_n += e
+        xi_m *= wm
+        xi_m += e
+        power *= wn
+        e *= wm
+        e += power
+    return e, xi_n, xi_m

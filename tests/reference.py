@@ -1,5 +1,8 @@
 """Independent references the tests check the library against; no route calls them.
 
+* ``eta``, ``delta`` and ``xi``: the eigenvalue kernels as exp/log power
+  sums term by term, against which ``kernels.eta_xi``'s Horner loop is
+  checked, with their dense forms ``eta_matrix`` and ``delta_matrix``;
 * ``q_closed_form``: the explicit closed forms of q^(k), k <= 2, at any root
   order N, against which the generic recursion is checked;
 * ``reference_Q``: Q^(0..k) with its internal mode sums converged beyond a
@@ -19,7 +22,58 @@ import numpy as np
 from billzeta.basis import ModeBasis, SigmaPowerTable, Tabulated, build_sigma_table
 from billzeta.coefficients import build_Q_series
 from billzeta.errors import ValidationError
-from billzeta.kernels import delta, eta_matrix, validate_root_order
+from billzeta.kernels import validate_root_order
+
+
+def _frac_power(e, p_over_n: float):
+    # exp((p/N) log e) on positive reals; no branch issues for a Dirichlet spectrum
+    return np.exp(p_over_n * np.log(e))
+
+
+def eta(n_root: int, eps_n, eps_m):
+    """eta(N; a, b) = sum_{j=0}^{N-1} a^{-(N-1-j)/N} b^{-j/N}; symmetric in a and b."""
+    n = validate_root_order(n_root)
+    a = np.asarray(eps_n, dtype=float)
+    b = np.asarray(eps_m, dtype=float)
+    total = np.zeros(np.broadcast(a, b).shape)
+    for j in range(n):
+        total += _frac_power(a, -(n - 1 - j) / n) * _frac_power(b, -j / n)
+    return total if total.shape else float(total)
+
+
+def delta(n_root: int, eps_n, eps_m):
+    """delta(N; a, b) = (1/a + 1/b) / eta(N; a, b)."""
+    a = np.asarray(eps_n, dtype=float)
+    b = np.asarray(eps_m, dtype=float)
+    out = (1.0 / a + 1.0 / b) / eta(n_root, a, b)
+    return out if out.shape else float(out)
+
+
+def xi(n_root: int, eps_n, eps_r, eps_m):
+    """xi(N; a, r, b) = sum_{j=0}^{N-2} sum_{l=0}^{N-2-j} a^{-j/N} b^{-(N-2-j-l)/N} r^{-l/N}.
+
+    The middle slot is the internal sum index; xi(1, ...) = 0 and
+    xi(2, ...) = 1 identically.
+    """
+    n = validate_root_order(n_root)
+    a = np.asarray(eps_n, dtype=float)
+    r = np.asarray(eps_r, dtype=float)
+    b = np.asarray(eps_m, dtype=float)
+    total = np.zeros(np.broadcast(a, r, b).shape)
+    for j in range(n - 1):
+        for l in range(n - 1 - j):
+            total = total + (
+                _frac_power(a, -j / n)
+                * _frac_power(b, -(n - 2 - j - l) / n)
+                * _frac_power(r, -l / n)
+            )
+    return total if total.shape else float(total)
+
+
+def eta_matrix(n_root: int, eps: np.ndarray) -> np.ndarray:
+    """Dense eta(N; eps_i, eps_j) over one eigenvalue vector."""
+    e = np.asarray(eps, dtype=float)
+    return eta(n_root, e[:, None], e[None, :])
 
 
 def delta_matrix(n_root: int, eps: np.ndarray) -> np.ndarray:

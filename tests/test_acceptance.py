@@ -23,7 +23,7 @@ from billzeta.coefficients import (
     q_generic_recursion,
     verify_convolution,
 )
-from billzeta.kernels import delta, eta, xi
+from billzeta.kernels import MAX_ROOT_ORDER, eta_xi
 from billzeta.oracle import (
     assemble,
     convergence_order_fit,
@@ -37,7 +37,7 @@ from billzeta.sumrules import (
     z_via_trace,
 )
 
-from reference import kernel_second_order_presplit, q_closed_form, reference_Q
+from reference import delta, eta, kernel_second_order_presplit, q_closed_form, reference_Q, xi
 from test_coefficients import half_order_recursive_forms, max_rel, random_table
 from test_kernels import delta_table, eta_table, xi_table
 
@@ -65,21 +65,34 @@ def test_criterion_1_kernel_identities():
         lhs = delta(n, a, b) * eta(n, a, b)
         rhs = 1.0 / a + 1.0 / b
         worst_identity = max(worst_identity, float(np.max(np.abs(lhs - rhs) / rhs)))
+    # eta_xi, the Horner form the routes and the recursion use, against the power sums
+    a, b = a[:64], b[:64]
+    worst_horner = 0.0
+    for n in (*range(1, 9), 16, 32, MAX_ROOT_ORDER):  # xi's power sum has N^2 / 2 terms
+        for horner, power_sum in zip(eta_xi(n, a ** (-1.0 / n), b ** (-1.0 / n)),
+                                     (eta(n, a, b), xi(n, a, b, a), xi(n, b, a, b))):
+            scale = np.maximum(np.abs(power_sum), 1e-300)  # xi(1, ...) = 0
+            worst_horner = max(worst_horner, float(np.max(np.abs(horner - power_sum) / scale)))
     worst_table = 0.0
     for n in range(1, 5):
         for _ in range(100):
             a, r, b = RNG.uniform(1e-2, 1e6, 3)
+            eta_h, xi_n, xi_m = eta_xi(n, a ** (-1.0 / n), b ** (-1.0 / n))
             for generic, table in (
                 (eta(n, a, b), eta_table(n, a, b)),
                 (delta(n, a, b), delta_table(n, a, b)),
                 (xi(n, a, r, b), xi_table(n, a, r, b)),
+                (float(eta_h), eta_table(n, a, b)),
+                (float(xi_n), xi_table(n, a, b, a)),
+                (float(xi_m), xi_table(n, b, a, b)),
             ):
                 scale = max(abs(table), 1e-300)
                 worst_table = max(worst_table, abs(generic - table) / scale if table else abs(generic))
     elapsed = time.time() - start
-    ok = worst_identity <= 1e-13 and worst_table <= 1e-13
-    report(1, "kernel identities and closed-form table rows", ok,
-           f"identity {worst_identity:.2e}, tables {worst_table:.2e} (tol 1e-13)", 1.0, elapsed)
+    ok = max(worst_identity, worst_horner, worst_table) <= 1e-13
+    report(1, "kernel identities, Horner kernels and closed-form table rows", ok,
+           f"identity {worst_identity:.2e}, Horner {worst_horner:.2e}, tables {worst_table:.2e} "
+           "(tol 1e-13)", 1.0, elapsed)
 
 
 def test_criterion_2_recursion_equivalence():

@@ -524,6 +524,17 @@ def test_oversized_rectangle_modes_exit_2_before_listing_modes(tmp_path, capsys)
     assert _enumerate_rectangle_modes.cache_info().misses == misses
 
 
+def test_huge_rectangle_modes_exit_2_before_forming_side_bounds(tmp_path, monkeypatch, capsys):
+    # the rectangle's side bounds take O(sqrt(M)) memory to form: the vectors' floor of the
+    # need rejects 10^30 modes first
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 2**33)
+    cfg = write_config(tmp_path, basis={"kind": "rectangle", "a": 1.0, "b": 1.3}, density=COS_2D_DENSITY)
+    rc = main(["sumrule", "--config", str(cfg), "--modes", "1000000000000000000000000000000",
+               "--route", "closed"])
+    assert rc == EXIT_VALIDATION
+    assert any(p.startswith("truncation.modes") for p in problems_on_stderr(capsys))
+
+
 def test_working_set_counted_before_allocating(tmp_path, monkeypatch, capsys):
     from billzeta import cli
 
@@ -809,6 +820,31 @@ def test_oracle_peaks_below_the_counted_need(tmp_path, run, m, command):
     assert peak < need
 
 
+@pytest.mark.parametrize("max_order", [2, 8])
+def test_coeffs_peaks_below_the_counted_need(tmp_path, max_order):
+    # coeffs holds the dense S_j, both series and the recursion's chain: the traced peak,
+    # table included, stays below the count (at M=120 and N=3, 13.1 and 41.7 M^2 against
+    # 15.3 and 45.3 counted)
+    import tracemalloc
+
+    from billzeta.cli import _memory_need
+
+    m = 120
+    cfg = write_config(tmp_path)
+    argv = ["coeffs", "--config", str(cfg), "--modes", str(m), "--n-root", "3",
+            "--max-order", str(max_order), "--out", str(tmp_path / "q")]
+    loaded = load_config(str(cfg), parse_args(argv))
+    need = _memory_need("coeffs", loaded.route, loaded.basis.domain, loaded.profile, m, loaded.orders,
+                        max_order)
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < need
+
+
 def test_rectangle_trace_need_grows_like_its_row_blocks(tmp_path):
     # the rectangle table is side factors and the route reads S_1 in row blocks, so
     # nothing it counts grows like M^2
@@ -971,6 +1007,18 @@ def test_extreme_geometry_exits_2(tmp_path, capsys, basis, density, where):
     assert main(argv) == EXIT_VALIDATION
     problems = problems_on_stderr(capsys)
     assert len(problems) == 1 and problems[0].startswith(where) and "normal doubles" in problems[0]
+
+
+def test_polynomial_factor_on_a_huge_side_exits_2_with_one_stderr_line(tmp_path, capsys):
+    # sampling the factor overflows to inf; the density bound rejects it with no numpy warning
+    poly = {"type": "polynomial", "coeffs": [0, 0.85, -0.82]}
+    density = {"profile": {"type": "separable", "terms": [{"x": poly, "y": {"type": "fourier-cosine",
+                                                                              "coeffs": [1.0]}}]},
+               "lambda": 0.1}
+    cfg = write_config(tmp_path, basis={"kind": "rectangle", "a": 1e200, "b": 1.0}, density=density)
+    assert main(["sumrule", "--config", str(cfg), "--modes", "40"]) == EXIT_VALIDATION
+    problems = problems_on_stderr(capsys)  # exactly one JSON line
+    assert any(p.startswith("lambda=0.1: density bound violated") for p in problems)
 
 
 def test_short_string_inside_the_normal_doubles_still_runs(tmp_path):

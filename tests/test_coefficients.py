@@ -28,9 +28,8 @@ from billzeta.coefficients import (
     verify_convolution,
 )
 from billzeta.errors import ValidationError
-from billzeta.kernels import delta, eta, eta_matrix, xi
 
-from reference import delta_matrix, q_closed_form, reference_Q
+from reference import delta, delta_matrix, eta, eta_matrix, q_closed_form, reference_Q, xi
 
 RNG = np.random.default_rng(11)
 COS2 = FourierCosine((0.0, 0.0, 1.0))

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from billzeta.errors import ValidationError
-from billzeta.kernels import delta, eta, eta_matrix, validate_root_order, xi
+from billzeta.kernels import eta_xi, validate_root_order
 
-from reference import delta_matrix
+from reference import delta, delta_matrix, eta, eta_matrix, xi
 
 RNG = np.random.default_rng(20240811)
 
@@ -110,6 +110,23 @@ def test_matrix_forms_match_scalar():
                 assert dm[i, j] == pytest.approx(delta(n, eps[i], eps[j]), rel=1e-15)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 17])
+def test_eta_xi_broadcasts_a_column_and_a_row_to_the_dense_kernels(n):
+    eps = RNG.uniform(0.5, 300.0, 12)
+    w = eps ** (-1.0 / n)
+    dense = eta_xi(n, w[:, None], w[None, :])
+    assert all(k.shape == (12, 12) for k in dense)
+    i, j = np.indices((12, 12))
+    pairs = eta_xi(n, w[i.ravel()], w[j.ravel()])
+    for full, flat in zip(dense, pairs):
+        assert np.array_equal(full.ravel(), flat)
+    assert dense[0] == pytest.approx(dense[0].T, rel=1e-13)  # eta is symmetric
+    assert dense[1] == pytest.approx(dense[2].T, rel=1e-13, abs=0.0)  # xi(N; a, b, a) = xi(N; b, a, b)^T
+    assert dense[0] == pytest.approx(eta_matrix(n, eps), rel=1e-13)
+    # eta(N; e, e) = N e^{-(N-1)/N}: the order-2 diagonal's divisor
+    assert np.diagonal(dense[0]) == pytest.approx(n * w ** (n - 1), rel=1e-13)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=8),
@@ -133,9 +150,3 @@ def test_validation():
         validate_root_order(65)
     with pytest.raises(ValidationError):
         validate_root_order(2.5)
-    with pytest.raises(ValidationError):
-        eta(2, -1.0, 2.0)
-    with pytest.raises(ValidationError):
-        delta(2, 1.0, 0.0)
-    with pytest.raises(ValidationError):
-        xi(3, 1.0, -2.0, 3.0)
