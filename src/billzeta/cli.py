@@ -72,10 +72,11 @@ _COMMANDS = ("sumrule", "coeffs", "verify", "spectrum")
 class _Setting:
     """One setting: its flag, JSON path, kind, default and range.  A given flag wins, then JSON.
 
-    A kind is int or float (a finite number; JSON text is none), str, a tuple (one of these
-    values), "orders" (--s, repeated, or a JSON array), "numbers" (--lambda's X[,X...] or a
-    JSON array), "flag" (no value: True when given) or None (parsed by load_config's own
-    code).  JSON null is the default where that is None (unset), else wrong.
+    A kind is int or float (a finite number), str, a tuple (one of these values), "orders"
+    (--s, repeated, or a JSON array), "numbers" (--lambda's X[,X...] or a JSON array) or None
+    (parsed by load_config's own code).  A flag's value is the text given, checked by the same
+    rule as the JSON value, which must not be text where a number is due.  JSON null is the
+    default where that is None (unset), else wrong.
     """
 
     flag: str | None  # None: the config file's only
@@ -108,12 +109,14 @@ _SETTINGS = {
     "modes": _Setting("--modes", "truncation.modes", int, 200, about="basis truncation M"),
     "inner_discard": _Setting(None, "truncation.inner_discard", int),  # unset: modes // 4
     "top_discard": _Setting(None, "truncation.top_discard_fraction", float, 0.25, span=(0.0, 1.0)),
-    "n_root": _Setting("--n-root", None, int, 2, commands=("coeffs",), about="root order N"),
-    "max_order": _Setting("--max-order", None, int, 2, commands=("coeffs",),
+    "n_root": _Setting("--n-root", None, int, 2, span=(1, MAX_ROOT_ORDER + 1), commands=("coeffs",),
+                       about="root order N"),
+    "max_order": _Setting("--max-order", None, int, 2, span=(0, math.inf), commands=("coeffs",),
                           about="highest coefficient order"),
     "threshold": _Setting("--threshold", "slope_threshold", float, 2.7, commands=("verify",),
                           about="minimum slope"),
-    "first_order_only": _Setting("--first-order-only", None, "flag", False, commands=("verify",),
+    "first_order_only": _Setting("--first-order-only", None, (False, True), False, switch=True,
+                                 commands=("verify",),
                                  about="drop the second-order term (harness self-check)"),
 }
 _PATHS = [row.path.rpartition(".") for row in _SETTINGS.values() if row.path]  # (section, ".", key)
@@ -137,6 +140,9 @@ class RunConfig:
     out_format: str = _SETTINGS["format"].default
     out_path: str | None = _SETTINGS["out"].default
     slope_threshold: float = _SETTINGS["threshold"].default
+    n_root: int = _SETTINGS["n_root"].default
+    max_order: int = _SETTINGS["max_order"].default
+    first_order_only: bool = _SETTINGS["first_order_only"].default
 
     def densities(self):
         return [DensityPerturbation(self.profile, lam) for lam in self.lam_list]
@@ -150,17 +156,27 @@ def _typed(node, kind, where, problems, fallback):
     return fallback
 
 
-def _number(value, where, problems, kind=float, text=False):
-    """value as a finite float, integral for int, never a bool nor, unless text, a string; else None."""
+def _convert(value, kind):
+    """value as a finite kind, or None; for int, integer text and ints exactly, else an integral float."""
+    if kind is int and not isinstance(value, float):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
     try:
-        number = math.nan if isinstance(value, bool) or isinstance(value, str) and not text else float(value)
-        if not math.isfinite(number) or (kind is int and not number.is_integer()):
-            raise ValueError
+        number = float(value)
     except (TypeError, ValueError, OverflowError):
+        return None
+    return kind(number) if math.isfinite(number) and (kind is float or number.is_integer()) else None
+
+
+def _number(value, where, problems, kind=float, text=False):
+    """value as a finite kind, never a bool, text if and only if text is set; else a problem and None."""
+    number = None if isinstance(value, bool) or isinstance(value, str) != text else _convert(value, kind)
+    if number is None:
         expected = "an integer" if kind is int else "a finite number"
         problems.append(f"{where}: expected {expected}, got {value!r}")
-        return None
-    return kind(number)
+    return number
 
 
 def _numbers(values, where, problems, text=False) -> list:
@@ -170,20 +186,27 @@ def _numbers(values, where, problems, text=False) -> list:
     return [v for v in numbers if v is not None]
 
 
+def _source(dest: str, overrides) -> str | None:
+    """Where a setting is read from: its flag if given, else its JSON path (None: its default)."""
+    row = _SETTINGS[dest]
+    return row.flag if row.flag and getattr(overrides, dest, None) is not None else row.path
+
+
 def _setting(dest: str, overrides, nodes: dict, problems: list):
-    """A setting's value: its flag's if given, else its JSON path's, else its default, checked by kind.
+    """A setting's value: its flag's text if given, else its JSON path's, else its default, checked by kind.
 
     A wrong one is a problem naming its source and reads as None (a choice: the default).
     """
     row = _SETTINGS[dest]
-    value = getattr(overrides, dest, None) if row.flag else None
-    if row.switch is not None:  # the flag reads True when given
-        value = row.switch if value else None
-    where, kind = row.flag, row.kind
-    if value is None:
-        section, _, key = row.path.rpartition(".")
-        value, where = nodes[section].get(key, row.default), row.path
-    text = where == row.flag  # a command-line value may be text
+    where, kind = _source(dest, overrides), row.kind
+    text = where == row.flag  # read from the flag: its text, or a switch's one value
+    if text:
+        value = getattr(overrides, dest) if row.switch is None else row.switch
+    elif where:
+        section, _, key = where.rpartition(".")
+        value = nodes[section].get(key, row.default)
+    else:
+        value = row.default
     if kind is None or value is None and row.default is None:
         return value
     if isinstance(kind, tuple):
@@ -194,7 +217,7 @@ def _setting(dest: str, overrides, nodes: dict, problems: list):
     if kind is str:
         return _typed(value, str, where, problems, None)
     if kind == "numbers":
-        tokens = [tok for tok in str(value).split(",") if tok] if text else value
+        tokens = [tok for tok in value.split(",") if tok] if text else value
         return _numbers(tokens, where, problems, text)
     if kind == "orders":
         orders = []
@@ -336,8 +359,8 @@ def _memory_need(command, route, domain, profile, modes, orders, max_order) -> i
 def load_config(path: str | None, overrides) -> RunConfig:
     """Parse and validate configuration; raise ConfigError listing every problem.
 
-    overrides holds the flags by destination (parse_args gives them); a
-    missing one reads as unset.  Every node's type and every value is
+    overrides holds the flags' text by destination (parse_args gives it); a
+    missing or None one reads as unset.  Every node's type and every value is
     checked here, so any JSON object either loads or raises ConfigError.
     """
     problems: list[str] = []
@@ -356,8 +379,7 @@ def load_config(path: str | None, overrides) -> RunConfig:
         unknown = set(nodes[name]) - keys
         if unknown:
             problems.append(f"{name}: unknown keys" if name else f"unknown config keys {sorted(unknown)}")
-    values = {dest: _setting(dest, overrides, nodes, problems)
-              for dest, row in _SETTINGS.items() if row.path and dest != "lambda"}
+    values = {dest: _setting(dest, overrides, nodes, problems) for dest in _SETTINGS if dest != "lambda"}
     modes, lam_list, orders, route = values["modes"], values["lam"], values["s"], values["route"]
     if "lambda" in nodes["density"] and "lambda_list" in nodes["density"]:
         problems.append("density: give either lambda or lambda_list, not both")
@@ -390,7 +412,8 @@ def load_config(path: str | None, overrides) -> RunConfig:
 
     # --- cross validation (one pass, everything reported) ---
     command = getattr(overrides, "command", None)
-    max_order = getattr(overrides, "max_order", _SETTINGS["max_order"].default)
+    # an unusable --max-order is counted at its default, so that the memory check still runs
+    max_order = _SETTINGS["max_order"].default if values["max_order"] is None else values["max_order"]
     geometry = [] if basis is None else _geometry_problems(basis.domain, modes, orders)
     problems += geometry
     memory = _physical_memory()
@@ -401,14 +424,8 @@ def load_config(path: str | None, overrides) -> RunConfig:
         if need <= memory:
             need = _memory_need(command, route, basis.domain, profile, modes, orders, max_order)
         if need > memory:
-            problems.append(f"truncation.modes: {modes} modes need {need / 2**30:.3g} GiB for the table and "
-                            f"working set, more than the {memory / 2**30:.3g} GiB of physical memory")
-    if command == "coeffs":
-        n_root = getattr(overrides, "n_root", _SETTINGS["n_root"].default)
-        if not 1 <= n_root <= MAX_ROOT_ORDER:
-            problems.append(f"--n-root must be in 1..{MAX_ROOT_ORDER}, got {n_root}")
-        if max_order < 0:
-            problems.append(f"--max-order must be >= 0, got {max_order}")
+            gib = f"{need / 2**30:.3g} GiB for the table and working set, more than the {memory / 2**30:.3g}"
+            problems.append(f"{_source('modes', overrides)}: {modes} modes need {gib} GiB of physical memory")
     if command not in (None, "sumrule") and values["format"] == "json":
         problems.append(f"{command} writes CSV only; JSON output is sumrule's")
     if command == "spectrum" and len(lam_list) > 1:
@@ -442,6 +459,7 @@ def load_config(path: str | None, overrides) -> RunConfig:
         basis=basis, profile=profile, lam_list=lam_list, orders=orders, inner_discard=inner_discard,
         top_discard=values["top_discard"], route=route, diagonal_mode=values["resummed"],
         out_format=values["format"], out_path=values["out"], slope_threshold=values["threshold"],
+        n_root=values["n_root"], max_order=max_order, first_order_only=values["first_order_only"],
     )
 
 
@@ -527,7 +545,8 @@ def cmd_sumrule(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_coeffs(cfg: RunConfig, n_root: int, max_order: int) -> int:
+def cmd_coeffs(cfg: RunConfig) -> int:
+    n_root, max_order = cfg.n_root, cfg.max_order
     table = build_sigma_table(cfg.basis, cfg.profile, max(max_order, 1))
     big_q = coefficients.build_Q_series(max_order, table, cfg.basis)
     cset = coefficients.q_generic_recursion(n_root, big_q, cfg.basis)
@@ -548,14 +567,14 @@ def cmd_coeffs(cfg: RunConfig, n_root: int, max_order: int) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig, first_order_only: bool) -> int:
+def cmd_verify(cfg: RunConfig) -> int:
     table = build_sigma_table(cfg.basis, cfg.profile, 2)
     fit = oracle.convergence_order_fit(
         cfg.orders[0],
         table,
         cfg.basis,
         cfg.densities(),
-        drop_second_order=first_order_only,
+        drop_second_order=cfg.first_order_only,
         top_discard=cfg.top_discard,
         diagonal_mode=cfg.diagonal_mode,
     )
@@ -583,17 +602,9 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-# Each subcommand's view of the settings it takes a flag for: flag -> (destination, kind,
-# default, help).  A kind is a type that converts the value, a tuple of the values allowed,
-# "append" (repeatable, the values in a list) or "flag" (takes no value; True when given).
-# A flag with a JSON path defaults to None, so that load_config tells it from the config's.
-_PARSED = {"orders": "append", "numbers": str}  # a setting's kind -> the kind its flag parses as
+# Each subcommand's view of the settings it takes a flag for: flag -> the row's destination.
 OPTIONS = {
-    command: {
-        row.flag: (dest, "flag" if row.switch is not None else _PARSED.get(row.kind, row.kind),
-                   None if row.path else row.default, row.about)
-        for dest, row in _SETTINGS.items() if row.flag and command in row.commands
-    }
+    command: {row.flag: dest for dest, row in _SETTINGS.items() if row.flag and command in row.commands}
     for command in _COMMANDS
 }
 _ABOUT = {
@@ -603,16 +614,12 @@ _ABOUT = {
     "verify": "lambda-scaling validation against the oracle",
     "spectrum": "export the heterogeneous spectrum as CSV",
 }
-_HELP = ("help", "flag", False, "show this help message and exit")
+_HELP = _Setting("--help", None, None, switch=True, about="show this help message and exit")
 
 
 def _is_value(token: str) -> bool:
     """A token is a value unless it starts with "-": "-1e-05", "-.5" and "-0.5,0.1" are values too."""
     return not token.startswith("-") or token[1:].removeprefix(".")[:1].isdecimal()
-
-
-def _choices(values) -> str:
-    return f"(choose from {', '.join(map(repr, values))})"
 
 
 def _help(command: str | None) -> str:
@@ -621,13 +628,12 @@ def _help(command: str | None) -> str:
         lines += [f"  {name:<10}{_ABOUT[name]}" for name in OPTIONS]
     else:
         lines = [f"usage: billzeta {command} [-h] [options]", "", _ABOUT[command], "", "options:"]
-        for flag, (dest, kind, _, about) in {"-h, --help": _HELP, **OPTIONS[command]}.items():
-            if isinstance(kind, tuple):
-                flag += f" {{{','.join(kind)}}}"
-            elif kind != "flag":
-                flag += f" {dest.upper()}"
-            if about is not None:
-                lines.append(f"  {flag:<28}  {about}")
+        for flag, dest in {"-h, --help": "help", **OPTIONS[command]}.items():
+            row = _SETTINGS.get(dest, _HELP)
+            if row.switch is None:
+                flag += f" {{{','.join(row.kind)}}}" if isinstance(row.kind, tuple) else f" {dest.upper()}"
+            if row.about is not None:
+                lines.append(f"  {flag:<28}  {row.about}")
     return "\n".join(lines) + "\n"
 
 
@@ -644,15 +650,17 @@ def _flag(name: str, table: dict) -> str | None:
 
 
 def _parse_options(tokens: list, command: str | None) -> tuple[dict, list]:
-    """Each option's value by destination, defaults filled, and the tokens no option takes.
+    """Each option's text by destination (None: not given), and the tokens no option takes.
 
-    A usage error raises ValidationError; -h prints the command's help and
-    exits 0.  Every flag is matched before any is read, so an ambiguous
-    prefix is reported whatever comes before it.
+    A value stays the text given: --s's are listed, a switch reads True.
+    load_config converts and checks them.  A usage error raises
+    ValidationError; -h prints the command's help and exits 0.  Every flag
+    is matched before any is read, so an ambiguous prefix is reported
+    whatever comes before it.
     """
     options = OPTIONS.get(command, {})
-    table = {**options, "--help": _HELP}
-    values = {dest: default for dest, _, default, _ in options.values()}
+    table = {**options, "--help": "help"}
+    values = dict.fromkeys(options.values())
     pairs = iter([(token, _flag(token.partition("=")[0], table)) for token in tokens])
     extras = []
     for token, flag in pairs:
@@ -660,11 +668,12 @@ def _parse_options(tokens: list, command: str | None) -> tuple[dict, list]:
             extras.append(token)
             continue
         _, eq, value = token.partition("=")
-        dest, kind, _, _ = table[flag]
-        if kind == "flag":
+        dest = table[flag]
+        row = _SETTINGS.get(dest, _HELP)
+        if row.switch is not None:
             if eq:
                 raise ValidationError(f"argument {flag}: ignored explicit argument {value!r}")
-            if flag == "--help":
+            if row is _HELP:
                 sys.stdout.write(_help(command))
                 raise SystemExit(EXIT_OK)
             values[dest] = True
@@ -673,17 +682,7 @@ def _parse_options(tokens: list, command: str | None) -> tuple[dict, list]:
             value = next(pairs, (None,))[0]
             if value is None or not _is_value(value):
                 raise ValidationError(f"argument {flag}: expected one argument")
-        if kind == "append":
-            value = [*(values[dest] or []), value]
-        elif isinstance(kind, tuple):
-            if value not in kind:
-                raise ValidationError(f"argument {flag}: invalid choice: {value!r} {_choices(kind)}")
-        else:
-            try:
-                value = kind(value)
-            except ValueError:
-                raise ValidationError(f"argument {flag}: invalid {kind.__name__} value: {value!r}") from None
-        values[dest] = value
+        values[dest] = [*(values[dest] or []), value] if row.kind == "orders" else value
     return values, extras
 
 
@@ -696,7 +695,8 @@ def parse_args(argv=None) -> SimpleNamespace:
         raise ValidationError("the following arguments are required: command")
     command = argv[at]
     if command not in OPTIONS:
-        raise ValidationError(f"argument command: invalid choice: {command!r} {_choices(OPTIONS)}")
+        choices = ", ".join(map(repr, OPTIONS))
+        raise ValidationError(f"argument command: invalid choice: {command!r} (choose from {choices})")
     values, more = _parse_options(argv[at + 1:], command)
     if extras or more:
         raise ValidationError(f"unrecognized arguments: {' '.join(extras + more)}")
@@ -716,12 +716,9 @@ def main(argv=None) -> int:
     try:
         args = parse_args(argv)  # a usage error raises ValidationError too
         cfg = load_config(args.config, args)
-        if args.command == "coeffs":
-            code = cmd_coeffs(cfg, args.n_root, args.max_order)
-        elif args.command == "verify":
-            code = cmd_verify(cfg, args.first_order_only)
-        else:
-            code = (cmd_sumrule if args.command == "sumrule" else cmd_spectrum)(cfg)
+        # the module's names looked up at each call: a caller may rebind a cmd_* function
+        run = {"sumrule": cmd_sumrule, "coeffs": cmd_coeffs, "verify": cmd_verify, "spectrum": cmd_spectrum}
+        code = run[args.command](cfg)
         sys.stdout.flush()  # a closed stdout fails here, not in the interpreter's last flush
         return code
     except (ValidationError, InsufficientDataError) as exc:  # a ConfigError lists every problem

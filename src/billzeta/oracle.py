@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from ._record import dataclass, field
+from ._record import dataclass
 from .basis import (
     DensityPerturbation,
     ModeBasis,
@@ -306,7 +306,6 @@ class ConvergenceFit:
     slope: float
     pairs: tuple  # (lambda, error) actually fitted
     excluded: tuple  # (lambda, error, floor) dropped as below the numeric floor
-    intercept: float = field(default=math.nan)
 
 
 def convergence_order_fit(
@@ -356,5 +355,5 @@ def convergence_order_fit(
         )
     logs = np.log([p[0] for p in usable])
     loge = np.log([p[1] for p in usable])
-    slope, intercept = np.polyfit(logs, loge, 1)
-    return ConvergenceFit(float(slope), tuple(usable), excluded, float(intercept))
+    slope = np.polyfit(logs, loge, 1)[0]
+    return ConvergenceFit(float(slope), tuple(usable), excluded)

@@ -31,7 +31,7 @@ from billzeta.cli import (
     main,
     parse_args,
 )
-from billzeta.errors import ConfigError, ValidationError
+from billzeta.errors import ConfigError
 from billzeta.sumrules import RationalOrderSpec
 
 
@@ -336,6 +336,15 @@ def test_usage_errors_are_one_json_line(capsys, argv, flag):
     assert len(problems) == 1 and flag in problems[0]  # one line: no usage text either
 
 
+def test_every_bad_flag_value_is_listed_in_one_pass(capsys):
+    # a setting's problem from its flag is listed with the others, as a config file's are
+    argv = ["sumrule", "--modes", "abc", "--lambda", "xyz", "--route", "bogus", "--format", "xml"]
+    assert main(argv) == EXIT_VALIDATION
+    problems = problems_on_stderr(capsys)
+    for flag in ("--modes", "--lambda", "--route", "--format"):
+        assert len([p for p in problems if p.startswith(flag)]) == 1, problems
+
+
 def test_help_still_exits_0(capsys):
     for argv in (["-h"], ["sumrule", "--help"]):
         with pytest.raises(SystemExit) as exc:
@@ -344,34 +353,34 @@ def test_help_still_exits_0(capsys):
         assert "usage:" in capsys.readouterr().out
 
 
-# a value for each kind of option in cli.OPTIONS; a choice option takes its last choice
-SAMPLES = {str: "x", int: 7, float: 2.5, "append": ["3/2", "1+1/4"], "flag": True}
+def _option_argv(flag, dest, joined):
+    """Tokens giving an option sample text, each value after a space or after "=", and what parse_args reads.
 
-
-def _sample(kind):
-    return kind[-1] if isinstance(kind, tuple) else SAMPLES[kind]
-
-
-def _option_argv(flag, kind, joined):
-    """Tokens giving an option its sample value: each value after a space, or after "="."""
-    if kind == "flag":
-        return [flag]
-    value = _sample(kind)
-    values = value if kind == "append" else [value]
-    return [f"{flag}={v}" for v in values] if joined else [t for v in values for t in (flag, str(v))]
+    A choice option takes its last choice, --s two orders, any other "7"; a switch takes no value
+    and reads True.
+    """
+    row = cli._SETTINGS[dest]
+    if row.switch is not None:
+        return [flag], True
+    texts = [row.kind[-1] if isinstance(row.kind, tuple) else "7"]
+    texts = ["3/2", "1+1/4"] if row.kind == "orders" else texts
+    argv = [f"{flag}={t}" for t in texts] if joined else [token for t in texts for token in (flag, t)]
+    return argv, texts if row.kind == "orders" else texts[0]
 
 
 @pytest.mark.parametrize("command, flag", [(c, f) for c, table in OPTIONS.items() for f in table])
 def test_every_option_parses_after_a_space_and_after_equals(capsys, command, flag):
-    dest, kind, default, _ = OPTIONS[command][flag]
-    assert getattr(parse_args([command]), dest) == default
+    # parse_args converts nothing: a value stays the text given, and a flag not given is None
+    dest = OPTIONS[command][flag]
+    assert getattr(parse_args([command]), dest) is None
     for joined in (False, True):
-        args = parse_args([command, *_option_argv(flag, kind, joined)])
+        argv, text = _option_argv(flag, dest, joined)
+        args = parse_args([command, *argv])
         assert args.command == command
-        assert getattr(args, dest) == _sample(kind)
-    # a flag given a value, or an option at the end of argv without one, is a usage error
-    argv, message = ([f"{flag}=1"], f"argument {flag}: ignored explicit argument '1'") if kind == "flag" \
-        else ([flag], f"argument {flag}: expected one argument")
+        assert getattr(args, dest) == text
+    # a switch given a value, or an option at the end of argv without one, is a usage error
+    argv, message = ([f"{flag}=1"], f"argument {flag}: ignored explicit argument '1'") \
+        if cli._SETTINGS[dest].switch is not None else ([flag], f"argument {flag}: expected one argument")
     assert main([command, *argv]) == EXIT_VALIDATION
     assert problems_on_stderr(capsys) == [message]
 
@@ -379,12 +388,13 @@ def test_every_option_parses_after_a_space_and_after_equals(capsys, command, fla
 @pytest.mark.parametrize("command", OPTIONS)
 def test_unique_prefixes_abbreviate_and_shared_ones_exit_2(capsys, command):
     flags = [*OPTIONS[command], "--help"]
-    for flag, (dest, kind, _, _) in OPTIONS[command].items():
+    for flag, dest in OPTIONS[command].items():
         for prefix in (flag[:end] for end in range(3, len(flag))):
             matches = [f for f in flags if f.startswith(prefix)]
-            argv = [command, *_option_argv(prefix, kind, joined=False)]
+            argv, text = _option_argv(prefix, dest, joined=False)
+            argv = [command, *argv]
             if len(matches) == 1:
-                assert getattr(parse_args(argv), dest) == _sample(kind)
+                assert getattr(parse_args(argv), dest) == text
             else:
                 assert main(argv) == EXIT_VALIDATION
                 assert problems_on_stderr(capsys) == [
@@ -412,7 +422,7 @@ def test_help_lists_each_commands_options(capsys, command):
     assert out.startswith(f"usage: billzeta {command} ")
     listed = re.findall(r"^  (--[a-z-]+)", out, re.MULTILINE)
     # --cache-dir is accepted and ignored, and not listed
-    assert listed == [flag for flag, option in OPTIONS[command].items() if option[3] is not None]
+    assert listed == [flag for flag, dest in OPTIONS[command].items() if cli._SETTINGS[dest].about]
     assert "--cache-dir" not in out
     with pytest.raises(SystemExit):
         main(["-h"])
@@ -508,7 +518,30 @@ def test_coeffs_root_and_order_rejected_before_any_work(tmp_path, capsys):
 def test_oversized_modes_exit_2_before_allocating(tmp_path, capsys):
     rc = main(["sumrule", "--modes", "100000000", "--route", "closed", "--lambda", "0.1"])
     assert rc == EXIT_VALIDATION
-    assert any(p.startswith("truncation.modes") for p in problems_on_stderr(capsys))
+    assert any(p.startswith("--modes: ") for p in problems_on_stderr(capsys))
+
+
+@pytest.mark.parametrize("given", ["flag", "config"])
+def test_memory_problem_names_where_the_mode_count_came_from(tmp_path, capsys, given):
+    # 2^53 + 1 modes from either source: an integer setting converts exactly, with no float between
+    argv, where = ["sumrule", "--route", "closed", "--lambda", "0.1"], "--modes"
+    if given == "flag":
+        argv += ["--modes", "9007199254740993"]
+    else:
+        cfg = write_config(tmp_path, truncation={"modes": 2**53 + 1})
+        argv, where = argv + ["--config", str(cfg)], "truncation.modes"
+    assert main(argv) == EXIT_VALIDATION
+    (problem,) = problems_on_stderr(capsys)
+    assert problem.startswith(f"{where}: 9007199254740993 modes need ")
+
+
+def test_a_bad_max_order_still_leaves_the_memory_check(capsys):
+    # an unusable --max-order is counted at its default, so the mode count is checked too
+    argv = ["coeffs", "--n-root", "x", "--max-order", "-1", "--modes", "1000000000000000000000000000000"]
+    assert main(argv) == EXIT_VALIDATION
+    problems = problems_on_stderr(capsys)
+    assert [p.partition(" ")[0] for p in problems] == ["--n-root:", "--max-order", "--modes:"]
+    assert problems[2].startswith("--modes: 1000000000000000000000000000000 modes need ")
 
 
 def test_oversized_rectangle_modes_exit_2_before_listing_modes(tmp_path, capsys):
@@ -520,7 +553,7 @@ def test_oversized_rectangle_modes_exit_2_before_listing_modes(tmp_path, capsys)
     for route, order in (("closed", "3/2"), ("trace1", "1+1/2")):
         rc = main(["sumrule", "--config", str(cfg), "--modes", "100000000", "--route", route, "--s", order])
         assert rc == EXIT_VALIDATION
-        assert any(p.startswith("truncation.modes") for p in problems_on_stderr(capsys))
+        assert any(p.startswith("--modes: ") for p in problems_on_stderr(capsys))
     assert _enumerate_rectangle_modes.cache_info().misses == misses
 
 
@@ -532,7 +565,7 @@ def test_huge_rectangle_modes_exit_2_before_forming_side_bounds(tmp_path, monkey
     rc = main(["sumrule", "--config", str(cfg), "--modes", "1000000000000000000000000000000",
                "--route", "closed"])
     assert rc == EXIT_VALIDATION
-    assert any(p.startswith("truncation.modes") for p in problems_on_stderr(capsys))
+    assert any(p.startswith("--modes: ") for p in problems_on_stderr(capsys))
 
 
 def test_working_set_counted_before_allocating(tmp_path, monkeypatch, capsys):
@@ -548,7 +581,7 @@ def test_working_set_counted_before_allocating(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path)
     rc = main(["sumrule", "--config", str(cfg), "--modes", str(m), "--route", "oracle"])
     assert rc == EXIT_VALIDATION
-    assert any(p.startswith("truncation.modes") for p in problems_on_stderr(capsys))
+    assert any(p.startswith("--modes: ") for p in problems_on_stderr(capsys))
 
 
 def test_string_closed_form_counts_the_band_for_every_profile(tmp_path, monkeypatch):
@@ -606,7 +639,7 @@ def test_dense_work_at_large_modes_exits_2_before_allocating(
                        density={"profile": profile, "lambda_list": [0.04, 0.08, 0.16]})
     monkeypatch.setattr(cli, "build_sigma_table", never)
     assert main([command, "--config", str(cfg), "--modes", "100000"]) == EXIT_VALIDATION
-    assert any(p.startswith("truncation.modes") for p in problems_on_stderr(capsys))
+    assert any(p.startswith("--modes: ") for p in problems_on_stderr(capsys))
 
 
 def test_spectrum_rejects_extra_lambdas(tmp_path, capsys):
@@ -1130,11 +1163,16 @@ def _side_profile(draw, length):
     return {"type": kind, "x": [f * length for f in sorted(fractions)], "y": ys}, max(map(abs, ys))
 
 
+# flag text no setting takes: not a number, not integral, not finite, empty, no order or route
+_wrong_text = st.sampled_from(["abc", "40.9", "-1", "nan", "1e999", "", ",", "3/0", "1+1/0", "bogus"])
+
+
 @st.composite
 def _runs(draw):
     """argv for any subcommand on a valid-looking config, with extreme sizes and strengths.
 
-    Each setting with both a flag and a JSON path is drawn from one of the two.
+    Each setting with both a flag and a JSON path is drawn from one of the two; now and then a
+    flag is given text of the wrong type or out of range instead.
     """
     length = (st.floats(-3.0, 3.0) | st.floats(-300.0, 300.0)).map(lambda e: 10.0**e)
     if draw(st.booleans()):
@@ -1164,12 +1202,13 @@ def _runs(draw):
         config["output"] = {}
     for flag, token, path, value in shared:  # (flag, its token, JSON path, its value)
         if draw(st.booleans()):
-            argv += [flag, token]
+            argv += [flag, draw(_wrong_text) if draw(st.integers(0, 7)) == 0 else token]
         else:
             section, _, key = path.rpartition(".")
             (config.setdefault(section, {}) if section else config)[key] = value
     if command == "coeffs":  # sigma^j up to j = 6: degree 7 polynomials to degree 42
-        argv += ["--max-order", str(draw(st.integers(0, 6)))]
+        order = str(draw(st.integers(0, 6)))
+        argv += ["--max-order", order if draw(st.integers(0, 7)) else draw(_wrong_text)]
     return config, argv
 
 
@@ -1297,10 +1336,18 @@ KIND_SAMPLES = {
     str: ("x", "x", "y", "y", 5),
     "orders": ("1+1/4", [ORDER("1+1/4")], ["1/3+1/4"], [ORDER("1/3+1/4")], "3/2"),
     "numbers": ("0.1,0.2", [0.1, 0.2], [0.3], [0.3], ["0.3"]),
-    "flag": (None, True, None, None, None),
     None: (None, None, {"kind": "sample"}, {"kind": "sample"}, None),  # parsed by load_config's own code
 }
 WRONG_FLAG = {int: "x", float: "nan", "numbers": "nan"}  # a wrong value each kind's flag can be given
+# a kind -> JSON values whose text, given to the flag, must read the same or fail the same; a
+# choice takes each of its values and "bogus"
+EQUAL_TEXT = {
+    int: [7, -1, 40.0, 40.9, 2**53 + 1, 1e300, math.inf],
+    float: [0.5, 3, 1e-320, 1e300, math.nan],
+    str: ["x", ""],
+    "orders": [["3/2", "1+1/4"], ["0.9"]],
+    "numbers": [[0.1, 0.2], [40, 2.5e-3, math.nan], []],
+}
 
 
 def _samples(row):
@@ -1312,6 +1359,13 @@ def _samples(row):
         samples = (None, row.switch, *samples[2:])
     wrong = "bogus" if isinstance(row.kind, tuple) and row.switch is None else WRONG_FLAG.get(row.kind)
     return (*samples, wrong)
+
+
+def _text(value):
+    """The command-line text of a JSON value: a string as it is, a list comma-joined, a number as JSON."""
+    if isinstance(value, str):
+        return value
+    return ",".join(map(_text, value)) if isinstance(value, list) else json.dumps(value)
 
 
 def _json_at(path, value):
@@ -1327,14 +1381,11 @@ def test_each_setting_takes_its_flag_then_its_json_then_its_default(dest):
 
     def read(argv, data):
         problems = []
-        args = parse_args([row.commands[0], *argv])
-        if row.path is None:
-            return getattr(args, dest), problems
         nodes = {"": data, **{name: data.get(name, {}) for name in cli._KEYS if name}}
-        return cli._setting(dest, args, nodes, problems), problems
+        return cli._setting(dest, parse_args([row.commands[0], *argv]), nodes, problems), problems
 
     default = [ORDER(t) for t in row.default] if row.kind == "orders" else row.default
-    flag = [row.flag] if row.flag and OPTIONS[row.commands[0]][row.flag][1] == "flag" else [row.flag, token]
+    flag = [row.flag] if row.switch is not None else [row.flag, token]
     assert read([], {}) == (default, [])
     if row.flag:
         assert read(flag, {}) == (from_flag, [])
@@ -1345,15 +1396,24 @@ def test_each_setting_takes_its_flag_then_its_json_then_its_default(dest):
     if row.path and wrong_json is not None:
         _, problems = read([], _json_at(row.path, wrong_json))
         assert problems and problems[0].startswith(row.path)
-    if row.span:
-        _, problems = read([], _json_at(row.path, row.span[1]))
-        assert problems and problems[0].startswith(row.path)
+    if row.span:  # just outside the range: its upper end, or below one with no upper end
+        outside = row.span[1] if math.isfinite(row.span[1]) else row.span[0] - 1
+        argv, data = ([row.flag, str(outside)], {}) if row.flag else ([], _json_at(row.path, outside))
+        _, problems = read(argv, data)
+        assert problems and problems[0].startswith(row.flag or row.path)
     if row.flag and wrong_flag is not None:
-        try:
-            _, problems = read([row.flag, wrong_flag], {})
-        except ValidationError as exc:
-            problems = [str(exc)]
-        assert problems and row.flag in problems[0]
+        _, problems = read([row.flag, wrong_flag], {})
+        assert problems and problems[0].startswith(row.flag)
+    if row.flag and row.path and row.switch is None:
+        # one rule for both sources: the flag's text and the JSON value agree, on the value or the problem
+        for value in EQUAL_TEXT[row.kind] if row.kind in EQUAL_TEXT else [*row.kind, "bogus"]:
+            texts = value if row.kind == "orders" else [_text(value)]
+            from_text, text_problems = read([token for t in texts for token in (row.flag, t)], {})
+            from_value, value_problems = read([], _json_at(row.path, value))
+            assert from_text == from_value
+            assert [p.replace(row.flag, row.path).split(", got ")[0] for p in text_problems] == [
+                p.split(", got ")[0] for p in value_problems
+            ]
 
 
 def test_readme_settings_table_lists_every_row():
