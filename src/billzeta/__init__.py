@@ -34,12 +34,7 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .oracle import (
-    GeneralizedProblem,
-    assemble,
-    convergence_order_fit,
-    solve_spectrum,
-)
+from .oracle import convergence_order_fit, solve_spectrum
 from .sumrules import (
     RationalOrderSpec,
     SumRuleResult,
@@ -56,7 +51,6 @@ __all__ = [
     "DensityPerturbation",
     "FactorizationError",
     "FourierCosine",
-    "GeneralizedProblem",
     "GreenCoefficientSet",
     "InsufficientDataError",
     "ModeBasis",
@@ -71,7 +65,6 @@ __all__ = [
     "SumRuleResult",
     "Tabulated",
     "ValidationError",
-    "assemble",
     "build_Q_series",
     "build_sigma_table",
     "convergence_order_fit",

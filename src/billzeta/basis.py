@@ -202,16 +202,17 @@ class Polynomial:
             q[1][:, 0] += _EPS * np.abs(q[0][:, 0])
         return q
 
+    @functools.lru_cache(maxsize=None)
     def is_even(self, length: float) -> bool:
-        """p(L - x) = p(x) exactly: p(L - x) expanded in rationals, each float taken exactly, is p."""
+        """p(L - x) = p(x) exactly, memoized: p(L - x) expanded in rationals, each float taken exactly,
+        is p, compared from the highest coefficient down to the first mismatch."""
         if not all(map(math.isfinite, self.coeffs)):
             return False
         a, ell = [Fraction(c) for c in self.coeffs], Fraction(length)
-        mirrored = [
-            (-1) ** q * sum(a[p] * math.comb(p, q) * ell ** (p - q) for p in range(q, len(a)))
-            for q in range(len(a))
-        ]
-        return mirrored == a
+        return all(
+            (-1) ** q * sum(a[p] * math.comb(p, q) * ell ** (p - q) for p in range(q, len(a))) == a[q]
+            for q in reversed(range(len(a)))
+        )
 
 
 @dataclass(frozen=True)
@@ -248,8 +249,9 @@ class Tabulated:
         q = np.stack([0.5 * (v[1:] + v[:-1]), 0.5 * (v[1:] - v[:-1])], axis=1)
         return q, np.full_like(q, 4 * _EPS * max(map(abs, self.ys)))
 
+    @functools.lru_cache(maxsize=None)
     def is_even(self, length: float) -> bool:
-        """The interpolant is mirror-even exactly: ys a palindrome, xs[i] + xs[-1-i] = L in rationals."""
+        """Mirror-even exactly, memoized: ys a palindrome and xs[i] + xs[-1-i] = L in rationals."""
         if not all(map(math.isfinite, self.xs)):
             return False
         ell = Fraction(length)
@@ -569,13 +571,13 @@ class SigmaPowerTable:
     the truncation).  A mirror-even profile (``is_even``) has exactly zero
     odd coefficients, in ``cosine[j]`` or behind a side factor, so S_j[n, m]
     = 0 where n + m, or that side's index sum, is odd.
-    ``walk(j)`` yields the nonzero couplings of S_j one step of rows at a
-    time, the only loop over them, and ``diagonal(j)`` the main diagonal;
-    ``blocks()`` lists the exact blocks of S_1, found once from its walk.
-    ``restrict(j, blocks)`` forms S_j on the blocks of a partition of the
-    modes, and ``power(j)`` on one block of every mode, in new arrays the
-    caller owns.  All of them give the same bits.  A table serves exactly
-    the basis it was built for (``check_basis``).
+    ``walk(j, rows)`` yields the nonzero couplings of S_j in the given rows
+    (every row by default) one step of rows at a time, the only loop over
+    them, and ``diagonal(j)`` the main diagonal; ``blocks()`` lists the
+    exact blocks of S_1, found once from its walk.  ``restrict(j, modes)``
+    forms S_j on one block of modes, and ``power(j)`` on every mode, in a
+    new array the caller owns.  All of them give the same bits.  A table
+    serves exactly the basis it was built for (``check_basis``).
     """
 
     max_power: int
@@ -598,34 +600,27 @@ class SigmaPowerTable:
             raise ValidationError(f"a table of {self.size} modes cannot serve a basis of {basis.mode_count}")
 
     def power(self, j: int) -> np.ndarray:
-        """A new dense S_j, which the caller owns: ``restrict`` on one block of every mode."""
-        return self.restrict(j, [np.arange(self.size)])[0]
+        """A new dense S_j, which the caller owns: ``restrict`` on every mode."""
+        return self.restrict(j, np.arange(self.size))
 
-    def restrict(self, j: int, blocks) -> list[np.ndarray]:
-        """S_j[np.ix_(modes, modes)] for each of ``blocks``, in new arrays the caller owns.
+    def restrict(self, j: int, modes: np.ndarray) -> np.ndarray:
+        """S_j[np.ix_(modes, modes)] in a new array the caller owns, for ascending ``modes``.
 
-        ``blocks`` partitions the table's modes into ascending arrays, and S_j
-        must be exactly 0 between two of them, as S_1 is between its exact
-        blocks (``blocks()``); that is not checked.  One block on the string
-        is the selection rule: one M x M array, where the scatter traces
-        2.3 M^2 (M = 400) and takes 7x as long (M = 2000).  Everything else
-        is one scatter of ``walk(j)`` into a zero-filled buffer the blocks
-        share, entry (n, m) of a block at ``buffer[row[n] + col[m]]``.
+        S_j must be exactly 0 between ``modes`` and the other modes, as S_1 is
+        between its exact blocks (``blocks()``); that is not checked.  Every
+        mode on the string is the selection rule, where the scatter of
+        ``walk(j, modes)`` that serves every other case traces 2.3 M^2 (M =
+        400) and takes 7x as long (M = 2000).
         """
         self._check(j)
-        if self.cosine is not None and len(blocks) == 1:
-            return [_exact_cosine_elements(self.size, self.cosine[j])]
-        sizes = np.array([len(modes) for modes in blocks])
-        starts = np.cumsum(sizes * sizes) - sizes * sizes
-        buffer = np.zeros(int(np.sum(sizes * sizes)))
-        row, col = np.empty(self.size, dtype=np.intp), np.empty(self.size, dtype=np.intp)
-        for start, modes in zip(starts, blocks):
-            col[modes] = np.arange(len(modes))
-            row[modes] = start + col[modes] * len(modes)
-        for _, n, m, value in self.walk(j):
-            buffer[row[n] + col[m]] = value
-            buffer[row[m] + col[n]] = value
-        return [buffer[start : start + k * k].reshape(k, k) for start, k in zip(starts, sizes)]
+        if self.cosine is not None and len(modes) == self.size:
+            return _exact_cosine_elements(self.size, self.cosine[j])
+        col = np.empty(self.size, dtype=np.intp)
+        col[modes] = np.arange(len(modes))
+        out = np.zeros((len(modes), len(modes)))
+        for _, n, m, value in self.walk(j, modes):
+            out[col[n], col[m]] = out[col[m], col[n]] = value
+        return out
 
     def _add_factors(self, j: int, rows, cols, out: np.ndarray) -> np.ndarray:
         """Add S_j[rows, cols] to out (zeros): multinomial * X * Y per split, in list order."""
@@ -670,15 +665,17 @@ class SigmaPowerTable:
         c, _ = self._coefficients(j)
         return c[0] - 0.5 * c[2::2]
 
-    def walk(self, j: int):
-        """(lo, n, m, S_j[n, m]) per step of ``_row_step(j)`` rows from lo: their ``_couplings``.
+    def walk(self, j: int, rows: np.ndarray | None = None):
+        """(lo, n, m, S_j[n, m]) per step of ``_row_step(j)`` of the ascending rows (default all) from lo.
 
-        The one loop over the couplings of S_j.  j is checked at the call;
-        each step is formed as it is read, so one step's pairs are in memory.
+        The one loop over the couplings of S_j, their ``_couplings``.  j is
+        checked at the call; each step is formed as it is read, so one step's
+        pairs are in memory.
         """
         self._check(j)
+        rows = np.arange(self.size) if rows is None else rows
         step = self._row_step(j)
-        return ((lo, *self._couplings(j, lo, min(lo + step, self.size))) for lo in range(0, self.size, step))
+        return ((rows[k], *self._couplings(j, rows[k : k + step])) for k in range(0, len(rows), step))
 
     def _row_step(self, j: int) -> int:
         """Rows per step of ``walk(j)``.
@@ -694,8 +691,8 @@ class SigmaPowerTable:
             per_row = int(np.max(np.diff(x_start)[self.index[0]] * np.diff(y_start)[self.index[1]]))
         return max(ROW_BLOCK, ROW_BLOCK * ROW_BLOCK // max(per_row, 1))
 
-    def _couplings(self, j: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(n, m, S_j[n, m]) for the nonzero entries with m >= n of rows lo..hi-1, row by row.
+    def _couplings(self, j: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(n, m, S_j[n, m]) for the nonzero entries with m >= n of the ascending rows, row by row.
 
         Entries are listed where the structure allows a nonzero and kept where
         the value is nonzero; every other entry of the rows with m >= n is
@@ -711,14 +708,13 @@ class SigmaPowerTable:
         is bit for bit what ``power(j)`` returns, and S_j is not formed.
         """
         m_size = self.size
-        rows = np.arange(lo, hi)
         if self.cosine is not None:
             # the selection rule of _exact_cosine_elements on the offsets d = m - n it allows
             c, step = self._coefficients(j)
             width = min(len(self.cosine[j]), m_size) - 1
             n, d = _ragged(np.minimum(width, m_size - 1 - rows) // step + 1)
             d *= step
-            n += lo
+            n = rows[n]
             m = n + d
             value = c[d]
             value -= c[n + m + 2]  # c_|n-m| - c_{n+m}, 1-based
@@ -727,7 +723,7 @@ class SigmaPowerTable:
             value[on] = c[0] - 0.5 * c[2 * n[on] + 2]
         else:
             (x_start, x_cols), (y_start, y_cols) = self._pattern(j)
-            x, y = self.index[:, lo:hi]
+            x, y = self.index[:, rows]
             x_count, y_count = np.diff(x_start)[x], np.diff(y_start)[y]
             row, k = _ragged(x_count * y_count)
             y_count = y_count[row]

@@ -224,8 +224,8 @@ def _setting(dest: str, overrides, nodes: dict, problems: list):
         for tok in _typed(value, list, where, problems, []):
             try:
                 orders.append(RationalOrderSpec.parse(str(tok)))
-            except (ValidationError, ValueError, ZeroDivisionError) as exc:
-                problems.append(f"order {tok!r}: {exc}")
+            except ValidationError as exc:  # it quotes the text
+                problems.append(str(exc))
         if value == []:
             problems.append("no orders given")
         return orders
@@ -278,11 +278,11 @@ def _physical_memory() -> int | None:
         return None
 
 
-# Dense M x M float64 matrices the oracle holds at most: the pencil, graded in
-# place from a fresh S_1, and LAPACK's untraced copy of it; from tracemalloc at
-# M=800: 1.03 traced.  An upper bound whatever S_1's exact blocks: several
-# blocks hold their squares, which sum to less than M^2, and LAPACK copies
-# one block at a time (0.57 M^2 traced for the cosine string's two at M=400).
+# Dense M x M float64 matrices the oracle holds at most: the largest exact
+# block of S_1, graded in place from a fresh S_1 on it, and LAPACK's untraced
+# copy of it (1.03 traced at M=800 for one block).  The blocks are formed,
+# solved and dropped one at a time, so this stays an upper bound whatever the
+# blocks (0.32 M^2 traced for the cosine string's two at M=400).
 _ORACLE_MATRICES = 2
 # The closed form and the trace routes form no matrix: they read S_1 one step
 # of SigmaPowerTable.walk at a time, at most walk_step_bound entries.  Counted
@@ -578,6 +578,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         top_discard=cfg.top_discard,
         diagonal_mode=cfg.diagonal_mode,
     )
+    _require_finite([fit.slope, *sum(fit.pairs + fit.excluded, ())], "a verify error or slope")
     failed = fit.slope < cfg.slope_threshold
     lines = ["lambda,abs_error"] + [f"{lam:.17g},{err:.17g}" for lam, err in fit.pairs]
     for lam, err, floor in fit.excluded:
@@ -590,8 +591,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_spectrum(cfg: RunConfig) -> int:
     density = cfg.densities()[0]
     table = build_sigma_table(cfg.basis, cfg.profile, 1)
-    problem = oracle.assemble(cfg.basis, density, table=table)
-    values = oracle.solve_spectrum(problem)
+    values = oracle.solve_spectrum(cfg.basis, density, table=table)
     lines = ["index,eigenvalue"] + [f"{i + 1},{v:.17g}" for i, v in enumerate(values)]
     _emit("\n".join(lines) + "\n", cfg)
     return EXIT_OK

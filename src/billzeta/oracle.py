@@ -6,9 +6,10 @@ is diagonal, the pencil is solved as a dense symmetric eigenproblem for the
 graded matrix K^{-1/2} S K^{-1/2} (numpy/LAPACK), which is block diagonal
 over the exact blocks of S_1 (the connected components of S_1 != 0): one
 LAPACK call per block, merged in order.  Each block is graded in place from
-the table's fresh S_1 on it (``SigmaPowerTable.restrict``), so a solve holds
-one dense array per block besides LAPACK's copy.  The heterogeneous
-eigenvalues' direct zeta sums validate every perturbative claim.
+the table's fresh S_1 on it (``SigmaPowerTable.restrict``), solved and
+dropped before the next is formed, so a solve holds one block at a time
+besides LAPACK's copy of it.  The heterogeneous eigenvalues' direct zeta
+sums validate every perturbative claim.
 """
 
 from __future__ import annotations
@@ -43,39 +44,17 @@ from .sumrules import (
 )
 
 
-@dataclass(frozen=True, eq=False)  # holds arrays: identity == and hash
-class GeneralizedProblem:
-    """Galerkin projection K c = E S c on the truncated homogeneous basis, kept graded by blocks.
+def _graded_blocks(table: SigmaPowerTable, basis: ModeBasis, density: DensityPerturbation):
+    """(modes, B[modes][:, modes]) for each exact block of S_1 in turn, B = r (I + lam S_1) r.
 
-    With r = K^{-1/2} and the overlap S = I + lam * S_1, B = r S r is block
-    diagonal over the exact blocks of S_1: ``blocks`` holds, per block, its
-    ascending modes and B restricted to them.
+    Each block is S_1 on its modes in a new array (``restrict``), graded in
+    place and dropped here once it is yielded, so the next block is formed
+    only after the caller lets go of this one.
     """
-
-    stiffness: np.ndarray  # diagonal of K: the homogeneous eigenvalues
-    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]  # (modes, B[modes][:, modes]), each SPD
-    basis: ModeBasis
-    density: DensityPerturbation
-
-
-def assemble(
-    basis: ModeBasis, density: DensityPerturbation, *, table: SigmaPowerTable | None = None
-) -> GeneralizedProblem:
-    """Assemble the graded pencil block by block over the exact blocks of S_1.
-
-    The table, of exactly the basis's modes, gives S_1 on each of its blocks
-    in a new array (``restrict``), which becomes r (I + lam S_1) r in place.
-    Without a table, a power-1 table of the basis is built.
-    """
-    density.validate(basis.domain)
-    if table is None:
-        table = build_sigma_table(basis, density, 1)
     table.check_basis(basis)
-    stiffness = basis.eigenvalues()
-    blocks = table.blocks()
-    pencils = table.restrict(1, blocks)
-    r = 1.0 / np.sqrt(stiffness)
-    for modes, graded in zip(blocks, pencils):
+    r = 1.0 / np.sqrt(basis.eigenvalues())
+    for modes in table.blocks():
+        graded = table.restrict(1, modes)
         # S = I + lam * S_1 with no identity matrix: adding 0.0 turns the -0.0 of a negative
         # lam into the +0.0 the identity's zeros give, since LAPACK's reflectors read its sign
         graded *= density.lam
@@ -83,26 +62,34 @@ def assemble(
         graded.flat[:: len(modes) + 1] += 1.0
         graded *= r[modes, None]
         graded *= r[None, modes]
-    return GeneralizedProblem(stiffness, tuple(zip(blocks, pencils)), basis, density)
+        yield modes, graded
+        del graded
 
 
-def solve_spectrum(problem: GeneralizedProblem, *, want_vectors: bool = False):
-    """Eigenvalues (ascending) of K c = E S c, one LAPACK call per block.
+def solve_spectrum(basis: ModeBasis, density: DensityPerturbation, *, table: SigmaPowerTable | None = None,
+                   want_vectors: bool = False):
+    """Eigenvalues (ascending) of K c = E S c, one LAPACK call per exact block of S_1.
 
     With r = K^{-1/2}, the eigenvalues mu of each block of the symmetric
-    B = r S r give E = 1/mu; the blocks' values are merged in order.  A
-    non-positive mu means S is not positive definite, which is reported as a
-    density-bound problem: S stays positive definite whenever
-    sup|lam*sigma| < 1.  With want_vectors=True the S-orthonormal generalized
-    eigenvectors c = r y / sqrt(mu) are returned as columns, each zero
-    outside its block's modes.
+    B = r S r give E = 1/mu; each block is formed, solved and dropped before
+    the next, and the blocks' values are merged in order.  The table, of
+    exactly the basis's modes, gives S_1; without one a power-1 table of the
+    basis is built.  A non-positive mu means S is not positive definite,
+    which is reported as a density-bound problem: S stays positive definite
+    whenever sup|lam*sigma| < 1.  With want_vectors=True the S-orthonormal
+    generalized eigenvectors c = r y / sqrt(mu) are returned as columns,
+    each zero outside its block's modes.
     """
+    density.validate(basis.domain)
+    if table is None:
+        table = build_sigma_table(basis, density, 1)
     solved = []
-    for _, graded in problem.blocks:
+    for _, graded in _graded_blocks(table, basis, density):
         try:
             solved.append(np.linalg.eigh(graded) if want_vectors else (np.linalg.eigvalsh(graded), None))
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"dense eigensolve failed: {exc}") from exc
+        del graded  # before the next block is formed
     mu = np.concatenate([mu for mu, _ in solved])
     if not np.all(np.isfinite(mu)):
         raise NumericalError("non-finite eigenvalue: overlap or stiffness is not finite")
@@ -114,12 +101,12 @@ def solve_spectrum(problem: GeneralizedProblem, *, want_vectors: bool = False):
     order = np.argsort(mu, kind="stable")[::-1]  # descending mu: ascending E
     if not want_vectors:
         return 1.0 / mu[order]
-    r = 1.0 / np.sqrt(problem.stiffness)
+    r = 1.0 / np.sqrt(basis.eigenvalues())
     column = np.empty(len(mu), dtype=np.intp)
     column[order] = np.arange(len(mu))  # each block eigenvalue's place in the merged order
     vectors = np.zeros((len(mu), len(mu)))
     start = 0
-    for (modes, _), (block_mu, y) in zip(problem.blocks, solved):
+    for modes, (block_mu, y) in zip(table.blocks(), solved):
         y *= r[modes, None]
         y /= np.sqrt(block_mu)
         vectors[np.ix_(modes, column[start : start + len(modes)])] = y
@@ -127,12 +114,14 @@ def solve_spectrum(problem: GeneralizedProblem, *, want_vectors: bool = False):
     return 1.0 / mu[order], vectors
 
 
-def residual_norms(problem: GeneralizedProblem, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Relative residuals ||K c - E S c|| / ||K c|| per eigenpair, with S c = r^-1 B (r^-1 c) by blocks."""
-    root = np.sqrt(problem.stiffness)  # r^-1
-    kc = problem.stiffness[:, None] * vectors
+def residual_norms(table: SigmaPowerTable, basis: ModeBasis, density: DensityPerturbation,
+                   values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Relative residuals ||K c - E S c|| / ||K c|| per eigenpair, S c = r^-1 B (r^-1 c) block by block."""
+    stiffness = basis.eigenvalues()
+    root = np.sqrt(stiffness)  # r^-1
+    kc = stiffness[:, None] * vectors
     sc = np.empty_like(vectors)
-    for modes, graded in problem.blocks:
+    for modes, graded in _graded_blocks(table, basis, density):
         sc[modes] = root[modes, None] * (graded @ (root[modes, None] * vectors[modes]))
     num = np.linalg.norm(kc - values[None, :] * sc, axis=0)
     den = np.linalg.norm(kc, axis=0)
@@ -278,7 +267,7 @@ def oracle_sum_rule(
     resolved = _resolve_route_inputs(orders, table, basis, densities)
     per_density = [
         z_direct_detail(
-            solve_spectrum(assemble(basis, density, table=table)), [s for s, _ in resolved],
+            solve_spectrum(basis, density, table=table), [s for s, _ in resolved],
             basis, density, top_discard=top_discard,
         )
         for density in densities

@@ -29,6 +29,7 @@ per order, and returns one result per (order, density), order-major.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -51,6 +52,12 @@ RESUMMED = "resummed"
 # ---------------------------------------------------------------------------
 # rational order bookkeeping
 # ---------------------------------------------------------------------------
+
+
+# One term of an order's text: an integer, p/q or a decimal with an optional exponent, signed.
+_ORDER_TERM = re.compile(r"-?(\d+/\d+|(\d+\.?\d*|\.\d+)([eE]-?\d+)?)")
+# Every order 1 + 1/N or 1/N + 1/N' lies in [2 / MAX_ROOT_ORDER, 3/2], here widened past rounding.
+_ORDER_SPAN = (2 / MAX_ROOT_ORDER * (1 - 1e-9), 1.5 * (1 + 1e-9))
 
 
 @dataclass(frozen=True)
@@ -96,18 +103,31 @@ class RationalOrderSpec:
 
     @classmethod
     def parse(cls, text: str) -> "RationalOrderSpec":
-        """Parse '1+1/4', '1/2+1/3', '3/2' or '1.25' into a decomposition."""
-        raw = text.strip().replace(" ", "")
-        if "+" in raw:
-            left, right = raw.split("+", 1)
-            lf, rf = Fraction(left), Fraction(right)
+        """Parse '1+1/4', '1/2+1/3', '3/2' or '1.25' into a decomposition; problems quote the text.
+
+        The terms' forms, their denominators and the value's float are checked
+        before any exact arithmetic, so an exponent cannot make the work or
+        the message outgrow the text.
+        """
+        terms = text.strip().replace(" ", "").split("+", 1)
+        try:
+            if not all(map(_ORDER_TERM.fullmatch, terms)):
+                raise ValidationError("not p/q, a decimal or a sum of two of them")
+            parts = [term.partition("/") for term in terms]
+            if any(slash and not q.strip("0") for _, slash, q in parts):
+                raise ValidationError("a denominator is zero")
+            if not _ORDER_SPAN[0] <= sum(float(p) / float(q or 1) for p, _, q in parts) <= _ORDER_SPAN[1]:
+                raise ValidationError(f"outside [{Fraction(2, MAX_ROOT_ORDER)}, 3/2], where every order lies")
+            if len(terms) == 1:
+                return cls.from_fraction(Fraction(terms[0]))
+            lf, rf = map(Fraction, terms)
             if lf == 1 and rf.numerator == 1:
                 return cls("one_plus_inv", rf.denominator)
             if lf.numerator == 1 and rf.numerator == 1:
                 return cls("inv_sum", lf.denominator, rf.denominator)
-            raise ValidationError(f"cannot interpret order {text!r}")
-        frac = Fraction(raw)
-        return cls.from_fraction(frac)
+            raise ValidationError("neither 1 + 1/N nor 1/N + 1/N'")
+        except (ValidationError, ValueError) as exc:  # ValueError: past int's digit limit
+            raise ValidationError(f"order {text!r}: {exc}") from None
 
     @classmethod
     def from_fraction(cls, frac: Fraction) -> "RationalOrderSpec":

@@ -25,7 +25,6 @@ from billzeta.coefficients import (
 )
 from billzeta.kernels import MAX_ROOT_ORDER, eta_xi
 from billzeta.oracle import (
-    assemble,
     convergence_order_fit,
     residual_norms,
     solve_spectrum,
@@ -207,7 +206,7 @@ def test_criterion_7_2d_near_threshold():
     dens = DensityPerturbation(prof, 0.05)
     table = build_sigma_table(basis, dens, 2)
     pert = z_closed_form([RationalOrderSpec("one_plus_inv", 8)], table, basis, [dens])[0]
-    eigs = solve_spectrum(assemble(basis, dens, table=table))
+    eigs = solve_spectrum(basis, dens, table=table)
     [(z_oracle, _, _)] = z_direct_detail(eigs, [pert.s], basis, dens)
     rel = abs(pert.z_total - z_oracle) / abs(z_oracle)
     tol = max(1e-3, 5 * 0.05**3)
@@ -236,19 +235,19 @@ def test_criterion_9_oracle_soundness():
     start = time.time()
     dens = DensityPerturbation(COS2, 0.1)
     basis = ModeBasis(String1D(1.0), 200)
-    problem = assemble(basis, dens)
-    values, vectors = solve_spectrum(problem, want_vectors=True)
-    worst_residual = float(np.max(residual_norms(problem, values, vectors)))
+    table = build_sigma_table(basis, dens, 1)
+    values, vectors = solve_spectrum(basis, dens, table=table, want_vectors=True)
+    worst_residual = float(np.max(residual_norms(table, basis, dens, values, vectors)))
     monotone = True
     prev = None
     for m in (50, 100, 200):
-        vals = solve_spectrum(assemble(ModeBasis(String1D(1.0), m), dens))
+        vals = solve_spectrum(ModeBasis(String1D(1.0), m), dens)
         if prev is not None:
             monotone = monotone and bool(np.all(vals[: prev.size] - prev <= 1e-9))
         prev = vals
     zero = DensityPerturbation(FourierCosine(()), 0.0)
     basis0 = ModeBasis(String1D(1.0), 100)
-    vals0 = solve_spectrum(assemble(basis0, zero))
+    vals0 = solve_spectrum(basis0, zero)
     exact_err = float(np.max(np.abs(vals0 - basis0.eigenvalues()) / basis0.eigenvalues()))
     elapsed = time.time() - start
     ok = worst_residual <= 1e-10 and monotone and exact_err <= 1e-12

@@ -423,6 +423,23 @@ def test_mirror_evenness_is_found_exactly(profile, length, even):
     assert profile.is_even(length) is even
 
 
+def test_mirror_evenness_is_expanded_once_per_profile_and_stops_at_a_mismatch(monkeypatch):
+    # a degree-D string table of powers 1 to 3 asks is_even once per power: the rational
+    # expansion of p(L - x) runs once, and reads a few of its D^2 / 2 terms before the
+    # second-highest coefficient differs
+    terms = []
+    comb = math.comb
+    monkeypatch.setattr(math, "comb", lambda n, k: terms.append(n) or comb(n, k))
+    degree = 60
+    profile = Polynomial(tuple(0.5**k for k in range(degree + 1)))
+    expansions = Polynomial.is_even.cache_info().misses
+    build_sigma_table(ModeBasis(String1D(1.0), 4), profile, 3)
+    assert Polynomial.is_even.cache_info().misses == expansions + 1
+    assert 0 < len(terms) <= degree
+    read = len(terms)
+    assert profile.is_even(1.0) is False and len(terms) == read  # memoized: no term is read again
+
+
 def test_mirror_even_table_odd_coefficients_are_exact_zeros(monkeypatch):
     # a symmetric table's odd coefficients are 0.0, not rounding noise; its even ones are
     # the exact sums' bits
@@ -448,7 +465,7 @@ def test_mirror_even_string_s1_couples_even_offsets_only():
     assert np.count_nonzero(odd) == 45_000
     for j in (1, 2):
         assert np.all(table.power(j)[odd] == 0.0)
-    rows, cols, _ = table._couplings(1, 0, 1)
+    rows, cols, _ = table._couplings(1, np.arange(1))
     assert np.array_equal(cols, np.arange(0, m, 2)) and np.all(rows == 0)
 
 
@@ -458,7 +475,7 @@ def test_even_harmonic_cosine_rows_step_over_their_candidates():
     profile = FourierCosine(tuple(0.1 / (k + 1) * (k % 2 == 0) for k in range(41)))
     table = build_sigma_table(ModeBasis(String1D(1.0), 500), profile, 1)
     assert table._row_step(1) == ROW_BLOCK * ROW_BLOCK // 21
-    assert table._couplings(1, 0, 1)[1].tolist() == list(range(0, 41, 2))
+    assert table._couplings(1, np.arange(1))[1].tolist() == list(range(0, 41, 2))
     assert_couplings_match_power(table, 1, table._row_step(1))
 
 
@@ -567,7 +584,7 @@ def assert_couplings_match_power(table, j, step=ROW_BLOCK):
     listed = np.zeros((m, m), dtype=bool)
     scattered = np.zeros((m, m))
     for lo in range(0, m, step):
-        n, col, value = table._couplings(j, lo, min(lo + step, m))
+        n, col, value = table._couplings(j, np.arange(lo, min(lo + step, m)))
         assert np.all((lo <= n) & (n < lo + step) & (col >= n))
         assert value.tobytes() == dense[n, col].tobytes()
         assert not np.any(listed[n, col])
@@ -639,7 +656,7 @@ def test_rectangle_table_doubles_bound_the_stored_table_without_listing_modes(si
     for m, terms in ((1, ((COS2, POLY),)), (40, ((COS2, POLY),)), (300, ((POLY, COS2), (COS2, POLY)))):
         profile = Separable2D(terms)
         table = build_sigma_table(ModeBasis(Rectangle2D(*sides), m), profile, 3)
-        table._couplings(1, 0, 1)  # the nonzero pattern the routes read
+        table._couplings(1, np.arange(1))  # the nonzero pattern the routes read
         pattern = [(start.size, cols.size) for start, cols in table._patterns[1]]
         stored = table.index.size + table.pos.size + sum(x.size + y.size for splits in table.factors for _, x, y in splits)
         counted = rectangle_table_doubles(Rectangle2D(*sides), profile, m, 3)
@@ -694,7 +711,7 @@ def test_rectangle_table_is_built_in_row_blocks_bit_for_bit():
         for j in range(max_power + 1):
             for lo, hi in steps:
                 with no_dense_power():
-                    n, col, value = table._couplings(j, lo, hi)
+                    n, col, value = table._couplings(j, np.arange(lo, hi))
                 assert value.tobytes() == expected[j][n, col].tobytes()
                 upper = np.triu(np.ones((m, m), dtype=bool))[lo:hi]
                 upper[n - lo, col] = False
@@ -724,7 +741,7 @@ def test_rectangle_main_diagonal_is_read_from_the_factors():
     for j, diag in enumerate(diagonals):
         assert diag.tobytes() == np.diagonal(table.power(j)).tobytes()
     assert diagonals[0].tobytes() == np.ones(9).tobytes()  # the identity's
-    n, m, value = table._couplings(0, 0, 9)  # the identity's couplings are its diagonal
+    n, m, value = table._couplings(0, np.arange(9))  # the identity's couplings are its diagonal
     assert n.tolist() == m.tolist() == list(range(9)) and value.tobytes() == np.ones(9).tobytes()
 
 
@@ -740,7 +757,7 @@ def test_string_rows_match_the_dense_power_bit_for_bit(profile):
     for m in ROW_SIZES:
         table = build_sigma_table(ModeBasis(String1D(1.0), m), profile, 2)
         with no_dense_power():
-            blocks = [table._couplings(j, 0, min(ROW_BLOCK, m)) for j in range(3)]
+            blocks = [table._couplings(j, np.arange(min(ROW_BLOCK, m))) for j in range(3)]
         for j in range(3):
             listed = assert_couplings_match_power(table, j)
             assert listed[blocks[j][0], blocks[j][1]].all()
@@ -749,7 +766,7 @@ def test_string_rows_match_the_dense_power_bit_for_bit(profile):
 def test_rectangle_rows_are_read_from_the_factors():
     table = build_sigma_table(ModeBasis(RECT, 9), SEP, 2)
     with no_dense_power():  # every coupling of the rows, without a dense S_j
-        blocks = [table._couplings(j, 3, 7) for j in range(3)]
+        blocks = [table._couplings(j, np.arange(3, 7)) for j in range(3)]
     for j, (n, m, value) in enumerate(blocks):
         assert value.tobytes() == table.power(j)[n, m].tobytes()
         assert np.count_nonzero(np.triu(table.power(j))[3:7]) == value.size
@@ -798,13 +815,11 @@ def test_restrict_gives_the_dense_power_on_each_block(domain, profile, count):
         table = build_sigma_table(ModeBasis(domain, size), profile, 2)
         assert len(table.blocks()) == (count if size > 1 else 1)
         dense = [table.power(j) for j in range(3)]
-        for partition in (table.blocks(), [np.arange(size)]):
+        for modes in (*table.blocks(), np.arange(size)):
             for j in range(3):
-                restricted = table.restrict(j, partition)
-                assert len(restricted) == len(partition)
-                for modes, block in zip(partition, restricted):
-                    assert block.tobytes() == dense[j][np.ix_(modes, modes)].tobytes()
-            assert not np.shares_memory(restricted[0], table.restrict(2, partition)[0])
+                block = table.restrict(j, modes)
+                assert block.tobytes() == dense[j][np.ix_(modes, modes)].tobytes()
+            assert not np.shares_memory(block, table.restrict(2, modes))
 
 
 @pytest.mark.parametrize("domain, profile", [
@@ -820,12 +835,22 @@ def test_walk_steps_through_every_row_once(domain, profile):
             walked = list(table.walk(j))
             assert [lo for lo, *_ in walked] == list(range(0, m, step))
             for lo, n, col, value in walked:
-                for got, want in zip((n, col, value), table._couplings(j, lo, min(lo + step, m))):
+                rows = np.arange(lo, min(lo + step, m))
+                for got, want in zip((n, col, value), table._couplings(j, rows)):
                     assert got.tobytes() == want.tobytes()
             listed = np.zeros((m, m))
             for _, n, col, value in walked:
                 listed[n, col] = value
             assert np.array_equal(listed, np.triu(table.power(j)))
+            # a block's rows list exactly that block's pairs of the full walk, in steps of its rows
+            whole = [np.concatenate(parts) for parts in list(zip(*walked))[1:]]
+            for rows in table.blocks():
+                walked = list(table.walk(j, rows))
+                assert [lo for lo, *_ in walked] == list(rows[::step])
+                part = [np.concatenate(parts) for parts in list(zip(*walked))[1:]]
+                mine = np.isin(whole[0], rows)
+                for got, want in zip(part, whole):
+                    assert got.tobytes() == want[mine].tobytes()
 
 
 def test_density_bound_validation():

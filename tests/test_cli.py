@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 import weakref
 from pathlib import Path
 
@@ -457,6 +458,25 @@ def test_unwritable_output_path_exits_2_naming_it(tmp_path, capsys, command, out
     assert main([command, "--modes", "20", "--lambda", "0.1", "--out", out]) == EXIT_VALIDATION
     problems = problems_on_stderr(capsys)
     assert len(problems) == 1 and repr(out) in problems[0]
+
+
+@pytest.mark.parametrize("text, why", [
+    ("1e99999999", "outside [1/32, 3/2]"), ("1e-400", "outside [1/32, 3/2]"),
+    ("1+1/0", "denominator is zero"), ("3/000", "denominator is zero"), ("1_0/2", "not p/q"),
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_order_text_is_checked_before_exact_arithmetic(tmp_path, capsys, text, why, source):
+    # every valid order lies in [1/32, 3/2]: an exponent past it once took minutes of exact
+    # arithmetic (1e99999999) or printed a 400-digit denominator (1e-400), and 1+1/0 named
+    # Fraction(1, 0); now each problem quotes the text as given and says why, at once
+    start = time.perf_counter()
+    if source == "flag":
+        rc = main(["sumrule", "--s", text, "--lambda", "0.1", "--modes", "20"])
+    else:
+        rc = main(["sumrule", "--config", str(write_config(tmp_path, orders=[text]))])
+    assert rc == EXIT_VALIDATION and time.perf_counter() - start < 1.0
+    [problem] = problems_on_stderr(capsys)
+    assert problem.startswith(f"order {text!r}: ") and why in problem and len(problem) < 80
 
 
 @pytest.mark.parametrize("route", ["closed", "oracle"])
@@ -1164,7 +1184,8 @@ def _side_profile(draw, length):
 
 
 # flag text no setting takes: not a number, not integral, not finite, empty, no order or route
-_wrong_text = st.sampled_from(["abc", "40.9", "-1", "nan", "1e999", "", ",", "3/0", "1+1/0", "bogus"])
+_wrong_text = st.sampled_from(["abc", "40.9", "-1", "nan", "1e999", "", ",", "3/0", "1+1/0", "bogus",
+                               "1e99999999", "1e-400"])
 
 
 @st.composite
@@ -1218,6 +1239,11 @@ def _runs(draw):
 @example(({"basis": {"kind": "string", "length": 1.0},
            "density": {"profile": {"type": "tabulated", "x": [0.0, 1.0], "y": [0.0, 1.4681182666877972e-189]}}},
           ["sumrule", "--modes", "1", "--s", "1+1/2", "--route", "closed", "--lambda", "6.811440349802929e+188"]))
+# lambda sigma is 0.0125, but lambda^2 overflows: the verify errors are inf and the slope NaN, exit 3
+@example(({"basis": {"kind": "string", "length": 1.0}, "truncation": {"modes": 1}, "orders": ["1+1/2"],
+           "density": {"profile": {"type": "tabulated", "x": [0.0, 1.0], "y": [0.0, 4.8659371951592836e-161]},
+                       "lambda_list": [2.5688782034497304e+159, 5.137756406899461e+159, 1.0275512813798922e+160]}},
+          ["verify"]))
 def test_any_valid_looking_run_exits_cleanly(run):
     config, argv = run
     with tempfile.TemporaryDirectory() as tmp:

@@ -21,7 +21,6 @@ from billzeta import (
     SumRuleResult,
     Tabulated,
     ValidationError,
-    assemble,
     build_Q_series,
     build_sigma_table,
     q_generic_recursion,
@@ -180,11 +179,9 @@ def test_value_classes_construct_compare_hash_and_repr(cls, required, given, def
 
 def test_array_holders_compare_by_identity():
     basis = ModeBasis(String1D(), 20)
-    density = DensityPerturbation(COS, 0.1)
     tables = [build_sigma_table(basis, COS, 2) for _ in range(2)]
-    problems = [assemble(basis, density) for _ in range(2)]
     sets = [q_generic_recursion(2, build_Q_series(2, tables[0], basis), basis) for _ in range(2)]
-    for first, second in (tables, problems, sets):
+    for first, second in (tables, sets):
         assert first == first and first != second  # equal arrays, distinct objects
         assert len({first, second, first}) == 2
 

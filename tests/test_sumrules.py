@@ -19,7 +19,7 @@ from billzeta.basis import (
 )
 from billzeta.coefficients import build_Q_series, q_generic_recursion
 from billzeta.errors import ValidationError
-from billzeta.oracle import assemble, convergence_order_fit, oracle_sum_rule
+from billzeta.oracle import convergence_order_fit, oracle_sum_rule, solve_spectrum
 from billzeta.sumrules import (
     RESUMMED,
     TRUNCATED,
@@ -203,7 +203,7 @@ def test_closed_form_working_set_is_one_row_block_of_pairs():
     profile = Polynomial((0.3, 1.0, -0.5))
     basis = ModeBasis(String1D(1.0), m)
     table = build_sigma_table(basis, profile, 2)
-    assert table._couplings(1, m - 1, m)[0].size == 1 and table._couplings(1, 0, 1)[0].size == m
+    assert table._couplings(1, np.array([m - 1]))[0].size == 1 and table._couplings(1, np.array([0]))[0].size == m
     densities = [DensityPerturbation(profile, lam) for lam in (0.02, 0.04, 0.08, 0.16)]
     tracemalloc.start()
     try:
@@ -642,7 +642,7 @@ def test_a_table_serves_exactly_its_basis(modes):
         "closed form": lambda: z_closed_form([spec], table, basis, densities),
         "trace": lambda: z_via_trace([spec], table, basis, densities),
         "oracle": lambda: oracle_sum_rule([spec], table, basis, densities),
-        "assemble": lambda: assemble(basis, densities[0], table=table),
+        "spectrum": lambda: solve_spectrum(basis, densities[0], table=table),
         "Q series": lambda: build_Q_series(2, table, basis),
         "fit": lambda: convergence_order_fit(spec, table, basis, densities),
     }
