@@ -197,7 +197,7 @@ class Polynomial:
         line = line, _EPS * np.abs(line)
         q = np.full((len(edges) - 1, 1), self.coeffs[-1]), np.zeros((len(edges) - 1, 1))
         for a in self.coeffs[-2::-1]:
-            q = _local_product(q, line)
+            q = _local_product(line, q)  # convolve loops over the line's two columns
             q[0][:, 0] += a
             q[1][:, 0] += _EPS * np.abs(q[0][:, 0])
         return q

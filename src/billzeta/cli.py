@@ -100,8 +100,6 @@ _SETTINGS = {
     "lambda": _Setting(None, "density.lambda", float, 0.1),  # read without --lambda and lambda_list
     "profile": _Setting(None, "density.profile", None),  # unset: the reference cos(2 pi x / L)
     "route": _Setting("--route", "route", ROUTES, "all", about="the routes sumrule computes"),
-    "resummed": _Setting("--resummed", "diagonal_mode", (sumrules.TRUNCATED, sumrules.RESUMMED),
-                         sumrules.TRUNCATED, switch=sumrules.RESUMMED, about="resummed diagonal mode"),
     # ignored; kept only because perfbench/workloads.py passes it on every invocation
     "cache_dir": _Setting("--cache-dir", None, str),
     "out": _Setting("--out", "output.path", str, about="output file (coeffs: output directory)"),
@@ -136,7 +134,6 @@ class RunConfig:
     inner_discard: int | None = _SETTINGS["inner_discard"].default
     top_discard: float = _SETTINGS["top_discard"].default
     route: str = _SETTINGS["route"].default
-    diagonal_mode: str = _SETTINGS["resummed"].default
     out_format: str = _SETTINGS["format"].default
     out_path: str | None = _SETTINGS["out"].default
     slope_threshold: float = _SETTINGS["threshold"].default
@@ -457,9 +454,9 @@ def load_config(path: str | None, overrides) -> RunConfig:
         raise ConfigError(problems)
     return RunConfig(
         basis=basis, profile=profile, lam_list=lam_list, orders=orders, inner_discard=inner_discard,
-        top_discard=values["top_discard"], route=route, diagonal_mode=values["resummed"],
-        out_format=values["format"], out_path=values["out"], slope_threshold=values["threshold"],
-        n_root=values["n_root"], max_order=max_order, first_order_only=values["first_order_only"],
+        top_discard=values["top_discard"], route=route, out_format=values["format"], out_path=values["out"],
+        slope_threshold=values["threshold"], n_root=values["n_root"], max_order=max_order,
+        first_order_only=values["first_order_only"],
     )
 
 
@@ -514,7 +511,7 @@ def cmd_sumrule(cfg: RunConfig) -> int:
     # route -> one result per (order, density), order-major; each route runs once
     by_route = {}
     if cfg.route in ("all", "closed"):
-        by_route["closed"] = sumrules.z_closed_form(*shared, diagonal_mode=cfg.diagonal_mode)
+        by_route["closed"] = sumrules.z_closed_form(*shared)
     if cfg.route in ("all", "trace1", "trace2"):
         by_route["trace"] = sumrules.z_via_trace(*shared)
     if cfg.route in ("all", "oracle"):
@@ -531,7 +528,7 @@ def cmd_sumrule(cfg: RunConfig) -> int:
                 "abs_difference": abs(group[a].z_total - group[b].z_total),
             })
     for r in records:
-        _require_finite([r.z0, r.z1, r.z2, r.resummation_correction, r.z_total, r.tail_estimate],
+        _require_finite([r.z0, r.z1, r.z2, r.z_total, r.tail_estimate],
                         f"{r.route} Z({r.order_label}) at lambda={r.lam:g}")
     _require_finite([d["abs_difference"] for d in diffs], "a pairwise difference")
     extra = {"differences": diffs} if diffs else None
@@ -576,13 +573,13 @@ def cmd_verify(cfg: RunConfig) -> int:
         cfg.densities(),
         drop_second_order=cfg.first_order_only,
         top_discard=cfg.top_discard,
-        diagonal_mode=cfg.diagonal_mode,
     )
     _require_finite([fit.slope, *sum(fit.pairs + fit.excluded, ())], "a verify error or slope")
     failed = fit.slope < cfg.slope_threshold
     lines = ["lambda,abs_error"] + [f"{lam:.17g},{err:.17g}" for lam, err in fit.pairs]
+    cut = f"{oracle.FLOOR_FACTOR:g} x floor"  # the rule the fit applied
     for lam, err, floor in fit.excluded:
-        lines.append(f"# excluded lambda={lam:g}: error {err:.3e} below floor {floor:.3e}")
+        lines.append(f"# excluded lambda={lam:g}: error {err:.3e} below {cut} {floor:.3e}")
     lines += [f"slope,{fit.slope:.17g}", f"threshold,{cfg.slope_threshold:.17g}"]
     _emit("\n".join([*lines, f"verdict,{'FAIL' if failed else 'PASS'}"]) + "\n", cfg)
     return EXIT_SLOPE if failed else EXIT_OK

@@ -36,7 +36,6 @@ from .errors import (
 from .sumrules import (
     ROUTE_ORACLE,
     SumRuleResult,
-    TRUNCATED,
     _resolve_route_inputs,
     _validate_s_for_basis,
     tail_estimate,
@@ -275,7 +274,7 @@ def oracle_sum_rule(
     by_order = zip(*per_density)  # per order, one (value, tail, kept) per density
     return [
         SumRuleResult(
-            s=s, lam=density.lam, z0=value, z1=0.0, z2=0.0, diagonal_mode=TRUNCATED,
+            s=s, lam=density.lam, z0=value, z1=0.0, z2=0.0,
             tail_estimate=tail, truncation=kept, route=ROUTE_ORACLE, order_label=label,
         )
         for (s, label), row in zip(resolved, by_order)
@@ -288,13 +287,17 @@ def oracle_sum_rule(
 # ---------------------------------------------------------------------------
 
 
+# verify fits only errors at least this many times their estimated numerical floor
+FLOOR_FACTOR = 10.0
+
+
 @dataclass(frozen=True)
 class ConvergenceFit:
     """Least-squares slope of log|Z_pert - Z_direct| against log lambda."""
 
     slope: float
     pairs: tuple  # (lambda, error) actually fitted
-    excluded: tuple  # (lambda, error, floor) dropped as below the numeric floor
+    excluded: tuple  # (lambda, error, floor) dropped as below FLOOR_FACTOR x the numeric floor
 
 
 def convergence_order_fit(
@@ -305,18 +308,17 @@ def convergence_order_fit(
     *,
     drop_second_order: bool = False,
     top_discard: float = 0.25,
-    diagonal_mode: str = TRUNCATED,
 ) -> ConvergenceFit:
     """Fit the lambda-scaling of the perturbative error against the oracle.
 
     The closed form and the oracle both run on ``table`` (max_power >= 2) for
     every density, taken in ascending lambda.  Every lambda must be positive
     (ValidationError otherwise, before any solve), and at least three
-    distinct.  Points whose error sits below 10x the estimated numerical
-    floor (tail and rounding mismatch) are excluded and reported; at least
-    three usable points are required.  With drop_second_order=True the
-    second-order term is left out, so the fitted slope should drop to about
-    two (harness self-check).
+    distinct.  Points whose error sits below FLOOR_FACTOR x the estimated
+    numerical floor (tail and rounding mismatch) are excluded and reported;
+    at least three usable points are required.  With drop_second_order=True
+    the second-order term is left out, so the fitted slope should drop to
+    about two (harness self-check).
     """
     bad = [d.lam for d in densities if not d.lam > 0.0]
     if bad:  # the fit is a line through (log lambda, log error)
@@ -324,7 +326,7 @@ def convergence_order_fit(
     if len({d.lam for d in densities}) < 3:
         raise InsufficientDataError("need at least 3 distinct lambda values")
     densities = sorted(densities, key=lambda d: d.lam)
-    perts = z_closed_form([order], table, basis, densities, diagonal_mode=diagonal_mode)
+    perts = z_closed_form([order], table, basis, densities)
     directs = oracle_sum_rule([order], table, basis, densities, top_discard=top_discard)
     points = []
     for pert, direct in zip(perts, directs):
@@ -335,8 +337,8 @@ def convergence_order_fit(
             1e-4 * (pert.tail_estimate + direct.tail_estimate),
         )
         points.append((pert.lam, err, floor))
-    usable = [(lam, err) for lam, err, floor in points if err >= 10.0 * floor]
-    excluded = tuple((lam, err, floor) for lam, err, floor in points if err < 10.0 * floor)
+    usable = [(lam, err) for lam, err, floor in points if err >= FLOOR_FACTOR * floor]
+    excluded = tuple((lam, err, floor) for lam, err, floor in points if err < FLOOR_FACTOR * floor)
     if len(usable) < 3:
         raise InsufficientDataError(
             f"only {len(usable)} usable points above the numerical floor; "

@@ -45,9 +45,6 @@ ROUTE_TRACE_1P = "trace-one-plus-inv"
 ROUTE_TRACE_INV = "trace-inv-sum"
 ROUTE_ORACLE = "oracle"
 
-TRUNCATED = "truncated"
-RESUMMED = "resummed"
-
 
 # ---------------------------------------------------------------------------
 # rational order bookkeeping
@@ -155,11 +152,9 @@ CSV_FIELDS = (
     "z0",
     "z1",
     "z2",
-    "resummation_correction",
     "z_total",
     "tail_estimate",
     "truncation",
-    "diagonal_mode",
 )
 
 
@@ -172,16 +167,14 @@ class SumRuleResult:
     z0: float
     z1: float
     z2: float
-    diagonal_mode: str
     tail_estimate: float
     truncation: int
     route: str
     order_label: str
-    resummation_correction: float = 0.0
 
     @property
     def z_total(self) -> float:
-        return self.z0 + self.z1 + self.z2 + self.resummation_correction
+        return self.z0 + self.z1 + self.z2
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in CSV_FIELDS}
@@ -316,8 +309,6 @@ def z_closed_form(
     table: SigmaPowerTable,
     basis: ModeBasis,
     densities: list[DensityPerturbation],
-    *,
-    diagonal_mode: str = TRUNCATED,
 ) -> list[SumRuleResult]:
     """Z(s) to second order from the shared completeness-split closed form.
 
@@ -329,14 +320,10 @@ def z_closed_form(
     pair off the diagonal counted twice: O(nnz(S_1)) time per order, with one
     step's pairs in memory (O(M) pairs in all for a cosine profile,
     O(M^2) for a dense one).  The lambda-free sums are formed once per order.
-    With diagonal_mode="resummed" the truncated diagonal lambda-series is
-    replaced by (1 + lam <n|s|n>)^s and the difference reported separately.
     """
     resolved = _resolve_route_inputs(orders, table, basis, densities)
     if table.max_power < 2:
         raise ValidationError("closed form needs a table with max_power >= 2")
-    if diagonal_mode not in (TRUNCATED, RESUMMED):
-        raise ValidationError(f"unknown diagonal mode {diagonal_mode!r}")
     m = table.size
     eps = basis.eigenvalues()
     diag = table.diagonal(1)
@@ -354,18 +341,13 @@ def z_closed_form(
         sum2 = float(np.sum(sums))
         for density in densities:
             lam = density.lam
-            z1 = z2 = correction = 0.0
+            z1 = z2 = 0.0
             if lam != 0.0 and coupled:
                 z1 = lam * s * sum1
                 z2 = 0.5 * lam * lam * s * sum2
-                if diagonal_mode == RESUMMED:
-                    resummed = np.power(1.0 + lam * diag, s)
-                    series = 1.0 + lam * s * diag + 0.5 * lam * lam * s * (s - 1.0) * diag * diag
-                    correction = float(np.sum(weights * (resummed - series)))
             results.append(SumRuleResult(
-                s=s, lam=lam, z0=z0, z1=z1, z2=z2, diagonal_mode=diagonal_mode,
-                tail_estimate=tail, truncation=m, route=ROUTE_CLOSED, order_label=label,
-                resummation_correction=correction,
+                s=s, lam=lam, z0=z0, z1=z1, z2=z2, tail_estimate=tail, truncation=m,
+                route=ROUTE_CLOSED, order_label=label,
             ))
     return results
 
@@ -478,8 +460,7 @@ def z_via_trace(
             SumRuleResult(
                 # adding 0.0 makes a zero term +0.0 whatever the sign of lambda, as in the closed form
                 s=s, lam=d.lam, z0=z0, z1=d.lam * t1 + 0.0, z2=d.lam * d.lam * c2 + 0.0,
-                diagonal_mode=TRUNCATED, tail_estimate=tail, truncation=m, route=route,
-                order_label=spec.label(),
+                tail_estimate=tail, truncation=m, route=route, order_label=spec.label(),
             )
             for d in densities
         ]

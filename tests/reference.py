@@ -12,14 +12,24 @@
   diagonal regularity anchor are checked;
 * ``cosine_coefficients_by_quadrature``: cosine coefficients of a product of
   profile powers by composite Gauss-Legendre quadrature, against which the
-  exact coefficients of ``basis._cosine_coeffs`` are checked.
+  exact coefficients of ``basis._cosine_coeffs`` are checked;
+* ``z_one_exact``: the exact Z(1) of the heterogeneous string, the trace of
+  its Green's operator, against which every route is checked at s = 1.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from billzeta.basis import ModeBasis, SigmaPowerTable, Tabulated, build_sigma_table
+from billzeta.basis import (
+    FourierCosine,
+    ModeBasis,
+    Polynomial,
+    SigmaPowerTable,
+    Tabulated,
+    build_sigma_table,
+)
 from billzeta.coefficients import build_Q_series
 from billzeta.errors import ValidationError
 from billzeta.kernels import validate_root_order
@@ -177,3 +187,27 @@ def cosine_coefficients_by_quadrature(factors, length: float, count: int) -> np.
     c = np.array([f @ np.cos(np.pi * np.fmod(k * x / length, 2.0)) for k in range(count)])
     c[1:] *= 2.0
     return c
+
+
+def z_one_exact(profile, length: float, lam: float) -> float:
+    """Z(1) = sum_n 1/E_n on the Dirichlet string [0, L], exactly.
+
+    It is the trace of the Green's operator, int_0^L G0(x, x) (1 + lam sigma(x)) dx
+    with G0(x, x) = x (L - x) / L, so it is linear in lam.  Against a cosine,
+    int_0^L x (L - x) / L cos(k pi x / L) dx is L^2 / 6 at k = 0 and
+    -L^2 (1 + (-1)^k) / (k pi)^2 above; against a power,
+    int_0^L x (L - x) / L x^p dx = L^(p+2) / ((p + 2)(p + 3)), summed in fractions.
+    """
+    if isinstance(profile, FourierCosine):
+        moments = [length**2 / 6.0] + [
+            -(length**2) * (1 + (-1) ** k) / (k * math.pi) ** 2 for k in range(1, len(profile.coeffs))
+        ]
+        weighted = math.fsum(c * moment for c, moment in zip(profile.coeffs, moments))
+    elif isinstance(profile, Polynomial):
+        ell = Fraction(length)
+        weighted = float(sum(
+            Fraction(c) * ell ** (p + 2) / ((p + 2) * (p + 3)) for p, c in enumerate(profile.coeffs)
+        ))
+    else:
+        raise TypeError(f"no exact Z(1) for {type(profile).__name__}")
+    return length**2 / 6.0 + lam * weighted

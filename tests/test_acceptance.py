@@ -13,6 +13,7 @@ from billzeta.basis import (
     DensityPerturbation,
     FourierCosine,
     ModeBasis,
+    Polynomial,
     Rectangle2D,
     Separable2D,
     String1D,
@@ -26,6 +27,7 @@ from billzeta.coefficients import (
 from billzeta.kernels import MAX_ROOT_ORDER, eta_xi
 from billzeta.oracle import (
     convergence_order_fit,
+    oracle_sum_rule,
     residual_norms,
     solve_spectrum,
     z_direct_detail,
@@ -36,7 +38,15 @@ from billzeta.sumrules import (
     z_via_trace,
 )
 
-from reference import delta, eta, kernel_second_order_presplit, q_closed_form, reference_Q, xi
+from reference import (
+    delta,
+    eta,
+    kernel_second_order_presplit,
+    q_closed_form,
+    reference_Q,
+    xi,
+    z_one_exact,
+)
 from test_coefficients import half_order_recursive_forms, max_rel, random_table
 from test_kernels import delta_table, eta_table, xi_table
 
@@ -254,3 +264,27 @@ def test_criterion_9_oracle_soundness():
     report(9, "oracle eigenproblem soundness", ok,
            f"residual {worst_residual:.2e} (<=1e-10), Galerkin monotone {monotone}, "
            f"sigma=0 error {exact_err:.2e} (<=1e-12)", 30.0, elapsed)
+
+
+def test_criterion_10_exact_z1_anchor():
+    # Z(1) = int_0^L x (L - x) / L (1 + lam sigma) dx holds at every admissible lambda and no M.
+    # The oracle's worst measured miss at M=400 is 1.4e-9 (L=2 string); 1e-8 leaves a 7x margin.
+    start = time.time()
+    spec = RationalOrderSpec.parse("1/2+1/2")
+    worst, z2_trace, z2_closed = 0.0, 0.0, set()
+    # (profile, L, sup|sigma| on [0, L]): lambda sup|sigma| runs up to 0.9
+    strings = [(FourierCosine((0.3, 0.0, 1.0)), 1.0, 1.3), (Polynomial((0.0, 4.0, -4.0)), 1.0, 1.0),
+               (Polynomial((0.3, 1.0, -0.5)), 2.0, 0.8)]
+    for profile, length, sup in strings:
+        basis = ModeBasis(String1D(length), 400)
+        table = build_sigma_table(basis, profile, 2)
+        densities = [DensityPerturbation(profile, 0.9 * f / sup) for f in (0.25, 0.5, 0.75, 1.0)]
+        for d, r in zip(densities, oracle_sum_rule([spec], table, basis, densities)):
+            worst = max(worst, abs(r.z_total - z_one_exact(profile, length, d.lam)))
+        z2_closed |= {r.z2 for r in z_closed_form([spec], table, basis, densities)}
+        z2_trace = max([z2_trace] + [abs(r.z2) for r in z_via_trace([spec], table, basis, densities)])
+    elapsed = time.time() - start
+    ok = worst <= 1e-8 and z2_closed == {0.0} and z2_trace < 1e-15
+    report(10, "exact Z(1) on three heterogeneous strings (M=400)", ok,
+           f"oracle |dZ| {worst:.2e} (<=1e-8), closed z2 {sorted(z2_closed)} (== 0), "
+           f"trace |z2| {z2_trace:.1e} (<1e-15)", 60.0, elapsed)

@@ -74,6 +74,10 @@ RECT_DENSITY = {
 }
 
 
+# a sumrule record's CSV columns, in order, and its JSON keys: the second-order terms and their sum
+RECORD_FIELDS = ["route", "order_label", "s", "lam", "z0", "z1", "z2", "z_total", "tail_estimate", "truncation"]
+
+
 def read_csv(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
@@ -106,9 +110,11 @@ def test_sumrule_direct_flags(tmp_path):
     rows = read_csv(out)
     assert len(rows) == 1
     row = rows[0]
+    assert list(row) == RECORD_FIELDS
     assert row["order_label"] == "1+1/2"
     assert float(row["z0"]) != 0.0 and float(row["z1"]) != 0.0
     assert float(row["z2"]) != 0.0
+    assert float(row["z_total"]) == float(row["z0"]) + float(row["z1"]) + float(row["z2"])
 
 
 def test_sumrule_json_output_with_differences(tmp_path):
@@ -118,6 +124,7 @@ def test_sumrule_json_output_with_differences(tmp_path):
     assert {r["route"] for r in doc["results"]} == {
         "closed-form", "trace-one-plus-inv", "oracle",
     }
+    assert all(sorted(r) == sorted(RECORD_FIELDS) for r in doc["results"])
     assert doc["differences"]
     pair_diffs = {d["pair"]: d["abs_difference"] for d in doc["differences"]}
     assert pair_diffs["closed-vs-trace1"] < 1e-12
@@ -234,6 +241,17 @@ def test_verify_pass_fail_and_bounds(tmp_path, capsys):
     # density bound violated: validation failure before any numerics
     rc = main(["verify", "--s", "3/2", "--lambda", "0.1,0.5,1.5", "--modes", "40"])
     assert rc == EXIT_VALIDATION
+
+
+def test_verify_excluded_lines_state_the_cut_the_fit_applied(capsys):
+    # both small lambdas fall below 10 x floor, not below the floor itself (1.113e-10)
+    argv = ["verify", "--modes", "200", "--s", "3/2", "--lambda", "0.005,0.01,0.02,0.04,0.08,0.16"]
+    assert main(argv) == EXIT_OK
+    excluded = [line for line in capsys.readouterr().out.splitlines() if line.startswith("#")]
+    assert excluded == [
+        "# excluded lambda=0.005: error 6.247e-11 below 10 x floor 1.113e-10",
+        "# excluded lambda=0.01: error 4.553e-10 below 10 x floor 1.113e-10",
+    ]
 
 
 def test_verify_writes_its_fit_table_to_out(tmp_path, capsys):
@@ -402,8 +420,8 @@ def test_unique_prefixes_abbreviate_and_shared_ones_exit_2(capsys, command):
                     f"ambiguous option: {prefix} could match {', '.join(matches)}"
                 ]
     assert parse_args([command, "--lam", "-0.1"]).lam == "-0.1"
-    assert main([command, "--r", "closed"]) == EXIT_VALIDATION
-    assert problems_on_stderr(capsys) == ["ambiguous option: --r could match --route, --resummed"]
+    assert main([command, "--c", "x"]) == EXIT_VALIDATION
+    assert problems_on_stderr(capsys) == ["ambiguous option: --c could match --config, --cache-dir"]
 
 
 def test_unknown_subcommand_exits_2_listing_the_commands(capsys):
@@ -1143,7 +1161,6 @@ _configs = st.fixed_dictionaries(
         "truncation": _sub_object(["modes", "inner_discard", "top_discard_fraction"]),
         "orders": _json,
         "route": _json,
-        "diagonal_mode": _json,
         "output": _sub_object(["format", "path"]),
         "slope_threshold": _json,
     },
@@ -1451,3 +1468,26 @@ def test_readme_settings_table_lists_every_row():
         cells = [f"`{row.flag}`" if row.flag else "", f"`{row.path}`" if row.path else "", default, commands]
         lines.append("|" + "|".join(f" {cell} " if cell else " " for cell in cells) + "|")
     assert "\n".join(lines) in readme
+
+
+def test_the_resummed_mode_is_gone(tmp_path, capsys):
+    assert main(["sumrule", "--modes", "20", "--resummed"]) == EXIT_VALIDATION
+    assert problems_on_stderr(capsys) == ["unrecognized arguments: --resummed"]
+    cfg = write_config(tmp_path, diagonal_mode="truncated")
+    assert main(["sumrule", "--config", str(cfg)]) == EXIT_VALIDATION
+    assert problems_on_stderr(capsys) == ["unknown config keys ['diagonal_mode']"]
+
+
+def test_readme_example_config_and_command_lines_load():
+    # a key or flag removed from the program but left in README fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Configuration files", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    path = Path("run.json")
+    path.write_text(example)
+    assert load_config(str(path), parse_args(["sumrule"])).orders
+    lines = [line.split() for line in readme.splitlines() if line.startswith("billzeta ")]
+    assert [words[1] for words in lines] == list(OPTIONS)
+    for words in lines:
+        args = parse_args(words[1:])
+        assert load_config(args.config, args).basis is not None

@@ -111,7 +111,7 @@ def test_cli_runs_leave_argparse_gettext_and_locale_unimported(tmp_path):
 
 COS = FourierCosine((0, 0, 1))
 RESULT_FIELDS = {
-    "s": 1.5, "lam": 0.1, "z0": 1.0, "z1": 0.5, "z2": 0.25, "diagonal_mode": "truncated",
+    "s": 1.5, "lam": 0.1, "z0": 1.0, "z1": 0.5, "z2": 0.25,
     "tail_estimate": 0.01, "truncation": 40, "route": "closed-form", "order_label": "1+1/2",
 }
 
@@ -143,10 +143,9 @@ VALUE_CLASSES = [
       ({"kind": "inv_sum", "n_root": 2}, "needs a second root order")]),
     (RationalOrderSpec, {"kind": "inv_sum", "n_root": 2, "n_root2": 3}, {}, {},
      "RationalOrderSpec(kind='inv_sum', n_root=2, n_root2=3)", []),
-    (SumRuleResult, RESULT_FIELDS, {"resummation_correction": 0.125}, {"resummation_correction": 0.0},
-     "SumRuleResult(s=1.5, lam=0.1, z0=1.0, z1=0.5, z2=0.25, diagonal_mode='truncated', "
-     "tail_estimate=0.01, truncation=40, route='closed-form', order_label='1+1/2', "
-     "resummation_correction=0.125)", []),
+    (SumRuleResult, RESULT_FIELDS, {}, {},
+     "SumRuleResult(s=1.5, lam=0.1, z0=1.0, z1=0.5, z2=0.25, tail_estimate=0.01, truncation=40, "
+     "route='closed-form', order_label='1+1/2')", []),
 ]
 
 

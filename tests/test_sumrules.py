@@ -21,8 +21,6 @@ from billzeta.coefficients import build_Q_series, q_generic_recursion
 from billzeta.errors import ValidationError
 from billzeta.oracle import convergence_order_fit, oracle_sum_rule, solve_spectrum
 from billzeta.sumrules import (
-    RESUMMED,
-    TRUNCATED,
     RationalOrderSpec,
     kernel_pairs,
     tail_estimate,
@@ -175,8 +173,7 @@ def dense_kernel(eps, s):
     tuple(0.004 * (k % 5 - 2) for k in range(41)),  # band 40: wider than M for M <= 41
 ])
 @pytest.mark.parametrize("m", [1, 2, 30, 1500])
-@pytest.mark.parametrize("mode", [TRUNCATED, RESUMMED])
-def test_banded_closed_form_matches_dense_sum(coeffs, m, mode):
+def test_banded_closed_form_matches_dense_sum(coeffs, m):
     profile = FourierCosine(coeffs)
     basis = ModeBasis(String1D(1.0), m)
     table = build_sigma_table(basis, profile, 2)
@@ -184,7 +181,7 @@ def test_banded_closed_form_matches_dense_sum(coeffs, m, mode):
     eps = basis.eigenvalues()
     orders = [1.5, 1.125, 5.0 / 6.0]
     densities = [DensityPerturbation(profile, lam) for lam in (0.1, -0.15)]
-    results = z_closed_form(orders, table, basis, densities, diagonal_mode=mode)
+    results = z_closed_form(orders, table, basis, densities)
     for i, s in enumerate(orders):
         dense_sum = float(np.sum(dense_kernel(eps, s) * s1 * s1))
         for density, res in zip(densities, results[2 * i : 2 * i + 2]):
@@ -221,11 +218,9 @@ def test_banded_closed_form_zero_profile_keeps_signed_zeros():
     basis = ModeBasis(String1D(1.0), 50)
     table = build_sigma_table(basis, zero, 2)
     for lam in (0.3, -0.3, 0.0):
-        for mode in (TRUNCATED, RESUMMED):
-            res = z_closed_form([1.5], table, basis, [DensityPerturbation(zero, lam)],
-                                diagonal_mode=mode)[0]
-            for value in (res.z1, res.z2, res.resummation_correction):
-                assert value == 0.0 and math.copysign(1.0, value) == 1.0
+        res = z_closed_form([1.5], table, basis, [DensityPerturbation(zero, lam)])[0]
+        for value in (res.z1, res.z2):
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 def test_presplit_diagonal_limit():
@@ -323,21 +318,6 @@ def test_first_order_sign_for_added_mass():
     for order in ("3/2", "1", "5/4"):
         res = z_closed_form([RationalOrderSpec.parse(order)], table, basis, [dens])[0]
         assert res.z1 > 0.0
-
-
-def test_resummed_diagonal_mode():
-    basis = ModeBasis(String1D(1.0), 60)
-    dens = DensityPerturbation(COS2, 0.2)
-    table = build_sigma_table(basis, dens, 2)
-    plain = z_closed_form([1.5], table, basis, [dens])[0]
-    res = z_closed_form([1.5], table, basis, [dens], diagonal_mode=RESUMMED)[0]
-    assert res.diagonal_mode == RESUMMED
-    assert res.resummation_correction != 0.0
-    assert res.z_total == pytest.approx(
-        res.z0 + res.z1 + res.z2 + res.resummation_correction, rel=1e-15
-    )
-    # correction is a higher-order-in-lambda effect
-    assert abs(res.z_total - plain.z_total) < 1e-4 * abs(plain.z_total)
 
 
 def test_result_invariants():
@@ -576,9 +556,8 @@ ALL_ORDERS = "3/2,1+1/4,1/2+1/3"
 
 @pytest.mark.parametrize(
     "route, order",
-    [("closed", "3/2"), ("resummed", "1/2+1/3"), ("trace", "1+1/4"), ("trace", "1/2+1/3"),
-     ("oracle", "3/2"), ("closed", ALL_ORDERS), ("resummed", ALL_ORDERS), ("trace", ALL_ORDERS),
-     ("oracle", ALL_ORDERS)],
+    [("closed", "3/2"), ("trace", "1+1/4"), ("trace", "1/2+1/3"), ("oracle", "3/2"),
+     ("closed", ALL_ORDERS), ("trace", ALL_ORDERS), ("oracle", ALL_ORDERS)],
 )
 def test_route_over_densities_equals_single_density_calls(route, order):
     basis = ModeBasis(String1D(1.0), 60)
@@ -586,7 +565,6 @@ def test_route_over_densities_equals_single_density_calls(route, order):
     specs = [RationalOrderSpec.parse(o) for o in order.split(",")]
     call = {
         "closed": lambda os, ds: z_closed_form(os, table, basis, ds),
-        "resummed": lambda os, ds: z_closed_form(os, table, basis, ds, diagonal_mode=RESUMMED),
         "trace": lambda os, ds: z_via_trace(os, table, basis, ds),
         "oracle": lambda os, ds: oracle_sum_rule(os, table, basis, ds),
     }[route]
