@@ -10,20 +10,15 @@ consumes the basis through two objects built here:
 
 On the string 2 sin(n t) sin(m t) = cos((n-m) t) - cos((n+m) t), so every
 matrix element is read from the cosine coefficients c_k of the function:
-<n| f |m> = (c_|n-m| - c_{n+m})/2, plus c_0 on the diagonal.  Those are
-exact: convolutions for cosine factors, closed-form moments of polynomial
-pieces (with a rounding bound) otherwise; a profile even about the
-midpoint of its side has exactly zero odd coefficients, so S_j[n, m] is 0
-for n + m odd (mirror parity, an exact selection rule).  A string table
-keeps only the coefficients of sigma^j.  On the rectangle sigma^j is a sum of separable
+<n| f |m> = (c_|n-m| - c_{n+m})/2, plus c_0 on the diagonal, the one rule
+``_selection_rule`` applies.  The coefficients are exact: convolutions for
+cosine factors, closed-form moments of polynomial pieces (with a rounding
+bound) otherwise; a profile even about the midpoint of its side has exactly
+zero odd coefficients, so S_j[n, m] is 0 for n + m odd (mirror parity, an
+exact selection rule).  On the rectangle sigma^j is a sum of separable
 products, so S_j is a sum of elementwise products of such string factors,
-one per side; a rectangle table keeps those factors.  Either table walks the
-nonzero couplings S_j[n, m], m >= n, one step of rows at a time (O(j b) per
-row for a cosine profile of highest harmonic b), reads its main diagonal
-without forming S_j, and finds the exact blocks of S_1 from that walk.  A
-dense S_j is formed only on request, in new arrays the caller owns, and
-is never kept.  Every table is built from scratch on each call and serves
-exactly the basis it was built for.
+one per side.  A table keeps what generates S_j, never S_j itself, is built
+from scratch on each call, and is read as ``SigmaPowerTable`` tells.
 """
 
 from __future__ import annotations
@@ -342,16 +337,16 @@ def _padded_cosine(coeffs: np.ndarray, n_max: int) -> np.ndarray:
     return c
 
 
-def _exact_cosine_elements(n_max: int, coeffs: np.ndarray) -> np.ndarray:
-    """<n| f |m> for f a cosine series: (1/2)(c_|n-m| - c_{n+m}) + c_0 delta_nm."""
-    c = _padded_cosine(coeffs, n_max)
-    windows = np.lib.stride_tricks.sliding_window_view
-    toeplitz = windows(np.concatenate([c[n_max - 1 : 0 : -1], c[:n_max]]), n_max)[:, ::-1]  # c[|n-m|]
-    hankel = windows(c[2:], n_max)  # c[n+m]
-    out = toeplitz - hankel
-    out *= 0.5
-    np.fill_diagonal(out, c[0] - 0.5 * c[2::2])
-    return out
+def _selection_rule(c: np.ndarray, n: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """<n| f |m> on the string for 0-based n, m < N that broadcast, from c_0..c_{2N} (``_padded_cosine``).
+
+    The one form of the rule, so every reader gets the same bits: (c[|n-m|] - c[n+m+2]) * 0.5 off the
+    diagonal and c[0] - 0.5 c[2n+2] on it, c_|n-m| - c_{n+m} and c_0 - c_{2n} / 2 for 1-based n, m.
+    """
+    value = c[np.abs(n - m)]
+    value -= c[n + m + 2]
+    value *= 0.5
+    return np.where(n == m, c[0] - 0.5 * c[2 * n + 2], value)
 
 
 def _local_product(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -509,7 +504,7 @@ def _cosine_coeffs(n_max: int, length: float, factor_lists) -> list[np.ndarray]:
             c = _cosine_power_product(factors)
         else:
             c, error = _piecewise_cosine_coeffs(n_max, length, factors)
-            scale = max(1.0, float(np.max(np.abs(c[0] - 0.5 * c[2::2]))))
+            scale = max(1.0, float(np.max(np.abs(_selection_rule(c, np.arange(n_max), np.arange(n_max))))))
             if not error <= 1e-10 * scale:  # also catches a NaN bound
                 raise NumericalError(f"cosine coefficients: element rounding bound {error:.3e} exceeds "
                                      f"1e-10 of {scale:.3e}")
@@ -575,7 +570,7 @@ class SigmaPowerTable:
     (every row by default) one step of rows at a time, the only loop over
     them, and ``diagonal(j)`` the main diagonal; ``blocks()`` lists the
     exact blocks of S_1, found once from its walk.  ``restrict(j, modes)``
-    forms S_j on one block of modes, and ``power(j)`` on every mode, in a
+    forms S_j on any ascending modes, and ``power(j)`` on every mode, in a
     new array the caller owns.  All of them give the same bits.  A table
     serves exactly the basis it was built for (``check_basis``).
     """
@@ -606,20 +601,32 @@ class SigmaPowerTable:
     def restrict(self, j: int, modes: np.ndarray) -> np.ndarray:
         """S_j[np.ix_(modes, modes)] in a new array the caller owns, for ascending ``modes``.
 
-        S_j must be exactly 0 between ``modes`` and the other modes, as S_1 is
-        between its exact blocks (``blocks()``); that is not checked.  Every
-        mode on the string is the selection rule, where the scatter of
-        ``walk(j, modes)`` that serves every other case traces 2.3 M^2 (M =
-        400) and takes 7x as long (M = 2000).
+        On the string, steps of R rows: each is the selection rule on the columns of ``modes`` from
+        the step's first row to its band's end m - n <= w (``_coefficients``), at most min(B, R + w)
+        of the B, written with its transpose (the rule is symmetric).  R = max(B / 32, ROW_BLOCK^2 /
+        2 min(B, w + ROW_BLOCK)) keeps each temporary within max(B^2 / 32, ROW_BLOCK^2 / 2) entries.
+        On the rectangle, the couplings of ``walk(j, modes)`` with both ends in ``modes``, scattered.
         """
         self._check(j)
-        if self.cosine is not None and len(modes) == self.size:
-            return _exact_cosine_elements(self.size, self.cosine[j])
-        col = np.empty(self.size, dtype=np.intp)
-        col[modes] = np.arange(len(modes))
-        out = np.zeros((len(modes), len(modes)))
+        count = len(modes)
+        out = np.zeros((count, count))
+        if self.cosine is not None:
+            c, _, width = self._coefficients(j)
+            step = max(1, count // 32, ROW_BLOCK * ROW_BLOCK // 2 // max(1, min(count, width + ROW_BLOCK)))
+            for lo in range(0, count, step):
+                rows = modes[lo : lo + step]
+                hi = np.searchsorted(modes, rows[-1] + width + 1)
+                value = _selection_rule(c, rows[:, None], modes[lo:hi])
+                out[lo : lo + len(rows), lo:hi] = value
+                out[lo:hi, lo : lo + len(rows)] = value.T
+                del value  # before the next step's is formed
+            return out
+        col = np.full(self.size, -1)
+        col[modes] = np.arange(count)
         for _, n, m, value in self.walk(j, modes):
-            out[col[n], col[m]] = out[col[m], col[n]] = value
+            inside = col[m] >= 0  # n is one of the walk's rows, ``modes``
+            n, m = col[n[inside]], col[m[inside]]
+            out[n, m] = out[m, n] = value[inside]
         return out
 
     def _add_factors(self, j: int, rows, cols, out: np.ndarray) -> np.ndarray:
@@ -632,16 +639,16 @@ class SigmaPowerTable:
             out += term
         return out
 
-    def _coefficients(self, j: int) -> tuple[np.ndarray, int]:
-        """c_0..c_{2 size} of sigma^j on the string, padded once, and the step of the offsets it couples.
+    def _coefficients(self, j: int) -> tuple[np.ndarray, int, int]:
+        """c_0..c_{2 size} of sigma^j on the string, padded once, and the step and band w of offsets m - n.
 
-        The coefficients are all the selection rule reads.  The step is 2 when
-        every odd one is exactly 0 (sigma^j mirror-even about the midpoint):
-        an odd offset m - n then has n + m odd too, and S_j[n, m] is (0 - 0)/2.
+        The coefficients are all the selection rule reads; no offset past w, the highest stored
+        harmonic (or size - 1), couples.  The step is 2 when every odd one is exactly 0 (sigma^j
+        mirror-even): an odd offset m - n then has n + m odd too, and S_j[n, m] is (0 - 0)/2.
         """
         if j not in self._padded:
             c = _padded_cosine(self.cosine[j], self.size)
-            self._padded[j] = c, 1 if c[1::2].any() else 2
+            self._padded[j] = c, 1 if c[1::2].any() else 2, min(len(self.cosine[j]), self.size) - 1
         return self._padded[j]
 
     def _pattern(self, j: int) -> tuple:
@@ -662,8 +669,7 @@ class SigmaPowerTable:
         self._check(j)
         if self.cosine is None:
             return self._add_factors(j, slice(None), slice(None), np.zeros(self.size))
-        c, _ = self._coefficients(j)
-        return c[0] - 0.5 * c[2::2]
+        return _selection_rule(self._coefficients(j)[0], np.arange(self.size), np.arange(self.size))
 
     def walk(self, j: int, rows: np.ndarray | None = None):
         """(lo, n, m, S_j[n, m]) per step of ``_row_step(j)`` of the ascending rows (default all) from lo.
@@ -685,7 +691,8 @@ class SigmaPowerTable:
         on the string those are the offsets ``_couplings`` strides over.
         """
         if self.cosine is not None:
-            per_row = (min(len(self.cosine[j]), self.size) - 1) // self._coefficients(j)[1] + 1
+            _, step, width = self._coefficients(j)
+            per_row = width // step + 1
         else:
             (x_start, _), (y_start, _) = self._pattern(j)
             per_row = int(np.max(np.diff(x_start)[self.index[0]] * np.diff(y_start)[self.index[1]]))
@@ -707,20 +714,11 @@ class SigmaPowerTable:
         index arrays are released before the values are formed.  Each value
         is bit for bit what ``power(j)`` returns, and S_j is not formed.
         """
-        m_size = self.size
         if self.cosine is not None:
-            # the selection rule of _exact_cosine_elements on the offsets d = m - n it allows
-            c, step = self._coefficients(j)
-            width = min(len(self.cosine[j]), m_size) - 1
-            n, d = _ragged(np.minimum(width, m_size - 1 - rows) // step + 1)
-            d *= step
-            n = rows[n]
-            m = n + d
-            value = c[d]
-            value -= c[n + m + 2]  # c_|n-m| - c_{n+m}, 1-based
-            value *= 0.5
-            on = d == 0
-            value[on] = c[0] - 0.5 * c[2 * n[on] + 2]
+            c, step, width = self._coefficients(j)  # the selection rule on the offsets m - n it allows
+            row, d = _ragged(np.minimum(width, self.size - 1 - rows) // step + 1)
+            n, m = rows[row], rows[row] + step * d
+            value = _selection_rule(c, n, m)
         else:
             (x_start, x_cols), (y_start, y_cols) = self._pattern(j)
             x, y = self.index[:, rows]
@@ -885,7 +883,7 @@ def build_sigma_table(
             j = sum(alpha)
             multinomial = float(math.factorial(j) // math.prod(map(math.factorial, alpha)))
             # <j| f |j'> on each side, one row per index up to the side's highest
-            x = _exact_cosine_elements(sizes[0], cx)
-            y = _exact_cosine_elements(sizes[1], cy)
+            x, y = (_selection_rule(_padded_cosine(cs, n), np.arange(n)[:, None], np.arange(n))
+                    for cs, n in zip((cx, cy), sizes))
             factors[j].append((multinomial, x, y))
     return SigmaPowerTable(max_power, m_size, factors=tuple(map(tuple, factors)), index=index, pos=pos)

@@ -13,6 +13,9 @@
 * ``cosine_coefficients_by_quadrature``: cosine coefficients of a product of
   profile powers by composite Gauss-Legendre quadrature, against which the
   exact coefficients of ``basis._cosine_coeffs`` are checked;
+* ``exact_cosine_elements``: <n| f |m> of a cosine series as a dense
+  Toeplitz-minus-Hankel matrix of sliding windows, against which the
+  string's selection rule (``basis._selection_rule``) is checked bit for bit;
 * ``z_one_exact``: the exact Z(1) of the heterogeneous string, the trace of
   its Green's operator, against which every route is checked at s = 1.
 """
@@ -28,6 +31,7 @@ from billzeta.basis import (
     Polynomial,
     SigmaPowerTable,
     Tabulated,
+    _padded_cosine,
     build_sigma_table,
 )
 from billzeta.coefficients import build_Q_series
@@ -187,6 +191,18 @@ def cosine_coefficients_by_quadrature(factors, length: float, count: int) -> np.
     c = np.array([f @ np.cos(np.pi * np.fmod(k * x / length, 2.0)) for k in range(count)])
     c[1:] *= 2.0
     return c
+
+
+def exact_cosine_elements(n_max: int, coeffs: np.ndarray) -> np.ndarray:
+    """<n| f |m> for f a cosine series: (1/2)(c_|n-m| - c_{n+m}) + c_0 delta_nm, n, m < n_max, dense."""
+    c = _padded_cosine(coeffs, n_max)
+    windows = np.lib.stride_tricks.sliding_window_view
+    toeplitz = windows(np.concatenate([c[n_max - 1 : 0 : -1], c[:n_max]]), n_max)[:, ::-1]  # c[|n-m|]
+    hankel = windows(c[2:], n_max)  # c[n+m]
+    out = toeplitz - hankel
+    out *= 0.5
+    np.fill_diagonal(out, c[0] - 0.5 * c[2::2])
+    return out
 
 
 def z_one_exact(profile, length: float, lam: float) -> float:

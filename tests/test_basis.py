@@ -21,14 +21,13 @@ from billzeta.basis import (
     _cosine_coeffs,
     _cosine_power_product,
     _enumerate_rectangle_modes,
-    _exact_cosine_elements,
     _piecewise_cosine_coeffs,
     build_sigma_table,
     rectangle_table_doubles,
 )
 from billzeta.cli import EXIT_NUMERICAL, main
 from billzeta.errors import NumericalError, ValidationError
-from reference import cosine_coefficients_by_quadrature
+from reference import cosine_coefficients_by_quadrature, exact_cosine_elements
 
 COS2 = FourierCosine((0.0, 0.0, 1.0))  # sigma(x) = cos(2 pi x / L)
 POLY = Polynomial((0.0, 4.0, -4.0))  # a piecewise-polynomial profile: one piece
@@ -166,13 +165,13 @@ def test_quadrature_matches_selection_rules():
     # cosine algebra's table
     exact = build_sigma_table(ModeBasis(String1D(1.0), 10), COS2, 2).power(1)
     one = Polynomial((1.0,))
-    mixed = _exact_cosine_elements(10, _cosine_coeffs(10, 1.0, [[(one, 1), (COS2, 1)]])[0])
+    mixed = exact_cosine_elements(10, _cosine_coeffs(10, 1.0, [[(one, 1), (COS2, 1)]])[0])
     assert np.max(np.abs(mixed - exact)) < 1e-12
 
 
 def test_quadrature_orthonormality():
     one = Polynomial((1.0,))
-    s0 = _exact_cosine_elements(14, _cosine_coeffs(14, 1.0, [[(one, 1)]])[0])
+    s0 = exact_cosine_elements(14, _cosine_coeffs(14, 1.0, [[(one, 1)]])[0])
     assert np.max(np.abs(s0 - np.eye(14))) < 1e-12
 
 
@@ -275,7 +274,7 @@ def test_mixed_polynomial_cosine_side_of_a_two_term_rectangle_matches_the_refere
     for side, factors, length in ((x, [(p, 1), (q, 1)], rect.a), (y, [(COS2, 1), (p, 1)], rect.b)):
         n = side.shape[0]
         reference = cosine_coefficients_by_quadrature(factors, length, 2 * n + 1)
-        expected = _exact_cosine_elements(n, reference)
+        expected = exact_cosine_elements(n, reference)
         assert np.max(np.abs(side - expected)) <= 1e-12 * max(1.0, np.max(np.abs(np.diagonal(expected))))
 
 
@@ -609,7 +608,7 @@ def test_cosine_table_powers_and_bands_are_exact(coeffs, m):
     b = profile.bandwidth()
     for j in range(4):
         dense = table.power(j)
-        expected = _exact_cosine_elements(m, _cosine_coeffs(m, 1.0, [[(profile, j)]])[0])
+        expected = exact_cosine_elements(m, _cosine_coeffs(m, 1.0, [[(profile, j)]])[0])
         assert dense.tobytes() == expected.tobytes()  # bit for bit, signed zeros included
         listed = assert_couplings_match_power(table, j)
         # the selection rule lists nothing beyond the highest harmonic j b
@@ -690,7 +689,7 @@ def rectangle_reference(basis, terms, max_power):
         lists = [[(terms[t][side], p) for t, p in enumerate(a) if p > 0] for a in alphas]
         n_max, index = int(modes[:, side].max()), modes[:, side] - 1
         coeffs = _cosine_coeffs(n_max, length, lists)
-        sides.append([_exact_cosine_elements(n_max, c)[np.ix_(index, index)] for c in coeffs])
+        sides.append([exact_cosine_elements(n_max, c)[np.ix_(index, index)] for c in coeffs])
     expected = np.zeros((max_power + 1, m, m))
     expected[0] = np.eye(m)
     for alpha, x, y in zip(alphas, *sides):
@@ -805,17 +804,25 @@ SKEW = Polynomial((0.3, 1.0, -0.5))  # not mirror-even: a dense S_1, one block
     (String1D(1.0), SKEW, 1),
     (String1D(1.0), COS2, 2),
     (String1D(1.0), POLY, 2),
+    (String1D(1.0), FourierCosine((0.0, 0.0, 0.0, 1.0)), 2),
+    (String1D(1.0), FourierCosine((0.0, 0.0, 0.0, 0.0, 0.0, 1.0)), 3),
     (Rectangle2D(1.0, 1.3), Separable2D(((SKEW, FourierCosine((0.0, 1.0))),)), 1),
     (Rectangle2D(1.0, 1.3), SEP, 4),
-], ids=["polynomial-string", "cosine-string", "even-polynomial-string", "polynomial-x-cosine", "parity-rectangle"])
+    (Rectangle2D(1.0, 1.3), Separable2D(((COS2, COS2),)), 5),
+], ids=["polynomial-string", "cosine-string", "even-polynomial-string", "cos3-string", "cos5-string",
+        "polynomial-x-cosine", "parity-rectangle", "cosine-rectangle"])
 def test_restrict_gives_the_dense_power_on_each_block(domain, profile, count):
-    # S_1's exact blocks and one block of every mode, on tables across the row-block edges:
-    # each array is power(j)'s bits on its block, new on every call
+    # S_1's exact blocks, one block of every mode and every third mode from each start, on
+    # tables across the row-block edges: each array is power(j)'s bits on its modes, new on
+    # every call.  S_j couples every third mode to modes left out, pairs restrict drops on
+    # either storage form.  cos(3 pi x) couples modes three apart and 1 with 2, so one block
+    # is {1, 2, 4, 5, ...} (1-based), not evenly spaced; cos(5 pi x) joins 1 with 4 and 2
+    # with 3, three blocks
     for size in (2 * ROW_BLOCK + 3, ROW_BLOCK + 1, 1):
         table = build_sigma_table(ModeBasis(domain, size), profile, 2)
         assert len(table.blocks()) == (count if size > 1 else 1)
         dense = [table.power(j) for j in range(3)]
-        for modes in (*table.blocks(), np.arange(size)):
+        for modes in (*table.blocks(), np.arange(size), *(np.arange(start, size, 3) for start in range(3))):
             for j in range(3):
                 block = table.restrict(j, modes)
                 assert block.tobytes() == dense[j][np.ix_(modes, modes)].tobytes()

@@ -59,7 +59,7 @@ def graded_matrix(table, basis, density):
     return graded, blocks
 
 
-def test_assemble_pattern():
+def test_graded_blocks_overlap_pattern():
     basis = ModeBasis(String1D(1.0), 4)
     dens = DensityPerturbation(COS2, 0.1)
     s = overlap(basis, dens)
@@ -78,7 +78,7 @@ def test_assemble_pattern():
 @pytest.mark.parametrize("profile, lam", [
     (COS2, 0.1), (COS2, -0.3), (Polynomial((0.0, 4.0, -4.0)), -0.2),
 ], ids=["cosine", "negative", "polynomial"])
-def test_assemble_grades_the_overlap_bit_for_bit(profile, lam):
+def test_graded_blocks_grade_the_overlap_bit_for_bit(profile, lam):
     # B = r S r with r = K^-1/2, graded in place block by block: the bits of grading the
     # reference S, signed zeros included, and B is exactly 0 between blocks
     basis = ModeBasis(String1D(1.0), 30)
@@ -347,7 +347,7 @@ def test_five_block_rectangle_oracle_holds_its_largest_block():
     (RECT, Separable2D(((SKEW, FourierCosine((0.0, 1.0))),)), False),
     (RECT, Separable2D(((SKEW, Polynomial((0.1, -0.7, 0.4))),)), True),
 ], ids=["polynomial-string", "polynomial-x-cosine", "polynomial-x-polynomial"])
-def test_assemble_holds_one_dense_s1_and_one_walk_step(domain, profile, dense_sides):
+def test_graded_blocks_hold_one_dense_s1_and_one_walk_step(domain, profile, dense_sides):
     # one block at M = 400: S_1 is formed once, in the graded block.  Dense side factors
     # list about 1.3 x 400 pairs per row, so one step of the walk, traced on its own, comes
     # on top there: 1.33 M^2 measured, with the step's candidate indices released before
