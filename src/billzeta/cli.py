@@ -343,7 +343,7 @@ def _memory_need(command, route, domain, profile, modes, orders, max_order) -> i
     if command == "verify" or (command == "sumrule" and route != "oracle"):  # a closed form or trace
         arrays = _PAIR_ARRAYS
     if command == "sumrule" and route in ("trace1", "trace2", "all"):
-        series = {n for o in orders for n in (1, o.n_root, o.n_root2) if n is not None}
+        series = {n for o in orders for n in (1, *o.roots)}
         arrays += _SERIES_PAIR_ARRAYS * len(series)
         vectors += _SERIES_VECTORS * len(series)
     if not string and (dense or oracle):  # a rectangle S_j scattered from its couplings
@@ -411,7 +411,10 @@ def load_config(path: str | None, overrides) -> RunConfig:
     command = getattr(overrides, "command", None)
     # an unusable --max-order is counted at its default, so that the memory check still runs
     max_order = _SETTINGS["max_order"].default if values["max_order"] is None else values["max_order"]
-    geometry = [] if basis is None else _geometry_problems(basis.domain, modes, orders)
+    # spectrum and coeffs read no order, coeffs no lambda: neither is checked for them
+    read_orders = orders if command in (None, "sumrule", "verify") else []
+    read_lams = [] if command == "coeffs" else lam_list
+    geometry = [] if basis is None else _geometry_problems(basis.domain, modes, read_orders)
     problems += geometry
     memory = _physical_memory()
     # an extreme side overflows the rectangle's side bounds, and forming them costs O(sqrt(M)):
@@ -433,22 +436,22 @@ def load_config(path: str | None, overrides) -> RunConfig:
         # the fit is a line through (log lambda, log error): 3 distinct abscissae, each defined
         problems.append(f"verify needs at least 3 lambda values, distinct and positive, got {lam_list}")
     if basis is not None and profile is not None:
-        for lam in lam_list:
+        for lam in read_lams:
             density = DensityPerturbation(profile, lam)
             try:
                 density.validate(basis.domain)
             except ValidationError as exc:
                 problems.append(f"lambda={lam:g}: {exc}")
-        for spec in orders:
+        for spec in read_orders:
             try:
                 spec.validate_for(basis)
             except ValidationError as exc:
                 problems.append(f"order {spec.label()}: {exc}")
-            if route == "trace1" and spec.kind != "one_plus_inv":
+            if command == "sumrule" and route == "trace1" and spec.roots[0] != 1:
                 problems.append(f"order {spec.label()}: route trace1 needs a 1+1/N order")
-            if route == "trace2" and spec.kind != "inv_sum":
+            if command == "sumrule" and route == "trace2" and spec.roots[0] == 1:
                 problems.append(f"order {spec.label()}: route trace2 needs a 1/N+1/N' order")
-    if not lam_list:
+    if command != "coeffs" and not lam_list:
         problems.append("no usable lambda values given")
     if problems:
         raise ConfigError(problems)
@@ -519,7 +522,7 @@ def cmd_sumrule(cfg: RunConfig) -> int:
     records: list[SumRuleResult] = []
     diffs: list[dict] = []
     for i, (spec, density) in enumerate(itertools.product(cfg.orders, densities)):
-        trace = "trace1" if spec.kind == "one_plus_inv" else "trace2"
+        trace = "trace1" if spec.roots[0] == 1 else "trace2"
         group = {trace if name == "trace" else name: found[i] for name, found in by_route.items()}
         records.extend(group.values())
         for a, b in itertools.combinations(sorted(group), 2):

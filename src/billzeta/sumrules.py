@@ -3,8 +3,11 @@
 Three routes are implemented and must agree:
 
 * a closed form parameterized only by s (one shared expression);
-* the trace of Q q[1/N] for s = 1 + 1/N;
-* the trace of q[1/N] q[1/N'] for s = 1/N + 1/N'.
+* the trace of q[1/a] q[1/b] for s = 1/a + 1/b, where q[1/1] is the dressed
+  Green's function Q itself: s = 1 + 1/N traces Q q[1/N] and
+  s = 1/N + 1/N' traces q[1/N] q[1/N'].
+
+An order is its pair of root orders (a, b) (``RationalOrderSpec.roots``).
 
 The trace routes reproduce the pre-split second-order expression exactly at
 finite truncation; converting to the completeness-split closed form leaves the
@@ -59,26 +62,17 @@ _ORDER_SPAN = (2 / MAX_ROOT_ORDER * (1 - 1e-9), 1.5 * (1 + 1e-9))
 
 @dataclass(frozen=True)
 class RationalOrderSpec:
-    """Exponent s carried as its integer decomposition: 1 + 1/N or 1/N + 1/N'."""
+    """Exponent s = 1/a + 1/b carried as its root orders (a, b): (1, N) is 1 + 1/N, (N, N') 1/N + 1/N'."""
 
-    kind: str  # "one_plus_inv" | "inv_sum"
-    n_root: int
-    n_root2: int | None = None
+    roots: tuple[int, int]
 
     def __post_init__(self):
-        if self.kind not in ("one_plus_inv", "inv_sum"):
-            raise ValidationError(f"unknown decomposition kind {self.kind!r}")
-        validate_root_order(self.n_root)
-        if self.n_root < 2:
-            raise ValidationError("decompositions use root orders N >= 2")
-        if self.kind == "inv_sum":
-            if self.n_root2 is None:
-                raise ValidationError("inv_sum needs a second root order")
-            validate_root_order(self.n_root2)
-            if self.n_root2 < 2:
-                raise ValidationError("decompositions use root orders N >= 2")
-        elif self.n_root2 is not None:
-            raise ValidationError("one_plus_inv takes a single root order")
+        if not isinstance(self.roots, tuple) or len(self.roots) != 2:
+            raise ValidationError(f"an order needs two root orders (a, b), got {self.roots!r}")
+        for root in self.roots:
+            validate_root_order(root)
+        if self.roots[1] < 2:
+            raise ValidationError("the second root order must be >= 2")
 
     @property
     def s(self) -> float:
@@ -86,21 +80,19 @@ class RationalOrderSpec:
 
     @property
     def fraction(self) -> Fraction:
-        if self.kind == "one_plus_inv":
-            return 1 + Fraction(1, self.n_root)
-        return Fraction(1, self.n_root) + Fraction(1, self.n_root2)
+        a, b = self.roots
+        return Fraction(1, a) + Fraction(1, b)
 
     def label(self) -> str:
-        if self.kind == "one_plus_inv":
-            return f"1+1/{self.n_root}"
-        return f"1/{self.n_root}+1/{self.n_root2}"
+        a, b = self.roots
+        return f"1+1/{b}" if a == 1 else f"1/{a}+1/{b}"
 
     def validate_for(self, basis: ModeBasis) -> None:
         _validate_s_for_basis(self.s, basis)
 
     @classmethod
     def parse(cls, text: str) -> "RationalOrderSpec":
-        """Parse '1+1/4', '1/2+1/3', '3/2' or '1.25' into a decomposition; problems quote the text.
+        """Parse '1+1/4', '1/2+1/3', '3/2' or '1.25' into its root orders; problems quote the text.
 
         The terms' forms, their denominators and the value's float are checked
         before any exact arithmetic, so an exponent cannot make the work or
@@ -117,27 +109,21 @@ class RationalOrderSpec:
                 raise ValidationError(f"outside [{Fraction(2, MAX_ROOT_ORDER)}, 3/2], where every order lies")
             if len(terms) == 1:
                 return cls.from_fraction(Fraction(terms[0]))
-            lf, rf = map(Fraction, terms)
-            if lf == 1 and rf.numerator == 1:
-                return cls("one_plus_inv", rf.denominator)
-            if lf.numerator == 1 and rf.numerator == 1:
-                return cls("inv_sum", lf.denominator, rf.denominator)
+            fracs = list(map(Fraction, terms))
+            if all(f.numerator == 1 for f in fracs):
+                return cls(tuple(f.denominator for f in fracs))
             raise ValidationError("neither 1 + 1/N nor 1/N + 1/N'")
         except (ValidationError, ValueError) as exc:  # ValueError: past int's digit limit
             raise ValidationError(f"order {text!r}: {exc}") from None
 
     @classmethod
     def from_fraction(cls, frac: Fraction) -> "RationalOrderSpec":
-        if frac > 1:
-            inv = 1 / (frac - 1)
-            if inv.denominator == 1 and 2 <= inv <= MAX_ROOT_ORDER:
-                return cls("one_plus_inv", int(inv))
-            raise ValidationError(f"{frac} is not of the form 1 + 1/N with N in 2..{MAX_ROOT_ORDER}")
-        for n in range(2, MAX_ROOT_ORDER + 1):
-            rest = frac - Fraction(1, n)
+        """The first (a, b), a ascending, with frac = 1/a + 1/b and b in 2..MAX_ROOT_ORDER."""
+        for a in range(1, MAX_ROOT_ORDER + 1):
+            rest = frac - Fraction(1, a)
             if rest.numerator == 1 and 2 <= rest.denominator <= MAX_ROOT_ORDER:
-                return cls("inv_sum", n, rest.denominator)
-        raise ValidationError(f"{frac} is not of the form 1/N + 1/N' with N, N' in 2..{MAX_ROOT_ORDER}")
+                return cls((a, rest.denominator))
+        raise ValidationError(f"{frac} is neither 1 + 1/N nor 1/N + 1/N' with N, N' in 2..{MAX_ROOT_ORDER}")
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +318,7 @@ def z_closed_form(
     if any(density.lam != 0.0 for density in densities):
         blocks = [_kernel_block(rows, cols, s1, eps, order_weights) for _, rows, cols, s1 in table.walk(1)]
     coupled = any(pairs for pairs, _ in blocks)
-    partial = np.array([sums for _, sums in blocks]).reshape(-1, len(resolved)).T  # [order, block]
+    partial = np.array([sums for _, sums in blocks]).reshape(len(blocks), len(resolved)).T  # [order, block]
     results = []
     for (s, label), sums, (_, weights) in zip(resolved, partial, order_weights):
         tail = tail_estimate(basis, s, m)
@@ -400,9 +386,10 @@ def z_via_trace(
 ) -> list[SumRuleResult]:
     """Z(s) as the order-by-order trace of a product of two coefficient series.
 
-    s = 1 + 1/N traces Q q[1/N]; s = 1/N + 1/N' traces q[1/N] q[1/N'] (1D
-    only: s <= 1 diverges in two dimensions).  The lambda^2 term carries the
-    completeness-deficit compensation, after which the route matches the
+    s = 1/a + 1/b traces q[1/a] q[1/b] over the order's root orders (a, b),
+    with q[1/1] = Q: (1, N) traces Q q[1/N], and (N, N') traces q[1/N] q[1/N']
+    (1D only: s <= 1 diverges in two dimensions).  The lambda^2 term carries
+    the completeness-deficit compensation, after which the route matches the
     closed form to rounding on the same table.  Each series enters only as
     (order-0 diagonal, order-1 matrix, order-2 diagonal).  The order-1
     matrices are symmetric, so they are formed on the nonzero couplings of
@@ -415,7 +402,7 @@ def z_via_trace(
     series in memory.
     """
     specs = list(specs)
-    for spec in specs:  # a number carries no decomposition 1 + 1/N or 1/N + 1/N'
+    for spec in specs:  # a number carries no root orders
         if not isinstance(spec, RationalOrderSpec):
             raise ValidationError(f"order {spec!r}: the trace route needs a RationalOrderSpec")
     _resolve_route_inputs(specs, table, basis, densities)
@@ -423,8 +410,7 @@ def z_via_trace(
         raise ValidationError("trace route needs a table with max_power >= 2")
     m = table.size
     eps = basis.eigenvalues()
-    # q[1/1] is Q itself: 1 + 1/N traces the series pair (1, N), 1/N + 1/N' the pair (N, N')
-    pairs = [(1, o.n_root) if o.kind == "one_plus_inv" else (o.n_root, o.n_root2) for o in specs]
+    pairs = [spec.roots for spec in specs]  # the series pair each order traces; q[1/1] is Q
     distinct = list(dict.fromkeys(pairs))
     # every series' order-0 diagonal, and the row sums its order-2 diagonal subtracts: for Q
     # those of S_1[n,r]^2 / eps_r, for q[1/N] the xi-weighted ones
@@ -432,9 +418,8 @@ def z_via_trace(
     order0 = {n: 1.0 / eps if n == 1 else eps ** (-1.0 / n) for n in series}
     row_sums = {n: np.zeros(m) for n in order0}
     s1_row_sq = np.zeros(m)
-    shares = np.array([  # [step, pair, (t1, tr(A_1 B_1))]: each step's share
-        _trace_block(*coupled, eps, order0, distinct, row_sums, s1_row_sq) for coupled in table.walk(1)
-    ]).reshape(-1, len(distinct), 2)
+    steps = [_trace_block(*coupled, eps, order0, distinct, row_sums, s1_row_sq) for coupled in table.walk(1)]
+    shares = np.array(steps).reshape(len(steps), len(distinct), 2)  # [step, pair, (t1, tr(A_1 B_1))]
     s2_diag = table.diagonal(2)
     big_q2 = Q_diagonal(s2_diag, row_sums[1], eps)
     order2 = {n: big_q2 if n == 1 else q_diagonal(n, order0[n], big_q2, row_sums[n]) for n in order0}
@@ -451,7 +436,7 @@ def z_via_trace(
     results = []
     for spec, pair in zip(specs, pairs):
         t0, t1, t2 = traces[pair]
-        route = ROUTE_TRACE_1P if spec.kind == "one_plus_inv" else ROUTE_TRACE_INV
+        route = ROUTE_TRACE_1P if pair[0] == 1 else ROUTE_TRACE_INV
         s = spec.s
         tail = tail_estimate(basis, s, m)
         z0 = t0 + tail

@@ -175,14 +175,14 @@ def test_criterion_5_route_agreement():
     worst = 0.0
     details = []
     for n in (2, 3, 4):
-        spec = RationalOrderSpec("one_plus_inv", n)
+        spec = RationalOrderSpec((1, n))
         closed = z_closed_form([spec], table, basis, [dens])[0]
         trace = z_via_trace([spec], table, basis, [dens])[0]
         rel = abs(closed.z_total - trace.z_total) / abs(closed.z_total)
         worst = max(worst, rel)
         details.append(f"s={closed.s:g}:{rel:.1e}")
     for n, n2 in ((2, 2), (2, 3), (2, 4)):
-        spec = RationalOrderSpec("inv_sum", n, n2)
+        spec = RationalOrderSpec((n, n2))
         closed = z_closed_form([spec], table, basis, [dens])[0]
         trace = z_via_trace([spec], table, basis, [dens])[0]
         rel = abs(closed.z_total - trace.z_total) / abs(closed.z_total)
@@ -215,7 +215,7 @@ def test_criterion_7_2d_near_threshold():
     prof = Separable2D(((COS2, COS2),))
     dens = DensityPerturbation(prof, 0.05)
     table = build_sigma_table(basis, dens, 2)
-    pert = z_closed_form([RationalOrderSpec("one_plus_inv", 8)], table, basis, [dens])[0]
+    pert = z_closed_form([RationalOrderSpec((1, 8))], table, basis, [dens])[0]
     eigs = solve_spectrum(basis, dens, table=table)
     [(z_oracle, _, _)] = z_direct_detail(eigs, [pert.s], basis, dens)
     rel = abs(pert.z_total - z_oracle) / abs(z_oracle)

@@ -181,6 +181,32 @@ def test_route_order_mismatch_rejected(tmp_path, capsys):
     assert main(["sumrule", "--config", str(cfg)]) == EXIT_VALIDATION
 
 
+def test_a_command_checks_only_the_values_it_reads(tmp_path, capsys):
+    # spectrum and coeffs read no order and no route, coeffs no lambda, verify no route
+    rect = write_config(tmp_path, basis={"kind": "rectangle", "a": 1.0, "b": 1.3}, density=COS_2D_DENSITY)
+    for argv in (
+        ["spectrum", "--route", "trace2", "--modes", "5", "--lambda", "0.1"],
+        ["verify", "--route", "trace2", "--modes", "40", "--lambda", "0.04,0.08,0.16"],
+        ["coeffs", "--route", "trace2", "--modes", "4"],
+        ["coeffs", "--lambda", "2", "--modes", "4"],
+        ["spectrum", "--config", str(rect), "--s", "1/2+1/3", "--modes", "6"],
+        ["coeffs", "--config", str(rect), "--s", "1/2+1/3", "--modes", "6"],
+    ):
+        assert main(argv) == EXIT_OK, argv
+    capsys.readouterr()
+    # a value that is no number is still a problem, and the commands that read a value check it
+    for argv, problem in (
+        (["coeffs", "--lambda", "abc", "--modes", "4"], "--lambda[0]: expected a finite number, got 'abc'"),
+        (["sumrule", "--route", "trace2", "--modes", "5"], "order 1+1/2: route trace2 needs a 1/N+1/N' order"),
+        (["verify", "--config", str(rect), "--s", "1/2+1/3", "--modes", "6", "--lambda", "0.01,0.02,0.03"],
+         "order 1/2+1/3: s = 0.8333333333333334 diverges on a 2D rectangle (needs s > 1)"),
+        (["spectrum", "--lambda", "2", "--modes", "4"],
+         "lambda=2: density bound violated: sup|lambda*sigma| = 2, needs < 1"),
+    ):
+        assert main(argv) == EXIT_VALIDATION, argv
+        assert problems_on_stderr(capsys) == [problem]
+
+
 def test_coeffs_file_count_and_zero_profile(tmp_path):
     out = tmp_path / "coeffs"
     rc = main(

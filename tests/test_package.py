@@ -53,7 +53,7 @@ def test_sumrule_and_verify_leave_numpy_polynomial_unimported(tmp_path):
         "             '--lambda', '0.02,0.04,0.08,0.16']) == 0\n"
         "print(sorted(name for name in sys.modules if name.startswith('numpy.polynomial')))\n"
     )
-    assert _last_line_of_fresh_run(script, tmp_path) == "[]"
+    assert _fresh_run(script, tmp_path)[-1] == "[]"
 
 
 def test_piecewise_tables_leave_numpy_ma_unimported(tmp_path):
@@ -69,17 +69,27 @@ def test_piecewise_tables_leave_numpy_ma_unimported(tmp_path):
         "             '--s', '3/2', '--lambda', '0.1', '--out', 'r.csv']) == 0\n"
         "print('numpy.ma' in sys.modules)\n"
     )
-    assert _last_line_of_fresh_run(script, tmp_path) == "False"
+    assert _fresh_run(script, tmp_path)[-1] == "False"
 
 
-def _last_line_of_fresh_run(script, cwd):
-    """Run script in a new interpreter that imports this checkout's billzeta; its last stdout line."""
+def _fresh_run(script, cwd):
+    """Run script in a new interpreter that imports this checkout's billzeta; its stdout lines."""
     src = str(Path(billzeta.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    return done.stdout.strip().splitlines()[-1]
+    return done.stdout.strip().splitlines()
+
+
+def test_readme_session_runs_and_its_routes_agree(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    session = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    lines = _fresh_run(session, tmp_path)
+    assert len(lines) == 4  # two orders by two densities
+    for line in lines:
+        closed, trace = map(float, line.split()[-2:])
+        assert abs(closed - trace) <= 1e-8 * abs(closed), line
 
 
 def test_cli_run_leaves_dataclasses_unimported(tmp_path):
@@ -91,7 +101,7 @@ def test_cli_run_leaves_dataclasses_unimported(tmp_path):
         "             '--lambda', '0.05,0.1', '--out', 'r.csv']) == 0\n"
         "print('dataclasses' in sys.modules)\n"
     )
-    assert _last_line_of_fresh_run(script, tmp_path) == "False"
+    assert _fresh_run(script, tmp_path)[-1] == "False"
 
 
 def test_cli_runs_leave_argparse_gettext_and_locale_unimported(tmp_path):
@@ -106,7 +116,7 @@ def test_cli_runs_leave_argparse_gettext_and_locale_unimported(tmp_path):
         "             '--out', 'v.csv']) == 0\n"
         "print(sorted(name for name in ('argparse', 'gettext', 'locale') if name in sys.modules))\n"
     )
-    assert _last_line_of_fresh_run(script, tmp_path) == "[]"
+    assert _fresh_run(script, tmp_path)[-1] == "[]"
 
 
 COS = FourierCosine((0, 0, 1))
@@ -135,14 +145,11 @@ VALUE_CLASSES = [
      "Separable2D(terms=((FourierCosine(coeffs=(0.0, 0.0, 1.0)), Polynomial(coeffs=(1.0,))),))", []),
     (DensityPerturbation, {"profile": COS}, {"lam": 0.1}, {"lam": 0.0},
      "DensityPerturbation(profile=FourierCosine(coeffs=(0.0, 0.0, 1.0)), lam=0.1)", []),
-    (RationalOrderSpec, {"kind": "one_plus_inv", "n_root": 4}, {}, {"n_root2": None},
-     "RationalOrderSpec(kind='one_plus_inv', n_root=4, n_root2=None)",
-     [({"kind": "bogus", "n_root": 2}, "unknown decomposition kind"),
-      ({"kind": "one_plus_inv", "n_root": 1}, "root orders N >= 2"),
-      ({"kind": "one_plus_inv", "n_root": 2, "n_root2": 3}, "takes a single root order"),
-      ({"kind": "inv_sum", "n_root": 2}, "needs a second root order")]),
-    (RationalOrderSpec, {"kind": "inv_sum", "n_root": 2, "n_root2": 3}, {}, {},
-     "RationalOrderSpec(kind='inv_sum', n_root=2, n_root2=3)", []),
+    (RationalOrderSpec, {"roots": (1, 4)}, {}, {}, "RationalOrderSpec(roots=(1, 4))",
+     [({"roots": (1, 1)}, "second root order must be >= 2"),
+      ({"roots": (2,)}, "needs two root orders"),
+      ({"roots": (0, 2)}, r"root order must be in \[1, 64\]")]),
+    (RationalOrderSpec, {"roots": (2, 3)}, {}, {}, "RationalOrderSpec(roots=(2, 3))", []),
     (SumRuleResult, RESULT_FIELDS, {}, {},
      "SumRuleResult(s=1.5, lam=0.1, z0=1.0, z1=0.5, z2=0.25, tail_estimate=0.01, truncation=40, "
      "route='closed-form', order_label='1+1/2')", []),

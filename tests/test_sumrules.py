@@ -47,17 +47,17 @@ def reference_table(m=120, profile=COS2):
 
 def test_order_spec_parse_and_labels():
     a = RationalOrderSpec.parse("1+1/4")
-    assert a.kind == "one_plus_inv" and a.n_root == 4
+    assert a.roots == (1, 4)
     assert a.s == 1.25 and a.label() == "1+1/4"
     b = RationalOrderSpec.parse("1/2+1/3")
-    assert b.kind == "inv_sum" and (b.n_root, b.n_root2) == (2, 3)
+    assert b.roots == (2, 3)
     assert b.fraction == Fraction(5, 6) and b.label() == "1/2+1/3"
     c = RationalOrderSpec.parse("3/2")
-    assert c.kind == "one_plus_inv" and c.n_root == 2
+    assert c.roots == (1, 2)
     d = RationalOrderSpec.parse("1")
-    assert d.kind == "inv_sum" and (d.n_root, d.n_root2) == (2, 2)
+    assert d.roots == (2, 2)
     e = RationalOrderSpec.parse("1.25")
-    assert e.n_root == 4
+    assert e.roots == (1, 4)
 
 
 def test_order_spec_rejections():
@@ -66,19 +66,19 @@ def test_order_spec_rejections():
     with pytest.raises(ValidationError):
         RationalOrderSpec.parse("7/3")  # not 1 + 1/N
     with pytest.raises(ValidationError):
-        RationalOrderSpec("one_plus_inv", 1)
+        RationalOrderSpec((1, 1))  # s = 2: the second root order is at least 2
     with pytest.raises(ValidationError):
-        RationalOrderSpec("inv_sum", 2)
+        RationalOrderSpec((2,))
 
 
 def test_order_spec_convergence_ranges():
     string = ModeBasis(String1D(1.0), 10)
     rect = ModeBasis(Rectangle2D(1.0, 1.0), 10)
-    RationalOrderSpec("inv_sum", 2, 4).validate_for(string)  # s = 3/4 fine in 1D
+    RationalOrderSpec((2, 4)).validate_for(string)  # s = 3/4 fine in 1D
     with pytest.raises(ValidationError):
-        RationalOrderSpec("inv_sum", 2, 4).validate_for(rect)  # diverges in 2D
+        RationalOrderSpec((2, 4)).validate_for(rect)  # diverges in 2D
     with pytest.raises(ValidationError):
-        RationalOrderSpec("inv_sum", 32, 64).validate_for(string)  # s < 1/2
+        RationalOrderSpec((32, 64)).validate_for(string)  # s < 1/2
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +335,7 @@ def test_route_agreement_one_plus_inv():
     dens = DensityPerturbation(COS2, 0.1)
     table = reference_table()
     for n in (2, 3, 4):
-        spec = RationalOrderSpec("one_plus_inv", n)
+        spec = RationalOrderSpec((1, n))
         closed = z_closed_form([spec], table, STRING, [dens])[0]
         trace = z_via_trace([spec], table, STRING, [dens])[0]
         assert abs(closed.z_total - trace.z_total) <= 1e-9 * abs(closed.z_total)
@@ -349,7 +349,7 @@ def test_route_agreement_inv_sum():
     dens = DensityPerturbation(COS2, 0.1)
     table = reference_table()
     for n, n2 in ((2, 2), (2, 3), (2, 4), (3, 4)):
-        spec = RationalOrderSpec("inv_sum", n, n2)
+        spec = RationalOrderSpec((n, n2))
         closed = z_closed_form([spec], table, STRING, [dens])[0]
         trace = z_via_trace([spec], table, STRING, [dens])[0]
         assert abs(closed.z_total - trace.z_total) <= 1e-9 * abs(closed.z_total)
@@ -360,7 +360,7 @@ def test_route_agreement_2d_one_plus_inv():
     prof = Separable2D(((COS2, COS2),))
     dens = DensityPerturbation(prof, 0.1)
     table = build_sigma_table(basis, prof, 2)
-    spec = RationalOrderSpec("one_plus_inv", 4)
+    spec = RationalOrderSpec((1, 4))
     closed = z_closed_form([spec], table, basis, [dens])[0]
     trace = z_via_trace([spec], table, basis, [dens])[0]
     assert abs(closed.z_total - trace.z_total) <= 1e-9 * abs(closed.z_total)
@@ -369,7 +369,7 @@ def test_route_agreement_2d_one_plus_inv():
 def test_trace_zero_profile_reduces_to_plain_sum():
     zero = DensityPerturbation(FourierCosine(()), 0.0)
     table = build_sigma_table(STRING, zero, 2)
-    res = z_via_trace([RationalOrderSpec("one_plus_inv", 3)], table, STRING, [zero])[0]
+    res = z_via_trace([RationalOrderSpec((1, 3))], table, STRING, [zero])[0]
     eps = STRING.eigenvalues()
     expected = float(np.sum(eps ** (-4.0 / 3.0))) + res.tail_estimate
     assert res.z_total == pytest.approx(expected, rel=1e-14)
@@ -388,7 +388,7 @@ def test_trace_route_forms_no_order_two_matrix():
     basis.eigenvalues()
     # a long order list given twice holds no more: each q set goes once no later order needs it
     for roots in ((2, 8), tuple(range(2, 9)) * 2):
-        specs = [RationalOrderSpec("one_plus_inv", n) for n in roots]
+        specs = [RationalOrderSpec((1, n)) for n in roots]
         tracemalloc.start()
         try:
             results = z_via_trace(specs, table, basis, [DensityPerturbation(prof, 0.1)])
@@ -403,8 +403,7 @@ def test_trace_route_forms_no_order_two_matrix():
 def dense_trace_reference(spec, table, basis, lam):
     """(z0, z1, z2) of the trace route from the dense series: build_Q_series + q_generic_recursion."""
     series = build_Q_series(2, table, basis)
-    roots = (1, spec.n_root) if spec.kind == "one_plus_inv" else (spec.n_root, spec.n_root2)
-    a, b = (series if n == 1 else q_generic_recursion(n, series, basis).q_orders for n in roots)
+    a, b = (series if n == 1 else q_generic_recursion(n, series, basis).q_orders for n in spec.roots)
     eps, s = basis.eigenvalues(), spec.s
     s1 = table.power(1)
     deficit = np.diagonal(table.power(2)) - np.sum(s1 * s1, axis=1)
@@ -416,10 +415,7 @@ def dense_trace_reference(spec, table, basis, lam):
 
 
 BLOCK_SIZES = (1, 2, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3)
-TRACE_ORDERS = {
-    "one_plus_inv": ("1+1/2", "1+1/3", "1+1/8"),
-    "inv_sum": ("1/2+1/3", "1/3+1/4", "1/2+1/2"),
-}
+TRACE_ORDERS = ("1+1/2", "1+1/3", "1+1/8", "1/2+1/3", "1/3+1/4", "1/2+1/2")
 
 
 @pytest.mark.parametrize("m", BLOCK_SIZES)
@@ -433,8 +429,9 @@ def test_trace_row_blocks_match_the_dense_series(kind, profile, m):
     basis = ModeBasis(domain, m)
     table = build_sigma_table(basis, profile, 2)
     density = DensityPerturbation(profile, 0.1)
-    order_kinds = TRACE_ORDERS if kind == "string" else {"one_plus_inv": TRACE_ORDERS["one_plus_inv"]}
-    specs = [RationalOrderSpec.parse(label) for labels in order_kinds.values() for label in labels]
+    specs = [RationalOrderSpec.parse(label) for label in TRACE_ORDERS]
+    if kind == "rectangle":  # 1/N + 1/N' <= 1 diverges there
+        specs = [spec for spec in specs if spec.roots[0] == 1]
     with no_dense_power():  # the route reads S_1 by row blocks only
         results = z_via_trace(specs, table, basis, [density])
     for spec, res in zip(specs, results):
@@ -526,7 +523,7 @@ def test_trace_route_needs_a_second_power():
     basis = ModeBasis(String1D(1.0), 5)
     table = build_sigma_table(basis, COS2, 1)
     with pytest.raises(ValidationError):
-        z_via_trace([RationalOrderSpec("one_plus_inv", 2)], table, basis, [DensityPerturbation(COS2, 0.1)])
+        z_via_trace([RationalOrderSpec((1, 2))], table, basis, [DensityPerturbation(COS2, 0.1)])
 
 
 def test_trace_inv_sum_rejects_2d():
@@ -535,7 +532,7 @@ def test_trace_inv_sum_rejects_2d():
     dens = DensityPerturbation(prof, 0.05)
     table = build_sigma_table(rect, prof, 2)
     with pytest.raises(ValidationError):
-        z_via_trace([RationalOrderSpec("inv_sum", 2, 2)], table, rect, [dens])
+        z_via_trace([RationalOrderSpec((2, 2))], table, rect, [dens])
 
 
 def test_closed_form_rejects_bad_inputs():
@@ -592,16 +589,43 @@ def test_route_validates_every_order():
     basis = ModeBasis(String1D(1.0), 20)
     table = reference_table(20)
     densities = [DensityPerturbation(COS2, 0.1)]
-    specs = [RationalOrderSpec.parse("3/2"), RationalOrderSpec("inv_sum", 4, 8)]  # s = 3/8
+    specs = [RationalOrderSpec.parse("3/2"), RationalOrderSpec((4, 8))]  # s = 3/8
     for route in (z_closed_form, z_via_trace, oracle_sum_rule):
         with pytest.raises(ValidationError, match="diverges"):
             route(specs, table, basis, densities)
 
 
+@pytest.mark.parametrize("orders", [[], ["3/2", "1/2+1/3"]], ids=["no-orders", "two-orders"])
+@pytest.mark.parametrize("lams", [[], [0.0, 0.1]], ids=["no-densities", "two-densities"])
+def test_every_route_returns_a_result_per_order_and_density(orders, lams):
+    # with no orders or no densities every route returns [], as the oracle always did
+    specs = [RationalOrderSpec.parse(text) for text in orders]
+    densities = [DensityPerturbation(COS2, lam) for lam in lams]
+    basis = ModeBasis(String1D(1.0), 20)
+    table = reference_table(20)
+    for route in (z_closed_form, z_via_trace, oracle_sum_rule):
+        results = route(specs, table, basis, densities)
+        assert [(r.order_label, r.lam) for r in results] == [(o.label(), lam) for o in specs for lam in lams]
+
+
+def test_a_mirrored_order_keeps_its_text():
+    mirrored = RationalOrderSpec.parse("1/3+1/2")
+    assert mirrored.roots == (3, 2) and mirrored.label() == "1/3+1/2"
+    specs = [RationalOrderSpec.parse("1/2+1/3"), mirrored]
+    density = DensityPerturbation(COS2, 0.1)
+    table = reference_table()
+    first, second = z_via_trace(specs, table, STRING, [density])
+    assert (first.order_label, second.order_label) == ("1/2+1/3", "1/3+1/2")
+    assert abs(first.z_total - second.z_total) <= 1e-15 * abs(first.z_total)
+    closed = z_closed_form(specs[:1], table, STRING, [density])[0]
+    for res in (first, second):
+        assert abs(res.z_total - closed.z_total) <= 1e-8 * abs(closed.z_total)
+
+
 @pytest.mark.parametrize("order", [1.5, Fraction(3, 2), "1+1/2"])
 def test_trace_route_rejects_plain_number_orders(order):
     # the closed form and the oracle take a number for s; the trace route needs the
-    # decomposition, and names the order it cannot read
+    # root orders, and names the order it cannot read
     specs = [RationalOrderSpec.parse("1+1/4"), order]
     density = DensityPerturbation(COS2, 0.1)
     with pytest.raises(ValidationError, match=re.escape(repr(order))):
