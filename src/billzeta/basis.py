@@ -346,7 +346,12 @@ def _selection_rule(c: np.ndarray, n: np.ndarray, m: np.ndarray) -> np.ndarray:
     value = c[np.abs(n - m)]
     value -= c[n + m + 2]
     value *= 0.5
-    return np.where(n == m, c[0] - 0.5 * c[2 * n + 2], value)
+    return np.where(n == m, _diagonal_rule(c, n), value)
+
+
+def _diagonal_rule(c: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """``_selection_rule`` on the diagonal alone: <n| f |n> = c[0] - 0.5 c[2n+2] for 0-based n."""
+    return c[0] - 0.5 * c[2 * n + 2]
 
 
 def _local_product(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -669,7 +674,7 @@ class SigmaPowerTable:
         self._check(j)
         if self.cosine is None:
             return self._add_factors(j, slice(None), slice(None), np.zeros(self.size))
-        return _selection_rule(self._coefficients(j)[0], np.arange(self.size), np.arange(self.size))
+        return _diagonal_rule(self._coefficients(j)[0], np.arange(self.size))
 
     def walk(self, j: int, rows: np.ndarray | None = None):
         """(lo, n, m, S_j[n, m]) per step of ``_row_step(j)`` of the ascending rows (default all) from lo.

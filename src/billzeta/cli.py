@@ -411,7 +411,7 @@ def load_config(path: str | None, overrides) -> RunConfig:
     command = getattr(overrides, "command", None)
     # an unusable --max-order is counted at its default, so that the memory check still runs
     max_order = _SETTINGS["max_order"].default if values["max_order"] is None else values["max_order"]
-    # spectrum and coeffs read no order, coeffs no lambda: neither is checked for them
+    # spectrum and coeffs read no order, coeffs no lambda: neither is checked or counted for them
     read_orders = orders if command in (None, "sumrule", "verify") else []
     read_lams = [] if command == "coeffs" else lam_list
     geometry = [] if basis is None else _geometry_problems(basis.domain, modes, read_orders)
@@ -422,7 +422,7 @@ def load_config(path: str | None, overrides) -> RunConfig:
     if basis is not None and not geometry and memory is not None:
         need = _VECTORS * modes * 8
         if need <= memory:
-            need = _memory_need(command, route, basis.domain, profile, modes, orders, max_order)
+            need = _memory_need(command, route, basis.domain, profile, modes, read_orders, max_order)
         if need > memory:
             gib = f"{need / 2**30:.3g} GiB for the table and working set, more than the {memory / 2**30:.3g}"
             problems.append(f"{_source('modes', overrides)}: {modes} modes need {gib} GiB of physical memory")

@@ -11,9 +11,9 @@ The trace routes need less: q^(0) is diagonal, so the lambda^2 trace reads the
 order-1 matrices entry by entry but only the diagonal of each order-2 one.
 Q_trace_terms and trace_terms form the order-1 entries on the nonzero
 couplings (n, m), m >= n, of S_1, and the row terms from which Q_diagonal and
-q_diagonal give the order-2 diagonals: O(N) per coupling, O(N nnz(S_1)) in
-all, with no M x M matrix at all; the dense series above remain the
-general-order reference.
+q_diagonal give the order-2 diagonals (q_diagonal also q's order-1 diagonal,
+from Q's): O(N) per coupling, O(N nnz(S_1)) in all, with no M x M matrix at
+all; the dense series above remain the general-order reference.
 """
 
 from __future__ import annotations
@@ -182,13 +182,15 @@ def trace_terms(n_root: int, q0: np.ndarray, n: np.ndarray, m: np.ndarray, big_q
     return q1, (xi_n, xi_m)
 
 
-def q_diagonal(n_root: int, q0: np.ndarray, big_q2_diag: np.ndarray, row_sums: np.ndarray) -> np.ndarray:
-    """diag q^(2) = (diag Q^(2) - sum_r q^(1)[n,r]^2 xi(N; eps_n, eps_r, eps_n)) / eta(N; eps_n, eps_n).
+def q_diagonal(n_root: int, q0: np.ndarray, big_q1_diag, big_q2_diag, row_sums: np.ndarray) -> tuple:
+    """diag q^(1) = diag Q^(1) / eta(N; eps_n, eps_n) and
+    diag q^(2) = (diag Q^(2) - sum_r q^(1)[n,r]^2 xi(N; eps_n, eps_r, eps_n)) / eta(N; eps_n, eps_n).
 
-    q0 = eps^{-1/N}, so eta(N; eps_n, eps_n) = N q0^(N-1); row_sums are
-    trace_terms' xi-weighted row terms summed over every pair.
+    q0 = eps^{-1/N}, so eta(N; eps_n, eps_n) = N q0^(N-1), formed once for
+    both; row_sums are trace_terms' xi-weighted row terms summed over every pair.
     """
-    return (big_q2_diag - row_sums) / (n_root * q0 ** (n_root - 1))
+    divisor = n_root * q0 ** (n_root - 1)
+    return big_q1_diag / divisor, (big_q2_diag - row_sums) / divisor
 
 
 def verify_convolution(

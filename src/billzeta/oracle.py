@@ -146,6 +146,8 @@ _GL_WEIGHTS = (
     0.06582222277636168, 0.058684093478535565, 0.05099805926237609, 0.042835898022226836,
     0.034273862913021765, 0.025392065309262024, 0.016274394730905743, 0.007018610009470506,
 )
+# Quadrature nodes of the effective geometry: along the string, and along each rectangle side.
+_LENGTH_NODES, _SIDE_NODES = 2048, 1024
 
 
 def _gl_panel() -> tuple[np.ndarray, np.ndarray]:
@@ -162,18 +164,18 @@ def _composite_grid(length: float, total_nodes: int) -> tuple[np.ndarray, np.nda
     return (mid + half * xg).ravel(), (half * wg).ravel()
 
 
-def effective_length(domain: String1D, density: DensityPerturbation, nodes: int = 2048) -> float:
+def effective_length(domain: String1D, density: DensityPerturbation) -> float:
     """Optical length int_0^L sqrt(Sigma) dx."""
-    x, w = _composite_grid(domain.length, nodes)
+    x, w = _composite_grid(domain.length, _LENGTH_NODES)
     sigma = density.profile.evaluate(x, domain.length)
     return float(np.sum(w * np.sqrt(1.0 + density.lam * sigma)))
 
 
-def effective_area(domain: Rectangle2D, density: DensityPerturbation, nodes: int = 1024) -> float:
+def effective_area(domain: Rectangle2D, density: DensityPerturbation) -> float:
     """Optical area int Sigma dA; separable terms integrate factor by factor."""
     area = domain.a * domain.b
-    x, wx = _composite_grid(domain.a, nodes)
-    y, wy = _composite_grid(domain.b, nodes)
+    x, wx = _composite_grid(domain.a, _SIDE_NODES)
+    y, wy = _composite_grid(domain.b, _SIDE_NODES)
     extra = 0.0
     for px, py in density.profile.terms:
         extra += float(np.sum(wx * px.evaluate(x, domain.a))) * float(
@@ -182,10 +184,10 @@ def effective_area(domain: Rectangle2D, density: DensityPerturbation, nodes: int
     return area + density.lam * extra
 
 
-def effective_perimeter(domain: Rectangle2D, density: DensityPerturbation, nodes: int = 1024) -> float:
+def effective_perimeter(domain: Rectangle2D, density: DensityPerturbation) -> float:
     """Optical perimeter: int sqrt(Sigma) along the four Dirichlet edges."""
-    x, wx = _composite_grid(domain.a, nodes)
-    y, wy = _composite_grid(domain.b, nodes)
+    x, wx = _composite_grid(domain.a, _SIDE_NODES)
+    y, wy = _composite_grid(domain.b, _SIDE_NODES)
     total = 0.0
     for edge_y in (0.0, domain.b):
         sigma = sum(
@@ -263,7 +265,7 @@ def oracle_sum_rule(
     top_discard: float = 0.25,
 ) -> list[SumRuleResult]:
     """Full oracle route: one spectrum per density, summed for every order (z0 carries all)."""
-    resolved = _resolve_route_inputs(orders, table, basis, densities)
+    resolved = _resolve_route_inputs(orders, table, basis, densities, 1)
     per_density = [
         z_direct_detail(
             solve_spectrum(basis, density, table=table), [s for s, _ in resolved],

@@ -14,19 +14,23 @@ finite truncation; converting to the completeness-split closed form leaves the
 computable deficit sum_n (S_2[n,n] - sum_m S_1[n,m]^2) eps_n^{-s}, which the
 trace routes add back so all routes are limited by rounding, not by the basis
 cutoff.  Both trace series start from a diagonal order 0, so a trace route
-needs each series' order-1 matrix entry by entry and only the diagonal of its
-order 2.  The closed form and the trace routes read S_1 only as its nonzero
-couplings S_1[n, m], m >= n, one step of rows at a time
-(``SigmaPowerTable.walk``), and form no M x M matrix: O(N nnz(S_1)) time
-per root order N, which is O(N M) for a cosine profile on the string or the
-rectangle and O(N M^2) for a dense S_1, with one step's pairs in memory.
+needs each series' order-1 matrix entry by entry only in tr(A_1 B_1), and
+otherwise the diagonals of its orders 1 and 2.  The closed form and the trace
+routes read S_1 only as its nonzero couplings S_1[n, m], m >= n, one step of
+rows at a time (``SigmaPowerTable.walk``), forming only their lambda^2 pair
+sums in each step, and read every diagonal once, after the walk.  They form
+no M x M matrix: O(N nnz(S_1)) time per root order N, which is O(N M) for a
+cosine profile on the string or the rectangle and O(N M^2) for a dense S_1,
+with one step's pairs in memory.
 Every route takes a table of exactly its basis's modes.  Mode sums rely on
 numpy's pairwise reduction; the order-0 tail is a smooth-counting (Weyl)
 estimate appended to z0 only.
 
-Every route has the form Z(s; lam) = z0 + lam c1 + lam^2 c2 with lambda-free
-c1, c2, so each takes sequences of orders and densities, forms its sums once
-per order, and returns one result per (order, density), order-major.
+Both perturbative routes reduce each order once to the lambda-free (z0 sum,
+c1, c2) of Z(s; lam) = z0 + lam c1 + lam^2 c2, and one builder (``_records``)
+forms the records: z1 = lam c1 + 0.0 and z2 = lam^2 c2 + 0.0, so a zero term
+is +0.0 whatever the sign of lambda.  Every route takes sequences of orders
+and densities and returns one result per (order, density), order-major.
 """
 
 from __future__ import annotations
@@ -261,8 +265,9 @@ def _validate_s_for_basis(s: float, basis: ModeBasis) -> None:
         raise ValidationError(f"s = {s} diverges on a 2D rectangle (needs s > 1)")
 
 
-def _resolve_route_inputs(orders, table: SigmaPowerTable, basis: ModeBasis, densities):
-    """(s, label) of every order (a RationalOrderSpec or a number); checks the table, orders and densities."""
+def _resolve_route_inputs(orders, table: SigmaPowerTable, basis: ModeBasis, densities, power: int):
+    """(s, label) of every order (a RationalOrderSpec or a number); checks the table, which the
+    route reads up to S_power, the orders and the densities."""
     table.check_basis(basis)
     resolved = [
         (o.s, o.label()) if isinstance(o, RationalOrderSpec) else (float(o), f"{float(o):g}")
@@ -272,12 +277,34 @@ def _resolve_route_inputs(orders, table: SigmaPowerTable, basis: ModeBasis, dens
         _validate_s_for_basis(s, basis)
     for density in densities:
         density.validate(basis.domain)
+    if table.max_power < power:
+        raise ValidationError(f"the route reads S_{power}: it needs a table with max_power >= {power}")
     return resolved
 
 
-def _kernel_block(n, m, s1, eps, orders) -> tuple[bool, list]:
-    """Whether a step of couplings (n, m, S_1[n, m]) has any, and each (s, eps^{-s}) order's sum
-    over both triangles of K(eps_n, eps_m; s) S_1[n, m]^2 there."""
+def _records(expansions, basis: ModeBasis, densities) -> list[SumRuleResult]:
+    """One result per (order, density), order-major, from each order's (s, label, route, z0 sum, c1, c2).
+
+    Z(s; lam) = z0 + lam c1 + lam^2 c2 with the tail estimate added to the
+    z0 sum; adding 0.0 makes a zero term +0.0 whatever the sign of lambda.
+    """
+    m = basis.mode_count
+    results = []
+    for s, label, route, z0, c1, c2 in expansions:
+        tail = tail_estimate(basis, s, m)
+        results += [
+            SumRuleResult(
+                s=s, lam=d.lam, z0=z0 + tail, z1=d.lam * c1 + 0.0, z2=d.lam * d.lam * c2 + 0.0,
+                tail_estimate=tail, truncation=m, route=route, order_label=label,
+            )
+            for d in densities
+        ]
+    return results
+
+
+def _kernel_block(n, m, s1, eps, orders) -> list:
+    """Each (s, eps^{-s}) order's sum over both triangles of K(eps_n, eps_m; s) S_1[n, m]^2
+    on a step of couplings (n, m, S_1[n, m])."""
     sq = s1 * s1  # the kernel sum needs only S_1[n, m]^2 = S_1[m, n]^2
     sq *= np.where(n == m, 1.0, 2.0)  # an off-diagonal pair stands for (n, m) and (m, n)
     lo_eps, hi_eps = eps[n], eps[m]
@@ -287,7 +314,7 @@ def _kernel_block(n, m, s1, eps, orders) -> tuple[bool, list]:
         kernel = kernel_pairs(lo_eps, hi_eps, s, weights[n])
         kernel *= sq
         sums.append(kernel.sum())
-    return s1.size > 0, sums
+    return sums
 
 
 def z_closed_form(
@@ -305,37 +332,20 @@ def z_closed_form(
     (``SigmaPowerTable.walk``) one step of rows at a time, each
     pair off the diagonal counted twice: O(nnz(S_1)) time per order, with one
     step's pairs in memory (O(M) pairs in all for a cosine profile,
-    O(M^2) for a dense one).  The lambda-free sums are formed once per order.
+    O(M^2) for a dense one); the z1 sum reads S_1's diagonal after the walk.
     """
-    resolved = _resolve_route_inputs(orders, table, basis, densities)
-    if table.max_power < 2:
-        raise ValidationError("closed form needs a table with max_power >= 2")
-    m = table.size
+    resolved = _resolve_route_inputs(orders, table, basis, densities, 2)
     eps = basis.eigenvalues()
-    diag = table.diagonal(1)
     order_weights = [(s, eps ** (-s)) for s, _ in resolved]
-    blocks = []
-    if any(density.lam != 0.0 for density in densities):
-        blocks = [_kernel_block(rows, cols, s1, eps, order_weights) for _, rows, cols, s1 in table.walk(1)]
-    coupled = any(pairs for pairs, _ in blocks)
-    partial = np.array([sums for _, sums in blocks]).reshape(len(blocks), len(resolved)).T  # [order, block]
-    results = []
-    for (s, label), sums, (_, weights) in zip(resolved, partial, order_weights):
-        tail = tail_estimate(basis, s, m)
-        z0 = float(np.sum(weights)) + tail
-        sum1 = float(np.sum(diag * weights))
-        sum2 = float(np.sum(sums))
-        for density in densities:
-            lam = density.lam
-            z1 = z2 = 0.0
-            if lam != 0.0 and coupled:
-                z1 = lam * s * sum1
-                z2 = 0.5 * lam * lam * s * sum2
-            results.append(SumRuleResult(
-                s=s, lam=lam, z0=z0, z1=z1, z2=z2, tail_estimate=tail, truncation=m,
-                route=ROUTE_CLOSED, order_label=label,
-            ))
-    return results
+    blocks = [_kernel_block(rows, cols, s1, eps, order_weights) for _, rows, cols, s1 in table.walk(1)]
+    partial = np.array(blocks).reshape(len(blocks), len(resolved)).T  # [order, block]
+    diag = table.diagonal(1)
+    expansions = [
+        (s, label, ROUTE_CLOSED, float(np.sum(weights)), s * float(np.sum(diag * weights)),
+         0.5 * s * float(np.sum(sums)))
+        for (s, label), (_, weights), sums in zip(resolved, order_weights, partial)
+    ]
+    return _records(expansions, basis, densities)
 
 
 def _add_ends(acc: np.ndarray, lo: int, ends, at_n: np.ndarray, at_m: np.ndarray) -> None:
@@ -352,30 +362,20 @@ def _add_ends(acc: np.ndarray, lo: int, ends, at_n: np.ndarray, at_m: np.ndarray
 
 def _trace_block(lo, n, m, s1, eps, order0, distinct, row_sums, s1_row_sq) -> list:
     """One step of couplings (n, m, S_1[n, m]) of rows lo.. in the trace route: each distinct
-    series pair's (tr(A_0 B_1) + tr(A_1 B_0), tr(A_1 B_1)) share.
+    series pair's tr(A_1 B_1) share.
 
     Forms Q^(1) and each q[1/N]^(1) on the step's couplings, from the
     series' order-0 diagonals order0 (keyed by N, Q's under 1), and adds the
     pairs' row terms at both ends to row_sums and S_1[n, m]^2 to s1_row_sq.
     """
-    on = n == m
-    twice = np.where(on, 1.0, 2.0)  # an off-diagonal pair stands for (n, m) and (m, n)
+    twice = np.where(n == m, 1.0, 2.0)  # an off-diagonal pair stands for (n, m) and (m, n)
     ends = (n - lo, m - lo, twice - 1.0)
-    diag = np.flatnonzero(on)
     big_q1, sq, big_q_ends = Q_trace_terms(n, m, s1, eps)
     _add_ends(s1_row_sq, lo, ends, sq, sq)
-    order1 = {1: (big_q1, big_q_ends)}
-    for r in order0:
-        if r != 1:
-            order1[r] = trace_terms(r, order0[r], n, m, big_q1)
+    order1 = {r: (big_q1, big_q_ends) if r == 1 else trace_terms(r, order0[r], n, m, big_q1) for r in order0}
     for r, (_, row_terms) in order1.items():
         _add_ends(row_sums[r], lo, ends, *row_terms)
-    shares = []
-    for a, b in distinct:
-        (a1, _), (b1, _) = order1[a], order1[b]
-        t1 = float(order0[a][n[diag]] @ b1[diag]) + float(a1[diag] @ order0[b][n[diag]])
-        shares.append((t1, float((twice * a1) @ b1)))
-    return shares
+    return [float((twice * order1[a][0]) @ order1[b][0]) for a, b in distinct]
 
 
 def z_via_trace(
@@ -388,16 +388,17 @@ def z_via_trace(
 
     s = 1/a + 1/b traces q[1/a] q[1/b] over the order's root orders (a, b),
     with q[1/1] = Q: (1, N) traces Q q[1/N], and (N, N') traces q[1/N] q[1/N']
-    (1D only: s <= 1 diverges in two dimensions).  The lambda^2 term carries
-    the completeness-deficit compensation, after which the route matches the
+    (1D only: s <= 1 diverges in two dimensions); (a, b) and (b, a) are one
+    trace, and each order keeps its label.  The lambda^2 term carries the
+    completeness-deficit compensation, after which the route matches the
     closed form to rounding on the same table.  Each series enters only as
     (order-0 diagonal, order-1 matrix, order-2 diagonal).  The order-1
     matrices are symmetric, so they are formed on the nonzero couplings of
     S_1 with m >= n (``SigmaPowerTable.walk``): Q's once per step and
-    each q[1/N]'s once per step and root order N.  Each distinct series
-    pair's tr(A_0 B_1) + tr(A_1 B_0) and tr(A_1 B_1) are summed from them, and
-    the row sums that the order-2 diagonals need go into length-M
-    accumulators at both ends of each pair.  So no M x M matrix is formed:
+    each q[1/N]'s once per step and root order N.  A step adds each distinct
+    series pair's tr(A_1 B_1) share, and the row sums that the order-2
+    diagonals need into length-M accumulators at both ends of each pair;
+    every diagonal is read after the walk.  So no M x M matrix is formed:
     O(N nnz(S_1)) time, with one step's pairs and a few length-M vectors per
     series in memory.
     """
@@ -405,48 +406,37 @@ def z_via_trace(
     for spec in specs:  # a number carries no root orders
         if not isinstance(spec, RationalOrderSpec):
             raise ValidationError(f"order {spec!r}: the trace route needs a RationalOrderSpec")
-    _resolve_route_inputs(specs, table, basis, densities)
-    if table.max_power < 2:
-        raise ValidationError("trace route needs a table with max_power >= 2")
+    resolved = _resolve_route_inputs(specs, table, basis, densities, 2)
     m = table.size
     eps = basis.eigenvalues()
-    pairs = [spec.roots for spec in specs]  # the series pair each order traces; q[1/1] is Q
+    # the series pair each order traces, q[1/1] being Q: tr(q[1/a] q[1/b]) = tr(q[1/b] q[1/a])
+    pairs = [tuple(sorted(spec.roots)) for spec in specs]
     distinct = list(dict.fromkeys(pairs))
     # every series' order-0 diagonal, and the row sums its order-2 diagonal subtracts: for Q
     # those of S_1[n,r]^2 / eps_r, for q[1/N] the xi-weighted ones
     series = dict.fromkeys((1, *(n for pair in distinct for n in pair)))
-    order0 = {n: 1.0 / eps if n == 1 else eps ** (-1.0 / n) for n in series}
+    order0 = {n: eps ** (-1.0 / n) for n in series}
     row_sums = {n: np.zeros(m) for n in order0}
     s1_row_sq = np.zeros(m)
-    steps = [_trace_block(*coupled, eps, order0, distinct, row_sums, s1_row_sq) for coupled in table.walk(1)]
-    shares = np.array(steps).reshape(len(steps), len(distinct), 2)  # [step, pair, (t1, tr(A_1 B_1))]
+    steps = [_trace_block(*step, eps, order0, distinct, row_sums, s1_row_sq) for step in table.walk(1)]
+    shares = np.sum(np.array(steps).reshape(len(steps), len(distinct)), axis=0)  # tr(A_1 B_1) per pair
+    # each series' (order-1, order-2) diagonals; Q^(1)[n, n] = S_1[n, n] / eps_n as Q_trace_terms forms it
     s2_diag = table.diagonal(2)
-    big_q2 = Q_diagonal(s2_diag, row_sums[1], eps)
-    order2 = {n: big_q2 if n == 1 else q_diagonal(n, order0[n], big_q2, row_sums[n]) for n in order0}
-    # both series start from a diagonal order 0, so the lambda^2 term
-    # tr(A_1 B_1) + tr(A_2 B_0) + tr(A_0 B_2) reads only the diagonals of A_2 and B_2
+    big_q = (table.diagonal(1) * order0[1], Q_diagonal(s2_diag, row_sums[1], eps))
+    diagonals = {n: big_q if n == 1 else q_diagonal(n, order0[n], *big_q, row_sums[n]) for n in order0}
+    # both series start from a diagonal order 0, so the lambda term tr(A_0 B_1) + tr(A_1 B_0) and
+    # the lambda^2 term tr(A_1 B_1) + tr(A_2 B_0) + tr(A_0 B_2) read A_1, B_1 whole only in tr(A_1 B_1)
     traces = {}
-    for (a, b), (t1, t2) in zip(distinct, np.sum(shares, axis=0)):
-        a0, b0 = order0[a], order0[b]
-        t2 += float(order2[a] @ b0) + float(a0 @ order2[b])
-        traces[(a, b)] = (float(a0 @ b0), float(t1), float(t2))
+    for (a, b), t2 in zip(distinct, shares):
+        (a0, (a1, a2)), (b0, (b1, b2)) = (order0[a], diagonals[a]), (order0[b], diagonals[b])
+        t2 += float(a2 @ b0) + float(a0 @ b2)
+        traces[(a, b)] = (float(a0 @ b0), float(a0 @ b1) + float(a1 @ b0), float(t2))
     # S_2[n,n] - sum_{m<=M} S_1[n,m]^2, free of s: weighted by eps^{-s}, the finite-basis
     # deficit between the pre-split trace and the completeness-split closed form
     deficit = s2_diag - s1_row_sq
-    results = []
-    for spec, pair in zip(specs, pairs):
+    expansions = []
+    for (s, label), pair in zip(resolved, pairs):
         t0, t1, t2 = traces[pair]
         route = ROUTE_TRACE_1P if pair[0] == 1 else ROUTE_TRACE_INV
-        s = spec.s
-        tail = tail_estimate(basis, s, m)
-        z0 = t0 + tail
-        c2 = t2 + 0.25 * s * float(np.sum(deficit * eps ** (-s)))
-        results += [
-            SumRuleResult(
-                # adding 0.0 makes a zero term +0.0 whatever the sign of lambda, as in the closed form
-                s=s, lam=d.lam, z0=z0, z1=d.lam * t1 + 0.0, z2=d.lam * d.lam * c2 + 0.0,
-                tail_estimate=tail, truncation=m, route=route, order_label=spec.label(),
-            )
-            for d in densities
-        ]
-    return results
+        expansions.append((s, label, route, t0, t1, t2 + 0.25 * s * float(np.sum(deficit * eps ** (-s)))))
+    return _records(expansions, basis, densities)

@@ -648,6 +648,18 @@ def test_working_set_counted_before_allocating(tmp_path, monkeypatch, capsys):
     assert any(p.startswith("--modes: ") for p in problems_on_stderr(capsys))
 
 
+def test_the_memory_check_counts_only_the_orders_a_command_reads(tmp_path, monkeypatch, capsys):
+    # spectrum reads no order: at M = 1000 it is counted 16.28 MB with 48 orders as with
+    # one, where each order's vectors would make 17.41 MB; a sumrule run reads them all
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 17.0e6)
+    orders = [arg for n in range(2, 50) for arg in ("--s", f"1+1/{n}")]
+    out = tmp_path / "spectrum.csv"
+    assert main(["spectrum", "--modes", "1000", "--lambda", "0.1", "--out", str(out), *orders]) == EXIT_OK
+    assert len(read_csv(out)) == 1000
+    assert main(["sumrule", "--route", "oracle", "--modes", "1000", "--lambda", "0.1", *orders]) == EXIT_VALIDATION
+    assert any(p.startswith("--modes: ") for p in problems_on_stderr(capsys))
+
+
 def test_string_closed_form_counts_the_band_for_every_profile(tmp_path, monkeypatch):
     # a polynomial string table is cosine coefficients too: the closed form holds one
     # row block of S_1's couplings (every column), not a dense 3-matrix table plus its

@@ -379,7 +379,9 @@ def test_trace_terms_match_the_recursion(kind, n_root):
     assert max_rel(sq_sums, np.sum(table.power(1) ** 2, axis=1)) < 1e-15
     big_q2 = Q_diagonal(table.diagonal(2), big_q_sums, eps)
     assert max_rel(big_q2, np.diagonal(series[2])) < 1e-13
-    assert max_rel(q_diagonal(n_root, q0, big_q2, q_sums), np.diagonal(ref[2])) < 1e-13
+    q1_diag, q2_diag = q_diagonal(n_root, q0, np.diagonal(series[1]), big_q2, q_sums)
+    assert max_rel(q1_diag, np.diagonal(ref[1])) < 1e-13
+    assert max_rel(q2_diag, np.diagonal(ref[2])) < 1e-13
 
 
 @pytest.mark.parametrize("n_root", [*range(1, 9), 64])
@@ -396,9 +398,9 @@ def test_xi_row_sums_weight_by_the_xi_diagonal(n_root):
     # xi(1, ...) = 0: then both are exactly zero
     assert max_rel(at_n, q1 * q1 * xi(n_root, eps[n], eps[m], eps[n])) < tol
     assert max_rel(at_m, q1 * q1 * xi(n_root, eps[m], eps[n], eps[m])) < tol
-    # eta(N; e, e), the order-2 diagonal's divisor
-    divisor = 1.0 / q_diagonal(n_root, q0, np.ones(eps.size), np.zeros(eps.size))
-    assert max_rel(divisor, eta(n_root, eps, eps)) < tol
+    # eta(N; e, e), the divisor of both diagonals
+    for diagonal in q_diagonal(n_root, q0, np.ones(eps.size), np.ones(eps.size), np.zeros(eps.size)):
+        assert max_rel(1.0 / diagonal, eta(n_root, eps, eps)) < tol
 
 
 def test_trace_terms_of_a_zero_profile_vanish():
@@ -413,7 +415,7 @@ def test_trace_terms_of_a_zero_profile_vanish():
     for n_root in (1, 2, 5):
         q0 = eps ** (-1.0 / n_root)
         assert trace_terms(n_root, q0, n, m, big_q1)[0].size == 0
-        assert np.all(q_diagonal(n_root, q0, big_q2, np.zeros(12)) == 0.0)
+        assert np.all(np.array(q_diagonal(n_root, q0, table.diagonal(1), big_q2, np.zeros(12))) == 0.0)
 
 
 def test_csv_export_roundtrip(tmp_path):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import types
@@ -37,6 +38,13 @@ def test_all_lists_exactly_the_public_names():
     assert len(set(billzeta.__all__)) == len(billzeta.__all__)
     for name in billzeta.__all__:
         assert getattr(billzeta, name) is not None
+
+
+def test_readme_names_every_public_name():
+    # each name a code span of its own, so a longer name or plain prose does not count
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    missing = [name for name in billzeta.__all__ if not re.search(rf"`{name}\b", readme)]
+    assert missing == []
 
 
 def test_sumrule_and_verify_leave_numpy_polynomial_unimported(tmp_path):

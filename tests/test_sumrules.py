@@ -186,7 +186,7 @@ def test_banded_closed_form_matches_dense_sum(coeffs, m):
         dense_sum = float(np.sum(dense_kernel(eps, s) * s1 * s1))
         for density, res in zip(densities, results[2 * i : 2 * i + 2]):
             lam = density.lam
-            assert res.z1 == lam * s * float(np.sum(np.diag(s1) * eps ** (-s)))
+            assert res.z1 == lam * (s * float(np.sum(np.diag(s1) * eps ** (-s))))
             assert res.z2 == pytest.approx(0.5 * lam * lam * s * dense_sum, rel=1e-14, abs=0.0)
 
 
@@ -608,18 +608,48 @@ def test_every_route_returns_a_result_per_order_and_density(orders, lams):
         assert [(r.order_label, r.lam) for r in results] == [(o.label(), lam) for o in specs for lam in lams]
 
 
-def test_a_mirrored_order_keeps_its_text():
+def test_a_mirrored_order_keeps_its_text(monkeypatch):
+    from billzeta import sumrules
+
     mirrored = RationalOrderSpec.parse("1/3+1/2")
     assert mirrored.roots == (3, 2) and mirrored.label() == "1/3+1/2"
     specs = [RationalOrderSpec.parse("1/2+1/3"), mirrored]
     density = DensityPerturbation(COS2, 0.1)
     table = reference_table()
+    block, handed = sumrules._trace_block, []
+    monkeypatch.setattr(sumrules, "_trace_block", lambda *args: handed.append(args[6]) or block(*args))
     first, second = z_via_trace(specs, table, STRING, [density])
     assert (first.order_label, second.order_label) == ("1/2+1/3", "1/3+1/2")
-    assert abs(first.z_total - second.z_total) <= 1e-15 * abs(first.z_total)
+    # tr(q[1/2] q[1/3]) = tr(q[1/3] q[1/2]): every step forms the one pair's share once
+    assert handed and all(pairs == [(2, 3)] for pairs in handed)
+    assert (first.z0, first.z1, first.z2) == (second.z0, second.z1, second.z2)
     closed = z_closed_form(specs[:1], table, STRING, [density])[0]
     for res in (first, second):
         assert abs(res.z_total - closed.z_total) <= 1e-8 * abs(closed.z_total)
+
+
+def test_a_zero_first_order_term_is_positive_zero(tmp_path):
+    # S_1 of cos(pi x) on the string has a zero diagonal, so every route's z1 is zero:
+    # +0.0 whatever the sign of lambda, in the records and in the CSV
+    from billzeta.cli import EXIT_OK, main
+
+    profile = FourierCosine((0.0, 1.0))
+    basis = ModeBasis(String1D(1.0), 20)
+    table = build_sigma_table(basis, profile, 2)
+    assert not table.diagonal(1).any()
+    specs = [RationalOrderSpec.parse(text) for text in ("1+1/2", "1/2+1/3")]
+    densities = [DensityPerturbation(profile, lam) for lam in (-0.1, 0.0)]
+    for route in (z_closed_form, z_via_trace, oracle_sum_rule):
+        for res in route(specs, table, basis, densities):
+            assert res.z1 == 0.0 and math.copysign(1.0, res.z1) == 1.0, (res.route, res.lam)
+    config = tmp_path / "run.json"
+    config.write_text('{"version": 1, "density": {"profile": {"type": "fourier-cosine", "coeffs": [0.0, 1.0]}}}')
+    out = tmp_path / "all.csv"
+    argv = ["sumrule", "--config", str(config), "--route", "all", "--modes", "20", "--s", "1+1/2",
+            "--lambda=-0.1,0", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 6 and not any(cell == "-0" for row in rows for cell in row)
 
 
 @pytest.mark.parametrize("order", [1.5, Fraction(3, 2), "1+1/2"])
