@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._record import dataclass, field
+from ._record import dataclass
 from .errors import NumericalError, ValidationError
 
 _PIECE_DEGREE = 8  # a piecewise-polynomial product of degree D is cut into 1 + D // 8 pieces or more
@@ -45,7 +45,7 @@ ROW_BLOCK = 64  # rows per step wherever S_j's couplings are walked
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass
 class String1D:
     """Dirichlet string on [0, length]; mode n has eigenvalue (n pi / length)^2."""
 
@@ -56,7 +56,7 @@ class String1D:
             raise ValidationError("string length must be finite and positive")
 
 
-@dataclass(frozen=True)
+@dataclass
 class Rectangle2D:
     """Dirichlet rectangle [0,a] x [0,b]; mode (j,k) has pi^2 (j^2/a^2 + k^2/b^2)."""
 
@@ -96,7 +96,7 @@ def _enumerate_rectangle_modes(a: float, b: float, count: int) -> np.ndarray:
     return modes
 
 
-@dataclass(frozen=True)
+@dataclass
 class ModeBasis:
     """Truncated homogeneous eigenbasis: a domain plus the retained mode count."""
 
@@ -134,7 +134,7 @@ class ModeBasis:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass
 class FourierCosine:
     """sigma(x) = sum_k coeffs[k] * cos(k pi x / L); coeffs[0] is the constant."""
 
@@ -162,7 +162,7 @@ class FourierCosine:
         return all(c == 0.0 for c in self.coeffs[1::2])
 
 
-@dataclass(frozen=True)
+@dataclass
 class Polynomial:
     """sigma(x) = sum_p coeffs[p] * x^p in the physical coordinate."""
 
@@ -210,7 +210,7 @@ class Polynomial:
         )
 
 
-@dataclass(frozen=True)
+@dataclass
 class Tabulated:
     """Piecewise-linear interpolation through (x, y) samples, constant beyond them (np.interp)."""
 
@@ -258,7 +258,7 @@ class Tabulated:
 Profile1D = FourierCosine | Polynomial | Tabulated
 
 
-@dataclass(frozen=True)
+@dataclass
 class Separable2D:
     """sigma(x, y) = sum_t px_t(x) * py_t(y): sums of separable products."""
 
@@ -286,7 +286,7 @@ def _profile_sup(profile: Profile1D, length: float) -> float:
         return float(np.max(np.abs(profile.evaluate(xs, length))))
 
 
-@dataclass(frozen=True)
+@dataclass
 class DensityPerturbation:
     """Density Sigma(x) = 1 + lam * sigma(x) with a mild profile sigma.
 
@@ -557,7 +557,7 @@ def _join(root: np.ndarray, n: np.ndarray, m: np.ndarray) -> np.ndarray:
             root = jumped
 
 
-@dataclass(frozen=True, eq=False)  # holds arrays: identity == and hash
+@dataclass(eq=False)  # holds arrays: identity == and hash
 class SigmaPowerTable:
     """Matrices S_j[n, m] = <n| sigma^j |m> for j = 0..max_power, n, m = 1..size.
 
@@ -576,8 +576,10 @@ class SigmaPowerTable:
     them, and ``diagonal(j)`` the main diagonal; ``blocks()`` lists the
     exact blocks of S_1, found once from its walk.  ``restrict(j, modes)``
     forms S_j on any ascending modes, and ``power(j)`` on every mode, in a
-    new array the caller owns.  All of them give the same bits.  A table
-    serves exactly the basis it was built for (``check_basis``).
+    new array the caller owns.  All of them give the same bits.  What they
+    derive from the fields (padded coefficients, nonzero patterns, the
+    blocks) is memoized once per table in ``_memo``, which is not a field.  A
+    table serves exactly the basis it was built for (``check_basis``).
     """
 
     max_power: int
@@ -586,9 +588,9 @@ class SigmaPowerTable:
     factors: tuple[tuple[tuple[float, np.ndarray, np.ndarray], ...], ...] | None = None
     index: np.ndarray | None = None  # shape (2, size) with the factors; None on the string
     pos: np.ndarray | None = None  # the inverse of index, shape (X.shape[0], Y.shape[0])
-    _padded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _patterns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _blocks: list = field(default_factory=list, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_memo", {})  # derived data, found once per table: not a field
 
     def _check(self, j: int) -> None:
         if not 0 <= j <= self.max_power:
@@ -636,11 +638,15 @@ class SigmaPowerTable:
 
     def _add_factors(self, j: int, rows, cols, out: np.ndarray) -> np.ndarray:
         """Add S_j[rows, cols] to out (zeros): multinomial * X * Y per split, in list order."""
-        (xr, yr), (xc, yc) = self.index[:, rows], self.index[:, cols]
+        nx, ny = self.pos.shape  # each side factor's order
+        xi = self.index[0, rows] * nx  # flat indices: ``take`` gathers X[x_n, x_m] faster than 2-D indexing
+        xi += self.index[0, cols]
+        yi = self.index[1, rows] * ny
+        yi += self.index[1, cols]
         for multinomial, x, y in self.factors[j]:
-            term = x[xr, xc]  # (multinomial * X) * Y, formed in place: two temporaries, not three
+            term = x.take(xi)  # (multinomial * X) * Y, formed in place: two temporaries, not three
             term *= multinomial
-            term *= y[yr, yc]
+            term *= y.take(yi)
             out += term
         return out
 
@@ -651,14 +657,16 @@ class SigmaPowerTable:
         harmonic (or size - 1), couples.  The step is 2 when every odd one is exactly 0 (sigma^j
         mirror-even): an odd offset m - n then has n + m odd too, and S_j[n, m] is (0 - 0)/2.
         """
-        if j not in self._padded:
+        key = "coefficients", j
+        if key not in self._memo:
             c = _padded_cosine(self.cosine[j], self.size)
-            self._padded[j] = c, 1 if c[1::2].any() else 2, min(len(self.cosine[j]), self.size) - 1
-        return self._padded[j]
+            self._memo[key] = c, 1 if c[1::2].any() else 2, min(len(self.cosine[j]), self.size) - 1
+        return self._memo[key]
 
     def _pattern(self, j: int) -> tuple:
         """Per side, (start, columns) of each row's exact nonzeros in any split of S_j, CSR style."""
-        if j not in self._patterns:
+        key = "pattern", j
+        if key not in self._memo:
             sides = []
             for side, size in zip((1, 2), self.pos.shape):
                 nonzero = np.zeros((size, size), dtype=bool)
@@ -666,8 +674,8 @@ class SigmaPowerTable:
                     nonzero |= split[side] != 0.0
                 rows, cols = np.nonzero(nonzero)
                 sides.append((np.searchsorted(rows, np.arange(size + 1)), cols))
-            self._patterns[j] = tuple(sides)
-        return self._patterns[j]
+            self._memo[key] = tuple(sides)
+        return self._memo[key]
 
     def diagonal(self, j: int) -> np.ndarray:
         """S_j[n, n], from the selection rule or the factors in O(size), without forming S_j."""
@@ -750,7 +758,7 @@ class SigmaPowerTable:
         apart, is walked whole.  Blocks come in order of their lowest mode.
         Found once per table, so the arrays are read-only.
         """
-        if not self._blocks:
+        if "blocks" not in self._memo:
             root = np.arange(self.size)  # every mode's tree root: the lowest mode joined to it
             for _, n, m, _ in self.walk(1):
                 root = _join(root, n, m)
@@ -759,8 +767,8 @@ class SigmaPowerTable:
             order = np.argsort(root, kind="stable")
             order.flags.writeable = False  # every caller shares the blocks, views of order
             cuts = np.flatnonzero(np.diff(root[order])) + 1
-            self._blocks.append(tuple(np.split(order, cuts)))
-        return self._blocks[0]
+            self._memo["blocks"] = tuple(np.split(order, cuts))
+        return self._memo["blocks"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -812,19 +820,26 @@ def rectangle_table_doubles(domain: Rectangle2D, profile: Profile, mode_count: i
     return splits * (nx * nx + ny * ny) + (nx + 1) ** 2 + (ny + 1) ** 2 + nx * ny + 2 * mode_count
 
 
-def walk_step_bound(domain: String1D | Rectangle2D, profile: Profile, mode_count: int) -> int:
-    """Entries one step of ``walk(1)`` considers at most, R x max(R, per row), R = min(ROW_BLOCK, M).
+def walk_step_bound(domain: String1D | Rectangle2D, profile: Profile, mode_count: int, max_power: int) -> int:
+    """At most R max(R, per row) entries in a step of ``walk(j)``, j <= J = max_power; R = min(ROW_BLOCK, M).
 
     Counted without building the table.  Per row on the string, the offsets
-    up to S_1's highest harmonic: b + 1 for a cosine profile of highest
-    harmonic b, else every column; on the rectangle, every pair of side
-    indices up to the side bounds: about 1.3 M, which covers dense factors.
+    up to S_J's highest harmonic: J b + 1 for a cosine profile of highest
+    harmonic b, else every column.  On the rectangle, the product of the two
+    sides' candidates: each side's index bound (about 1.3 M together), which
+    covers dense factors, or 2 J b + 1 (the factors' |i - k| <= J b) where
+    every term's profile on that side is a cosine of highest harmonic at most b.
     """
     rows, per_row = min(ROW_BLOCK, mode_count), mode_count
     if isinstance(domain, Rectangle2D):
-        per_row = math.prod(_rectangle_side_bounds(domain.a, domain.b, mode_count))
+        per_row = 1
+        for side, bound in enumerate(_rectangle_side_bounds(domain.a, domain.b, mode_count)):
+            sides = [term[side] for term in profile.terms] if isinstance(profile, Separable2D) else [None]
+            if all(isinstance(p, FourierCosine) for p in sides):
+                bound = min(bound, 2 * max_power * max((p.bandwidth() for p in sides), default=0) + 1)
+            per_row *= bound
     elif isinstance(profile, FourierCosine):
-        per_row = min(mode_count, profile.bandwidth() + 1)
+        per_row = min(mode_count, max_power * profile.bandwidth() + 1)
     return rows * max(rows, per_row)
 
 

@@ -68,7 +68,7 @@ _BASIS_SIDES = {"string": ("length",), "rectangle": ("a", "b")}
 _COMMANDS = ("sumrule", "coeffs", "verify", "spectrum")
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Setting:
     """One setting: its flag, JSON path, kind, default and range.  A given flag wins, then JSON.
 
@@ -125,21 +125,21 @@ _KEYS |= {section: {k for s, _, k in _PATHS if s == section} for section, _, _ i
 
 @dataclass
 class RunConfig:
-    """Validated run configuration shared by all subcommands."""
+    """Validated run configuration shared by all subcommands; ``load_config`` gives every field."""
 
     basis: ModeBasis
     profile: object
     lam_list: list
     orders: list
-    inner_discard: int | None = _SETTINGS["inner_discard"].default
-    top_discard: float = _SETTINGS["top_discard"].default
-    route: str = _SETTINGS["route"].default
-    out_format: str = _SETTINGS["format"].default
-    out_path: str | None = _SETTINGS["out"].default
-    slope_threshold: float = _SETTINGS["threshold"].default
-    n_root: int = _SETTINGS["n_root"].default
-    max_order: int = _SETTINGS["max_order"].default
-    first_order_only: bool = _SETTINGS["first_order_only"].default
+    inner_discard: int | None
+    top_discard: float
+    route: str
+    out_format: str
+    out_path: str | None
+    slope_threshold: float
+    n_root: int
+    max_order: int
+    first_order_only: bool
 
     def densities(self):
         return [DensityPerturbation(self.profile, lam) for lam in self.lam_list]
@@ -348,7 +348,8 @@ def _memory_need(command, route, domain, profile, modes, orders, max_order) -> i
         vectors += _SERIES_VECTORS * len(series)
     if not string and (dense or oracle):  # a rectangle S_j scattered from its couplings
         arrays += _PAIR_ARRAYS
-    pairs = arrays * walk_step_bound(domain, profile, m)
+    # coeffs scatters each S_j it reads, j <= max_order, from walk(j); every other walk is S_1's
+    pairs = arrays * walk_step_bound(domain, profile, m, max_order if command == "coeffs" else 1)
     table = 0 if string else rectangle_table_doubles(domain, profile, m, max_power)
     return ((dense + work) * m * m + vectors * m + pairs + table) * 8
 
@@ -508,7 +509,7 @@ def _unwritable(path: str, exc: OSError) -> ValidationError:
 
 
 def cmd_sumrule(cfg: RunConfig) -> int:
-    table = build_sigma_table(cfg.basis, cfg.profile, 2)
+    table = build_sigma_table(cfg.basis, cfg.profile, 1 if cfg.route == "oracle" else 2)  # the oracle reads S_1
     densities = cfg.densities()
     shared = (cfg.orders, table, cfg.basis, densities)
     # route -> one result per (order, density), order-major; each route runs once

@@ -39,7 +39,7 @@ def half_binomial(k: int) -> float:
     return b
 
 
-@dataclass(frozen=True, eq=False)  # holds arrays: identity == and hash
+@dataclass(eq=False)  # holds arrays: identity == and hash
 class GreenCoefficientSet:
     """Per-order coefficient matrices q^(0..K) and Q^(0..K) for one root order."""
 

@@ -293,7 +293,7 @@ def oracle_sum_rule(
 FLOOR_FACTOR = 10.0
 
 
-@dataclass(frozen=True)
+@dataclass
 class ConvergenceFit:
     """Least-squares slope of log|Z_pert - Z_direct| against log lambda."""
 

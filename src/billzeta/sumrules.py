@@ -64,7 +64,7 @@ _ORDER_TERM = re.compile(r"-?(\d+/\d+|(\d+\.?\d*|\.\d+)([eE]-?\d+)?)")
 _ORDER_SPAN = (2 / MAX_ROOT_ORDER * (1 - 1e-9), 1.5 * (1 + 1e-9))
 
 
-@dataclass(frozen=True)
+@dataclass
 class RationalOrderSpec:
     """Exponent s = 1/a + 1/b carried as its root orders (a, b): (1, N) is 1 + 1/N, (N, N') 1/N + 1/N'."""
 
@@ -148,7 +148,7 @@ CSV_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass
 class SumRuleResult:
     """One computed Z(s) with per-order contributions and provenance."""
 

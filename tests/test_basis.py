@@ -24,6 +24,7 @@ from billzeta.basis import (
     _piecewise_cosine_coeffs,
     build_sigma_table,
     rectangle_table_doubles,
+    walk_step_bound,
 )
 from billzeta.cli import EXIT_NUMERICAL, main
 from billzeta.errors import NumericalError, ValidationError
@@ -656,7 +657,7 @@ def test_rectangle_table_doubles_bound_the_stored_table_without_listing_modes(si
         profile = Separable2D(terms)
         table = build_sigma_table(ModeBasis(Rectangle2D(*sides), m), profile, 3)
         table._couplings(1, np.arange(1))  # the nonzero pattern the routes read
-        pattern = [(start.size, cols.size) for start, cols in table._patterns[1]]
+        pattern = [(start.size, cols.size) for start, cols in table._pattern(1)]
         stored = table.index.size + table.pos.size + sum(x.size + y.size for splits in table.factors for _, x, y in splits)
         counted = rectangle_table_doubles(Rectangle2D(*sides), profile, m, 3)
         # the count takes the pattern as dense: (n + 1) + n^2 per side
@@ -795,6 +796,41 @@ def test_couplings_list_every_nonzero_of_the_power(domain, profile, per_row):
         assert table._row_step(1) > ROW_BLOCK
     if profile is POLY:
         assert table._row_step(1) == ROW_BLOCK
+
+
+def step_candidates(table, j):
+    """The most entries a step of walk(j) considers: the candidate pairs of its rows, summed."""
+    if table.cosine is not None:
+        _, stride, width = table._coefficients(j)
+        per_row = np.minimum(width, table.size - 1 - np.arange(table.size)) // stride + 1
+    else:
+        (x_start, _), (y_start, _) = table._pattern(j)
+        per_row = np.diff(x_start)[table.index[0]] * np.diff(y_start)[table.index[1]]
+    rows = table._row_step(j)
+    return max(per_row[k : k + rows].sum() for k in range(0, table.size, rows))
+
+
+BANDS = FourierCosine((0.0, 1.0, 1.0))  # cos(pi x / L) + cos(2 pi x / L): S_j has every offset up to 2j
+
+
+@pytest.mark.parametrize("domain, profile", [
+    (String1D(1.0), COS2),
+    (String1D(1.0), POLY),
+    (Rectangle2D(1.0, 1.3), Separable2D(((COS2, COS2),))),
+    (Rectangle2D(1.0, 1.3), Separable2D(((BANDS, BANDS),))),
+    (Rectangle2D(1.0, 1.3), SEP),
+    (RECT, Separable2D(((COS2, FourierCosine((1.0,))), (FourierCosine((1.0,)), FourierCosine((0.2, 0.0, 0.5)))))),
+], ids=["cosine-string", "polynomial-string", "cosine-rectangle", "banded-rectangle", "polynomial-x-cosine",
+        "two-terms"])
+def test_walk_step_bound_counts_every_power_up_to_its_own(domain, profile):
+    # the memory check's count of one walk step for powers up to J covers every step of
+    # walk(j), j <= J: a cosine side factor of S_j has at most 2 j b + 1 nonzeros a row
+    m, top = 1000, 6
+    table = build_sigma_table(ModeBasis(domain, m), profile, top)
+    for j in range(top + 1):
+        assert step_candidates(table, j) <= walk_step_bound(domain, profile, m, max(j, 1))
+    if profile == Separable2D(((BANDS, BANDS),)):  # 13 x 13 candidates a row in S_6: more than S_1's count
+        assert step_candidates(table, top) > walk_step_bound(domain, profile, m, 1)
 
 
 SKEW = Polynomial((0.3, 1.0, -0.5))  # not mirror-even: a dense S_1, one block

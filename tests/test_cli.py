@@ -632,6 +632,35 @@ def test_huge_rectangle_modes_exit_2_before_forming_side_bounds(tmp_path, monkey
     assert any(p.startswith("--modes: ") for p in problems_on_stderr(capsys))
 
 
+def test_a_cosine_rectangle_walk_is_counted_by_its_side_bands(tmp_path, monkeypatch):
+    # a cosine side factor of S_1, highest harmonic b, has at most 2b + 1 nonzeros a row: the
+    # closed form on COS_2D at M = 1.1e6 is counted 0.40 GiB, where every pair of side indices
+    # up to the side bounds counted 8.4 GiB
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 2 * 2**30)
+    cfg = write_config(tmp_path, basis={"kind": "rectangle", "a": 1.0, "b": 1.3}, density=COS_2D_DENSITY)
+    argv = ["sumrule", "--config", str(cfg), "--route", "closed", "--s", "3/2", "--lambda", "0.1",
+            "--modes", "1100000"]
+    assert load_config(str(cfg), parse_args(argv)).basis.mode_count == 1_100_000
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_sumrule_builds_the_powers_its_routes_read(tmp_path, monkeypatch, route):
+    # the oracle reads S_1 alone; the closed form and the trace routes read S_2's diagonal
+    powers = []
+    build = cli.build_sigma_table
+
+    def recorded(basis, profile, max_power):
+        powers.append(max_power)
+        return build(basis, profile, max_power)
+
+    monkeypatch.setattr(cli, "build_sigma_table", recorded)
+    order = "1/2+1/3" if route == "trace2" else "1+1/2"
+    argv = ["sumrule", "--route", route, "--modes", "40", "--s", order, "--lambda", "0.1",
+            "--out", str(tmp_path / "r.csv")]
+    assert main(argv) == EXIT_OK
+    assert powers == [1 if route == "oracle" else 2]
+
+
 def test_working_set_counted_before_allocating(tmp_path, monkeypatch, capsys):
     from billzeta import cli
 
@@ -940,6 +969,30 @@ def test_coeffs_peaks_below_the_counted_need(tmp_path, max_order):
 
     m = 120
     cfg = write_config(tmp_path)
+    argv = ["coeffs", "--config", str(cfg), "--modes", str(m), "--n-root", "3",
+            "--max-order", str(max_order), "--out", str(tmp_path / "q")]
+    loaded = load_config(str(cfg), parse_args(argv))
+    need = _memory_need("coeffs", loaded.route, loaded.basis.domain, loaded.profile, m, loaded.orders,
+                        max_order)
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < need
+
+
+def test_coeffs_on_a_cosine_rectangle_peaks_below_the_counted_need(tmp_path):
+    # coeffs scatters each dense S_j, j <= max_order, from walk(j): a cosine side factor of
+    # S_j has at most 2 j b + 1 nonzeros a row, and the count takes j = max_order (1.24x the
+    # traced peak at M = 300)
+    import tracemalloc
+
+    from billzeta.cli import _memory_need
+
+    m, max_order = 300, 6
+    cfg = write_config(tmp_path, basis={"kind": "rectangle", "a": 1.0, "b": 1.3}, density=COS_2D_DENSITY)
     argv = ["coeffs", "--config", str(cfg), "--modes", str(m), "--n-root", "3",
             "--max-order", str(max_order), "--out", str(tmp_path / "q")]
     loaded = load_config(str(cfg), parse_args(argv))

@@ -200,11 +200,15 @@ def test_array_holders_compare_by_identity():
         assert len({first, second, first}) == 2
 
 
-def test_run_config_is_mutable_and_unhashable():
-    cfg = RunConfig(ModeBasis(String1D(), 20), COS, [0.1], [RationalOrderSpec.parse("3/2")])
-    assert cfg.route == "all" and cfg.out_path is None
-    cfg.route = "closed"
-    assert cfg == RunConfig(ModeBasis(String1D(), 20), COS, [0.1], [RationalOrderSpec.parse("3/2")],
-                            route="closed")
+def test_run_config_is_frozen_and_unhashable():
+    settings = {"inner_discard": None, "top_discard": 0.25, "route": "all", "out_format": "csv",
+                "out_path": None, "slope_threshold": 2.7, "n_root": 2, "max_order": 2,
+                "first_order_only": False}
+    cfg = RunConfig(ModeBasis(String1D(), 20), COS, [0.1], [RationalOrderSpec.parse("3/2")], **settings)
+    assert cfg == RunConfig(ModeBasis(String1D(), 20), COS, [0.1], [RationalOrderSpec.parse("3/2")], **settings)
+    with pytest.raises(AttributeError):
+        cfg.route = "closed"
     with pytest.raises(TypeError):
-        hash(cfg)
+        hash(cfg)  # its lambda and order lists are unhashable
+    with pytest.raises(TypeError):
+        RunConfig(ModeBasis(String1D(), 20), COS, [0.1], [RationalOrderSpec.parse("3/2")])  # no defaults
