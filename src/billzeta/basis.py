@@ -183,7 +183,7 @@ class Polynomial:
         return all(c == 0.0 for c in self.coeffs)
 
     def bandwidth(self) -> int:
-        # algebraic, not oscillatory: a small constant sets _profile_sup's sampling
+        # algebraic, not oscillatory: a small constant sets _profile_range's sampling
         return len(self.coeffs) + 8
 
     def local_coefficients(self, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -276,14 +276,15 @@ Profile = Profile1D | Separable2D
 
 
 @functools.lru_cache(maxsize=None)
-def _profile_sup(profile: Profile1D, length: float) -> float:
-    """Sampled sup |profile| on [0, length], memoized: profiles are frozen and hashable."""
+def _profile_range(profile: Profile1D, length: float) -> tuple[float, float]:
+    """Sampled (min, max) of the profile on [0, length], memoized: profiles are frozen and hashable."""
     # 32 samples per period of the fastest cosine, so high frequencies cannot alias
     xs = np.linspace(0.0, length, max(4097, 32 * profile.bandwidth() + 1))
     if isinstance(profile, Tabulated):
         xs = np.concatenate([xs, np.clip(profile.xs, 0.0, length)])  # np.union1d would import numpy.ma
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf or nan, which fails the bound
-        return float(np.max(np.abs(profile.evaluate(xs, length))))
+        values = profile.evaluate(xs, length)
+    return float(np.min(values)), float(np.max(values))
 
 
 @dataclass
@@ -304,12 +305,14 @@ class DensityPerturbation:
         sampled as in 1D, and the terms' bounds are added: exact for one term,
         an upper bound for several.
         """
+        def sup(profile, length):  # the larger magnitude of the sampled range
+            return max(map(abs, _profile_range(profile, length)))
+
         if isinstance(domain, String1D):
-            return _profile_sup(self.profile, domain.length)
+            return sup(self.profile, domain.length)
         if not isinstance(self.profile, Separable2D):
             raise ValidationError("2D domains need a Separable2D profile")
-        a, b = domain.a, domain.b
-        return sum((_profile_sup(px, a) * _profile_sup(py, b) for px, py in self.profile.terms), 0.0)
+        return sum((sup(px, domain.a) * sup(py, domain.b) for px, py in self.profile.terms), 0.0)
 
     def validate(self, domain: String1D | Rectangle2D) -> None:
         if isinstance(domain, Rectangle2D) and not isinstance(self.profile, Separable2D):
@@ -753,16 +756,18 @@ class SigmaPowerTable:
 
         Every entry of S_1 between two blocks is exactly 0.  Each step of
         ``walk(1)`` joins the trees of a forest over the modes with its pairs;
-        the walk stops as soon as one block is left, so a dense S_1 settles
-        after its first step; a mirror-even profile's S_1, odd and even modes
-        apart, is walked whole.  Blocks come in order of their lowest mode.
-        Found once per table, so the arrays are read-only.
+        the walk stops once the forest is one block, or the two parity classes
+        on a mirror-even string (S_1 is exactly 0 between them), so a dense or
+        a mirror-even S_1 settles after its first step.  Blocks come in order
+        of their lowest mode.  Found once per table, so the arrays are read-only.
         """
         if "blocks" not in self._memo:
             root = np.arange(self.size)  # every mode's tree root: the lowest mode joined to it
+            parity = self.cosine is not None and self._coefficients(1)[1] == 2
+            coarsest = root % 2 if parity else np.zeros_like(root)
             for _, n, m, _ in self.walk(1):
                 root = _join(root, n, m)
-                if not root.any():  # every mode's root is mode 0: one block
+                if np.array_equal(root, coarsest):
                     break
             order = np.argsort(root, kind="stable")
             order.flags.writeable = False  # every caller shares the blocks, views of order

@@ -106,7 +106,6 @@ _SETTINGS = {
     "format": _Setting("--format", "output.format", ("csv", "json"), "csv", about="sumrule's output format"),
     "modes": _Setting("--modes", "truncation.modes", int, 200, about="basis truncation M"),
     "inner_discard": _Setting(None, "truncation.inner_discard", int),  # unset: modes // 4
-    "top_discard": _Setting(None, "truncation.top_discard_fraction", float, 0.25, span=(0.0, 1.0)),
     "n_root": _Setting("--n-root", None, int, 2, span=(1, MAX_ROOT_ORDER + 1), commands=("coeffs",),
                        about="root order N"),
     "max_order": _Setting("--max-order", None, int, 2, span=(0, math.inf), commands=("coeffs",),
@@ -132,7 +131,6 @@ class RunConfig:
     lam_list: list
     orders: list
     inner_discard: int | None
-    top_discard: float
     route: str
     out_format: str
     out_path: str | None
@@ -448,6 +446,8 @@ def load_config(path: str | None, overrides) -> RunConfig:
                 spec.validate_for(basis)
             except ValidationError as exc:
                 problems.append(f"order {spec.label()}: {exc}")
+            if command == "verify" and spec.fraction == 1 and basis.dimension == 1:  # 2D: diverges
+                problems.append(f"order {spec.label()}: {oracle._LINEAR_AT_ONE}")
             if command == "sumrule" and route == "trace1" and spec.roots[0] != 1:
                 problems.append(f"order {spec.label()}: route trace1 needs a 1+1/N order")
             if command == "sumrule" and route == "trace2" and spec.roots[0] == 1:
@@ -458,7 +458,7 @@ def load_config(path: str | None, overrides) -> RunConfig:
         raise ConfigError(problems)
     return RunConfig(
         basis=basis, profile=profile, lam_list=lam_list, orders=orders, inner_discard=inner_discard,
-        top_discard=values["top_discard"], route=route, out_format=values["format"], out_path=values["out"],
+        route=route, out_format=values["format"], out_path=values["out"],
         slope_threshold=values["threshold"], n_root=values["n_root"], max_order=max_order,
         first_order_only=values["first_order_only"],
     )
@@ -519,7 +519,7 @@ def cmd_sumrule(cfg: RunConfig) -> int:
     if cfg.route in ("all", "trace1", "trace2"):
         by_route["trace"] = sumrules.z_via_trace(*shared)
     if cfg.route in ("all", "oracle"):
-        by_route["oracle"] = oracle.oracle_sum_rule(*shared, top_discard=cfg.top_discard)
+        by_route["oracle"] = oracle.oracle_sum_rule(*shared)
     records: list[SumRuleResult] = []
     diffs: list[dict] = []
     for i, (spec, density) in enumerate(itertools.product(cfg.orders, densities)):
@@ -571,12 +571,7 @@ def cmd_coeffs(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     table = build_sigma_table(cfg.basis, cfg.profile, 2)
     fit = oracle.convergence_order_fit(
-        cfg.orders[0],
-        table,
-        cfg.basis,
-        cfg.densities(),
-        drop_second_order=cfg.first_order_only,
-        top_discard=cfg.top_discard,
+        cfg.orders[0], table, cfg.basis, cfg.densities(), drop_second_order=cfg.first_order_only
     )
     _require_finite([fit.slope, *sum(fit.pairs + fit.excluded, ())], "a verify error or slope")
     failed = fit.slope < cfg.slope_threshold

@@ -9,7 +9,10 @@ LAPACK call per block, merged in order.  Each block is graded in place from
 the table's fresh S_1 on it (``SigmaPowerTable.restrict``), solved and
 dropped before the next is formed, so a solve holds one block at a time
 besides LAPACK's copy of it.  The heterogeneous eigenvalues' direct zeta
-sums validate every perturbative claim.
+sums validate every perturbative claim.  They keep only the eigenvalues the
+basis resolves, a count worked out from the optical geometry and the
+profile's sampled range, and add one Weyl tail from that count in 1D and 2D
+(``z_direct_detail``).
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .basis import (
     Rectangle2D,
     SigmaPowerTable,
     String1D,
+    _profile_range,
     build_sigma_table,
 )
 from .errors import (
@@ -37,6 +41,7 @@ from .sumrules import (
     ROUTE_ORACLE,
     SumRuleResult,
     _resolve_route_inputs,
+    _s_and_label,
     _validate_s_for_basis,
     tail_estimate,
     z_closed_form,
@@ -209,49 +214,48 @@ def effective_perimeter(domain: Rectangle2D, density: DensityPerturbation) -> fl
 # ---------------------------------------------------------------------------
 
 
+def _lam_sigma_max(domain: String1D | Rectangle2D, density: DensityPerturbation) -> float:
+    """max(lam sigma) from the sampled ranges; on the rectangle each term's largest corner product of its
+    side ranges, summed over the terms: exact for one term, above the true max for several."""
+    lam = density.lam
+    if isinstance(domain, String1D):
+        return max(lam * v for v in _profile_range(density.profile, domain.length))
+    ranges = [(_profile_range(px, domain.a), _profile_range(py, domain.b)) for px, py in density.profile.terms]
+    return sum((max(lam * p * q for p in x for q in y) for x, y in ranges), 0.0)
+
+
 def z_direct_detail(
     eigenvalues: np.ndarray,
     exponents,
     basis: ModeBasis,
     density: DensityPerturbation | None = None,
-    *,
-    top_discard: float = 0.25,
 ) -> list[tuple[float, float, int]]:
-    """Direct sums over the computed spectrum plus a heterogeneous Weyl tail.
+    """Direct sums over the eigenvalues the basis resolves plus a heterogeneous Weyl tail.
 
-    The least-accurate top fraction of the Galerkin spectrum is discarded.
-    In 1D the tail uses the optical length; in 2D the discarded shell is
-    bridged with (rescaled) homogeneous eigenvalues before the smooth Weyl
-    integral takes over at the truncation cutoff, so comparisons against the
-    perturbative route share the same far tail.  The effective geometry is
-    computed once for all exponents.  Returns (value, tail, kept) per exponent.
+    M modes resolve the spectrum up to about eps_M, below which the medium
+    holds about M ratio eigenvalues: ratio = ell / (L sqrt(max Sigma)) in 1D
+    and A_eff / (A max Sigma) in 2D, with the optical length or area and
+    max Sigma = 1 + max(lam sigma).  max(1, min(M - round(M/4),
+    floor(0.95 M ratio))) are kept, and the tail is the optical geometry's
+    Weyl integral from that count.  Returns (value, tail, kept) per exponent.
     """
     for s in exponents:
         _validate_s_for_basis(s, basis)
-    if not 0.0 <= top_discard < 1.0:
-        raise ValidationError("top_discard must be in [0, 1)")
     eigs = np.asarray(eigenvalues, dtype=float)
     m = eigs.size
-    kept = max(1, m - int(round(top_discard * m)))
-    homogeneous = density is None or density.profile.is_zero
     dom = basis.domain
-    if basis.dimension == 1:
-        ell = dom.length if homogeneous else effective_length(dom, density)
+    if density is None or density.profile.is_zero:
+        geometry, ratio = {}, 1.0
+    elif basis.dimension == 1:
+        geometry = {"length": effective_length(dom, density)}
+        ratio = geometry["length"] / (dom.length * math.sqrt(1.0 + _lam_sigma_max(dom, density)))
     else:
-        a_eff, p_eff = (
-            (dom.a * dom.b, 2.0 * (dom.a + dom.b)) if homogeneous
-            else (effective_area(dom, density), effective_perimeter(dom, density))
-        )
-        scale = (dom.a * dom.b) / a_eff  # E ~ eps * (A / A_eff) for high modes
-        shell = basis.eigenvalues()[kept:m] * scale
+        geometry = {"area": effective_area(dom, density), "perimeter": effective_perimeter(dom, density)}
+        ratio = geometry["area"] / (dom.a * dom.b * (1.0 + _lam_sigma_max(dom, density)))
+    kept = max(1, min(m - round(m / 4), math.floor(0.95 * m * ratio)))
     details = []
     for s in exponents:
-        if basis.dimension == 1:
-            tail = tail_estimate(basis, s, kept, length=ell)
-        else:
-            tail = float(np.sum(shell ** (-s))) + tail_estimate(
-                basis, s, m, area=a_eff, perimeter=p_eff
-            )
+        tail = tail_estimate(basis, s, kept, **geometry)
         details.append((float(np.sum(eigs[:kept] ** (-s))) + tail, tail, kept))
     return details
 
@@ -261,16 +265,11 @@ def oracle_sum_rule(
     table: SigmaPowerTable,
     basis: ModeBasis,
     densities: list[DensityPerturbation],
-    *,
-    top_discard: float = 0.25,
 ) -> list[SumRuleResult]:
     """Full oracle route: one spectrum per density, summed for every order (z0 carries all)."""
     resolved = _resolve_route_inputs(orders, table, basis, densities, 1)
     per_density = [
-        z_direct_detail(
-            solve_spectrum(basis, density, table=table), [s for s, _ in resolved],
-            basis, density, top_discard=top_discard,
-        )
+        z_direct_detail(solve_spectrum(basis, density, table=table), [s for s, _ in resolved], basis, density)
         for density in densities
     ]
     by_order = zip(*per_density)  # per order, one (value, tail, kept) per density
@@ -291,6 +290,8 @@ def oracle_sum_rule(
 
 # verify fits only errors at least this many times their estimated numerical floor
 FLOOR_FACTOR = 10.0
+# why no order at s = 1 is fitted
+_LINEAR_AT_ONE = "Z(1) is linear in lambda, so second order is exact and there is no lambda^3 term to fit"
 
 
 @dataclass
@@ -309,19 +310,22 @@ def convergence_order_fit(
     densities: list[DensityPerturbation],
     *,
     drop_second_order: bool = False,
-    top_discard: float = 0.25,
 ) -> ConvergenceFit:
     """Fit the lambda-scaling of the perturbative error against the oracle.
 
     The closed form and the oracle both run on ``table`` (max_power >= 2) for
     every density, taken in ascending lambda.  Every lambda must be positive
-    (ValidationError otherwise, before any solve), and at least three
-    distinct.  Points whose error sits below FLOOR_FACTOR x the estimated
+    and the order's s must not be 1, where Z is exactly linear in lambda
+    (ValidationError otherwise, before any solve); at least three lambdas
+    must be distinct.  Points whose error sits below FLOOR_FACTOR x the estimated
     numerical floor (tail and rounding mismatch) are excluded and reported;
     at least three usable points are required.  With drop_second_order=True
     the second-order term is left out, so the fitted slope should drop to
     about two (harness self-check).
     """
+    s, label = _s_and_label(order)
+    if s == 1.0:
+        raise ValidationError(f"order {label}: {_LINEAR_AT_ONE}")
     bad = [d.lam for d in densities if not d.lam > 0.0]
     if bad:  # the fit is a line through (log lambda, log error)
         raise ValidationError(f"the fit needs positive lambda values, got {bad}")
@@ -329,7 +333,7 @@ def convergence_order_fit(
         raise InsufficientDataError("need at least 3 distinct lambda values")
     densities = sorted(densities, key=lambda d: d.lam)
     perts = z_closed_form([order], table, basis, densities)
-    directs = oracle_sum_rule([order], table, basis, densities, top_discard=top_discard)
+    directs = oracle_sum_rule([order], table, basis, densities)
     points = []
     for pert, direct in zip(perts, directs):
         z_pert = pert.z_total - (pert.z2 if drop_second_order else 0.0)

@@ -265,14 +265,16 @@ def _validate_s_for_basis(s: float, basis: ModeBasis) -> None:
         raise ValidationError(f"s = {s} diverges on a 2D rectangle (needs s > 1)")
 
 
+def _s_and_label(order) -> tuple[float, str]:
+    """(s, label) of an order: a RationalOrderSpec or a number."""
+    return (order.s, order.label()) if isinstance(order, RationalOrderSpec) else (float(order), f"{float(order):g}")
+
+
 def _resolve_route_inputs(orders, table: SigmaPowerTable, basis: ModeBasis, densities, power: int):
     """(s, label) of every order (a RationalOrderSpec or a number); checks the table, which the
     route reads up to S_power, the orders and the densities."""
     table.check_basis(basis)
-    resolved = [
-        (o.s, o.label()) if isinstance(o, RationalOrderSpec) else (float(o), f"{float(o):g}")
-        for o in orders
-    ]
+    resolved = [_s_and_label(o) for o in orders]
     for s, _ in resolved:
         _validate_s_for_basis(s, basis)
     for density in densities:

@@ -321,6 +321,13 @@ def test_quadrature_node_key_is_unknown(tmp_path, capsys):
     assert problems_on_stderr(capsys) == ["truncation: unknown keys"]
 
 
+def test_top_discard_fraction_key_is_unknown(tmp_path, capsys):
+    # the oracle works out how many eigenvalues its basis resolves: there is no discard setting
+    cfg = write_config(tmp_path, truncation={"modes": 40, "top_discard_fraction": 0.25})
+    assert main(["sumrule", "--config", str(cfg), "--route", "oracle"]) == EXIT_VALIDATION
+    assert problems_on_stderr(capsys) == ["truncation: unknown keys"]
+
+
 def test_spectrum_csv(tmp_path):
     out = tmp_path / "spec.csv"
     rc = main(
@@ -547,8 +554,7 @@ def test_inner_discard_out_of_range_exits_2_before_writing(tmp_path, capsys, dis
 @pytest.mark.parametrize(
     "section, key, value",
     [("truncation", "modes", 40.9), ("truncation", "modes", True),
-     ("truncation", "inner_discard", 2.5),
-     ("truncation", "top_discard_fraction", False), ("density", "lambda", True),
+     ("truncation", "inner_discard", 2.5), ("density", "lambda", True),
      ("basis", "length", True)],
 )
 def test_boolean_or_fractional_integer_exits_2(tmp_path, capsys, section, key, value):
@@ -787,6 +793,25 @@ def test_verify_needs_three_distinct_positive_lambdas(tmp_path, monkeypatch, cap
     assert rc == EXIT_VALIDATION
     problems = problems_on_stderr(capsys)
     assert any("at least 3 lambda values, distinct and positive" in p for p in problems)
+
+
+@pytest.mark.parametrize("coeffs", [[0.3, 0.0, 1.0], [0.0, 0.0, 1.0]], ids=["offset-cosine", "default"])
+@pytest.mark.parametrize("order", ["1/2+1/2", "1"])
+def test_verify_at_s_one_is_a_problem_before_any_solve(tmp_path, monkeypatch, capsys, coeffs, order):
+    # Z(1) is the trace of the Green's operator, linear in lambda: second order is exact, so a
+    # fit of the lambda^3 error would read rounding and tail noise as a slope
+    from billzeta import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("build_sigma_table called")
+
+    monkeypatch.setattr(cli, "build_sigma_table", never)
+    cfg = write_config(tmp_path, density={"profile": {"type": "fourier-cosine", "coeffs": coeffs}})
+    rc = main(["verify", "--config", str(cfg), "--s", order, "--modes", "400", "--lambda", "0.05,0.1,0.2,0.4,0.6"])
+    assert rc == EXIT_VALIDATION
+    assert problems_on_stderr(capsys) == [
+        "order 1/2+1/2: Z(1) is linear in lambda, so second order is exact and there is no lambda^3 term to fit"
+    ]
 
 
 def test_verify_too_few_usable_points_lists_the_problem(tmp_path, capsys):
@@ -1249,7 +1274,7 @@ _configs = st.fixed_dictionaries(
         "density": st.fixed_dictionaries(
             {}, optional={"profile": _profile | _json, "lambda": _json, "lambda_list": _json}
         ) | _json,
-        "truncation": _sub_object(["modes", "inner_discard", "top_discard_fraction"]),
+        "truncation": _sub_object(["modes", "inner_discard"]),
         "orders": _json,
         "route": _json,
         "output": _sub_object(["format", "path"]),
@@ -1401,7 +1426,6 @@ COS_PROFILE = {"type": "fourier-cosine", "coeffs": [0.0, 0.0, 1.0]}
 NUMERIC_STRINGS = {
     "truncation.modes": {"truncation": {"modes": "20"}},
     "truncation.inner_discard": {"truncation": {"modes": 20, "inner_discard": "2"}},
-    "truncation.top_discard_fraction": {"truncation": {"modes": 20, "top_discard_fraction": "0.25"}},
     "density.lambda": {"density": {"profile": COS_PROFILE, "lambda": "0.1"}},
     "density.lambda_list[1]": {"density": {"profile": COS_PROFILE, "lambda_list": [0.05, "0.1"]}},
     "slope_threshold": {"slope_threshold": "2.7"},

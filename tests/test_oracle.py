@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from billzeta import oracle
 from billzeta.basis import (
@@ -13,6 +15,7 @@ from billzeta.basis import (
     Rectangle2D,
     Separable2D,
     String1D,
+    Tabulated,
     build_sigma_table,
 )
 from billzeta.errors import (
@@ -446,16 +449,77 @@ def test_z_direct_homogeneous_anchor():
     assert abs(z - ZETA3 / math.pi**3) <= 2 * tail
 
 
-def test_z_direct_discard_sequence_cauchy():
-    basis = ModeBasis(String1D(1.0), 200)
+def test_z_direct_truncation_sequence_cauchy():
     dens = DensityPerturbation(COS2, 0.1)
-    values = solve_spectrum(basis, dens)
-    details = [
-        z_direct_detail(values, [1.5], basis, dens, top_discard=d)[0]
-        for d in (0.5, 0.25, 0.1)
-    ]
+    details = []
+    for m in (100, 200, 400):
+        basis = ModeBasis(String1D(1.0), m)
+        details.append(z_direct_detail(solve_spectrum(basis, dens), [1.5], basis, dens)[0])
     for (za, ta, _), (zb, tb, _) in zip(details, details[1:]):
         assert abs(za - zb) <= 2 * (ta + tb)
+
+
+def test_z_direct_strong_2d_medium_keeps_what_the_basis_resolves():
+    # COS_2D at lambda = 0.9: A_eff / (A max Sigma) = 1 / 1.9, so M = 400 modes resolve about
+    # 0.95 * 400 / 1.9 = 200 eigenvalues; a fixed 25% discard kept 300 and missed by 1.1e-6
+    dens = DensityPerturbation(COS_2D, 0.9)
+    z = {}
+    for m in (400, 1500):
+        basis = ModeBasis(RECT, m)
+        [(z[m], _, kept)] = z_direct_detail(solve_spectrum(basis, dens), [2.0], basis, dens)
+        if m == 400:
+            assert kept == 200
+    assert abs(z[400] - z[1500]) <= 3e-7
+
+
+_COEFF = st.floats(-1.0, 1.0).filter(lambda c: c == 0.0 or abs(c) >= 1e-3)  # lambda = strength / sup stays mild
+_KEPT_PROFILES = st.one_of(
+    st.lists(_COEFF, min_size=1, max_size=5).map(lambda c: FourierCosine(tuple(c))),
+    st.lists(_COEFF, min_size=1, max_size=4).map(lambda c: Polynomial(tuple(c))),
+    st.lists(_COEFF, min_size=2, max_size=6).map(
+        lambda ys: Tabulated(tuple(np.linspace(-0.1, 1.1, len(ys))), tuple(ys))),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(profile=_KEPT_PROFILES, other=_KEPT_PROFILES, rectangle=st.booleans(),
+       strength=st.floats(-0.95, 0.95), m=st.integers(1, 80))
+def test_z_direct_kept_count_rule(profile, other, rectangle, strength, m):
+    # kept = max(1, min(M - round(M/4), floor(0.95 M ratio))): ratio from the optical geometry and
+    # max Sigma = 1 + max(lam sigma) from the profile's sampled range
+    from billzeta.basis import _profile_range
+
+    for p, length in ((profile, 1.0), (other, 1.3)):
+        lo, hi = _profile_range(p, length)
+        xs = np.linspace(0.0, length, max(4097, 32 * p.bandwidth() + 1))
+        samples = p.evaluate(np.concatenate([xs, np.clip(getattr(p, "xs", ()), 0.0, length)]), length)
+        assert lo <= samples.min() and samples.max() <= hi  # the signed range brackets every sample
+        assert lo in samples and hi in samples
+    if rectangle:
+        domain, dens = RECT, DensityPerturbation(Separable2D(((profile, other),)), 0.0)
+        sup = dens.sigma_sup(domain)
+    else:
+        domain, dens = String1D(1.3), DensityPerturbation(profile, 0.0)
+        sup = dens.sigma_sup(domain)
+    lam = strength / sup if sup > 0.0 else strength
+    dens = DensityPerturbation(dens.profile, lam)
+    basis = ModeBasis(domain, m)
+    [(_, _, kept)] = z_direct_detail(basis.eigenvalues(), [2.0], basis, dens)
+    cap = m - round(m / 4)
+    assert 1 <= kept <= cap
+    if dens.profile.is_zero:  # the homogeneous spectrum: ratio 1
+        assert kept == max(1, min(cap, math.floor(0.95 * m)))
+        return
+    if rectangle:
+        rx, ry = _profile_range(profile, domain.a), _profile_range(other, domain.b)
+        peak = max(lam * p * q for p in rx for q in ry)
+        ratio = effective_area(domain, dens) / (domain.a * domain.b * (1.0 + peak))
+    else:
+        peak = max(lam * v for v in _profile_range(profile, domain.length))
+        ratio = effective_length(domain, dens) / (domain.length * math.sqrt(1.0 + peak))
+    if 0.95 * ratio >= 0.75 + 1.0 / m:  # every mild medium: three quarters, as a fixed discard kept
+        assert kept == cap
+    assert kept == max(1, min(cap, math.floor(0.95 * m * ratio)))
 
 
 def test_z_direct_validation():
@@ -463,8 +527,6 @@ def test_z_direct_validation():
     vals = basis.eigenvalues()
     with pytest.raises(ValidationError):
         z_direct_detail(vals, [0.3], basis)
-    with pytest.raises(ValidationError):
-        z_direct_detail(vals, [1.5], basis, top_discard=1.0)
 
 
 def test_effective_geometry():
@@ -509,6 +571,22 @@ def test_convergence_fit_first_order_slope_two():
         drop_second_order=True,
     )
     assert 1.8 < fit.slope < 2.2
+
+
+@pytest.mark.parametrize("order", [RationalOrderSpec.parse("1/2+1/2"), 1.0])
+def test_convergence_fit_rejects_s_one_before_any_solve(monkeypatch, order):
+    # Z(1) is linear in lambda: second order is exact and there is no lambda^3 error to fit
+
+    def never(*args, **kwargs):
+        raise AssertionError("a route ran")
+
+    monkeypatch.setattr(oracle, "z_closed_form", never)
+    monkeypatch.setattr(oracle, "oracle_sum_rule", never)
+    basis = ModeBasis(String1D(1.0), 40)
+    table = build_sigma_table(basis, COS2, 2)
+    densities = [DensityPerturbation(COS2, lam) for lam in (0.05, 0.1, 0.2)]
+    with pytest.raises(ValidationError, match=r"Z\(1\) is linear in lambda"):
+        convergence_order_fit(order, table, basis, densities)
 
 
 @pytest.mark.parametrize("lambdas, error, named", [

@@ -201,7 +201,7 @@ def test_array_holders_compare_by_identity():
 
 
 def test_run_config_is_frozen_and_unhashable():
-    settings = {"inner_discard": None, "top_discard": 0.25, "route": "all", "out_format": "csv",
+    settings = {"inner_discard": None, "route": "all", "out_format": "csv",
                 "out_path": None, "slope_threshold": 2.7, "n_root": 2, "max_order": 2,
                 "first_order_only": False}
     cfg = RunConfig(ModeBasis(String1D(), 20), COS, [0.1], [RationalOrderSpec.parse("3/2")], **settings)
