@@ -298,21 +298,29 @@ class DensityPerturbation:
     profile: Profile
     lam: float = 0.0
 
-    def sigma_sup(self, domain: String1D | Rectangle2D) -> float:
-        """Sampled estimate of sup |sigma| over the domain.
+    def sigma_range(self, domain: String1D | Rectangle2D, scale: float = 1.0) -> tuple[float, float]:
+        """Sampled (lo, hi) bound of scale * sigma over the domain; scale = lam bounds lam sigma.
 
-        In 2D each separable term is bounded by sup|px| * sup|py|, each factor
-        sampled as in 1D, and the terms' bounds are added: exact for one term,
-        an upper bound for several.
+        In 2D each separable term runs between the least and the greatest
+        product (scale px) py over its sides' sampled range ends, and the
+        terms' ends are added: exact for one term, a bound for several.
+        numpy's min and max keep a NaN end, such as an overflowed side times
+        a zero one, where Python's would drop it; it fails the density bound.
         """
-        def sup(profile, length):  # the larger magnitude of the sampled range
-            return max(map(abs, _profile_range(profile, length)))
-
         if isinstance(domain, String1D):
-            return sup(self.profile, domain.length)
+            ends = [scale * v for v in _profile_range(self.profile, domain.length)]
+            return float(np.min(ends)), float(np.max(ends))
         if not isinstance(self.profile, Separable2D):
             raise ValidationError("2D domains need a Separable2D profile")
-        return sum((sup(px, domain.a) * sup(py, domain.b) for px, py in self.profile.terms), 0.0)
+        lo = hi = 0.0
+        for px, py in self.profile.terms:
+            corners = [scale * p * q for p in _profile_range(px, domain.a) for q in _profile_range(py, domain.b)]
+            lo, hi = lo + float(np.min(corners)), hi + float(np.max(corners))
+        return lo, hi
+
+    def sigma_sup(self, domain: String1D | Rectangle2D) -> float:
+        """Sampled bound on sup |sigma| over the domain, the larger end of ``sigma_range``."""
+        return max(map(abs, self.sigma_range(domain)))
 
     def validate(self, domain: String1D | Rectangle2D) -> None:
         if isinstance(domain, Rectangle2D) and not isinstance(self.profile, Separable2D):
@@ -562,11 +570,14 @@ def _join(root: np.ndarray, n: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)  # holds arrays: identity == and hash
 class SigmaPowerTable:
-    """Matrices S_j[n, m] = <n| sigma^j |m> for j = 0..max_power, n, m = 1..size.
+    """Matrices S_j[n, m] = <n| sigma^j |m> for j = 0..max_power over the modes n, m of ``basis``.
 
-    Two storage forms, each what generates the matrices.  On the string, the
-    cosine coefficients of each sigma^j (``cosine[j]``), cut after the
-    highest harmonic for a cosine profile and c_0..c_{2 size} otherwise.  On
+    The table is a run's medium: it keeps the basis and the profile sigma it
+    was built from, and every reader checks a strength lambda against them
+    with ``density(lam)``; ``size`` is the basis's mode count.  Two storage
+    forms, each what generates the matrices.  On the string, the cosine
+    coefficients of each sigma^j (``cosine[j]``), cut after the highest
+    harmonic for a cosine profile and c_0..c_{2 size} otherwise.  On
     the rectangle, the separable factors of each S_j: ``factors[j]`` lists
     (multinomial, X, Y) with S_j[n, m] the sum of multinomial X[x_n, x_m]
     Y[y_n, y_m] in list order, where (x_n, y_n) = ``index[:, n]`` is mode
@@ -581,12 +592,12 @@ class SigmaPowerTable:
     forms S_j on any ascending modes, and ``power(j)`` on every mode, in a
     new array the caller owns.  All of them give the same bits.  What they
     derive from the fields (padded coefficients, nonzero patterns, the
-    blocks) is memoized once per table in ``_memo``, which is not a field.  A
-    table serves exactly the basis it was built for (``check_basis``).
+    blocks) is memoized once per table in ``_memo``, which is not a field.
     """
 
     max_power: int
-    size: int
+    basis: ModeBasis
+    profile: Profile
     cosine: tuple[np.ndarray, ...] | None = None
     factors: tuple[tuple[tuple[float, np.ndarray, np.ndarray], ...], ...] | None = None
     index: np.ndarray | None = None  # shape (2, size) with the factors; None on the string
@@ -599,10 +610,15 @@ class SigmaPowerTable:
         if not 0 <= j <= self.max_power:
             raise ValidationError(f"power {j} outside table range 0..{self.max_power}")
 
-    def check_basis(self, basis: ModeBasis) -> None:
-        """Raise ValidationError unless the table has exactly the basis's modes: it serves that basis only."""
-        if self.size != basis.mode_count:
-            raise ValidationError(f"a table of {self.size} modes cannot serve a basis of {basis.mode_count}")
+    @property
+    def size(self) -> int:
+        return self.basis.mode_count
+
+    def density(self, lam: float) -> DensityPerturbation:
+        """The medium 1 + lam sigma of the table's profile, checked on its domain (``validate``)."""
+        density = DensityPerturbation(self.profile, lam)
+        density.validate(self.basis.domain)
+        return density
 
     def power(self, j: int) -> np.ndarray:
         """A new dense S_j, which the caller owns: ``restrict`` on every mode."""
@@ -848,10 +864,8 @@ def walk_step_bound(domain: String1D | Rectangle2D, profile: Profile, mode_count
     return rows * max(rows, per_row)
 
 
-def build_sigma_table(
-    basis: ModeBasis, density: DensityPerturbation | Profile, max_power: int
-) -> SigmaPowerTable:
-    """Build the table of <n| sigma^j |m>, j = 0..max_power.
+def build_sigma_table(basis: ModeBasis, profile: Profile, max_power: int) -> SigmaPowerTable:
+    """Build the table of <n| sigma^j |m>, j = 0..max_power, which keeps the basis and the profile.
 
     A string table keeps the cosine coefficients of each sigma^j, exact to
     rounding (``_cosine_coeffs``): O(J b) numbers for a cosine profile of
@@ -869,20 +883,19 @@ def build_sigma_table(
     Parameters
     ----------
     basis : ModeBasis
-    density : DensityPerturbation or a bare profile
-        Only the profile matters; the table is independent of the strength.
+    profile : Profile
+        sigma alone; the table is independent of the strength lambda.
     max_power : int
         Highest power J >= 1.
     """
     if max_power < 1:
         raise ValidationError("max_power must be >= 1")
     m_size = basis.mode_count
-    profile = density.profile if isinstance(density, DensityPerturbation) else density
 
     if isinstance(basis.domain, String1D):
         powers = [[(profile, j)] for j in range(1, max_power + 1)]
         coeffs = _cosine_coeffs(m_size, basis.domain.length, powers)
-        return SigmaPowerTable(max_power, m_size, cosine=(np.ones(1), *coeffs))
+        return SigmaPowerTable(max_power, basis, profile, cosine=(np.ones(1), *coeffs))
 
     if not isinstance(profile, Separable2D):
         raise ValidationError("2D tables need a Separable2D profile")
@@ -911,4 +924,4 @@ def build_sigma_table(
             x, y = (_selection_rule(_padded_cosine(cs, n), np.arange(n)[:, None], np.arange(n))
                     for cs, n in zip((cx, cy), sizes))
             factors[j].append((multinomial, x, y))
-    return SigmaPowerTable(max_power, m_size, factors=tuple(map(tuple, factors)), index=index, pos=pos)
+    return SigmaPowerTable(max_power, basis, profile, factors=tuple(map(tuple, factors)), index=index, pos=pos)

@@ -73,7 +73,7 @@ class _Setting:
     """One setting: its flag, JSON path, kind, default and range.  A given flag wins, then JSON.
 
     A kind is int or float (a finite number), str, a tuple (one of these values), "orders"
-    (--s, repeated, or a JSON array), "numbers" (--lambda's X[,X...] or a JSON array) or None
+    (--s, repeated, or a JSON array), "numbers" (--lambda's X[,X...], a JSON number or array) or None
     (parsed by load_config's own code).  A flag's value is the text given, checked by the same
     rule as the JSON value, which must not be text where a number is due.  JSON null is the
     default where that is None (unset), else wrong.
@@ -96,8 +96,7 @@ _SETTINGS = {
     "basis": _Setting(None, "basis", None, {"kind": "string"}),
     "s": _Setting("--s", "orders", "orders", ["3/2"],
                   about="rational order, e.g. 3/2, 1+1/4 or 1/2+1/3 (repeatable)"),
-    "lam": _Setting("--lambda", "density.lambda_list", "numbers", about="density strength(s), X[,X...]"),
-    "lambda": _Setting(None, "density.lambda", float, 0.1),  # read without --lambda and lambda_list
+    "lam": _Setting("--lambda", "density.lambda", "numbers", [0.1], about="density strength(s), X[,X...]"),
     "profile": _Setting(None, "density.profile", None),  # unset: the reference cos(2 pi x / L)
     "route": _Setting("--route", "route", ROUTES, "all", about="the routes sumrule computes"),
     # ignored; kept only because perfbench/workloads.py passes it on every invocation
@@ -138,9 +137,6 @@ class RunConfig:
     n_root: int
     max_order: int
     first_order_only: bool
-
-    def densities(self):
-        return [DensityPerturbation(self.profile, lam) for lam in self.lam_list]
 
 
 def _typed(node, kind, where, problems, fallback):
@@ -212,6 +208,9 @@ def _setting(dest: str, overrides, nodes: dict, problems: list):
     if kind is str:
         return _typed(value, str, where, problems, None)
     if kind == "numbers":
+        if not text and not isinstance(value, list):  # one JSON number
+            number = _number(value, where, problems)
+            return [] if number is None else [number]
         tokens = [tok for tok in value.split(",") if tok] if text else value
         return _numbers(tokens, where, problems, text)
     if kind == "orders":
@@ -375,13 +374,8 @@ def load_config(path: str | None, overrides) -> RunConfig:
         unknown = set(nodes[name]) - keys
         if unknown:
             problems.append(f"{name}: unknown keys" if name else f"unknown config keys {sorted(unknown)}")
-    values = {dest: _setting(dest, overrides, nodes, problems) for dest in _SETTINGS if dest != "lambda"}
+    values = {dest: _setting(dest, overrides, nodes, problems) for dest in _SETTINGS}
     modes, lam_list, orders, route = values["modes"], values["lam"], values["s"], values["route"]
-    if "lambda" in nodes["density"] and "lambda_list" in nodes["density"]:
-        problems.append("density: give either lambda or lambda_list, not both")
-    if lam_list is None:  # neither --lambda nor density.lambda_list: density.lambda's one value
-        lam = _setting("lambda", overrides, nodes, problems)
-        lam_list = [] if lam is None else [lam]
 
     # --- basis and profile ---
     basis_node = _typed(values["basis"], dict, "basis", problems, {})
@@ -510,9 +504,8 @@ def _unwritable(path: str, exc: OSError) -> ValidationError:
 
 def cmd_sumrule(cfg: RunConfig) -> int:
     table = build_sigma_table(cfg.basis, cfg.profile, 1 if cfg.route == "oracle" else 2)  # the oracle reads S_1
-    densities = cfg.densities()
-    shared = (cfg.orders, table, cfg.basis, densities)
-    # route -> one result per (order, density), order-major; each route runs once
+    shared = (cfg.orders, table, cfg.lam_list)
+    # route -> one result per (order, lambda), order-major; each route runs once
     by_route = {}
     if cfg.route in ("all", "closed"):
         by_route["closed"] = sumrules.z_closed_form(*shared)
@@ -522,13 +515,13 @@ def cmd_sumrule(cfg: RunConfig) -> int:
         by_route["oracle"] = oracle.oracle_sum_rule(*shared)
     records: list[SumRuleResult] = []
     diffs: list[dict] = []
-    for i, (spec, density) in enumerate(itertools.product(cfg.orders, densities)):
+    for i, (spec, lam) in enumerate(itertools.product(cfg.orders, cfg.lam_list)):
         trace = "trace1" if spec.roots[0] == 1 else "trace2"
         group = {trace if name == "trace" else name: found[i] for name, found in by_route.items()}
         records.extend(group.values())
         for a, b in itertools.combinations(sorted(group), 2):
             diffs.append({
-                "order": spec.label(), "lambda": density.lam, "pair": f"{a}-vs-{b}",
+                "order": spec.label(), "lambda": lam, "pair": f"{a}-vs-{b}",
                 "abs_difference": abs(group[a].z_total - group[b].z_total),
             })
     for r in records:
@@ -549,7 +542,7 @@ def cmd_sumrule(cfg: RunConfig) -> int:
 def cmd_coeffs(cfg: RunConfig) -> int:
     n_root, max_order = cfg.n_root, cfg.max_order
     table = build_sigma_table(cfg.basis, cfg.profile, max(max_order, 1))
-    big_q = coefficients.build_Q_series(max_order, table, cfg.basis)
+    big_q = coefficients.build_Q_series(max_order, table)
     cset = coefficients.q_generic_recursion(n_root, big_q, cfg.basis)
     residuals = coefficients.verify_convolution(cset, discard=cfg.inner_discard)
     out_dir = Path(cfg.out_path or ".")
@@ -571,7 +564,7 @@ def cmd_coeffs(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     table = build_sigma_table(cfg.basis, cfg.profile, 2)
     fit = oracle.convergence_order_fit(
-        cfg.orders[0], table, cfg.basis, cfg.densities(), drop_second_order=cfg.first_order_only
+        cfg.orders[0], table, cfg.lam_list, drop_second_order=cfg.first_order_only
     )
     _require_finite([fit.slope, *sum(fit.pairs + fit.excluded, ())], "a verify error or slope")
     failed = fit.slope < cfg.slope_threshold
@@ -585,9 +578,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    density = cfg.densities()[0]
     table = build_sigma_table(cfg.basis, cfg.profile, 1)
-    values = oracle.solve_spectrum(cfg.basis, density, table=table)
+    values = oracle.solve_spectrum(table, cfg.lam_list[0])
     lines = ["index,eigenvalue"] + [f"{i + 1},{v:.17g}" for i, v in enumerate(values)]
     _emit("\n".join(lines) + "\n", cfg)
     return EXIT_OK

@@ -82,18 +82,17 @@ def _series_product(a, b, top: int) -> list:
     return out
 
 
-def build_Q_series(k: int, table: SigmaPowerTable, basis: ModeBasis) -> tuple:
+def build_Q_series(k: int, table: SigmaPowerTable) -> tuple:
     """Orders 0..k of the dressed Green's function, Q^(0..k).
 
     Q^(c)[n,m] = sum_{j<=c} binom(1/2,j) binom(1/2,c-j) sum_r S_j[n,r] S_{c-j}[r,m] / eps_r
-    with the internal sum truncated at the basis, which the table must have exactly.
+    with the internal sum truncated at the table's basis.
     """
-    table.check_basis(basis)
     if k < 0:
         raise ValidationError("order must be >= 0")
     if k > table.max_power:
         raise ValidationError(f"order {k} exceeds table max_power {table.max_power}")
-    inv = 1.0 / basis.eigenvalues()
+    inv = 1.0 / table.basis.eigenvalues()
     half = [np.ones(table.size)] + [half_binomial(j) * table.power(j) for j in range(1, k + 1)]
     series = _series_product([h * inv for h in half], half, k)
     return (np.diag(series[0]), *(_sym(q) for q in series[1:]))

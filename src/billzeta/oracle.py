@@ -12,7 +12,9 @@ besides LAPACK's copy of it.  The heterogeneous eigenvalues' direct zeta
 sums validate every perturbative claim.  They keep only the eigenvalues the
 basis resolves, a count worked out from the optical geometry and the
 profile's sampled range, and add one Weyl tail from that count in 1D and 2D
-(``z_direct_detail``).
+(``z_direct_detail``).  Like the perturbative routes, every solve reads its
+basis and profile from the table and takes plain lambdas, checked against
+that profile, so the oracle cross-checks exactly the medium the routes expand.
 """
 
 from __future__ import annotations
@@ -22,15 +24,7 @@ import math
 import numpy as np
 
 from ._record import dataclass
-from .basis import (
-    DensityPerturbation,
-    ModeBasis,
-    Rectangle2D,
-    SigmaPowerTable,
-    String1D,
-    _profile_range,
-    build_sigma_table,
-)
+from .basis import DensityPerturbation, ModeBasis, Rectangle2D, SigmaPowerTable, String1D
 from .errors import (
     FactorizationError,
     InsufficientDataError,
@@ -48,20 +42,19 @@ from .sumrules import (
 )
 
 
-def _graded_blocks(table: SigmaPowerTable, basis: ModeBasis, density: DensityPerturbation):
+def _graded_blocks(table: SigmaPowerTable, lam: float):
     """(modes, B[modes][:, modes]) for each exact block of S_1 in turn, B = r (I + lam S_1) r.
 
     Each block is S_1 on its modes in a new array (``restrict``), graded in
     place and dropped here once it is yielded, so the next block is formed
     only after the caller lets go of this one.
     """
-    table.check_basis(basis)
-    r = 1.0 / np.sqrt(basis.eigenvalues())
+    r = 1.0 / np.sqrt(table.basis.eigenvalues())
     for modes in table.blocks():
         graded = table.restrict(1, modes)
         # S = I + lam * S_1 with no identity matrix: adding 0.0 turns the -0.0 of a negative
         # lam into the +0.0 the identity's zeros give, since LAPACK's reflectors read its sign
-        graded *= density.lam
+        graded *= lam
         graded += 0.0
         graded.flat[:: len(modes) + 1] += 1.0
         graded *= r[modes, None]
@@ -70,25 +63,23 @@ def _graded_blocks(table: SigmaPowerTable, basis: ModeBasis, density: DensityPer
         del graded
 
 
-def solve_spectrum(basis: ModeBasis, density: DensityPerturbation, *, table: SigmaPowerTable | None = None,
-                   want_vectors: bool = False):
+def solve_spectrum(table: SigmaPowerTable, lam: float, *, want_vectors: bool = False):
     """Eigenvalues (ascending) of K c = E S c, one LAPACK call per exact block of S_1.
 
     With r = K^{-1/2}, the eigenvalues mu of each block of the symmetric
     B = r S r give E = 1/mu; each block is formed, solved and dropped before
-    the next, and the blocks' values are merged in order.  The table, of
-    exactly the basis's modes, gives S_1; without one a power-1 table of the
-    basis is built.  A non-positive mu means S is not positive definite,
-    which is reported as a density-bound problem: S stays positive definite
-    whenever sup|lam*sigma| < 1.  With want_vectors=True the S-orthonormal
+    the next, and the blocks' values are merged in order.  The table gives
+    the basis and S_1, and lam is checked against the table's profile
+    (``SigmaPowerTable.density``); no table is built here.  A non-positive
+    mu means S is not positive definite, which is reported as a
+    density-bound problem: S stays positive definite whenever
+    sup|lam*sigma| < 1.  With want_vectors=True the S-orthonormal
     generalized eigenvectors c = r y / sqrt(mu) are returned as columns,
     each zero outside its block's modes.
     """
-    density.validate(basis.domain)
-    if table is None:
-        table = build_sigma_table(basis, density, 1)
+    table.density(lam)
     solved = []
-    for _, graded in _graded_blocks(table, basis, density):
+    for _, graded in _graded_blocks(table, lam):
         try:
             solved.append(np.linalg.eigh(graded) if want_vectors else (np.linalg.eigvalsh(graded), None))
         except np.linalg.LinAlgError as exc:
@@ -105,7 +96,7 @@ def solve_spectrum(basis: ModeBasis, density: DensityPerturbation, *, table: Sig
     order = np.argsort(mu, kind="stable")[::-1]  # descending mu: ascending E
     if not want_vectors:
         return 1.0 / mu[order]
-    r = 1.0 / np.sqrt(basis.eigenvalues())
+    r = 1.0 / np.sqrt(table.basis.eigenvalues())
     column = np.empty(len(mu), dtype=np.intp)
     column[order] = np.arange(len(mu))  # each block eigenvalue's place in the merged order
     vectors = np.zeros((len(mu), len(mu)))
@@ -118,14 +109,13 @@ def solve_spectrum(basis: ModeBasis, density: DensityPerturbation, *, table: Sig
     return 1.0 / mu[order], vectors
 
 
-def residual_norms(table: SigmaPowerTable, basis: ModeBasis, density: DensityPerturbation,
-                   values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+def residual_norms(table: SigmaPowerTable, lam: float, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Relative residuals ||K c - E S c|| / ||K c|| per eigenpair, S c = r^-1 B (r^-1 c) block by block."""
-    stiffness = basis.eigenvalues()
+    stiffness = table.basis.eigenvalues()
     root = np.sqrt(stiffness)  # r^-1
     kc = stiffness[:, None] * vectors
     sc = np.empty_like(vectors)
-    for modes, graded in _graded_blocks(table, basis, density):
+    for modes, graded in _graded_blocks(table, lam):
         sc[modes] = root[modes, None] * (graded @ (root[modes, None] * vectors[modes]))
     num = np.linalg.norm(kc - values[None, :] * sc, axis=0)
     den = np.linalg.norm(kc, axis=0)
@@ -214,16 +204,6 @@ def effective_perimeter(domain: Rectangle2D, density: DensityPerturbation) -> fl
 # ---------------------------------------------------------------------------
 
 
-def _lam_sigma_max(domain: String1D | Rectangle2D, density: DensityPerturbation) -> float:
-    """max(lam sigma) from the sampled ranges; on the rectangle each term's largest corner product of its
-    side ranges, summed over the terms: exact for one term, above the true max for several."""
-    lam = density.lam
-    if isinstance(domain, String1D):
-        return max(lam * v for v in _profile_range(density.profile, domain.length))
-    ranges = [(_profile_range(px, domain.a), _profile_range(py, domain.b)) for px, py in density.profile.terms]
-    return sum((max(lam * p * q for p in x for q in y) for x, y in ranges), 0.0)
-
-
 def z_direct_detail(
     eigenvalues: np.ndarray,
     exponents,
@@ -235,24 +215,30 @@ def z_direct_detail(
     M modes resolve the spectrum up to about eps_M, below which the medium
     holds about M ratio eigenvalues: ratio = ell / (L sqrt(max Sigma)) in 1D
     and A_eff / (A max Sigma) in 2D, with the optical length or area and
-    max Sigma = 1 + max(lam sigma).  max(1, min(M - round(M/4),
-    floor(0.95 M ratio))) are kept, and the tail is the optical geometry's
-    Weyl integral from that count.  Returns (value, tail, kept) per exponent.
+    max Sigma = 1 + max(lam sigma) over ``sigma_range``.  max(1, min(M -
+    round(M/4), floor(0.95 M ratio))) are kept, and the tail is the optical
+    geometry's Weyl integral from that count; a homogeneous spectrum (no
+    density, or a zero profile) keeps max(1, M - round(M/4)) at every M.
+    Returns (value, tail, kept) per exponent.
     """
     for s in exponents:
         _validate_s_for_basis(s, basis)
     eigs = np.asarray(eigenvalues, dtype=float)
     m = eigs.size
     dom = basis.domain
+    kept = m - round(m / 4)
     if density is None or density.profile.is_zero:
-        geometry, ratio = {}, 1.0
-    elif basis.dimension == 1:
-        geometry = {"length": effective_length(dom, density)}
-        ratio = geometry["length"] / (dom.length * math.sqrt(1.0 + _lam_sigma_max(dom, density)))
+        geometry = {}
     else:
-        geometry = {"area": effective_area(dom, density), "perimeter": effective_perimeter(dom, density)}
-        ratio = geometry["area"] / (dom.a * dom.b * (1.0 + _lam_sigma_max(dom, density)))
-    kept = max(1, min(m - round(m / 4), math.floor(0.95 * m * ratio)))
+        peak = density.sigma_range(dom, density.lam)[1]  # max(lam sigma)
+        if basis.dimension == 1:
+            geometry = {"length": effective_length(dom, density)}
+            ratio = geometry["length"] / (dom.length * math.sqrt(1.0 + peak))
+        else:
+            geometry = {"area": effective_area(dom, density), "perimeter": effective_perimeter(dom, density)}
+            ratio = geometry["area"] / (dom.a * dom.b * (1.0 + peak))
+        kept = min(kept, math.floor(0.95 * m * ratio))
+    kept = max(1, kept)
     details = []
     for s in exponents:
         tail = tail_estimate(basis, s, kept, **geometry)
@@ -260,26 +246,21 @@ def z_direct_detail(
     return details
 
 
-def oracle_sum_rule(
-    orders,
-    table: SigmaPowerTable,
-    basis: ModeBasis,
-    densities: list[DensityPerturbation],
-) -> list[SumRuleResult]:
-    """Full oracle route: one spectrum per density, summed for every order (z0 carries all)."""
-    resolved = _resolve_route_inputs(orders, table, basis, densities, 1)
-    per_density = [
-        z_direct_detail(solve_spectrum(basis, density, table=table), [s for s, _ in resolved], basis, density)
-        for density in densities
+def oracle_sum_rule(orders, table: SigmaPowerTable, lams) -> list[SumRuleResult]:
+    """Full oracle route: one spectrum per lambda, summed for every order (z0 carries all)."""
+    resolved = _resolve_route_inputs(orders, table, lams, 1)
+    exponents = [s for s, _ in resolved]
+    per_lam = [
+        z_direct_detail(solve_spectrum(table, lam), exponents, table.basis, table.density(lam)) for lam in lams
     ]
-    by_order = zip(*per_density)  # per order, one (value, tail, kept) per density
+    by_order = zip(*per_lam)  # per order, one (value, tail, kept) per lambda
     return [
         SumRuleResult(
-            s=s, lam=density.lam, z0=value, z1=0.0, z2=0.0,
+            s=s, lam=lam, z0=value, z1=0.0, z2=0.0,
             tail_estimate=tail, truncation=kept, route=ROUTE_ORACLE, order_label=label,
         )
         for (s, label), row in zip(resolved, by_order)
-        for density, (value, tail, kept) in zip(densities, row)
+        for lam, (value, tail, kept) in zip(lams, row)
     ]
 
 
@@ -303,18 +284,11 @@ class ConvergenceFit:
     excluded: tuple  # (lambda, error, floor) dropped as below FLOOR_FACTOR x the numeric floor
 
 
-def convergence_order_fit(
-    order,
-    table: SigmaPowerTable,
-    basis: ModeBasis,
-    densities: list[DensityPerturbation],
-    *,
-    drop_second_order: bool = False,
-) -> ConvergenceFit:
+def convergence_order_fit(order, table: SigmaPowerTable, lams, *, drop_second_order: bool = False) -> ConvergenceFit:
     """Fit the lambda-scaling of the perturbative error against the oracle.
 
     The closed form and the oracle both run on ``table`` (max_power >= 2) for
-    every density, taken in ascending lambda.  Every lambda must be positive
+    every lambda, taken in ascending order.  Every lambda must be positive
     and the order's s must not be 1, where Z is exactly linear in lambda
     (ValidationError otherwise, before any solve); at least three lambdas
     must be distinct.  Points whose error sits below FLOOR_FACTOR x the estimated
@@ -326,14 +300,14 @@ def convergence_order_fit(
     s, label = _s_and_label(order)
     if s == 1.0:
         raise ValidationError(f"order {label}: {_LINEAR_AT_ONE}")
-    bad = [d.lam for d in densities if not d.lam > 0.0]
+    bad = [lam for lam in lams if not lam > 0.0]
     if bad:  # the fit is a line through (log lambda, log error)
         raise ValidationError(f"the fit needs positive lambda values, got {bad}")
-    if len({d.lam for d in densities}) < 3:
+    if len(set(lams)) < 3:
         raise InsufficientDataError("need at least 3 distinct lambda values")
-    densities = sorted(densities, key=lambda d: d.lam)
-    perts = z_closed_form([order], table, basis, densities)
-    directs = oracle_sum_rule([order], table, basis, densities)
+    lams = sorted(lams)
+    perts = z_closed_form([order], table, lams)
+    directs = oracle_sum_rule([order], table, lams)
     points = []
     for pert, direct in zip(perts, directs):
         z_pert = pert.z_total - (pert.z2 if drop_second_order else 0.0)

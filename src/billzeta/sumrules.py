@@ -22,15 +22,17 @@ sums in each step, and read every diagonal once, after the walk.  They form
 no M x M matrix: O(N nnz(S_1)) time per root order N, which is O(N M) for a
 cosine profile on the string or the rectangle and O(N M^2) for a dense S_1,
 with one step's pairs in memory.
-Every route takes a table of exactly its basis's modes.  Mode sums rely on
-numpy's pairwise reduction; the order-0 tail is a smooth-counting (Weyl)
+A table is the run's medium: it carries the basis and the profile sigma, and
+each route checks every lambda against that profile on that domain.  Mode
+sums rely on numpy's pairwise reduction; the order-0 tail is a smooth-counting (Weyl)
 estimate appended to z0 only.
 
 Both perturbative routes reduce each order once to the lambda-free (z0 sum,
 c1, c2) of Z(s; lam) = z0 + lam c1 + lam^2 c2, and one builder (``_records``)
 forms the records: z1 = lam c1 + 0.0 and z2 = lam^2 c2 + 0.0, so a zero term
-is +0.0 whatever the sign of lambda.  Every route takes sequences of orders
-and densities and returns one result per (order, density), order-major.
+is +0.0 whatever the sign of lambda.  Every route takes a sequence of orders,
+the table and a sequence of lambdas, and returns one result per (order,
+lambda), order-major.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._record import dataclass
-from .basis import DensityPerturbation, ModeBasis, SigmaPowerTable
+from .basis import ModeBasis, SigmaPowerTable
 from .coefficients import Q_diagonal, Q_trace_terms, q_diagonal, trace_terms
 from .errors import ValidationError
 from .kernels import MAX_ROOT_ORDER, validate_root_order
@@ -270,36 +272,35 @@ def _s_and_label(order) -> tuple[float, str]:
     return (order.s, order.label()) if isinstance(order, RationalOrderSpec) else (float(order), f"{float(order):g}")
 
 
-def _resolve_route_inputs(orders, table: SigmaPowerTable, basis: ModeBasis, densities, power: int):
-    """(s, label) of every order (a RationalOrderSpec or a number); checks the table, which the
-    route reads up to S_power, the orders and the densities."""
-    table.check_basis(basis)
+def _resolve_route_inputs(orders, table: SigmaPowerTable, lams, power: int):
+    """(s, label) of every order (a RationalOrderSpec or a number); checks the orders and the
+    lambdas on the table's basis and profile, and the table, which the route reads up to S_power."""
     resolved = [_s_and_label(o) for o in orders]
     for s, _ in resolved:
-        _validate_s_for_basis(s, basis)
-    for density in densities:
-        density.validate(basis.domain)
+        _validate_s_for_basis(s, table.basis)
+    for lam in lams:
+        table.density(lam)
     if table.max_power < power:
         raise ValidationError(f"the route reads S_{power}: it needs a table with max_power >= {power}")
     return resolved
 
 
-def _records(expansions, basis: ModeBasis, densities) -> list[SumRuleResult]:
-    """One result per (order, density), order-major, from each order's (s, label, route, z0 sum, c1, c2).
+def _records(expansions, table: SigmaPowerTable, lams) -> list[SumRuleResult]:
+    """One result per (order, lambda), order-major, from each order's (s, label, route, z0 sum, c1, c2).
 
     Z(s; lam) = z0 + lam c1 + lam^2 c2 with the tail estimate added to the
     z0 sum; adding 0.0 makes a zero term +0.0 whatever the sign of lambda.
     """
-    m = basis.mode_count
+    m = table.size
     results = []
     for s, label, route, z0, c1, c2 in expansions:
-        tail = tail_estimate(basis, s, m)
+        tail = tail_estimate(table.basis, s, m)
         results += [
             SumRuleResult(
-                s=s, lam=d.lam, z0=z0 + tail, z1=d.lam * c1 + 0.0, z2=d.lam * d.lam * c2 + 0.0,
+                s=s, lam=lam, z0=z0 + tail, z1=lam * c1 + 0.0, z2=lam * lam * c2 + 0.0,
                 tail_estimate=tail, truncation=m, route=route, order_label=label,
             )
-            for d in densities
+            for lam in lams
         ]
     return results
 
@@ -319,12 +320,7 @@ def _kernel_block(n, m, s1, eps, orders) -> list:
     return sums
 
 
-def z_closed_form(
-    orders,
-    table: SigmaPowerTable,
-    basis: ModeBasis,
-    densities: list[DensityPerturbation],
-) -> list[SumRuleResult]:
+def z_closed_form(orders, table: SigmaPowerTable, lams) -> list[SumRuleResult]:
     """Z(s) to second order from the shared completeness-split closed form.
 
     z0 = sum eps^{-s} (+ tail);  z1 = lam s sum <n|s|n> eps^{-s};
@@ -336,8 +332,8 @@ def z_closed_form(
     step's pairs in memory (O(M) pairs in all for a cosine profile,
     O(M^2) for a dense one); the z1 sum reads S_1's diagonal after the walk.
     """
-    resolved = _resolve_route_inputs(orders, table, basis, densities, 2)
-    eps = basis.eigenvalues()
+    resolved = _resolve_route_inputs(orders, table, lams, 2)
+    eps = table.basis.eigenvalues()
     order_weights = [(s, eps ** (-s)) for s, _ in resolved]
     blocks = [_kernel_block(rows, cols, s1, eps, order_weights) for _, rows, cols, s1 in table.walk(1)]
     partial = np.array(blocks).reshape(len(blocks), len(resolved)).T  # [order, block]
@@ -347,7 +343,7 @@ def z_closed_form(
          0.5 * s * float(np.sum(sums)))
         for (s, label), (_, weights), sums in zip(resolved, order_weights, partial)
     ]
-    return _records(expansions, basis, densities)
+    return _records(expansions, table, lams)
 
 
 def _add_ends(acc: np.ndarray, lo: int, ends, at_n: np.ndarray, at_m: np.ndarray) -> None:
@@ -380,12 +376,7 @@ def _trace_block(lo, n, m, s1, eps, order0, distinct, row_sums, s1_row_sq) -> li
     return [float((twice * order1[a][0]) @ order1[b][0]) for a, b in distinct]
 
 
-def z_via_trace(
-    specs,
-    table: SigmaPowerTable,
-    basis: ModeBasis,
-    densities: list[DensityPerturbation],
-) -> list[SumRuleResult]:
+def z_via_trace(specs, table: SigmaPowerTable, lams) -> list[SumRuleResult]:
     """Z(s) as the order-by-order trace of a product of two coefficient series.
 
     s = 1/a + 1/b traces q[1/a] q[1/b] over the order's root orders (a, b),
@@ -408,9 +399,9 @@ def z_via_trace(
     for spec in specs:  # a number carries no root orders
         if not isinstance(spec, RationalOrderSpec):
             raise ValidationError(f"order {spec!r}: the trace route needs a RationalOrderSpec")
-    resolved = _resolve_route_inputs(specs, table, basis, densities, 2)
+    resolved = _resolve_route_inputs(specs, table, lams, 2)
     m = table.size
-    eps = basis.eigenvalues()
+    eps = table.basis.eigenvalues()
     # the series pair each order traces, q[1/1] being Q: tr(q[1/a] q[1/b]) = tr(q[1/b] q[1/a])
     pairs = [tuple(sorted(spec.roots)) for spec in specs]
     distinct = list(dict.fromkeys(pairs))
@@ -441,4 +432,4 @@ def z_via_trace(
         t0, t1, t2 = traces[pair]
         route = ROUTE_TRACE_1P if pair[0] == 1 else ROUTE_TRACE_INV
         expansions.append((s, label, route, t0, t1, t2 + 0.25 * s * float(np.sum(deficit * eps ** (-s)))))
-    return _records(expansions, basis, densities)
+    return _records(expansions, table, lams)

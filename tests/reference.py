@@ -101,7 +101,7 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return (a + a.T) * 0.5
 
 
-def q_closed_form(n_root: int, k: int, table: SigmaPowerTable, basis: ModeBasis) -> np.ndarray:
+def q_closed_form(n_root: int, k: int, table: SigmaPowerTable) -> np.ndarray:
     """Explicit closed forms of q^(k) for k <= 2 at any root order N.
 
     q^(0) = diag(eps^{-1/N}); q^(1) = (1/2) Delta * S_1; q^(2) adds the
@@ -111,7 +111,7 @@ def q_closed_form(n_root: int, k: int, table: SigmaPowerTable, basis: ModeBasis)
     if k < 0 or k > 2:
         raise ValidationError("closed forms cover orders 0..2; use the generic recursion")
     m = table.size
-    eps = basis.eigenvalues()[:m]
+    eps = table.basis.eigenvalues()
     if k == 0:
         return np.diag(eps ** (-1.0 / n))
     dmat = delta_matrix(n, eps)
@@ -133,15 +133,15 @@ def q_closed_form(n_root: int, k: int, table: SigmaPowerTable, basis: ModeBasis)
     return _sym(q2)
 
 
-def reference_Q(k: int, basis: ModeBasis, density, size: int, *, growth: int = 2) -> list:
+def reference_Q(k: int, basis: ModeBasis, profile, size: int, *, growth: int = 2) -> list:
     """Q^(0..k) with internal sums converged beyond truncation `size`.
 
     Built at growth * size modes and sliced back; for banded (cosine) profiles
     this makes the internal mode sums exact for the retained block.
     """
     big = ModeBasis(basis.domain, max(size * growth, size + 8))
-    table = build_sigma_table(big, density, max(k, 1))
-    return [q[:size, :size] for q in build_Q_series(k, table, big)]
+    table = build_sigma_table(big, profile, max(k, 1))
+    return [q[:size, :size] for q in build_Q_series(k, table)]
 
 
 def kernel_second_order(eps_n: float, eps_m: float, s: float, *, rtol: float = 1e-12) -> float:

@@ -122,7 +122,7 @@ def test_mode_indices_is_a_fresh_list():
 
 def test_sigma_power_element_examples():
     basis = ModeBasis(String1D(1.0), 8)
-    table = build_sigma_table(basis, DensityPerturbation(COS2, 0.1), 1)
+    table = build_sigma_table(basis, COS2, 1)
     assert table.power(1)[0, 0] == pytest.approx(-0.5, abs=1e-13)
     assert table.power(1)[0, 2] == pytest.approx(0.5, abs=1e-13)
     # orthonormality at power zero
@@ -918,6 +918,37 @@ def test_2d_sigma_sup_adds_per_term_factor_sups():
     minus = FourierCosine((0.0, 0.0, -1.0))
     cancelling = Separable2D(((COS2, one), (minus, one)))
     assert DensityPerturbation(cancelling).sigma_sup(rect) == 2.0
+
+
+def test_2d_sigma_range_adds_each_terms_signed_corner_products():
+    # x - y on the unit square spans [-1, 1]: the x term runs over [0, 1] and the -y term over
+    # [-1, 0], so the signed ends add to (-1, 1) where the terms' sups added to 2
+    rect = Rectangle2D(1.0, 1.0)
+    one, x, minus_y = FourierCosine((1.0,)), Polynomial((0.0, 1.0)), Polynomial((0.0, -1.0))
+    difference = Separable2D(((x, one), (one, minus_y)))
+    assert DensityPerturbation(difference).sigma_range(rect) == (-1.0, 1.0)
+    assert DensityPerturbation(difference).sigma_sup(rect) == 1.0
+    assert DensityPerturbation(difference).sigma_range(rect, -0.5) == (-0.5, 0.5)  # of -0.5 sigma
+    DensityPerturbation(difference, 0.9).validate(rect)  # sup|lambda sigma| = 0.9
+    with pytest.raises(ValidationError, match="density bound"):
+        DensityPerturbation(difference, 1.0).validate(rect)
+    # one term: the least and greatest corner products; on the string the sampled range itself
+    assert DensityPerturbation(Separable2D(((COS2, Polynomial((-0.5, 1.0))),))).sigma_range(rect) == (-0.5, 0.5)
+    assert DensityPerturbation(x).sigma_range(String1D(2.0)) == (0.0, 2.0)
+    assert DensityPerturbation(x).sigma_range(String1D(2.0), -3.0) == (-6.0, -0.0)
+    # a side that overflows to inf times a zero side is inf * 0 = NaN at a corner, which fails the bound
+    overflowing = Separable2D(((Polynomial((0.0, 0.0, 1e308)), Polynomial((0.0,))),))
+    with pytest.raises(ValidationError, match="sup.lambda.sigma. = nan"):
+        DensityPerturbation(overflowing, 0.1).validate(Rectangle2D(10.0, 1.0))
+
+
+def test_a_table_carries_its_basis_and_profile():
+    basis = ModeBasis(String1D(1.0), 12)
+    table = build_sigma_table(basis, COS2, 1)
+    assert table.basis is basis and table.profile is COS2 and table.size == 12
+    assert table.density(0.5) == DensityPerturbation(COS2, 0.5)
+    with pytest.raises(ValidationError, match="density bound"):
+        table.density(1.5)
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])

@@ -243,7 +243,7 @@ def test_coeffs_matches_closed_form_route(tmp_path):
 
     basis = ModeBasis(String1D(1.0), 12)
     table = build_sigma_table(basis, FourierCosine((0.0, 0.0, 1.0)), 2)
-    expected = q_closed_form(3, 2, table, basis)
+    expected = q_closed_form(3, 2, table)
     rows = read_csv(out / "q_N3_order2.csv")
     got = np.zeros((12, 12))
     for r in rows:
@@ -319,6 +319,13 @@ def test_quadrature_node_key_is_unknown(tmp_path, capsys):
     cfg = write_config(tmp_path, truncation={"modes": 40, "quadrature_nodes": 512})
     assert main(["sumrule", "--config", str(cfg), "--route", "closed"]) == EXIT_VALIDATION
     assert problems_on_stderr(capsys) == ["truncation: unknown keys"]
+
+
+def test_lambda_list_is_an_unknown_key(tmp_path, capsys):
+    # one strength setting: density.lambda takes one number or a list, and --lambda writes it
+    cfg = write_config(tmp_path, density={"profile": COS, "lambda_list": [0.05, 0.1]})
+    assert main(["sumrule", "--config", str(cfg)]) == EXIT_VALIDATION
+    assert problems_on_stderr(capsys) == ["density: unknown keys"]
 
 
 def test_top_discard_fraction_key_is_unknown(tmp_path, capsys):
@@ -747,7 +754,7 @@ def test_dense_work_at_large_modes_exits_2_before_allocating(
         "type": "separable", "terms": [{"x": cos2, "y": {"type": "fourier-cosine", "coeffs": [1.0]}}]
     }
     cfg = write_config(tmp_path, basis={"kind": kind}, route=route,
-                       density={"profile": profile, "lambda_list": [0.04, 0.08, 0.16]})
+                       density={"profile": profile, "lambda": [0.04, 0.08, 0.16]})
     monkeypatch.setattr(cli, "build_sigma_table", never)
     assert main([command, "--config", str(cfg), "--modes", "100000"]) == EXIT_VALIDATION
     assert any(p.startswith("--modes: ") for p in problems_on_stderr(capsys))
@@ -1272,7 +1279,7 @@ _configs = st.fixed_dictionaries(
         "version": _json,
         "basis": _sub_object(["kind", "length", "a", "b"]),
         "density": st.fixed_dictionaries(
-            {}, optional={"profile": _profile | _json, "lambda": _json, "lambda_list": _json}
+            {}, optional={"profile": _profile | _json, "lambda": _json}
         ) | _json,
         "truncation": _sub_object(["modes", "inner_discard"]),
         "orders": _json,
@@ -1348,7 +1355,7 @@ def _runs(draw):
     config, argv = {"basis": basis, "density": {"profile": profile}}, [command]
     modes = draw(st.integers(1, 40))
     shared = [("--modes", str(modes), "truncation.modes", modes), ("--s", order, "orders", [order]),
-              ("--lambda", ",".join(repr(x) for x in lams), "density.lambda_list", lams)]
+              ("--lambda", ",".join(repr(x) for x in lams), "density.lambda", lams)]
     if command == "sumrule":
         route = draw(st.sampled_from(ROUTES))
         shared.append(("--route", route, "route", route))
@@ -1375,7 +1382,7 @@ def _runs(draw):
 # lambda sigma is 0.0125, but lambda^2 overflows: the verify errors are inf and the slope NaN, exit 3
 @example(({"basis": {"kind": "string", "length": 1.0}, "truncation": {"modes": 1}, "orders": ["1+1/2"],
            "density": {"profile": {"type": "tabulated", "x": [0.0, 1.0], "y": [0.0, 4.8659371951592836e-161]},
-                       "lambda_list": [2.5688782034497304e+159, 5.137756406899461e+159, 1.0275512813798922e+160]}},
+                       "lambda": [2.5688782034497304e+159, 5.137756406899461e+159, 1.0275512813798922e+160]}},
           ["verify"]))
 def test_any_valid_looking_run_exits_cleanly(run):
     config, argv = run
@@ -1427,7 +1434,7 @@ NUMERIC_STRINGS = {
     "truncation.modes": {"truncation": {"modes": "20"}},
     "truncation.inner_discard": {"truncation": {"modes": 20, "inner_discard": "2"}},
     "density.lambda": {"density": {"profile": COS_PROFILE, "lambda": "0.1"}},
-    "density.lambda_list[1]": {"density": {"profile": COS_PROFILE, "lambda_list": [0.05, "0.1"]}},
+    "density.lambda[1]": {"density": {"profile": COS_PROFILE, "lambda": [0.05, "0.1"]}},
     "slope_threshold": {"slope_threshold": "2.7"},
     "basis.length": {"basis": {"kind": "string", "length": "1.0"}},
     "basis.a": {"basis": {"kind": "rectangle", "a": "1.0"}, "density": COS_2D_DENSITY},
@@ -1504,7 +1511,7 @@ EQUAL_TEXT = {
     float: [0.5, 3, 1e-320, 1e300, math.nan],
     str: ["x", ""],
     "orders": [["3/2", "1+1/4"], ["0.9"]],
-    "numbers": [[0.1, 0.2], [40, 2.5e-3, math.nan], []],
+    "numbers": [[0.1, 0.2], [40, 2.5e-3, math.nan], [], 0.5],
 }
 
 

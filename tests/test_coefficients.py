@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from billzeta.basis import (
-    DensityPerturbation,
     FourierCosine,
     ModeBasis,
     Polynomial,
@@ -35,23 +34,25 @@ RNG = np.random.default_rng(11)
 COS2 = FourierCosine((0.0, 0.0, 1.0))
 
 
-def one_factor_table(powers):
-    """A rectangle-form table whose S_j, j >= 1, are the given matrices: one factor each, Y = [[1]]."""
+def one_factor_table(powers, basis):
+    """A rectangle-form table on the basis whose S_j, j >= 1, are the given matrices: one factor each,
+    Y = [[1]], and no profile."""
     m = len(powers[0])
     factors = [((1.0, np.eye(m), np.ones((1, 1))),)] + [((1.0, s, np.ones((1, 1))),) for s in powers]
     index = np.stack([np.arange(m), np.zeros(m, dtype=int)])  # mode n is (n, 0)
     pos = np.arange(m)[:, None]  # and (n, 0) is mode n
-    return SigmaPowerTable(len(powers), m, factors=tuple(factors), index=index, pos=pos)
+    return SigmaPowerTable(len(powers), basis, None, factors=tuple(factors), index=index, pos=pos)
 
 
-def random_table(m, max_power, seed=None):
-    """Synthetic symmetric sigma-power data: the per-order algebra holds for any."""
+def random_table(basis, max_power, seed=None):
+    """Synthetic symmetric sigma-power data on the basis: the per-order algebra holds for any."""
     rng = np.random.default_rng(seed or RNG.integers(1 << 31))
+    m = basis.mode_count
     powers = []  # S_1..S_J
     for _ in range(max_power):
         a = rng.standard_normal((m, m))
         powers.append(0.5 * (a + a.T))
-    return one_factor_table(powers)
+    return one_factor_table(powers, basis)
 
 
 def string_basis(m, length=1.0):
@@ -75,9 +76,9 @@ def test_Q_order_zero_and_one():
     basis = string_basis(6)
     table = build_sigma_table(basis, COS2, 2)
     eps = basis.eigenvalues()
-    q0 = build_Q_series(0, table, basis)[0]
+    q0 = build_Q_series(0, table)[0]
     assert np.allclose(q0, np.diag(1.0 / eps), atol=1e-15)
-    q1 = build_Q_series(1, table, basis)[1]
+    q1 = build_Q_series(1, table)[1]
     s1 = table.power(1)
     expected = 0.5 * (1.0 / eps[:, None] + 1.0 / eps[None, :]) * s1
     assert np.max(np.abs(q1 - expected)) < 1e-15
@@ -86,35 +87,35 @@ def test_Q_order_zero_and_one():
 
 
 def test_Q_order_two_matches_explicit_form():
-    table = random_table(8, 2, seed=5)
     basis = string_basis(8, length=1.3)
+    table = random_table(basis, 2, seed=5)
     d_inv = np.diag(1.0 / basis.eigenvalues())
     s1, s2 = table.power(1), table.power(2)
     expected = -0.125 * (d_inv @ s2 + s2 @ d_inv) + 0.25 * (s1 @ d_inv @ s1)
-    assert max_rel(build_Q_series(2, table, basis)[2], expected) < 1e-14
+    assert max_rel(build_Q_series(2, table)[2], expected) < 1e-14
 
 
 def test_Q_order_two_zero_profile():
     basis = string_basis(5)
     table = build_sigma_table(basis, FourierCosine(()), 2)
-    assert np.all(build_Q_series(2, table, basis)[2] == 0.0)
+    assert np.all(build_Q_series(2, table)[2] == 0.0)
 
 
 def test_Q_order_validation():
     basis = string_basis(4)
     table = build_sigma_table(basis, COS2, 2)
     with pytest.raises(ValidationError):
-        build_Q_series(3, table, basis)
+        build_Q_series(3, table)
     with pytest.raises(ValidationError):
-        build_Q_series(-1, table, basis)
+        build_Q_series(-1, table)
 
 
 def test_Q_series_orders_do_not_depend_on_length():
-    table = random_table(7, 3, seed=11)
     basis = string_basis(7)
-    longest = build_Q_series(3, table, basis)
+    table = random_table(basis, 3, seed=11)
+    longest = build_Q_series(3, table)
     for k in range(4):
-        shorter = build_Q_series(k, table, basis)
+        shorter = build_Q_series(k, table)
         assert len(shorter) == k + 1
         for c in range(k + 1):
             assert np.array_equal(shorter[c], longest[c])  # bit-identical
@@ -123,7 +124,7 @@ def test_Q_series_orders_do_not_depend_on_length():
 def test_recursion_keeps_the_Q_series_without_copying():
     basis = string_basis(6)
     table = build_sigma_table(basis, COS2, 2)
-    big_q = build_Q_series(2, table, basis)
+    big_q = build_Q_series(2, table)
     for n_root in (2, 3):
         cset = q_generic_recursion(n_root, big_q, basis)
         assert cset.max_order == 2
@@ -135,35 +136,35 @@ def test_q_closed_form_order_zero_and_one():
     table = build_sigma_table(basis, COS2, 2)
     eps = basis.eigenvalues()
     for n in (1, 2, 3, 5):
-        q0 = q_closed_form(n, 0, table, basis)
+        q0 = q_closed_form(n, 0, table)
         assert np.allclose(q0, np.diag(eps ** (-1.0 / n)), atol=1e-15)
-    q1 = q_closed_form(2, 1, table, basis)
+    q1 = q_closed_form(2, 1, table)
     expected = 0.5 * delta(2, math.pi**2, 9 * math.pi**2) * 0.5
     assert q1[0, 2] == pytest.approx(expected, rel=1e-14)
     with pytest.raises(ValidationError):
-        q_closed_form(2, 3, table, basis)
+        q_closed_form(2, 3, table)
 
 
 @pytest.mark.parametrize("n_root", [2, 3, 4, 5, 8])
 def test_recursion_matches_closed_forms(n_root):
-    table = random_table(8, 2, seed=100 + n_root)
     basis = string_basis(8, length=1.0 + 0.2 * n_root)
-    cset = q_generic_recursion(n_root, build_Q_series(2, table, basis), basis)
+    table = random_table(basis, 2, seed=100 + n_root)
+    cset = q_generic_recursion(n_root, build_Q_series(2, table), basis)
     for k in (0, 1, 2):
-        closed = q_closed_form(n_root, k, table, basis)
+        closed = q_closed_form(n_root, k, table)
         assert max_rel(cset.q_orders[k], closed) < 1e-13
 
 
 def test_recursion_matches_explicit_third_order():
     # third-order coefficients from the fully expanded chain-sum expression
     m = 6
-    table = random_table(m, 3, seed=42)
     basis = string_basis(m)
+    table = random_table(basis, 3, seed=42)
     eps = basis.eigenvalues()
     s = [table.power(j) for j in range(4)]
     eta = eta_matrix(2, eps)
     dmat = delta_matrix(2, eps)
-    cset = q_generic_recursion(2, build_Q_series(3, table, basis), basis)
+    cset = q_generic_recursion(2, build_Q_series(3, table), basis)
 
     q3 = (1.0 / 16.0) * dmat * s[3]
     mixed = np.zeros((m, m))
@@ -197,7 +198,7 @@ def test_recursion_matches_explicit_third_order():
     assert max_rel(cset.q_orders[3], q3 + mixed + chains) < 1e-12
 
 
-def half_order_recursive_forms(table, basis, up_to=8):
+def half_order_recursive_forms(table, up_to=8):
     """Independent recursive expressions for q^(4..8) at root order two.
 
     Each order is written through binomial-weighted power elements and
@@ -205,12 +206,12 @@ def half_order_recursive_forms(table, basis, up_to=8):
     without re-running it.
     """
     m = table.size
-    eps = basis.eigenvalues()[:m]
+    eps = table.basis.eigenvalues()
     s = [table.power(j) for j in range(table.max_power + 1)]
     eta = eta_matrix(2, eps)
     dmat = delta_matrix(2, eps)
     dg = np.diag(1.0 / eps)  # Delta_rr^2 = 1/eps_r
-    cset = q_generic_recursion(2, build_Q_series(up_to, table, basis), basis)
+    cset = q_generic_recursion(2, build_Q_series(up_to, table), table.basis)
     q = list(cset.q_orders)
 
     out = {}
@@ -252,9 +253,8 @@ def half_order_recursive_forms(table, basis, up_to=8):
 
 
 def test_recursion_satisfies_half_order_recursive_forms():
-    table = random_table(6, 8, seed=77)
-    basis = string_basis(6)
-    cset, forms = half_order_recursive_forms(table, basis)
+    table = random_table(string_basis(6), 8, seed=77)
+    cset, forms = half_order_recursive_forms(table)
     for k in range(4, 9):
         assert max_rel(cset.q_orders[k], forms[k]) < 1e-12
 
@@ -265,9 +265,9 @@ def test_leading_term_coefficient_order_eight():
     powers = [np.zeros((m, m)) for _ in range(8)]  # S_1..S_8
     a = RNG.standard_normal((m, m))
     powers[7] = 0.5 * (a + a.T)
-    table = one_factor_table(powers)
     basis = string_basis(m)
-    cset = q_generic_recursion(2, build_Q_series(8, table, basis), basis)
+    table = one_factor_table(powers, basis)
+    cset = q_generic_recursion(2, build_Q_series(8, table), basis)
     expected = (-429.0 / 32768.0) * delta_matrix(2, basis.eigenvalues()) * powers[7]
     assert max_rel(cset.q_orders[8], expected) < 1e-14
     for k in range(1, 8):
@@ -278,7 +278,7 @@ def test_zero_profile_gives_zero_orders():
     basis = string_basis(8)
     table = build_sigma_table(basis, FourierCosine(()), 3)
     for n_root in (2, 4):
-        cset = q_generic_recursion(n_root, build_Q_series(3, table, basis), basis)
+        cset = q_generic_recursion(n_root, build_Q_series(3, table), basis)
         for k in (1, 2, 3):
             assert np.all(cset.q_orders[k] == 0.0)
 
@@ -286,7 +286,7 @@ def test_zero_profile_gives_zero_orders():
 def test_all_matrices_symmetric():
     basis = string_basis(10)
     table = build_sigma_table(basis, COS2, 3)
-    cset = q_generic_recursion(3, build_Q_series(3, table, basis), basis)
+    cset = q_generic_recursion(3, build_Q_series(3, table), basis)
     for mat in (*cset.q_orders, *cset.Q_orders):
         assert np.max(np.abs(mat - mat.T)) == 0.0
 
@@ -295,12 +295,12 @@ def test_verify_convolution_self_consistency():
     basis = string_basis(20)
     table = build_sigma_table(basis, COS2, 2)
     for n_root in (2, 3):
-        cset = q_generic_recursion(n_root, build_Q_series(2, table, basis), basis)
+        cset = q_generic_recursion(n_root, build_Q_series(2, table), basis)
         scale = np.max(np.abs(cset.Q_orders[0]))
         assert verify_convolution(cset)[0] <= 1e-13 * scale
         closed = GreenCoefficientSet(
             n_root, 2, basis.mode_count,
-            tuple(q_closed_form(n_root, k, table, basis) for k in range(3)), cset.Q_orders,
+            tuple(q_closed_form(n_root, k, table) for k in range(3)), cset.Q_orders,
         )
         residuals = verify_convolution(closed)
         assert residuals[1] <= 1e-12
@@ -308,20 +308,19 @@ def test_verify_convolution_self_consistency():
 
 
 def test_verify_convolution_truncation_study():
-    dens = DensityPerturbation(COS2, 0.1)
     residuals = []
     for m in (20, 40, 80):
         basis = string_basis(m)
-        table = build_sigma_table(basis, dens, 2)
-        cset = q_generic_recursion(3, build_Q_series(2, table, basis), basis)
-        refs = reference_Q(2, basis, dens, m)
+        table = build_sigma_table(basis, COS2, 2)
+        cset = q_generic_recursion(3, build_Q_series(2, table), basis)
+        refs = reference_Q(2, basis, COS2, m)
         residuals.append(verify_convolution(cset, discard=0, reference_q=refs)[2])
     assert residuals[0] > residuals[1] > residuals[2] > 0.0
     # with the default edge discard the interior is converged to rounding
     basis = string_basis(40)
-    table = build_sigma_table(basis, dens, 2)
-    cset = q_generic_recursion(3, build_Q_series(2, table, basis), basis)
-    refs = reference_Q(2, basis, dens, 40)
+    table = build_sigma_table(basis, COS2, 2)
+    cset = q_generic_recursion(3, build_Q_series(2, table), basis)
+    refs = reference_Q(2, basis, COS2, 40)
     assert verify_convolution(cset, reference_q=refs)[2] < 1e-14
 
 
@@ -329,8 +328,8 @@ def test_recursion_order_validation():
     basis = string_basis(5)
     table = build_sigma_table(basis, COS2, 2)
     with pytest.raises(ValidationError):
-        q_generic_recursion(2, build_Q_series(3, table, basis), basis)  # K > table power
-    cset = q_generic_recursion(2, build_Q_series(2, table, basis), basis)
+        q_generic_recursion(2, build_Q_series(3, table), basis)  # K > table power
+    cset = q_generic_recursion(2, build_Q_series(2, table), basis)
     with pytest.raises(ValidationError):
         verify_convolution(cset, reference_q=cset.Q_orders[:2])  # one reference short
 
@@ -356,7 +355,7 @@ def test_trace_terms_match_the_recursion(kind, n_root):
     basis, profile = TRACE_TABLES[kind]
     table = build_sigma_table(basis, profile, 2)
     eps, size = basis.eigenvalues(), basis.mode_count
-    series = build_Q_series(2, table, basis)
+    series = build_Q_series(2, table)
     ref = q_generic_recursion(n_root, series, basis).q_orders
     q0 = eps ** (-1.0 / n_root)
     sq_sums, big_q_sums, q_sums = np.zeros(size), np.zeros(size), np.zeros(size)

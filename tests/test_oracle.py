@@ -48,15 +48,20 @@ ZETA3 = 1.2020569031595942854
 
 def overlap(basis, density):
     """S = I + lam * S_1, formed from the table's dense S_1 apart from the oracle: an independent reference."""
-    s1 = build_sigma_table(basis, density, 1).power(1)
+    s1 = build_sigma_table(basis, density.profile, 1).power(1)
     return np.eye(basis.mode_count) + density.lam * s1
 
 
-def graded_matrix(table, basis, density):
+def spectrum(basis, density, want_vectors=False):
+    """solve_spectrum on a power-1 table of the basis and the density's profile, at its lambda."""
+    return solve_spectrum(build_sigma_table(basis, density.profile, 1), density.lam, want_vectors=want_vectors)
+
+
+def graded_matrix(table, lam):
     """The whole graded pencil B, the oracle's blocks scattered into a zero M x M matrix, and the blocks' modes."""
-    m = basis.mode_count
+    m = table.size
     graded, blocks = np.zeros((m, m)), []
-    for modes, block in _graded_blocks(table, basis, density):
+    for modes, block in _graded_blocks(table, lam):
         graded[np.ix_(modes, modes)] = block
         blocks.append(modes)
     return graded, blocks
@@ -86,7 +91,7 @@ def test_graded_blocks_grade_the_overlap_bit_for_bit(profile, lam):
     # reference S, signed zeros included, and B is exactly 0 between blocks
     basis = ModeBasis(String1D(1.0), 30)
     density = DensityPerturbation(profile, lam)
-    graded, blocks = graded_matrix(build_sigma_table(basis, density, 1), basis, density)
+    graded, blocks = graded_matrix(build_sigma_table(basis, profile, 1), lam)
     modes = np.sort(np.concatenate(blocks))
     assert np.array_equal(modes, np.arange(30))  # the blocks partition the modes
     r = 1.0 / np.sqrt(basis.eigenvalues())
@@ -202,7 +207,7 @@ def test_block_spectrum_matches_the_dense_pencil(domain, profile, size):
     r = 1.0 / np.sqrt(basis.eigenvalues())
     graded = r[:, None] * (np.eye(size) + density.lam * table.power(1)) * r[None, :]
     reference = 1.0 / np.linalg.eigvalsh(graded)[::-1]
-    values = solve_spectrum(basis, density, table=table)
+    values = solve_spectrum(table, density.lam)
     assert np.max(np.abs(values - reference) / reference) <= 1e-13
 
 
@@ -213,9 +218,9 @@ def test_block_eigenvectors_are_overlap_orthonormal(domain, profile, lam):
     # criterion 9's setup on the string: each vector lives in its block's modes
     basis = ModeBasis(domain, 200)
     density = DensityPerturbation(profile, lam)
-    table = build_sigma_table(basis, density, 1)
+    table = build_sigma_table(basis, density.profile, 1)
     assert len(table.blocks()) > 1
-    values, vectors = solve_spectrum(basis, density, table=table, want_vectors=True)
+    values, vectors = solve_spectrum(table, density.lam, want_vectors=True)
     label = np.empty(200, dtype=int)
     for b, modes in enumerate(table.blocks()):
         label[modes] = b
@@ -223,15 +228,15 @@ def test_block_eigenvectors_are_overlap_orthonormal(domain, profile, lam):
         assert len(set(label[column != 0.0])) == 1
     gram = vectors.T @ overlap(basis, density) @ vectors
     assert np.max(np.abs(gram - np.eye(200))) < 1e-10
-    assert np.max(residual_norms(table, basis, density, values, vectors)) <= 1e-10
-    eigenvalues = solve_spectrum(basis, density, table=table)
+    assert np.max(residual_norms(table, density.lam, values, vectors)) <= 1e-10
+    eigenvalues = solve_spectrum(table, density.lam)
     assert np.max(np.abs(values - eigenvalues) / eigenvalues) <= 1e-13
 
 
 def test_homogeneous_spectrum_exact():
     basis = ModeBasis(String1D(1.0), 5)
     zero = DensityPerturbation(FourierCosine(()), 0.0)
-    values = solve_spectrum(basis, zero)
+    values = spectrum(basis, zero)
     expected = np.array([1, 4, 9, 16, 25]) * math.pi**2
     assert np.max(np.abs(values - expected) / expected) < 1e-12
 
@@ -239,7 +244,7 @@ def test_homogeneous_spectrum_exact():
 def test_spectrum_positive_and_sorted():
     basis = ModeBasis(String1D(1.0), 60)
     dens = DensityPerturbation(COS2, 0.3)
-    values = solve_spectrum(basis, dens)
+    values = spectrum(basis, dens)
     assert np.all(values > 0.0)
     assert np.all(np.diff(values) > 0.0)
 
@@ -250,7 +255,7 @@ def test_small_lambda_limit_linear():
     devs = []
     lams = (0.01, 0.02, 0.04)
     for lam in lams:
-        values = solve_spectrum(basis, DensityPerturbation(COS2, lam))
+        values = spectrum(basis, DensityPerturbation(COS2, lam))
         devs.append(np.max(np.abs(values - eps) / eps))
     slope = np.polyfit(np.log(lams), np.log(devs), 1)[0]
     assert 0.9 < slope < 1.1
@@ -260,7 +265,7 @@ def test_first_order_eigenvalue_shift():
     # (E_1 - eps_1)/eps_1 ~ -lam <1|sigma|1> = +lam/2 for sigma = cos(2 pi x)
     basis = ModeBasis(String1D(1.0), 60)
     lam = 1e-3
-    values = solve_spectrum(basis, DensityPerturbation(COS2, lam))
+    values = spectrum(basis, DensityPerturbation(COS2, lam))
     eps1 = basis.eigenvalues()[0]
     shift = (values[0] - eps1) / eps1
     assert shift == pytest.approx(lam / 2, rel=1e-2)
@@ -269,18 +274,18 @@ def test_first_order_eigenvalue_shift():
 def test_residual_invariant():
     basis = ModeBasis(String1D(1.0), 80)
     dens = DensityPerturbation(COS2, 0.2)
-    table = build_sigma_table(basis, dens, 1)
-    values, vectors = solve_spectrum(basis, dens, table=table, want_vectors=True)
-    assert np.max(residual_norms(table, basis, dens, values, vectors)) < 1e-10
+    table = build_sigma_table(basis, dens.profile, 1)
+    values, vectors = solve_spectrum(table, dens.lam, want_vectors=True)
+    assert np.max(residual_norms(table, dens.lam, values, vectors)) < 1e-10
 
 
 def test_residuals_at_400_modes_match_the_reference_overlap():
     # residual_norms reads S c from the graded blocks; about 2.6e-11 here
     basis = ModeBasis(String1D(1.0), 400)
     dens = DensityPerturbation(COS2, 0.16)
-    table = build_sigma_table(basis, dens, 1)
-    values, vectors = solve_spectrum(basis, dens, table=table, want_vectors=True)
-    assert np.max(residual_norms(table, basis, dens, values, vectors)) < 1e-10
+    table = build_sigma_table(basis, dens.profile, 1)
+    values, vectors = solve_spectrum(table, dens.lam, want_vectors=True)
+    assert np.max(residual_norms(table, dens.lam, values, vectors)) < 1e-10
     kc = basis.eigenvalues()[:, None] * vectors
     sc = overlap(basis, dens) @ vectors
     reference = np.linalg.norm(kc - values * sc, axis=0) / np.linalg.norm(kc, axis=0)
@@ -296,9 +301,9 @@ def test_eigenvector_residuals_hold_criterion_9_at_400_modes(domain, profile, la
     # 7.9e-12 at M = 200, 4.1e-11 at 400 and 1.43e-10 at 800, past the bound.  M = 400 is
     # held to criterion 9's 1e-10 so that any further loss shows here first
     basis, density = ModeBasis(domain, 400), DensityPerturbation(profile, lam)
-    table = build_sigma_table(basis, density, 1)
-    values, vectors = solve_spectrum(basis, density, table=table, want_vectors=True)
-    assert np.max(residual_norms(table, basis, density, values, vectors)) <= 1e-10
+    table = build_sigma_table(basis, density.profile, 1)
+    values, vectors = solve_spectrum(table, density.lam, want_vectors=True)
+    assert np.max(residual_norms(table, density.lam, values, vectors)) <= 1e-10
 
 
 def traced_peak(run):
@@ -315,14 +320,11 @@ def traced_peak(run):
 
 def oracle_traced_peak(profile, m, domain=String1D(1.0)):
     """tracemalloc's peak, in M x M arrays of doubles, over oracle_sum_rule at two lambdas."""
-    orders = [RationalOrderSpec.parse("3/2")]
-    densities = [DensityPerturbation(profile, lam) for lam in (0.08, 0.16)]
-    small = ModeBasis(domain, 8)
-    oracle_sum_rule(orders, build_sigma_table(small, profile, 2), small, densities)  # lazy imports
-    basis = ModeBasis(domain, m)
-    table = build_sigma_table(basis, profile, 2)
+    orders, lams = [RationalOrderSpec.parse("3/2")], [0.08, 0.16]
+    oracle_sum_rule(orders, build_sigma_table(ModeBasis(domain, 8), profile, 2), lams)  # lazy imports
+    table = build_sigma_table(ModeBasis(domain, m), profile, 2)
     results = []
-    peak = traced_peak(lambda: results.extend(oracle_sum_rule(orders, table, basis, densities)))
+    peak = traced_peak(lambda: results.extend(oracle_sum_rule(orders, table, lams)))
     assert len(results) == 2
     return peak / (m * m * 8)
 
@@ -359,10 +361,10 @@ def test_graded_blocks_hold_one_dense_s1_and_one_walk_step(domain, profile, dens
     basis, density = ModeBasis(domain, m), DensityPerturbation(profile, 0.1)
     table = build_sigma_table(basis, profile, 1)
     assert len(table.blocks()) == 1
-    next(_graded_blocks(table, basis, density))  # lazy imports and the table's cached pattern
+    next(_graded_blocks(table, density.lam))  # lazy imports and the table's cached pattern
     step = traced_peak(lambda: next(table.walk(1))) if dense_sides else 0
     assert step <= 1.4 * m * m * 8
-    peak = traced_peak(lambda: next(_graded_blocks(table, basis, density)))
+    peak = traced_peak(lambda: next(_graded_blocks(table, density.lam)))
     assert peak <= 1.5 * m * m * 8 + step
 
 
@@ -371,7 +373,7 @@ def test_galerkin_monotone_in_truncation():
     prev = None
     for m in (50, 100, 200):
         basis = ModeBasis(String1D(1.0), m)
-        values = solve_spectrum(basis, dens)
+        values = spectrum(basis, dens)
         if prev is not None:
             assert np.all(values[: prev.size] - prev <= 1e-9)
         prev = values
@@ -381,14 +383,14 @@ def test_added_mass_lowers_every_eigenvalue():
     # sin^2(pi x) profile: nonnegative, so all eigenvalues must drop
     profile = FourierCosine((0.5, 0.0, -0.5))
     basis = ModeBasis(String1D(1.0), 50)
-    values = solve_spectrum(basis, DensityPerturbation(profile, 0.4))
+    values = spectrum(basis, DensityPerturbation(profile, 0.4))
     assert np.all(values < basis.eigenvalues())
 
 
 def solve_graded(monkeypatch, basis, graded, want_vectors=False):
     """solve_spectrum on the basis with its one block replaced by the given graded matrix."""
     monkeypatch.setattr(oracle, "_graded_blocks", lambda *args: iter([(np.arange(basis.mode_count), graded)]))
-    return solve_spectrum(basis, DensityPerturbation(COS2, 0.9), want_vectors=want_vectors)
+    return spectrum(basis, DensityPerturbation(COS2, 0.9), want_vectors)
 
 
 def test_factorization_error_names_density_bound(monkeypatch):
@@ -407,7 +409,7 @@ def test_kept_spectrum_matches_cholesky_reference():
     half = np.linalg.solve(lower, np.diag(basis.eigenvalues()))
     reduced = np.linalg.solve(lower, half.T)
     reference = np.linalg.eigvalsh(0.5 * (reduced + reduced.T))
-    values = solve_spectrum(basis, dens)
+    values = spectrum(basis, dens)
     kept = 150
     rel = np.abs(values[:kept] - reference[:kept]) / reference[:kept]
     assert np.max(rel) < 1e-11
@@ -416,7 +418,7 @@ def test_kept_spectrum_matches_cholesky_reference():
 def test_eigenvectors_are_overlap_orthonormal():
     basis = ModeBasis(String1D(1.0), 200)
     dens = DensityPerturbation(COS2, 0.16)
-    _, vectors = solve_spectrum(basis, dens, want_vectors=True)
+    _, vectors = spectrum(basis, dens, want_vectors=True)
     gram = vectors.T @ overlap(basis, dens) @ vectors
     assert np.max(np.abs(gram - np.eye(200))) < 1e-10
 
@@ -437,13 +439,13 @@ def test_lapack_failure_is_a_numerical_failure(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
     basis = ModeBasis(String1D(1.0), 4)
     with pytest.raises(NumericalError, match="did not converge"):
-        solve_spectrum(basis, DensityPerturbation(COS2, 0.1))
+        spectrum(basis, DensityPerturbation(COS2, 0.1))
 
 
 def test_z_direct_homogeneous_anchor():
     basis = ModeBasis(String1D(1.0), 300)
     zero = DensityPerturbation(FourierCosine(()), 0.0)
-    values = solve_spectrum(basis, zero)
+    values = spectrum(basis, zero)
     [(z, tail, kept)] = z_direct_detail(values, [1.5], basis, zero)
     assert kept == 225
     assert abs(z - ZETA3 / math.pi**3) <= 2 * tail
@@ -454,7 +456,7 @@ def test_z_direct_truncation_sequence_cauchy():
     details = []
     for m in (100, 200, 400):
         basis = ModeBasis(String1D(1.0), m)
-        details.append(z_direct_detail(solve_spectrum(basis, dens), [1.5], basis, dens)[0])
+        details.append(z_direct_detail(spectrum(basis, dens), [1.5], basis, dens)[0])
     for (za, ta, _), (zb, tb, _) in zip(details, details[1:]):
         assert abs(za - zb) <= 2 * (ta + tb)
 
@@ -466,7 +468,7 @@ def test_z_direct_strong_2d_medium_keeps_what_the_basis_resolves():
     z = {}
     for m in (400, 1500):
         basis = ModeBasis(RECT, m)
-        [(z[m], _, kept)] = z_direct_detail(solve_spectrum(basis, dens), [2.0], basis, dens)
+        [(z[m], _, kept)] = z_direct_detail(spectrum(basis, dens), [2.0], basis, dens)
         if m == 400:
             assert kept == 200
     assert abs(z[400] - z[1500]) <= 3e-7
@@ -507,8 +509,8 @@ def test_z_direct_kept_count_rule(profile, other, rectangle, strength, m):
     [(_, _, kept)] = z_direct_detail(basis.eigenvalues(), [2.0], basis, dens)
     cap = m - round(m / 4)
     assert 1 <= kept <= cap
-    if dens.profile.is_zero:  # the homogeneous spectrum: ratio 1
-        assert kept == max(1, min(cap, math.floor(0.95 * m)))
+    if dens.profile.is_zero:  # the homogeneous spectrum is exact: every M keeps the cap
+        assert kept == cap
         return
     if rectangle:
         rx, ry = _profile_range(profile, domain.a), _profile_range(other, domain.b)
@@ -520,6 +522,18 @@ def test_z_direct_kept_count_rule(profile, other, rectangle, strength, m):
     if 0.95 * ratio >= 0.75 + 1.0 / m:  # every mild medium: three quarters, as a fixed discard kept
         assert kept == cap
     assert kept == max(1, min(cap, math.floor(0.95 * m * ratio)))
+
+
+@pytest.mark.parametrize("domain, zero", [
+    (String1D(1.0), FourierCosine(())), (RECT, Separable2D(((FourierCosine(()), COS2),))),
+], ids=["string", "rectangle"])
+def test_z_direct_keeps_the_cap_of_a_homogeneous_spectrum(domain, zero):
+    # no density or a zero profile: the spectrum is exact, so every M keeps the cap M - round(M/4)
+    for m in range(1, 9):
+        basis = ModeBasis(domain, m)
+        for density in (None, DensityPerturbation(zero, 0.5)):
+            [(_, _, kept)] = z_direct_detail(basis.eigenvalues(), [2.0], basis, density)
+            assert kept == m - round(m / 4), (m, density)
 
 
 def test_z_direct_validation():
@@ -545,9 +559,8 @@ def test_effective_geometry():
 
 def test_oracle_sum_rule_record():
     basis = ModeBasis(String1D(1.0), 80)
-    dens = DensityPerturbation(COS2, 0.1)
-    table = build_sigma_table(basis, dens, 2)
-    res = oracle_sum_rule([RationalOrderSpec.parse("3/2")], table, basis, [dens])[0]
+    table = build_sigma_table(basis, COS2, 2)
+    res = oracle_sum_rule([RationalOrderSpec.parse("3/2")], table, [0.1])[0]
     assert res.route == "oracle"
     assert res.z1 == 0.0 and res.z2 == 0.0
     assert res.z_total > 0.0 and res.tail_estimate > 0.0
@@ -556,9 +569,8 @@ def test_oracle_sum_rule_record():
 def test_convergence_fit_insufficient_points():
     basis = ModeBasis(String1D(1.0), 40)
     table = build_sigma_table(basis, COS2, 2)
-    densities = [DensityPerturbation(COS2, lam) for lam in (0.1, 0.2)]
     with pytest.raises(InsufficientDataError):
-        convergence_order_fit(RationalOrderSpec.parse("3/2"), table, basis, densities)
+        convergence_order_fit(RationalOrderSpec.parse("3/2"), table, [0.1, 0.2])
 
 
 def test_convergence_fit_first_order_slope_two():
@@ -566,8 +578,7 @@ def test_convergence_fit_first_order_slope_two():
     fit = convergence_order_fit(
         RationalOrderSpec.parse("3/2"),
         build_sigma_table(basis, COS2, 2),
-        basis,
-        [DensityPerturbation(COS2, lam) for lam in (0.04, 0.08, 0.16)],
+        [0.04, 0.08, 0.16],
         drop_second_order=True,
     )
     assert 1.8 < fit.slope < 2.2
@@ -584,9 +595,8 @@ def test_convergence_fit_rejects_s_one_before_any_solve(monkeypatch, order):
     monkeypatch.setattr(oracle, "oracle_sum_rule", never)
     basis = ModeBasis(String1D(1.0), 40)
     table = build_sigma_table(basis, COS2, 2)
-    densities = [DensityPerturbation(COS2, lam) for lam in (0.05, 0.1, 0.2)]
     with pytest.raises(ValidationError, match=r"Z\(1\) is linear in lambda"):
-        convergence_order_fit(order, table, basis, densities)
+        convergence_order_fit(order, table, [0.05, 0.1, 0.2])
 
 
 @pytest.mark.parametrize("lambdas, error, named", [
@@ -607,6 +617,5 @@ def test_convergence_fit_rejects_unfittable_lambdas_before_any_solve(monkeypatch
     monkeypatch.setattr(oracle, "oracle_sum_rule", never)
     basis = ModeBasis(String1D(1.0), 40)
     table = build_sigma_table(basis, COS2, 2)
-    densities = [DensityPerturbation(COS2, lam) for lam in lambdas]
     with pytest.raises(error, match=re.escape(named)):
-        convergence_order_fit(RationalOrderSpec.parse("3/2"), table, basis, densities)
+        convergence_order_fit(RationalOrderSpec.parse("3/2"), table, list(lambdas))

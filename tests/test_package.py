@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -38,6 +39,19 @@ def test_all_lists_exactly_the_public_names():
     assert len(set(billzeta.__all__)) == len(billzeta.__all__)
     for name in billzeta.__all__:
         assert getattr(billzeta, name) is not None
+
+
+def test_no_public_call_takes_a_table_with_a_basis_or_a_density():
+    # a table carries its basis and profile: a call that took either beside it could mix two media
+    calls = {name: getattr(billzeta, name) for name in billzeta.__all__}
+    calls |= {f"SigmaPowerTable.{name}": method for name, method in vars(billzeta.SigmaPowerTable).items()
+              if inspect.isfunction(method) and not name.startswith("_")}
+    # a record class takes its fields (its __init__ reads *args), a function its parameters
+    params = {name: set(call.__annotations__ if isinstance(call, type) else inspect.signature(call).parameters)
+              for name, call in calls.items() if callable(call)}
+    assert {"z_closed_form", "SigmaPowerTable", "SigmaPowerTable.restrict"} <= set(params)
+    mixed = [name for name, names in params.items() if "table" in names and names & {"basis", "density", "densities"}]
+    assert mixed == []
 
 
 def test_readme_names_every_public_name():
@@ -194,7 +208,7 @@ def test_value_classes_construct_compare_hash_and_repr(cls, required, given, def
 def test_array_holders_compare_by_identity():
     basis = ModeBasis(String1D(), 20)
     tables = [build_sigma_table(basis, COS, 2) for _ in range(2)]
-    sets = [q_generic_recursion(2, build_Q_series(2, tables[0], basis), basis) for _ in range(2)]
+    sets = [q_generic_recursion(2, build_Q_series(2, tables[0]), basis) for _ in range(2)]
     for first, second in (tables, sets):
         assert first == first and first != second  # equal arrays, distinct objects
         assert len({first, second, first}) == 2

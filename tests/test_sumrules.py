@@ -8,7 +8,6 @@ import pytest
 
 from billzeta.basis import (
     ROW_BLOCK,
-    DensityPerturbation,
     FourierCosine,
     ModeBasis,
     Polynomial,
@@ -154,7 +153,7 @@ def test_closed_form_z2_equals_explicit_double_sum(basis, profile):
             k = (s - 1) * eps[n] ** (-s) if n == m else kernel_second_order(eps[n], eps[m], s)
             total += k * s1[n, m] * s1[m, n]
     expected = 0.5 * lam * lam * s * total
-    z2 = z_closed_form([s], table, basis, [DensityPerturbation(profile, lam)])[0].z2
+    z2 = z_closed_form([s], table, [lam])[0].z2
     assert z2 == pytest.approx(expected, rel=1e-14)
 
 
@@ -180,12 +179,11 @@ def test_banded_closed_form_matches_dense_sum(coeffs, m):
     s1 = table.power(1)
     eps = basis.eigenvalues()
     orders = [1.5, 1.125, 5.0 / 6.0]
-    densities = [DensityPerturbation(profile, lam) for lam in (0.1, -0.15)]
-    results = z_closed_form(orders, table, basis, densities)
+    lams = [0.1, -0.15]
+    results = z_closed_form(orders, table, lams)
     for i, s in enumerate(orders):
         dense_sum = float(np.sum(dense_kernel(eps, s) * s1 * s1))
-        for density, res in zip(densities, results[2 * i : 2 * i + 2]):
-            lam = density.lam
+        for lam, res in zip(lams, results[2 * i : 2 * i + 2]):
             assert res.z1 == lam * (s * float(np.sum(np.diag(s1) * eps ** (-s))))
             assert res.z2 == pytest.approx(0.5 * lam * lam * s * dense_sum, rel=1e-14, abs=0.0)
 
@@ -201,11 +199,10 @@ def test_closed_form_working_set_is_one_row_block_of_pairs():
     basis = ModeBasis(String1D(1.0), m)
     table = build_sigma_table(basis, profile, 2)
     assert table._couplings(1, np.array([m - 1]))[0].size == 1 and table._couplings(1, np.array([0]))[0].size == m
-    densities = [DensityPerturbation(profile, lam) for lam in (0.02, 0.04, 0.08, 0.16)]
     tracemalloc.start()
     try:
         with no_dense_power():
-            results = z_closed_form([1.5, 1.125, 5.0 / 6.0], table, basis, densities)
+            results = z_closed_form([1.5, 1.125, 5.0 / 6.0], table, [0.02, 0.04, 0.08, 0.16])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -218,7 +215,7 @@ def test_banded_closed_form_zero_profile_keeps_signed_zeros():
     basis = ModeBasis(String1D(1.0), 50)
     table = build_sigma_table(basis, zero, 2)
     for lam in (0.3, -0.3, 0.0):
-        res = z_closed_form([1.5], table, basis, [DensityPerturbation(zero, lam)])[0]
+        res = z_closed_form([1.5], table, [lam])[0]
         for value in (res.z1, res.z2):
             assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
@@ -294,18 +291,16 @@ def test_tail_2d_tracks_true_remainder():
 
 def test_closed_form_homogeneous_anchor():
     basis = ModeBasis(String1D(1.0), 400)
-    zero = DensityPerturbation(FourierCosine(()), 0.0)
-    table = build_sigma_table(basis, zero, 2)
-    res = z_closed_form([1.5], table, basis, [zero])[0]
+    table = build_sigma_table(basis, FourierCosine(()), 2)
+    res = z_closed_form([1.5], table, [0.0])[0]
     assert res.z1 == 0.0 and res.z2 == 0.0
     assert abs(res.z_total - ZETA3 / math.pi**3) <= 2 * res.tail_estimate
 
 
 def test_closed_form_lambda_zero():
     basis = ModeBasis(String1D(1.0), 60)
-    dens = DensityPerturbation(COS2, 0.0)
-    table = build_sigma_table(basis, dens, 2)
-    res = z_closed_form([RationalOrderSpec.parse("3/2")], table, basis, [dens])[0]
+    table = build_sigma_table(basis, COS2, 2)
+    res = z_closed_form([RationalOrderSpec.parse("3/2")], table, [0.0])[0]
     assert res.z1 == 0.0 and res.z2 == 0.0
 
 
@@ -313,18 +308,16 @@ def test_first_order_sign_for_added_mass():
     # sigma(x) = sin^2(pi x) = 1/2 - cos(2 pi x)/2 >= 0: mass added, Z^(1) > 0
     profile = FourierCosine((0.5, 0.0, -0.5))
     basis = ModeBasis(String1D(1.0), 80)
-    dens = DensityPerturbation(profile, 0.2)
-    table = build_sigma_table(basis, dens, 2)
+    table = build_sigma_table(basis, profile, 2)
     for order in ("3/2", "1", "5/4"):
-        res = z_closed_form([RationalOrderSpec.parse(order)], table, basis, [dens])[0]
+        res = z_closed_form([RationalOrderSpec.parse(order)], table, [0.2])[0]
         assert res.z1 > 0.0
 
 
 def test_result_invariants():
     basis = ModeBasis(String1D(1.0), 60)
-    dens = DensityPerturbation(COS2, 0.1)
-    table = build_sigma_table(basis, dens, 2)
-    res = z_closed_form([RationalOrderSpec.parse("3/2")], table, basis, [dens])[0]
+    table = build_sigma_table(basis, COS2, 2)
+    res = z_closed_form([RationalOrderSpec.parse("3/2")], table, [0.1])[0]
     assert res.z_total == res.z0 + res.z1 + res.z2
     assert res.tail_estimate >= 0.0
     assert res.order_label == "1+1/2"
@@ -332,12 +325,11 @@ def test_result_invariants():
 
 
 def test_route_agreement_one_plus_inv():
-    dens = DensityPerturbation(COS2, 0.1)
     table = reference_table()
     for n in (2, 3, 4):
         spec = RationalOrderSpec((1, n))
-        closed = z_closed_form([spec], table, STRING, [dens])[0]
-        trace = z_via_trace([spec], table, STRING, [dens])[0]
+        closed = z_closed_form([spec], table, [0.1])[0]
+        trace = z_via_trace([spec], table, [0.1])[0]
         assert abs(closed.z_total - trace.z_total) <= 1e-9 * abs(closed.z_total)
         # order-by-order agreement, not only the total
         assert trace.z0 == pytest.approx(closed.z0, rel=1e-13)
@@ -346,30 +338,27 @@ def test_route_agreement_one_plus_inv():
 
 
 def test_route_agreement_inv_sum():
-    dens = DensityPerturbation(COS2, 0.1)
     table = reference_table()
     for n, n2 in ((2, 2), (2, 3), (2, 4), (3, 4)):
         spec = RationalOrderSpec((n, n2))
-        closed = z_closed_form([spec], table, STRING, [dens])[0]
-        trace = z_via_trace([spec], table, STRING, [dens])[0]
+        closed = z_closed_form([spec], table, [0.1])[0]
+        trace = z_via_trace([spec], table, [0.1])[0]
         assert abs(closed.z_total - trace.z_total) <= 1e-9 * abs(closed.z_total)
 
 
 def test_route_agreement_2d_one_plus_inv():
     basis = ModeBasis(Rectangle2D(1.0, 1.0), 400)
     prof = Separable2D(((COS2, COS2),))
-    dens = DensityPerturbation(prof, 0.1)
     table = build_sigma_table(basis, prof, 2)
     spec = RationalOrderSpec((1, 4))
-    closed = z_closed_form([spec], table, basis, [dens])[0]
-    trace = z_via_trace([spec], table, basis, [dens])[0]
+    closed = z_closed_form([spec], table, [0.1])[0]
+    trace = z_via_trace([spec], table, [0.1])[0]
     assert abs(closed.z_total - trace.z_total) <= 1e-9 * abs(closed.z_total)
 
 
 def test_trace_zero_profile_reduces_to_plain_sum():
-    zero = DensityPerturbation(FourierCosine(()), 0.0)
-    table = build_sigma_table(STRING, zero, 2)
-    res = z_via_trace([RationalOrderSpec((1, 3))], table, STRING, [zero])[0]
+    table = build_sigma_table(STRING, FourierCosine(()), 2)
+    res = z_via_trace([RationalOrderSpec((1, 3))], table, [0.0])[0]
     eps = STRING.eigenvalues()
     expected = float(np.sum(eps ** (-4.0 / 3.0))) + res.tail_estimate
     assert res.z_total == pytest.approx(expected, rel=1e-14)
@@ -391,7 +380,7 @@ def test_trace_route_forms_no_order_two_matrix():
         specs = [RationalOrderSpec((1, n)) for n in roots]
         tracemalloc.start()
         try:
-            results = z_via_trace(specs, table, basis, [DensityPerturbation(prof, 0.1)])
+            results = z_via_trace(specs, table, [0.1])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -400,9 +389,10 @@ def test_trace_route_forms_no_order_two_matrix():
     assert results[:7] == results[7:]  # one trace per distinct order, mapped back to each
 
 
-def dense_trace_reference(spec, table, basis, lam):
+def dense_trace_reference(spec, table, lam):
     """(z0, z1, z2) of the trace route from the dense series: build_Q_series + q_generic_recursion."""
-    series = build_Q_series(2, table, basis)
+    basis = table.basis
+    series = build_Q_series(2, table)
     a, b = (series if n == 1 else q_generic_recursion(n, series, basis).q_orders for n in spec.roots)
     eps, s = basis.eigenvalues(), spec.s
     s1 = table.power(1)
@@ -428,14 +418,13 @@ def test_trace_row_blocks_match_the_dense_series(kind, profile, m):
     domain = String1D(1.0) if kind == "string" else Rectangle2D(1.0, 1.3)
     basis = ModeBasis(domain, m)
     table = build_sigma_table(basis, profile, 2)
-    density = DensityPerturbation(profile, 0.1)
     specs = [RationalOrderSpec.parse(label) for label in TRACE_ORDERS]
     if kind == "rectangle":  # 1/N + 1/N' <= 1 diverges there
         specs = [spec for spec in specs if spec.roots[0] == 1]
     with no_dense_power():  # the route reads S_1 by row blocks only
-        results = z_via_trace(specs, table, basis, [density])
+        results = z_via_trace(specs, table, [0.1])
     for spec, res in zip(specs, results):
-        expected = dense_trace_reference(spec, table, basis, density.lam)
+        expected = dense_trace_reference(spec, table, 0.1)
         scale = abs(sum(expected))
         for got, want in zip((res.z0, res.z1, res.z2), expected):
             assert abs(got - want) <= 1e-14 * scale
@@ -472,15 +461,15 @@ def test_closed_form_over_couplings_matches_the_dense_sum(case, m):
     domain, profile = COUPLING_CASES[case]
     basis = ModeBasis(domain, m)
     table = build_sigma_table(basis, profile, 2)
-    densities = [DensityPerturbation(profile, lam) for lam in (0.05, -0.1)]
+    lams = [0.05, -0.1]
     orders = [1.5, 1.125] + ([5.0 / 6.0] if basis.dimension == 1 else [])
     with no_dense_power():  # read as couplings, never dense
-        results = z_closed_form(orders, table, basis, densities)
+        results = z_closed_form(orders, table, lams)
     eps, s1 = basis.eigenvalues(), table.power(1)
     for i, s in enumerate(orders):
         dense = 0.5 * s * dense_z2_sum(s1, eps, s)
-        for density, res in zip(densities, results[2 * i : 2 * i + 2]):
-            assert res.z2 == pytest.approx(density.lam**2 * dense, rel=1e-14, abs=0.0)
+        for lam, res in zip(lams, results[2 * i : 2 * i + 2]):
+            assert res.z2 == pytest.approx(lam**2 * dense, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("m", [1, ROW_BLOCK + 1, 300])
@@ -489,13 +478,12 @@ def test_trace_route_over_couplings_matches_the_dense_series(case, m):
     domain, profile = COUPLING_CASES[case]
     basis = ModeBasis(domain, m)
     table = build_sigma_table(basis, profile, 2)
-    density = DensityPerturbation(profile, 0.1)
     labels = ("1+1/2", "1+1/8", "1+1/64") + (("1/2+1/3",) if basis.dimension == 1 else ())
     specs = [RationalOrderSpec.parse(label) for label in labels]
     with no_dense_power():
-        results = z_via_trace(specs, table, basis, [density])
+        results = z_via_trace(specs, table, [0.1])
     for spec, res in zip(specs, results):
-        expected = dense_trace_reference(spec, table, basis, density.lam)
+        expected = dense_trace_reference(spec, table, 0.1)
         for got, want in zip((res.z0, res.z1, res.z2), expected):
             assert abs(got - want) <= 1e-14 * abs(res.z_total)
 
@@ -512,7 +500,7 @@ def test_rectangle_trace_route_peaks_below_half_a_dense_matrix():
     try:
         table = build_sigma_table(basis, profile, 2)
         with no_dense_power():
-            z_via_trace([RationalOrderSpec.parse("1+1/2")], table, basis, [DensityPerturbation(profile, 0.1)])
+            z_via_trace([RationalOrderSpec.parse("1+1/2")], table, [0.1])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -523,29 +511,26 @@ def test_trace_route_needs_a_second_power():
     basis = ModeBasis(String1D(1.0), 5)
     table = build_sigma_table(basis, COS2, 1)
     with pytest.raises(ValidationError):
-        z_via_trace([RationalOrderSpec((1, 2))], table, basis, [DensityPerturbation(COS2, 0.1)])
+        z_via_trace([RationalOrderSpec((1, 2))], table, [0.1])
 
 
 def test_trace_inv_sum_rejects_2d():
     rect = ModeBasis(Rectangle2D(1.0, 1.0), 20)
     prof = Separable2D(((COS2, COS2),))
-    dens = DensityPerturbation(prof, 0.05)
     table = build_sigma_table(rect, prof, 2)
     with pytest.raises(ValidationError):
-        z_via_trace([RationalOrderSpec((2, 2))], table, rect, [dens])
+        z_via_trace([RationalOrderSpec((2, 2))], table, [0.05])
 
 
 def test_closed_form_rejects_bad_inputs():
-    dens = DensityPerturbation(COS2, 0.1)
-    table = build_sigma_table(ModeBasis(String1D(1.0), 20), dens, 1)
+    table = build_sigma_table(ModeBasis(String1D(1.0), 20), COS2, 1)
     with pytest.raises(ValidationError):
-        z_closed_form([1.5], table, ModeBasis(String1D(1.0), 20), [dens])  # J < 2
-    table2 = build_sigma_table(ModeBasis(String1D(1.0), 20), dens, 2)
+        z_closed_form([1.5], table, [0.1])  # J < 2
+    table2 = build_sigma_table(ModeBasis(String1D(1.0), 20), COS2, 2)
     with pytest.raises(ValidationError):
-        z_closed_form([0.4], table2, ModeBasis(String1D(1.0), 20), [dens])  # divergent
-    bad = DensityPerturbation(COS2, 1.01)
+        z_closed_form([0.4], table2, [0.1])  # divergent
     with pytest.raises(ValidationError):
-        z_closed_form([1.5], table2, ModeBasis(String1D(1.0), 20), [bad])
+        z_closed_form([1.5], table2, [1.01])
 
 
 ALL_ORDERS = "3/2,1+1/4,1/2+1/3"
@@ -557,42 +542,31 @@ ALL_ORDERS = "3/2,1+1/4,1/2+1/3"
      ("closed", ALL_ORDERS), ("trace", ALL_ORDERS), ("oracle", ALL_ORDERS)],
 )
 def test_route_over_densities_equals_single_density_calls(route, order):
-    basis = ModeBasis(String1D(1.0), 60)
     table = reference_table(60)
     specs = [RationalOrderSpec.parse(o) for o in order.split(",")]
-    call = {
-        "closed": lambda os, ds: z_closed_form(os, table, basis, ds),
-        "trace": lambda os, ds: z_via_trace(os, table, basis, ds),
-        "oracle": lambda os, ds: oracle_sum_rule(os, table, basis, ds),
-    }[route]
-    densities = [DensityPerturbation(COS2, lam) for lam in (0.0, 0.05, -0.1)]
-    results = call(specs, densities)
-    # order-major: every density of one order before the next order
-    assert [(r.order_label, r.lam) for r in results] == [
-        (spec.label(), lam) for spec in specs for lam in (0.0, 0.05, -0.1)
-    ]
+    call = {"closed": z_closed_form, "trace": z_via_trace, "oracle": oracle_sum_rule}[route]
+    lams = [0.0, 0.05, -0.1]
+    results = call(specs, table, lams)
+    # order-major: every lambda of one order before the next order
+    assert [(r.order_label, r.lam) for r in results] == [(spec.label(), lam) for spec in specs for lam in lams]
     # every field, exactly; across orders this covers shared and released q sets
-    assert results == [call([spec], [d])[0] for spec in specs for d in densities]
+    assert results == [call([spec], table, [lam])[0] for spec in specs for lam in lams]
 
 
 def test_route_validates_every_density():
-    basis = ModeBasis(String1D(1.0), 20)
     table = reference_table(20)
-    densities = [DensityPerturbation(COS2, 0.1), DensityPerturbation(COS2, 1.01)]
     spec = RationalOrderSpec.parse("3/2")
     for route in (z_closed_form, z_via_trace, oracle_sum_rule):
         with pytest.raises(ValidationError):
-            route([spec], table, basis, densities)
+            route([spec], table, [0.1, 1.01])
 
 
 def test_route_validates_every_order():
-    basis = ModeBasis(String1D(1.0), 20)
     table = reference_table(20)
-    densities = [DensityPerturbation(COS2, 0.1)]
     specs = [RationalOrderSpec.parse("3/2"), RationalOrderSpec((4, 8))]  # s = 3/8
     for route in (z_closed_form, z_via_trace, oracle_sum_rule):
         with pytest.raises(ValidationError, match="diverges"):
-            route(specs, table, basis, densities)
+            route(specs, table, [0.1])
 
 
 @pytest.mark.parametrize("orders", [[], ["3/2", "1/2+1/3"]], ids=["no-orders", "two-orders"])
@@ -600,11 +574,9 @@ def test_route_validates_every_order():
 def test_every_route_returns_a_result_per_order_and_density(orders, lams):
     # with no orders or no densities every route returns [], as the oracle always did
     specs = [RationalOrderSpec.parse(text) for text in orders]
-    densities = [DensityPerturbation(COS2, lam) for lam in lams]
-    basis = ModeBasis(String1D(1.0), 20)
     table = reference_table(20)
     for route in (z_closed_form, z_via_trace, oracle_sum_rule):
-        results = route(specs, table, basis, densities)
+        results = route(specs, table, lams)
         assert [(r.order_label, r.lam) for r in results] == [(o.label(), lam) for o in specs for lam in lams]
 
 
@@ -614,16 +586,15 @@ def test_a_mirrored_order_keeps_its_text(monkeypatch):
     mirrored = RationalOrderSpec.parse("1/3+1/2")
     assert mirrored.roots == (3, 2) and mirrored.label() == "1/3+1/2"
     specs = [RationalOrderSpec.parse("1/2+1/3"), mirrored]
-    density = DensityPerturbation(COS2, 0.1)
     table = reference_table()
     block, handed = sumrules._trace_block, []
     monkeypatch.setattr(sumrules, "_trace_block", lambda *args: handed.append(args[6]) or block(*args))
-    first, second = z_via_trace(specs, table, STRING, [density])
+    first, second = z_via_trace(specs, table, [0.1])
     assert (first.order_label, second.order_label) == ("1/2+1/3", "1/3+1/2")
     # tr(q[1/2] q[1/3]) = tr(q[1/3] q[1/2]): every step forms the one pair's share once
     assert handed and all(pairs == [(2, 3)] for pairs in handed)
     assert (first.z0, first.z1, first.z2) == (second.z0, second.z1, second.z2)
-    closed = z_closed_form(specs[:1], table, STRING, [density])[0]
+    closed = z_closed_form(specs[:1], table, [0.1])[0]
     for res in (first, second):
         assert abs(res.z_total - closed.z_total) <= 1e-8 * abs(closed.z_total)
 
@@ -638,9 +609,8 @@ def test_a_zero_first_order_term_is_positive_zero(tmp_path):
     table = build_sigma_table(basis, profile, 2)
     assert not table.diagonal(1).any()
     specs = [RationalOrderSpec.parse(text) for text in ("1+1/2", "1/2+1/3")]
-    densities = [DensityPerturbation(profile, lam) for lam in (-0.1, 0.0)]
     for route in (z_closed_form, z_via_trace, oracle_sum_rule):
-        for res in route(specs, table, basis, densities):
+        for res in route(specs, table, [-0.1, 0.0]):
             assert res.z1 == 0.0 and math.copysign(1.0, res.z1) == 1.0, (res.route, res.lam)
     config = tmp_path / "run.json"
     config.write_text('{"version": 1, "density": {"profile": {"type": "fourier-cosine", "coeffs": [0.0, 1.0]}}}')
@@ -657,27 +627,22 @@ def test_trace_route_rejects_plain_number_orders(order):
     # the closed form and the oracle take a number for s; the trace route needs the
     # root orders, and names the order it cannot read
     specs = [RationalOrderSpec.parse("1+1/4"), order]
-    density = DensityPerturbation(COS2, 0.1)
     with pytest.raises(ValidationError, match=re.escape(repr(order))):
-        z_via_trace(specs, reference_table(20), ModeBasis(String1D(1.0), 20), [density])
+        z_via_trace(specs, reference_table(20), [0.1])
 
 
-@pytest.mark.parametrize("modes", [10, 30])
-def test_a_table_serves_exactly_its_basis(modes):
-    # a 20-mode table with a smaller or a larger basis: every function that takes both
-    # raises before any work, where it used to index past the table or cut the sums short
-    table = reference_table(20)
-    basis = ModeBasis(String1D(1.0), modes)
+def test_a_route_checks_lambda_against_its_tables_profile():
+    # the table is the medium: on a table of 5 cos(2 pi x), lambda = 0.5 puts sup|lambda sigma| at 2.5,
+    # so every function that takes the table refuses it before any work
+    table = reference_table(200, FourierCosine((0.0, 0.0, 5.0)))
     spec = RationalOrderSpec.parse("3/2")
-    densities = [DensityPerturbation(COS2, lam) for lam in (0.04, 0.08, 0.16)]
     calls = {
-        "closed form": lambda: z_closed_form([spec], table, basis, densities),
-        "trace": lambda: z_via_trace([spec], table, basis, densities),
-        "oracle": lambda: oracle_sum_rule([spec], table, basis, densities),
-        "spectrum": lambda: solve_spectrum(basis, densities[0], table=table),
-        "Q series": lambda: build_Q_series(2, table, basis),
-        "fit": lambda: convergence_order_fit(spec, table, basis, densities),
+        "closed form": lambda: z_closed_form([spec], table, [0.5]),
+        "trace": lambda: z_via_trace([spec], table, [0.5]),
+        "oracle": lambda: oracle_sum_rule([spec], table, [0.5]),
+        "spectrum": lambda: solve_spectrum(table, 0.5),
+        "fit": lambda: convergence_order_fit(spec, table, [0.05, 0.1, 0.5]),
     }
-    for name, call in calls.items():
-        with pytest.raises(ValidationError, match=f"table of 20 modes cannot serve a basis of {modes}"):
+    for call in calls.values():
+        with pytest.raises(ValidationError, match=re.escape("density bound violated: sup|lambda*sigma| = 2.5,")):
             call()
