@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -162,6 +161,14 @@ class FourierCosine:
         return all(c == 0.0 for c in self.coeffs[1::2])
 
 
+def _dyadic(*values: float) -> tuple[list[int], int]:
+    """Finite floats exactly as integer numerators over their least common denominator, a power
+    of two, and that denominator."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max(d for _, d in ratios)
+    return [n * (den // d) for n, d in ratios], den
+
+
 @dataclass
 class Polynomial:
     """sigma(x) = sum_p coeffs[p] * x^p in the physical coordinate."""
@@ -199,14 +206,18 @@ class Polynomial:
 
     @functools.lru_cache(maxsize=None)
     def is_even(self, length: float) -> bool:
-        """p(L - x) = p(x) exactly, memoized: p(L - x) expanded in rationals, each float taken exactly,
-        is p, compared from the highest coefficient down to the first mismatch."""
+        """p(L - x) = p(x) exactly, memoized.  Over the floats' common power-of-two denominator D,
+        coeffs[p] = a_p / D and L = ell / D; with x = y / D, D^(n+1) p(L - x) = D^(n+1) p(x) is an
+        identity of integer polynomials in y, compared from the highest power of y down to the first
+        mismatch: sum_(p >= q) a_p C(p, q) ell^(p-q) D^(n-p) (-1)^q = a_q D^(n-q)."""
         if not all(map(math.isfinite, self.coeffs)):
             return False
-        a, ell = [Fraction(c) for c in self.coeffs], Fraction(length)
+        (*a, ell), den = _dyadic(*self.coeffs, length)
+        n = len(a) - 1
         return all(
-            (-1) ** q * sum(a[p] * math.comb(p, q) * ell ** (p - q) for p in range(q, len(a))) == a[q]
-            for q in reversed(range(len(a)))
+            (-1) ** q * sum(a[p] * math.comb(p, q) * ell ** (p - q) * den ** (n - p) for p in range(q, n + 1))
+            == a[q] * den ** (n - q)
+            for q in reversed(range(n + 1))
         )
 
 
@@ -246,13 +257,12 @@ class Tabulated:
 
     @functools.lru_cache(maxsize=None)
     def is_even(self, length: float) -> bool:
-        """Mirror-even exactly, memoized: ys a palindrome and xs[i] + xs[-1-i] = L in rationals."""
-        if not all(map(math.isfinite, self.xs)):
+        """Mirror-even exactly, memoized: ys a palindrome and xs[i] + xs[-1-i] = L, compared as
+        integers over the floats' common power-of-two denominator."""
+        if not all(map(math.isfinite, self.xs)) or self.ys != self.ys[::-1]:
             return False
-        ell = Fraction(length)
-        return self.ys == self.ys[::-1] and all(
-            Fraction(a) + Fraction(b) == ell for a, b in zip(self.xs, reversed(self.xs))
-        )
+        (*xs, ell), _ = _dyadic(*self.xs, length)
+        return all(a + b == ell for a, b in zip(xs, reversed(xs)))
 
 
 Profile1D = FourierCosine | Polynomial | Tabulated

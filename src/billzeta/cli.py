@@ -109,8 +109,9 @@ _SETTINGS = {
                        about="root order N"),
     "max_order": _Setting("--max-order", None, int, 2, span=(0, math.inf), commands=("coeffs",),
                           about="highest coefficient order"),
-    "threshold": _Setting("--threshold", "slope_threshold", float, 2.7, commands=("verify",),
-                          about="minimum slope"),
+    # a run may tighten the slope gate, never loosen it
+    "threshold": _Setting("--threshold", "slope_threshold", float, 2.7, span=(2.7, math.inf),
+                          commands=("verify",), about="minimum slope"),
     "first_order_only": _Setting("--first-order-only", None, (False, True), False, switch=True,
                                  commands=("verify",),
                                  about="drop the second-order term (harness self-check)"),
@@ -428,6 +429,8 @@ def load_config(path: str | None, overrides) -> RunConfig:
     if command == "verify" and (len(set(lam_list)) < 3 or min(lam_list, default=0.0) <= 0.0):
         # the fit is a line through (log lambda, log error): 3 distinct abscissae, each defined
         problems.append(f"verify needs at least 3 lambda values, distinct and positive, got {lam_list}")
+    if command == "verify" and profile is not None and profile.is_zero:
+        problems.append(oracle._HOMOGENEOUS)
     if basis is not None and profile is not None:
         for lam in read_lams:
             density = DensityPerturbation(profile, lam)
@@ -440,7 +443,7 @@ def load_config(path: str | None, overrides) -> RunConfig:
                 spec.validate_for(basis)
             except ValidationError as exc:
                 problems.append(f"order {spec.label()}: {exc}")
-            if command == "verify" and spec.fraction == 1 and basis.dimension == 1:  # 2D: diverges
+            if command == "verify" and spec.s == 1.0 and basis.dimension == 1:  # 2D: diverges
                 problems.append(f"order {spec.label()}: {oracle._LINEAR_AT_ONE}")
             if command == "sumrule" and route == "trace1" and spec.roots[0] != 1:
                 problems.append(f"order {spec.label()}: route trace1 needs a 1+1/N order")

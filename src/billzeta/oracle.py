@@ -273,6 +273,8 @@ def oracle_sum_rule(orders, table: SigmaPowerTable, lams) -> list[SumRuleResult]
 FLOOR_FACTOR = 10.0
 # why no order at s = 1 is fitted
 _LINEAR_AT_ONE = "Z(1) is linear in lambda, so second order is exact and there is no lambda^3 term to fit"
+# why no homogeneous medium is fitted
+_HOMOGENEOUS = "sigma is zero, so Z does not depend on lambda and there is no lambda^3 term to fit"
 
 
 @dataclass
@@ -288,8 +290,9 @@ def convergence_order_fit(order, table: SigmaPowerTable, lams, *, drop_second_or
     """Fit the lambda-scaling of the perturbative error against the oracle.
 
     The closed form and the oracle both run on ``table`` (max_power >= 2) for
-    every lambda, taken in ascending order.  Every lambda must be positive
-    and the order's s must not be 1, where Z is exactly linear in lambda
+    every lambda, taken in ascending order.  Every lambda must be positive,
+    the order's s must not be 1, where Z is exactly linear in lambda, and
+    the table's profile must not be zero, where Z does not depend on lambda
     (ValidationError otherwise, before any solve); at least three lambdas
     must be distinct.  Points whose error sits below FLOOR_FACTOR x the estimated
     numerical floor (tail and rounding mismatch) are excluded and reported;
@@ -300,6 +303,8 @@ def convergence_order_fit(order, table: SigmaPowerTable, lams, *, drop_second_or
     s, label = _s_and_label(order)
     if s == 1.0:
         raise ValidationError(f"order {label}: {_LINEAR_AT_ONE}")
+    if table.profile.is_zero:
+        raise ValidationError(_HOMOGENEOUS)
     bad = [lam for lam in lams if not lam > 0.0]
     if bad:  # the fit is a line through (log lambda, log error)
         raise ValidationError(f"the fit needs positive lambda values, got {bad}")

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
 
 import numpy as np
 
@@ -61,9 +60,39 @@ ROUTE_ORACLE = "oracle"
 
 
 # One term of an order's text: an integer, p/q or a decimal with an optional exponent, signed.
-_ORDER_TERM = re.compile(r"-?(\d+/\d+|(\d+\.?\d*|\.\d+)([eE]-?\d+)?)")
+_ORDER_TERM = re.compile(
+    r"(?P<sign>-?)(?:(?P<num>\d+)/(?P<den>\d+)"  # p/q
+    r"|(?=\.?\d)(?P<int>\d*)(?:\.(?P<frac>\d*))?(?:[eE](?P<exp>-?\d+))?)"  # 1, 1., .5, 1.5, each with e-3
+)
 # Every order 1 + 1/N or 1/N + 1/N' lies in [2 / MAX_ROOT_ORDER, 3/2], here widened past rounding.
 _ORDER_SPAN = (2 / MAX_ROOT_ORDER * (1 - 1e-9), 1.5 * (1 + 1e-9))
+
+
+def _ratio(term: re.Match, value: float) -> tuple[int, int]:
+    """A matched term as its reduced (n, d), d > 0; value is its double.
+
+    Its digit strings go through int one at a time, integer part, fraction
+    part, then exponent, as the standard library's rational parser takes
+    them, so past int's digit limit the same part raises the same
+    ValueError.  A zero mantissa is 0 whatever its exponent; any other must
+    have a nonzero double (finite, as parse has checked the sum), which
+    bounds the exponent by the digits before 10**exp is formed.
+    """
+    if term["den"] is not None:
+        n, d = int(term["num"]), int(term["den"])
+    else:
+        frac = term["frac"] or ""
+        whole, part, exp = int(term["int"] or "0"), int(frac or "0"), int(term["exp"] or "0") - len(frac)
+        n = whole * 10 ** len(frac) + part
+        if n == 0:
+            return 0, 1
+        if value == 0.0:
+            raise ValidationError(f"term {term[0]!r} is not 0, but its double is 0.0")
+        n, d = (n * 10**exp, 1) if exp >= 0 else (n, 10**-exp)
+    if term["sign"]:
+        n = -n
+    g = math.gcd(n, d)
+    return n // g, d // g
 
 
 @dataclass
@@ -82,12 +111,8 @@ class RationalOrderSpec:
 
     @property
     def s(self) -> float:
-        return float(self.fraction)
-
-    @property
-    def fraction(self) -> Fraction:
         a, b = self.roots
-        return Fraction(1, a) + Fraction(1, b)
+        return (a + b) / (a * b)  # one correctly rounded division of exact integers
 
     def label(self) -> str:
         a, b = self.roots
@@ -100,36 +125,38 @@ class RationalOrderSpec:
     def parse(cls, text: str) -> "RationalOrderSpec":
         """Parse '1+1/4', '1/2+1/3', '3/2' or '1.25' into its root orders; problems quote the text.
 
-        The terms' forms, their denominators and the value's float are checked
+        The terms' forms, their denominators and the value's double are checked
         before any exact arithmetic, so an exponent cannot make the work or
         the message outgrow the text.
         """
         terms = text.strip().replace(" ", "").split("+", 1)
         try:
-            if not all(map(_ORDER_TERM.fullmatch, terms)):
+            matches = [_ORDER_TERM.fullmatch(term) for term in terms]
+            if not all(matches):
                 raise ValidationError("not p/q, a decimal or a sum of two of them")
-            parts = [term.partition("/") for term in terms]
-            if any(slash and not q.strip("0") for _, slash, q in parts):
+            if any(m["den"] is not None and float(m["den"]) == 0 for m in matches):
                 raise ValidationError("a denominator is zero")
-            if not _ORDER_SPAN[0] <= sum(float(p) / float(q or 1) for p, _, q in parts) <= _ORDER_SPAN[1]:
-                raise ValidationError(f"outside [{Fraction(2, MAX_ROOT_ORDER)}, 3/2], where every order lies")
-            if len(terms) == 1:
-                return cls.from_fraction(Fraction(terms[0]))
-            fracs = list(map(Fraction, terms))
-            if all(f.numerator == 1 for f in fracs):
-                return cls(tuple(f.denominator for f in fracs))
+            values = [float(p) / float(q or 1) for p, _, q in (term.partition("/") for term in terms)]
+            if not _ORDER_SPAN[0] <= sum(values) <= _ORDER_SPAN[1]:
+                raise ValidationError(f"outside [1/{MAX_ROOT_ORDER // 2}, 3/2], where every order lies")
+            ratios = [_ratio(m, value) for m, value in zip(matches, values)]
+            if len(ratios) == 1:
+                return cls._from_ratio(*ratios[0])
+            if all(n == 1 for n, _ in ratios):
+                return cls(tuple(d for _, d in ratios))
             raise ValidationError("neither 1 + 1/N nor 1/N + 1/N'")
         except (ValidationError, ValueError) as exc:  # ValueError: past int's digit limit
             raise ValidationError(f"order {text!r}: {exc}") from None
 
     @classmethod
-    def from_fraction(cls, frac: Fraction) -> "RationalOrderSpec":
-        """The first (a, b), a ascending, with frac = 1/a + 1/b and b in 2..MAX_ROOT_ORDER."""
+    def _from_ratio(cls, n: int, d: int) -> "RationalOrderSpec":
+        """The first (a, b), a ascending, with n/d = 1/a + 1/b and b in 2..MAX_ROOT_ORDER (n/d reduced)."""
         for a in range(1, MAX_ROOT_ORDER + 1):
-            rest = frac - Fraction(1, a)
-            if rest.numerator == 1 and 2 <= rest.denominator <= MAX_ROOT_ORDER:
-                return cls((a, rest.denominator))
-        raise ValidationError(f"{frac} is neither 1 + 1/N nor 1/N + 1/N' with N, N' in 2..{MAX_ROOT_ORDER}")
+            rest_n, rest_d = n * a - d, d * a  # n/d - 1/a, 1/b exactly when rest_n divides rest_d
+            if rest_n > 0 and rest_d % rest_n == 0 and 2 <= rest_d // rest_n <= MAX_ROOT_ORDER:
+                return cls((a, rest_d // rest_n))
+        value = f"{n}/{d}" if d != 1 else f"{n}"
+        raise ValidationError(f"{value} is neither 1 + 1/N nor 1/N + 1/N' with N, N' in 2..{MAX_ROOT_ORDER}")
 
 
 # ---------------------------------------------------------------------------

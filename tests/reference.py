@@ -17,10 +17,16 @@
   Toeplitz-minus-Hankel matrix of sliding windows, against which the
   string's selection rule (``basis._selection_rule``) is checked bit for bit;
 * ``z_one_exact``: the exact Z(1) of the heterogeneous string, the trace of
-  its Green's operator, against which every route is checked at s = 1.
+  its Green's operator, against which every route is checked at s = 1;
+* ``order_roots``: an order's text read by ``fractions.Fraction``, against
+  which ``RationalOrderSpec.parse``'s integer reading is checked, roots and
+  problem text;
+* ``polynomial_is_even`` and ``tabulated_is_even``: mirror parity in
+  rationals, against which the integer ``is_even`` of each is checked.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -36,7 +42,8 @@ from billzeta.basis import (
 )
 from billzeta.coefficients import build_Q_series
 from billzeta.errors import ValidationError
-from billzeta.kernels import validate_root_order
+from billzeta.kernels import MAX_ROOT_ORDER, validate_root_order
+from billzeta.sumrules import RationalOrderSpec
 
 
 def _frac_power(e, p_over_n: float):
@@ -227,3 +234,57 @@ def z_one_exact(profile, length: float, lam: float) -> float:
     else:
         raise TypeError(f"no exact Z(1) for {type(profile).__name__}")
     return length**2 / 6.0 + lam * weighted
+
+
+_ORDER_TERM = re.compile(r"-?(\d+/\d+|(\d+\.?\d*|\.\d+)([eE]-?\d+)?)")
+
+
+def order_roots(text: str) -> tuple[int, int]:
+    """The root orders (a, b) of an order's text in Fraction arithmetic, or its ValidationError.
+
+    The checks and their messages are parse's.  Fraction forms 10**exp for
+    any exponent, so a term's exponent must be bounded by the caller.
+    """
+    terms = text.strip().replace(" ", "").split("+", 1)
+    try:
+        if not all(map(_ORDER_TERM.fullmatch, terms)):
+            raise ValidationError("not p/q, a decimal or a sum of two of them")
+        parts = [term.partition("/") for term in terms]
+        if any(slash and not q.strip("0") for _, slash, q in parts):
+            raise ValidationError("a denominator is zero")
+        value = sum(float(p) / float(q or 1) for p, _, q in parts)
+        if not 2 / MAX_ROOT_ORDER * (1 - 1e-9) <= value <= 1.5 * (1 + 1e-9):
+            raise ValidationError(f"outside [{Fraction(2, MAX_ROOT_ORDER)}, 3/2], where every order lies")
+        fracs = [Fraction(term) for term in terms]
+        if len(fracs) == 2:
+            if all(f.numerator == 1 for f in fracs):
+                return RationalOrderSpec(tuple(f.denominator for f in fracs)).roots
+            raise ValidationError("neither 1 + 1/N nor 1/N + 1/N'")
+        for a in range(1, MAX_ROOT_ORDER + 1):
+            rest = fracs[0] - Fraction(1, a)
+            if rest.numerator == 1 and 2 <= rest.denominator <= MAX_ROOT_ORDER:
+                return (a, rest.denominator)
+        raise ValidationError(f"{fracs[0]} is neither 1 + 1/N nor 1/N + 1/N' with N, N' in 2..{MAX_ROOT_ORDER}")
+    except (ValidationError, ValueError) as exc:
+        raise ValidationError(f"order {text!r}: {exc}") from None
+
+
+def polynomial_is_even(coeffs, length: float) -> bool:
+    """p(L - x) = p(x) for finite coefficients, p(L - x) expanded in rationals, each float taken exactly."""
+    if not all(map(math.isfinite, coeffs)):
+        return False
+    a, ell = [Fraction(c) for c in coeffs], Fraction(length)
+    return all(
+        (-1) ** q * sum(a[p] * math.comb(p, q) * ell ** (p - q) for p in range(q, len(a))) == a[q]
+        for q in range(len(a))
+    )
+
+
+def tabulated_is_even(xs, ys, length: float) -> bool:
+    """ys a palindrome and xs[i] + xs[-1-i] = L in rationals, for finite abscissae."""
+    ell = Fraction(length)
+    return (
+        all(map(math.isfinite, xs))
+        and list(ys) == list(ys)[::-1]
+        and all(Fraction(a) + Fraction(b) == ell for a, b in zip(xs, reversed(xs)))
+    )

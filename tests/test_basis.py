@@ -3,9 +3,12 @@ import functools
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from billzeta.basis import (
     ROW_BLOCK,
@@ -28,7 +31,12 @@ from billzeta.basis import (
 )
 from billzeta.cli import EXIT_NUMERICAL, main
 from billzeta.errors import NumericalError, ValidationError
-from reference import cosine_coefficients_by_quadrature, exact_cosine_elements
+from reference import (
+    cosine_coefficients_by_quadrature,
+    exact_cosine_elements,
+    polynomial_is_even,
+    tabulated_is_even,
+)
 
 COS2 = FourierCosine((0.0, 0.0, 1.0))  # sigma(x) = cos(2 pi x / L)
 POLY = Polynomial((0.0, 4.0, -4.0))  # a piecewise-polynomial profile: one piece
@@ -438,6 +446,56 @@ def test_mirror_evenness_is_expanded_once_per_profile_and_stops_at_a_mismatch(mo
     assert 0 < len(terms) <= degree
     read = len(terms)
     assert profile.is_even(1.0) is False and len(terms) == read  # memoized: no term is read again
+
+
+_DYADIC = st.builds(lambda k, j: k / 2**j, st.integers(-64, 64), st.integers(0, 8))
+_LENGTH = st.builds(lambda k, j: k / 2**j, st.integers(1, 64), st.integers(0, 6))
+
+
+@st.composite
+def _polynomials(draw):
+    """(coeffs, L): sum_i c_i (x (L - x))^i, even about L/2, expanded exactly; often one term changed."""
+    length = draw(_LENGTH)
+    cs = draw(st.lists(_DYADIC, max_size=4))
+    coeffs = [Fraction(0)] * (2 * len(cs))
+    for i, c in enumerate(cs):  # (x (L - x))^i = sum_j C(i, j) L^(i-j) (-1)^j x^(i+j)
+        for j in range(i + 1):
+            coeffs[i + j] += Fraction(c) * math.comb(i, j) * Fraction(length) ** (i - j) * (-1) ** j
+    coeffs = [float(c) for c in coeffs]  # exact: few bits each
+    if coeffs and draw(st.booleans()):
+        coeffs[draw(st.integers(0, len(coeffs) - 1))] += draw(_DYADIC)
+    return tuple(coeffs), length
+
+
+@st.composite
+def _tables(draw):
+    """(xs, ys, L): dyadic abscissae mirrored about L/2 with palindromic samples; often one changed."""
+    length = draw(_LENGTH)
+    half = sorted(set(draw(st.lists(_DYADIC.filter(lambda x: x < length / 2), min_size=1, max_size=4))))
+    xs = half + [length / 2] * draw(st.booleans()) + [length - x for x in reversed(half)]
+    ys = draw(st.lists(st.sampled_from([0.0, 1.0, -0.5]), min_size=len(half), max_size=len(half)))
+    ys = ys + [1.0] * (len(xs) - 2 * len(ys)) + ys[::-1]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(xs) - 1))
+        xs[i] += draw(_DYADIC) / 64
+        ys[i] += draw(st.sampled_from([0.0, 0.0, 1.0]))
+    return xs, ys, length
+
+
+@settings(max_examples=300, deadline=None)
+@given(_polynomials())
+def test_polynomial_evenness_agrees_with_rational_arithmetic(case):
+    coeffs, length = case
+    assert Polynomial(coeffs).is_even(length) is polynomial_is_even(coeffs, length)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables())
+def test_tabulated_evenness_agrees_with_rational_arithmetic(case):
+    xs, ys, length = case
+    if any(b <= a for a, b in zip(xs, xs[1:])):  # a change that unsorts the abscissae makes no profile
+        return
+    assert Tabulated(tuple(xs), tuple(ys)).is_even(length) is tabulated_is_even(xs, ys, length)
 
 
 def test_mirror_even_table_odd_coefficients_are_exact_zeros(monkeypatch):

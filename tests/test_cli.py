@@ -821,6 +821,53 @@ def test_verify_at_s_one_is_a_problem_before_any_solve(tmp_path, monkeypatch, ca
     ]
 
 
+ZERO = {"type": "polynomial", "coeffs": [0.0]}
+
+
+@pytest.mark.parametrize("basis, profile", [
+    ({"kind": "string", "length": 1.0}, ZERO),
+    ({"kind": "rectangle", "a": 1.0, "b": 1.3}, {"type": "separable", "terms": [{"x": COS, "y": ZERO}]}),
+    # here a lambda-free gap of 3.85e-3 at every lambda once read as slope -6.9e-16, FAIL (exit 4)
+    ({"kind": "rectangle", "a": 10.0, "b": 1.0},
+     {"type": "separable", "terms": [{"x": ZERO, "y": {"type": "polynomial", "coeffs": [1.0]}}]}),
+], ids=["string", "rectangle-zero-factor", "rectangle-10x1"])
+def test_verify_of_a_homogeneous_medium_is_a_problem_before_any_solve(
+    tmp_path, monkeypatch, capsys, basis, profile
+):
+    # sigma = 0: Z does not depend on lambda, so the fit could read only the lambda-free
+    # gap between the closed form's and the oracle's truncations as an error
+    def never(*args, **kwargs):
+        raise AssertionError("build_sigma_table called")
+
+    monkeypatch.setattr(cli, "build_sigma_table", never)
+    cfg = write_config(tmp_path, basis=basis, density={"profile": profile})
+    rc = main(["verify", "--config", str(cfg), "--s", "3/2", "--modes", "20", "--lambda", "0.02,0.04,0.08"])
+    assert rc == EXIT_VALIDATION
+    assert problems_on_stderr(capsys) == [
+        "sigma is zero, so Z does not depend on lambda and there is no lambda^3 term to fit"
+    ]
+
+
+@pytest.mark.parametrize("flag, config", [
+    ([], {}),
+    (["--threshold", "-1"], {}),
+    (["--threshold", "2.69"], {}),
+    ([], {"slope_threshold": 2.5}),
+], ids=["default", "flag-minus-one", "flag-just-below", "config-2.5"])
+def test_a_run_cannot_loosen_the_slope_gate(tmp_path, capsys, flag, config):
+    # cos 2 pi x cos 2 pi y on the 10 x 1 rectangle at M = 20: a lambda-independent gap, slope
+    # 0.0116, fails the default gate; a gate below 2.7 once passed it (exit 0)
+    cfg = write_config(tmp_path, basis={"kind": "rectangle", "a": 10.0, "b": 1.0},
+                       density={"profile": COS_2D_DENSITY["profile"]}, **config)
+    argv = ["verify", "--config", str(cfg), "--s", "3/2", "--modes", "20", "--lambda", "0.02,0.04,0.08", *flag]
+    if not (flag or config):
+        assert main(argv) == EXIT_SLOPE and capsys.readouterr().out.endswith("verdict,FAIL\n")
+        return
+    assert main(argv) == EXIT_VALIDATION
+    [problem] = problems_on_stderr(capsys)
+    assert re.fullmatch(r"(--threshold|slope_threshold) must be in \[2\.7, inf\), got .*", problem)
+
+
 def test_verify_too_few_usable_points_lists_the_problem(tmp_path, capsys):
     # the numerical floor depends on the solved spectra, so this check runs after them; it
     # still reports a problems list like every other exit-2 input
@@ -1472,9 +1519,9 @@ def test_a_json_string_is_no_number(tmp_path, capsys, where):
 
 def test_a_command_line_number_is_still_text(tmp_path):
     cfg = write_config(tmp_path, slope_threshold=2.7)
-    args = parse_args(["verify", "--config", str(cfg), "--lambda", "0.02,0.04,0.08", "--threshold", "2.5"])
+    args = parse_args(["verify", "--config", str(cfg), "--lambda", "0.02,0.04,0.08", "--threshold", "3.5"])
     loaded = load_config(str(cfg), args)
-    assert (loaded.lam_list, loaded.slope_threshold) == ([0.02, 0.04, 0.08], 2.5)
+    assert (loaded.lam_list, loaded.slope_threshold) == ([0.02, 0.04, 0.08], 3.5)
 
 
 def test_rectangle_side_bounds_bisect_once_per_geometry(tmp_path):
@@ -1497,7 +1544,7 @@ ORDER = RationalOrderSpec.parse
 # a setting's kind -> (flag token, the value it gives, JSON value, the value it gives, wrong JSON value)
 KIND_SAMPLES = {
     int: ("7", 7, 9, 9, "9"),
-    float: ("0.5", 0.5, 0.75, 0.75, "0.75"),
+    float: ("3.5", 3.5, 3.75, 3.75, "3.75"),  # inside the slope gate's span [2.7, inf)
     str: ("x", "x", "y", "y", 5),
     "orders": ("1+1/4", [ORDER("1+1/4")], ["1/3+1/4"], [ORDER("1/3+1/4")], "3/2"),
     "numbers": ("0.1,0.2", [0.1, 0.2], [0.3], [0.3], ["0.3"]),

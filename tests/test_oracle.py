@@ -584,6 +584,23 @@ def test_convergence_fit_first_order_slope_two():
     assert 1.8 < fit.slope < 2.2
 
 
+@pytest.mark.parametrize("basis, profile", [
+    (ModeBasis(String1D(1.0), 20), FourierCosine((0.0, 0.0, 0.0))),
+    (ModeBasis(Rectangle2D(10.0, 1.0), 20), Separable2D(((Polynomial((0.0,)), Polynomial((1.0,))),))),
+], ids=["string", "rectangle-10x1"])
+def test_convergence_fit_rejects_a_homogeneous_medium_before_any_solve(monkeypatch, basis, profile):
+    # sigma = 0: Z does not depend on lambda, and there is no lambda^3 error to fit
+    def never(*args, **kwargs):
+        raise AssertionError("a route ran")
+
+    monkeypatch.setattr(oracle, "z_closed_form", never)
+    monkeypatch.setattr(oracle, "oracle_sum_rule", never)
+    table = build_sigma_table(basis, profile, 2)
+    with pytest.raises(ValidationError) as info:
+        convergence_order_fit(RationalOrderSpec.parse("3/2"), table, [0.02, 0.04, 0.08])
+    assert str(info.value) == "sigma is zero, so Z does not depend on lambda and there is no lambda^3 term to fit"
+
+
 @pytest.mark.parametrize("order", [RationalOrderSpec.parse("1/2+1/2"), 1.0])
 def test_convergence_fit_rejects_s_one_before_any_solve(monkeypatch, order):
     # Z(1) is linear in lambda: second order is exact and there is no lambda^3 error to fit

@@ -63,19 +63,26 @@ def test_readme_names_every_public_name():
 
 def test_sumrule_and_verify_leave_numpy_polynomial_unimported(tmp_path):
     # the oracle's Gauss-Legendre panel is a literal rule: no run imports numpy.polynomial,
-    # whose import costs memory on every run
+    # whose import costs memory on every run; orders and mirror parity are exact in integers,
+    # so no run imports fractions or the decimal it loads either
     poly = tmp_path / "poly.json"
     poly.write_text(json.dumps({"density": {"profile": {"type": "polynomial", "coeffs": [0, 4, -4]}}}))
+    table = tmp_path / "table.json"
+    profile = {"type": "tabulated", "x": [0.0, 0.25, 0.5, 0.75, 1.0], "y": [0.0, 1.0, 2.0, 1.0, 0.0]}
+    table.write_text(json.dumps({"density": {"profile": profile}}))
     script = (
         "import sys\n"
         "from billzeta.cli import main\n"
         "assert main(['sumrule', '--route', 'all', '--modes', '60', '--s', '3/2', '--s', '1+1/4',\n"
-        "             '--s', '1/2+1/3', '--lambda', '0.05,0.1', '--out', 'r.csv']) == 0\n"
+        "             '--s', '1/2+1/3', '--s', '0.0125e2', '--lambda', '0.05,0.1', '--out', 'r.csv']) == 0\n"
         f"assert main(['verify', '--config', {str(poly)!r}, '--modes', '100', '--s', '3/2',\n"
         "             '--lambda', '0.02,0.04,0.08,0.16']) == 0\n"
+        f"assert main(['spectrum', '--config', {str(table)!r}, '--modes', '40', '--out', 's.csv']) == 0\n"
+        f"assert main(['coeffs', '--config', {str(poly)!r}, '--modes', '20', '--out', 'coeffs']) == 0\n"
         "print(sorted(name for name in sys.modules if name.startswith('numpy.polynomial')))\n"
+        "print(sorted(name for name in ('fractions', 'decimal', '_decimal') if name in sys.modules))\n"
     )
-    assert _fresh_run(script, tmp_path)[-1] == "[]"
+    assert _fresh_run(script, tmp_path)[-2:] == ["[]", "[]"]
 
 
 def test_piecewise_tables_leave_numpy_ma_unimported(tmp_path):

@@ -1,10 +1,13 @@
 import math
 import re
+import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from billzeta.basis import (
     ROW_BLOCK,
@@ -27,7 +30,7 @@ from billzeta.sumrules import (
     z_via_trace,
 )
 
-from reference import kernel_second_order, kernel_second_order_presplit
+from reference import kernel_second_order, kernel_second_order_presplit, order_roots
 from test_basis import no_dense_power
 
 COS2 = FourierCosine((0.0, 0.0, 1.0))
@@ -50,7 +53,7 @@ def test_order_spec_parse_and_labels():
     assert a.s == 1.25 and a.label() == "1+1/4"
     b = RationalOrderSpec.parse("1/2+1/3")
     assert b.roots == (2, 3)
-    assert b.fraction == Fraction(5, 6) and b.label() == "1/2+1/3"
+    assert b.s == 5 / 6 and b.label() == "1/2+1/3"
     c = RationalOrderSpec.parse("3/2")
     assert c.roots == (1, 2)
     d = RationalOrderSpec.parse("1")
@@ -68,6 +71,86 @@ def test_order_spec_rejections():
         RationalOrderSpec((1, 1))  # s = 2: the second root order is at least 2
     with pytest.raises(ValidationError):
         RationalOrderSpec((2,))
+
+
+def _parsed(text):
+    """parse's roots of text, or its problem's text."""
+    try:
+        return RationalOrderSpec.parse(text).roots
+    except ValidationError as exc:
+        return str(exc)
+
+
+def _referenced(text):
+    try:
+        return order_roots(text)
+    except ValidationError as exc:
+        return str(exc)
+
+
+_SIGN = st.sampled_from(["", "", "-"])
+_RATIO = st.builds(lambda sign, p, q: f"{sign}{p}/{q}", _SIGN, st.integers(0, 130), st.integers(0, 130))
+_TERMINATING = [1, 2, 4, 5, 8, 10, 16, 20, 25, 32, 40, 50, 64]  # 1/N has at most 6 decimal places
+
+
+@st.composite
+def _decimal(draw):
+    """A signed decimal text with a bounded exponent, most often spelling some 1/a + 1/b exactly."""
+    a = draw(st.sampled_from(_TERMINATING))
+    b = draw(st.sampled_from(_TERMINATING) | st.integers(1, 70))
+    value = Fraction(1, a) + Fraction(1, b)
+    digits = str(value.numerator * 10**12 // value.denominator)  # value = digits e-12 when 1/b ends
+    if draw(st.integers(0, 3)) == 0:
+        digits = draw(st.text("0123456789", min_size=1, max_size=14))
+    digits = "0" * draw(st.integers(0, 3)) + digits
+    point = draw(st.integers(0, len(digits)))
+    mantissa = f"{digits[:point]}.{digits[point:]}" if point < len(digits) or draw(st.booleans()) else digits
+    exp = len(digits) - point - 12 + draw(st.sampled_from([0, 0, 0, 1, -3, 11]))
+    exp_text = f"{draw(st.sampled_from('eE'))}{exp}" if exp or draw(st.booleans()) else ""
+    return draw(_SIGN) + mantissa + exp_text
+
+
+@st.composite
+def _order_texts(draw):
+    term = _RATIO | _decimal() | st.builds(str, st.integers(-2, 3))
+    pair = st.builds(lambda a, b: f"1/{a}+1/{b}", st.integers(1, 70), st.integers(1, 70))
+    return draw(pair | term | st.builds(lambda x, y: f"{x}+{y}", term, term))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_order_texts())
+def test_integer_parse_agrees_with_fraction_arithmetic(text):
+    # the same roots, or the same problem text, as Fraction arithmetic on every bounded text
+    assert _parsed(text) == _referenced(text)
+
+
+def test_integer_parse_agrees_with_fraction_arithmetic_past_the_digit_limits():
+    texts = [
+        "1.25", "125e-2", "0.0125E2", ".75", "1.", "-0+1.5", "1/1+1/64", "3/000", "0e12+1.5", "2/4+2/6",
+        "1e-4+1.5", "0.1e-320+1.5",  # a subnormal double is finite and nonzero: exact arithmetic reads it
+        "0.125" + "0" * 4297 + "1",  # a denominator of 4301 digits: str's digit limit, in the message
+        "0.1" + "0" * 4300 + "+1.5",  # a fraction part of 4301 digits: int's digit limit
+        "1" + "0" * 4301 + "e-4301",  # an integer part of 4302 digits
+        "1/2+1/" + "1" * 4301,
+        "1e-" + "1" * 4301 + "+1.5",  # an exponent of 4301 digits
+    ]
+    for text in texts:
+        assert _parsed(text) == _referenced(text), text
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("0e10000000+1.5", "neither 1 + 1/N nor 1/N + 1/N'"),  # a zero mantissa is 0 whatever its exponent
+    ("1e-10000000+1.5", "term '1e-10000000' is not 0, but its double is 0.0"),
+    ("1e-300000000+1.5", "term '1e-300000000' is not 0, but its double is 0.0"),
+])
+def test_an_orders_exponent_cannot_stall_the_parser(text, problem):
+    # 10**exp alone would take seconds (7.6 s at 1e-10000000): a zero mantissa and a double of 0
+    # are settled before it
+    start = time.perf_counter()
+    with pytest.raises(ValidationError) as info:
+        RationalOrderSpec.parse(text)
+    assert time.perf_counter() - start < 1.0
+    assert str(info.value) == f"order {text!r}: {problem}"
 
 
 def test_order_spec_convergence_ranges():
