@@ -7,7 +7,6 @@ checked against a brute-force generalized-eigenproblem oracle.
 """
 
 from .basis import (
-    DensityPerturbation,
     FourierCosine,
     ModeBasis,
     Polynomial,
@@ -48,7 +47,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BillzetaError",
     "ConfigError",
-    "DensityPerturbation",
     "FactorizationError",
     "FourierCosine",
     "GreenCoefficientSet",

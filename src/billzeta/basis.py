@@ -103,8 +103,11 @@ class ModeBasis:
     mode_count: int
 
     def __post_init__(self):
+        if not isinstance(self.mode_count, (int, np.integer)) or isinstance(self.mode_count, bool):
+            raise ValidationError(f"mode_count must be an integer, got {self.mode_count!r}")
         if self.mode_count < 1:
             raise ValidationError("mode_count must be >= 1")
+        object.__setattr__(self, "mode_count", int(self.mode_count))
 
     @property
     def dimension(self) -> int:
@@ -297,53 +300,42 @@ def _profile_range(profile: Profile1D, length: float) -> tuple[float, float]:
     return float(np.min(values)), float(np.max(values))
 
 
-@dataclass
-class DensityPerturbation:
-    """Density Sigma(x) = 1 + lam * sigma(x) with a mild profile sigma.
+def sigma_range(profile: Profile, domain: String1D | Rectangle2D, scale: float = 1.0) -> tuple[float, float]:
+    """Sampled (lo, hi) bound of scale * sigma over the domain; scale = lam bounds lam sigma.
 
-    The strength must satisfy sup |lam * sigma| < 1 so Sigma stays positive
-    and the square-root binomial series converges.
+    In 2D each separable term runs between the least and the greatest
+    product (scale px) py over its sides' sampled range ends, and the
+    terms' ends are added: exact for one term, a bound for several.
+    numpy's min and max keep a NaN end, such as an overflowed side times
+    a zero one, where Python's would drop it; it fails the density bound.
+    A profile of the other dimension than the domain is a ValidationError.
     """
-
-    profile: Profile
-    lam: float = 0.0
-
-    def sigma_range(self, domain: String1D | Rectangle2D, scale: float = 1.0) -> tuple[float, float]:
-        """Sampled (lo, hi) bound of scale * sigma over the domain; scale = lam bounds lam sigma.
-
-        In 2D each separable term runs between the least and the greatest
-        product (scale px) py over its sides' sampled range ends, and the
-        terms' ends are added: exact for one term, a bound for several.
-        numpy's min and max keep a NaN end, such as an overflowed side times
-        a zero one, where Python's would drop it; it fails the density bound.
-        """
-        if isinstance(domain, String1D):
-            ends = [scale * v for v in _profile_range(self.profile, domain.length)]
-            return float(np.min(ends)), float(np.max(ends))
-        if not isinstance(self.profile, Separable2D):
-            raise ValidationError("2D domains need a Separable2D profile")
-        lo = hi = 0.0
-        for px, py in self.profile.terms:
-            corners = [scale * p * q for p in _profile_range(px, domain.a) for q in _profile_range(py, domain.b)]
-            lo, hi = lo + float(np.min(corners)), hi + float(np.max(corners))
-        return lo, hi
-
-    def sigma_sup(self, domain: String1D | Rectangle2D) -> float:
-        """Sampled bound on sup |sigma| over the domain, the larger end of ``sigma_range``."""
-        return max(map(abs, self.sigma_range(domain)))
-
-    def validate(self, domain: String1D | Rectangle2D) -> None:
-        if isinstance(domain, Rectangle2D) and not isinstance(self.profile, Separable2D):
-            raise ValidationError("2D domains need a Separable2D profile")
-        if isinstance(domain, String1D) and isinstance(self.profile, Separable2D):
+    if isinstance(domain, String1D):
+        if isinstance(profile, Separable2D):
             raise ValidationError("1D domains need a 1D profile")
-        if not math.isfinite(self.lam):
-            raise ValidationError(f"lambda must be finite, got {self.lam!r}")
-        bound = abs(self.lam) * self.sigma_sup(domain)
-        if not bound < 1.0:  # also rejects a NaN bound
-            raise ValidationError(
-                f"density bound violated: sup|lambda*sigma| = {bound:.6g}, needs < 1"
-            )
+        ends = [scale * v for v in _profile_range(profile, domain.length)]
+        return float(np.min(ends)), float(np.max(ends))
+    if not isinstance(profile, Separable2D):
+        raise ValidationError("2D domains need a Separable2D profile")
+    lo = hi = 0.0
+    for px, py in profile.terms:
+        corners = [scale * p * q for p in _profile_range(px, domain.a) for q in _profile_range(py, domain.b)]
+        lo, hi = lo + float(np.min(corners)), hi + float(np.max(corners))
+    return lo, hi
+
+
+def check_strength(profile: Profile, domain: String1D | Rectangle2D, lam: float) -> None:
+    """Check the medium Sigma = 1 + lam sigma: lam finite and sup |lam sigma| < 1 over the domain.
+
+    The bound keeps Sigma positive and the square-root binomial series
+    convergent; sup |sigma| is the larger end of ``sigma_range``.
+    """
+    sup = max(map(abs, sigma_range(profile, domain)))
+    if not math.isfinite(lam):
+        raise ValidationError(f"lambda must be finite, got {lam!r}")
+    bound = abs(lam) * sup
+    if not bound < 1.0:  # also rejects a NaN bound
+        raise ValidationError(f"density bound violated: sup|lambda*sigma| = {bound:.6g}, needs < 1")
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +576,7 @@ class SigmaPowerTable:
 
     The table is a run's medium: it keeps the basis and the profile sigma it
     was built from, and every reader checks a strength lambda against them
-    with ``density(lam)``; ``size`` is the basis's mode count.  Two storage
+    with ``check_strength(lam)``; ``size`` is the basis's mode count.  Two storage
     forms, each what generates the matrices.  On the string, the cosine
     coefficients of each sigma^j (``cosine[j]``), cut after the highest
     harmonic for a cosine profile and c_0..c_{2 size} otherwise.  On
@@ -624,11 +616,9 @@ class SigmaPowerTable:
     def size(self) -> int:
         return self.basis.mode_count
 
-    def density(self, lam: float) -> DensityPerturbation:
-        """The medium 1 + lam sigma of the table's profile, checked on its domain (``validate``)."""
-        density = DensityPerturbation(self.profile, lam)
-        density.validate(self.basis.domain)
-        return density
+    def check_strength(self, lam: float) -> None:
+        """Check lam against the table's profile on its domain (``check_strength``)."""
+        check_strength(self.profile, self.basis.domain, lam)
 
     def power(self, j: int) -> np.ndarray:
         """A new dense S_j, which the caller owns: ``restrict`` on every mode."""
@@ -903,6 +893,8 @@ def build_sigma_table(basis: ModeBasis, profile: Profile, max_power: int) -> Sig
     m_size = basis.mode_count
 
     if isinstance(basis.domain, String1D):
+        if isinstance(profile, Separable2D):
+            raise ValidationError("1D tables need a 1D profile")
         powers = [[(profile, j)] for j in range(1, max_power + 1)]
         coeffs = _cosine_coeffs(m_size, basis.domain.length, powers)
         return SigmaPowerTable(max_power, basis, profile, cosine=(np.ones(1), *coeffs))

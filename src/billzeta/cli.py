@@ -26,7 +26,6 @@ import numpy as np
 from . import coefficients, oracle, sumrules
 from ._record import dataclass
 from .basis import (
-    DensityPerturbation,
     FourierCosine,
     ModeBasis,
     Polynomial,
@@ -35,6 +34,7 @@ from .basis import (
     String1D,
     Tabulated,
     build_sigma_table,
+    check_strength,
     rectangle_table_doubles,
     walk_step_bound,
 )
@@ -433,9 +433,8 @@ def load_config(path: str | None, overrides) -> RunConfig:
         problems.append(oracle._HOMOGENEOUS)
     if basis is not None and profile is not None:
         for lam in read_lams:
-            density = DensityPerturbation(profile, lam)
             try:
-                density.validate(basis.domain)
+                check_strength(profile, basis.domain, lam)
             except ValidationError as exc:
                 problems.append(f"lambda={lam:g}: {exc}")
         for spec in read_orders:

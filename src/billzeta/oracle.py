@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from ._record import dataclass
-from .basis import DensityPerturbation, ModeBasis, Rectangle2D, SigmaPowerTable, String1D
+from .basis import Profile1D, Rectangle2D, Separable2D, SigmaPowerTable, String1D, sigma_range
 from .errors import (
     FactorizationError,
     InsufficientDataError,
@@ -70,14 +70,14 @@ def solve_spectrum(table: SigmaPowerTable, lam: float, *, want_vectors: bool = F
     B = r S r give E = 1/mu; each block is formed, solved and dropped before
     the next, and the blocks' values are merged in order.  The table gives
     the basis and S_1, and lam is checked against the table's profile
-    (``SigmaPowerTable.density``); no table is built here.  A non-positive
+    (``SigmaPowerTable.check_strength``); no table is built here.  A non-positive
     mu means S is not positive definite, which is reported as a
     density-bound problem: S stays positive definite whenever
     sup|lam*sigma| < 1.  With want_vectors=True the S-orthonormal
     generalized eigenvectors c = r y / sqrt(mu) are returned as columns,
     each zero outside its block's modes.
     """
-    table.density(lam)
+    table.check_strength(lam)
     solved = []
     for _, graded in _graded_blocks(table, lam):
         try:
@@ -159,27 +159,27 @@ def _composite_grid(length: float, total_nodes: int) -> tuple[np.ndarray, np.nda
     return (mid + half * xg).ravel(), (half * wg).ravel()
 
 
-def effective_length(domain: String1D, density: DensityPerturbation) -> float:
-    """Optical length int_0^L sqrt(Sigma) dx."""
+def effective_length(domain: String1D, profile: Profile1D, lam: float) -> float:
+    """Optical length int_0^L sqrt(Sigma) dx of Sigma = 1 + lam sigma."""
     x, w = _composite_grid(domain.length, _LENGTH_NODES)
-    sigma = density.profile.evaluate(x, domain.length)
-    return float(np.sum(w * np.sqrt(1.0 + density.lam * sigma)))
+    sigma = profile.evaluate(x, domain.length)
+    return float(np.sum(w * np.sqrt(1.0 + lam * sigma)))
 
 
-def effective_area(domain: Rectangle2D, density: DensityPerturbation) -> float:
+def effective_area(domain: Rectangle2D, profile: Separable2D, lam: float) -> float:
     """Optical area int Sigma dA; separable terms integrate factor by factor."""
     area = domain.a * domain.b
     x, wx = _composite_grid(domain.a, _SIDE_NODES)
     y, wy = _composite_grid(domain.b, _SIDE_NODES)
     extra = 0.0
-    for px, py in density.profile.terms:
+    for px, py in profile.terms:
         extra += float(np.sum(wx * px.evaluate(x, domain.a))) * float(
             np.sum(wy * py.evaluate(y, domain.b))
         )
-    return area + density.lam * extra
+    return area + lam * extra
 
 
-def effective_perimeter(domain: Rectangle2D, density: DensityPerturbation) -> float:
+def effective_perimeter(domain: Rectangle2D, profile: Separable2D, lam: float) -> float:
     """Optical perimeter: int sqrt(Sigma) along the four Dirichlet edges."""
     x, wx = _composite_grid(domain.a, _SIDE_NODES)
     y, wy = _composite_grid(domain.b, _SIDE_NODES)
@@ -187,15 +187,15 @@ def effective_perimeter(domain: Rectangle2D, density: DensityPerturbation) -> fl
     for edge_y in (0.0, domain.b):
         sigma = sum(
             px.evaluate(x, domain.a) * py.evaluate(np.array([edge_y]), domain.b)[0]
-            for px, py in density.profile.terms
+            for px, py in profile.terms
         )
-        total += float(np.sum(wx * np.sqrt(1.0 + density.lam * sigma)))
+        total += float(np.sum(wx * np.sqrt(1.0 + lam * sigma)))
     for edge_x in (0.0, domain.a):
         sigma = sum(
             px.evaluate(np.array([edge_x]), domain.a)[0] * py.evaluate(y, domain.b)
-            for px, py in density.profile.terms
+            for px, py in profile.terms
         )
-        total += float(np.sum(wy * np.sqrt(1.0 + density.lam * sigma)))
+        total += float(np.sum(wy * np.sqrt(1.0 + lam * sigma)))
     return total
 
 
@@ -204,38 +204,37 @@ def effective_perimeter(domain: Rectangle2D, density: DensityPerturbation) -> fl
 # ---------------------------------------------------------------------------
 
 
-def z_direct_detail(
-    eigenvalues: np.ndarray,
-    exponents,
-    basis: ModeBasis,
-    density: DensityPerturbation | None = None,
-) -> list[tuple[float, float, int]]:
+def z_direct_detail(eigenvalues: np.ndarray, exponents, table: SigmaPowerTable, lam: float) -> list[tuple]:
     """Direct sums over the eigenvalues the basis resolves plus a heterogeneous Weyl tail.
 
-    M modes resolve the spectrum up to about eps_M, below which the medium
-    holds about M ratio eigenvalues: ratio = ell / (L sqrt(max Sigma)) in 1D
-    and A_eff / (A max Sigma) in 2D, with the optical length or area and
-    max Sigma = 1 + max(lam sigma) over ``sigma_range``.  max(1, min(M -
-    round(M/4), floor(0.95 M ratio))) are kept, and the tail is the optical
-    geometry's Weyl integral from that count; a homogeneous spectrum (no
-    density, or a zero profile) keeps max(1, M - round(M/4)) at every M.
-    Returns (value, tail, kept) per exponent.
+    The basis and the profile sigma are the table's, and lam is checked
+    against them (``SigmaPowerTable.check_strength``).  M modes resolve the
+    spectrum up to about eps_M, below which the medium holds about M ratio
+    eigenvalues: ratio = ell / (L sqrt(max Sigma)) in 1D and A_eff / (A max
+    Sigma) in 2D, with the optical length or area and max Sigma = 1 +
+    max(lam sigma) over ``sigma_range``.  max(1, min(M - round(M/4),
+    floor(0.95 M ratio))) are kept, and the tail is the optical geometry's
+    Weyl integral from that count; a homogeneous spectrum (a zero profile)
+    keeps max(1, M - round(M/4)) at every M.  Returns (value, tail, kept)
+    per exponent.
     """
+    basis, profile = table.basis, table.profile
     for s in exponents:
         _validate_s_for_basis(s, basis)
+    table.check_strength(lam)
     eigs = np.asarray(eigenvalues, dtype=float)
     m = eigs.size
     dom = basis.domain
     kept = m - round(m / 4)
-    if density is None or density.profile.is_zero:
+    if profile.is_zero:
         geometry = {}
     else:
-        peak = density.sigma_range(dom, density.lam)[1]  # max(lam sigma)
+        peak = sigma_range(profile, dom, lam)[1]  # max(lam sigma)
         if basis.dimension == 1:
-            geometry = {"length": effective_length(dom, density)}
+            geometry = {"length": effective_length(dom, profile, lam)}
             ratio = geometry["length"] / (dom.length * math.sqrt(1.0 + peak))
         else:
-            geometry = {"area": effective_area(dom, density), "perimeter": effective_perimeter(dom, density)}
+            geometry = {"area": effective_area(dom, profile, lam), "perimeter": effective_perimeter(dom, profile, lam)}
             ratio = geometry["area"] / (dom.a * dom.b * (1.0 + peak))
         kept = min(kept, math.floor(0.95 * m * ratio))
     kept = max(1, kept)
@@ -250,9 +249,7 @@ def oracle_sum_rule(orders, table: SigmaPowerTable, lams) -> list[SumRuleResult]
     """Full oracle route: one spectrum per lambda, summed for every order (z0 carries all)."""
     resolved = _resolve_route_inputs(orders, table, lams, 1)
     exponents = [s for s, _ in resolved]
-    per_lam = [
-        z_direct_detail(solve_spectrum(table, lam), exponents, table.basis, table.density(lam)) for lam in lams
-    ]
+    per_lam = [z_direct_detail(solve_spectrum(table, lam), exponents, table, lam) for lam in lams]
     by_order = zip(*per_lam)  # per order, one (value, tail, kept) per lambda
     return [
         SumRuleResult(

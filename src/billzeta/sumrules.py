@@ -287,7 +287,9 @@ def tail_estimate(
 
 
 def _validate_s_for_basis(s: float, basis: ModeBasis) -> None:
-    """Reject exponents whose zeta sum diverges on the basis's domain."""
+    """Reject exponents that are not finite or whose zeta sum diverges on the basis's domain."""
+    if not math.isfinite(s):
+        raise ValidationError(f"s = {s} is not finite")
     if basis.dimension == 1 and s <= 0.5:
         raise ValidationError(f"s = {s} diverges on a 1D string (needs s > 1/2)")
     if basis.dimension == 2 and s <= 1.0:
@@ -306,7 +308,7 @@ def _resolve_route_inputs(orders, table: SigmaPowerTable, lams, power: int):
     for s, _ in resolved:
         _validate_s_for_basis(s, table.basis)
     for lam in lams:
-        table.density(lam)
+        table.check_strength(lam)
     if table.max_power < power:
         raise ValidationError(f"the route reads S_{power}: it needs a table with max_power >= {power}")
     return resolved

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from billzeta.basis import (
-    DensityPerturbation,
     FourierCosine,
     ModeBasis,
     Polynomial,
@@ -211,7 +210,7 @@ def test_criterion_7_2d_near_threshold():
     table = build_sigma_table(basis, prof, 2)
     pert = z_closed_form([RationalOrderSpec((1, 8))], table, [0.05])[0]
     eigs = solve_spectrum(table, 0.05)
-    [(z_oracle, _, _)] = z_direct_detail(eigs, [pert.s], basis, DensityPerturbation(prof, 0.05))
+    [(z_oracle, _, _)] = z_direct_detail(eigs, [pert.s], table, 0.05)
     rel = abs(pert.z_total - z_oracle) / abs(z_oracle)
     tol = max(1e-3, 5 * 0.05**3)
     elapsed = time.time() - start

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from billzeta.basis import (
     ROW_BLOCK,
-    DensityPerturbation,
     FourierCosine,
     ModeBasis,
     Polynomial,
@@ -26,7 +25,9 @@ from billzeta.basis import (
     _enumerate_rectangle_modes,
     _piecewise_cosine_coeffs,
     build_sigma_table,
+    check_strength,
     rectangle_table_doubles,
+    sigma_range,
     walk_step_bound,
 )
 from billzeta.cli import EXIT_NUMERICAL, main
@@ -954,28 +955,31 @@ def test_walk_steps_through_every_row_once(domain, profile):
                     assert got.tobytes() == want[mine].tobytes()
 
 
+def sigma_sup(profile, domain):
+    """The sampled bound on sup |sigma| that the density check reads: the larger end of sigma_range."""
+    return max(map(abs, sigma_range(profile, domain)))
+
+
 def test_density_bound_validation():
-    dens = DensityPerturbation(COS2, 1.2)
     with pytest.raises(ValidationError):
-        dens.validate(String1D(1.0))
-    ok = DensityPerturbation(COS2, 0.9)
-    ok.validate(String1D(1.0))
+        check_strength(COS2, String1D(1.0), 1.2)
+    check_strength(COS2, String1D(1.0), 0.9)
     with pytest.raises(ValidationError):
-        DensityPerturbation(COS2, 0.1).validate(Rectangle2D(1.0, 1.0))
+        check_strength(COS2, Rectangle2D(1.0, 1.0), 0.1)
 
 
 def test_2d_sigma_sup_adds_per_term_factor_sups():
     one = FourierCosine((1.0,))
     rect = Rectangle2D(1.0, 1.3)
     half = FourierCosine((0.0, 0.5))
-    assert DensityPerturbation(Separable2D(((COS2, half),))).sigma_sup(rect) == 0.5
+    assert sigma_sup(Separable2D(((COS2, half),)), rect) == 0.5
     # exact sup of cos(2 pi x) + cos(2 pi y) is 2, reached at the origin
     two_terms = Separable2D(((COS2, one), (one, COS2)))
-    assert DensityPerturbation(two_terms).sigma_sup(rect) == 2.0
+    assert sigma_sup(two_terms, rect) == 2.0
     # the bound may exceed the true sup: cos(2 pi x) - cos(2 pi x) is zero
     minus = FourierCosine((0.0, 0.0, -1.0))
     cancelling = Separable2D(((COS2, one), (minus, one)))
-    assert DensityPerturbation(cancelling).sigma_sup(rect) == 2.0
+    assert sigma_sup(cancelling, rect) == 2.0
 
 
 def test_2d_sigma_range_adds_each_terms_signed_corner_products():
@@ -984,29 +988,29 @@ def test_2d_sigma_range_adds_each_terms_signed_corner_products():
     rect = Rectangle2D(1.0, 1.0)
     one, x, minus_y = FourierCosine((1.0,)), Polynomial((0.0, 1.0)), Polynomial((0.0, -1.0))
     difference = Separable2D(((x, one), (one, minus_y)))
-    assert DensityPerturbation(difference).sigma_range(rect) == (-1.0, 1.0)
-    assert DensityPerturbation(difference).sigma_sup(rect) == 1.0
-    assert DensityPerturbation(difference).sigma_range(rect, -0.5) == (-0.5, 0.5)  # of -0.5 sigma
-    DensityPerturbation(difference, 0.9).validate(rect)  # sup|lambda sigma| = 0.9
+    assert sigma_range(difference, rect) == (-1.0, 1.0)
+    assert sigma_sup(difference, rect) == 1.0
+    assert sigma_range(difference, rect, -0.5) == (-0.5, 0.5)  # of -0.5 sigma
+    check_strength(difference, rect, 0.9)  # sup|lambda sigma| = 0.9
     with pytest.raises(ValidationError, match="density bound"):
-        DensityPerturbation(difference, 1.0).validate(rect)
+        check_strength(difference, rect, 1.0)
     # one term: the least and greatest corner products; on the string the sampled range itself
-    assert DensityPerturbation(Separable2D(((COS2, Polynomial((-0.5, 1.0))),))).sigma_range(rect) == (-0.5, 0.5)
-    assert DensityPerturbation(x).sigma_range(String1D(2.0)) == (0.0, 2.0)
-    assert DensityPerturbation(x).sigma_range(String1D(2.0), -3.0) == (-6.0, -0.0)
+    assert sigma_range(Separable2D(((COS2, Polynomial((-0.5, 1.0))),)), rect) == (-0.5, 0.5)
+    assert sigma_range(x, String1D(2.0)) == (0.0, 2.0)
+    assert sigma_range(x, String1D(2.0), -3.0) == (-6.0, -0.0)
     # a side that overflows to inf times a zero side is inf * 0 = NaN at a corner, which fails the bound
     overflowing = Separable2D(((Polynomial((0.0, 0.0, 1e308)), Polynomial((0.0,))),))
     with pytest.raises(ValidationError, match="sup.lambda.sigma. = nan"):
-        DensityPerturbation(overflowing, 0.1).validate(Rectangle2D(10.0, 1.0))
+        check_strength(overflowing, Rectangle2D(10.0, 1.0), 0.1)
 
 
 def test_a_table_carries_its_basis_and_profile():
     basis = ModeBasis(String1D(1.0), 12)
     table = build_sigma_table(basis, COS2, 1)
     assert table.basis is basis and table.profile is COS2 and table.size == 12
-    assert table.density(0.5) == DensityPerturbation(COS2, 0.5)
+    assert table.check_strength(0.5) is None
     with pytest.raises(ValidationError, match="density bound"):
-        table.density(1.5)
+        table.check_strength(1.5)
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
@@ -1017,7 +1021,34 @@ def test_domains_and_strength_must_be_finite(bad):
         Rectangle2D(1.0, bad)
     if bad != 0.0 and bad != -1.0:
         with pytest.raises(ValidationError):
-            DensityPerturbation(COS2, bad).validate(String1D(1.0))
+            check_strength(COS2, String1D(1.0), bad)
+
+
+def test_a_profile_of_the_other_dimension_is_a_validation_error():
+    # a 2D profile on a string, like a 1D one on a rectangle, is a problem with the input,
+    # not an AttributeError from deep in the coefficients or the sampled range
+    sep = Separable2D(((COS2, COS2),))
+    with pytest.raises(ValidationError, match="1D tables need a 1D profile"):
+        build_sigma_table(ModeBasis(String1D(), 5), sep, 1)
+    with pytest.raises(ValidationError, match="2D tables need a Separable2D profile"):
+        build_sigma_table(ModeBasis(Rectangle2D(), 5), COS2, 1)
+    for domain, profile, text in ((String1D(), sep, "1D domains need a 1D profile"),
+                                  (Rectangle2D(), COS2, "2D domains need a Separable2D profile")):
+        for check in (lambda: sigma_range(profile, domain), lambda: check_strength(profile, domain, 0.1)):
+            with pytest.raises(ValidationError, match=text):
+                check()
+
+
+def test_a_mode_count_is_an_integer():
+    # a float, a bool or text is no count of modes (2.5 listed 3 eigenvalues); a numpy integer is an int
+    for count in (3.0, False, "5", None):
+        with pytest.raises(ValidationError, match="mode_count must be an integer"):
+            ModeBasis(String1D(), count)
+    basis = ModeBasis(String1D(), np.int64(3))
+    assert type(basis.mode_count) is int and basis == ModeBasis(String1D(), 3)
+    assert len(basis.eigenvalues()) == 3 and build_sigma_table(basis, COS2, 1).size == 3
+    with pytest.raises(ValidationError, match="mode_count must be >= 1"):
+        ModeBasis(String1D(), np.int32(0))
 
 
 def test_table_size_validation():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from billzeta import oracle
 from billzeta.basis import (
-    DensityPerturbation,
     FourierCosine,
     ModeBasis,
     Polynomial,
@@ -17,6 +16,7 @@ from billzeta.basis import (
     String1D,
     Tabulated,
     build_sigma_table,
+    sigma_range,
 )
 from billzeta.errors import (
     FactorizationError,
@@ -46,15 +46,15 @@ COS_2D = Separable2D(((COS2, COS2),))
 ZETA3 = 1.2020569031595942854
 
 
-def overlap(basis, density):
+def overlap(basis, profile, lam):
     """S = I + lam * S_1, formed from the table's dense S_1 apart from the oracle: an independent reference."""
-    s1 = build_sigma_table(basis, density.profile, 1).power(1)
-    return np.eye(basis.mode_count) + density.lam * s1
+    s1 = build_sigma_table(basis, profile, 1).power(1)
+    return np.eye(basis.mode_count) + lam * s1
 
 
-def spectrum(basis, density, want_vectors=False):
-    """solve_spectrum on a power-1 table of the basis and the density's profile, at its lambda."""
-    return solve_spectrum(build_sigma_table(basis, density.profile, 1), density.lam, want_vectors=want_vectors)
+def spectrum(basis, profile, lam, want_vectors=False):
+    """solve_spectrum on a power-1 table of the basis and the profile, at lambda."""
+    return solve_spectrum(build_sigma_table(basis, profile, 1), lam, want_vectors=want_vectors)
 
 
 def graded_matrix(table, lam):
@@ -69,8 +69,7 @@ def graded_matrix(table, lam):
 
 def test_graded_blocks_overlap_pattern():
     basis = ModeBasis(String1D(1.0), 4)
-    dens = DensityPerturbation(COS2, 0.1)
-    s = overlap(basis, dens)
+    s = overlap(basis, COS2, 0.1)
     assert s[0, 0] == pytest.approx(0.95, abs=1e-14)
     assert s[0, 2] == pytest.approx(0.05, abs=1e-14)
     assert s[2, 0] == pytest.approx(0.05, abs=1e-14)
@@ -90,12 +89,11 @@ def test_graded_blocks_grade_the_overlap_bit_for_bit(profile, lam):
     # B = r S r with r = K^-1/2, graded in place block by block: the bits of grading the
     # reference S, signed zeros included, and B is exactly 0 between blocks
     basis = ModeBasis(String1D(1.0), 30)
-    density = DensityPerturbation(profile, lam)
     graded, blocks = graded_matrix(build_sigma_table(basis, profile, 1), lam)
     modes = np.sort(np.concatenate(blocks))
     assert np.array_equal(modes, np.arange(30))  # the blocks partition the modes
     r = 1.0 / np.sqrt(basis.eigenvalues())
-    expected = r[:, None] * overlap(basis, density) * r[None, :]
+    expected = r[:, None] * overlap(basis, profile, lam) * r[None, :]
     assert graded.tobytes() == expected.tobytes()
 
 
@@ -200,14 +198,13 @@ def test_parity_blocks_are_the_components_of_the_nonzero_pattern(domain, profile
         "polynomial-131"])
 def test_block_spectrum_matches_the_dense_pencil(domain, profile, size):
     # one LAPACK call per block, merged in order: the eigenvalues of the whole graded pencil
-    basis = ModeBasis(domain, size)
-    density = DensityPerturbation(profile, 0.16)
+    basis, lam = ModeBasis(domain, size), 0.16
     table = build_sigma_table(basis, profile, 1)
     assert len(table.blocks()) > 1
     r = 1.0 / np.sqrt(basis.eigenvalues())
-    graded = r[:, None] * (np.eye(size) + density.lam * table.power(1)) * r[None, :]
+    graded = r[:, None] * (np.eye(size) + lam * table.power(1)) * r[None, :]
     reference = 1.0 / np.linalg.eigvalsh(graded)[::-1]
-    values = solve_spectrum(table, density.lam)
+    values = solve_spectrum(table, lam)
     assert np.max(np.abs(values - reference) / reference) <= 1e-13
 
 
@@ -217,34 +214,31 @@ def test_block_spectrum_matches_the_dense_pencil(domain, profile, size):
 def test_block_eigenvectors_are_overlap_orthonormal(domain, profile, lam):
     # criterion 9's setup on the string: each vector lives in its block's modes
     basis = ModeBasis(domain, 200)
-    density = DensityPerturbation(profile, lam)
-    table = build_sigma_table(basis, density.profile, 1)
+    table = build_sigma_table(basis, profile, 1)
     assert len(table.blocks()) > 1
-    values, vectors = solve_spectrum(table, density.lam, want_vectors=True)
+    values, vectors = solve_spectrum(table, lam, want_vectors=True)
     label = np.empty(200, dtype=int)
     for b, modes in enumerate(table.blocks()):
         label[modes] = b
     for column in vectors.T:
         assert len(set(label[column != 0.0])) == 1
-    gram = vectors.T @ overlap(basis, density) @ vectors
+    gram = vectors.T @ overlap(basis, profile, lam) @ vectors
     assert np.max(np.abs(gram - np.eye(200))) < 1e-10
-    assert np.max(residual_norms(table, density.lam, values, vectors)) <= 1e-10
-    eigenvalues = solve_spectrum(table, density.lam)
+    assert np.max(residual_norms(table, lam, values, vectors)) <= 1e-10
+    eigenvalues = solve_spectrum(table, lam)
     assert np.max(np.abs(values - eigenvalues) / eigenvalues) <= 1e-13
 
 
 def test_homogeneous_spectrum_exact():
     basis = ModeBasis(String1D(1.0), 5)
-    zero = DensityPerturbation(FourierCosine(()), 0.0)
-    values = spectrum(basis, zero)
+    values = spectrum(basis, FourierCosine(()), 0.0)
     expected = np.array([1, 4, 9, 16, 25]) * math.pi**2
     assert np.max(np.abs(values - expected) / expected) < 1e-12
 
 
 def test_spectrum_positive_and_sorted():
     basis = ModeBasis(String1D(1.0), 60)
-    dens = DensityPerturbation(COS2, 0.3)
-    values = spectrum(basis, dens)
+    values = spectrum(basis, COS2, 0.3)
     assert np.all(values > 0.0)
     assert np.all(np.diff(values) > 0.0)
 
@@ -255,7 +249,7 @@ def test_small_lambda_limit_linear():
     devs = []
     lams = (0.01, 0.02, 0.04)
     for lam in lams:
-        values = spectrum(basis, DensityPerturbation(COS2, lam))
+        values = spectrum(basis, COS2, lam)
         devs.append(np.max(np.abs(values - eps) / eps))
     slope = np.polyfit(np.log(lams), np.log(devs), 1)[0]
     assert 0.9 < slope < 1.1
@@ -265,7 +259,7 @@ def test_first_order_eigenvalue_shift():
     # (E_1 - eps_1)/eps_1 ~ -lam <1|sigma|1> = +lam/2 for sigma = cos(2 pi x)
     basis = ModeBasis(String1D(1.0), 60)
     lam = 1e-3
-    values = spectrum(basis, DensityPerturbation(COS2, lam))
+    values = spectrum(basis, COS2, lam)
     eps1 = basis.eigenvalues()[0]
     shift = (values[0] - eps1) / eps1
     assert shift == pytest.approx(lam / 2, rel=1e-2)
@@ -273,21 +267,19 @@ def test_first_order_eigenvalue_shift():
 
 def test_residual_invariant():
     basis = ModeBasis(String1D(1.0), 80)
-    dens = DensityPerturbation(COS2, 0.2)
-    table = build_sigma_table(basis, dens.profile, 1)
-    values, vectors = solve_spectrum(table, dens.lam, want_vectors=True)
-    assert np.max(residual_norms(table, dens.lam, values, vectors)) < 1e-10
+    table = build_sigma_table(basis, COS2, 1)
+    values, vectors = solve_spectrum(table, 0.2, want_vectors=True)
+    assert np.max(residual_norms(table, 0.2, values, vectors)) < 1e-10
 
 
 def test_residuals_at_400_modes_match_the_reference_overlap():
     # residual_norms reads S c from the graded blocks; about 2.6e-11 here
     basis = ModeBasis(String1D(1.0), 400)
-    dens = DensityPerturbation(COS2, 0.16)
-    table = build_sigma_table(basis, dens.profile, 1)
-    values, vectors = solve_spectrum(table, dens.lam, want_vectors=True)
-    assert np.max(residual_norms(table, dens.lam, values, vectors)) < 1e-10
+    table = build_sigma_table(basis, COS2, 1)
+    values, vectors = solve_spectrum(table, 0.16, want_vectors=True)
+    assert np.max(residual_norms(table, 0.16, values, vectors)) < 1e-10
     kc = basis.eigenvalues()[:, None] * vectors
-    sc = overlap(basis, dens) @ vectors
+    sc = overlap(basis, COS2, 0.16) @ vectors
     reference = np.linalg.norm(kc - values * sc, axis=0) / np.linalg.norm(kc, axis=0)
     assert np.max(reference) < 1e-10
 
@@ -300,10 +292,9 @@ def test_eigenvector_residuals_hold_criterion_9_at_400_modes(domain, profile, la
     # criterion 9 checks M = 200, but the worst residual grows with M: on the cosine string
     # 7.9e-12 at M = 200, 4.1e-11 at 400 and 1.43e-10 at 800, past the bound.  M = 400 is
     # held to criterion 9's 1e-10 so that any further loss shows here first
-    basis, density = ModeBasis(domain, 400), DensityPerturbation(profile, lam)
-    table = build_sigma_table(basis, density.profile, 1)
-    values, vectors = solve_spectrum(table, density.lam, want_vectors=True)
-    assert np.max(residual_norms(table, density.lam, values, vectors)) <= 1e-10
+    table = build_sigma_table(ModeBasis(domain, 400), profile, 1)
+    values, vectors = solve_spectrum(table, lam, want_vectors=True)
+    assert np.max(residual_norms(table, lam, values, vectors)) <= 1e-10
 
 
 def traced_peak(run):
@@ -358,22 +349,20 @@ def test_graded_blocks_hold_one_dense_s1_and_one_walk_step(domain, profile, dens
     # on top there: 1.33 M^2 measured, with the step's candidate indices released before
     # its values are formed
     m = 400
-    basis, density = ModeBasis(domain, m), DensityPerturbation(profile, 0.1)
-    table = build_sigma_table(basis, profile, 1)
+    table = build_sigma_table(ModeBasis(domain, m), profile, 1)
     assert len(table.blocks()) == 1
-    next(_graded_blocks(table, density.lam))  # lazy imports and the table's cached pattern
+    next(_graded_blocks(table, 0.1))  # lazy imports and the table's cached pattern
     step = traced_peak(lambda: next(table.walk(1))) if dense_sides else 0
     assert step <= 1.4 * m * m * 8
-    peak = traced_peak(lambda: next(_graded_blocks(table, density.lam)))
+    peak = traced_peak(lambda: next(_graded_blocks(table, 0.1)))
     assert peak <= 1.5 * m * m * 8 + step
 
 
 def test_galerkin_monotone_in_truncation():
-    dens = DensityPerturbation(COS2, 0.1)
     prev = None
     for m in (50, 100, 200):
         basis = ModeBasis(String1D(1.0), m)
-        values = spectrum(basis, dens)
+        values = spectrum(basis, COS2, 0.1)
         if prev is not None:
             assert np.all(values[: prev.size] - prev <= 1e-9)
         prev = values
@@ -383,14 +372,14 @@ def test_added_mass_lowers_every_eigenvalue():
     # sin^2(pi x) profile: nonnegative, so all eigenvalues must drop
     profile = FourierCosine((0.5, 0.0, -0.5))
     basis = ModeBasis(String1D(1.0), 50)
-    values = spectrum(basis, DensityPerturbation(profile, 0.4))
+    values = spectrum(basis, profile, 0.4)
     assert np.all(values < basis.eigenvalues())
 
 
 def solve_graded(monkeypatch, basis, graded, want_vectors=False):
     """solve_spectrum on the basis with its one block replaced by the given graded matrix."""
     monkeypatch.setattr(oracle, "_graded_blocks", lambda *args: iter([(np.arange(basis.mode_count), graded)]))
-    return spectrum(basis, DensityPerturbation(COS2, 0.9), want_vectors)
+    return spectrum(basis, COS2, 0.9, want_vectors)
 
 
 def test_factorization_error_names_density_bound(monkeypatch):
@@ -404,12 +393,11 @@ def test_factorization_error_names_density_bound(monkeypatch):
 def test_kept_spectrum_matches_cholesky_reference():
     # test-only reference: S = L L^T, eigenvalues of L^-1 K L^-T
     basis = ModeBasis(String1D(1.0), 200)
-    dens = DensityPerturbation(COS2, 0.16)
-    lower = np.linalg.cholesky(overlap(basis, dens))
+    lower = np.linalg.cholesky(overlap(basis, COS2, 0.16))
     half = np.linalg.solve(lower, np.diag(basis.eigenvalues()))
     reduced = np.linalg.solve(lower, half.T)
     reference = np.linalg.eigvalsh(0.5 * (reduced + reduced.T))
-    values = spectrum(basis, dens)
+    values = spectrum(basis, COS2, 0.16)
     kept = 150
     rel = np.abs(values[:kept] - reference[:kept]) / reference[:kept]
     assert np.max(rel) < 1e-11
@@ -417,9 +405,8 @@ def test_kept_spectrum_matches_cholesky_reference():
 
 def test_eigenvectors_are_overlap_orthonormal():
     basis = ModeBasis(String1D(1.0), 200)
-    dens = DensityPerturbation(COS2, 0.16)
-    _, vectors = spectrum(basis, dens, want_vectors=True)
-    gram = vectors.T @ overlap(basis, dens) @ vectors
+    _, vectors = spectrum(basis, COS2, 0.16, want_vectors=True)
+    gram = vectors.T @ overlap(basis, COS2, 0.16) @ vectors
     assert np.max(np.abs(gram - np.eye(200))) < 1e-10
 
 
@@ -439,24 +426,21 @@ def test_lapack_failure_is_a_numerical_failure(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
     basis = ModeBasis(String1D(1.0), 4)
     with pytest.raises(NumericalError, match="did not converge"):
-        spectrum(basis, DensityPerturbation(COS2, 0.1))
+        spectrum(basis, COS2, 0.1)
 
 
 def test_z_direct_homogeneous_anchor():
-    basis = ModeBasis(String1D(1.0), 300)
-    zero = DensityPerturbation(FourierCosine(()), 0.0)
-    values = spectrum(basis, zero)
-    [(z, tail, kept)] = z_direct_detail(values, [1.5], basis, zero)
+    table = build_sigma_table(ModeBasis(String1D(1.0), 300), FourierCosine(()), 1)
+    [(z, tail, kept)] = z_direct_detail(solve_spectrum(table, 0.0), [1.5], table, 0.0)
     assert kept == 225
     assert abs(z - ZETA3 / math.pi**3) <= 2 * tail
 
 
 def test_z_direct_truncation_sequence_cauchy():
-    dens = DensityPerturbation(COS2, 0.1)
     details = []
     for m in (100, 200, 400):
-        basis = ModeBasis(String1D(1.0), m)
-        details.append(z_direct_detail(spectrum(basis, dens), [1.5], basis, dens)[0])
+        table = build_sigma_table(ModeBasis(String1D(1.0), m), COS2, 1)
+        details.append(z_direct_detail(solve_spectrum(table, 0.1), [1.5], table, 0.1)[0])
     for (za, ta, _), (zb, tb, _) in zip(details, details[1:]):
         assert abs(za - zb) <= 2 * (ta + tb)
 
@@ -464,11 +448,10 @@ def test_z_direct_truncation_sequence_cauchy():
 def test_z_direct_strong_2d_medium_keeps_what_the_basis_resolves():
     # COS_2D at lambda = 0.9: A_eff / (A max Sigma) = 1 / 1.9, so M = 400 modes resolve about
     # 0.95 * 400 / 1.9 = 200 eigenvalues; a fixed 25% discard kept 300 and missed by 1.1e-6
-    dens = DensityPerturbation(COS_2D, 0.9)
     z = {}
     for m in (400, 1500):
-        basis = ModeBasis(RECT, m)
-        [(z[m], _, kept)] = z_direct_detail(spectrum(basis, dens), [2.0], basis, dens)
+        table = build_sigma_table(ModeBasis(RECT, m), COS_2D, 1)
+        [(z[m], _, kept)] = z_direct_detail(solve_spectrum(table, 0.9), [2.0], table, 0.9)
         if m == 400:
             assert kept == 200
     assert abs(z[400] - z[1500]) <= 3e-7
@@ -497,28 +480,23 @@ def test_z_direct_kept_count_rule(profile, other, rectangle, strength, m):
         samples = p.evaluate(np.concatenate([xs, np.clip(getattr(p, "xs", ()), 0.0, length)]), length)
         assert lo <= samples.min() and samples.max() <= hi  # the signed range brackets every sample
         assert lo in samples and hi in samples
-    if rectangle:
-        domain, dens = RECT, DensityPerturbation(Separable2D(((profile, other),)), 0.0)
-        sup = dens.sigma_sup(domain)
-    else:
-        domain, dens = String1D(1.3), DensityPerturbation(profile, 0.0)
-        sup = dens.sigma_sup(domain)
+    domain, sigma = (RECT, Separable2D(((profile, other),))) if rectangle else (String1D(1.3), profile)
+    sup = max(map(abs, sigma_range(sigma, domain)))
     lam = strength / sup if sup > 0.0 else strength
-    dens = DensityPerturbation(dens.profile, lam)
     basis = ModeBasis(domain, m)
-    [(_, _, kept)] = z_direct_detail(basis.eigenvalues(), [2.0], basis, dens)
+    [(_, _, kept)] = z_direct_detail(basis.eigenvalues(), [2.0], build_sigma_table(basis, sigma, 1), lam)
     cap = m - round(m / 4)
     assert 1 <= kept <= cap
-    if dens.profile.is_zero:  # the homogeneous spectrum is exact: every M keeps the cap
+    if sigma.is_zero:  # the homogeneous spectrum is exact: every M keeps the cap
         assert kept == cap
         return
     if rectangle:
         rx, ry = _profile_range(profile, domain.a), _profile_range(other, domain.b)
         peak = max(lam * p * q for p in rx for q in ry)
-        ratio = effective_area(domain, dens) / (domain.a * domain.b * (1.0 + peak))
+        ratio = effective_area(domain, sigma, lam) / (domain.a * domain.b * (1.0 + peak))
     else:
         peak = max(lam * v for v in _profile_range(profile, domain.length))
-        ratio = effective_length(domain, dens) / (domain.length * math.sqrt(1.0 + peak))
+        ratio = effective_length(domain, sigma, lam) / (domain.length * math.sqrt(1.0 + peak))
     if 0.95 * ratio >= 0.75 + 1.0 / m:  # every mild medium: three quarters, as a fixed discard kept
         assert kept == cap
     assert kept == max(1, min(cap, math.floor(0.95 * m * ratio)))
@@ -528,31 +506,32 @@ def test_z_direct_kept_count_rule(profile, other, rectangle, strength, m):
     (String1D(1.0), FourierCosine(())), (RECT, Separable2D(((FourierCosine(()), COS2),))),
 ], ids=["string", "rectangle"])
 def test_z_direct_keeps_the_cap_of_a_homogeneous_spectrum(domain, zero):
-    # no density or a zero profile: the spectrum is exact, so every M keeps the cap M - round(M/4)
+    # a zero profile: the spectrum is exact, so every M keeps the cap M - round(M/4)
     for m in range(1, 9):
         basis = ModeBasis(domain, m)
-        for density in (None, DensityPerturbation(zero, 0.5)):
-            [(_, _, kept)] = z_direct_detail(basis.eigenvalues(), [2.0], basis, density)
-            assert kept == m - round(m / 4), (m, density)
+        table = build_sigma_table(basis, zero, 1)
+        for lam in (0.0, 0.5):
+            [(_, _, kept)] = z_direct_detail(basis.eigenvalues(), [2.0], table, lam)
+            assert kept == m - round(m / 4), (m, lam)
 
 
 def test_z_direct_validation():
-    basis = ModeBasis(String1D(1.0), 20)
-    vals = basis.eigenvalues()
-    with pytest.raises(ValidationError):
-        z_direct_detail(vals, [0.3], basis)
+    table = build_sigma_table(ModeBasis(String1D(1.0), 20), COS2, 1)
+    vals = table.basis.eigenvalues()
+    with pytest.raises(ValidationError, match="diverges"):
+        z_direct_detail(vals, [0.3], table, 0.1)
+    with pytest.raises(ValidationError, match="density bound"):
+        z_direct_detail(vals, [1.5], table, 1.5)
 
 
 def test_effective_geometry():
-    dens = DensityPerturbation(COS2, 0.16)
-    ell = effective_length(String1D(1.0), dens)
+    ell = effective_length(String1D(1.0), COS2, 0.16)
     # 1 - lam^2/16 - 15 lam^4/1024 + O(lam^6)
     assert ell == pytest.approx(1.0 - 0.16**2 / 16.0 - 15 * 0.16**4 / 1024.0, abs=5e-7)
     rect = Rectangle2D(1.0, 1.0)
     prof2 = Separable2D(((COS2, COS2),))
-    dens2 = DensityPerturbation(prof2, 0.05)
-    assert effective_area(rect, dens2) == pytest.approx(1.0, abs=1e-13)
-    assert effective_perimeter(rect, dens2) == pytest.approx(
+    assert effective_area(rect, prof2, 0.05) == pytest.approx(1.0, abs=1e-13)
+    assert effective_perimeter(rect, prof2, 0.05) == pytest.approx(
         4.0 * (1.0 - 0.05**2 / 16.0), abs=1e-6
     )
 

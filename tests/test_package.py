@@ -12,7 +12,7 @@ import pytest
 
 import billzeta
 from billzeta import (
-    DensityPerturbation,
+    ConfigError,
     FourierCosine,
     ModeBasis,
     Polynomial,
@@ -27,7 +27,7 @@ from billzeta import (
     build_sigma_table,
     q_generic_recursion,
 )
-from billzeta.cli import RunConfig
+from billzeta.cli import RunConfig, load_config, parse_args
 
 
 def test_all_lists_exactly_the_public_names():
@@ -52,6 +52,34 @@ def test_no_public_call_takes_a_table_with_a_basis_or_a_density():
     assert {"z_closed_form", "SigmaPowerTable", "SigmaPowerTable.restrict"} <= set(params)
     mixed = [name for name, names in params.items() if "table" in names and names & {"basis", "density", "densities"}]
     assert mixed == []
+    # the medium is a profile and a plain lambda: no public function or method of a layer takes a density
+    layers = (billzeta.basis, billzeta.sumrules, billzeta.oracle)
+    owners = [*layers, *(cls for m in layers for cls in vars(m).values()
+                         if isinstance(cls, type) and cls.__module__ == m.__name__)]
+    takes_density = [f"{owner.__name__}.{name}" for owner in owners for name, fn in vars(owner).items()
+                     if inspect.isfunction(fn) and fn.__module__.startswith("billzeta.") and not name.startswith("_")
+                     and "density" in inspect.signature(fn).parameters]
+    assert takes_density == []
+    assert "DensityPerturbation" not in billzeta.__all__ and not hasattr(billzeta, "DensityPerturbation")
+
+
+@pytest.mark.parametrize("kind, profile, lam", [
+    ("string", {"type": "polynomial", "coeffs": [0, 4, -4]}, "1.5"),
+    ("string", {"type": "fourier-cosine", "coeffs": [0, 0, 1]}, "-2"),
+    ("rectangle", {"type": "separable", "terms": [{"x": {"type": "fourier-cosine", "coeffs": [0, 0, 1]},
+                                                  "y": {"type": "polynomial", "coeffs": [0, 1, -1]}}]}, "5"),
+], ids=["polynomial-string", "cosine-string", "rectangle"])
+def test_the_config_and_the_table_reject_a_strength_with_one_text(tmp_path, kind, profile, lam):
+    # one check decides the density bound, before any table exists and on a table
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"basis": {"kind": kind}, "density": {"profile": profile}}))
+    argv = ["sumrule", "--config", str(config), "--modes", "10", "--lambda"]
+    loaded = load_config(str(config), parse_args([*argv, "0.1"]))
+    with pytest.raises(ConfigError) as problem:
+        load_config(str(config), parse_args([*argv, lam]))
+    with pytest.raises(ValidationError, match="density bound") as check:
+        build_sigma_table(loaded.basis, loaded.profile, 1).check_strength(float(lam))
+    assert problem.value.problems == [f"lambda={float(lam):g}: {check.value}"]
 
 
 def test_readme_names_every_public_name():
@@ -163,7 +191,9 @@ VALUE_CLASSES = [
      [({"a": -1.0}, "rectangle sides must be finite"), ({"b": math.nan}, "rectangle sides")]),
     (ModeBasis, {"domain": String1D(), "mode_count": 20}, {}, {},
      "ModeBasis(domain=String1D(length=1.0), mode_count=20)",
-     [({"domain": String1D(), "mode_count": 0}, "mode_count must be >= 1")]),
+     [({"domain": String1D(), "mode_count": 0}, "mode_count must be >= 1"),
+      ({"domain": String1D(), "mode_count": 2.5}, "mode_count must be an integer, got 2.5"),
+      ({"domain": String1D(), "mode_count": True}, "mode_count must be an integer, got True")]),
     (FourierCosine, {}, {"coeffs": [0, 0, 1]}, {"coeffs": ()}, "FourierCosine(coeffs=(0.0, 0.0, 1.0))", []),
     (Polynomial, {}, {"coeffs": (0, 4, -4)}, {"coeffs": ()}, "Polynomial(coeffs=(0.0, 4.0, -4.0))", []),
     (Tabulated, {"xs": (0, 0.5, 1), "ys": (1, 2, 1)}, {}, {}, "Tabulated(xs=(0.0, 0.5, 1.0), ys=(1.0, 2.0, 1.0))",
@@ -172,8 +202,6 @@ VALUE_CLASSES = [
       ({"xs": (1, 0), "ys": (0, 1)}, "strictly increasing")]),
     (Separable2D, {"terms": [(COS, Polynomial((1,)))]}, {}, {},
      "Separable2D(terms=((FourierCosine(coeffs=(0.0, 0.0, 1.0)), Polynomial(coeffs=(1.0,))),))", []),
-    (DensityPerturbation, {"profile": COS}, {"lam": 0.1}, {"lam": 0.0},
-     "DensityPerturbation(profile=FourierCosine(coeffs=(0.0, 0.0, 1.0)), lam=0.1)", []),
     (RationalOrderSpec, {"roots": (1, 4)}, {}, {}, "RationalOrderSpec(roots=(1, 4))",
      [({"roots": (1, 1)}, "second root order must be >= 2"),
       ({"roots": (2,)}, "needs two root orders"),

@@ -356,6 +356,21 @@ def test_tail_rejects_divergent():
         tail_estimate(ModeBasis(Rectangle2D(1.0, 1.0), 10), 1.0, 10)
 
 
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("domain, profile", [
+    (String1D(1.0), COS2), (Rectangle2D(1.0, 1.0), Separable2D(((COS2, COS2),))),
+], ids=["string", "rectangle"])
+def test_a_non_finite_order_is_rejected(domain, profile, s):
+    # nan <= 1/2 is False: a non-finite s is refused by name, not summed to NaN records
+    basis = ModeBasis(domain, 10)
+    table = build_sigma_table(basis, profile, 2)
+    calls = [lambda: tail_estimate(basis, s), lambda: z_closed_form([s], table, [0.1]),
+             lambda: oracle_sum_rule([s], table, [0.1])]
+    for call in calls:
+        with pytest.raises(ValidationError, match=f"s = {s} is not finite"):
+            call()
+
+
 def test_tail_2d_tracks_true_remainder():
     # +-50% contract, checked against exact lattice enumeration
     basis = ModeBasis(Rectangle2D(1.0, 1.0), 4000)
