@@ -511,7 +511,7 @@ def _cosine_coeffs(n_max: int, length: float, factor_lists) -> list[np.ndarray]:
     from ``_piecewise_cosine_coeffs``, whose element error bound must stay
     within 1e-10 of the largest diagonal element (or of 1); odd ones are set
     to 0.0 when every factor is mirror-even (``is_even``), as rounding would
-    not cancel them.  A failed bound or a non-finite coefficient raises NumericalError.
+    not cancel them.  A non-finite coefficient, checked first, or a failed bound raises NumericalError.
     """
     out = []
     for factors in factor_lists:
@@ -519,17 +519,18 @@ def _cosine_coeffs(n_max: int, length: float, factor_lists) -> list[np.ndarray]:
             out.append(np.zeros(1))
             continue
         if all(isinstance(p, FourierCosine) for p, _ in factors):
-            c = _cosine_power_product(factors)
+            c, error = _cosine_power_product(factors), None  # exact products: no rounding bound
         else:
             c, error = _piecewise_cosine_coeffs(n_max, length, factors)
-            scale = max(1.0, float(np.max(np.abs(_selection_rule(c, np.arange(n_max), np.arange(n_max))))))
+        if not np.isfinite(c).all():  # before the scale, which would subtract infinities
+            raise NumericalError("cosine coefficients of the profile are not finite")
+        if error is not None:
+            scale = max(1.0, float(np.max(np.abs(_diagonal_rule(c, np.arange(n_max))))))
             if not error <= 1e-10 * scale:  # also catches a NaN bound
                 raise NumericalError(f"cosine coefficients: element rounding bound {error:.3e} exceeds "
                                      f"1e-10 of {scale:.3e}")
             if all(p.is_even(length) for p, _ in factors):
                 c[1::2] = 0.0  # the integrand is odd about the midpoint: not rounding, 0
-        if not np.isfinite(c).all():
-            raise NumericalError("cosine coefficients of the profile are not finite")
         out.append(c)
     return out
 

@@ -54,7 +54,12 @@ EXIT_NUMERICAL = 3
 EXIT_SLOPE = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer the signal ended
 
-ROUTES = ("closed", "trace1", "trace2", "oracle", "all")
+# the computations of each --route, in the order sumrule writes their records, and of each other command
+_ROUTE_RUNS = {"closed": ("closed",), "trace1": ("trace",), "trace2": ("trace",), "oracle": ("oracle",),
+               "all": ("closed", "trace", "oracle")}
+_COMMAND_RUNS = {"verify": ("closed", "oracle"), "spectrum": ("oracle",), "coeffs": ()}
+_READS = {"closed": 1, "trace": 2, "oracle": 1}  # the sigma power each reads: S_2 only in the trace deficit
+ROUTES = tuple(_ROUTE_RUNS)
 
 # profile type -> (class, keys holding its number lists); separable has "terms"
 _PROFILES = {
@@ -327,28 +332,30 @@ def _geometry_problems(domain, modes, orders) -> list:
     ]
 
 
-def _memory_need(command, route, domain, profile, modes, orders, max_order) -> int:
+def _plan(command, route, max_order) -> tuple[tuple, int]:
+    """The computations a command runs (sumrule's by its route) and the sigma power its table holds."""
+    runs = _COMMAND_RUNS.get(command, _ROUTE_RUNS[route])
+    return runs, max(max_order, 1) if command == "coeffs" else max(_READS[run] for run in runs)
+
+
+def _memory_need(command, route, domain, profile, m, orders, max_order) -> int:
     """Bytes a command holds at its peak, the table and the working set, counted from above."""
-    m = modes
-    max_power = max(2, max_order)
+    runs, power = _plan(command, route, max_order)
     string = isinstance(domain, String1D)
-    oracle = command in ("verify", "spectrum") or (command == "sumrule" and route in ("oracle", "all"))
     # the dense S_j formed: every one the coefficient series read; the oracle's S_1 is its pencil
-    dense = max_power if command == "coeffs" else 0
-    work = 4 * (max_order + 1) + 1 if command == "coeffs" else _ORACLE_MATRICES * oracle
+    dense = power if command == "coeffs" else 0
+    work = 4 * (max_order + 1) + 1 if command == "coeffs" else _ORACLE_MATRICES * ("oracle" in runs)
     vectors = _VECTORS + _ORDER_VECTORS * len(orders)
-    arrays = 0
-    if command == "verify" or (command == "sumrule" and route != "oracle"):  # a closed form or trace
-        arrays = _PAIR_ARRAYS
-    if command == "sumrule" and route in ("trace1", "trace2", "all"):
+    arrays = _PAIR_ARRAYS if "closed" in runs or "trace" in runs else 0
+    if "trace" in runs:
         series = {n for o in orders for n in (1, *o.roots)}
         arrays += _SERIES_PAIR_ARRAYS * len(series)
         vectors += _SERIES_VECTORS * len(series)
-    if not string and (dense or oracle):  # a rectangle S_j scattered from its couplings
+    if not string and (dense or "oracle" in runs):  # a rectangle S_j scattered from its couplings
         arrays += _PAIR_ARRAYS
     # coeffs scatters each S_j it reads, j <= max_order, from walk(j); every other walk is S_1's
     pairs = arrays * walk_step_bound(domain, profile, m, max_order if command == "coeffs" else 1)
-    table = 0 if string else rectangle_table_doubles(domain, profile, m, max_power)
+    table = 0 if string else rectangle_table_doubles(domain, profile, m, power)
     return ((dense + work) * m * m + vectors * m + pairs + table) * 8
 
 
@@ -505,16 +512,12 @@ def _unwritable(path: str, exc: OSError) -> ValidationError:
 
 
 def cmd_sumrule(cfg: RunConfig) -> int:
-    table = build_sigma_table(cfg.basis, cfg.profile, 1 if cfg.route == "oracle" else 2)  # the oracle reads S_1
+    runs, power = _plan("sumrule", cfg.route, cfg.max_order)
+    table = build_sigma_table(cfg.basis, cfg.profile, power)
     shared = (cfg.orders, table, cfg.lam_list)
-    # route -> one result per (order, lambda), order-major; each route runs once
-    by_route = {}
-    if cfg.route in ("all", "closed"):
-        by_route["closed"] = sumrules.z_closed_form(*shared)
-    if cfg.route in ("all", "trace1", "trace2"):
-        by_route["trace"] = sumrules.z_via_trace(*shared)
-    if cfg.route in ("all", "oracle"):
-        by_route["oracle"] = oracle.oracle_sum_rule(*shared)
+    routes = {"closed": sumrules.z_closed_form, "trace": sumrules.z_via_trace, "oracle": oracle.oracle_sum_rule}
+    # computation -> one result per (order, lambda), order-major; each runs once
+    by_route = {run: routes[run](*shared) for run in runs}
     records: list[SumRuleResult] = []
     diffs: list[dict] = []
     for i, (spec, lam) in enumerate(itertools.product(cfg.orders, cfg.lam_list)):
@@ -543,7 +546,7 @@ def cmd_sumrule(cfg: RunConfig) -> int:
 
 def cmd_coeffs(cfg: RunConfig) -> int:
     n_root, max_order = cfg.n_root, cfg.max_order
-    table = build_sigma_table(cfg.basis, cfg.profile, max(max_order, 1))
+    table = build_sigma_table(cfg.basis, cfg.profile, _plan("coeffs", cfg.route, max_order)[1])
     big_q = coefficients.build_Q_series(max_order, table)
     cset = coefficients.q_generic_recursion(n_root, big_q, cfg.basis)
     residuals = coefficients.verify_convolution(cset, discard=cfg.inner_discard)
@@ -564,7 +567,7 @@ def cmd_coeffs(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    table = build_sigma_table(cfg.basis, cfg.profile, 2)
+    table = build_sigma_table(cfg.basis, cfg.profile, _plan("verify", cfg.route, cfg.max_order)[1])
     fit = oracle.convergence_order_fit(
         cfg.orders[0], table, cfg.lam_list, drop_second_order=cfg.first_order_only
     )
@@ -580,7 +583,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    table = build_sigma_table(cfg.basis, cfg.profile, 1)
+    table = build_sigma_table(cfg.basis, cfg.profile, _plan("spectrum", cfg.route, cfg.max_order)[1])
     values = oracle.solve_spectrum(table, cfg.lam_list[0])
     lines = ["index,eigenvalue"] + [f"{i + 1},{v:.17g}" for i, v in enumerate(values)]
     _emit("\n".join(lines) + "\n", cfg)

@@ -90,8 +90,6 @@ def build_Q_series(k: int, table: SigmaPowerTable) -> tuple:
     """
     if k < 0:
         raise ValidationError("order must be >= 0")
-    if k > table.max_power:
-        raise ValidationError(f"order {k} exceeds table max_power {table.max_power}")
     inv = 1.0 / table.basis.eigenvalues()
     half = [np.ones(table.size)] + [half_binomial(j) * table.power(j) for j in range(1, k + 1)]
     series = _series_product([h * inv for h in half], half, k)

@@ -246,11 +246,11 @@ def z_direct_detail(eigenvalues: np.ndarray, exponents, table: SigmaPowerTable, 
 
 
 def oracle_sum_rule(orders, table: SigmaPowerTable, lams) -> list[SumRuleResult]:
-    """Full oracle route: one spectrum per lambda, summed for every order (z0 carries all)."""
-    resolved = _resolve_route_inputs(orders, table, lams, 1)
+    """Full oracle route: one spectrum per distinct lambda, summed for every order (z0 carries all)."""
+    resolved = _resolve_route_inputs(orders, table, lams)
     exponents = [s for s, _ in resolved]
-    per_lam = [z_direct_detail(solve_spectrum(table, lam), exponents, table, lam) for lam in lams]
-    by_order = zip(*per_lam)  # per order, one (value, tail, kept) per lambda
+    sums = {lam: z_direct_detail(solve_spectrum(table, lam), exponents, table, lam) for lam in dict.fromkeys(lams)}
+    by_order = zip(*(sums[lam] for lam in lams))  # per order, one (value, tail, kept) per lambda
     return [
         SumRuleResult(
             s=s, lam=lam, z0=value, z1=0.0, z2=0.0,
@@ -286,8 +286,8 @@ class ConvergenceFit:
 def convergence_order_fit(order, table: SigmaPowerTable, lams, *, drop_second_order: bool = False) -> ConvergenceFit:
     """Fit the lambda-scaling of the perturbative error against the oracle.
 
-    The closed form and the oracle both run on ``table`` (max_power >= 2) for
-    every lambda, taken in ascending order.  Every lambda must be positive,
+    The closed form and the oracle both run on ``table`` (S_1 is all they read)
+    for every distinct lambda, in ascending order.  Every lambda must be positive,
     the order's s must not be 1, where Z is exactly linear in lambda, and
     the table's profile must not be zero, where Z does not depend on lambda
     (ValidationError otherwise, before any solve); at least three lambdas
@@ -307,7 +307,7 @@ def convergence_order_fit(order, table: SigmaPowerTable, lams, *, drop_second_or
         raise ValidationError(f"the fit needs positive lambda values, got {bad}")
     if len(set(lams)) < 3:
         raise InsufficientDataError("need at least 3 distinct lambda values")
-    lams = sorted(lams)
+    lams = sorted(set(lams))  # a repeated lambda is one abscissa of the fit
     perts = z_closed_form([order], table, lams)
     directs = oracle_sum_rule([order], table, lams)
     points = []
@@ -319,7 +319,8 @@ def convergence_order_fit(order, table: SigmaPowerTable, lams, *, drop_second_or
             1e-4 * (pert.tail_estimate + direct.tail_estimate),
         )
         points.append((pert.lam, err, floor))
-    usable = [(lam, err) for lam, err, floor in points if err >= FLOOR_FACTOR * floor]
+    # a NaN error sits below no floor: it is fitted, and the slope it gives is not finite
+    usable = [(lam, err) for lam, err, floor in points if not err < FLOOR_FACTOR * floor]
     excluded = tuple((lam, err, floor) for lam, err, floor in points if err < FLOOR_FACTOR * floor)
     if len(usable) < 3:
         raise InsufficientDataError(

@@ -18,7 +18,7 @@ needs each series' order-1 matrix entry by entry only in tr(A_1 B_1), and
 otherwise the diagonals of its orders 1 and 2.  The closed form and the trace
 routes read S_1 only as its nonzero couplings S_1[n, m], m >= n, one step of
 rows at a time (``SigmaPowerTable.walk``), forming only their lambda^2 pair
-sums in each step, and read every diagonal once, after the walk.  They form
+sums in each step, and read every diagonal once.  They form
 no M x M matrix: O(N nnz(S_1)) time per root order N, which is O(N M) for a
 cosine profile on the string or the rectangle and O(N M^2) for a dense S_1,
 with one step's pairs in memory.
@@ -301,16 +301,14 @@ def _s_and_label(order) -> tuple[float, str]:
     return (order.s, order.label()) if isinstance(order, RationalOrderSpec) else (float(order), f"{float(order):g}")
 
 
-def _resolve_route_inputs(orders, table: SigmaPowerTable, lams, power: int):
+def _resolve_route_inputs(orders, table: SigmaPowerTable, lams):
     """(s, label) of every order (a RationalOrderSpec or a number); checks the orders and the
-    lambdas on the table's basis and profile, and the table, which the route reads up to S_power."""
+    lambdas on the table's basis and profile.  The table checks each power a route reads."""
     resolved = [_s_and_label(o) for o in orders]
     for s, _ in resolved:
         _validate_s_for_basis(s, table.basis)
     for lam in lams:
         table.check_strength(lam)
-    if table.max_power < power:
-        raise ValidationError(f"the route reads S_{power}: it needs a table with max_power >= {power}")
     return resolved
 
 
@@ -355,16 +353,17 @@ def z_closed_form(orders, table: SigmaPowerTable, lams) -> list[SumRuleResult]:
     z0 = sum eps^{-s} (+ tail);  z1 = lam s sum <n|s|n> eps^{-s};
     z2 = (lam^2/2) s sum_{n, m} K(eps_n, eps_m; s) <n|s|m><m|s|n>,
     where the diagonal K(eps, eps; s) = (s-1) eps^{-s} carries the n == m terms.
-    The double sum walks the nonzero couplings of S_1 with m >= n
+    It reads S_1 alone.  The double sum walks its nonzero couplings with m >= n
     (``SigmaPowerTable.walk``) one step of rows at a time, each
     pair off the diagonal counted twice: O(nnz(S_1)) time per order, with one
     step's pairs in memory (O(M) pairs in all for a cosine profile,
     O(M^2) for a dense one); the z1 sum reads S_1's diagonal after the walk.
     """
-    resolved = _resolve_route_inputs(orders, table, lams, 2)
+    resolved = _resolve_route_inputs(orders, table, lams)
     eps = table.basis.eigenvalues()
     order_weights = [(s, eps ** (-s)) for s, _ in resolved]
-    blocks = [_kernel_block(rows, cols, s1, eps, order_weights) for _, rows, cols, s1 in table.walk(1)]
+    with np.errstate(over="ignore", invalid="ignore"):  # an S_1[n, m]^2 past the doubles: a z2 not finite
+        blocks = [_kernel_block(rows, cols, s1, eps, order_weights) for _, rows, cols, s1 in table.walk(1)]
     partial = np.array(blocks).reshape(len(blocks), len(resolved)).T  # [order, block]
     diag = table.diagonal(1)
     expansions = [
@@ -420,7 +419,8 @@ def z_via_trace(specs, table: SigmaPowerTable, lams) -> list[SumRuleResult]:
     each q[1/N]'s once per step and root order N.  A step adds each distinct
     series pair's tr(A_1 B_1) share, and the row sums that the order-2
     diagonals need into length-M accumulators at both ends of each pair;
-    every diagonal is read after the walk.  So no M x M matrix is formed:
+    S_2's is read first, so a table of S_1 alone is refused before any work,
+    and every other diagonal after the walk.  So no M x M matrix is formed:
     O(N nnz(S_1)) time, with one step's pairs and a few length-M vectors per
     series in memory.
     """
@@ -428,7 +428,8 @@ def z_via_trace(specs, table: SigmaPowerTable, lams) -> list[SumRuleResult]:
     for spec in specs:  # a number carries no root orders
         if not isinstance(spec, RationalOrderSpec):
             raise ValidationError(f"order {spec!r}: the trace route needs a RationalOrderSpec")
-    resolved = _resolve_route_inputs(specs, table, lams, 2)
+    resolved = _resolve_route_inputs(specs, table, lams)
+    s2_diag = table.diagonal(2)
     m = table.size
     eps = table.basis.eigenvalues()
     # the series pair each order traces, q[1/1] being Q: tr(q[1/a] q[1/b]) = tr(q[1/b] q[1/a])
@@ -443,7 +444,6 @@ def z_via_trace(specs, table: SigmaPowerTable, lams) -> list[SumRuleResult]:
     steps = [_trace_block(*step, eps, order0, distinct, row_sums, s1_row_sq) for step in table.walk(1)]
     shares = np.sum(np.array(steps).reshape(len(steps), len(distinct)), axis=0)  # tr(A_1 B_1) per pair
     # each series' (order-1, order-2) diagonals; Q^(1)[n, n] = S_1[n, n] / eps_n as Q_trace_terms forms it
-    s2_diag = table.diagonal(2)
     big_q = (table.diagonal(1) * order0[1], Q_diagonal(s2_diag, row_sums[1], eps))
     diagonals = {n: big_q if n == 1 else q_diagonal(n, order0[n], *big_q, row_sums[n]) for n in order0}
     # both series start from a diagonal order 0, so the lambda term tr(A_0 B_1) + tr(A_1 B_0) and

@@ -656,22 +656,55 @@ def test_a_cosine_rectangle_walk_is_counted_by_its_side_bands(tmp_path, monkeypa
     assert load_config(str(cfg), parse_args(argv)).basis.mode_count == 1_100_000
 
 
-@pytest.mark.parametrize("route", ROUTES)
+def recorded_powers(monkeypatch, *names):
+    """Each named cli function's max_power argument, per call, in the list the name keys."""
+    powers = {name: [] for name in names}
+
+    def recorder(name, fn):
+        def recorded(*args):
+            powers[name].append(args[-1])
+            return fn(*args)
+        return recorded
+
+    for name in names:
+        monkeypatch.setattr(cli, name, recorder(name, getattr(cli, name)))
+    return powers
+
+
+# run -> (argv, the power its table holds): the closed form and the oracle read S_1 alone, the
+# trace routes S_2's diagonal too, and coeffs --max-order K reads S_1..S_K (a table holds S_1 at least)
+BUILT_POWERS = {
+    "closed": (["sumrule", "--route", "closed"], 1),
+    "trace1": (["sumrule", "--route", "trace1"], 2),
+    "trace2": (["sumrule", "--route", "trace2", "--s", "1/2+1/3"], 2),
+    "oracle": (["sumrule", "--route", "oracle"], 1),
+    "all": (["sumrule", "--route", "all"], 2),
+    "verify": (["verify", "--lambda", "0.2,0.4,0.8"], 1),
+    "spectrum": (["spectrum"], 1),
+    "coeffs-0": (["coeffs", "--max-order", "0"], 1),
+    "coeffs-1": (["coeffs", "--max-order", "1"], 1),
+    "coeffs-3": (["coeffs", "--max-order", "3"], 3),
+}
+
+
+@pytest.mark.parametrize("route", BUILT_POWERS)
 def test_sumrule_builds_the_powers_its_routes_read(tmp_path, monkeypatch, route):
-    # the oracle reads S_1 alone; the closed form and the trace routes read S_2's diagonal
-    powers = []
-    build = cli.build_sigma_table
+    # every command and route, on the string
+    argv, power = BUILT_POWERS[route]
+    powers = recorded_powers(monkeypatch, "build_sigma_table")
+    assert main([*argv, "--modes", "30", "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert powers["build_sigma_table"] == [power]
 
-    def recorded(basis, profile, max_power):
-        powers.append(max_power)
-        return build(basis, profile, max_power)
 
-    monkeypatch.setattr(cli, "build_sigma_table", recorded)
-    order = "1/2+1/3" if route == "trace2" else "1+1/2"
-    argv = ["sumrule", "--route", route, "--modes", "40", "--s", order, "--lambda", "0.1",
-            "--out", str(tmp_path / "r.csv")]
-    assert main(argv) == EXIT_OK
-    assert powers == [1 if route == "oracle" else 2]
+@pytest.mark.parametrize("route", [run for run in BUILT_POWERS if run != "trace2"])  # 1/N + 1/N' diverges in 2D
+def test_the_memory_check_counts_the_table_the_command_builds(tmp_path, monkeypatch, route):
+    # the pre-check counts a rectangle table at the power the command then builds
+    argv, power = BUILT_POWERS[route]
+    powers = recorded_powers(monkeypatch, "rectangle_table_doubles", "build_sigma_table")
+    cfg = write_config(tmp_path, basis={"kind": "rectangle", "a": 1.0, "b": 1.3}, density=COS_2D_DENSITY)
+    argv = [*argv, "--config", str(cfg), "--modes", "30", "--out", str(tmp_path / "out")]
+    assert main(argv) in (EXIT_OK, EXIT_SLOPE)
+    assert powers["rectangle_table_doubles"] == powers["build_sigma_table"] == [power]
 
 
 def test_working_set_counted_before_allocating(tmp_path, monkeypatch, capsys):
@@ -885,6 +918,16 @@ def test_verify_too_few_usable_points_lists_the_problem(tmp_path, capsys):
     assert len(problems) == 1 and "usable points above the numerical floor" in problems[0]
 
 
+def test_verify_fits_each_distinct_lambda_once(tmp_path, capsys):
+    # 1e-4 falls below the floor, and the two rows of 0.08 once counted as two of the three
+    # points the fit needs: slope 2.985, PASS, exit 0
+    cfg = write_config(tmp_path, density={"profile": {"type": "polynomial", "coeffs": [0, 4, -4]}})
+    argv = ["verify", "--config", str(cfg), "--modes", "300", "--s", "3/2", "--lambda", "0.0001,0.08,0.08,0.16"]
+    assert main(argv) == EXIT_VALIDATION
+    [problem] = problems_on_stderr(capsys)
+    assert problem.startswith("only 2 usable points above the numerical floor")
+
+
 @pytest.mark.parametrize("route", ["closed", "oracle"])
 def test_high_frequency_profile_density_bound_exits_2(tmp_path, capsys, route):
     # cos(pi x) - cos(8191 pi x) has sup ~2 but vanishes at all 4097 evenly spaced points
@@ -957,13 +1000,13 @@ def test_sumrule_sweep_forms_each_invariant_once(tmp_path, monkeypatch):
     found = []  # every SigmaPowerTable.blocks result
     blocks = SigmaPowerTable.blocks
     monkeypatch.setattr(SigmaPowerTable, "blocks", lambda self: found.append(blocks(self)) or found[-1])
-    argv = ["sumrule", "--route", "all", "--modes", "24", "--lambda", "0.02,0.04,0.08,0.16"]
+    argv = ["sumrule", "--route", "all", "--modes", "24", "--lambda", "0.02,0.04,0.08,0.16,0.04"]
     for order in ("3/2", "1+1/4", "1/2+1/3"):
         argv += ["--s", order]
     assert main(argv) == EXIT_OK
     # M = 24 is one row block: one kernel evaluation per distinct s over its pairs, one set
-    # of Q terms (N = 1), one q set per distinct N (2, 4, 3), one spectrum per lambda, S_1's
-    # blocks found once for the table, and no dense coefficient series at all
+    # of Q terms (N = 1), one q set per distinct N (2, 4, 3), one spectrum per distinct
+    # lambda, S_1's blocks found once for the table, and no dense coefficient series at all
     assert len(kernel_orders) == 3
     assert len(found) == 4 and all(b is found[0] for b in found)
     assert calls == {
@@ -1037,7 +1080,7 @@ def test_oracle_peaks_below_the_counted_need(tmp_path, run, m, command):
     assert peak < need
 
 
-@pytest.mark.parametrize("max_order", [2, 8])
+@pytest.mark.parametrize("max_order", [0, 1, 2, 8])
 def test_coeffs_peaks_below_the_counted_need(tmp_path, max_order):
     # coeffs holds the dense S_j, both series and the recursion's chain: the traced peak,
     # table included, stays below the count (at M=120 and N=3, 13.1 and 41.7 M^2 against
@@ -1080,6 +1123,32 @@ def test_coeffs_on_a_cosine_rectangle_peaks_below_the_counted_need(tmp_path):
     tracemalloc.start()
     try:
         assert main(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < need
+
+
+@pytest.mark.parametrize("argv", [
+    ["sumrule", "--route", "closed"], ["sumrule", "--route", "oracle"], ["verify", "--lambda", "0.2,0.4,0.8"],
+    ["spectrum"], ["coeffs", "--max-order", "0"], ["coeffs", "--max-order", "1"],
+], ids=["closed", "oracle", "verify", "spectrum", "coeffs-0", "coeffs-1"])
+def test_a_rectangle_table_of_s1_peaks_below_the_counted_need(tmp_path, argv):
+    # these commands build and count a rectangle table of S_1 alone: the traced peak, table
+    # included, stays below the count on COS_2D at M = 400
+    import tracemalloc
+
+    from billzeta.cli import _memory_need
+
+    cfg = write_config(tmp_path, basis={"kind": "rectangle", "a": 1.0, "b": 1.3}, density=COS_2D_DENSITY)
+    argv = [*argv, "--config", str(cfg), "--modes", "400", "--s", "3/2", "--out", str(tmp_path / "out")]
+    args = parse_args(argv)
+    loaded = load_config(str(cfg), args)
+    need = _memory_need(args.command, loaded.route, loaded.basis.domain, loaded.profile, 400, loaded.orders,
+                        loaded.max_order)
+    tracemalloc.start()
+    try:
+        assert main(argv) in (EXIT_OK, EXIT_SLOPE)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1420,6 +1489,12 @@ def _runs(draw):
     return config, argv
 
 
+HUGE_POLYNOMIAL = {"type": "polynomial", "coeffs": [1e300]}
+HUGE_TABULATED = {"type": "tabulated", "x": [0.0, 1.0], "y": [1e300, 1e300]}
+HUGE_LAMBDA = ["--modes", "20", "--lambda", "1e-301"]
+HUGE_LAMBDAS = ["--modes", "20", "--lambda", "1e-301,2e-301,4e-301"]
+
+
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_runs())
 # lambda^2 overflows while <sigma^2> underflows, so z2 is inf * 0: exit 3, not a NaN with exit 0
@@ -1431,6 +1506,15 @@ def _runs(draw):
            "density": {"profile": {"type": "tabulated", "x": [0.0, 1.0], "y": [0.0, 4.8659371951592836e-161]},
                        "lambda": [2.5688782034497304e+159, 5.137756406899461e+159, 1.0275512813798922e+160]}},
           ["verify"]))
+# lambda sigma is 0.1, but sigma^2 overflows: the table of S_2, the closed form's S_1^2 and
+# the fit each exit 3 with one JSON line, where numpy's warnings once came first
+@example(({"density": {"profile": HUGE_POLYNOMIAL}}, ["sumrule", "--route", "all", *HUGE_LAMBDA]))
+@example(({"density": {"profile": HUGE_POLYNOMIAL}}, ["sumrule", "--route", "closed", *HUGE_LAMBDA]))
+@example(({"density": {"profile": HUGE_POLYNOMIAL}}, ["verify", *HUGE_LAMBDAS]))
+@example(({"density": {"profile": HUGE_TABULATED}}, ["sumrule", "--route", "all", *HUGE_LAMBDA]))
+@example(({"density": {"profile": HUGE_TABULATED}}, ["sumrule", "--route", "closed", *HUGE_LAMBDA]))
+@example(({"density": {"profile": HUGE_TABULATED}}, ["verify", *HUGE_LAMBDAS]))
+@pytest.mark.filterwarnings("error")  # a warning would print before the one JSON line
 def test_any_valid_looking_run_exits_cleanly(run):
     config, argv = run
     with tempfile.TemporaryDirectory() as tmp:

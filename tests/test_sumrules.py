@@ -16,6 +16,7 @@ from billzeta.basis import (
     Polynomial,
     Rectangle2D,
     Separable2D,
+    SigmaPowerTable,
     String1D,
     build_sigma_table,
 )
@@ -605,11 +606,15 @@ def test_rectangle_trace_route_peaks_below_half_a_dense_matrix():
     assert peak < 0.5 * m * m * 8
 
 
-def test_trace_route_needs_a_second_power():
+def test_trace_route_needs_a_second_power(monkeypatch):
+    # the deficit reads S_2's diagonal: a table of S_1 alone is refused before the walk starts
     basis = ModeBasis(String1D(1.0), 5)
     table = build_sigma_table(basis, COS2, 1)
-    with pytest.raises(ValidationError):
+    walks = []
+    monkeypatch.setattr(SigmaPowerTable, "walk", lambda self, j, rows=None: walks.append(j))
+    with pytest.raises(ValidationError, match=r"power 2 outside table range 0\.\.1"):
         z_via_trace([RationalOrderSpec((1, 2))], table, [0.1])
+    assert walks == []
 
 
 def test_trace_inv_sum_rejects_2d():
@@ -620,10 +625,20 @@ def test_trace_inv_sum_rejects_2d():
         z_via_trace([RationalOrderSpec((2, 2))], table, [0.05])
 
 
+@pytest.mark.parametrize("basis, profile", [
+    (ModeBasis(String1D(1.0), 20), COS2),
+    (ModeBasis(String1D(1.0), 20), Polynomial((0.0, 4.0, -4.0))),
+    (ModeBasis(Rectangle2D(1.0, 1.3), 40), Separable2D(((COS2, COS2),))),
+], ids=["cosine-string", "polynomial-string", "cosine-rectangle"])
+def test_closed_form_reads_s1_alone(basis, profile):
+    # the closed form reads S_1's couplings and diagonal only: a J = 1 table gives the records
+    # of a J = 2 table bit for bit
+    orders, lams = [RationalOrderSpec.parse("3/2"), RationalOrderSpec.parse("1+1/8")], [0.05, -0.1]
+    one, two = (z_closed_form(orders, build_sigma_table(basis, profile, j), lams) for j in (1, 2))
+    assert one == two
+
+
 def test_closed_form_rejects_bad_inputs():
-    table = build_sigma_table(ModeBasis(String1D(1.0), 20), COS2, 1)
-    with pytest.raises(ValidationError):
-        z_closed_form([1.5], table, [0.1])  # J < 2
     table2 = build_sigma_table(ModeBasis(String1D(1.0), 20), COS2, 2)
     with pytest.raises(ValidationError):
         z_closed_form([0.4], table2, [0.1])  # divergent
