@@ -593,7 +593,10 @@ class SigmaPowerTable:
     them, and ``diagonal(j)`` the main diagonal; ``blocks()`` lists the
     exact blocks of S_1, found once from its walk.  ``restrict(j, modes)``
     forms S_j on any ascending modes, and ``power(j)`` on every mode, in a
-    new array the caller owns.  All of them give the same bits.  What they
+    new array the caller owns: on the string, evenly spaced modes (every
+    mode, a parity block) from two sliding windows of coefficients with O(B)
+    temporaries, and any others one step of rows at a time.  All of them
+    give the same bits.  What they
     derive from the fields (padded coefficients, nonzero patterns, the
     blocks) is memoized once per table in ``_memo``, which is not a field.
     """
@@ -628,14 +631,32 @@ class SigmaPowerTable:
     def restrict(self, j: int, modes: np.ndarray) -> np.ndarray:
         """S_j[np.ix_(modes, modes)] in a new array the caller owns, for ascending ``modes``.
 
-        On the string, steps of R rows: each is the selection rule on the columns of ``modes`` from
-        the step's first row to its band's end m - n <= w (``_coefficients``), at most min(B, R + w)
-        of the B, written with its transpose (the rule is symmetric).  R = max(B / 32, ROW_BLOCK^2 /
-        2 min(B, w + ROW_BLOCK)) keeps each temporary within max(B^2 / 32, ROW_BLOCK^2 / 2) entries.
-        On the rectangle, the couplings of ``walk(j, modes)`` with both ends in ``modes``, scattered.
+        On the string, B evenly spaced modes n_i = a + k i (``power``, a dense S_1's one block, each
+        parity block of a mirror-even one, every third mode) take the selection rule whole:
+        T[i, l] = c[k |i - l|] and H[i, l] = c[2a + 2 + k (i + l)] are sliding windows over two
+        gathers of 2B - 1 coefficients, (T - H) * 0.5 is written straight into the output and the
+        diagonal rule onto its diagonal, so every temporary holds O(B) entries.  Other modes, such
+        as a block that skips some (cos(3 pi x)'s {0, 1, 3, 4, ...}), take steps of R rows: each is
+        the selection rule on the columns of ``modes`` from the step's first row to its band's end
+        m - n <= w (``_coefficients``), at most min(B, R + w) of the B, written with its transpose
+        (the rule is symmetric).  R = max(B / 32, ROW_BLOCK^2 / 2 min(B, w + ROW_BLOCK)) keeps each
+        temporary within max(B^2 / 32, ROW_BLOCK^2 / 2) entries.  Both give the rule's bits: past
+        the band both of c's reads are padding, and (0 - 0) * 0.5 is the 0.0 the steps leave.  On
+        the rectangle, the couplings of ``walk(j, modes)`` with both ends in ``modes``, scattered.
         """
         self._check(j)
         count = len(modes)
+        if self.cosine is not None and count and not np.diff(modes, 2).any():  # evenly spaced
+            c = self._coefficients(j)[0]
+            a, k = int(modes[0]), int(modes[-1] - modes[0]) // max(1, count - 1)
+            windows = np.lib.stride_tricks.sliding_window_view
+            offsets = np.arange(1 - count, count)
+            out = np.empty((count, count))
+            np.subtract(windows(c[k * np.abs(offsets)], count)[::-1],
+                        windows(c[2 * a + 2 + k * (offsets + count - 1)], count), out=out)
+            out *= 0.5
+            out.flat[:: count + 1] = _diagonal_rule(c, modes)
+            return out
         out = np.zeros((count, count))
         if self.cosine is not None:
             c, _, width = self._coefficients(j)

@@ -28,11 +28,14 @@ sums rely on numpy's pairwise reduction; the order-0 tail is a smooth-counting (
 estimate appended to z0 only.
 
 Both perturbative routes reduce each order once to the lambda-free (z0 sum,
-c1, c2) of Z(s; lam) = z0 + lam c1 + lam^2 c2, and one builder (``_records``)
-forms the records: z1 = lam c1 + 0.0 and z2 = lam^2 c2 + 0.0, so a zero term
-is +0.0 whatever the sign of lambda.  Every route takes a sequence of orders,
-the table and a sequence of lambdas, and returns one result per (order,
-lambda), order-major.
+c1, c2, 2^e) of Z(s; lam) = z0 + lam c1 + lam^2 2^(2e) c2, and one builder
+(``_records``) forms the records: z1 = lam c1 + 0.0 and z2 = (lam 2^e)(lam 2^e)
+c2 + 0.0, so a zero term is +0.0 whatever the sign of lambda.  The scale is
+exact, and 1 (e = 0) unless the closed form's sup|sigma| lies outside
+[2^-100, 2^100] (``_sigma_scale``): past about 1e+-154, S_1^2 or lam^2 alone
+would leave the doubles.  The trace route's is 1, as its table holds sigma^2
+itself.  Every route takes a sequence of orders, the table and a sequence of
+lambdas, and returns one result per (order, lambda), order-major.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import re
 import numpy as np
 
 from ._record import dataclass
-from .basis import ModeBasis, SigmaPowerTable
+from .basis import ModeBasis, SigmaPowerTable, sigma_range
 from .coefficients import Q_diagonal, Q_trace_terms, q_diagonal, trace_terms
 from .errors import ValidationError
 from .kernels import MAX_ROOT_ORDER, validate_root_order
@@ -52,6 +55,7 @@ ROUTE_CLOSED = "closed-form"
 ROUTE_TRACE_1P = "trace-one-plus-inv"
 ROUTE_TRACE_INV = "trace-inv-sum"
 ROUTE_ORACLE = "oracle"
+_UNSCALED = 2.0**100  # a profile with sup|sigma| within this factor of 1 takes z2 unscaled, e = 0
 
 
 # ---------------------------------------------------------------------------
@@ -312,19 +316,36 @@ def _resolve_route_inputs(orders, table: SigmaPowerTable, lams):
     return resolved
 
 
-def _records(expansions, table: SigmaPowerTable, lams) -> list[SumRuleResult]:
-    """One result per (order, lambda), order-major, from each order's (s, label, route, z0 sum, c1, c2).
+def _sigma_scale(table: SigmaPowerTable) -> float:
+    """2^e, exact, with sup|sigma| 2^-e in [1, 2); 1.0 while sup|sigma| is 0 or within _UNSCALED of 1.
 
-    Z(s; lam) = z0 + lam c1 + lam^2 c2 with the tail estimate added to the
-    z0 sum; adding 0.0 makes a zero term +0.0 whatever the sign of lambda.
+    sup|sigma| is the larger end of the table's sampled ``sigma_range``, so
+    S_1 2^-e is of order 1 and, as |lam| sup|sigma| < 1, so is lam 2^e: a
+    profile near 1e300 at lam near 1e-301 squares neither S_1 nor lam past
+    the doubles, nor one near 1e-190 at lam near 1e189.  e >= -1022 keeps
+    2^-e a double.
+    """
+    sup = max(map(abs, sigma_range(table.profile, table.basis.domain)))
+    if sup == 0.0 or 1.0 / _UNSCALED <= sup <= _UNSCALED:
+        return 1.0
+    return math.ldexp(1.0, max(math.frexp(sup)[1] - 1, -1022))
+
+
+def _records(expansions, table: SigmaPowerTable, lams) -> list[SumRuleResult]:
+    """One result per (order, lambda), order-major, from each order's (s, label, route, z0 sum, c1, c2,
+    scale).
+
+    Z(s; lam) = z0 + lam c1 + (lam scale)(lam scale) c2 with the tail estimate
+    added to the z0 sum; a scale of 1.0 leaves lam's bits, and adding 0.0
+    makes a zero term +0.0 whatever the sign of lambda.
     """
     m = table.size
     results = []
-    for s, label, route, z0, c1, c2 in expansions:
+    for s, label, route, z0, c1, c2, scale in expansions:
         tail = tail_estimate(table.basis, s, m)
         results += [
             SumRuleResult(
-                s=s, lam=lam, z0=z0 + tail, z1=lam * c1 + 0.0, z2=lam * lam * c2 + 0.0,
+                s=s, lam=lam, z0=z0 + tail, z1=lam * c1 + 0.0, z2=(lam * scale) * (lam * scale) * c2 + 0.0,
                 tail_estimate=tail, truncation=m, route=route, order_label=label,
             )
             for lam in lams
@@ -332,10 +353,11 @@ def _records(expansions, table: SigmaPowerTable, lams) -> list[SumRuleResult]:
     return results
 
 
-def _kernel_block(n, m, s1, eps, orders) -> list:
-    """Each (s, eps^{-s}) order's sum over both triangles of K(eps_n, eps_m; s) S_1[n, m]^2
-    on a step of couplings (n, m, S_1[n, m])."""
-    sq = s1 * s1  # the kernel sum needs only S_1[n, m]^2 = S_1[m, n]^2
+def _kernel_block(n, m, s1, eps, orders, inverse) -> list:
+    """Each (s, eps^{-s}) order's sum over both triangles of K(eps_n, eps_m; s) (inverse S_1[n, m])^2
+    on a step of couplings (n, m, S_1[n, m]); inverse is 1/scale, a power of two."""
+    sq = s1 * inverse  # the kernel sum needs only S_1[n, m]^2 = S_1[m, n]^2
+    sq *= sq
     sq *= np.where(n == m, 1.0, 2.0)  # an off-diagonal pair stands for (n, m) and (m, n)
     lo_eps, hi_eps = eps[n], eps[m]
     sums = []
@@ -353,22 +375,43 @@ def z_closed_form(orders, table: SigmaPowerTable, lams) -> list[SumRuleResult]:
     z0 = sum eps^{-s} (+ tail);  z1 = lam s sum <n|s|n> eps^{-s};
     z2 = (lam^2/2) s sum_{n, m} K(eps_n, eps_m; s) <n|s|m><m|s|n>,
     where the diagonal K(eps, eps; s) = (s-1) eps^{-s} carries the n == m terms.
+
+    These are the lam and lam^2 terms of Z_M = sum_n E_n^{-s} = tr f(B), f(x) =
+    x^s, over the M-mode spectrum: its 1/E_n are the eigenvalues of the graded
+    B = r (I + lam S_1) r, r = diag(eps_n)^{-1/2} (``oracle.solve_spectrum``).
+    B = X + lam V with X = diag(x_n), x_n = 1/eps_n, and V[n, m] = S_1[n, m] /
+    sqrt(eps_n eps_m), and a trace function expands (Daleckii-Krein) as
+        tr f(X + lam V) = sum_n f(x_n) + lam sum_n f'(x_n) V[n, n]
+                          + (lam^2/2) sum_{n, m} f'^[1](x_n, x_m) V[n, m]^2 + O(lam^3),
+    where f'^[1](x, y) = (f'(x) - f'(y)) / (x - y) is the divided difference of
+    f' = s x^(s-1), and f''(x) at x = y.  f'(x_n) V[n, n] = s eps_n^{-s} S_1[n, n]
+    gives z1, and V[n, m]^2 = S_1[n, m]^2 / (eps_n eps_m) gives z2, since
+        s K(eps_n, eps_m; s) = f'^[1](1/eps_n, 1/eps_m) / (eps_n eps_m):
+    both sides are s (eps_n^{1-s} - eps_m^{1-s}) / (eps_m - eps_n) off the
+    diagonal, the form ``kernel_pairs`` evaluates, and s (s-1) eps^{-s} on it.
+    tr B and tr B^2 are polynomials in lam of degree 1 and 2, so at s = 1 and
+    s = 2 the three terms (z0 without its tail) are Z_M exactly.
+
     It reads S_1 alone.  The double sum walks its nonzero couplings with m >= n
     (``SigmaPowerTable.walk``) one step of rows at a time, each
     pair off the diagonal counted twice: O(nnz(S_1)) time per order, with one
     step's pairs in memory (O(M) pairs in all for a cosine profile,
     O(M^2) for a dense one); the z1 sum reads S_1's diagonal after the walk.
+    Each S_1[n, m] is scaled by 2^-e before it is squared, and lam by 2^e in
+    ``_records`` (``_sigma_scale``; e = 0 for every profile of ordinary size).
     """
     resolved = _resolve_route_inputs(orders, table, lams)
     eps = table.basis.eigenvalues()
     order_weights = [(s, eps ** (-s)) for s, _ in resolved]
+    scale = _sigma_scale(table)
     with np.errstate(over="ignore", invalid="ignore"):  # an S_1[n, m]^2 past the doubles: a z2 not finite
-        blocks = [_kernel_block(rows, cols, s1, eps, order_weights) for _, rows, cols, s1 in table.walk(1)]
+        blocks = [_kernel_block(rows, cols, s1, eps, order_weights, 1.0 / scale)
+                  for _, rows, cols, s1 in table.walk(1)]
     partial = np.array(blocks).reshape(len(blocks), len(resolved)).T  # [order, block]
     diag = table.diagonal(1)
     expansions = [
         (s, label, ROUTE_CLOSED, float(np.sum(weights)), s * float(np.sum(diag * weights)),
-         0.5 * s * float(np.sum(sums)))
+         0.5 * s * float(np.sum(sums)), scale)
         for (s, label), (_, weights), sums in zip(resolved, order_weights, partial)
     ]
     return _records(expansions, table, lams)
@@ -460,5 +503,5 @@ def z_via_trace(specs, table: SigmaPowerTable, lams) -> list[SumRuleResult]:
     for (s, label), pair in zip(resolved, pairs):
         t0, t1, t2 = traces[pair]
         route = ROUTE_TRACE_1P if pair[0] == 1 else ROUTE_TRACE_INV
-        expansions.append((s, label, route, t0, t1, t2 + 0.25 * s * float(np.sum(deficit * eps ** (-s)))))
+        expansions.append((s, label, route, t0, t1, t2 + 0.25 * s * float(np.sum(deficit * eps ** (-s))), 1.0))
     return _records(expansions, table, lams)

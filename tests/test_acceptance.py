@@ -52,6 +52,9 @@ from test_kernels import delta_table, eta_table, xi_table
 RNG = np.random.default_rng(987654321)
 COS2 = FourierCosine((0.0, 0.0, 1.0))
 ZETA3 = 1.2020569031595942854
+# (profile, L, sup|sigma| on [0, L]): a cosine with a constant, a mirror-even and a skew polynomial
+HETEROGENEOUS_STRINGS = [(FourierCosine((0.3, 0.0, 1.0)), 1.0, 1.3), (Polynomial((0.0, 4.0, -4.0)), 1.0, 1.0),
+                         (Polynomial((0.3, 1.0, -0.5)), 2.0, 0.8)]
 
 
 def report(number: int, description: str, passed: bool, detail: str, budget: float, elapsed: float):
@@ -265,10 +268,8 @@ def test_criterion_10_exact_z1_anchor():
     start = time.time()
     spec = RationalOrderSpec.parse("1/2+1/2")
     worst, z2_trace, z2_closed = 0.0, 0.0, set()
-    # (profile, L, sup|sigma| on [0, L]): lambda sup|sigma| runs from -0.9 to 0.9
-    strings = [(FourierCosine((0.3, 0.0, 1.0)), 1.0, 1.3), (Polynomial((0.0, 4.0, -4.0)), 1.0, 1.0),
-               (Polynomial((0.3, 1.0, -0.5)), 2.0, 0.8)]
-    for profile, length, sup in strings:
+    # lambda sup|sigma| runs from -0.9 to 0.9
+    for profile, length, sup in HETEROGENEOUS_STRINGS:
         basis = ModeBasis(String1D(length), 400)
         table = build_sigma_table(basis, profile, 2)
         lams = [0.9 * f / sup for f in (0.25, 0.5, 0.75, 1.0)] + [f / sup for f in (-0.25, -0.5, -0.75, -0.9)]
@@ -281,3 +282,34 @@ def test_criterion_10_exact_z1_anchor():
     report(10, "exact Z(1) on three heterogeneous strings (M=400)", ok,
            f"oracle |dZ| {worst:.2e} (<=1e-8), closed z2 {sorted(z2_closed)} (== 0), "
            f"trace |z2| {z2_trace:.1e} (<1e-15)", 60.0, elapsed)
+
+
+def test_criterion_11_second_order_is_the_m_mode_spectrum_at_s_one_and_two():
+    # Z_M = sum E^-s over every eigenvalue of the M-mode pencil is tr B^s, B = r (I + lam S_1) r:
+    # linear in lambda at s = 1 and quadratic at s = 2, so z0 (without its tail) + z1 + z2 is Z_M
+    # itself, with no truncation gap (``z_closed_form``).  The worst measured miss is 1.7e-14
+    # (strings, s = 2), 1.6e-15 (strings, s = 1) and 8.4e-16 (COS_2D); 1e-13 leaves a 6x margin.
+    start = time.time()
+    one = RationalOrderSpec.parse("1/2+1/2")
+    cases = [(p, String1D(length), sup) for p, length, sup in HETEROGENEOUS_STRINGS]
+    cases.append((Separable2D(((COS2, COS2),)), Rectangle2D(1.0, 1.3), 1.0))
+    worst = {}
+    for profile, domain, sup in cases:
+        for m in (20, 400):
+            table = build_sigma_table(ModeBasis(domain, m), profile, 2)
+            lams = [f / sup for f in (0.25, 0.5, 0.9, -0.25, -0.5, -0.9)]
+            runs = [("closed s=2", 2.0, z_closed_form([2.0], table, lams))]
+            if isinstance(domain, String1D):  # s = 1 diverges on the rectangle
+                runs += [("closed s=1", 1.0, z_closed_form([one], table, lams)),
+                         ("trace s=1", 1.0, z_via_trace([one], table, lams))]
+            spectra = [solve_spectrum(table, lam) for lam in lams]
+            for name, s, results in runs:
+                for eigs, r in zip(spectra, results):
+                    z_m = float(np.sum(eigs ** -s))
+                    miss = abs(z_m - (r.z0 - r.tail_estimate + r.z1 + r.z2)) / z_m
+                    worst[name] = max(worst.get(name, 0.0), miss)
+    elapsed = time.time() - start
+    report(11, "z0 + z1 + z2 is the M-mode spectrum's Z_M at s = 1 and 2 (M=20, 400)",
+           max(worst.values()) <= 1e-13,
+           ", ".join(f"{name} {value:.1e}" for name, value in sorted(worst.items())) + " (<=1e-13)",
+           60.0, elapsed)

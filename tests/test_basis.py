@@ -910,7 +910,8 @@ def test_restrict_gives_the_dense_power_on_each_block(domain, profile, count):
     # S_1's exact blocks, one block of every mode and every third mode from each start, on
     # tables across the row-block edges: each array is power(j)'s bits on its modes, new on
     # every call.  S_j couples every third mode to modes left out, pairs restrict drops on
-    # either storage form.  cos(3 pi x) couples modes three apart and 1 with 2, so one block
+    # either storage form.  On the string evenly spaced modes take the sliding windows and
+    # the rest the row steps.  cos(3 pi x) couples modes three apart and 1 with 2, so one block
     # is {1, 2, 4, 5, ...} (1-based), not evenly spaced; cos(5 pi x) joins 1 with 4 and 2
     # with 3, three blocks
     for size in (2 * ROW_BLOCK + 3, ROW_BLOCK + 1, 1):
@@ -922,6 +923,24 @@ def test_restrict_gives_the_dense_power_on_each_block(domain, profile, count):
                 block = table.restrict(j, modes)
                 assert block.tobytes() == dense[j][np.ix_(modes, modes)].tobytes()
             assert not np.shares_memory(block, table.restrict(2, modes))
+
+
+def test_restrict_on_evenly_spaced_modes_keeps_its_temporaries_linear():
+    # each parity block of 4x(1-x) is every second mode: S_1 on it is formed from two sliding
+    # windows straight into the block, so beyond the B x B result only O(B) numbers are live
+    # (the row steps peaked at 1.09 B^2 here)
+    import tracemalloc
+
+    table = build_sigma_table(ModeBasis(String1D(1.0), 2000), POLY, 1)
+    block = table.blocks()[0]
+    table.restrict(1, block)  # the padded coefficients are memoized once per table
+    tracemalloc.start()
+    try:
+        table.restrict(1, block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(block) == 1000 and peak <= 1.05 * len(block) ** 2 * 8
 
 
 @pytest.mark.parametrize("domain, profile", [

@@ -1497,17 +1497,17 @@ HUGE_LAMBDAS = ["--modes", "20", "--lambda", "1e-301,2e-301,4e-301"]
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_runs())
-# lambda^2 overflows while <sigma^2> underflows, so z2 is inf * 0: exit 3, not a NaN with exit 0
+# lambda^2 overflows while <sigma^2> underflows: z2 once was inf * 0, a NaN with exit 0
 @example(({"basis": {"kind": "string", "length": 1.0},
            "density": {"profile": {"type": "tabulated", "x": [0.0, 1.0], "y": [0.0, 1.4681182666877972e-189]}}},
           ["sumrule", "--modes", "1", "--s", "1+1/2", "--route", "closed", "--lambda", "6.811440349802929e+188"]))
-# lambda sigma is 0.0125, but lambda^2 overflows: the verify errors are inf and the slope NaN, exit 3
+# lambda sigma is 0.0125, but lambda^2 overflows: the verify errors were once inf and the slope NaN
 @example(({"basis": {"kind": "string", "length": 1.0}, "truncation": {"modes": 1}, "orders": ["1+1/2"],
            "density": {"profile": {"type": "tabulated", "x": [0.0, 1.0], "y": [0.0, 4.8659371951592836e-161]},
                        "lambda": [2.5688782034497304e+159, 5.137756406899461e+159, 1.0275512813798922e+160]}},
           ["verify"]))
-# lambda sigma is 0.1, but sigma^2 overflows: the table of S_2, the closed form's S_1^2 and
-# the fit each exit 3 with one JSON line, where numpy's warnings once came first
+# lambda sigma is 0.1, but sigma^2 overflows: the table of S_2 exits 3 with one JSON line,
+# where numpy's warnings once came first, and the closed form and the fit scale S_1 first
 @example(({"density": {"profile": HUGE_POLYNOMIAL}}, ["sumrule", "--route", "all", *HUGE_LAMBDA]))
 @example(({"density": {"profile": HUGE_POLYNOMIAL}}, ["sumrule", "--route", "closed", *HUGE_LAMBDA]))
 @example(({"density": {"profile": HUGE_POLYNOMIAL}}, ["verify", *HUGE_LAMBDAS]))
@@ -1537,6 +1537,18 @@ def test_any_valid_looking_run_exits_cleanly(run):
     else:
         for text in [out.getvalue(), *written]:
             assert not re.search(r"(?i)\b(nan|inf|infinity)\b", text), text
+
+
+@pytest.mark.parametrize("argv", [["sumrule", "--route", "closed", *HUGE_LAMBDA], ["verify", *HUGE_LAMBDAS]],
+                         ids=["closed", "verify"])
+def test_a_huge_profile_at_a_tiny_lambda_is_no_numerical_failure(tmp_path, capsys, argv):
+    # sigma = 1e300 at lambda = 1e-301 is lambda sigma = 0.1: the closed form squares S_1 2^-e and
+    # lambda 2^e, so it gives finite terms and verify a verdict, where S_1^2 once exited 3
+    cfg = write_config(tmp_path, density={"profile": HUGE_POLYNOMIAL})
+    code = main([*argv, "--config", str(cfg)])
+    out = capsys.readouterr().out
+    assert code in ((EXIT_OK,) if argv[0] == "sumrule" else (EXIT_OK, EXIT_SLOPE))
+    assert out and not re.search(r"(?i)\b(nan|inf|infinity)\b", out), out
 
 
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])

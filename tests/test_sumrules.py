@@ -759,3 +759,13 @@ def test_a_route_checks_lambda_against_its_tables_profile():
     for call in calls.values():
         with pytest.raises(ValidationError, match=re.escape("density bound violated: sup|lambda*sigma| = 2.5,")):
             call()
+
+
+@pytest.mark.parametrize("size, lam", [(1e300, 1e-301), (1e-200, 1e199)], ids=["huge", "tiny"])
+def test_closed_form_scales_a_profile_past_the_doubles_squares(size, lam):
+    # S_1^2 of sigma = 1e300, or lam^2 at 1e199, leaves the doubles; the closed form squares
+    # S_1 2^-e and lam 2^e instead, so each term is sigma = 1's at lam size
+    table, unit = (build_sigma_table(ModeBasis(String1D(1.0), 20), Polynomial((c,)), 1) for c in (size, 1.0))
+    [big], [plain] = z_closed_form([1.5], table, [lam]), z_closed_form([1.5], unit, [lam * size])
+    for name in ("z0", "z1", "z2"):
+        assert getattr(big, name) == pytest.approx(getattr(plain, name), rel=1e-12, abs=0.0)
