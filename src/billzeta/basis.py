@@ -37,6 +37,7 @@ _MOMENT_BLOCK = 2**15  # pieces x harmonics per array of the moment recursion
 _RECURSION_UNITS = 64  # rounding units that bound the error of each moment r_p of a piece
 _EPS = float(np.finfo(float).eps)
 ROW_BLOCK = 64  # rows per step wherever S_j's couplings are walked
+VIEW_SPAN = 10  # restrict's views win on B evenly spaced string modes of band b while B < VIEW_SPAN (b + ROW_BLOCK)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +596,8 @@ class SigmaPowerTable:
     forms S_j on any ascending modes, and ``power(j)`` on every mode, in a
     new array the caller owns: on the string, evenly spaced modes (every
     mode, a parity block) from two sliding windows of coefficients with O(B)
-    temporaries, and any others one step of rows at a time.  All of them
+    temporaries unless the block is large and narrowly banded, and any
+    others one step of rows at a time.  All of them
     give the same bits.  What they
     derive from the fields (padded coefficients, nonzero patterns, the
     blocks) is memoized once per table in ``_memo``, which is not a field.
@@ -635,7 +637,10 @@ class SigmaPowerTable:
         parity block of a mirror-even one, every third mode) take the selection rule whole:
         T[i, l] = c[k |i - l|] and H[i, l] = c[2a + 2 + k (i + l)] are sliding windows over two
         gathers of 2B - 1 coefficients, (T - H) * 0.5 is written straight into the output and the
-        diagonal rule onto its diagonal, so every temporary holds O(B) entries.  Other modes, such
+        diagonal rule onto its diagonal, so every temporary holds O(B) entries.  The views write
+        all B^2 entries, so a block with B >= VIEW_SPAN (w // k + ROW_BLOCK), where w // k is its
+        band in the block's own index, takes the row steps, which write about B (R + w // k): a
+        cos(2 pi x) parity block from B = 650 on, a dense one never.  Other modes, such
         as a block that skips some (cos(3 pi x)'s {0, 1, 3, 4, ...}), take steps of R rows: each is
         the selection rule on the columns of ``modes`` from the step's first row to its band's end
         m - n <= w (``_coefficients``), at most min(B, R + w) of the B, written with its transpose
@@ -647,16 +652,17 @@ class SigmaPowerTable:
         self._check(j)
         count = len(modes)
         if self.cosine is not None and count and not np.diff(modes, 2).any():  # evenly spaced
-            c = self._coefficients(j)[0]
+            c, _, width = self._coefficients(j)
             a, k = int(modes[0]), int(modes[-1] - modes[0]) // max(1, count - 1)
-            windows = np.lib.stride_tricks.sliding_window_view
-            offsets = np.arange(1 - count, count)
-            out = np.empty((count, count))
-            np.subtract(windows(c[k * np.abs(offsets)], count)[::-1],
-                        windows(c[2 * a + 2 + k * (offsets + count - 1)], count), out=out)
-            out *= 0.5
-            out.flat[:: count + 1] = _diagonal_rule(c, modes)
-            return out
+            if count < VIEW_SPAN * (width // max(1, k) + ROW_BLOCK):  # else the row steps write less
+                windows = np.lib.stride_tricks.sliding_window_view
+                offsets = np.arange(1 - count, count)
+                out = np.empty((count, count))
+                np.subtract(windows(c[k * np.abs(offsets)], count)[::-1],
+                            windows(c[2 * a + 2 + k * (offsets + count - 1)], count), out=out)
+                out *= 0.5
+                out.flat[:: count + 1] = _diagonal_rule(c, modes)
+                return out
         out = np.zeros((count, count))
         if self.cosine is not None:
             c, _, width = self._coefficients(j)

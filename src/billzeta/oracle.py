@@ -293,9 +293,13 @@ def convergence_order_fit(order, table: SigmaPowerTable, lams, *, drop_second_or
     (ValidationError otherwise, before any solve); at least three lambdas
     must be distinct.  Points whose error sits below FLOOR_FACTOR x the estimated
     numerical floor (tail and rounding mismatch) are excluded and reported;
-    at least three usable points are required.  With drop_second_order=True
-    the second-order term is left out, so the fitted slope should drop to
-    about two (harness self-check).
+    at least three usable points are required.  The slope is the least-squares
+    line's through the usable points (x, y) = (log lambda, log error), in
+    closed form: sum (x - x_mean)(y - y_mean) / sum (x - x_mean)^2, the same
+    estimator as a degree-1 ``np.polyfit`` without a LAPACK solve.  A zero,
+    infinite or NaN error gives a slope that is not finite.  With
+    drop_second_order=True the second-order term is left out, so the fitted
+    slope should drop to about two (harness self-check).
     """
     s, label = _s_and_label(order)
     if s == 1.0:
@@ -327,7 +331,12 @@ def convergence_order_fit(order, table: SigmaPowerTable, lams, *, drop_second_or
             f"only {len(usable)} usable points above the numerical floor; "
             "cannot fit below the truncation noise"
         )
-    logs = np.log([p[0] for p in usable])
-    loge = np.log([p[1] for p in usable])
-    slope = np.polyfit(logs, loge, 1)[0]
-    return ConvergenceFit(float(slope), tuple(usable), excluded)
+    # a zero or NaN error is given log -inf: any log outside the doubles leaves the slope not finite
+    x = [math.log(lam) for lam, _ in usable]
+    y = [math.log(err) if err > 0.0 else -math.inf for _, err in usable]
+    x_mean, y_mean = sum(x) / len(x), sum(y) / len(y)
+    sxx = sum((u - x_mean) * (u - x_mean) for u in x)
+    sxy = sum((u - x_mean) * (v - y_mean) for u, v in zip(x, y))
+    # sxx is 0 only if the logs of distinct lambdas round to one value: no line runs through them
+    slope = sxy / sxx if sxx > 0.0 else math.nan
+    return ConvergenceFit(slope, tuple(usable), excluded)

@@ -313,3 +313,33 @@ def test_criterion_11_second_order_is_the_m_mode_spectrum_at_s_one_and_two():
            max(worst.values()) <= 1e-13,
            ", ".join(f"{name} {value:.1e}" for name, value in sorted(worst.items())) + " (<=1e-13)",
            60.0, elapsed)
+
+
+def test_criterion_12_the_m_mode_remainder_is_third_order_on_both_routes():
+    # R3 = Z_M - (z0 - tail + z1 + z2) is the M-mode spectrum's Taylor remainder from lambda^3 on
+    # (criterion 11), so its log-log slope over lambda 0.001-0.016 is 3 bent by lambda^4: measured
+    # 2.9885 (COS_2D, 1+1/8) to 2.9959, so [2.95, 3.05] leaves 3x the worst distance from 3.  The
+    # routes' R3 / lambda^3 differ by rounding in Z_M-sized sums (about 1.5e-16 Z_M), worst 8.7e-5
+    # relative at lambda = 0.001 (COS_2D, 3/2); 1e-3 leaves an 11x margin.
+    start = time.time()
+    lams = [0.001, 0.002, 0.004, 0.008, 0.016]
+    cases = [(HETEROGENEOUS_STRINGS[0][0], String1D(1.0), ("1/2+1/3", "3/2", "1+1/8")),
+             (Separable2D(((COS2, COS2),)), Rectangle2D(1.0, 1.3), ("3/2", "1+1/8"))]
+    slopes, worst_gap = [], 0.0
+    for profile, domain, orders in cases:
+        table = build_sigma_table(ModeBasis(domain, 400), profile, 2)
+        spectra = [solve_spectrum(table, lam) for lam in lams]
+        for order in orders:
+            spec = RationalOrderSpec.parse(order)
+            scaled = {}
+            for route in (z_closed_form, z_via_trace):
+                r3 = [float(np.sum(eigs ** -r.s)) - (r.z0 - r.tail_estimate + r.z1 + r.z2)
+                      for eigs, r in zip(spectra, route([spec], table, lams))]
+                slopes.append(float(np.polyfit(np.log(lams), np.log(np.abs(r3)), 1)[0]))
+                scaled[route] = [r / lam**3 for r, lam in zip(r3, lams)]
+            worst_gap = max([worst_gap] + [abs(a - b) / abs(a) for a, b in zip(*scaled.values())])
+    elapsed = time.time() - start
+    report(12, "R3 = Z_M - (z0 - tail + z1 + z2) falls as lambda^3 on both routes (M=400)",
+           min(slopes) >= 2.95 and max(slopes) <= 3.05 and worst_gap <= 1e-3,
+           f"slopes {min(slopes):.4f}..{max(slopes):.4f} (in [2.95, 3.05]), "
+           f"closed vs trace R3/lambda^3 {worst_gap:.1e} (<=1e-3)", 60.0, elapsed)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from billzeta.basis import (
     ROW_BLOCK,
+    VIEW_SPAN,
     FourierCosine,
     ModeBasis,
     Polynomial,
@@ -923,6 +924,30 @@ def test_restrict_gives_the_dense_power_on_each_block(domain, profile, count):
                 block = table.restrict(j, modes)
                 assert block.tobytes() == dense[j][np.ix_(modes, modes)].tobytes()
             assert not np.shares_memory(block, table.restrict(2, modes))
+
+
+@pytest.mark.parametrize("coeffs", [(0.3, 0.0, 1.0), (0.3, 0.0, 1.0, *[0.0] * 29, 0.5)],
+                         ids=["cos2", "cos2-and-cos32"])
+def test_restrict_takes_the_row_steps_on_large_banded_blocks_with_the_same_bits(monkeypatch, coeffs):
+    # each parity block is every second mode, with band b = w // 2 in its own index: the views
+    # below B = VIEW_SPAN (b + ROW_BLOCK) modes and the row steps from there on (B = 650 and 800
+    # at j = 1), and either side gives the selection rule's bits
+    from numpy.lib import stride_tricks
+
+    sliding = stride_tricks.sliding_window_view
+    profile = FourierCosine(coeffs)
+    crossover = VIEW_SPAN * ((len(coeffs) - 1) // 2 + ROW_BLOCK)
+    for size, views in ((crossover - 1, True), (crossover, False)):
+        table = build_sigma_table(ModeBasis(String1D(1.0), 2 * size), profile, 1)
+        expected = exact_cosine_elements(2 * size, _cosine_coeffs(2 * size, 1.0, [[(profile, 1)]])[0])
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(stride_tricks, "sliding_window_view", lambda *a, **k: calls.append(a) or sliding(*a, **k))
+            blocks = [table.restrict(1, modes) for modes in table.blocks()]
+        assert len(calls) == (4 if views else 0)  # two views per block
+        for modes, block in zip(table.blocks(), blocks):
+            assert len(modes) == size
+            assert block.tobytes() == expected[np.ix_(modes, modes)].tobytes()
 
 
 def test_restrict_on_evenly_spaced_modes_keeps_its_temporaries_linear():

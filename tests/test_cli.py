@@ -1539,16 +1539,44 @@ def test_any_valid_looking_run_exits_cleanly(run):
             assert not re.search(r"(?i)\b(nan|inf|infinity)\b", text), text
 
 
-@pytest.mark.parametrize("argv", [["sumrule", "--route", "closed", *HUGE_LAMBDA], ["verify", *HUGE_LAMBDAS]],
-                         ids=["closed", "verify"])
-def test_a_huge_profile_at_a_tiny_lambda_is_no_numerical_failure(tmp_path, capsys, argv):
+@pytest.mark.parametrize("density, argv", [
+    ({"profile": HUGE_POLYNOMIAL}, ["sumrule", "--route", "closed", *HUGE_LAMBDA]),
+    ({"profile": HUGE_POLYNOMIAL}, ["verify", *HUGE_LAMBDAS]),
+    ({"profile": HUGE_TABULATED}, ["verify", *HUGE_LAMBDAS]),
+    ({"profile": {"type": "tabulated", "x": [0.0, 1.0], "y": [0.0, 4.8659371951592836e-161]},
+      "lambda": [2.5688782034497304e+159, 5.137756406899461e+159, 1.0275512813798922e+160]},
+     ["verify", "--modes", "1", "--s", "1+1/2"]),
+], ids=["closed", "verify", "verify-tabulated", "verify-tiny-profile"])
+def test_a_huge_profile_at_a_tiny_lambda_is_no_numerical_failure(tmp_path, capsys, density, argv):
     # sigma = 1e300 at lambda = 1e-301 is lambda sigma = 0.1: the closed form squares S_1 2^-e and
-    # lambda 2^e, so it gives finite terms and verify a verdict, where S_1^2 once exited 3
-    cfg = write_config(tmp_path, density={"profile": HUGE_POLYNOMIAL})
+    # lambda 2^e, so it gives finite terms and verify a verdict, where S_1^2 once exited 3.  The
+    # fit takes logs near -693 (and +367 for the tiny profile) in plain floats, with no warning
+    cfg = write_config(tmp_path, density=density)
     code = main([*argv, "--config", str(cfg)])
     out = capsys.readouterr().out
     assert code in ((EXIT_OK,) if argv[0] == "sumrule" else (EXIT_OK, EXIT_SLOPE))
     assert out and not re.search(r"(?i)\b(nan|inf|infinity)\b", out), out
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_verify_exits_3_without_a_traceback_when_an_error_is_not_finite(tmp_path, monkeypatch, capsys, bad):
+    # an oracle value outside the doubles makes that lambda's error, and so the fitted slope,
+    # not finite: one JSON line on stderr and exit 3, never a ValueError from the logs
+    from billzeta import oracle
+
+    solve = oracle.oracle_sum_rule
+
+    def spoiled(orders, table, lams):
+        results = solve(orders, table, lams)
+        results[1] = oracle.SumRuleResult(**{**vars(results[1]), "z0": bad})
+        return results
+
+    monkeypatch.setattr(oracle, "oracle_sum_rule", spoiled)
+    code = main(["verify", "--lambda", "0.1,0.2,0.4",
+                 "--config", str(write_config(tmp_path))])
+    out, err = capsys.readouterr()
+    assert (code, out) == (EXIT_NUMERICAL, "")
+    assert json.loads(err) == {"error": "numerical", "detail": "a verify error or slope is not finite"}
 
 
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])

@@ -1,9 +1,10 @@
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from billzeta import oracle
@@ -615,3 +616,59 @@ def test_convergence_fit_rejects_unfittable_lambdas_before_any_solve(monkeypatch
     table = build_sigma_table(basis, COS2, 2)
     with pytest.raises(error, match=re.escape(named)):
         convergence_order_fit(RationalOrderSpec.parse("3/2"), table, list(lambdas))
+
+
+def fit_through(monkeypatch, points):
+    """convergence_order_fit with routes that return the given (lambda, error) points, every one usable.
+
+    The closed form reads z_total = error and the oracle z0 = 0 with no tails, so each point's
+    floor is 1e3 eps error and its error is fitted as given.
+    """
+    errors = dict(points)
+    monkeypatch.setattr(oracle, "z_closed_form", lambda orders, table, lams: [
+        SimpleNamespace(lam=lam, z_total=errors[lam], z2=0.0, tail_estimate=0.0) for lam in lams])
+    monkeypatch.setattr(oracle, "oracle_sum_rule", lambda orders, table, lams: [
+        SimpleNamespace(z0=0.0, tail_estimate=0.0) for _ in lams])
+    table = build_sigma_table(ModeBasis(String1D(1.0), 4), COS2, 1)
+    return convergence_order_fit(RationalOrderSpec.parse("3/2"), table, list(errors))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(1e-6, 1.0), st.floats(1e-300, 1e300)), min_size=3, max_size=8,
+                unique_by=lambda point: point[0]))
+def test_convergence_fit_slope_is_polyfits_least_squares_line(points):
+    # the closed-form slope sum (x - x_mean)(y - y_mean) / sum (x - x_mean)^2 is the estimator of a
+    # degree-1 np.polyfit through (log lambda, log error).  They are compared relative to
+    # sqrt(sum y^2 / sum (x - x_mean)^2), which bounds |slope| and scales polyfit's own rounding:
+    # on equal errors the closed form gives 0.0 and polyfit about 3e-16
+    lams = [lam for lam, _ in points]
+    assume(max(lams) >= 1.1 * min(lams))  # polyfit's Vandermonde solve loses digits on clustered lambdas
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        fit = fit_through(monkeypatch, points)
+    points = sorted(points)
+    x, y = np.log([lam for lam, _ in points]), np.log([err for _, err in points])
+    scale = math.sqrt(np.sum(y**2) / np.sum((x - x.mean()) ** 2))
+    assert isinstance(fit.slope, float)
+    assert abs(fit.slope - np.polyfit(x, y, 1)[0]) <= 1e-12 * scale
+    assert fit.pairs == tuple(points) and fit.excluded == ()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+@pytest.mark.parametrize("at", [0, 2])
+def test_convergence_fit_slope_is_not_finite_when_an_error_is_not_positive_and_finite(monkeypatch, bad, at):
+    # log 0 is -inf and log inf is inf: the slope is NaN or infinite, with no ValueError and no
+    # warning, so cmd_verify exits 3 on it
+    errors = [1e-6, 8e-6, 6.4e-5]
+    errors[at] = bad
+    fit = fit_through(monkeypatch, list(zip([0.02, 0.04, 0.08], errors)))
+    assert not math.isfinite(fit.slope)
+
+
+def test_convergence_fit_slope_is_nan_when_the_lambdas_logs_round_to_one_value(monkeypatch):
+    # three adjacent doubles near 1e299 (a profile of 1e-300 admits them) share one log: no line
+    # runs through one abscissa, where polyfit's rank-deficient solve gave a finite slope (-0.009
+    # and a FAIL verdict on such a verify run)
+    lams = [1e299, 1.0000000000000002e299, 1.0000000000000004e299]
+    assert len({math.log(lam) for lam in lams}) == 1
+    fit = fit_through(monkeypatch, list(zip(lams, [1e-6, 8e-6, 6.4e-5])))
+    assert math.isnan(fit.slope)

@@ -27,7 +27,7 @@ from billzeta import (
     build_sigma_table,
     q_generic_recursion,
 )
-from billzeta.cli import RunConfig, load_config, parse_args
+from billzeta.cli import ROUTES, RunConfig, load_config, main, parse_args
 
 
 def test_all_lists_exactly_the_public_names():
@@ -127,6 +127,46 @@ def test_piecewise_tables_leave_numpy_ma_unimported(tmp_path):
         "print('numpy.ma' in sys.modules)\n"
     )
     assert _fresh_run(script, tmp_path)[-1] == "False"
+
+
+SOLVES = ["verify", "spectrum", "sumrule --route oracle", "sumrule --route all"]
+LAPACK_RUNS = {
+    "verify": ["verify", "--modes", "60", "--s", "3/2", "--lambda", "0.02,0.04,0.08,0.16", "--out", "v.csv"],
+    "spectrum": ["spectrum", "--modes", "40", "--out", "s.csv"],
+    "coeffs": ["coeffs", "--modes", "20", "--out", "coeffs"],
+    **{f"sumrule --route {route}": ["sumrule", "--route", route, "--modes", "40", "--lambda", "0.05,0.1",
+                                    "--s", "1/2+1/3" if route == "trace2" else "3/2", "--out", f"{route}.csv"]
+       for route in ROUTES},
+}
+
+
+@pytest.mark.parametrize("command", LAPACK_RUNS)
+def test_each_command_reaches_only_the_lapack_routines_it_declares(tmp_path, monkeypatch, command):
+    # every numpy.linalg routine reaches LAPACK through a gufunc of numpy.linalg._umath_linalg,
+    # looked up there at each call; each one numpy exposes is wrapped here and the names a run
+    # calls are recorded.  The oracle's block solves reach eigvalsh and nothing else does: a
+    # new LAPACK path (a least-squares fit, a Cholesky) costs every run its code pages, so it
+    # has to be declared here.  Read from dir(), so numpy 1.x's names are wrapped as well.
+    from numpy.linalg import _umath_linalg
+
+    reached = set()
+
+    def recorded(name, gufunc):
+        def call(*args, **kwargs):
+            reached.add(name)
+            return gufunc(*args, **kwargs)
+        return call
+
+    exposed = [name for name in dir(_umath_linalg) if not name.startswith("_")]
+    for name in exposed:
+        if callable(getattr(_umath_linalg, name)):
+            monkeypatch.setattr(_umath_linalg, name, recorded(name, getattr(_umath_linalg, name)))
+    monkeypatch.chdir(tmp_path)
+    assert main(LAPACK_RUNS[command]) == 0
+    if command in SOLVES:
+        assert reached and reached <= {name for name in exposed if name.startswith("eigvalsh")}, reached
+    else:
+        assert reached == set()
 
 
 def _fresh_run(script, cwd):
