@@ -237,7 +237,7 @@ class Tabulated:
         ys = tuple(float(v) for v in self.ys)
         if len(xs) != len(ys) or len(xs) < 2:
             raise ValidationError("tabulated profile needs >= 2 matching samples")
-        if any(b <= a for a, b in zip(xs, xs[1:])):
+        if not all(a < b for a, b in zip(xs, xs[1:])):  # a NaN compares False, so it fails too
             raise ValidationError("tabulated abscissae must be strictly increasing")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
@@ -450,8 +450,8 @@ def _piecewise_cosine_coeffs(n_max: int, length: float, factors) -> tuple[np.nda
     tables = [p.xs for p, _ in pieces if isinstance(p, Tabulated)]
     degree = sum((1 if isinstance(p, Tabulated) else len(p.coeffs) - 1) * power for p, power in pieces)
     cuts = np.linspace(0.0, length, 2 + degree // _PIECE_DEGREE)
-    edges = np.sort(np.clip(np.concatenate([cuts, *tables]), 0.0, length))
-    edges = edges[np.concatenate([[True], edges[1:] > edges[:-1]])]  # as np.unique, without numpy.ma
+    # a Python sort of a few dozen edges: np.sort and np.unique would map numpy's sort kernels
+    edges = np.array(sorted(set(np.clip(np.concatenate([cuts, *tables]), 0.0, length).tolist())))
     xi = edges / length
     centre, half = 0.5 * (xi[1:] + xi[:-1]), 0.5 * (xi[1:] - xi[:-1])
     product = np.ones((len(half), 1)), np.zeros((len(half), 1))
@@ -470,7 +470,9 @@ def _piecewise_cosine_coeffs(n_max: int, length: float, factors) -> tuple[np.nda
     # units, times a piece's moment, at most 4 / theta, adds 8 c / h units of h sum_p |q_p|
     width = 2.0 / np.arange(1, q.shape[1] + 1)
     units = width * (degree + len(g) + 3) + _RECURSION_UNITS
-    terms = half * (q_error @ width + _EPS * (np.abs(q) @ units)) + 8 * _EPS * centre * np.abs(q).sum(1)
+    # row sums, not a matrix-vector product, which would map BLAS's gemv for one small bound
+    size = np.abs(q)
+    terms = half * ((q_error * width).sum(1) + _EPS * (size * units).sum(1)) + 8 * _EPS * centre * size.sum(1)
     return coeffs, 2.0 * float(np.sum(terms)) * float(np.sum(np.abs(g)))
 
 
@@ -813,10 +815,13 @@ class SigmaPowerTable:
                 root = _join(root, n, m)
                 if np.array_equal(root, coarsest):
                     break
-            order = np.argsort(root, kind="stable")
-            order.flags.writeable = False  # every caller shares the blocks, views of order
-            cuts = np.flatnonzero(np.diff(root[order])) + 1
-            self._memo["blocks"] = tuple(np.split(order, cuts))
+            members = {}  # a root is its block's lowest mode, so first seen is block order
+            for mode, r in enumerate(root.tolist()):
+                members.setdefault(r, []).append(mode)
+            blocks = tuple(np.array(modes, dtype=np.intp) for modes in members.values())
+            for block in blocks:
+                block.flags.writeable = False  # every caller shares the blocks
+            self._memo["blocks"] = blocks
         return self._memo["blocks"]
 
 

@@ -93,7 +93,10 @@ def solve_spectrum(table: SigmaPowerTable, lam: float, *, want_vectors: bool = F
             "overlap matrix is not positive definite; the density bound "
             f"sup|lambda*sigma| < 1 is violated or nearly so (min eigenvalue {mu.min():.3e})"
         )
-    order = np.argsort(mu, kind="stable")[::-1]  # descending mu: ascending E
+    # descending mu (ascending E), equal values in reverse index order; sorted in Python, as
+    # np.argsort would map numpy's sort kernels (code pages) for this one merge
+    values = mu.tolist()
+    order = np.array(sorted(range(len(values)), key=values.__getitem__)[::-1], dtype=np.intp)
     if not want_vectors:
         return 1.0 / mu[order]
     r = 1.0 / np.sqrt(table.basis.eigenvalues())

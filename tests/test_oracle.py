@@ -230,6 +230,46 @@ def test_block_eigenvectors_are_overlap_orthonormal(domain, profile, lam):
     assert np.max(np.abs(values - eigenvalues) / eigenvalues) <= 1e-13
 
 
+SQUARE = Rectangle2D(1.0, 1.0)
+
+
+@pytest.mark.parametrize("domain, profile, size", [
+    (String1D(1.0), FourierCosine(()), 120), (String1D(1.0), FourierCosine((0.0, 0.0, 0.0, 1.0)), 120),
+    (String1D(1.0), POLY, 121), (SQUARE, Separable2D(()), 150), (SQUARE, COS_2D, 150),
+], ids=["zero", "cos3", "polynomial", "square-zero", "square-cosine"])
+def test_blocks_and_merge_match_sort_based_references(domain, profile, size):
+    # blocks() groups the modes by root in one pass and solve_spectrum merges the block values
+    # with a Python sort; here the blocks are split from a stable argsort of each mode's lowest
+    # block mate and the merge is a reversed stable argsort: the same bits, ties included (the
+    # square's modes (j, k) and (k, j) share an eigenvalue, so the zero profile ties them)
+    table = build_sigma_table(ModeBasis(domain, size), profile, 1)
+    root = np.empty(size, dtype=np.intp)
+    for members in components(table.power(1) != 0.0):
+        root[members] = members[0]
+    order = np.argsort(root, kind="stable")
+    reference = np.split(order, np.flatnonzero(np.diff(root[order])) + 1)
+    blocks = table.blocks()
+    assert len(blocks) == len(reference)
+    for block, expected in zip(blocks, reference):
+        assert block.dtype == np.intp and not block.flags.writeable
+        assert np.array_equal(block, expected)
+    lam = 0.1
+    values, vectors = solve_spectrum(table, lam, want_vectors=True)
+    solved = [np.linalg.eigh(graded) for _, graded in _graded_blocks(table, lam)]
+    mu = np.concatenate([block_mu for block_mu, _ in solved])
+    merged = np.argsort(mu, kind="stable")[::-1]
+    assert np.array_equal(values, 1.0 / mu[merged])
+    if len(set(mu.tolist())) < len(mu):
+        assert not np.array_equal(merged, np.argsort(-mu, kind="stable"))  # ties: the order is tested
+    column = np.empty(size, dtype=np.intp)
+    column[merged] = np.arange(size)
+    r, expected, start = 1.0 / np.sqrt(table.basis.eigenvalues()), np.zeros((size, size)), 0
+    for modes, (block_mu, y) in zip(blocks, solved):
+        expected[np.ix_(modes, column[start : start + len(modes)])] = r[modes, None] * y / np.sqrt(block_mu)
+        start += len(modes)
+    assert np.array_equal(vectors, expected)
+
+
 def test_homogeneous_spectrum_exact():
     basis = ModeBasis(String1D(1.0), 5)
     values = spectrum(basis, FourierCosine(()), 0.0)

@@ -8,6 +8,7 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import billzeta
@@ -169,6 +170,50 @@ def test_each_command_reaches_only_the_lapack_routines_it_declares(tmp_path, mon
         assert reached == set()
 
 
+SORTS = ("sort", "argsort", "lexsort", "unique", "partition", "argpartition")
+STRING_PROFILES = {
+    "cosine": {"type": "fourier-cosine", "coeffs": [0, 0, 1]},
+    "polynomial": {"type": "polynomial", "coeffs": [0, 4, -4]},
+    "tabulated": {"type": "tabulated", "x": [-0.5, 0.25, 0.5, 0.75, 1.5], "y": [0.0, 1.0, 2.0, 1.0, 0.0]},
+}
+# at 60 modes the polynomial's lambda^3 slope is off its tolerance and verify exits 4
+SORT_RUNS = {**LAPACK_RUNS, "verify": ["verify", "--modes", "100", *LAPACK_RUNS["verify"][3:]]}
+
+
+@pytest.mark.parametrize("profile", STRING_PROFILES)
+@pytest.mark.parametrize("command", SORT_RUNS)
+def test_string_runs_call_no_numpy_sort(tmp_path, monkeypatch, command, profile):
+    # a first sort maps numpy's sort kernels (the SIMD quicksort, timsort), a few hundred KiB
+    # of code pages: the string's table, blocks and spectrum merge sort a few dozen edges or
+    # one value per mode in Python.  Each sort numpy exposes is recorded when called; the
+    # rectangle is exempt, as one lexsort orders its O(M) candidate modes, which a Python
+    # sort would take seconds over at M = 10^5.
+    called = set()
+
+    def recorded(name, function):
+        def call(*args, **kwargs):
+            called.add(name)
+            return function(*args, **kwargs)
+        return call
+
+    for name in SORTS:
+        monkeypatch.setattr(np, name, recorded(name, getattr(np, name)))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"density": {"profile": STRING_PROFILES[profile]}}))
+    monkeypatch.chdir(tmp_path)
+    assert main([*SORT_RUNS[command], "--config", str(config)]) == 0
+    assert called == set()
+
+
+def test_source_calls_no_sort_method():
+    # the methods sort in place of the functions recorded above, so they are not called either
+    src = Path(billzeta.__file__).resolve().parent
+    found = [f"{path.name}:{number}" for path in sorted(src.glob("*.py"))
+             for number, line in enumerate(path.read_text().splitlines(), 1)
+             if re.search(r"\.(arg)?sort\(", line)]
+    assert found == []
+
+
 def _fresh_run(script, cwd):
     """Run script in a new interpreter that imports this checkout's billzeta; its stdout lines."""
     src = str(Path(billzeta.__file__).resolve().parents[1])
@@ -239,7 +284,10 @@ VALUE_CLASSES = [
     (Tabulated, {"xs": (0, 0.5, 1), "ys": (1, 2, 1)}, {}, {}, "Tabulated(xs=(0.0, 0.5, 1.0), ys=(1.0, 2.0, 1.0))",
      [({"xs": (0,), "ys": (1,)}, "needs >= 2 matching samples"),
       ({"xs": (0, 1), "ys": (1, 2, 3)}, "needs >= 2 matching samples"),
-      ({"xs": (1, 0), "ys": (0, 1)}, "strictly increasing")]),
+      ({"xs": (1, 0), "ys": (0, 1)}, "strictly increasing"),
+      # a NaN abscissa fails every comparison, so it is not strictly increasing either
+      ({"xs": (math.nan, 0.3, 0.6, 1.0), "ys": (0, 0, 1, 2)}, "strictly increasing"),
+      ({"xs": (0.0, math.nan, 1.0), "ys": (0, 1, 2)}, "strictly increasing")]),
     (Separable2D, {"terms": [(COS, Polynomial((1,)))]}, {}, {},
      "Separable2D(terms=((FourierCosine(coeffs=(0.0, 0.0, 1.0)), Polynomial(coeffs=(1.0,))),))", []),
     (RationalOrderSpec, {"roots": (1, 4)}, {}, {}, "RationalOrderSpec(roots=(1, 4))",
